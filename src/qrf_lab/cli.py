@@ -69,7 +69,7 @@ def _cmd_run(args):
     for assignment in args.overrides:
         _apply_override(raw, assignment)
     config = parse_config(raw)
-    result = run_scenario(config, jobs=args.jobs)
+    result = run_scenario(config)
     text = render(result, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -98,8 +98,6 @@ def build_parser():
                        help="override a config entry by dotted path, e.g. params.beta=2.0")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--out", help="output path; stdout when omitted")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for time points")
     p_run.set_defaults(handler=_cmd_run)
     return parser
 

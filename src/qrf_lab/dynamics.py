@@ -3,6 +3,10 @@
 A perspective Hamiltonian is stored as frame-local, system-local, and
 interaction pieces with the identity component shared evenly between the
 two local parts, so the split is unique and reassembles exactly.
+
+Trajectories over a time grid come from GridEvolution: one
+eigendecomposition of H serves every time, and the grid is walked in
+blocks whose (k, d, d) complex stacks stay within STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -129,6 +133,44 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     return split_new, pieces
 
 
+STACK_BYTES = 64 * 1024
+
+
+def block_length(d):
+    """Times per block so that one (k, d, d) complex stack fits in STACK_BYTES.
+
+    A block holds at least one time, even where one d x d matrix is larger.
+    """
+    return max(1, STACK_BYTES // (d * d * np.dtype(complex).itemsize))
+
+
+class GridEvolution:
+    """Exact evolution of density matrices under one Hamiltonian, many times at once.
+
+    H = V diag(lambda) V' is diagonalized once.  U(t) = V exp(-i lambda t) V'
+    and U rho0 U' are formed with the same operations as evolve, so every
+    state on a grid equals evolve at that time bit for bit.
+    """
+
+    def __init__(self, hamiltonian):
+        hamiltonian = assert_hermitian(np.asarray(hamiltonian, dtype=complex))
+        self.vals, self.vecs = np.linalg.eigh(hamiltonian)
+
+    def states(self, rho0, times):
+        """rho(t) for every time, as one (len(times), d, d) stack."""
+        phases = np.exp(np.multiply.outer(-1j * np.asarray(times, dtype=float), self.vals))
+        u = (self.vecs * phases[:, None, :]) @ dagger(self.vecs)
+        return u @ np.asarray(rho0, dtype=complex) @ dagger(u)
+
+    def blocks(self, rho0, times):
+        """Yield (times, states) over the grid, at most block_length(d) times at a time."""
+        times = np.asarray(times, dtype=float)
+        k = block_length(self.vals.size)
+        for start in range(0, times.size, k):
+            block = times[start:start + k]
+            yield block, self.states(rho0, block)
+
+
 def propagator(hamiltonian, t):
     return matrix_exp_scaled(hamiltonian, -1j * t)
 
@@ -225,10 +267,9 @@ def imported_hamiltonian_and_trajectory_check(setup, hamiltonian, x, g_i, g_j, r
     times = np.asarray(time_grid, dtype=float)
     in_ax, comm_norms = [], []
     diff = hamiltonian - h_imported
-    for t in times:
-        rho_t = evolve(hamiltonian, rho0, t)
-        in_ax.append(membership_test(setup, rho_t, x_mat, g_i, g_j).is_member)
-        comm_norms.append(hs_norm(diff @ rho_t - rho_t @ diff))
+    for _, rho_t in GridEvolution(hamiltonian).blocks(rho0, times):
+        in_ax += membership_test(setup, rho_t, x_mat, g_i, g_j).is_member.tolist()
+        comm_norms += hs_norm(diff @ rho_t - rho_t @ diff).tolist()
     return TrajectoryImportReport(
         h_imported=h_imported,
         times=times,

@@ -28,6 +28,7 @@ class FrameSetup:
         self.d_perspective = self.d_frame * self.d_s
         self.d_kin = self.d_frame ** 2 * self.d_s
         self._pi_phys = None
+        self._perspective_unitaries = {}
 
     @classmethod
     def from_rep_config(cls, group, config) -> "FrameSetup":
@@ -83,6 +84,16 @@ class FrameSetup:
             acc = sum(self.u_kin(g) for g in self.group.elements)
             self._pi_phys = np.asarray(acc, dtype=complex) / self.group.order
         return self._pi_phys
+
+    def perspective_unitary(self, g_i, g_j):
+        """Cached u_ibar for one orientation pair, returned read-only."""
+        key = (self.group.check_element(g_i), self.group.check_element(g_j))
+        u = self._perspective_unitaries.get(key)
+        if u is None:
+            u = tps_change_unitary(self, *key)[0]
+            u.flags.writeable = False
+            self._perspective_unitaries[key] = u
+        return u
 
     def embed_kin(self, frame, frame_op, complement_op):
         """Place frame_op at the given frame factor and complement_op on the rest.
@@ -161,8 +172,8 @@ def tps_change_unitary(setup, g_i, g_j):
 
 
 def perspective_unitary(setup, g_i, g_j):
-    """The unitary u_ibar alone, as built by tps_change_unitary."""
-    return tps_change_unitary(setup, g_i, g_j)[0]
+    """The unitary u_ibar alone, as built by tps_change_unitary, cached on the setup."""
+    return setup.perspective_unitary(g_i, g_j)
 
 
 def relational_observable(setup, frame, g, f):

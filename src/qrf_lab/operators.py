@@ -6,7 +6,9 @@ Conventions used throughout the package:
   the conjugation f -> W f W' is kron(conj(W), W);
 * Hermiticity is checked as max|A - A'| <= 1e-10 absolute;
 * eigenvalues below -1e-8 on nominally positive operators are treated as
-  a real indefiniteness, smaller negatives as round-off.
+  a real indefiniteness, smaller negatives as round-off;
+* dagger, kron, partial_trace and hs_norm also take stacks (..., d, d) of
+  operators, one per time point, and act on each matrix of the stack.
 """
 
 from __future__ import annotations
@@ -32,12 +34,25 @@ class NumericalRankError(ValueError):
 
 
 def dagger(mat):
-    return np.asarray(mat).conj().T
+    mat = np.asarray(mat).conj()
+    return mat.T if mat.ndim < 3 else mat.swapaxes(-1, -2)
+
+
+def _kron2(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim < 2 or b.ndim < 2:
+        return np.kron(a, b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def kron(*mats):
-    """Kronecker product of the given matrices, left to right."""
-    return reduce(np.kron, mats)
+    """Kronecker product of the given matrices, left to right.
+
+    Stacks (..., m, n) pair up matrix by matrix along their leading axes.
+    Each entry is the one product np.kron forms, without its overhead.
+    """
+    return reduce(_kron2, mats)
 
 
 def assert_hermitian(mat, tol=HERMITICITY_TOL, what="operator"):
@@ -80,14 +95,16 @@ def partial_trace(mat, dims, drop):
     drop = (drop,) if np.isscalar(drop) else tuple(drop)
     if any(not 0 <= k < len(dims) for k in drop):
         raise ValueError(f"factor index out of range: {drop}")
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
     n = len(dims)
-    tensor = np.asarray(mat).reshape(dims + dims)
+    tensor = mat.reshape(lead + dims + dims)
     for k in sorted(drop, reverse=True):
-        tensor = np.trace(tensor, axis1=k, axis2=k + n)
+        tensor = np.trace(tensor, axis1=len(lead) + k, axis2=len(lead) + k + n)
         n -= 1
     keep = [d for k, d in enumerate(dims) if k not in drop]
     size = int(np.prod(keep)) if keep else 1
-    return tensor.reshape(size, size)
+    return tensor.reshape(lead + (size, size))
 
 
 def hs_inner(a, b):
@@ -96,7 +113,11 @@ def hs_inner(a, b):
 
 
 def hs_norm(a):
-    return float(np.linalg.norm(np.asarray(a)))
+    """Hilbert-Schmidt norm; a stack (k, m, n) gives one norm per matrix."""
+    a = np.asarray(a)
+    if a.ndim > 2:
+        return np.linalg.norm(a, axis=(-2, -1))
+    return float(np.linalg.norm(a))
 
 
 def vec(mat):

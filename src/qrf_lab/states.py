@@ -120,17 +120,23 @@ def basis_state(dim, index):
     return v
 
 
-def _clean_spectrum(rho, what="state"):
+def _checked_spectrum(rho):
     vals = np.linalg.eigvalsh(_mat(rho))
     if vals.min() < -1e-8:
-        raise IndefiniteOperatorError(f"{what} has eigenvalue {vals.min():.3e}")
-    vals = vals[vals > SUPPORT_CUTOFF]
+        raise IndefiniteOperatorError(f"state has eigenvalue {vals.min():.3e}")
     return vals
 
 
+def _xlogx_sum(vals):
+    """Sum of v ln v over the last axis, skipping v <= SUPPORT_CUTOFF."""
+    kept = np.where(vals > SUPPORT_CUTOFF, vals, 1.0)
+    total = (kept * np.log(kept)).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
 def von_neumann_entropy(rho):
-    vals = _clean_spectrum(rho)
-    return float(-(vals * np.log(vals)).sum())
+    """S(rho) in nats; a stack (k, d, d) gives one entropy per matrix."""
+    return -_xlogx_sum(_checked_spectrum(rho))
 
 
 def renyi_entropy(rho, alpha):
@@ -140,27 +146,32 @@ def renyi_entropy(rho, alpha):
         raise ValueError("alpha must be positive")
     if alpha == 1.0:
         return von_neumann_entropy(rho)
-    vals = _clean_spectrum(rho)
+    vals = _checked_spectrum(rho)
+    vals = vals[vals > SUPPORT_CUTOFF]
     return float(np.log((vals ** alpha).sum()) / (1.0 - alpha))
 
 
 def relative_entropy(rho, sigma):
-    """S(rho || sigma), math.inf when supp(rho) is not inside supp(sigma)."""
+    """S(rho || sigma), math.inf when supp(rho) is not inside supp(sigma).
+
+    Either argument may be a stack (k, d, d); the result is then an array
+    of k values.
+    """
     rho, sigma = _mat(rho), _mat(sigma)
     svals, svecs = np.linalg.eigh(sigma)
-    outside = svecs[:, svals <= SUPPORT_CUTOFF]
-    if outside.size and hs_norm(dagger(outside) @ rho @ outside) > 1e-12:
-        return math.inf
-    rvals, rvecs = np.linalg.eigh(rho)
-    keep = rvals > SUPPORT_CUTOFF
-    safe = np.where(svals > SUPPORT_CUTOFF, svals, 1.0)
-    log_sigma = (svecs * np.log(safe)) @ dagger(svecs)
-    entropy_term = float((rvals[keep] * np.log(rvals[keep])).sum())
-    cross_term = float(np.trace(rho @ log_sigma).real)
-    return entropy_term - cross_term
+    outside = svals <= SUPPORT_CUTOFF
+    # Block of rho on the kernel of sigma, written in sigma's eigenbasis.
+    kernel_block = (dagger(svecs) @ rho @ svecs) * (outside[..., :, None] & outside[..., None, :])
+    rvals, _ = np.linalg.eigh(rho)
+    safe = np.where(outside, 1.0, svals)
+    log_sigma = (svecs * np.log(safe)[..., None, :]) @ dagger(svecs)
+    cross_term = np.trace(rho @ log_sigma, axis1=-2, axis2=-1).real
+    value = np.where(hs_norm(kernel_block) > 1e-12, math.inf, _xlogx_sum(rvals) - cross_term)
+    return float(value) if value.ndim == 0 else value
 
 
 def mutual_information(rho, dims):
+    """I(A:B) of a bipartite state; a stack (k, d, d) gives k values."""
     rho = _mat(rho)
     rho_a = partial_trace(rho, dims, drop=1)
     rho_b = partial_trace(rho, dims, drop=0)

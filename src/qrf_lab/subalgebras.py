@@ -31,6 +31,11 @@ from .operators import (
 MEMBERSHIP_TOL = 1e-9
 LOCALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
+# invariant_projector holds about five d_p^2 x d_p^2 complex matrices at
+# its peak (5.05-5.15 under tracemalloc at d_p = 16 and 27).  The budget
+# admits d_p = 27 (43 MB) and refuses d_p = 64 (1.3 GB).
+SCHUR_PEAK_COPIES = 5
+SUPEROPERATOR_BUDGET_BYTES = 256 * 2 ** 20
 
 
 class LocalityViolationError(ValueError):
@@ -103,19 +108,26 @@ def four_component_decomposition(setup, op):
 
 @dataclass
 class MembershipResult:
-    is_member: bool
-    residual: float
-    tolerance: float
+    is_member: bool | np.ndarray
+    residual: float | np.ndarray
+    tolerance: float | np.ndarray
 
 
 def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL):
-    """Check whether conjugating f by the perspective change equals conjugation by x."""
+    """Check whether conjugating f by the perspective change equals conjugation by x.
+
+    For a stack f of shape (k, d, d) the result holds arrays of k verdicts,
+    residuals and tolerances.
+    """
     f = np.asarray(f, dtype=complex)
     x = as_matrix(x)
     u = perspective_unitary(setup, g_i, g_j)
     residual = hs_norm(u @ f @ dagger(u) - x @ f @ dagger(x))
-    threshold = tol * max(1.0, hs_norm(f))
-    return MembershipResult(is_member=bool(residual <= threshold), residual=float(residual), tolerance=threshold)
+    threshold = tol * np.maximum(1.0, hs_norm(f))
+    is_member = residual <= threshold
+    if f.ndim == 2:
+        is_member, residual, threshold = bool(is_member), float(residual), float(threshold)
+    return MembershipResult(is_member=is_member, residual=residual, tolerance=threshold)
 
 
 def membership_scan(setup, f, candidates, g_i, g_j, tol=MEMBERSHIP_TOL):
@@ -159,7 +171,18 @@ class SubalgebraProjector:
 
 
 def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
-    """Projector onto the subalgebra labeled by x at the given orientations."""
+    """Projector onto the subalgebra labeled by x at the given orientations.
+
+    Raises ValueError, before any superoperator is built, when the
+    estimated peak memory of the superoperator path exceeds
+    SUPEROPERATOR_BUDGET_BYTES.
+    """
+    d = setup.d_perspective
+    estimate = SCHUR_PEAK_COPIES * d ** 4 * np.dtype(complex).itemsize
+    if estimate > SUPEROPERATOR_BUDGET_BYTES:
+        raise ValueError(
+            f"invariant_projector at d_p = {d} needs {d * d} x {d * d} superoperators, "
+            f"an estimated {estimate} bytes at peak, above the {SUPEROPERATOR_BUDGET_BYTES}-byte budget")
     x = as_matrix(x)
     u = perspective_unitary(setup, g_i, g_j)
     superop = conjugation_superop(dagger(x)) @ conjugation_superop(u)

@@ -5,6 +5,9 @@ fixed effective generator, work is the change of the generator itself, and
 a correction term moves conducted energy between the two when requested.
 All generator time derivatives are propagated analytically; nothing is
 finite-differenced inside the package.
+
+energetics and entropy_production_and_flow also take stacks (k, d, d) of
+states, one per time point, and then report arrays of k values.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    evolve,
+    GridEvolution,
     mean_field_hamiltonian,
     s_factor_twirl,
     split_hamiltonian,
@@ -84,6 +87,17 @@ class Prescription:
         raise ValueError(f"unknown prescription config {config!r}")
 
 
+def _trace(mat):
+    """Trace over the last two axes: a scalar for one matrix, an array for a stack."""
+    return np.trace(mat, axis1=-2, axis2=-1)
+
+
+def _real(value):
+    """Real part as a float for a scalar, as an array for a stack."""
+    value = np.real(value)
+    return float(value) if value.ndim == 0 else value
+
+
 def commutant_projection(h, op, gap=COMMUTANT_GAP):
     """Project op onto the block-diagonal algebra of h's eigenspaces."""
     vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
@@ -103,25 +117,29 @@ class EffectiveHamiltonians:
     h_int_eff: np.ndarray
     h_tilde_s: np.ndarray
     h_tilde_frame: np.ndarray
-    interaction_mean: float
+    interaction_mean: float | np.ndarray
 
 
 def effective_hamiltonians(setup, split, rho_ibar, prescription):
-    """Effective subsystem generators for the given state and prescription."""
+    """Effective subsystem generators for the given state (or stack) and prescription."""
     dims = (split.d_frame, split.d_s)
     rho_ibar = np.asarray(rho_ibar, dtype=complex)
-    rho_s = partial_trace(rho_ibar, dims, drop=0)
-    rho_frame = partial_trace(rho_ibar, dims, drop=1)
+    return _effective_hamiltonians(split, split.total, partial_trace(rho_ibar, dims, drop=1),
+                                   partial_trace(rho_ibar, dims, drop=0), prescription)
+
+
+def _effective_hamiltonians(split, total, rho_frame, rho_s, prescription):
     h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
     h_tilde_frame = mean_field_hamiltonian(split, rho_s, on="frame")
-    mean = float(np.trace(split.h_int @ kron(rho_frame, rho_s)).real)
+    mean = _real(_trace(split.h_int @ kron(rho_frame, rho_s)))
     if prescription.kind == "split_alpha":
-        h_s_eff = split.h_s + h_tilde_s - prescription.alpha_s * mean * np.eye(split.d_s)
-        h_frame_eff = split.h_frame + h_tilde_frame - prescription.alpha_frame * mean * np.eye(split.d_frame)
+        shift = np.asarray(mean)[..., None, None]
+        h_s_eff = split.h_s + h_tilde_s - prescription.alpha_s * shift * np.eye(split.d_s)
+        h_frame_eff = split.h_frame + h_tilde_frame - prescription.alpha_frame * shift * np.eye(split.d_frame)
     else:
         h_s_eff = split.h_s + commutant_projection(split.h_s, h_tilde_s)
         h_frame_eff = split.h_frame + commutant_projection(split.h_frame, h_tilde_frame)
-    h_int_eff = split.total - kron(h_frame_eff, np.eye(split.d_s)) - kron(np.eye(split.d_frame), h_s_eff)
+    h_int_eff = total - kron(h_frame_eff, np.eye(split.d_s)) - kron(np.eye(split.d_frame), h_s_eff)
     return EffectiveHamiltonians(
         h_frame_eff=h_frame_eff,
         h_s_eff=h_s_eff,
@@ -134,24 +152,28 @@ def effective_hamiltonians(setup, split, rho_ibar, prescription):
 
 @dataclass
 class ThermoReport:
-    """Energies and rates of one perspective at one instant."""
+    """Energies and rates of one perspective at one instant.
 
-    e_frame: float
-    e_s: float
-    e_int: float
-    e_total: float
-    qdot_conv_s: float
-    wdot_conv_s: float
-    e_star_s: float
-    qdot_alt_s: float
-    wdot_alt_s: float
-    qdot_conv_frame: float
-    wdot_conv_frame: float
-    e_star_frame: float
-    qdot_alt_frame: float
-    wdot_alt_frame: float
+    Every field is an array over the times when energetics got a stack.
+    """
+
+    e_frame: float | np.ndarray
+    e_s: float | np.ndarray
+    e_int: float | np.ndarray
+    e_total: float | np.ndarray
+    qdot_conv_s: float | np.ndarray
+    wdot_conv_s: float | np.ndarray
+    e_star_s: float | np.ndarray
+    qdot_alt_s: float | np.ndarray
+    wdot_alt_s: float | np.ndarray
+    qdot_conv_frame: float | np.ndarray
+    wdot_conv_frame: float | np.ndarray
+    e_star_frame: float | np.ndarray
+    qdot_alt_frame: float | np.ndarray
+    wdot_alt_frame: float | np.ndarray
 
     def rates_vector(self):
+        """The six rates, shape (6,) or (6, k) for a stack."""
         return np.array([
             self.qdot_conv_s, self.wdot_conv_s, self.e_star_s,
             self.qdot_conv_frame, self.wdot_conv_frame, self.e_star_frame,
@@ -163,6 +185,8 @@ def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
 
     rho_dot defaults to the closed-system derivative -i[H, rho]; pass it
     explicitly when the trajectory is generated by a different operator.
+    rho_ibar (and rho_dot) may be stacks (k, d, d) of states along a
+    trajectory; the report then holds arrays of k values.
     """
     rho_ibar = np.asarray(rho_ibar, dtype=complex)
     total = split.total
@@ -174,23 +198,24 @@ def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
     rho_s_dot = partial_trace(rho_dot, dims, drop=0)
     rho_frame_dot = partial_trace(rho_dot, dims, drop=1)
 
-    eff = effective_hamiltonians(setup, split, rho_ibar, prescription)
+    eff = _effective_hamiltonians(split, total, rho_frame, rho_s, prescription)
     h_tilde_s_dot = mean_field_hamiltonian(split, rho_frame_dot, on="s")
     h_tilde_frame_dot = mean_field_hamiltonian(split, rho_s_dot, on="frame")
-    mean_dot = float((np.trace(split.h_int @ kron(rho_frame_dot, rho_s))
-                      + np.trace(split.h_int @ kron(rho_frame, rho_s_dot))).real)
+    mean_dot = _real(_trace(split.h_int @ kron(rho_frame_dot, rho_s))
+                     + _trace(split.h_int @ kron(rho_frame, rho_s_dot)))
     if prescription.kind == "split_alpha":
-        h_s_eff_dot = h_tilde_s_dot - prescription.alpha_s * mean_dot * np.eye(split.d_s)
-        h_frame_eff_dot = h_tilde_frame_dot - prescription.alpha_frame * mean_dot * np.eye(split.d_frame)
+        shift = np.asarray(mean_dot)[..., None, None]
+        h_s_eff_dot = h_tilde_s_dot - prescription.alpha_s * shift * np.eye(split.d_s)
+        h_frame_eff_dot = h_tilde_frame_dot - prescription.alpha_frame * shift * np.eye(split.d_frame)
     else:
         h_s_eff_dot = commutant_projection(split.h_s, h_tilde_s_dot)
         h_frame_eff_dot = commutant_projection(split.h_frame, h_tilde_frame_dot)
 
     def rates(h_eff, h_eff_dot, h_bare, h_tilde, rho_m, rho_m_dot):
-        qdot = float(np.trace(h_eff @ rho_m_dot).real)
-        wdot = float(np.trace(h_eff_dot @ rho_m).real)
+        qdot = _real(_trace(h_eff @ rho_m_dot))
+        wdot = _real(_trace(h_eff_dot @ rho_m))
         gen = h_bare + h_tilde
-        e_star = float((-1j * np.trace(h_eff @ (gen @ rho_m - rho_m @ gen))).real)
+        e_star = _real(-1j * _trace(h_eff @ (gen @ rho_m - rho_m @ gen)))
         return qdot, wdot, e_star
 
     qdot_s, wdot_s, e_star_s = rates(eff.h_s_eff, h_s_eff_dot, split.h_s, eff.h_tilde_s, rho_s, rho_s_dot)
@@ -198,10 +223,10 @@ def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
         eff.h_frame_eff, h_frame_eff_dot, split.h_frame, eff.h_tilde_frame, rho_frame, rho_frame_dot)
 
     return ThermoReport(
-        e_frame=float(np.trace(eff.h_frame_eff @ rho_frame).real),
-        e_s=float(np.trace(eff.h_s_eff @ rho_s).real),
-        e_int=float(np.trace(eff.h_int_eff @ rho_ibar).real),
-        e_total=float(np.trace(total @ rho_ibar).real),
+        e_frame=_real(_trace(eff.h_frame_eff @ rho_frame)),
+        e_s=_real(_trace(eff.h_s_eff @ rho_s)),
+        e_int=_real(_trace(eff.h_int_eff @ rho_ibar)),
+        e_total=_real(_trace(total @ rho_ibar)),
         qdot_conv_s=qdot_s,
         wdot_conv_s=wdot_s,
         e_star_s=e_star_s,
@@ -217,16 +242,21 @@ def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
 
 @dataclass
 class EntropyBalance:
-    sigma: float
-    phi: float
-    delta_s_s: float
-    delta_s_frame: float
-    mutual_information: float
-    frame_relative_entropy: float
+    """Entropy balance at one later time, or arrays over a stack of times."""
+
+    sigma: float | np.ndarray
+    phi: float | np.ndarray
+    delta_s_s: float | np.ndarray
+    delta_s_frame: float | np.ndarray
+    mutual_information: float | np.ndarray
+    frame_relative_entropy: float | np.ndarray
 
 
 def entropy_production_and_flow(setup, rho0_ibar, rho_t_ibar, tol=1e-9):
-    """Entropy produced and entropy exchanged between an initial product state and a later state."""
+    """Entropy produced and entropy exchanged between an initial product state and a later state.
+
+    rho_t_ibar may be a stack (k, d, d) of later states.
+    """
     dims = (setup.d_frame, setup.d_s)
     rho0 = np.asarray(rho0_ibar, dtype=complex)
     rho_t = np.asarray(rho_t_ibar, dtype=complex)
@@ -240,8 +270,9 @@ def entropy_production_and_flow(setup, rho0_ibar, rho_t_ibar, tol=1e-9):
     rel = relative_entropy(rho_ft, rho_f0)
     delta_s_frame = von_neumann_entropy(rho_ft) - von_neumann_entropy(rho_f0)
     delta_s_s = von_neumann_entropy(rho_st) - von_neumann_entropy(rho_s0)
-    sigma = info + rel if math.isfinite(rel) else math.inf
-    phi = delta_s_frame + rel if math.isfinite(rel) else math.inf
+    # An infinite relative entropy makes both balances infinite.
+    sigma = info + rel
+    phi = delta_s_frame + rel
     return EntropyBalance(
         sigma=sigma,
         phi=phi,
@@ -398,6 +429,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     perspectives instead use their bare generators, zero entropy production
     and flow for product member states, and equality of entropy changes
     between perspectives.  Missing premises are reported, not raised.
+    The grid is evolved from one eigendecomposition of H, block by block.
     """
     premises = []
     h_total = split.total
@@ -406,19 +438,20 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     times = np.linspace(float(t0), float(t1), int(grid))
     rho0 = np.asarray(rho0, dtype=complex)
     dims = (setup.d_frame, setup.d_s)
+    evolution = GridEvolution(h_total)
+    rho_t0, rho_t1 = evolution.states(rho0, times[[0, -1]])
 
-    def find_witness(t, provided):
+    def find_witness(rho_t, provided):
         if provided is not None:
             return provided
-        rho_t = evolve(h_total, rho0, t)
         if purity(rho_t) >= 1.0 - 1e-10:
             vals, vecs = np.linalg.eigh(rho_t)
             psi = vecs[:, int(np.argmax(vals))]
             return pure_state_bilocal_witness(setup, psi, g_i, g_j)
         return None
 
-    x0 = find_witness(times[0], x0)
-    x1 = find_witness(times[-1], x1)
+    x0 = find_witness(rho_t0, x0)
+    x1 = find_witness(rho_t1, x1)
     if x0 is None:
         premises.append("no subalgebra witness available at the initial time")
 
@@ -431,25 +464,22 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         split_imported = split_hamiltonian(h_imported, setup.d_frame, setup.d_s)
         membership_ok = True
         rates_max_gap = 0.0
-        for t in times:
-            rho_t = evolve(h_total, rho0, t)
-            if not membership_test(setup, rho_t, x0, g_i, g_j).is_member:
-                membership_ok = False
+        for _, rho_t in evolution.blocks(rho0, times):
+            membership_ok &= bool(membership_test(setup, rho_t, x0, g_i, g_j).is_member.all())
             rho_dot = -1j * (h_total @ rho_t - rho_t @ h_total)
             rho_jt = u @ rho_t @ dagger(u)
             rho_jdot = u @ rho_dot @ dagger(u)
-            report_j = energetics(setup, split_j, rho_jt, prescription, rho_dot=rho_jdot)
-            report_imported = energetics(setup, split_imported, rho_t, prescription, rho_dot=rho_dot)
-            report_bare = energetics(setup, split, rho_t, prescription, rho_dot=rho_dot)
-            gap = np.abs(report_imported.rates_vector() - report_j.rates_vector()).max()
-            rates_max_gap = max(rates_max_gap, float(gap))
-            bare_gap = np.abs(report_bare.rates_vector() - report_j.rates_vector()).max()
-            both_bare_max_gap = max(both_bare_max_gap, float(bare_gap))
+            rates_j = energetics(setup, split_j, rho_jt, prescription, rho_dot=rho_jdot).rates_vector()
+            rates_imported = energetics(setup, split_imported, rho_t, prescription,
+                                        rho_dot=rho_dot).rates_vector()
+            rates_bare = energetics(setup, split, rho_t, prescription, rho_dot=rho_dot).rates_vector()
+            rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
+            both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")
 
-    rho_t0 = evolve(h_total, rho0, times[0])
-    rho_t1 = evolve(h_total, rho0, times[-1])
+    rho_j_t0 = u @ rho_t0 @ dagger(u)
+    rho_j_t1 = u @ rho_t1 @ dagger(u)
 
     def product_check(rho):
         rho_s = partial_trace(rho, dims, drop=0)
@@ -470,8 +500,6 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     if product_at_t0:
         balance_i = entropy_production_and_flow(setup, rho_t0, rho_t1)
         sigma_i, phi_i = balance_i.sigma, balance_i.phi
-        rho_j_t0 = u @ rho_t0 @ dagger(u)
-        rho_j_t1 = u @ rho_t1 @ dagger(u)
         product_j, _ = product_check(rho_j_t0)
         if product_j:
             balance_j = entropy_production_and_flow(setup, rho_j_t0, rho_j_t1)
@@ -490,9 +518,6 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     member_t0 = x0 is not None and membership_test(setup, rho_t0, x0, g_i, g_j).is_member
     member_t1 = x1 is not None and membership_test(setup, rho_t1, x1, g_i, g_j).is_member
     if member_t0 and member_t1:
-        rho_j_t0 = u @ rho_t0 @ dagger(u)
-        rho_j_t1 = u @ rho_t1 @ dagger(u)
-
         def marginal_entropies(rho):
             return (von_neumann_entropy(partial_trace(rho, dims, drop=1)),
                     von_neumann_entropy(partial_trace(rho, dims, drop=0)))

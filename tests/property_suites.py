@@ -7,7 +7,7 @@ AssertionError on the first violation and returning the instance count.
 import numpy as np
 from scipy.linalg import schur
 
-from qrf_lab.dynamics import evolve, split_hamiltonian
+from qrf_lab.dynamics import GridEvolution, evolve, split_hamiltonian
 from qrf_lab.frames import (
     FrameSetup,
     parity_swap,
@@ -26,6 +26,7 @@ from qrf_lab.operators import (
     hs_inner,
     hs_norm,
     kron,
+    partial_trace,
     random_hermitian,
     unvec,
     vec,
@@ -37,6 +38,7 @@ from qrf_lab.subalgebras import (
     pi_t,
     pure_state_bilocal_witness,
 )
+from qrf_lab.states import mutual_information, relative_entropy, von_neumann_entropy
 from qrf_lab.thermo import Prescription, energetics, entropy_production_and_flow
 
 
@@ -227,6 +229,67 @@ def suite_first_law_and_entropy_production(n=100, seed=908):
     return count
 
 
+def _assert_stack_matches(stacked, singles, tol=1e-12):
+    stacked = np.asarray(stacked)
+    singles = np.asarray(singles)
+    assert stacked.shape == singles.shape
+    finite = np.isfinite(singles)
+    assert np.array_equal(np.isfinite(stacked), finite)
+    assert np.abs(stacked[finite] - singles[finite]).max(initial=0.0) <= tol
+
+
+def suite_stacked_layers_match_single_states(n=100, seed=909):
+    """Stacks of states along a trajectory give the single-state results."""
+    count = 0
+    fields = ("e_frame", "e_s", "e_int", "e_total", "qdot_conv_s", "wdot_conv_s", "e_star_s",
+              "qdot_alt_s", "wdot_alt_s", "qdot_conv_frame", "wdot_conv_frame", "e_star_frame",
+              "qdot_alt_frame", "wdot_alt_frame")
+    for k, rng, setup, g_i, g_j in _instances(n, seed):
+        d_f, d_s = setup.d_frame, setup.d_s
+        dims = (d_f, d_s)
+        h = random_hermitian(rng, d_f * d_s)
+        split = split_hamiltonian(h, d_f, d_s)
+        rho0 = kron(_random_density(rng, d_f), _random_density(rng, d_s))
+        times = np.sort(rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 6))))
+        stack = GridEvolution(h).states(rho0, times)
+
+        if k % 2:
+            prescription = Prescription.split_alpha(float(rng.random()))
+        else:
+            prescription = Prescription.commuting_part()
+        rho_dot = -1j * (h @ stack - stack @ h) if k % 3 == 0 else None
+        report = energetics(setup, split, stack, prescription, rho_dot=rho_dot)
+        for m, rho in enumerate(stack):
+            single = energetics(setup, split, rho, prescription,
+                                rho_dot=None if rho_dot is None else rho_dot[m])
+            for name in fields:
+                assert abs(getattr(report, name)[m] - getattr(single, name)) <= 1e-12, name
+
+        x = BilocalUnitary(haar_unitary(rng, d_f), haar_unitary(rng, d_s))
+        result = membership_test(setup, stack, x, g_i, g_j)
+        singles = [membership_test(setup, rho, x, g_i, g_j) for rho in stack]
+        _assert_stack_matches(result.residual, [r.residual for r in singles])
+        _assert_stack_matches(result.tolerance, [r.tolerance for r in singles])
+        assert result.is_member.tolist() == [r.is_member for r in singles]
+
+        marginals = partial_trace(stack, dims, drop=1)
+        assert np.array_equal(marginals, [partial_trace(r, dims, drop=1) for r in stack])
+        _assert_stack_matches(von_neumann_entropy(stack), [von_neumann_entropy(r) for r in stack])
+        _assert_stack_matches(mutual_information(stack, dims), [mutual_information(r, dims) for r in stack])
+        # A rank-one reference makes the relative entropy infinite.
+        psi = haar_state(rng, d_f)
+        sigma = marginals[0] if k % 4 else np.outer(psi, psi.conj())
+        _assert_stack_matches(relative_entropy(marginals, sigma),
+                              [relative_entropy(r, sigma) for r in marginals])
+        balance = entropy_production_and_flow(setup, rho0, stack)
+        for m, rho in enumerate(stack):
+            single = entropy_production_and_flow(setup, rho0, rho)
+            _assert_stack_matches([balance.sigma[m], balance.phi[m], balance.delta_s_s[m]],
+                                  [single.sigma, single.phi, single.delta_s_s])
+        count += 1
+    return count
+
+
 ALL_SUITES = (
     suite_physical_projector_rank,
     suite_reduction_coisometry,
@@ -236,4 +299,5 @@ ALL_SUITES = (
     suite_dephased_translation_sector_swap,
     suite_pure_state_witness,
     suite_first_law_and_entropy_production,
+    suite_stacked_layers_match_single_states,
 )

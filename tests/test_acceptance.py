@@ -198,7 +198,7 @@ def test_isolated_vs_closed_rate_curves():
 
     assert max(abs(row["SvN_s_i"]) for row in rows) <= 1e-8
     assert max(abs(row["SvN_s_j"] - LOG2) for row in rows) <= 1e-8
-    assert result.summary["max_marginal_dev_from_maximally_mixed"] <= 1e-8
+    assert result.summary["max_marginal_dev_from_maximally_mixed_j"] <= 1e-8
 
 
 def test_entropy_production_flow_and_purity_formula():

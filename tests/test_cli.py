@@ -68,16 +68,6 @@ def test_config_file_target(tmp_path, capsys):
     assert len(lines) == 1 + 4
 
 
-def test_job_count_does_not_change_bytes(tmp_path):
-    args = ["run", "zz-oscillation",
-            "--set", 'time_grid={"start": 0.0, "stop": 1.0, "points": 5}']
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert main(args + ["--out", str(serial)]) == 0
-    assert main(args + ["--jobs", "3", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 @pytest.mark.parametrize("argv, fragment", [
     (["run", "nope"], "valid names:"),
     (["run", "w-state", "--set", "params.mu"], "expected KEY=VALUE"),

@@ -4,6 +4,9 @@ import numpy as np
 
 from qrf_lab import FrameSetup, Z2
 from qrf_lab.dynamics import (
+    STACK_BYTES,
+    GridEvolution,
+    block_length,
     dynamical_type_classifier,
     evolve,
     imported_hamiltonian_and_trajectory_check,
@@ -160,3 +163,34 @@ def test_trajectory_leaving_the_subalgebra_is_flagged():
     assert not report.in_ax[1]
     assert report.in_ax[2]
     assert report.commutator_norms[1] > 1e-3
+
+
+def test_grid_evolution_does_not_depend_on_block_boundaries():
+    rng = np.random.default_rng(11)
+    h = random_hermitian(rng, 6)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    rho0 = g @ dagger(g) / np.trace(g @ dagger(g)).real
+    times = np.linspace(-1.0, 3.0, 23)
+    evolution = GridEvolution(h)
+    whole = evolution.states(rho0, times)
+    for _ in range(5):
+        cuts = np.sort(rng.choice(np.arange(1, times.size), size=int(rng.integers(1, 6)), replace=False))
+        pieces = [evolution.states(rho0, part) for part in np.split(times, cuts)]
+        assert np.array_equal(np.concatenate(pieces), whole)
+    blocks = list(evolution.blocks(rho0, times))
+    assert np.array_equal(np.concatenate([states for _, states in blocks]), whole)
+    assert np.array_equal(np.concatenate([block for block, _ in blocks]), times)
+    for t, rho in zip(times, whole):
+        assert np.array_equal(rho, evolve(h, rho0, t))
+
+
+def test_grid_blocks_stay_within_the_stack_budget():
+    itemsize = np.dtype(complex).itemsize
+    for d in (2, 4, 9, 16, 27, 64, 100):
+        k = block_length(d)
+        assert k >= 1
+        assert k * d * d * itemsize <= STACK_BYTES or k == 1
+        assert (k + 1) * d * d * itemsize > STACK_BYTES
+    h = random_hermitian(np.random.default_rng(3), 27)
+    sizes = [states.shape[0] for _, states in GridEvolution(h).blocks(np.eye(27) / 27, np.linspace(0, 1, 12))]
+    assert sizes == [5, 5, 2]

@@ -88,6 +88,19 @@ def test_qubit_frame_change_is_cnot_like():
     assert np.allclose(v, expected, atol=1e-12)
 
 
+def test_perspective_unitary_is_cached_read_only():
+    for setup in (qubit_setup(), FrameSetup.from_rep_config(Z2xZ2, "regular"),
+                  FrameSetup.from_rep_config(Z3, {"tensor_power": 2})):
+        for g_i in setup.group.elements:
+            for g_j in setup.group.elements:
+                u = perspective_unitary(setup, g_i, g_j)
+                assert np.array_equal(u, tps_change_unitary(setup, g_i, g_j)[0])
+                assert not u.flags.writeable
+                assert setup.perspective_unitary(list(g_i), list(g_j)) is u
+    with pytest.raises(ValueError):
+        u[0, 0] = 2.0
+
+
 def test_tps_change_unitary_is_cnot_for_qubits():
     setup = qubit_setup()
     u = perspective_unitary(setup, (0,), (0,))

@@ -1,11 +1,12 @@
 """Tests for invariant-subalgebra projectors, membership, and witnesses."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qrf_lab import FrameSetup, Z2, Z3
+from qrf_lab import FrameSetup, Z2, Z3, Z4
 from qrf_lab.operators import (
     ID2,
     PAULI,
@@ -177,3 +178,27 @@ def test_classify_rejects_nonlocal_operator():
     setup = qubit_setup()
     with pytest.raises(LocalityViolationError):
         classify_local_operator(setup, kron(SIGMA_Z, SIGMA_Z), "s_local", E, E)
+
+
+def test_invariant_projector_refuses_oversized_superoperator():
+    """d_p = 64 would need 4096 x 4096 superoperators; the guard fires first."""
+    setup = FrameSetup.from_rep_config(Z4, {"tensor_power": 2})
+    e = Z4.identity
+    x = BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"d_p = 64 .* estimated \d+ bytes"):
+            invariant_projector(setup, x, e, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_size_guard_admits_d27():
+    """The largest ladder setup, Z3 with tensor_power 2 (d_p = 27), passes the guard."""
+    setup = FrameSetup.from_rep_config(Z3, {"tensor_power": 2})
+    e = Z3.identity
+    x = BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s))
+    projector = invariant_projector(setup, x, e, e)
+    assert projector.contains(np.eye(setup.d_perspective))
