@@ -12,6 +12,7 @@ blocks whose (k, d, d) complex stacks stay within STACK_BYTES.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .frames import parity_swap, perspective_unitary
 from .operators import (
     assert_hermitian,
     dagger,
+    eigenspace_projectors,
     hs_norm,
     kron,
     matrix_exp_scaled,
@@ -27,15 +29,27 @@ from .operators import (
 from .subalgebras import as_matrix, invariant_projector, membership_test, pi_d, pi_t
 
 CLASSIFIER_TOL = 1e-10
+# Eigenvalues of a local piece closer than this share one eigenspace.
+COMMUTANT_GAP = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianSplit:
-    """Perspective Hamiltonian as h_frame (x) 1 + 1 (x) h_s + h_int."""
+    """Perspective Hamiltonian as h_frame (x) 1 + 1 (x) h_s + h_int.
+
+    The split is frozen and keeps read-only complex copies of its pieces,
+    so what it derives from them is built once, on first use, and kept on
+    the split: the total, the two mean-field maps, and the eigenspace
+    projectors of the local pieces.
+    """
 
     h_frame: np.ndarray
     h_s: np.ndarray
     h_int: np.ndarray
+
+    def __post_init__(self):
+        for name in ("h_frame", "h_s", "h_int"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=complex)))
 
     @property
     def d_frame(self):
@@ -45,11 +59,37 @@ class HamiltonianSplit:
     def d_s(self):
         return self.h_s.shape[0]
 
-    @property
+    @cached_property
     def total(self):
-        return (kron(self.h_frame, np.eye(self.d_s))
-                + kron(np.eye(self.d_frame), self.h_s)
-                + self.h_int)
+        return _read_only(kron(self.h_frame, np.eye(self.d_s))
+                          + kron(np.eye(self.d_frame), self.h_s)
+                          + self.h_int)
+
+    @cached_property
+    def mean_field_maps(self):
+        """Matrices taking one factor's flattened state to the other factor's mean field.
+
+        With T[f, s, g, t] = h_int[(f, s), (g, t)], the map keyed "s" has rows
+        (g, f) and columns (s, t), the one keyed "frame" rows (t, s) and
+        columns (f, g); both hold T[f, s, g, t].
+        """
+        d_f, d_s = self.d_frame, self.d_s
+        t = self.h_int.reshape(d_f, d_s, d_f, d_s)
+        return {
+            "s": _read_only(t.transpose(2, 0, 1, 3).reshape(d_f * d_f, d_s * d_s)),
+            "frame": _read_only(t.transpose(3, 1, 0, 2).reshape(d_s * d_s, d_f * d_f)),
+        }
+
+    @cached_property
+    def eigenspace_projectors(self):
+        """Projectors onto the eigenspaces of h_s and of h_frame, keyed "s" and "frame"."""
+        return {"s": _read_only(eigenspace_projectors(self.h_s, COMMUTANT_GAP)),
+                "frame": _read_only(eigenspace_projectors(self.h_frame, COMMUTANT_GAP))}
+
+
+def _read_only(mat):
+    mat.flags.writeable = False
+    return mat
 
 
 def split_hamiltonian(hamiltonian, d_frame, d_s):
@@ -196,13 +236,19 @@ class SubsystemEOMTerms:
 
 
 def mean_field_hamiltonian(split, rho_other, on="s"):
-    """Partial average of the interaction against the other factor's state."""
-    d_f, d_s = split.d_frame, split.d_s
-    if on == "s":
-        return partial_trace(split.h_int @ kron(rho_other, np.eye(d_s)), (d_f, d_s), drop=0)
-    if on == "frame":
-        return partial_trace(split.h_int @ kron(np.eye(d_f), rho_other), (d_f, d_s), drop=1)
-    raise ValueError('on must be "s" or "frame"')
+    """Partial average of the interaction against the other factor's state (or stack).
+
+    on="s" gives Tr_frame[h_int (rho_frame (x) 1)], on="frame" gives
+    Tr_s[h_int (1 (x) rho_s)]; each is one product of the flattened states
+    with the split's mean-field map, O(d^2) per state.
+    """
+    if on not in ("s", "frame"):
+        raise ValueError('on must be "s" or "frame"')
+    d = split.d_s if on == "s" else split.d_frame
+    rho_other = np.asarray(rho_other, dtype=complex)
+    lead = rho_other.shape[:-2]
+    flat = rho_other.reshape(lead + (-1,)) @ split.mean_field_maps[on]
+    return flat.reshape(lead + (d, d))
 
 
 def subsystem_eom_terms(setup, split, rho_ibar, tol=1e-10):

@@ -243,6 +243,17 @@ def degenerate_blocks(values, gap):
     return blocks
 
 
+def eigenspace_projectors(h, gap):
+    """Stack (m, d, d) of projectors onto the eigenspaces of a Hermitian h.
+
+    Eigenvalues are taken in descending order and grouped by degenerate_blocks.
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    return np.array([vecs[:, blk] @ dagger(vecs[:, blk]) for blk in degenerate_blocks(vals, gap)])
+
+
 def random_hermitian(rng, d, scale=1.0):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * (g + dagger(g)) / 2

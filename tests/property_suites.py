@@ -7,7 +7,13 @@ AssertionError on the first violation and returning the instance count.
 import numpy as np
 from scipy.linalg import schur
 
-from qrf_lab.dynamics import GridEvolution, evolve, split_hamiltonian
+from qrf_lab.dynamics import (
+    GridEvolution,
+    HamiltonianSplit,
+    evolve,
+    mean_field_hamiltonian,
+    split_hamiltonian,
+)
 from qrf_lab.frames import (
     FrameSetup,
     parity_swap,
@@ -21,6 +27,7 @@ from qrf_lab.frames import (
 from qrf_lab.groups import Z2, Z2xZ2, Z3
 from qrf_lab.operators import (
     dagger,
+    degenerate_blocks,
     haar_state,
     haar_unitary,
     hs_inner,
@@ -39,7 +46,7 @@ from qrf_lab.subalgebras import (
     pure_state_bilocal_witness,
 )
 from qrf_lab.states import mutual_information, relative_entropy, von_neumann_entropy
-from qrf_lab.thermo import Prescription, energetics, entropy_production_and_flow
+from qrf_lab.thermo import COMMUTANT_GAP, Prescription, energetics, entropy_production_and_flow
 
 
 def _diag_rep(group, character_labels):
@@ -229,6 +236,133 @@ def suite_first_law_and_entropy_production(n=100, seed=908):
     return count
 
 
+ENERGETICS_FIELDS = (
+    "e_frame", "e_s", "e_int", "e_total", "qdot_conv_s", "wdot_conv_s", "e_star_s",
+    "qdot_alt_s", "wdot_alt_s", "qdot_conv_frame", "wdot_conv_frame", "e_star_frame",
+    "qdot_alt_frame", "wdot_alt_frame")
+
+
+def _dense_mean_field(split, rho_other, on):
+    d_f, d_s = split.d_frame, split.d_s
+    if on == "s":
+        return partial_trace(split.h_int @ kron(rho_other, np.eye(d_s)), (d_f, d_s), drop=0)
+    return partial_trace(split.h_int @ kron(np.eye(d_f), rho_other), (d_f, d_s), drop=1)
+
+
+def _dense_commutant_projection(h, op):
+    vals, vecs = np.linalg.eigh(h)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    out = np.zeros_like(np.asarray(op, dtype=complex))
+    for blk in degenerate_blocks(vals, COMMUTANT_GAP):
+        p = vecs[:, blk] @ dagger(vecs[:, blk])
+        out += p @ op @ p
+    return out
+
+
+def dense_energetics_oracle(split, rho_ibar, prescription, rho_dot=None):
+    """Energies and rates by d x d products against kron(rho, 1), as a dict of the 14 fields.
+
+    This is the formula energetics used before it contracted on the factor
+    tensor of h_int; it forms h_int_eff and traces every product.
+    """
+    def trace(mat):
+        return np.real(np.trace(mat, axis1=-2, axis2=-1))
+
+    d_f, d_s = split.d_frame, split.d_s
+    dims = (d_f, d_s)
+    total = kron(split.h_frame, np.eye(d_s)) + kron(np.eye(d_f), split.h_s) + split.h_int
+    if rho_dot is None:
+        rho_dot = -1j * (total @ rho_ibar - rho_ibar @ total)
+    rho_s, rho_f = partial_trace(rho_ibar, dims, drop=0), partial_trace(rho_ibar, dims, drop=1)
+    rho_s_dot, rho_f_dot = partial_trace(rho_dot, dims, drop=0), partial_trace(rho_dot, dims, drop=1)
+    h_tilde_s, h_tilde_f = _dense_mean_field(split, rho_f, "s"), _dense_mean_field(split, rho_s, "frame")
+    h_tilde_s_dot = _dense_mean_field(split, rho_f_dot, "s")
+    h_tilde_f_dot = _dense_mean_field(split, rho_s_dot, "frame")
+    mean = trace(split.h_int @ kron(rho_f, rho_s))
+    mean_dot = trace(split.h_int @ kron(rho_f_dot, rho_s)) + trace(split.h_int @ kron(rho_f, rho_s_dot))
+    if prescription.kind == "split_alpha":
+        def share(h_tilde, value, alpha, d):
+            return h_tilde - alpha * np.asarray(value)[..., None, None] * np.eye(d)
+        h_s_eff = split.h_s + share(h_tilde_s, mean, prescription.alpha_s, d_s)
+        h_f_eff = split.h_frame + share(h_tilde_f, mean, prescription.alpha_frame, d_f)
+        h_s_eff_dot = share(h_tilde_s_dot, mean_dot, prescription.alpha_s, d_s)
+        h_f_eff_dot = share(h_tilde_f_dot, mean_dot, prescription.alpha_frame, d_f)
+    else:
+        def share(h_bare, h_tilde):
+            if h_tilde.ndim == 2:
+                return _dense_commutant_projection(h_bare, h_tilde)
+            return np.array([_dense_commutant_projection(h_bare, m) for m in h_tilde])
+        h_s_eff = split.h_s + share(split.h_s, h_tilde_s)
+        h_f_eff = split.h_frame + share(split.h_frame, h_tilde_f)
+        h_s_eff_dot = share(split.h_s, h_tilde_s_dot)
+        h_f_eff_dot = share(split.h_frame, h_tilde_f_dot)
+    h_int_eff = total - kron(h_f_eff, np.eye(d_s)) - kron(np.eye(d_f), h_s_eff)
+
+    out = {"e_frame": trace(h_f_eff @ rho_f), "e_s": trace(h_s_eff @ rho_s),
+           "e_int": trace(h_int_eff @ rho_ibar), "e_total": trace(total @ rho_ibar)}
+    for side, h_eff, h_eff_dot, h_bare, h_tilde, rho_m, rho_m_dot in (
+            ("s", h_s_eff, h_s_eff_dot, split.h_s, h_tilde_s, rho_s, rho_s_dot),
+            ("frame", h_f_eff, h_f_eff_dot, split.h_frame, h_tilde_f, rho_f, rho_f_dot)):
+        gen = h_bare + h_tilde
+        qdot, wdot = trace(h_eff @ rho_m_dot), trace(h_eff_dot @ rho_m)
+        e_star = trace(-1j * (h_eff @ (gen @ rho_m - rho_m @ gen)))
+        out.update({f"qdot_conv_{side}": qdot, f"wdot_conv_{side}": wdot, f"e_star_{side}": e_star,
+                    f"qdot_alt_{side}": qdot - e_star, f"wdot_alt_{side}": wdot + e_star})
+    return out
+
+
+def _degenerate_hermitian(rng, d):
+    """Random Hermitian matrix with a spectrum of repeated values."""
+    vals = rng.choice([-1.0, 0.5, 2.0], size=d)
+    vecs = haar_unitary(rng, d)
+    return (vecs * vals) @ dagger(vecs)
+
+
+def suite_energetics_matches_dense_oracle(n=100, seed=910):
+    """Contracted energetics and mean fields agree with the dense formula."""
+    count = 0
+    for k, rng, setup, g_i, g_j in _instances(n, seed):
+        d_f, d_s = setup.d_frame, setup.d_s
+        dims = (d_f, d_s)
+        u = perspective_unitary(setup, g_i, g_j)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        h = u @ random_hermitian(rng, d_f * d_s, scale) @ dagger(u)
+        split = split_hamiltonian((h + dagger(h)) / 2, d_f, d_s)
+        if k % 3 == 2:
+            # Degenerate local spectra give commuting_part multi-dimensional blocks.
+            split = HamiltonianSplit(_degenerate_hermitian(rng, d_f), _degenerate_hermitian(rng, d_s),
+                                     split.h_int)
+        tol = 1e-12 * max(1.0, np.linalg.norm(split.total, 2) ** 2)
+
+        rho0 = kron(_random_density(rng, d_f), _random_density(rng, d_s))
+        rho0 = u @ _random_density(rng, d_f * d_s) @ dagger(u) if k % 4 == 3 else rho0
+        times = np.sort(rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 5))))
+        stack = GridEvolution(split.total).states(rho0, times)
+        # A supplied rho_dot from another generator must be used as given.
+        g = random_hermitian(rng, d_f * d_s, scale)
+        supplied = -1j * (g @ stack - stack @ g)
+        for prescription in (Prescription.split_alpha(float(rng.random())), Prescription.commuting_part()):
+            for rho_dot in (None, supplied):
+                cases = [(stack, rho_dot)] + [(rho, None if rho_dot is None else rho_dot[m])
+                                              for m, rho in enumerate(stack)]
+                for rho, rho_d in cases:
+                    report = energetics(setup, split, rho, prescription, rho_dot=rho_d)
+                    oracle = dense_energetics_oracle(split, rho, prescription, rho_dot=rho_d)
+                    for name in ENERGETICS_FIELDS:
+                        value = getattr(report, name)
+                        assert np.shape(value) == np.shape(oracle[name]), name
+                        assert np.abs(value - oracle[name]).max() <= tol, name
+
+        for on, rho_other in (("s", partial_trace(stack, dims, drop=1)),
+                              ("frame", partial_trace(stack, dims, drop=0))):
+            for state in (rho_other, rho_other[0]):
+                assert np.abs(mean_field_hamiltonian(split, state, on=on)
+                              - _dense_mean_field(split, state, on)).max() <= tol, on
+        count += 1
+    return count
+
+
 def _assert_stack_matches(stacked, singles, tol=1e-12):
     stacked = np.asarray(stacked)
     singles = np.asarray(singles)
@@ -241,9 +375,6 @@ def _assert_stack_matches(stacked, singles, tol=1e-12):
 def suite_stacked_layers_match_single_states(n=100, seed=909):
     """Stacks of states along a trajectory give the single-state results."""
     count = 0
-    fields = ("e_frame", "e_s", "e_int", "e_total", "qdot_conv_s", "wdot_conv_s", "e_star_s",
-              "qdot_alt_s", "wdot_alt_s", "qdot_conv_frame", "wdot_conv_frame", "e_star_frame",
-              "qdot_alt_frame", "wdot_alt_frame")
     for k, rng, setup, g_i, g_j in _instances(n, seed):
         d_f, d_s = setup.d_frame, setup.d_s
         dims = (d_f, d_s)
@@ -262,7 +393,7 @@ def suite_stacked_layers_match_single_states(n=100, seed=909):
         for m, rho in enumerate(stack):
             single = energetics(setup, split, rho, prescription,
                                 rho_dot=None if rho_dot is None else rho_dot[m])
-            for name in fields:
+            for name in ENERGETICS_FIELDS:
                 assert abs(getattr(report, name)[m] - getattr(single, name)) <= 1e-12, name
 
         x = BilocalUnitary(haar_unitary(rng, d_f), haar_unitary(rng, d_s))
@@ -300,4 +431,5 @@ ALL_SUITES = (
     suite_pure_state_witness,
     suite_first_law_and_entropy_production,
     suite_stacked_layers_match_single_states,
+    suite_energetics_matches_dense_oracle,
 )

@@ -1,11 +1,15 @@
 """Tests for exact evolution, Hamiltonian splitting, and trajectory checks."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from qrf_lab import FrameSetup, Z2
 from qrf_lab.dynamics import (
     STACK_BYTES,
     GridEvolution,
+    HamiltonianSplit,
     block_length,
     dynamical_type_classifier,
     evolve,
@@ -78,6 +82,24 @@ def test_split_hamiltonian_reconstructs():
     assert np.isclose(np.trace(split.h_int), 0.0, atol=1e-12)
     assert np.allclose(partial_trace(split.h_int, (2, 3), drop=0), 0.0, atol=1e-12)
     assert np.allclose(partial_trace(split.h_int, (2, 3), drop=1), 0.0, atol=1e-12)
+
+
+def test_split_is_frozen_and_caches_a_read_only_total():
+    rng = np.random.default_rng(5)
+    split = split_hamiltonian(random_hermitian(rng, 6), 2, 3)
+    expected = kron(split.h_frame, np.eye(3)) + kron(np.eye(2), split.h_s) + split.h_int
+    assert np.array_equal(split.total, expected)
+    assert split.total is split.total
+    assert not split.total.flags.writeable
+    with pytest.raises(ValueError):
+        split.total[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        split.h_s = np.eye(3)
+    # The pieces are read-only copies, so nothing derived from them goes stale.
+    for piece in (split.h_frame, split.h_s, split.h_int):
+        assert not piece.flags.writeable
+    source = np.array(split.h_int)
+    assert HamiltonianSplit(split.h_frame, split.h_s, source).h_int is not source
 
 
 def test_split_identity_is_shared_evenly():

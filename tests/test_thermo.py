@@ -9,12 +9,14 @@ from qrf_lab.operators import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
+    dagger,
+    haar_unitary,
     hs_norm,
     kron,
     random_hermitian,
 )
 from qrf_lab.states import gibbs_state
-from qrf_lab.subalgebras import BilocalUnitary
+from qrf_lab.subalgebras import BilocalUnitary, invariant_projector
 from qrf_lab.thermo import (
     NonProductInitialStateError,
     Prescription,
@@ -25,6 +27,8 @@ from qrf_lab.thermo import (
     entropy_production_and_flow,
     gibbs_classification,
 )
+
+from property_suites import setup_pool
 
 E = (0,)
 
@@ -154,17 +158,36 @@ def test_stationary_product_state_has_zero_balance():
     assert abs(balance.phi) < 1e-12
 
 
-def test_balance_verifiers_on_member_trajectory():
-    setup = qubit_setup()
+def _member_trajectory():
+    """ZZ chain, a state and a witness whose trajectory stays in the subalgebra."""
     b, j = 0.9, 0.35
     h = (b * (kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z))
          + 2.0 * j * kron(SIGMA_Z, SIGMA_Z))
     amps = np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0)
     psi = np.kron([0.0, 1.0], amps)
-    rho0 = np.outer(psi, psi.conj())
+    return qubit_setup(), h, np.outer(psi, psi.conj()), BilocalUnitary(ID2, SIGMA_X), E, E
+
+
+def _projected_member_trajectory(setup, rng):
+    """H and rho0 projected into the subalgebra of a random bilocal witness."""
+    elements = setup.group.elements
+    g_i, g_j = (elements[int(rng.integers(len(elements)))] for _ in range(2))
+    d_f, d_s = setup.d_frame, setup.d_s
+    x = BilocalUnitary(haar_unitary(rng, d_f), haar_unitary(rng, d_s))
+    proj = invariant_projector(setup, x, g_i, g_j)
+    h = proj.apply(random_hermitian(rng, d_f * d_s))
+    h = (h + dagger(h)) / 2
+    g = rng.normal(size=(d_f * d_s,) * 2) + 1j * rng.normal(size=(d_f * d_s,) * 2)
+    # The projector averages conjugations, so it keeps g g' positive.
+    rho0 = proj.apply(g @ dagger(g))
+    rho0 = (rho0 + dagger(rho0)) / 2
+    return setup, h / np.linalg.norm(h, 2), rho0 / np.trace(rho0).real, x, g_i, g_j
+
+
+def test_balance_verifiers_on_member_trajectory():
+    setup, h, rho0, x, g_i, g_j = _member_trajectory()
     split = split_hamiltonian(h, 2, 2)
-    x = BilocalUnitary(ID2, SIGMA_X)
-    report = balance_verifiers(setup, split, rho0, E, E,
+    report = balance_verifiers(setup, split, rho0, g_i, g_j,
                                Prescription.split_alpha(0.5), 0.0, 2.0,
                                x0=x, x1=x, grid=12)
     assert report.premises_not_met == []
@@ -173,6 +196,24 @@ def test_balance_verifiers_on_member_trajectory():
     assert report.rates_max_gap < 1e-8
     assert report.delta_s_s_equal
     assert report.delta_s_frame_equal
+
+
+@pytest.mark.parametrize("case", ["qubits", "z2xz2_regular"])
+def test_rates_match_does_not_depend_on_the_energy_scale(case):
+    """H -> s H over t -> t / s is the same trajectory; rates grow as s^2."""
+    if case == "qubits":
+        setup, h, rho0, x, g_i, g_j = _member_trajectory()
+    else:
+        z2xz2_regular = setup_pool()[5]  # d_p = 16
+        setup, h, rho0, x, g_i, g_j = _projected_member_trajectory(
+            z2xz2_regular, np.random.default_rng(31))
+    for s in 10.0 ** np.arange(-6, 7):
+        split = split_hamiltonian(s * h, setup.d_frame, setup.d_s)
+        report = balance_verifiers(setup, split, rho0, g_i, g_j,
+                                   Prescription.split_alpha(0.5), 0.0, 2.0 / s,
+                                   x0=x, x1=x, grid=12)
+        assert report.membership_ok, s
+        assert report.rates_match, (s, report.rates_max_gap)
 
 
 def test_balance_verifiers_report_missing_premises():
