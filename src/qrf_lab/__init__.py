@@ -22,16 +22,14 @@ from .dynamics import (
 )
 from .frames import (
     FrameSetup,
+    PerspectiveChange,
     g_twirl,
     parity_swap,
-    perspective_unitary,
     physical_basis,
     pi_phys,
     qrf_transform,
     reduction_map,
     relational_observable,
-    symmetry_qrf_transform,
-    tps_change_unitary,
     uhat_superoperator,
 )
 from .groups import Z2, Z2xZ2, Z3, Z4, FiniteAbelianGroup
@@ -64,7 +62,6 @@ from .scenarios import (
     write_json,
 )
 from .states import (
-    DensityMatrix,
     EquivalenceWitness,
     NegativeTemperatureReport,
     basis_state,

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frames import parity_swap, perspective_unitary
+from .frames import parity_swap
 from .operators import (
     assert_hermitian,
     dagger,
@@ -25,6 +25,8 @@ from .operators import (
     kron,
     matrix_exp_scaled,
     partial_trace,
+    read_only,
+    twirl,
 )
 from .subalgebras import as_matrix, invariant_projector, membership_test, pi_d, pi_t
 
@@ -49,7 +51,7 @@ class HamiltonianSplit:
 
     def __post_init__(self):
         for name in ("h_frame", "h_s", "h_int"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=complex)))
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=complex)))
 
     @property
     def d_frame(self):
@@ -61,9 +63,9 @@ class HamiltonianSplit:
 
     @cached_property
     def total(self):
-        return _read_only(kron(self.h_frame, np.eye(self.d_s))
-                          + kron(np.eye(self.d_frame), self.h_s)
-                          + self.h_int)
+        return read_only(kron(self.h_frame, np.eye(self.d_s))
+                         + kron(np.eye(self.d_frame), self.h_s)
+                         + self.h_int)
 
     @cached_property
     def mean_field_maps(self):
@@ -76,20 +78,15 @@ class HamiltonianSplit:
         d_f, d_s = self.d_frame, self.d_s
         t = self.h_int.reshape(d_f, d_s, d_f, d_s)
         return {
-            "s": _read_only(t.transpose(2, 0, 1, 3).reshape(d_f * d_f, d_s * d_s)),
-            "frame": _read_only(t.transpose(3, 1, 0, 2).reshape(d_s * d_s, d_f * d_f)),
+            "s": read_only(t.transpose(2, 0, 1, 3).reshape(d_f * d_f, d_s * d_s)),
+            "frame": read_only(t.transpose(3, 1, 0, 2).reshape(d_s * d_s, d_f * d_f)),
         }
 
     @cached_property
     def eigenspace_projectors(self):
         """Projectors onto the eigenspaces of h_s and of h_frame, keyed "s" and "frame"."""
-        return {"s": _read_only(eigenspace_projectors(self.h_s, COMMUTANT_GAP)),
-                "frame": _read_only(eigenspace_projectors(self.h_frame, COMMUTANT_GAP))}
-
-
-def _read_only(mat):
-    mat.flags.writeable = False
-    return mat
+        return {"s": read_only(eigenspace_projectors(self.h_s, COMMUTANT_GAP)),
+                "frame": read_only(eigenspace_projectors(self.h_frame, COMMUTANT_GAP))}
 
 
 def split_hamiltonian(hamiltonian, d_frame, d_s):
@@ -123,28 +120,16 @@ class TransformedPieces:
     int_from_dt: np.ndarray
     lambda_int: np.ndarray
 
-    @property
-    def assembled(self):
-        d_f = self.frame_from_diag.shape[0]
-        d_s = self.s_translation_part.shape[0]
-        return (kron(self.frame_from_diag + self.lambda_frame, np.eye(d_s))
-                + kron(np.eye(d_f), self.s_translation_part + self.lambda_s)
-                + self.int_from_locals + self.int_from_dt + self.lambda_int)
-
 
 def s_factor_twirl(setup, op):
-    acc = np.zeros_like(np.asarray(op, dtype=complex))
-    for g in setup.group.elements:
-        u = setup.u_s(g)
-        acc += u @ op @ dagger(u)
-    return acc / setup.group.order
+    return twirl([setup.u_s(g) for g in setup.group.elements], op)
 
 
 def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     """Transform a split Hamiltonian and attribute every piece of the result."""
     d_f, d_s = setup.d_frame, setup.d_s
-    u = perspective_unitary(setup, g_i, g_j)
-    new_total = u @ split.total @ dagger(u)
+    change = setup.perspective_change(g_i, g_j)
+    new_total = change.conjugate(split.total)
     split_new = split_hamiltonian(new_total, d_f, d_s)
 
     parity = parity_swap(setup, g_i, g_j)
@@ -156,10 +141,10 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     dt_int = pi_d(setup, pi_t(setup, split.h_int))
     rest_int = split.h_int - dt_int
 
-    int_from_locals = u @ (kron(h_frame_off, np.eye(d_s)) + kron(np.eye(d_f), h_s_rest)) @ dagger(u)
+    int_from_locals = change.conjugate(kron(h_frame_off, np.eye(d_s)) + kron(np.eye(d_f), h_s_rest))
     p_full = kron(parity, np.eye(d_s))
     int_from_dt = p_full @ dt_int @ dagger(p_full)
-    leftovers = split_hamiltonian(u @ rest_int @ dagger(u), d_f, d_s)
+    leftovers = split_hamiltonian(change.conjugate(rest_int), d_f, d_s)
 
     pieces = TransformedPieces(
         frame_from_diag=parity @ h_frame_diag @ dagger(parity),
@@ -276,8 +261,12 @@ def subsystem_eom_terms(setup, split, rho_ibar, tol=1e-10):
 
 
 def dynamical_type_classifier(setup, split, tol=CLASSIFIER_TOL):
-    """Classify the induced system dynamics as closed, open, or interacting."""
-    scale = max(1.0, hs_norm(split.total))
+    """Classify the induced system dynamics as closed, open, or interacting.
+
+    Each residual is compared with tol * ||H||, so rescaling H leaves the
+    verdict unchanged; H = 0 is closed_to_closed.
+    """
+    scale = hs_norm(split.total)
     interacting = hs_norm(split.h_int) > tol * scale
     frame_diagonal = hs_norm(split.h_frame - np.diag(np.diag(split.h_frame))) <= tol * scale
     s_translation_invariant = hs_norm(split.h_s - s_factor_twirl(setup, split.h_s)) <= tol * scale
@@ -306,15 +295,14 @@ def imported_hamiltonian_and_trajectory_check(setup, hamiltonian, x, g_i, g_j, r
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     x_mat = as_matrix(x)
-    u = perspective_unitary(setup, g_i, g_j)
-    h_imported = dagger(x_mat) @ (u @ hamiltonian @ dagger(u)) @ x_mat
+    h_imported = dagger(x_mat) @ setup.perspective_change(g_i, g_j).conjugate(hamiltonian) @ x_mat
     projector = invariant_projector(setup, x_mat, g_i, g_j)
     agreement = hs_norm(projector.apply(hamiltonian) - projector.apply(h_imported))
     times = np.asarray(time_grid, dtype=float)
     in_ax, comm_norms = [], []
     diff = hamiltonian - h_imported
     for _, rho_t in GridEvolution(hamiltonian).blocks(rho0, times):
-        in_ax += membership_test(setup, rho_t, x_mat, g_i, g_j).is_member.tolist()
+        in_ax += membership_test(setup, rho_t, x, g_i, g_j).is_member.tolist()
         comm_norms += hs_norm(diff @ rho_t - rho_t @ diff).tolist()
     return TrajectoryImportReport(
         h_imported=h_imported,

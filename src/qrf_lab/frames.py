@@ -8,10 +8,55 @@ the factor order (other frame, system).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .groups import FiniteAbelianGroup
-from .operators import assert_unitary, conjugation_superop, dagger, kron
+from .operators import (
+    StructuredUnitary,
+    assert_unitary,
+    conjugation_superop,
+    dagger,
+    kron,
+    monomial_gather,
+    read_only,
+    twirl,
+)
+
+
+@dataclass(frozen=True)
+class PerspectiveChange(StructuredUnitary):
+    """u_ibar = sum_g |g_i g><g_j g^-1| (x) U_S(g) for one orientation pair.
+
+    u is a controlled unitary: block row a holds U_S(g), for the g with
+    g_i g = a, in block column perm[a] (the index of g_j g^-1), and both
+    arrays are read-only.  conjugate uses that structure; when every U_S(g)
+    is monomial (regular and tensor-power reps are permutations, diagonal
+    reps give phases) it is one gather over the d_p indices.
+    """
+
+    perm: np.ndarray
+    blocks: np.ndarray
+
+    @cached_property
+    def _gather(self):
+        return monomial_gather(self.perm, self.blocks)
+
+    @cached_property
+    def matrix(self):
+        """The dense u, read-only."""
+        d_f, d_s = self.blocks.shape[:2]
+        mat = np.zeros((d_f, d_s, d_f, d_s), dtype=complex)
+        mat[np.arange(d_f), :, self.perm, :] = self.blocks
+        # +0.0 for every zero, -0.0 entries of U_S(g) included, as a sum of krons writes.
+        return read_only(mat.reshape(d_f * d_s, d_f * d_s) + 0.0)
+
+    def _left(self, ops):
+        d_f, d_s = self.blocks.shape[:2]
+        rows = ops.reshape(ops.shape[:-2] + (d_f, d_s, d_f * d_s))[..., self.perm, :, :]
+        return (self.blocks @ rows).reshape(ops.shape)
 
 
 class FrameSetup:
@@ -28,7 +73,7 @@ class FrameSetup:
         self.d_perspective = self.d_frame * self.d_s
         self.d_kin = self.d_frame ** 2 * self.d_s
         self._pi_phys = None
-        self._perspective_unitaries = {}
+        self._perspective_changes = {}
 
     @classmethod
     def from_rep_config(cls, group, config) -> "FrameSetup":
@@ -73,11 +118,6 @@ class FrameSetup:
         reg = self.u_frame(g)
         return kron(reg, reg, self.u_s(g))
 
-    def frame_basis_bra(self, g):
-        bra = np.zeros((1, self.d_frame))
-        bra[0, self.group.index(g)] = 1.0
-        return bra
-
     def pi_phys(self):
         """Group average of the gauge action; projector onto physical states."""
         if self._pi_phys is None:
@@ -85,15 +125,21 @@ class FrameSetup:
             self._pi_phys = np.asarray(acc, dtype=complex) / self.group.order
         return self._pi_phys
 
-    def perspective_unitary(self, g_i, g_j):
-        """Cached u_ibar for one orientation pair, returned read-only."""
-        key = (self.group.check_element(g_i), self.group.check_element(g_j))
-        u = self._perspective_unitaries.get(key)
-        if u is None:
-            u = tps_change_unitary(self, *key)[0]
-            u.flags.writeable = False
-            self._perspective_unitaries[key] = u
-        return u
+    def perspective_change(self, g_i, g_j) -> PerspectiveChange:
+        """The perspective change u_ibar for one orientation pair, built once and cached."""
+        group = self.group
+        key = (group.check_element(g_i), group.check_element(g_j))
+        change = self._perspective_changes.get(key)
+        if change is None:
+            perm = np.empty(self.d_frame, dtype=int)
+            blocks = np.empty((self.d_frame, self.d_s, self.d_s), dtype=complex)
+            for g in group.elements:
+                row = group.index(group.compose(g_i, g))
+                perm[row] = group.index(group.compose(g_j, group.inverse(g)))
+                blocks[row] = self.u_s(g)
+            change = PerspectiveChange(perm=read_only(perm), blocks=read_only(blocks))
+            self._perspective_changes[key] = change
+        return change
 
     def embed_kin(self, frame, frame_op, complement_op):
         """Place frame_op at the given frame factor and complement_op on the rest.
@@ -118,8 +164,8 @@ def pi_phys(setup):
 
 def reduction_map(setup, frame, g):
     """Co-isometry from the kinematical space to the perspective of the given frame."""
-    g = setup.group.check_element(g)
-    bra = setup.frame_basis_bra(g)
+    bra = np.zeros((1, setup.d_frame))
+    bra[0, setup.group.index(g)] = 1.0
     if frame == 1:
         stripper = kron(bra, np.eye(setup.d_frame), np.eye(setup.d_s))
     elif frame == 2:
@@ -140,40 +186,10 @@ def qrf_transform(setup, from_frame, to_frame, g_from, g_to):
 
 def parity_swap(setup, g_i, g_j):
     """Frame-factor map sum_g |g_i g><g_j g^-1| implementing the sign flip."""
-    group = setup.group
-    g_i, g_j = group.check_element(g_i), group.check_element(g_j)
+    perm = setup.perspective_change(g_i, g_j).perm
     mat = np.zeros((setup.d_frame, setup.d_frame), dtype=complex)
-    for g in group.elements:
-        row = group.index(group.compose(g_i, g))
-        col = group.index(group.compose(g_j, group.inverse(g)))
-        mat[row, col] += 1.0
+    mat[np.arange(perm.size), perm] = 1.0
     return mat
-
-
-def tps_change_unitary(setup, g_i, g_j):
-    """Perspective-local unitary, frame relabeling, and its frame factor.
-
-    Returns (u_ibar, frame_swap, parity) where u_ibar acts on the original
-    perspective space, frame_swap is the factor relabeling (an identity
-    matrix between the two equal-shape perspective spaces), and parity is
-    the frame-factor part of u_ibar.
-    """
-    group = setup.group
-    g_i, g_j = group.check_element(g_i), group.check_element(g_j)
-    mat = np.zeros((setup.d_perspective, setup.d_perspective), dtype=complex)
-    for g in group.elements:
-        ket = np.zeros((setup.d_frame, 1))
-        ket[group.index(group.compose(g_i, g)), 0] = 1.0
-        bra = np.zeros((1, setup.d_frame))
-        bra[0, group.index(group.compose(g_j, group.inverse(g)))] = 1.0
-        mat += kron(ket @ bra, setup.u_s(g))
-    frame_swap = np.eye(setup.d_perspective, dtype=complex)
-    return mat, frame_swap, parity_swap(setup, g_i, g_j)
-
-
-def perspective_unitary(setup, g_i, g_j):
-    """The unitary u_ibar alone, as built by tps_change_unitary, cached on the setup."""
-    return setup.perspective_unitary(g_i, g_j)
 
 
 def relational_observable(setup, frame, g, f):
@@ -191,11 +207,7 @@ def relational_observable(setup, frame, g, f):
 
 def g_twirl(setup, op):
     """Incoherent average of op over the global gauge action."""
-    acc = np.zeros_like(np.asarray(op, dtype=complex))
-    for g in setup.group.elements:
-        u = setup.u_kin(g)
-        acc += u @ op @ dagger(u)
-    return acc / setup.group.order
+    return twirl([setup.u_kin(g) for g in setup.group.elements], op)
 
 
 def physical_basis(setup):
@@ -207,34 +219,6 @@ def physical_basis(setup):
     return dagger(reduction_map(setup, 1, setup.group.identity))
 
 
-def symmetry_qrf_transform(setup, g_1, g_2, op):
-    """Symmetry-induced perspective change acting on kinematical operators.
-
-    Built from frame-1 translations and joint frame projections only; on
-    relational observables it exchanges the describing frame.
-    """
-    group = setup.group
-    g_1, g_2 = group.check_element(g_1), group.check_element(g_2)
-    op = np.asarray(op, dtype=complex)
-    d_f, d_s = setup.d_frame, setup.d_s
-    total = np.zeros_like(op)
-    eye_2s = np.eye(d_f * d_s)
-    for g_p in group.elements:
-        left_el = group.compose(group.inverse(g_1), group.compose(g_2, group.inverse(g_p)))
-        right_el = group.compose(g_p, group.compose(group.inverse(g_2), g_1))
-        left_u = kron(setup.u_frame(left_el), eye_2s)
-        right_u = kron(setup.u_frame(right_el), eye_2s)
-        middle = left_u @ op @ right_u
-        for g in group.elements:
-            p1 = np.zeros((d_f, d_f))
-            p1[group.index(g), group.index(g)] = 1.0
-            p2 = np.zeros((d_f, d_f))
-            shifted = group.index(group.compose(g, g_p))
-            p2[shifted, shifted] = 1.0
-            total += kron(p1, p2, np.eye(d_s)) @ middle
-    return total
-
-
 def uhat_superoperator(setup, g_i, g_j):
     """Conjugation superoperator of the perspective-local unitary."""
-    return conjugation_superop(perspective_unitary(setup, g_i, g_j))
+    return conjugation_superop(setup.perspective_change(g_i, g_j).matrix)

@@ -107,6 +107,58 @@ def partial_trace(mat, dims, drop):
     return tensor.reshape(lead + (size, size))
 
 
+def read_only(mat):
+    mat.flags.writeable = False
+    return mat
+
+
+def monomial_gather(perm, blocks):
+    """(flat, phases) for conjugating by the matrix m with block blocks[a] at (a, perm[a]).
+
+    Entry (r, c) of m f m' is phases[r] f.flat[flat[r * d + c]] phases[c]*,
+    and phases is None when m is a permutation.  Both are None when m is
+    not monomial, i.e. has a row or column with other than one nonzero.
+    """
+    n, d = blocks.shape[:2]
+    # n d nonzeros that reach every row and every block column: one in each.
+    if np.count_nonzero(blocks) != n * d or not (blocks.any(axis=1).all() and blocks.any(axis=2).all()):
+        return None, None
+    idx = np.flatnonzero(blocks)
+    phases = blocks.reshape(-1)[idx]
+    cols = np.asarray(perm).repeat(d) * d + idx % d
+    return (cols[:, None] * cols.size + cols).ravel(), None if (phases == 1).all() else phases
+
+
+class StructuredUnitary:
+    """A unitary w applied through its structure instead of its dense matrix.
+
+    Subclasses define _left(ops) = w @ ops for stacks and _gather, the
+    monomial_gather of w.
+    """
+
+    def conjugate(self, ops):
+        """w ops w' for one operator or a stack (..., d, d); a monomial w is one gather.
+
+        Row phases go on before column phases, the order of w @ ops @ w', and
+        adding 0.0 turns a -0.0 the gather keeps into the +0.0 the products
+        write: for a permutation the result equals theirs bit for bit.
+        """
+        ops = np.asarray(ops, dtype=complex)
+        flat, phases = self._gather
+        if flat is None:
+            return dagger(self._left(dagger(self._left(ops))))
+        out = np.take(ops.reshape(ops.shape[:-2] + (-1,)), flat, axis=-1).reshape(ops.shape)
+        if phases is not None:
+            out = phases[:, None] * out * phases.conj()
+        return out + 0.0
+
+
+def twirl(unitaries, op):
+    """Average of u op u' over the given unitaries."""
+    op = np.asarray(op, dtype=complex)
+    return sum(u @ op @ dagger(u) for u in unitaries) / len(unitaries)
+
+
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product Tr(a' b)."""
     return complex(np.trace(dagger(a) @ np.asarray(b)))
@@ -190,15 +242,6 @@ class FixedSpace:
     @property
     def dimension(self):
         return self.basis.shape[1]
-
-    def apply(self, mat):
-        """Project vec(mat) onto the fixed space and reshape back."""
-        d = np.asarray(mat).shape[0]
-        return unvec(self.projector @ vec(mat), d)
-
-    def contains(self, v, tol=1e-9):
-        v = np.asarray(v, dtype=complex)
-        return np.linalg.norm(self.projector @ v - v) <= tol * max(1.0, np.linalg.norm(v))
 
 
 def fixed_space_projector(superop, tol=1e-9, guard=10.0):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import perspective_unitary
 from .operators import (
     IndefiniteOperatorError,
     assert_hermitian,
@@ -26,40 +25,6 @@ from .operators import (
 
 SUPPORT_CUTOFF = 1e-12
 SPECTRUM_TOL = 1e-9
-
-
-class DensityMatrix:
-    """Validated density operator with a cached purity."""
-
-    def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
-        assert_hermitian(matrix, what="density matrix")
-        tr = float(np.trace(matrix).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix must have unit trace, got {tr}")
-        vals = np.linalg.eigvalsh(matrix)
-        if vals.min() < -1e-10:
-            raise IndefiniteOperatorError(f"density matrix has eigenvalue {vals.min():.3e}")
-        self.matrix = matrix
-        self._purity = None
-
-    @classmethod
-    def from_vector(cls, psi):
-        psi = np.asarray(psi, dtype=complex).ravel()
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError("state vector must be normalized")
-        return cls(np.outer(psi, psi.conj()))
-
-    @property
-    def purity(self):
-        if self._purity is None:
-            self._purity = float(np.trace(self.matrix @ self.matrix).real)
-        return self._purity
-
-
-def _mat(rho):
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
 def w_state(n):
@@ -121,7 +86,7 @@ def basis_state(dim, index):
 
 
 def _checked_spectrum(rho):
-    vals = np.linalg.eigvalsh(_mat(rho))
+    vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     if vals.min() < -1e-8:
         raise IndefiniteOperatorError(f"state has eigenvalue {vals.min():.3e}")
     return vals
@@ -157,7 +122,7 @@ def relative_entropy(rho, sigma):
     Either argument may be a stack (k, d, d); the result is then an array
     of k values.
     """
-    rho, sigma = _mat(rho), _mat(sigma)
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     svals, svecs = np.linalg.eigh(sigma)
     outside = svals <= SUPPORT_CUTOFF
     # Block of rho on the kernel of sigma, written in sigma's eigenbasis.
@@ -172,14 +137,14 @@ def relative_entropy(rho, sigma):
 
 def mutual_information(rho, dims):
     """I(A:B) of a bipartite state; a stack (k, d, d) gives k values."""
-    rho = _mat(rho)
+    rho = np.asarray(rho, dtype=complex)
     rho_a = partial_trace(rho, dims, drop=1)
     rho_b = partial_trace(rho, dims, drop=0)
     return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
 
 
 def purity(rho):
-    rho = _mat(rho)
+    rho = np.asarray(rho, dtype=complex)
     return float(np.trace(rho @ rho).real)
 
 
@@ -192,9 +157,7 @@ class SubsystemStates:
 
 def subsystem_transform(setup, rho_ibar, g_i, g_j):
     """State in the other perspective together with its marginals."""
-    rho_ibar = _mat(rho_ibar)
-    u = perspective_unitary(setup, g_i, g_j)
-    rho_jbar = u @ rho_ibar @ dagger(u)
+    rho_jbar = setup.perspective_change(g_i, g_j).conjugate(rho_ibar)
     dims = (setup.d_frame, setup.d_s)
     return SubsystemStates(
         rho_jbar=rho_jbar,
@@ -215,7 +178,7 @@ def subsystem_equivalence_witness(rho_a, rho_b, setup=None, tol=SPECTRUM_TOL, ga
     When a setup is supplied the report also notes whether rho_a commutes
     with every system translation.
     """
-    rho_a, rho_b = _mat(rho_a), _mat(rho_b)
+    rho_a, rho_b = np.asarray(rho_a, dtype=complex), np.asarray(rho_b, dtype=complex)
     vals_a, vecs_a = np.linalg.eigh(rho_a)
     vals_b, vecs_b = np.linalg.eigh(rho_b)
     order_a, order_b = np.argsort(vals_a)[::-1], np.argsort(vals_b)[::-1]
@@ -251,7 +214,7 @@ def negative_temperature_predict(setup, h_s, beta, rho_frame, g_j, require_flip=
     q_a read off the frame populations over the anticommuting sector.
     """
     h_s = assert_hermitian(np.asarray(h_s, dtype=complex), what="Hamiltonian")
-    rho_frame = _mat(rho_frame)
+    rho_frame = np.asarray(rho_frame, dtype=complex)
     group = setup.group
     g_j = group.check_element(g_j)
     scale = max(1.0, hs_norm(h_s))
@@ -285,7 +248,7 @@ def random_global_with_s_marginal(rng, d_frame, marginal, kind="mixed"):
     kind "pure" draws a Haar-like purification (needs d_frame >= rank),
     kind "mixed" attaches random pure frame states to the eigenbasis.
     """
-    marginal = _mat(marginal)
+    marginal = np.asarray(marginal, dtype=complex)
     vals, vecs = np.linalg.eigh(marginal)
     keep = vals > SUPPORT_CUTOFF
     vals, vecs = vals[keep], vecs[:, keep]

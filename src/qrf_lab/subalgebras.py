@@ -9,12 +9,14 @@ witness construction for pure states live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .frames import parity_swap, perspective_unitary
+from .frames import parity_swap
 from .operators import (
     FixedSpace,
+    StructuredUnitary,
     assert_unitary,
     conjugation_superop,
     dagger,
@@ -22,8 +24,11 @@ from .operators import (
     fixed_space_projector,
     hs_norm,
     kron,
+    monomial_gather,
     partial_trace,
     polar_unitary,
+    read_only,
+    twirl,
     unvec,
     vec,
 )
@@ -43,19 +48,44 @@ class LocalityViolationError(ValueError):
 
 
 @dataclass(frozen=True)
-class BilocalUnitary:
-    """Product unitary y (x) z across the (frame, system) split."""
+class BilocalUnitary(StructuredUnitary):
+    """Product unitary y (x) z across the (frame, system) split.
+
+    The factors are read-only complex copies, and the dense matrix and the
+    gather are built once, on first use.  conjugate takes a stack as one
+    gather when y and z are monomial, else y and z act on the (d_f, d_s)
+    reshape (d_p^2 (d_f + d_s) operations per matrix, not d_p^3).  A single
+    matrix, a one-off test where the gather would not repay its set-up,
+    uses the dense matrix.
+    """
 
     y: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        assert_unitary(self.y, what="frame factor")
-        assert_unitary(self.z, what="system factor")
+        for name, what in (("y", "frame factor"), ("z", "system factor")):
+            factor = assert_unitary(np.array(getattr(self, name), dtype=complex), what=what)
+            object.__setattr__(self, name, read_only(factor))
 
-    @property
+    @cached_property
     def matrix(self):
-        return kron(self.y, self.z)
+        """kron(y, z), read-only."""
+        return read_only(kron(self.y, self.z))
+
+    @cached_property
+    def _gather(self):
+        return monomial_gather([0], self.matrix[None])
+
+    def conjugate(self, ops):
+        ops = np.asarray(ops, dtype=complex)
+        if ops.ndim == 2:
+            return self.matrix @ ops @ dagger(self.matrix)
+        return super().conjugate(ops)
+
+    def _left(self, ops):
+        d_f, d_s = self.y.shape[0], self.z.shape[0]
+        rows = self.y @ ops.reshape(ops.shape[:-2] + (d_f, d_s * d_f * d_s))
+        return (self.z @ rows.reshape(ops.shape[:-2] + (d_f, d_s, d_f * d_s))).reshape(ops.shape)
 
 
 def as_matrix(x):
@@ -64,23 +94,14 @@ def as_matrix(x):
 
 def pi_t(setup, op):
     """Project onto the commutant of the system translations (system side twirl)."""
-    d_f = setup.d_frame
-    acc = np.zeros_like(np.asarray(op, dtype=complex))
-    for g in setup.group.elements:
-        u = kron(np.eye(d_f), setup.u_s(g))
-        acc += u @ op @ dagger(u)
-    return acc / setup.group.order
+    return twirl([kron(np.eye(setup.d_frame), setup.u_s(g)) for g in setup.group.elements], op)
 
 
 def pi_d(setup, op):
     """Pinch to the frame-diagonal blocks of the perspective space."""
-    op = np.asarray(op, dtype=complex)
     d_f, d_s = setup.d_frame, setup.d_s
-    out = np.zeros_like(op)
-    for k in range(d_f):
-        sl = slice(k * d_s, (k + 1) * d_s)
-        out[sl, sl] = op[sl, sl]
-    return out
+    blocks = np.asarray(op, dtype=complex).reshape(d_f, d_s, d_f, d_s)
+    return np.where(np.eye(d_f, dtype=bool)[:, None, :, None], blocks, 0.0).reshape(d_f * d_s, d_f * d_s)
 
 
 @dataclass
@@ -113,16 +134,23 @@ class MembershipResult:
     tolerance: float | np.ndarray
 
 
-def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL):
+def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL, transformed=None):
     """Check whether conjugating f by the perspective change equals conjugation by x.
 
     For a stack f of shape (k, d, d) the result holds arrays of k verdicts,
-    residuals and tolerances.
+    residuals and tolerances.  A caller that already holds u f u' for the
+    same orientations passes it as transformed, so f is not conjugated by
+    u a second time.
     """
     f = np.asarray(f, dtype=complex)
-    x = as_matrix(x)
-    u = perspective_unitary(setup, g_i, g_j)
-    residual = hs_norm(u @ f @ dagger(u) - x @ f @ dagger(x))
+    if transformed is None:
+        transformed = setup.perspective_change(g_i, g_j).conjugate(f)
+    if isinstance(x, BilocalUnitary):
+        moved = x.conjugate(f)
+    else:
+        x = np.asarray(x, dtype=complex)
+        moved = x @ f @ dagger(x)
+    residual = hs_norm(transformed - moved)
     threshold = tol * np.maximum(1.0, hs_norm(f))
     is_member = residual <= threshold
     if f.ndim == 2:
@@ -184,7 +212,7 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
             f"invariant_projector at d_p = {d} needs {d * d} x {d * d} superoperators, "
             f"an estimated {estimate} bytes at peak, above the {SUPEROPERATOR_BUDGET_BYTES}-byte budget")
     x = as_matrix(x)
-    u = perspective_unitary(setup, g_i, g_j)
+    u = setup.perspective_change(g_i, g_j).matrix
     superop = conjugation_superop(dagger(x)) @ conjugation_superop(u)
     space = fixed_space_projector(superop, tol=tol)
     return SubalgebraProjector(fixed_space=space, operand_dim=setup.d_perspective)
@@ -262,8 +290,7 @@ def pure_state_bilocal_witness(setup, psi, g_i, g_j, tol=MEMBERSHIP_TOL, gap=DEG
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("state vector must be normalized")
-    u = perspective_unitary(setup, g_i, g_j)
-    phi = u @ psi
+    phi = setup.perspective_change(g_i, g_j).matrix @ psi
     d_f, d_s = setup.d_frame, setup.d_s
     m_psi = psi.reshape(d_f, d_s)
     m_phi = phi.reshape(d_f, d_s)

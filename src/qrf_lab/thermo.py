@@ -35,7 +35,6 @@ from .dynamics import (
     split_hamiltonian,
     transform_hamiltonian_pieces,
 )
-from .frames import perspective_unitary
 from .operators import (
     dagger,
     eigenspace_projectors,
@@ -435,6 +434,13 @@ def _hermitian_part(mat):
     return (mat + dagger(mat)) / 2
 
 
+def _agree(a, b, tol=1e-8):
+    """Within tol of each other, or both infinite."""
+    if math.isinf(a) or math.isinf(b):
+        return math.isinf(a) and math.isinf(b)
+    return bool(abs(a - b) <= tol)
+
+
 def _phase_aligned_equal(a, b, tol=1e-8):
     overlap = np.trace(dagger(a) @ b)
     if abs(overlap) < 1e-12:
@@ -459,16 +465,18 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     """
     premises = []
     h_total = split.total
-    u = perspective_unitary(setup, g_i, g_j)
+    change = setup.perspective_change(g_i, g_j)
     # Conjugation leaves an anti-Hermitian round-off of order eps ||H||; the
     # Hermitian part keeps split_hamiltonian's absolute check valid at any scale.
-    h_j = _hermitian_part(u @ h_total @ dagger(u))
+    h_j = _hermitian_part(change.conjugate(h_total))
     split_j = split_hamiltonian(h_j, setup.d_frame, setup.d_s)
     times = np.linspace(float(t0), float(t1), int(grid))
     rho0 = np.asarray(rho0, dtype=complex)
     dims = (setup.d_frame, setup.d_s)
     evolution = GridEvolution(h_total)
-    rho_t0, rho_t1 = evolution.states(rho0, times[[0, -1]])
+    endpoints = evolution.states(rho0, times[[0, -1]])
+    rho_t0, rho_t1 = endpoints
+    rho_j_t0, rho_j_t1 = change.conjugate(endpoints)
 
     def find_witness(rho_t, provided):
         if provided is not None:
@@ -494,10 +502,11 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         membership_ok = True
         rates_max_gap = 0.0
         for _, rho_t in evolution.blocks(rho0, times):
-            membership_ok &= bool(membership_test(setup, rho_t, x0, g_i, g_j).is_member.all())
             rho_dot = -1j * (h_total @ rho_t - rho_t @ h_total)
-            rho_jt = u @ rho_t @ dagger(u)
-            rho_jdot = u @ rho_dot @ dagger(u)
+            rho_jt = change.conjugate(rho_t)
+            rho_jdot = change.conjugate(rho_dot)
+            membership_ok &= bool(membership_test(setup, rho_t, x0, g_i, g_j,
+                                                  transformed=rho_jt).is_member.all())
             rates_j = energetics(setup, split_j, rho_jt, prescription, rho_dot=rho_jdot).rates_vector()
             rates_imported = energetics(setup, split_imported, rho_t, prescription,
                                         rho_dot=rho_dot).rates_vector()
@@ -506,9 +515,6 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
             both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")
-
-    rho_j_t0 = u @ rho_t0 @ dagger(u)
-    rho_j_t1 = u @ rho_t1 @ dagger(u)
 
     def product_check(rho):
         rho_s = partial_trace(rho, dims, drop=0)
@@ -544,8 +550,10 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
 
     delta_s_s_equal = delta_s_frame_equal = None
     y_condition_holds = sigma_phi_equal = None
-    member_t0 = x0 is not None and membership_test(setup, rho_t0, x0, g_i, g_j).is_member
-    member_t1 = x1 is not None and membership_test(setup, rho_t1, x1, g_i, g_j).is_member
+    member_t0 = x0 is not None and membership_test(
+        setup, rho_t0, x0, g_i, g_j, transformed=rho_j_t0).is_member
+    member_t1 = x1 is not None and membership_test(
+        setup, rho_t1, x1, g_i, g_j, transformed=rho_j_t1).is_member
     if member_t0 and member_t1:
         def marginal_entropies(rho):
             return (von_neumann_entropy(partial_trace(rho, dims, drop=1)),
@@ -564,20 +572,9 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
             rotated = y01 @ rho_frame_1 @ dagger(y01)
             lhs = relative_entropy(rotated, rho_f_t0)
             rhs = relative_entropy(rho_frame_1, rho_f_t0)
-            if math.isinf(lhs) and math.isinf(rhs):
-                y_condition_holds = True
-            elif math.isinf(lhs) or math.isinf(rhs):
-                y_condition_holds = False
-            else:
-                y_condition_holds = bool(abs(lhs - rhs) <= 1e-8)
+            y_condition_holds = _agree(lhs, rhs)
             if sigma_j is not None:
-                def close(a, b):
-                    if math.isinf(a) and math.isinf(b):
-                        return True
-                    if math.isinf(a) or math.isinf(b):
-                        return False
-                    return abs(a - b) <= 1e-8
-                sigma_phi_equal = bool(close(sigma_i, sigma_j) and close(phi_i, phi_j))
+                sigma_phi_equal = _agree(sigma_i, sigma_j) and _agree(phi_i, phi_j)
     else:
         premises.append("membership at both endpoint times is required for entropy-change checks")
 

@@ -17,7 +17,6 @@ from qrf_lab.dynamics import (
 from qrf_lab.frames import (
     FrameSetup,
     parity_swap,
-    perspective_unitary,
     pi_phys,
     qrf_transform,
     reduction_map,
@@ -184,7 +183,7 @@ def suite_pure_state_witness(n=100, seed=907):
             # so a witness must exist and certify membership.
             y = haar_unitary(rng, setup.d_frame)
             z = haar_unitary(rng, setup.d_s)
-            u = perspective_unitary(setup, g_i, g_j)
+            u = setup.perspective_change(g_i, g_j).matrix
             m = dagger(kron(y, z)) @ u
             _, vecs_m = schur(m, output="complex")
             psi = vecs_m[:, int(rng.integers(setup.d_perspective))]
@@ -325,7 +324,7 @@ def suite_energetics_matches_dense_oracle(n=100, seed=910):
     for k, rng, setup, g_i, g_j in _instances(n, seed):
         d_f, d_s = setup.d_frame, setup.d_s
         dims = (d_f, d_s)
-        u = perspective_unitary(setup, g_i, g_j)
+        u = setup.perspective_change(g_i, g_j).matrix
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         h = u @ random_hermitian(rng, d_f * d_s, scale) @ dagger(u)
         split = split_hamiltonian((h + dagger(h)) / 2, d_f, d_s)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qrf_lab import FrameSetup, Z2
+from qrf_lab import FrameSetup, Z2, Z3
 from qrf_lab.dynamics import (
     STACK_BYTES,
     GridEvolution,
@@ -118,13 +118,11 @@ def test_mean_field_hamiltonian():
 
 
 def test_transform_pieces_reassemble():
-    from qrf_lab.frames import perspective_unitary
-
     setup = qubit_setup()
     rng = np.random.default_rng(3)
     split = split_hamiltonian(random_hermitian(rng, 4), 2, 2)
     split_new, pieces = transform_hamiltonian_pieces(setup, split, E, E)
-    u = perspective_unitary(setup, E, E)
+    u = setup.perspective_change(E, E).matrix
     transformed = u @ split.total @ dagger(u)
     assert np.allclose(split_new.total, transformed, atol=1e-10)
     rebuilt = (kron(pieces.frame_from_diag + pieces.lambda_frame, ID2)
@@ -141,6 +139,20 @@ def test_dynamical_type_classifier():
     assert dynamical_type_classifier(setup, open_case) == "closed_to_open"
     interacting = split_hamiltonian(zz_chain(1.0, 1.0), 2, 2)
     assert dynamical_type_classifier(setup, interacting) == "interacting"
+    zero = split_hamiltonian(np.zeros((4, 4)), 2, 2)
+    assert dynamical_type_classifier(setup, zero) == "closed_to_closed"
+
+
+def test_dynamical_type_classifier_does_not_depend_on_the_energy_scale():
+    """H = s (h_F (x) 1 + 1 (x) h_S + 1e-3 h_int) is weakly interacting at every scale s."""
+    setup = FrameSetup.from_rep_config(Z3, "regular")
+    rng = np.random.default_rng(17)
+    h_int = split_hamiltonian(random_hermitian(rng, 9), 3, 3).h_int
+    base = kron(random_hermitian(rng, 3), np.eye(3)) + kron(np.eye(3), random_hermitian(rng, 3)) + 1e-3 * h_int
+    for s in 10.0 ** np.arange(-10, 9):
+        h = s * base
+        split = split_hamiltonian((h + dagger(h)) / 2, 3, 3)
+        assert dynamical_type_classifier(setup, split) == "interacting", s
 
 
 def test_effectively_isolated_chain():

@@ -7,22 +7,23 @@ from qrf_lab import FrameSetup, Z2, Z2xZ2, Z3
 from qrf_lab.frames import (
     g_twirl,
     parity_swap,
-    perspective_unitary,
     physical_basis,
     pi_phys,
     qrf_transform,
     reduction_map,
     relational_observable,
-    tps_change_unitary,
 )
 from qrf_lab.operators import (
     ID2,
     SIGMA_X,
     dagger,
     haar_state,
+    haar_unitary,
     kron,
     random_hermitian,
 )
+
+from property_suites import setup_pool
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -88,27 +89,83 @@ def test_qubit_frame_change_is_cnot_like():
     assert np.allclose(v, expected, atol=1e-12)
 
 
+def dense_perspective_unitary(setup, g_i, g_j):
+    """sum_g |g_i g><g_j g^-1| (x) U_S(g), summed term by term as a dense matrix."""
+    group = setup.group
+    mat = np.zeros((setup.d_perspective, setup.d_perspective), dtype=complex)
+    for g in group.elements:
+        ket = np.zeros((setup.d_frame, 1))
+        ket[group.index(group.compose(g_i, g)), 0] = 1.0
+        bra = np.zeros((1, setup.d_frame))
+        bra[0, group.index(group.compose(g_j, group.inverse(g)))] = 1.0
+        mat += kron(ket @ bra, setup.u_s(g))
+    return mat
+
+
+def haar_conjugated_z3_setup():
+    """Z3 regular conjugated by one fixed Haar unitary: an explicit rep with dense matrices."""
+    w = haar_unitary(np.random.default_rng(12), 3)
+    return FrameSetup(Z3, {g: w @ Z3.regular_representation(g) @ dagger(w) for g in Z3.elements})
+
+
+def is_permutation_rep(setup):
+    return all(np.isin(u, (0.0, 1.0)).all() for u in setup.rep_s.values())
+
+
+def orientation_pairs(setup):
+    return [(g_i, g_j) for g_i in setup.group.elements for g_j in setup.group.elements]
+
+
 def test_perspective_unitary_is_cached_read_only():
     for setup in (qubit_setup(), FrameSetup.from_rep_config(Z2xZ2, "regular"),
-                  FrameSetup.from_rep_config(Z3, {"tensor_power": 2})):
-        for g_i in setup.group.elements:
-            for g_j in setup.group.elements:
-                u = perspective_unitary(setup, g_i, g_j)
-                assert np.array_equal(u, tps_change_unitary(setup, g_i, g_j)[0])
-                assert not u.flags.writeable
-                assert setup.perspective_unitary(list(g_i), list(g_j)) is u
+                  FrameSetup.from_rep_config(Z3, {"tensor_power": 2}), haar_conjugated_z3_setup()):
+        for g_i, g_j in orientation_pairs(setup):
+            change = setup.perspective_change(g_i, g_j)
+            u = change.matrix
+            assert u.tobytes() == dense_perspective_unitary(setup, g_i, g_j).tobytes()
+            assert not u.flags.writeable
+            assert change.matrix is u
+            assert setup.perspective_change(list(g_i), list(g_j)) is change
     with pytest.raises(ValueError):
         u[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        change.blocks[0, 0, 0] = 2.0
 
 
-def test_tps_change_unitary_is_cnot_for_qubits():
+def test_perspective_change_is_cnot_for_qubits():
     setup = qubit_setup()
-    u = perspective_unitary(setup, (0,), (0,))
-    assert np.allclose(u, CNOT, atol=1e-12)
-    u_ibar, frame_swap, parity = tps_change_unitary(setup, (0,), (0,))
-    assert np.allclose(u_ibar, CNOT, atol=1e-12)
-    assert np.allclose(frame_swap @ frame_swap, np.eye(frame_swap.shape[0]), atol=1e-12)
-    assert np.allclose(parity, parity_swap(setup, (0,), (0,)), atol=1e-12)
+    change = setup.perspective_change((0,), (0,))
+    assert np.array_equal(change.matrix, CNOT)
+    assert np.array_equal(change.blocks, [ID2, SIGMA_X])
+    parity = parity_swap(setup, (0,), (0,))
+    assert np.array_equal(parity[np.arange(setup.d_frame), change.perm], np.ones(setup.d_frame))
+
+
+def test_perspective_change_conjugates_like_the_dense_unitary():
+    rng = np.random.default_rng(13)
+    for setup in setup_pool() + [haar_conjugated_z3_setup()]:
+        d = setup.d_perspective
+        exact = is_permutation_rep(setup)
+        for g_i, g_j in orientation_pairs(setup):
+            u = setup.perspective_change(g_i, g_j)
+            stack = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+            stack[:, 0, 1] = -0.0
+            for ops in (stack, stack[1], random_hermitian(rng, d)):
+                moved = u.conjugate(ops)
+                dense = u.matrix @ ops @ dagger(u.matrix)
+                assert moved.shape == dense.shape
+                if exact:
+                    # Bit for bit once -0.0 is written as +0.0.
+                    assert moved.tobytes() == (dense + 0.0).tobytes()
+                else:
+                    assert np.abs(moved - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_qrf_transform_agrees_with_perspective_change():
+    for setup in setup_pool():
+        for g_i, g_j in orientation_pairs(setup):
+            v = qrf_transform(setup, 1, 2, g_i, g_j)
+            assert np.abs(v - setup.perspective_change(g_i, g_j).matrix).max() <= 1e-14
 
 
 def test_parity_swap_matches_sigma_x():

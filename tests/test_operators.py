@@ -26,6 +26,7 @@ from qrf_lab.operators import (
     matrix_exp_scaled,
     matrix_log,
     matrix_power,
+    monomial_gather,
     partial_trace,
     polar_unitary,
     random_hermitian,
@@ -150,3 +151,21 @@ def test_haar_state_normalized():
     rng = np.random.default_rng(7)
     psi = haar_state(rng, 5)
     assert np.isclose(np.linalg.norm(psi), 1.0)
+
+
+def test_monomial_gather_accepts_only_one_nonzero_per_row_and_column():
+    y = kron(SIGMA_Y, SIGMA_X)
+    flat, phases = monomial_gather([0], y[None])
+    assert np.array_equal(phases, [-1j, -1j, 1j, 1j])
+    f = np.arange(16.0).reshape(4, 4) + 1j
+    assert np.array_equal(((phases[:, None] * f.reshape(-1)[flat].reshape(4, 4)) * phases.conj()),
+                          y @ f @ dagger(y))
+    # Two blocks placed by perm: a permutation has no phases.
+    flat, phases = monomial_gather([1, 0], np.array([SIGMA_X, ID2]))
+    assert phases is None
+    w = np.zeros((4, 4))
+    w[0:2, 2:4], w[2:4, 0:2] = SIGMA_X.real, np.eye(2)
+    assert np.array_equal(f.reshape(-1)[flat].reshape(4, 4), w @ f @ w.T)
+    for not_monomial in ([[1, 0], [1, 0]], [[1, 1], [0, 1]], [[0, 0], [0, 1]], [[1, 0], [0, 0]]):
+        assert monomial_gather([0], np.array([not_monomial], dtype=complex)) == (None, None)
+    assert monomial_gather([0], haar_unitary(np.random.default_rng(2), 3)[None]) == (None, None)

@@ -1,5 +1,6 @@
 """Tests for invariant-subalgebra projectors, membership, and witnesses."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -12,6 +13,8 @@ from qrf_lab.operators import (
     PAULI,
     SIGMA_X,
     SIGMA_Z,
+    dagger,
+    haar_unitary,
     hs_inner,
     hs_norm,
     kron,
@@ -125,6 +128,64 @@ def test_ising_with_strong_coupling_has_no_pauli_witness():
     assert all(not r.is_member for _, r in results)
     best = min(r.residual for _, r in results)
     assert np.isclose(best, 2.8284271247461903, atol=1e-9)
+
+
+def test_bilocal_unitary_caches_a_read_only_matrix():
+    y = np.array(SIGMA_X.real)
+    x = BilocalUnitary(y, SIGMA_Z)
+    mat = x.matrix
+    assert np.array_equal(mat, kron(SIGMA_X, SIGMA_Z))
+    assert x.matrix is mat
+    assert not mat.flags.writeable
+    assert not x.y.flags.writeable and not x.z.flags.writeable
+    assert x.y.dtype == complex
+    y[0, 0] = 5.0  # the instance holds a copy
+    assert np.array_equal(x.y, SIGMA_X)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.y = ID2
+    with pytest.raises(ValueError):
+        mat[0, 0] = 2.0
+
+
+def test_bilocal_conjugate_matches_the_dense_product():
+    rng = np.random.default_rng(19)
+    phases = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    cases = [
+        (Z3.regular_representation((1,)), kron(Z3.regular_representation((2,)), np.eye(3)), True),
+        (phases @ Z3.regular_representation((1,)), np.eye(2), False),
+        (haar_unitary(rng, 3), haar_unitary(rng, 4), False),
+        (np.eye(2), haar_unitary(rng, 3), False),
+    ]
+    for y, z, permutation in cases:
+        x = BilocalUnitary(y, z)
+        d = x.matrix.shape[0]
+        stack = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        stack[:, 1, 0] = -0.0
+        for ops in (stack, stack[2]):
+            moved = x.conjugate(ops)
+            dense = x.matrix @ ops @ dagger(x.matrix)
+            assert moved.shape == dense.shape
+            if permutation:
+                assert moved.tobytes() == (dense + 0.0).tobytes()
+            else:
+                assert np.abs(moved - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_membership_test_reuses_the_transformed_stack():
+    setup = FrameSetup.from_rep_config(Z3, "regular")
+    rng = np.random.default_rng(23)
+    x = BilocalUnitary(haar_unitary(rng, 3), haar_unitary(rng, 3))
+    proj = invariant_projector(setup, x, (1,), (2,))
+    stack = np.array([proj.apply(random_hermitian(rng, 9)), random_hermitian(rng, 9)])
+    plain = membership_test(setup, stack, x, (1,), (2,))
+    assert plain.is_member.tolist() == [True, False]
+    moved = setup.perspective_change((1,), (2,)).conjugate(stack)
+    reused = membership_test(setup, stack, x, (1,), (2,), transformed=moved)
+    assert np.array_equal(reused.residual, plain.residual)
+    assert reused.is_member.tolist() == [True, False]
+    # The supplied stack is what the residual compares with x f x'.
+    wrong = membership_test(setup, stack, x, (1,), (2,), transformed=stack)
+    assert not wrong.is_member[0]
 
 
 def test_membership_respects_tolerance_scaling():

@@ -216,6 +216,32 @@ def test_rates_match_does_not_depend_on_the_energy_scale(case):
         assert report.rates_match, (s, report.rates_max_gap)
 
 
+def test_balance_verifiers_conjugates_each_state_once(monkeypatch):
+    """H, the two endpoints, and each grid state and its derivative: u once, x once."""
+    from qrf_lab.frames import PerspectiveChange
+
+    setup, h, rho0, x, g_i, g_j = _projected_member_trajectory(
+        setup_pool()[5], np.random.default_rng(37))
+    split = split_hamiltonian(h, setup.d_frame, setup.d_s)
+    d, grid = setup.d_perspective, 12
+
+    def run():
+        return balance_verifiers(setup, split, rho0, g_i, g_j, Prescription.split_alpha(0.5),
+                                 0.0, 2.0, x0=x, x1=x, grid=grid)
+
+    plain = run()
+    counts = {}
+    for cls in (PerspectiveChange, BilocalUnitary):
+        def counting(self, ops, _original=cls.conjugate, _name=cls.__name__):
+            counts[_name] = counts.get(_name, 0) + np.asarray(ops).size // (d * d)
+            return _original(self, ops)
+        monkeypatch.setattr(cls, "conjugate", counting)
+    counted = run()
+    assert counts == {"PerspectiveChange": 1 + 2 + 2 * grid, "BilocalUnitary": grid + 2}
+    assert counted.membership_ok and counted.rates_match
+    assert counted.rates_max_gap == plain.rates_max_gap
+
+
 def test_balance_verifiers_report_missing_premises():
     setup = qubit_setup()
     rng = np.random.default_rng(4)
