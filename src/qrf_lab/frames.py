@@ -77,7 +77,7 @@ class FrameSetup:
 
     @classmethod
     def from_rep_config(cls, group, config) -> "FrameSetup":
-        """Build from "regular", {"tensor_power": m}, or an explicit element map."""
+        """Build from "regular" or {"tensor_power": m}; FrameSetup takes an explicit map."""
         if config == "regular":
             rep = {g: group.regular_representation(g) for g in group.elements}
         elif isinstance(config, dict) and set(config) == {"tensor_power"}:
@@ -85,8 +85,6 @@ class FrameSetup:
             if m < 1:
                 raise ValueError("tensor_power must be >= 1")
             rep = {g: kron(*([group.regular_representation(g)] * m)) for g in group.elements}
-        elif isinstance(config, dict):
-            rep = {tuple(map(int, k)) if isinstance(k, (tuple, list)) else k: v for k, v in config.items()}
         else:
             raise ValueError(f"unrecognized representation config: {config!r}")
         return cls(group, rep)

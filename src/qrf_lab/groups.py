@@ -29,13 +29,6 @@ class FiniteAbelianGroup:
         if prod(factors) < 2:
             raise ValueError("group must have order >= 2")
 
-    @classmethod
-    def from_config(cls, config) -> "FiniteAbelianGroup":
-        """Build from the config form ``{"cyclic": [n1, n2, ...]}``."""
-        if not isinstance(config, dict) or set(config) != {"cyclic"}:
-            raise ValueError('group config must be {"cyclic": [n1, ...]}')
-        return cls(tuple(config["cyclic"]))
-
     @property
     def order(self) -> int:
         return prod(self.factors)

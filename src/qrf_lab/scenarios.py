@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import GridEvolution, mean_field_hamiltonian, split_hamiltonian
-from .frames import FrameSetup, qrf_transform
+from .frames import FrameSetup
 from .groups import FiniteAbelianGroup
 from .operators import ID2, PAULI, SIGMA_X, SIGMA_Z, dagger, kron, partial_trace
 from .states import (
@@ -100,13 +100,15 @@ def _require(condition, path, message):
         raise ConfigError(path, message)
 
 
+def _is_finite_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _as_complex(value, path):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(isinstance(c, (int, float)) for c in value):
-        return complex(value[0], value[1])
-    raise ConfigError(path, f"expected a number or an [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    _require(all(map(_is_finite_number, parts)), path,
+             f"expected a finite number or an [re, im] pair of them, got {value!r}")
+    return complex(*parts)
 
 
 def _as_complex_vector(value, path):
@@ -118,8 +120,7 @@ def _as_complex_vector(value, path):
 
 
 def _as_float(value, path):
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {value!r}")
+    _require(_is_finite_number(value), path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -145,8 +146,7 @@ def _build_group(raw):
     moduli = raw["cyclic"]
     _require(isinstance(moduli, list) and moduli, "group.cyclic", "expected a non-empty list")
     for k, n in enumerate(moduli):
-        _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-                 f"group.cyclic[{k}]", f"expected an integer >= 1, got {n!r}")
+        _as_positive_int(n, f"group.cyclic[{k}]")
     try:
         return FiniteAbelianGroup(tuple(moduli))
     except ValueError as exc:
@@ -182,8 +182,10 @@ def _build_setup(group, raw_rep):
 
 
 def _build_orientation(group, raw, path):
-    _require(isinstance(raw, list) and len(raw) == len(group.factors), path,
+    _require(isinstance(raw, (list, tuple)) and len(raw) == len(group.factors), path,
              f"expected {len(group.factors)} integer components")
+    for k, r in enumerate(raw):
+        _as_positive_int(r, f"{path}[{k}]", minimum=0)
     try:
         return group.check_element(tuple(raw))
     except ValueError as exc:
@@ -446,39 +448,48 @@ def _energetics_columns(columns, suffix, report):
     columns[f"estar_s_{suffix}"] = report.e_star_s
 
 
+def _member(cfg, rho, x):
+    """membership_test of rho["i"] against x, reusing its frame-j image rho["j"]."""
+    return membership_test(cfg.setup, rho["i"], x, cfg.g_i, cfg.g_j, tol=cfg.tolerance,
+                           transformed=rho["j"])
+
+
 def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
     """Rows for a unitary trajectory, reported in both perspectives.
 
-    The time grid is evolved in blocks.  extras(times, rho_i, rho_j) gets
-    each block's state stacks and returns extra columns, one value per
-    time; it may also record summary quantities of its own.
+    The time grid is evolved in blocks, and each block's states reach frame
+    j's perspective through one conjugation by the perspective change.
+    extras(times, rho, rho_s) gets each block's state stacks and system
+    marginals, both keyed by perspective "i" and "j", and returns extra
+    columns, one value per time; it may also record summary quantities of
+    its own.
     """
     setup = cfg.setup
     dims = (setup.d_frame, setup.d_s)
-    v = qrf_transform(setup, 1, 2, cfg.g_i, cfg.g_j)
-    split_i = split_hamiltonian(h_ibar, *dims)
-    split_j = split_hamiltonian(v @ h_ibar @ dagger(v), *dims)
+    change = setup.perspective_change(cfg.g_i, cfg.g_j)
+    split = {"i": split_hamiltonian(h_ibar, *dims),
+             "j": split_hamiltonian(change.conjugate(h_ibar), *dims)}
     rho0_i = np.asarray(rho0_ibar, dtype=complex)
-    rho0_j = v @ rho0_i @ dagger(v)
+    rho0 = {"i": rho0_i, "j": change.conjugate(rho0_i)}
     rows = []
     for times, rho_i in GridEvolution(h_ibar).blocks(rho0_i, cfg.time_grid):
-        rho_j = v @ rho_i @ dagger(v)
+        rho = {"i": rho_i, "j": change.conjugate(rho_i)}
+        rho_s = {}
         columns = {}
-        for suffix, split, rho0, rho_t in (("i", split_i, rho0_i, rho_i), ("j", split_j, rho0_j, rho_j)):
-            _energetics_columns(columns, suffix, energetics(setup, split, rho_t, cfg.prescription))
-            columns[f"SvN_s_{suffix}"] = von_neumann_entropy(partial_trace(rho_t, dims, drop=0))
+        for suffix, rho_t in rho.items():
+            _energetics_columns(columns, suffix, energetics(setup, split[suffix], rho_t, cfg.prescription))
+            rho_s[suffix] = partial_trace(rho_t, dims, drop=0)
+            columns[f"SvN_s_{suffix}"] = von_neumann_entropy(rho_s[suffix])
             try:
-                balance = entropy_production_and_flow(setup, rho0, rho_t, cfg.tolerance)
+                balance = entropy_production_and_flow(setup, rho0[suffix], rho_t, cfg.tolerance)
             except NonProductInitialStateError:
                 continue
             columns[f"sigma_{suffix}"] = balance.sigma
             columns[f"phi_{suffix}"] = balance.phi
         if x_candidates:
-            columns["in_AX"] = np.logical_or.reduce([
-                membership_test(setup, rho_i, x, cfg.g_i, cfg.g_j, tol=cfg.tolerance).is_member
-                for x in x_candidates])
+            columns["in_AX"] = np.logical_or.reduce([_member(cfg, rho, x).is_member for x in x_candidates])
         if extras is not None:
-            columns.update(extras(times, rho_i, rho_j))
+            columns.update(extras(times, rho, rho_s))
         # Per-time arrays become plain floats and bools; matrices stay arrays.
         columns = {key: values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1
                    else values for key, values in columns.items()}
@@ -489,25 +500,32 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
     return rows
 
 
-def _param(cfg, key):
-    return cfg.params.get(key, SCENARIOS[cfg.scenario].defaults["params"][key])
-
-
 def _require_qubit_pair(cfg):
     _require(cfg.setup.d_frame == 2 and cfg.setup.d_s == 2, "group",
              f"scenario {cfg.scenario!r} needs one qubit frame pair and a qubit system")
 
 
-def _static_entropy_row(setup, psi_or_rho, g_i, g_j):
-    dims = (setup.d_frame, setup.d_s)
+def _static_entropy_row(cfg, psi_or_rho):
+    """A t = 0 row of system entropies for a state, or for a stack of states.
+
+    Also returns the states and system marginals in both perspectives, keyed
+    by "i" and "j" as in _dynamic_rows.
+    """
+    setup = cfg.setup
     mat = np.asarray(psi_or_rho, dtype=complex)
     rho_i = np.outer(mat, mat.conj()) if mat.ndim == 1 else mat
-    v = qrf_transform(setup, 1, 2, g_i, g_j)
-    rho_j = v @ rho_i @ dagger(v)
+    rho = {"i": rho_i, "j": setup.perspective_change(cfg.g_i, cfg.g_j).conjugate(rho_i)}
+    rho_s = {suffix: partial_trace(rho_t, (setup.d_frame, setup.d_s), drop=0)
+             for suffix, rho_t in rho.items()}
     row = _blank_row(0.0)
-    row["SvN_s_i"] = von_neumann_entropy(partial_trace(rho_i, dims, drop=0))
-    row["SvN_s_j"] = von_neumann_entropy(partial_trace(rho_j, dims, drop=0))
-    return row, rho_i, rho_j
+    row["SvN_s_i"] = von_neumann_entropy(rho_s["i"])
+    row["SvN_s_j"] = von_neumann_entropy(rho_s["j"])
+    return row, rho, rho_s
+
+
+def _ising_chain(a, b, c):
+    """a Z(x)1 + b 1(x)Z + c Z(x)Z on the (frame, system) qubit pair."""
+    return a * kron(SIGMA_Z, ID2) + b * kron(ID2, SIGMA_Z) + c * kron(SIGMA_Z, SIGMA_Z)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -515,16 +533,11 @@ def _static_entropy_row(setup, psi_or_rho, g_i, g_j):
 def _run_three_qubit_subalgebras(cfg):
     _require_qubit_pair(cfg)
     setup = cfg.setup
-    coefficients = [_as_float(c, "params.coefficients")
-                    for c in _param(cfg, "coefficients")]
+    coefficients = [_as_float(c, "params.coefficients") for c in cfg.params["coefficients"]]
     scan_coefficients = [_as_float(c, "params.scan_coefficients")
-                         for c in _param(cfg, "scan_coefficients")]
+                         for c in cfg.params["scan_coefficients"]]
     _require(len(coefficients) == 3, "params.coefficients", "expected [A, B, C]")
     _require(len(scan_coefficients) == 3, "params.scan_coefficients", "expected [A, B, C]")
-
-    def chain(a, b, c):
-        return (a * kron(SIGMA_Z, ID2) + b * kron(ID2, SIGMA_Z)
-                + c * kron(SIGMA_Z, SIGMA_Z))
 
     identity_x = BilocalUnitary(ID2, ID2)
     flip_x = BilocalUnitary(ID2, SIGMA_X)
@@ -533,11 +546,12 @@ def _run_three_qubit_subalgebras(cfg):
     proj_flip = invariant_projector(setup, flip_x, e, e, tol=cfg.tolerance)
     proj_both = intersect_projectors(proj_identity, proj_flip, tol=cfg.tolerance)
 
-    h = chain(*coefficients)
+    h = _ising_chain(*coefficients)
     rows = []
     cases = []
     for index, (gi, gj) in enumerate([((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]):
-        x = transport_bilocal_from_identity(setup, gi, gj)
+        # The witness at (gi, gj) is the identity transported from (e, e).
+        x = transport_bilocal(setup, identity_x, (e, e), (gi, gj))
         res = membership_test(setup, h, x, gi, gj, tol=cfg.tolerance)
         cases.append({
             "g_i": gi[0], "g_j": gj[0],
@@ -549,7 +563,7 @@ def _run_three_qubit_subalgebras(cfg):
         row["in_AX"] = res.is_member
         rows.append(row)
 
-    h_scan = chain(*scan_coefficients)
+    h_scan = _ising_chain(*scan_coefficients)
     candidates = [BilocalUnitary(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ"]
     scan = membership_scan(setup, h_scan, candidates, (1,), (1,), tol=cfg.tolerance)
     residuals = [res.residual for _, res in scan]
@@ -568,24 +582,16 @@ def _run_three_qubit_subalgebras(cfg):
     return rows, summary, ()
 
 
-def transport_bilocal_from_identity(setup, g_i, g_j):
-    """Witness at (g_i, g_j) obtained by transporting the identity from (e, e)."""
-    e = setup.group.identity
-    base = BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s))
-    return transport_bilocal(setup, base, (e, e), (g_i, g_j))
-
-
 def _run_w_state(cfg):
-    n = _as_positive_int(_param(cfg, "n_qubits"), "params.n_qubits", minimum=3)
+    n = _as_positive_int(cfg.params["n_qubits"], "params.n_qubits", minimum=3)
     setup = cfg.setup
     _require(setup.d_frame == 2 and setup.d_s == 2 ** (n - 2), "params.n_qubits",
              f"representation dimension {setup.d_s} does not match {n} qubits")
-    amplitudes = _as_complex_vector(_param(cfg, "amplitudes"), "params.amplitudes")
+    amplitudes = _as_complex_vector(cfg.params["amplitudes"], "params.amplitudes")
     _require(amplitudes.size == 2, "params.amplitudes", "expected two amplitudes")
 
     psi = product_state(amplitudes, w_state(n - 2))
-    row, rho_i, rho_j = _static_entropy_row(setup, psi, cfg.g_i, cfg.g_j)
-    rho_s_j = partial_trace(rho_j, (setup.d_frame, setup.d_s), drop=0)
+    row, rho, rho_s = _static_entropy_row(cfg, psi)
     witness = pure_state_bilocal_witness(setup, psi, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
     row["in_AX"] = witness is not None
     identity_x = BilocalUnitary(ID2, np.eye(setup.d_s))
@@ -593,18 +599,15 @@ def _run_w_state(cfg):
     summary = {
         "svn_s_i": row["SvN_s_i"],
         "svn_s_j": row["SvN_s_j"],
-        "renyi_half_s_j": renyi_entropy(rho_s_j, 0.5),
-        "renyi_two_s_j": renyi_entropy(rho_s_j, 2.0),
+        "renyi_half_s_j": renyi_entropy(rho_s["j"], 0.5),
+        "renyi_two_s_j": renyi_entropy(rho_s["j"], 2.0),
         "witness_found": witness is not None,
-        "identity_member": membership_test(
-            setup, rho_i, identity_x, cfg.g_i, cfg.g_j, tol=cfg.tolerance).is_member,
-        "flip_member": membership_test(
-            setup, rho_i, flip_x, cfg.g_i, cfg.g_j, tol=cfg.tolerance).is_member,
+        "identity_member": _member(cfg, rho, identity_x).is_member,
+        "flip_member": _member(cfg, rho, flip_x).is_member,
     }
     if witness is not None:
-        res = membership_test(setup, rho_i, witness, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
         summary["witness"] = _bilocal_label(witness)
-        summary["witness_residual"] = res.residual
+        summary["witness_residual"] = _member(cfg, rho, witness).residual
     return [row], summary, ()
 
 
@@ -613,9 +616,9 @@ def _run_gb_states(cfg):
     group = cfg.group
     _require(setup.d_s == group.order ** 2, "rep",
              "scenario needs the system to carry two regular factors")
-    shift = _build_orientation(group, list(_param(cfg, "shift")), "params.shift")
-    character = _build_orientation(group, list(_param(cfg, "character")), "params.character")
-    amplitudes = _as_complex_vector(_param(cfg, "frame_amplitudes"), "params.frame_amplitudes")
+    shift = _build_orientation(group, cfg.params["shift"], "params.shift")
+    character = _build_orientation(group, cfg.params["character"], "params.character")
+    amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"], "params.frame_amplitudes")
     _require(amplitudes.size == group.order, "params.frame_amplitudes",
              f"expected {group.order} amplitudes")
 
@@ -633,13 +636,13 @@ def _run_gb_states(cfg):
                 eigen_dev = max(eigen_dev, float(np.abs(lhs - rhs).max()))
 
     psi = product_state(amplitudes, gb_state(group, shift, character))
-    row, rho_i, _ = _static_entropy_row(setup, psi, cfg.g_i, cfg.g_j)
+    row, rho, _ = _static_entropy_row(cfg, psi)
     y = sum(group.character(character, g)
             * np.outer(basis_state(group.order, group.index(group.inverse(g))),
                        basis_state(group.order, group.index(g)))
             for g in group.elements)
     witness = BilocalUnitary(np.asarray(y, dtype=complex), np.eye(setup.d_s))
-    res = membership_test(setup, rho_i, witness, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
+    res = _member(cfg, rho, witness)
     row["in_AX"] = res.is_member
     summary = {
         "basis_orthonormality_dev": orthonormal_dev,
@@ -653,64 +656,59 @@ def _run_gb_states(cfg):
 def _run_ghz(cfg):
     setup = cfg.setup
     group = cfg.group
-    variant = _param(cfg, "variant")
+    variant = cfg.params["variant"]
     _require(variant in ("separable", "global", "mixed-w"), "params.variant",
              f"expected separable, global, or mixed-w, got {variant!r}")
     _require(group.order == 2 and setup.d_s == 8, "rep",
              "scenario needs a qubit group with a three-qubit system")
-    dims = (setup.d_frame, setup.d_s)
     ghz_s = ghz_state(group, 3)
     identity_x = BilocalUnitary(np.eye(2), np.eye(8))
     flip_x = BilocalUnitary(np.eye(2), kron(SIGMA_X, SIGMA_X, SIGMA_X))
 
     if variant == "separable":
-        amplitudes = _as_complex_vector(_param(cfg, "frame_amplitudes"),
+        amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"],
                                         "params.frame_amplitudes")
         psi = product_state(amplitudes, ghz_s)
-        row, rho_i, rho_j = _static_entropy_row(setup, psi, cfg.g_i, cfg.g_j)
-        res = membership_test(setup, rho_i, identity_x, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
+        row, rho, rho_s = _static_entropy_row(cfg, psi)
+        res = _member(cfg, rho, identity_x)
         row["in_AX"] = res.is_member
-        rho_s_j = partial_trace(rho_j, dims, drop=0)
         summary = {
             "variant": variant,
             "identity_member": res.is_member,
             "identity_residual": res.residual,
-            "s_state_preserved_dev": float(np.abs(rho_s_j - np.outer(ghz_s, ghz_s.conj())).max()),
+            "s_state_preserved_dev": float(np.abs(rho_s["j"] - np.outer(ghz_s, ghz_s.conj())).max()),
         }
         return [row], summary, ()
 
     if variant == "global":
         psi = ghz_state(group, 4)
-        row, rho_i, rho_j = _static_entropy_row(setup, psi, cfg.g_i, cfg.g_j)
-        res = membership_test(setup, rho_i, identity_x, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
+        row, rho, rho_s = _static_entropy_row(cfg, psi)
+        res = _member(cfg, rho, identity_x)
         row["in_AX"] = res.is_member
         witness = pure_state_bilocal_witness(setup, psi, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
-        rho_s_i = partial_trace(rho_i, dims, drop=0)
-        rho_s_j = partial_trace(rho_j, dims, drop=0)
         even_mix = 0.5 * (np.outer(basis_state(8, 0), basis_state(8, 0))
                           + np.outer(basis_state(8, 7), basis_state(8, 7)))
         summary = {
             "variant": variant,
             "identity_member": res.is_member,
             "witness_found": witness is not None,
-            "s_i_even_mixture_dev": float(np.abs(rho_s_i - even_mix).max()),
-            "s_j_ground_dev": float(np.abs(rho_s_j - np.outer(basis_state(8, 0),
-                                                              basis_state(8, 0))).max()),
+            "s_i_even_mixture_dev": float(np.abs(rho_s["i"] - even_mix).max()),
+            "s_j_ground_dev": float(np.abs(rho_s["j"] - np.outer(basis_state(8, 0),
+                                                                 basis_state(8, 0))).max()),
         }
         return [row], summary, ()
 
-    p_w = _as_float(_param(cfg, "p_w"), "params.p_w")
+    p_w = _as_float(cfg.params["p_w"], "params.p_w")
     _require(0.0 <= p_w <= 1.0, "params.p_w", "expected a probability")
-    amplitudes = _as_complex_vector(_param(cfg, "frame_amplitudes"), "params.frame_amplitudes")
+    amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"], "params.frame_amplitudes")
     psi_w = product_state(basis_state(2, 1), w_state(3))
     psi_g = product_state(amplitudes, ghz_s)
-    rho = (p_w * np.outer(psi_w, psi_w.conj())
-           + (1.0 - p_w) * np.outer(psi_g, psi_g.conj()))
-    row, rho_i, rho_j = _static_entropy_row(setup, rho, cfg.g_i, cfg.g_j)
-    res = membership_test(setup, rho_i, flip_x, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
+    rho_mixed = (p_w * np.outer(psi_w, psi_w.conj())
+                 + (1.0 - p_w) * np.outer(psi_g, psi_g.conj()))
+    row, rho, rho_s = _static_entropy_row(cfg, rho_mixed)
+    res = _member(cfg, rho, flip_x)
     row["in_AX"] = res.is_member
-    rho_s_i = partial_trace(rho_i, dims, drop=0)
-    rho_s_j = partial_trace(rho_j, dims, drop=0)
+    rho_s_i, rho_s_j = rho_s["i"], rho_s["j"]
     sx3 = kron(SIGMA_X, SIGMA_X, SIGMA_X)
     summary = {
         "variant": variant,
@@ -725,24 +723,20 @@ def _run_ghz(cfg):
     return [row], summary, ()
 
 
-def _zz_chain(setup, field_b, coupling_j):
-    return (field_b * (kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z))
-            + 2.0 * coupling_j * kron(SIGMA_Z, SIGMA_Z))
-
-
 def _run_zz_oscillation(cfg):
     _require_qubit_pair(cfg)
-    field_b = _as_float(_param(cfg, "field_b"), "params.field_b")
-    coupling_j = _as_float(_param(cfg, "coupling_j"), "params.coupling_j")
-    state = _param(cfg, "state")
+    field_b = _as_float(cfg.params["field_b"], "params.field_b")
+    coupling_j = _as_float(cfg.params["coupling_j"], "params.coupling_j")
+    state = cfg.params["state"]
     _require(state in ("plus-plus", "one-ab"), "params.state",
              f"expected plus-plus or one-ab, got {state!r}")
-    h = cfg.hamiltonian if cfg.hamiltonian is not None else _zz_chain(cfg.setup, field_b, coupling_j)
+    h = cfg.hamiltonian if cfg.hamiltonian is not None \
+        else _ising_chain(field_b, field_b, 2.0 * coupling_j)
     if state == "plus-plus":
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         psi0 = product_state(plus, plus)
     else:
-        amplitudes = _as_complex_vector(_param(cfg, "amplitudes"), "params.amplitudes")
+        amplitudes = _as_complex_vector(cfg.params["amplitudes"], "params.amplitudes")
         _require(amplitudes.size == 2, "params.amplitudes", "expected two amplitudes")
         psi0 = product_state(basis_state(2, 1), amplitudes)
     rho0 = np.outer(psi0, psi0.conj())
@@ -750,10 +744,9 @@ def _run_zz_oscillation(cfg):
     flip_x = BilocalUnitary(ID2, SIGMA_X)
     in_identity, in_flip = [], []
 
-    def memberships(times, rho_i, rho_j):
+    def memberships(times, rho, rho_s):
         # in_AX is filled here, so that each label is tested once per block.
-        in_x = [membership_test(cfg.setup, rho_i, x, cfg.g_i, cfg.g_j, tol=cfg.tolerance).is_member
-                for x in (identity_x, flip_x)]
+        in_x = [_member(cfg, rho, x).is_member for x in (identity_x, flip_x)]
         in_identity.extend(times[in_x[0]].tolist())
         in_flip.extend(times[in_x[1]].tolist())
         return {"in_AX": in_x[0] | in_x[1]}
@@ -771,24 +764,23 @@ def _run_zz_oscillation(cfg):
 def _run_effectively_isolated(cfg):
     _require_qubit_pair(cfg)
     setup = cfg.setup
-    field_b = _as_float(_param(cfg, "field_b"), "params.field_b")
-    coupling_j = _as_float(_param(cfg, "coupling_j"), "params.coupling_j")
-    amplitudes = _as_complex_vector(_param(cfg, "amplitudes"), "params.amplitudes")
+    field_b = _as_float(cfg.params["field_b"], "params.field_b")
+    coupling_j = _as_float(cfg.params["coupling_j"], "params.coupling_j")
+    amplitudes = _as_complex_vector(cfg.params["amplitudes"], "params.amplitudes")
     _require(amplitudes.size == 2, "params.amplitudes", "expected two amplitudes")
-    h = cfg.hamiltonian if cfg.hamiltonian is not None else _zz_chain(setup, field_b, coupling_j)
+    h = cfg.hamiltonian if cfg.hamiltonian is not None \
+        else _ising_chain(field_b, field_b, 2.0 * coupling_j)
     psi0 = product_state(basis_state(2, 1), amplitudes)
     rho0 = np.outer(psi0, psi0.conj())
     flip_x = BilocalUnitary(ID2, SIGMA_X)
-    dims = (setup.d_frame, setup.d_s)
     swap_devs = []
 
-    def swap_deviation(times, rho_i, rho_j):
-        rho_s_i = partial_trace(rho_i, dims, drop=0)
-        rho_s_j = partial_trace(rho_j, dims, drop=0)
-        swap_devs.append(float(np.abs(rho_s_j - SIGMA_X @ rho_s_i @ SIGMA_X).max()))
+    def swap_deviation(times, rho, rho_s):
+        swap_devs.append(float(np.abs(rho_s["j"] - SIGMA_X @ rho_s["i"] @ SIGMA_X).max()))
         return {}
 
     rows = _dynamic_rows(cfg, h, rho0, x_candidates=(flip_x,), extras=swap_deviation)
+    dims = (setup.d_frame, setup.d_s)
     split = split_hamiltonian(h, *dims)
     rho_frame = partial_trace(rho0, dims, drop=1)
     h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
@@ -802,23 +794,21 @@ def _run_effectively_isolated(cfg):
 
 def _run_relative_equilibrium(cfg):
     _require_qubit_pair(cfg)
-    setup = cfg.setup
-    a = _as_float(_param(cfg, "a"), "params.a")
-    b = _as_float(_param(cfg, "b"), "params.b")
-    beta = _as_float(_param(cfg, "beta"), "params.beta")
+    a = _as_float(cfg.params["a"], "params.a")
+    b = _as_float(cfg.params["b"], "params.b")
+    beta = _as_float(cfg.params["beta"], "params.beta")
     h = cfg.hamiltonian if cfg.hamiltonian is not None \
         else a * kron(SIGMA_X, ID2) + b * kron(ID2, SIGMA_Z)
     thermal = gibbs_state(SIGMA_Z, beta)
     rho0 = kron(np.diag([1.0, 0.0]).astype(complex), thermal)
-    dims = (setup.d_frame, setup.d_s)
     inverted = gibbs_state(SIGMA_Z, -beta)
     mixture_devs, stationary_devs = [], []
 
-    def deviations(times, rho_i, rho_j):
+    def deviations(times, rho, rho_s):
         targets = np.array([math.cos(a * t) ** 2 * thermal + math.sin(a * t) ** 2 * inverted
                             for t in times])
-        mixture_devs.append(float(np.abs(partial_trace(rho_j, dims, drop=0) - targets).max()))
-        stationary_devs.append(float(np.abs(partial_trace(rho_i, dims, drop=0) - thermal).max()))
+        mixture_devs.append(float(np.abs(rho_s["j"] - targets).max()))
+        stationary_devs.append(float(np.abs(rho_s["i"] - thermal).max()))
         return {}
 
     rows = _dynamic_rows(cfg, h, rho0, extras=deviations)
@@ -832,28 +822,23 @@ def _run_relative_equilibrium(cfg):
 def _run_negative_temperature(cfg):
     _require_qubit_pair(cfg)
     setup = cfg.setup
-    mu = _as_float(_param(cfg, "mu"), "params.mu")
-    nu = _as_float(_param(cfg, "nu"), "params.nu")
-    beta = _as_float(_param(cfg, "beta"), "params.beta")
+    mu = _as_float(cfg.params["mu"], "params.mu")
+    nu = _as_float(cfg.params["nu"], "params.nu")
+    beta = _as_float(cfg.params["beta"], "params.beta")
     h_s = SIGMA_Z
     h = (nu * kron(SIGMA_Z, ID2) + kron(ID2, h_s) + mu * kron(SIGMA_Z, h_s))
     if cfg.hamiltonian is not None:
         h = cfg.hamiltonian
     rho_frame0 = np.diag([0.0, 1.0]).astype(complex)
     rho0 = kron(rho_frame0, gibbs_state(h_s, beta))
-    dims = (setup.d_frame, setup.d_s)
-    v = qrf_transform(setup, 1, 2, cfg.g_i, cfg.g_j)
 
-    def extras(times, rho_i, rho_j):
-        return {
-            "rho_S_R1": partial_trace(rho_i, dims, drop=0),
-            "rho_S_R2": partial_trace(rho_j, dims, drop=0),
-        }
+    def extras(times, rho, rho_s):
+        return {"rho_S_R1": rho_s["i"], "rho_S_R2": rho_s["j"]}
 
     rows = _dynamic_rows(cfg, h, rho0, extras=extras)
 
-    rho_j0 = v @ rho0 @ dagger(v)
-    rho_s_j = partial_trace(rho_j0, dims, drop=0)
+    row0, _, rho_s0 = _static_entropy_row(cfg, rho0)
+    rho_s_j = rho_s0["j"]
     report = negative_temperature_predict(setup, h_s, beta, rho_frame0, cfg.g_j)
     stationarity = float(np.linalg.norm(h @ rho0 - rho0 @ h))
     summary = {
@@ -865,35 +850,32 @@ def _run_negative_temperature(cfg):
             np.abs(rho_s_j - gibbs_state(mu * h_s, -beta / mu)).max()) if mu != 0 else None,
     }
     if mu == 1.0:
-        rho_s_i = partial_trace(rho0, dims, drop=0)
         summary["conjugation_dev"] = float(
-            np.abs(rho_s_j - SIGMA_X @ rho_s_i @ SIGMA_X).max())
-        summary["entropy_gap"] = abs(
-            von_neumann_entropy(rho_s_i) - von_neumann_entropy(rho_s_j))
+            np.abs(rho_s_j - SIGMA_X @ rho_s0["i"] @ SIGMA_X).max())
+        summary["entropy_gap"] = abs(row0["SvN_s_i"] - row0["SvN_s_j"])
     return rows, summary, ("rho_S_R1", "rho_S_R2")
 
 
 def _run_isolated_vs_closed(cfg):
     _require_qubit_pair(cfg)
     setup = cfg.setup
-    state = _param(cfg, "state")
+    state = cfg.params["state"]
     h = cfg.hamiltonian if cfg.hamiltonian is not None \
         else kron(SIGMA_X, ID2) + kron(ID2, SIGMA_X)
-    v = qrf_transform(setup, 1, 2, cfg.g_i, cfg.g_j)
     if state == "bell":
         psi_j = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     else:
         psi_j = _as_complex_vector(state, "params.state")
         _require(psi_j.size == 4, "params.state",
                  'expected "bell" or four amplitudes')
-    psi_i = dagger(v) @ psi_j
+    psi_i = dagger(setup.perspective_change(cfg.g_i, cfg.g_j).matrix) @ psi_j
     rho0 = np.outer(psi_i, psi_i.conj())
-    dims = (setup.d_frame, setup.d_s)
     marginal_devs = []
 
-    def marginal_deviation(times, rho_i, rho_j):
-        for drop in (0, 1):
-            marginal_devs.append(float(np.abs(partial_trace(rho_j, dims, drop=drop) - ID2 / 2).max()))
+    def marginal_deviation(times, rho, rho_s):
+        rho_frame_j = partial_trace(rho["j"], (setup.d_frame, setup.d_s), drop=1)
+        for marginal in (rho_s["j"], rho_frame_j):
+            marginal_devs.append(float(np.abs(marginal - ID2 / 2).max()))
         return {}
 
     rows = _dynamic_rows(cfg, h, rho0, extras=marginal_deviation)
@@ -910,22 +892,15 @@ def _run_isolated_vs_closed(cfg):
 
 def _run_zero_to_nonzero_entropy(cfg):
     _require_qubit_pair(cfg)
-    setup = cfg.setup
-    beta = _as_float(_param(cfg, "beta"), "params.beta")
+    beta = _as_float(cfg.params["beta"], "params.beta")
     h = cfg.hamiltonian if cfg.hamiltonian is not None \
         else kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z)
     xplus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     rho0 = kron(gibbs_state(SIGMA_Z, beta), np.outer(xplus, xplus.conj()))
-    dims = (setup.d_frame, setup.d_s)
-    v = qrf_transform(setup, 1, 2, cfg.g_i, cfg.g_j)
 
-    def extras(times, rho_i, rho_j):
-        rho_s_i = partial_trace(rho_i, dims, drop=0)
-        rho_s_j = partial_trace(rho_j, dims, drop=0)
-        return {
-            "purity_s_i": np.trace(rho_s_i @ rho_s_i, axis1=-2, axis2=-1).real,
-            "purity_s_j": np.trace(rho_s_j @ rho_s_j, axis1=-2, axis2=-1).real,
-        }
+    def extras(times, rho, rho_s):
+        return {f"purity_s_{suffix}": np.trace(r @ r, axis1=-2, axis2=-1).real
+                for suffix, r in rho_s.items()}
 
     rows = _dynamic_rows(cfg, h, rho0, extras=extras)
 
@@ -947,7 +922,6 @@ def _run_zero_to_nonzero_entropy(cfg):
 
 def _run_entropy_balance_oscillation(cfg):
     _require_qubit_pair(cfg)
-    setup = cfg.setup
     h = cfg.hamiltonian if cfg.hamiltonian is not None \
         else kron(SIGMA_X, ID2) + kron(ID2, SIGMA_X)
     psi0 = product_state(basis_state(2, 1), basis_state(2, 0))
@@ -958,12 +932,10 @@ def _run_entropy_balance_oscillation(cfg):
 
     # Off-grid probe times, evolved together from one eigendecomposition.
     probes = (math.pi, math.pi / 2, 0.7)
-    rho_i = GridEvolution(h).states(rho0, probes)
-    v = qrf_transform(setup, 1, 2, cfg.g_i, cfg.g_j)
-    rho_j = v @ rho_i @ dagger(v)
+    entropies, rho, _ = _static_entropy_row(cfg, GridEvolution(h).states(rho0, probes))
 
     def member_at(k, x):
-        return membership_test(setup, rho_i[k], x, cfg.g_i, cfg.g_j, tol=cfg.tolerance).is_member
+        return _member(cfg, {suffix: rho_t[k] for suffix, rho_t in rho.items()}, x).is_member
 
     special = {
         "x0_member_at_pi": member_at(0, x0),
@@ -971,9 +943,7 @@ def _run_entropy_balance_oscillation(cfg):
         "x0_member_at_0p7": member_at(2, x0),
         "x1_member_at_0p7": member_at(2, x1),
     }
-    dims = (setup.d_frame, setup.d_s)
-    s_i = von_neumann_entropy(partial_trace(rho_i, dims, drop=0))
-    s_j = von_neumann_entropy(partial_trace(rho_j, dims, drop=0))
+    s_i, s_j = entropies["SvN_s_i"], entropies["SvN_s_j"]
     delta = [{"t": t, "svn_s_i": float(s_i[k]), "svn_s_j": float(s_j[k])}
              for k, t in enumerate(probes)]
     summary = {"memberships": special, "entropy_probes": delta}

@@ -159,8 +159,13 @@ def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL, transformed=None)
 
 
 def membership_scan(setup, f, candidates, g_i, g_j, tol=MEMBERSHIP_TOL):
-    """Run membership_test over a finite candidate family; returns all results."""
-    return [(x, membership_test(setup, f, x, g_i, g_j, tol=tol)) for x in candidates]
+    """Run membership_test over a finite candidate family; returns all results.
+
+    f is conjugated by the perspective change once, for all candidates.
+    """
+    transformed = setup.perspective_change(g_i, g_j).conjugate(f)
+    return [(x, membership_test(setup, f, x, g_i, g_j, tol=tol, transformed=transformed))
+            for x in candidates]
 
 
 def transport_bilocal(setup, x: BilocalUnitary, old, new) -> BilocalUnitary:

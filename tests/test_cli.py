@@ -73,6 +73,8 @@ def test_config_file_target(tmp_path, capsys):
     (["run", "w-state", "--set", "params.mu"], "expected KEY=VALUE"),
     (["run", "w-state", "--set", "params.bogus=1"], "params.bogus"),
     (["run", "ghz", "--set", "tolerance=-2"], "tolerance"),
+    (["run", "relative-equilibrium", "--set", "params.beta=NaN"], "params.beta"),
+    (["run", "zz-oscillation", "--set", "orientations.g_i=[0.7]"], "orientations.g_i[0]"),
 ])
 def test_config_errors_exit_two(argv, fragment, capsys):
     assert main(argv) == 2

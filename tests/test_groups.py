@@ -66,9 +66,3 @@ def test_regular_representation_is_a_homomorphism():
                 assert np.allclose(u_g @ group.regular_representation(h),
                                    group.regular_representation(group.compose(g, h)),
                                    atol=1e-12)
-
-
-def test_from_config_round_trip():
-    group = FiniteAbelianGroup.from_config({"cyclic": [2, 3]})
-    assert group.order == 6
-    assert group.factors == (2, 3)

@@ -1,10 +1,13 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qrf_lab import scenarios
+from qrf_lab import frames, scenarios
+from qrf_lab.dynamics import GridEvolution
+from qrf_lab.frames import PerspectiveChange
 from qrf_lab.scenarios import (
     COLUMNS,
     ConfigError,
@@ -46,6 +49,14 @@ def test_config_accepts_json_text_and_files(tmp_path):
     assert parse_config(str(path)).tolerance == 1e-7
 
 
+def test_group_config_round_trip():
+    cfg = parse_config({"scenario": "zz-oscillation", "group": {"cyclic": [2, 3]},
+                        "orientations": {"g_i": [1, 2], "g_j": [0, 0]}})
+    assert cfg.group.order == 6
+    assert cfg.group.factors == (2, 3)
+    assert cfg.g_i == (1, 2)
+
+
 def test_rep_override_replaces_scenario_default():
     # The w-state default rep is a tensor power; an explicit matrix rep
     # must replace it outright rather than merge with it.
@@ -79,10 +90,24 @@ def test_rep_override_replaces_scenario_default():
     ({"scenario": "three-qubit-subalgebras",
       "rep": {"matrices": {"0": EYE, "1": [[0.0, 2.0], [2.0, 0.0]]}}},
      "not unitary"),
+    ({"scenario": "relative-equilibrium", "params": {"beta": math.nan}}, "params.beta"),
+    ({"scenario": "zz-oscillation", "time_grid": {"start": 0.0, "stop": math.inf, "points": 3}},
+     "time_grid.stop"),
+    ({"scenario": "zz-oscillation",
+      "hamiltonian": {"terms": [{"coefficient": -math.inf, "factors": ["z", "z"]}]}},
+     "hamiltonian.terms[0].coefficient"),
+    ({"scenario": "effectively-isolated", "params": {"amplitudes": [0.6, [0.8, math.nan]]}},
+     "params.amplitudes[1]"),
+    ({"scenario": "w-state", "params": {"amplitudes": [True, False]}}, "params.amplitudes[0]"),
+    ({"scenario": "ghz", "orientations": {"g_i": [0.7], "g_j": [0]}}, "orientations.g_i[0]"),
+    ({"scenario": "ghz", "orientations": {"g_i": [0], "g_j": [True]}}, "orientations.g_j[0]"),
+    ({"scenario": "gb-states", "params": {"shift": [1.0]}}, "params.shift[0]"),
+    ({"scenario": "gb-states", "params": {"character": [True]}}, "params.character[0]"),
 ], ids=lambda value: value if isinstance(value, str) else "config")
 def test_rejected_configs_name_the_offender(config, path_fragment):
+    # Parameters are read by the scenario itself, so the whole run is tried.
     with pytest.raises(ConfigError) as err:
-        parse_config(config)
+        run_scenario(config)
     assert path_fragment in str(err.value)
 
 
@@ -202,3 +227,37 @@ def test_entropy_balance_summary_values():
     assert abs(by_time[round(math.pi, 6)]["svn_s_i"]) < 1e-12
     assert abs(by_time[round(math.pi, 6)]["svn_s_j"]) < 1e-12
     assert np.isclose(by_time[0.7]["svn_s_j"], 0.6786324023685926)
+
+
+@pytest.mark.parametrize("name", ["zz-oscillation", "entropy-balance-oscillation"])
+def test_each_state_is_conjugated_once(monkeypatch, name):
+    """The initial and every evolved state reach frame j through one conjugation by u.
+
+    States are counted by value, so equal states (a probe time on the grid,
+    or t = 0 with an exact eigenbasis) are expected as often as they occur.
+    """
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scenarios take frame j's view from setup.perspective_change")
+
+    monkeypatch.setattr(frames, "qrf_transform", forbidden)
+    monkeypatch.setattr(scenarios, "qrf_transform", forbidden, raising=False)
+    initial, evolved, conjugated = set(), Counter(), Counter()
+    states, conjugate = GridEvolution.states, PerspectiveChange.conjugate
+
+    def record_states(self, rho0, times):
+        out = states(self, rho0, times)
+        initial.add(np.asarray(rho0, dtype=complex).tobytes())
+        evolved.update(rho.tobytes() for rho in out)
+        return out
+
+    def record_conjugate(self, ops):
+        ops = np.asarray(ops, dtype=complex)
+        conjugated.update(m.tobytes() for m in ops.reshape((-1,) + ops.shape[-2:]))
+        return conjugate(self, ops)
+
+    monkeypatch.setattr(GridEvolution, "states", record_states)
+    monkeypatch.setattr(PerspectiveChange, "conjugate", record_conjugate)
+    result = run_scenario({"scenario": name})
+    assert sum(evolved.values()) >= len(result.rows)
+    expected = evolved + Counter(initial)
+    assert [conjugated[key] - n for key, n in expected.items()] == [0] * len(expected)
