@@ -44,8 +44,9 @@ from .subalgebras import (
 from .thermo import (
     NonProductInitialStateError,
     Prescription,
-    energetics,
     entropy_production_and_flow,
+    marginal_energetics,
+    state_marginals,
 )
 
 VERSION = "0.1.0"
@@ -477,8 +478,10 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
         rho_s = {}
         columns = {}
         for suffix, rho_t in rho.items():
-            _energetics_columns(columns, suffix, energetics(setup, split[suffix], rho_t, cfg.prescription))
-            rho_s[suffix] = partial_trace(rho_t, dims, drop=0)
+            marginals = state_marginals(split[suffix], rho_t)
+            report = marginal_energetics(split[suffix], cfg.prescription, marginals)
+            _energetics_columns(columns, suffix, report)
+            rho_s[suffix] = marginals.rho_s
             columns[f"SvN_s_{suffix}"] = von_neumann_entropy(rho_s[suffix])
             try:
                 balance = entropy_production_and_flow(setup, rho0[suffix], rho_t, cfg.tolerance)

@@ -137,7 +137,9 @@ class MembershipResult:
 def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL, transformed=None):
     """Check whether conjugating f by the perspective change equals conjugation by x.
 
-    For a stack f of shape (k, d, d) the result holds arrays of k verdicts,
+    f is a member when the residual ||u f u' - x f x'|| is at most tol * ||f||,
+    so rescaling f leaves the verdict unchanged and f = 0 is a member.  For
+    a stack f of shape (k, d, d) the result holds arrays of k verdicts,
     residuals and tolerances.  A caller that already holds u f u' for the
     same orientations passes it as transformed, so f is not conjugated by
     u a second time.
@@ -151,7 +153,7 @@ def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL, transformed=None)
         x = np.asarray(x, dtype=complex)
         moved = x @ f @ dagger(x)
     residual = hs_norm(transformed - moved)
-    threshold = tol * np.maximum(1.0, hs_norm(f))
+    threshold = tol * hs_norm(f)
     is_member = residual <= threshold
     if f.ndim == 2:
         is_member, residual, threshold = bool(is_member), float(residual), float(threshold)

@@ -9,27 +9,38 @@ finite-differenced inside the package.
 energetics and entropy_production_and_flow also take stacks (k, d, d) of
 states, one per time point, and then report arrays of k values.
 
-energetics forms no d x d product against kron(rho, 1).  Every quantity is
-contracted on the factor tensor T[f, s, g, t] = h_int[(f, s), (g, t)]: the
-mean fields are products of the flattened marginals with the two
-mean-field maps the split builds once, the interaction mean is
-Tr(h_tilde_s rho_s), every Tr(A B) is the sum of A times B transposed, and
-e_int = e_total - e_frame - e_s.  Mean fields, means and energies cost
-O(d^2) per state after that one-off set-up; only e_star multiplies
-matrices, of subsystem size, and only the default rho_dot = -i[H, rho]
-multiplies d x d ones.
+energetics reads a state only through its StateMarginals: rho_frame =
+Tr_s rho, rho_s = Tr_frame rho, the same two marginals of rho_dot, and
+e_total = Tr(H rho).  state_marginals forms them; marginal_energetics is
+the core that turns them into a ThermoReport, for one state or a stack,
+and sees nothing else of the state, so a caller that holds the marginals
+(a scenario row, or a run of balance_verifiers blocks concatenated along
+the stack axis) evaluates the rates without any d x d object.  The
+default rho_dot = -i[H, rho] is never formed: its marginals are the local
+commutators plus Tr_other[h_int, rho], from one matmul per factor against
+h_int's factor tensor, d^2 (d_f + d_s) operations per state for both.
+
+From the marginals on, every quantity is contracted on the factor tensor
+T[f, s, g, t] = h_int[(f, s), (g, t)]: the mean fields are products of the
+flattened marginals with the two mean-field maps the split builds once,
+the interaction mean is Tr(h_tilde_s rho_s), every Tr(A B) is the sum of A
+times B transposed, and e_int = e_total - e_frame - e_s.  Mean fields,
+means and energies cost O(d^2) per state after that one-off set-up; only
+e_star multiplies matrices, of subsystem size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import (
     COMMUTANT_GAP,
     GridEvolution,
+    block_length,
     mean_field_hamiltonian,
     s_factor_twirl,
     split_hamiltonian,
@@ -41,6 +52,7 @@ from .operators import (
     hs_norm,
     kron,
     partial_trace,
+    product_partial_traces,
     random_hermitian,
 )
 from .states import (
@@ -193,6 +205,42 @@ class ThermoReport:
         ])
 
 
+class StateMarginals(NamedTuple):
+    """All that energetics reads of a state, or of a stack of k states.
+
+    The frame and system marginals of rho and of its time derivative
+    rho_dot, and e_total = Tr(H rho); each field holds k values for a stack.
+    """
+
+    rho_frame: np.ndarray
+    rho_s: np.ndarray
+    rho_frame_dot: np.ndarray
+    rho_s_dot: np.ndarray
+    e_total: float | np.ndarray
+
+
+def state_marginals(split, rho_ibar, rho_dot=None):
+    """StateMarginals of a state (or stack) rho_ibar under H = split.total.
+
+    rho_dot defaults to -i[H, rho], which is never formed: its marginals are
+    the local commutators [h_frame, rho_frame] and [h_s, rho_s] plus
+    Tr_other[h_int, rho] = A - A', with A = Tr_other(h_int rho) contracted
+    on h_int's factor tensor (Hermitian h_int and rho give Tr(rho h_int) = A').
+    """
+    rho_ibar = np.asarray(rho_ibar, dtype=complex)
+    dims = (split.d_frame, split.d_s)
+    rho_frame, rho_s = partial_trace(rho_ibar, dims, drop=1), partial_trace(rho_ibar, dims, drop=0)
+    if rho_dot is None:
+        int_frame, int_s = product_partial_traces(split.h_int, rho_ibar, dims)
+        rho_frame_dot = -1j * (split.h_frame @ rho_frame - rho_frame @ split.h_frame
+                               + int_frame - dagger(int_frame))
+        rho_s_dot = -1j * (split.h_s @ rho_s - rho_s @ split.h_s + int_s - dagger(int_s))
+    else:
+        rho_frame_dot, rho_s_dot = partial_trace(rho_dot, dims, drop=1), partial_trace(rho_dot, dims, drop=0)
+    return StateMarginals(rho_frame, rho_s, rho_frame_dot, rho_s_dot,
+                          _real(_trace_product(split.total, rho_ibar)))
+
+
 def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
     """Instantaneous energies and heat/work rates in one perspective.
 
@@ -201,16 +249,12 @@ def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
     rho_ibar (and rho_dot) may be stacks (k, d, d) of states along a
     trajectory; the report then holds arrays of k values.
     """
-    rho_ibar = np.asarray(rho_ibar, dtype=complex)
-    total = split.total
-    if rho_dot is None:
-        rho_dot = -1j * (total @ rho_ibar - rho_ibar @ total)
-    dims = (split.d_frame, split.d_s)
-    rho_s = partial_trace(rho_ibar, dims, drop=0)
-    rho_frame = partial_trace(rho_ibar, dims, drop=1)
-    rho_s_dot = partial_trace(rho_dot, dims, drop=0)
-    rho_frame_dot = partial_trace(rho_dot, dims, drop=1)
+    return marginal_energetics(split, prescription, state_marginals(split, rho_ibar, rho_dot))
 
+
+def marginal_energetics(split, prescription, marginals):
+    """The ThermoReport of energetics from a state's StateMarginals alone."""
+    rho_frame, rho_s, rho_frame_dot, rho_s_dot, e_total = marginals
     h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s, _ = _local_effective(
         split, rho_frame, rho_s, prescription)
     h_tilde_s_dot = mean_field_hamiltonian(split, rho_frame_dot, on="s")
@@ -238,7 +282,6 @@ def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
 
     e_frame = _real(_trace_product(h_frame_eff, rho_frame))
     e_s = _real(_trace_product(h_s_eff, rho_s))
-    e_total = _real(_trace_product(total, rho_ibar))
     return ThermoReport(
         e_frame=e_frame,
         e_s=e_s,
@@ -458,7 +501,9 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     perspectives instead use their bare generators, zero entropy production
     and flow for product member states, and equality of entropy changes
     between perspectives.  Missing premises are reported, not raised.
-    The grid is evolved from one eigendecomposition of H, block by block.
+    The grid is evolved from one eigendecomposition of H, block by block;
+    each state is conjugated to frame j once, and rho_dot is never formed:
+    the rates read its marginals (state_marginals) in both perspectives.
 
     Rates scale as ||H||^2, so rates_match compares the unscaled
     rates_max_gap with rate_tol * ||H||_2^2 (spectral norm).
@@ -467,7 +512,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     h_total = split.total
     change = setup.perspective_change(g_i, g_j)
     # Conjugation leaves an anti-Hermitian round-off of order eps ||H||; the
-    # Hermitian part keeps split_hamiltonian's absolute check valid at any scale.
+    # Hermitian part keeps the split, and the rho_dot marginals it contracts, Hermitian.
     h_j = _hermitian_part(change.conjugate(h_total))
     split_j = split_hamiltonian(h_j, setup.d_frame, setup.d_s)
     times = np.linspace(float(t0), float(t1), int(grid))
@@ -501,16 +546,26 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         split_imported = split_hamiltonian(h_imported, setup.d_frame, setup.d_s)
         membership_ok = True
         rates_max_gap = 0.0
-        for _, rho_t in evolution.blocks(rho0, times):
-            rho_dot = -1j * (h_total @ rho_t - rho_t @ h_total)
-            rho_jt = change.conjugate(rho_t)
-            rho_jdot = change.conjugate(rho_dot)
-            membership_ok &= bool(membership_test(setup, rho_t, x0, g_i, g_j,
-                                                  transformed=rho_jt).is_member.all())
-            rates_j = energetics(setup, split_j, rho_jt, prescription, rho_dot=rho_jdot).rates_vector()
-            rates_imported = energetics(setup, split_imported, rho_t, prescription,
-                                        rho_dot=rho_dot).rates_vector()
-            rates_bare = energetics(setup, split, rho_t, prescription, rho_dot=rho_dot).rates_vector()
+        # Each block keeps only the marginals of rho and rho_dot in both
+        # perspectives; the rates run once per run of times whose subsystem
+        # stacks fit in STACK_BYTES.
+        run = block_length(max(setup.d_frame, setup.d_s))
+        for start in range(0, times.size, run):
+            seen_i, seen_j, e_imported = [], [], []
+            for _, rho_t in evolution.blocks(rho0, times[start:start + run]):
+                rho_jt = change.conjugate(rho_t)
+                membership_ok &= bool(membership_test(setup, rho_t, x0, g_i, g_j,
+                                                      transformed=rho_jt).is_member.all())
+                seen_i.append(state_marginals(split, rho_t))
+                seen_j.append(state_marginals(split_j, rho_jt))
+                e_imported.append(_real(_trace_product(split_imported.total, rho_t)))
+            marginals_i, marginals_j = (StateMarginals(*map(np.concatenate, zip(*seen)))
+                                        for seen in (seen_i, seen_j))
+            rates_j = marginal_energetics(split_j, prescription, marginals_j).rates_vector()
+            rates_imported = marginal_energetics(
+                split_imported, prescription,
+                marginals_i._replace(e_total=np.concatenate(e_imported))).rates_vector()
+            rates_bare = marginal_energetics(split, prescription, marginals_i).rates_vector()
             rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
             both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
         if not membership_ok:

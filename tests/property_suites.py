@@ -33,6 +33,7 @@ from qrf_lab.operators import (
     hs_norm,
     kron,
     partial_trace,
+    product_partial_traces,
     random_hermitian,
     unvec,
     vec,
@@ -45,7 +46,13 @@ from qrf_lab.subalgebras import (
     pure_state_bilocal_witness,
 )
 from qrf_lab.states import mutual_information, relative_entropy, von_neumann_entropy
-from qrf_lab.thermo import COMMUTANT_GAP, Prescription, energetics, entropy_production_and_flow
+from qrf_lab.thermo import (
+    COMMUTANT_GAP,
+    Prescription,
+    energetics,
+    entropy_production_and_flow,
+    state_marginals,
+)
 
 
 def _diag_rep(group, character_labels):
@@ -420,6 +427,49 @@ def suite_stacked_layers_match_single_states(n=100, seed=909):
     return count
 
 
+def haar_conjugated_z3_setup():
+    """Z3 regular conjugated by one fixed Haar unitary: an explicit rep with dense matrices."""
+    w = haar_unitary(np.random.default_rng(12), 3)
+    return FrameSetup(Z3, {g: w @ Z3.regular_representation(g) @ dagger(w) for g in Z3.elements})
+
+
+def suite_rho_dot_marginals_match_dense_commutator(n=100, seed=911):
+    """The contracted marginals of -i[H, rho] equal the partial traces of the dense commutator.
+
+    Instances run over setup_pool() and one dense explicit rep, with H
+    conjugated by the perspective change, for single states and stacks;
+    product_partial_traces is also checked against Tr(h rho) for a
+    non-Hermitian h.
+    """
+    pool = setup_pool() + [haar_conjugated_z3_setup()]
+    rng = np.random.default_rng(seed)
+    for k in range(int(n)):
+        setup = pool[k % len(pool)]
+        d_f, d_s = setup.d_frame, setup.d_s
+        dims, d = (d_f, d_s), d_f * d_s
+        elements = setup.group.elements
+        g_i, g_j = (elements[int(rng.integers(len(elements)))] for _ in range(2))
+        change = setup.perspective_change(g_i, g_j)
+        h = change.conjugate(random_hermitian(rng, d, 10.0 ** rng.uniform(-3.0, 3.0)))
+        split = split_hamiltonian((h + dagger(h)) / 2, d_f, d_s)
+        h = split.total
+        rho0 = _random_density(rng, d)
+        times = rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 6)))
+        stack = change.conjugate(GridEvolution(h).states(rho0, times))
+        for rho in (stack, stack[0], rho0):
+            marginals = state_marginals(split, rho)
+            dense = -1j * (h @ rho - rho @ h)
+            tol = 1e-12 * hs_norm(h) * np.max(hs_norm(rho))
+            assert np.abs(marginals.rho_frame_dot - partial_trace(dense, dims, drop=1)).max() <= tol
+            assert np.abs(marginals.rho_s_dot - partial_trace(dense, dims, drop=0)).max() <= tol
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            on_frame, on_s = product_partial_traces(g, rho, dims)
+            tol = 1e-12 * hs_norm(g) * np.max(hs_norm(rho))
+            assert np.abs(on_frame - partial_trace(g @ rho, dims, drop=1)).max() <= tol
+            assert np.abs(on_s - partial_trace(g @ rho, dims, drop=0)).max() <= tol
+    return int(n)
+
+
 ALL_SUITES = (
     suite_physical_projector_rank,
     suite_reduction_coisometry,
@@ -431,4 +481,5 @@ ALL_SUITES = (
     suite_first_law_and_entropy_production,
     suite_stacked_layers_match_single_states,
     suite_energetics_matches_dense_oracle,
+    suite_rho_dot_marginals_match_dense_commutator,
 )

@@ -18,12 +18,11 @@ from qrf_lab.operators import (
     SIGMA_X,
     dagger,
     haar_state,
-    haar_unitary,
     kron,
     random_hermitian,
 )
 
-from property_suites import setup_pool
+from property_suites import haar_conjugated_z3_setup, setup_pool
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -100,12 +99,6 @@ def dense_perspective_unitary(setup, g_i, g_j):
         bra[0, group.index(group.compose(g_j, group.inverse(g)))] = 1.0
         mat += kron(ket @ bra, setup.u_s(g))
     return mat
-
-
-def haar_conjugated_z3_setup():
-    """Z3 regular conjugated by one fixed Haar unitary: an explicit rep with dense matrices."""
-    w = haar_unitary(np.random.default_rng(12), 3)
-    return FrameSetup(Z3, {g: w @ Z3.regular_representation(g) @ dagger(w) for g in Z3.elements})
 
 
 def is_permutation_rep(setup):

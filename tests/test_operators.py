@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qrf_lab import Z3
+from qrf_lab.dynamics import split_hamiltonian
 from qrf_lab.operators import (
     ID2,
     NumericalRankError,
@@ -33,6 +35,8 @@ from qrf_lab.operators import (
     unvec,
     vec,
 )
+
+from property_suites import haar_conjugated_z3_setup
 
 
 def test_pauli_algebra():
@@ -87,6 +91,23 @@ def test_assert_hermitian():
     with pytest.raises(ValueError):
         assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert_hermitian(SIGMA_Y)
+    assert_hermitian(np.zeros((3, 3)))
+
+
+def test_assert_hermitian_is_relative_to_the_largest_entry():
+    """A tiny non-Hermitian matrix raises; a huge Hermitian one with round-off passes."""
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assert_hermitian(1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # The perspective change of a dense rep leaves an anti-Hermitian round-off of order eps ||H||.
+    setup = haar_conjugated_z3_setup()
+    h = random_hermitian(np.random.default_rng(0), 9)
+    for scale in (1e6, 1e8):
+        big = h * (scale / np.linalg.norm(h, 2))
+        for g_i in Z3.elements:
+            for g_j in Z3.elements:
+                moved = setup.perspective_change(g_i, g_j).conjugate(big)
+                split = split_hamiltonian(moved, 3, 3)
+                assert np.abs(split.total - moved).max() <= 1e-14 * scale
 
 
 def test_matrix_exp_scaled_matches_scipy():

@@ -34,6 +34,7 @@ from qrf_lab.subalgebras import (
     pure_state_bilocal_witness,
     transport_bilocal,
 )
+from qrf_lab.scenarios import run_scenario
 
 E = (0,)
 FLIP = (1,)
@@ -193,6 +194,30 @@ def test_membership_respects_tolerance_scaling():
     h = ising_chain(1.0, 1.0, 1.0) + 1e-12 * kron(SIGMA_X, ID2)
     result = membership_test(setup, h, BilocalUnitary(ID2, ID2), E, E)
     assert result.is_member
+
+
+def test_membership_verdicts_do_not_depend_on_the_scale_of_f():
+    """The threshold is tol * ||f||: rescaling f leaves every scan verdict unchanged."""
+    setup = qubit_setup()
+    candidates = [BilocalUnitary(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ"]
+    for coefficients in ((1.0, 1.0, 2.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0)):
+        h = ising_chain(*coefficients)
+        expected = [r.is_member for _, r in membership_scan(setup, h, candidates, FLIP, FLIP)]
+        assert any(expected) or coefficients == (1.0, 1.0, 2.0)
+        for s in 10.0 ** np.arange(-10, 9):
+            verdicts = [r.is_member for _, r in membership_scan(setup, s * h, candidates, FLIP, FLIP)]
+            assert verdicts == expected, (coefficients, s)
+    zero = membership_test(setup, np.zeros((4, 4)), BilocalUnitary(SIGMA_X, SIGMA_Z), E, FLIP)
+    assert zero.is_member and zero.residual == 0.0
+
+
+def test_scan_scenario_verdict_does_not_depend_on_the_scale():
+    """The scan at [s, s, 2s] finds no Pauli witness for any s, as at s = 1."""
+    for s in 10.0 ** np.arange(-10, 9, 3):
+        scan = run_scenario({"scenario": "three-qubit-subalgebras",
+                             "params": {"scan_coefficients": [s, s, 2.0 * s]}}).summary["scan"]
+        assert scan["member_found"] is False, s
+        assert np.isclose(scan["min_residual"], 2.8284271247461903 * s, rtol=1e-12)
 
 
 def test_transport_round_trip():
