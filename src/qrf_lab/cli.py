@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,6 +83,7 @@ def _cmd_run(args):
     return 0
 
 
+@functools.cache  # one parser per process
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qrf-lab",

@@ -8,12 +8,14 @@ golden-file stable.
 """
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,7 +46,8 @@ from .subalgebras import (
 from .thermo import (
     NonProductInitialStateError,
     Prescription,
-    entropy_production_and_flow,
+    entropy_balance,
+    initial_product,
     marginal_energetics,
     state_marginals,
 )
@@ -342,15 +345,9 @@ class ScenarioResult:
 
 
 def _blank_row(t):
-    row = {c: None for c in COLUMNS}
+    row = dict.fromkeys(COLUMNS)
     row["t"] = float(t)
     return row
-
-
-def _format_number(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(float(value), ".17g")
 
 
 def _format_cell(value):
@@ -358,36 +355,50 @@ def _format_cell(value):
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    return _format_number(value)
+    return format(float(value), ".17g")
 
 
 def write_csv(result, stream):
-    stream.write(",".join(result.columns) + "\n")
-    for row in result.rows:
-        stream.write(",".join(_format_cell(row.get(c)) for c in result.columns) + "\n")
+    lines = [",".join(result.columns)]
+    lines += [",".join([_format_cell(row.get(c)) for c in result.columns]) for row in result.rows]
+    stream.write("\n".join(lines) + "\n")
 
 
-def _jsonify(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
+def _json_text(value, pad="\n", strict=False):
+    """JSON text of value at the indent of pad, byte for byte as json.dumps(indent=2, allow_nan=False).
+
+    Before encoding, scalar +/-inf becomes "inf"/"-inf" (inside arrays and
+    complex numbers, strict, it raises ValueError, as NaN does anywhere),
+    np.bool_, unknown objects and dict keys become str(value), complex {"re", "im"}.
+    """
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+        if math.isinf(value) and not strict:
+            return f'"{value}"'
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
     if isinstance(value, (complex, np.complexfloating)):
-        return {"re": float(value.real), "im": float(value.imag)}
+        return _json_text({"re": float(value.real), "im": float(value.imag)}, pad, True)
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            return {"re": value.real.tolist(), "im": value.imag.tolist()}
-        return value.tolist()
+            return _json_text({"re": value.real.tolist(), "im": value.imag.tolist()}, pad, True)
+        return _json_text(value.tolist(), pad, True)
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
+        items = {str(k): v for k, v in value.items()}.items()
+        body = [encode_basestring_ascii(k) + ": " + _json_text(v, inner, strict) for k, v in items]
+        return "{" + inner + ("," + inner).join(body) + pad + "}" if body else "{}"
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return str(value)
+        body = [_json_text(v, inner, strict) for v in value]
+        return "[" + inner + ("," + inner).join(body) + pad + "]" if body else "[]"
+    return encode_basestring_ascii(str(value))
 
 
 def write_json(result, stream):
@@ -395,15 +406,14 @@ def write_json(result, stream):
     document = {
         "scenario": result.name,
         "metadata": {
-            "config": _jsonify(result.config),
+            "config": result.config,
             "library_version": VERSION,
             "columns": columns,
         },
-        "summary": _jsonify(result.summary),
-        "rows": [{c: _jsonify(row.get(c)) for c in columns} for row in result.rows],
+        "summary": result.summary,
+        "rows": [{c: row.get(c) for c in columns} for row in result.rows],
     }
-    json.dump(document, stream, indent=2, allow_nan=False)
-    stream.write("\n")
+    stream.write(_json_text(document) + "\n")
 
 
 def render(result, out_format):
@@ -463,7 +473,7 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
     extras(times, rho, rho_s) gets each block's state stacks and system
     marginals, both keyed by perspective "i" and "j", and returns extra
     columns, one value per time; it may also record summary quantities of
-    its own.
+    its own.  The initial product check runs once per perspective.
     """
     setup = cfg.setup
     dims = (setup.d_frame, setup.d_s)
@@ -471,7 +481,10 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
     split = {"i": split_hamiltonian(h_ibar, *dims),
              "j": split_hamiltonian(change.conjugate(h_ibar), *dims)}
     rho0_i = np.asarray(rho0_ibar, dtype=complex)
-    rho0 = {"i": rho0_i, "j": change.conjugate(rho0_i)}
+    initial = {}
+    for suffix, rho0 in (("i", rho0_i), ("j", change.conjugate(rho0_i))):
+        with contextlib.suppress(NonProductInitialStateError):
+            initial[suffix] = initial_product(setup, rho0, cfg.tolerance)
     rows = []
     for times, rho_i in GridEvolution(h_ibar).blocks(rho0_i, cfg.time_grid):
         rho = {"i": rho_i, "j": change.conjugate(rho_i)}
@@ -482,23 +495,21 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
             report = marginal_energetics(split[suffix], cfg.prescription, marginals)
             _energetics_columns(columns, suffix, report)
             rho_s[suffix] = marginals.rho_s
-            columns[f"SvN_s_{suffix}"] = von_neumann_entropy(rho_s[suffix])
-            try:
-                balance = entropy_production_and_flow(setup, rho0[suffix], rho_t, cfg.tolerance)
-            except NonProductInitialStateError:
-                continue
-            columns[f"sigma_{suffix}"] = balance.sigma
-            columns[f"phi_{suffix}"] = balance.phi
+            columns[f"SvN_s_{suffix}"] = s_s = von_neumann_entropy(marginals.rho_s)
+            if suffix in initial:
+                balance = entropy_balance(initial[suffix], rho_t, marginals.rho_frame, marginals.rho_s, s_s)
+                columns[f"sigma_{suffix}"] = balance.sigma
+                columns[f"phi_{suffix}"] = balance.phi
         if x_candidates:
             columns["in_AX"] = np.logical_or.reduce([_member(cfg, rho, x).is_member for x in x_candidates])
         if extras is not None:
             columns.update(extras(times, rho, rho_s))
         # Per-time arrays become plain floats and bools; matrices stay arrays.
-        columns = {key: values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1
-                   else values for key, values in columns.items()}
-        for k, t in enumerate(times):
+        per_time = zip(*[values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1
+                         else values for values in columns.values()])
+        for t, values in zip(times, per_time):
             row = _blank_row(t)
-            row.update((key, values[k]) for key, values in columns.items())
+            row.update(zip(columns, values))
             rows.append(row)
     return rows
 

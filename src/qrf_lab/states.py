@@ -217,7 +217,7 @@ def negative_temperature_predict(setup, h_s, beta, rho_frame, g_j, require_flip=
     rho_frame = np.asarray(rho_frame, dtype=complex)
     group = setup.group
     g_j = group.check_element(g_j)
-    scale = max(1.0, hs_norm(h_s))
+    scale = hs_norm(h_s)
     anti, comm = [], []
     for g in group.elements:
         u = setup.u_s(g)

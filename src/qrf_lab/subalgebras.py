@@ -249,7 +249,7 @@ def classify_local_operator(setup, op, which, g_i, g_j):
     """
     op = np.asarray(op, dtype=complex)
     d_f, d_s = setup.d_frame, setup.d_s
-    scale = max(1.0, hs_norm(op))
+    scale = hs_norm(op)
     if which == "s_local":
         factor = partial_trace(op, (d_f, d_s), drop=0) / d_f
         if hs_norm(op - kron(np.eye(d_f), factor)) > LOCALITY_TOL * scale:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -88,6 +89,31 @@ def test_invalid_json_config_file_exits_two(tmp_path, capsys):
     path.write_text("{broken")
     assert main(["run", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_override(monkeypatch, capsys):
+    """main reuses one parser per process; an override does not leak into the next call."""
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def record(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record)
+    argv = ["run", "negative-temperature"]
+    assert main(argv + ["--set", "params.beta=2.0"]) == 0
+    overridden = capsys.readouterr()
+    assert main(argv) == 0
+    second = capsys.readouterr()
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qrf_lab.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "qrf_lab.cli"] + argv,
+                           capture_output=True, text=True, env=env)
+    assert fresh.returncode == 0, fresh.stderr
+    assert (second.out, second.err) == (fresh.stdout, fresh.stderr)
+    assert overridden.out != fresh.stdout
 
 
 def test_console_script_runs():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qrf_lab import frames, scenarios
-from qrf_lab.dynamics import GridEvolution
+from qrf_lab.dynamics import GridEvolution, block_length
 from qrf_lab.frames import PerspectiveChange
+from qrf_lab.operators import partial_trace
 from qrf_lab.scenarios import (
     COLUMNS,
     ConfigError,
@@ -17,6 +18,8 @@ from qrf_lab.scenarios import (
     render,
     run_scenario,
 )
+from qrf_lab.states import von_neumann_entropy
+from qrf_lab.thermo import NonProductInitialStateError, Prescription, entropy_production_and_flow
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -261,3 +264,169 @@ def test_each_state_is_conjugated_once(monkeypatch, name):
     assert sum(evolved.values()) >= len(result.rows)
     expected = evolved + Counter(initial)
     assert [conjugated[key] - n for key, n in expected.items()] == [0] * len(expected)
+
+
+# The writers before the single-walk JSON writer: every value through
+# jsonify, then the stdlib encoder; every CSV cell through format_number.
+def jsonify_oracle(value):
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            return {"re": value.real.tolist(), "im": value.imag.tolist()}
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): jsonify_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify_oracle(v) for v in value]
+    return str(value)
+
+
+def json_oracle(result):
+    columns = list(result.columns) + list(result.extra_fields)
+    document = {
+        "scenario": result.name,
+        "metadata": {
+            "config": jsonify_oracle(result.config),
+            "library_version": scenarios.VERSION,
+            "columns": columns,
+        },
+        "summary": jsonify_oracle(result.summary),
+        "rows": [{c: jsonify_oracle(row.get(c)) for c in columns} for row in result.rows],
+    }
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+def csv_oracle(result):
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, float) and math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return format(float(value), ".17g")
+
+    lines = [",".join(result.columns)]
+    lines += [",".join(cell(row.get(c)) for c in result.columns) for row in result.rows]
+    return "".join(line + "\n" for line in lines)
+
+
+DEFAULT_SOURCES = [{"scenario": name} for name in scenarios.SCENARIOS] + [
+    {"scenario": "ghz", "params": {"variant": variant}} for variant in ("global", "mixed-w")]
+
+
+@pytest.mark.parametrize("source", DEFAULT_SOURCES, ids=lambda s: "-".join(map(str, s.values())))
+def test_writers_match_the_jsonify_and_stdlib_oracle(source):
+    result = run_scenario(source)
+    assert render(result, "json") == json_oracle(result)
+    assert render(result, "csv") == csv_oracle(result)
+
+
+def odd_result():
+    """A ScenarioResult holding every kind of value the writers special-case."""
+    row = scenarios._blank_row(0.5)
+    row.update(E_s_i=math.inf, E_s_j=-math.inf, E_frame_i=np.float64(1.0 / 3.0),
+               E_frame_j=np.int64(-7), E_int_i=12, sigma_i=True, phi_i=False,
+               in_AX=np.bool_(True), phi_j=np.float32(0.1), SvN_s_i=-0.0)
+    row.update(rho=np.array([[1.0 + 2.0j, -0.5j], [0.5j, 3.0]]), vec=np.array([0.25, -1.0e-300]),
+               z=1.5 - 2.0j, zn=np.complex128(0.5 + 0.25j), flags=np.array([True, False]))
+    summary = {
+        "inf": math.inf, "minus_inf": -math.inf, "none": None, "flag": True,
+        "np_flag": np.bool_(False), "f64": np.float64(2.0 / 3.0), "i64": np.int64(-4),
+        "z": 1.0 + 2.0j, "real": np.eye(2), "cplx": np.array([1j, 2.0]), "scalar_array": np.array(2.5),
+        "ints": np.arange(3), "empty_array": np.zeros((2, 0)), "empty_list": [], "empty_dict": {},
+        "text": 'Zürich → ∞ "q"\n\t\\', 1: "int key", (2, 3): "tuple key",
+        0.5: [1, (2, 3), {"x": None}], None: "none key", "1": "collides with the int key",
+        "obj": Prescription.split_alpha(), "nested": {"deep": [[], {}, [np.float32(0.1)], ()]},
+        "big": 2 ** 70, "tiny": 5e-324, "huge": 1.7976931348623157e308,
+    }
+    return ScenarioResult(name="odd é", config={"k": [1, 2.5], "s": "v"},
+                          rows=[row, scenarios._blank_row(1.0)], summary=summary,
+                          extra_fields=("rho", "vec", "z", "zn", "flags"))
+
+
+def test_writers_match_the_oracle_on_special_values():
+    result = odd_result()
+    assert render(result, "json") == json_oracle(result)
+    assert render(result, "csv") == csv_oracle(result)
+    document = json.loads(render(result, "json"))
+    assert document["summary"]["inf"] == "inf" and document["summary"]["np_flag"] == "False"
+    assert document["summary"]["1"] == "collides with the int key"
+
+
+@pytest.mark.parametrize("value", [math.nan, np.float64(math.nan), np.array([1.0, math.inf]),
+                                   np.array([[math.nan]]), np.array([1j * math.inf]),
+                                   complex(math.inf, 0.0), [np.array(-math.inf)]],
+                         ids=["nan", "np-nan", "inf-in-array", "nan-in-array",
+                              "inf-in-complex-array", "inf-in-complex", "inf-in-0d-array"])
+def test_json_rejects_non_finite_values_the_oracle_rejects(value):
+    result = ScenarioResult(name="x", config={}, rows=[], summary={"bad": value})
+    with pytest.raises(ValueError):
+        json_oracle(result)
+    with pytest.raises(ValueError):
+        render(result, "json")
+
+
+@pytest.mark.parametrize("name", ["zz-oscillation", "entropy-balance-oscillation",
+                                  "zero-to-nonzero-entropy", "isolated-vs-closed"])
+def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
+    """Rows over several blocks hold the per-time entropy balances bit for bit.
+
+    The initial state is checked for a product once per perspective and run,
+    not once per block; a perspective whose initial state is no product
+    (frame j for isolated-vs-closed) keeps its sigma and phi cells empty.
+    zero-to-nonzero-entropy starts from a full-rank frame state, so its
+    relative entropies, and with them sigma and phi, stay finite.
+    """
+    checks, runs = [], []
+    initial_product, dynamic_rows = scenarios.initial_product, scenarios._dynamic_rows
+
+    def count_checks(*args, **kwargs):
+        checks.append(args)
+        return initial_product(*args, **kwargs)
+
+    def record_run(cfg, h, rho0, *args, **kwargs):
+        runs.append((h, rho0))
+        return dynamic_rows(cfg, h, rho0, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "initial_product", count_checks)
+    monkeypatch.setattr(scenarios, "_dynamic_rows", record_run)
+    points = block_length(4) + 44
+    cfg = parse_config({"scenario": name, "time_grid": {"start": 0.0, "stop": 7.0, "points": points}})
+    rows = run_scenario(cfg).rows
+    assert len(rows) == points and len(runs) == 1 and len(checks) == 2
+
+    (h, rho0_i), = runs
+    setup, dims = cfg.setup, (cfg.setup.d_frame, cfg.setup.d_s)
+    change = setup.perspective_change(cfg.g_i, cfg.g_j)
+    rho0 = {"i": rho0_i, "j": change.conjugate(rho0_i)}
+    products = {suffix: _is_product(setup, rho, cfg.tolerance) for suffix, rho in rho0.items()}
+    assert products == {"i": True, "j": name != "isolated-vs-closed"}
+    if name == "zero-to-nonzero-entropy":
+        assert all(math.isfinite(row[key]) for row in rows for key in ("sigma_i", "sigma_j", "phi_j"))
+    for row, rho_i in zip(rows, GridEvolution(h).states(rho0_i, cfg.time_grid)):
+        for suffix, rho_t in (("i", rho_i), ("j", change.conjugate(rho_i))):
+            assert row[f"SvN_s_{suffix}"] == von_neumann_entropy(partial_trace(rho_t, dims, drop=0))
+            if products[suffix]:
+                balance = entropy_production_and_flow(setup, rho0[suffix], rho_t, cfg.tolerance)
+                assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (balance.sigma, balance.phi)
+            else:
+                assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (None, None)
+
+
+def _is_product(setup, rho0, tol):
+    try:
+        entropy_production_and_flow(setup, rho0, rho0, tol)
+    except NonProductInitialStateError:
+        return False
+    return True

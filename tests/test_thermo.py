@@ -15,8 +15,13 @@ from qrf_lab.operators import (
     kron,
     random_hermitian,
 )
-from qrf_lab.states import gibbs_state
-from qrf_lab.subalgebras import BilocalUnitary, invariant_projector, membership_test
+from qrf_lab.states import gibbs_state, negative_temperature_predict
+from qrf_lab.subalgebras import (
+    BilocalUnitary,
+    classify_local_operator,
+    invariant_projector,
+    membership_test,
+)
 from qrf_lab.thermo import (
     NonProductInitialStateError,
     Prescription,
@@ -328,3 +333,45 @@ def test_gibbs_classification_detects_rescaling():
     assert report.mu is not None
     assert np.isclose(abs(report.mu), mu, atol=1e-9)
     assert report.mu_fit_residual < 1e-9
+
+
+def gibbs_verdicts(setup, scale):
+    """Every yes/no verdict of the Gibbs, negative-temperature and local-operator classifiers.
+
+    Z2 regular with g_i = (0,), g_j = (1,); the Hamiltonians and local
+    operators are multiplied by scale, and beta by 1/scale.
+    """
+    g_i, g_j = (0,), (1,)
+    verdicts = []
+    for h in (SIGMA_X, SIGMA_Z, kron(SIGMA_Z, SIGMA_Z), kron(SIGMA_Z, SIGMA_X) + kron(ID2, SIGMA_X)):
+        report = gibbs_classification(setup, scale * h, g_i, g_j)
+        verdicts.append((report.translation_invariant, report.invariant_gibbs,
+                         report.in_translation_kernel, report.anticommuting_sector,
+                         report.mu_sign))
+    for h_s in (SIGMA_X, SIGMA_Z):
+        beta = 1.0 / scale if scale else 1.0
+        report = negative_temperature_predict(setup, scale * h_s, beta, np.eye(2) / 2, g_j)
+        verdicts.append((report.anticommuting_sector, report.commuting_sector))
+    for op, which in ((kron(ID2, SIGMA_Z), "s_local"), (kron(ID2, SIGMA_X), "s_local"),
+                      (kron(SIGMA_Z, ID2), "frame_local"), (kron(SIGMA_X, ID2), "frame_local")):
+        report = classify_local_operator(setup, scale * op, which, g_i, g_j)
+        verdicts.append((report.tps_invariant, report.unitary_invariant_all_orientations,
+                         report.in_diagonal_translation_range))
+    return verdicts
+
+
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-12, 9, 2)])
+def test_gibbs_verdicts_do_not_depend_on_the_energy_scale(scale):
+    """Residuals are compared with tol * ||h_s|| (tol * ||op||), never with an absolute floor."""
+    setup = qubit_setup()
+    assert gibbs_verdicts(setup, scale) == gibbs_verdicts(setup, 1.0)
+
+
+def test_gibbs_verdicts_for_zero_hamiltonian():
+    """H = 0 commutes and anticommutes with everything, as before the relative scale."""
+    setup = qubit_setup()
+    elements = list(setup.group.elements)
+    gibbs = [(True, True, True, elements, None)] * 4
+    negative = [(elements, [])] * 2
+    local = [(True, True, True)] * 2 + [(True, False, True)] * 2
+    assert gibbs_verdicts(setup, 0.0) == gibbs + negative + local
