@@ -21,6 +21,7 @@ from .operators import (
     assert_hermitian,
     dagger,
     eigenspace_projectors,
+    hermitian_part,
     hs_norm,
     kron,
     matrix_exp_scaled,
@@ -144,7 +145,8 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     int_from_locals = change.conjugate(kron(h_frame_off, np.eye(d_s)) + kron(np.eye(d_f), h_s_rest))
     p_full = kron(parity, np.eye(d_s))
     int_from_dt = p_full @ dt_int @ dagger(p_full)
-    leftovers = split_hamiltonian(change.conjugate(rest_int), d_f, d_s)
+    # rest_int may vanish up to round-off, which the relative Hermiticity check would reject.
+    leftovers = split_hamiltonian(hermitian_part(change.conjugate(rest_int)), d_f, d_s)
 
     pieces = TransformedPieces(
         frame_from_diag=parity @ h_frame_diag @ dagger(parity),

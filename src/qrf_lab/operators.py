@@ -67,6 +67,10 @@ def assert_hermitian(mat, tol=HERMITICITY_TOL, what="operator"):
     return mat
 
 
+def hermitian_part(mat):
+    return (mat + dagger(mat)) / 2
+
+
 def assert_unitary(mat, tol=UNITARITY_TOL, what="operator"):
     mat = np.asarray(mat)
     defect = np.abs(mat @ dagger(mat) - np.eye(mat.shape[0])).max()

@@ -1,8 +1,9 @@
 """Operator subalgebras singled out by a change of tensor product structure.
 
 An operator f on a perspective space belongs to the subalgebra labeled by
-a unitary X when conjugation by the perspective-change unitary agrees with
-conjugation by X.  Tests, projectors, transport between orientations, and
+a unitary X when conjugation by the perspective-change unitary u agrees with
+conjugation by X, that is when f commutes with W = X'u.  Tests, projectors
+(the pinching over W's eigenspaces), transport between orientations, and
 witness construction for pure states live here.
 """
 
@@ -12,13 +13,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import schur
 
 from .frames import parity_swap
 from .operators import (
     FixedSpace,
+    NumericalRankError,
     StructuredUnitary,
     assert_unitary,
-    conjugation_superop,
     dagger,
     degenerate_blocks,
     fixed_space_projector,
@@ -36,9 +38,9 @@ from .operators import (
 MEMBERSHIP_TOL = 1e-9
 LOCALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
-# invariant_projector holds about five d_p^2 x d_p^2 complex matrices at
-# its peak (5.05-5.15 under tracemalloc at d_p = 16 and 27).  The budget
-# admits d_p = 27 (43 MB) and refuses d_p = 64 (1.3 GB).
+# A projector's dense matrix and intersect_projectors hold about five
+# d_p^2 x d_p^2 complex matrices at peak (5.05-5.15 under tracemalloc at
+# d_p = 16 and 27).  The budget admits d_p = 27 (43 MB), not 64 (1.3 GB).
 SCHUR_PEAK_COPIES = 5
 SUPEROPERATOR_BUDGET_BYTES = 256 * 2 ** 20
 
@@ -182,53 +184,75 @@ def transport_bilocal(setup, x: BilocalUnitary, old, new) -> BilocalUnitary:
     return BilocalUnitary(y=y_new, z=z_new)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubalgebraProjector:
-    """Orthogonal projector onto the fixed operators of one subalgebra map."""
+    """Orthogonal projector onto a subalgebra: for a label, the commutant of W = Q T Q'.
 
-    fixed_space: FixedSpace
+    mask[a, b] marks pairs of W's eigenvalues in one cluster, apply is the
+    pinching Q (mask * Q'fQ) Q', O(d_p^3), and the dimension is sum m_k^2.
+    An intersection holds its fixed space.  .matrix acts on column-major
+    vec(f), read-only, built on first use within the superoperator budget:
+    sum_C conj(P_C) (x) P_C over the clusters' projectors P_C.
+    """
+
     operand_dim: int
+    schur_vectors: np.ndarray | None = None
+    mask: np.ndarray | None = None
+    fixed_space: FixedSpace | None = None
 
-    @property
+    @cached_property
     def matrix(self):
-        return self.fixed_space.projector
+        if self.fixed_space is not None:
+            return read_only(self.fixed_space.projector)
+        d = self.operand_dim
+        estimate = SCHUR_PEAK_COPIES * d ** 4 * np.dtype(complex).itemsize
+        if estimate > SUPEROPERATOR_BUDGET_BYTES:  # before allocating
+            raise ValueError(f"the superoperator path at d_p = {d} needs an estimated {estimate} bytes "
+                             f"at peak, above the {SUPEROPERATOR_BUDGET_BYTES}-byte budget")
+        total = 0.0
+        for cluster in np.unique(self.mask, axis=0):
+            p = self.schur_vectors[:, cluster] @ dagger(self.schur_vectors[:, cluster])
+            total = total + kron(p.conj(), p)
+        return read_only(total)
 
     @property
     def dimension(self):
-        return self.fixed_space.dimension
+        return self.fixed_space.dimension if self.mask is None else int(self.mask.sum())
 
     def apply(self, op):
-        return unvec(self.matrix @ vec(op), self.operand_dim)
+        if self.mask is None:
+            return unvec(self.matrix @ vec(op), self.operand_dim)
+        q = self.schur_vectors
+        return q @ (self.mask * (dagger(q) @ np.asarray(op, dtype=complex) @ q)) @ dagger(q)
 
     def contains(self, op, tol=MEMBERSHIP_TOL):
-        v = vec(np.asarray(op, dtype=complex))
-        return bool(np.linalg.norm(self.matrix @ v - v) <= tol * max(1.0, np.linalg.norm(v)))
+        """Whether ||apply(op) - op|| <= tol ||op||: rescaling op keeps the verdict, and 0 is a member."""
+        return bool(hs_norm(self.apply(op) - op) <= tol * hs_norm(op))
 
 
 def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
-    """Projector onto the subalgebra labeled by x at the given orientations.
+    """Projector onto the subalgebra labeled by x at the given orientations: the commutant of W = x'u.
 
-    Raises ValueError, before any superoperator is built, when the
-    estimated peak memory of the superoperator path exceeds
-    SUPEROPERATOR_BUDGET_BYTES.
+    W's eigenvalues within tol of each other share a cluster, which is the
+    selection |conj(mu_a) mu_b - 1| <= tol on conj(W) (x) W, mu being on the
+    unit circle.  A pair in (tol, 10 tol] raises NumericalRankError.
     """
-    d = setup.d_perspective
-    estimate = SCHUR_PEAK_COPIES * d ** 4 * np.dtype(complex).itemsize
-    if estimate > SUPEROPERATOR_BUDGET_BYTES:
-        raise ValueError(
-            f"invariant_projector at d_p = {d} needs {d * d} x {d * d} superoperators, "
-            f"an estimated {estimate} bytes at peak, above the {SUPEROPERATOR_BUDGET_BYTES}-byte budget")
-    x = as_matrix(x)
     u = setup.perspective_change(g_i, g_j).matrix
-    superop = conjugation_superop(dagger(x)) @ conjugation_superop(u)
-    space = fixed_space_projector(superop, tol=tol)
-    return SubalgebraProjector(fixed_space=space, operand_dim=setup.d_perspective)
+    w = assert_unitary(dagger(as_matrix(x)) @ u, what="W = X'u")
+    triangular, q = schur(w, output="complex")
+    eigs = np.diag(triangular)
+    gaps = np.abs(eigs[:, None] - eigs[None, :])
+    ambiguous = gaps[(gaps > tol) & (gaps <= 10 * tol)]
+    if ambiguous.size:
+        raise NumericalRankError(
+            f"eigenvalues of W at distance {ambiguous.min():.3e} are inside the guard band {10 * tol:.3e}")
+    return SubalgebraProjector(operand_dim=setup.d_perspective, schur_vectors=q, mask=gaps <= tol)
 
 
 def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-9):
-    """Projector onto the intersection of two subalgebras."""
+    """Projector onto the intersection of two subalgebras; a.matrix enforces the budget first."""
     space = fixed_space_projector(a.matrix @ b.matrix, tol=tol)
-    return SubalgebraProjector(fixed_space=space, operand_dim=a.operand_dim)
+    return SubalgebraProjector(operand_dim=a.operand_dim, fixed_space=space)
 
 
 @dataclass
@@ -257,33 +281,19 @@ def classify_local_operator(setup, op, which, g_i, g_j):
         translation_invariant = all(
             hs_norm(factor @ setup.u_s(g) - setup.u_s(g) @ factor) <= LOCALITY_TOL * scale
             for g in setup.group.elements)
-        witness = None
-        if translation_invariant:
-            witness = BilocalUnitary(y=np.eye(d_f, dtype=complex), z=np.eye(d_s, dtype=complex))
-        return LocalOperatorReport(
-            which=which,
-            factor=factor,
-            tps_invariant=translation_invariant,
-            unitary_invariant_all_orientations=translation_invariant,
-            witness=witness,
-            in_diagonal_translation_range=translation_invariant,
-        )
+        witness = BilocalUnitary(y=np.eye(d_f), z=np.eye(d_s)) if translation_invariant else None
+        return LocalOperatorReport(which=which, factor=factor, tps_invariant=translation_invariant,
+                                   unitary_invariant_all_orientations=translation_invariant,
+                                   witness=witness, in_diagonal_translation_range=translation_invariant)
     if which == "frame_local":
         factor = partial_trace(op, (d_f, d_s), drop=1) / d_s
         if hs_norm(op - kron(factor, np.eye(d_s))) > LOCALITY_TOL * scale:
             raise LocalityViolationError("operator is not identity on the system factor")
         diagonal = hs_norm(factor - np.diag(np.diag(factor))) <= LOCALITY_TOL * scale
-        witness = None
-        if diagonal:
-            witness = BilocalUnitary(y=parity_swap(setup, g_i, g_j), z=np.eye(d_s, dtype=complex))
-        return LocalOperatorReport(
-            which=which,
-            factor=factor,
-            tps_invariant=diagonal,
-            unitary_invariant_all_orientations=False,
-            witness=witness,
-            in_diagonal_translation_range=diagonal,
-        )
+        witness = BilocalUnitary(y=parity_swap(setup, g_i, g_j), z=np.eye(d_s)) if diagonal else None
+        return LocalOperatorReport(which=which, factor=factor, tps_invariant=diagonal,
+                                   unitary_invariant_all_orientations=False,
+                                   witness=witness, in_diagonal_translation_range=diagonal)
     raise ValueError('which must be "s_local" or "frame_local"')
 
 

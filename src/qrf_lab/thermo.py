@@ -54,6 +54,7 @@ from .dynamics import (
 from .operators import (
     dagger,
     eigenspace_projectors,
+    hermitian_part,
     hs_norm,
     kron,
     partial_trace,
@@ -489,10 +490,6 @@ class BalanceReport:
     premises_not_met: list = field(default_factory=list)
 
 
-def _hermitian_part(mat):
-    return (mat + dagger(mat)) / 2
-
-
 def _agree(a, b, tol=1e-8):
     """Within tol of each other, or both infinite."""
     if math.isinf(a) or math.isinf(b):
@@ -529,7 +526,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     change = setup.perspective_change(g_i, g_j)
     # Conjugation leaves an anti-Hermitian round-off of order eps ||H||; the
     # Hermitian part keeps the split, and the rho_dot marginals it contracts, Hermitian.
-    h_j = _hermitian_part(change.conjugate(h_total))
+    h_j = hermitian_part(change.conjugate(h_total))
     split_j = split_hamiltonian(h_j, setup.d_frame, setup.d_s)
     times = np.linspace(float(t0), float(t1), int(grid))
     rho0 = np.asarray(rho0, dtype=complex)
@@ -558,7 +555,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     both_bare_max_gap = 0.0
     if x0 is not None:
         x0_mat = as_matrix(x0)
-        h_imported = _hermitian_part(dagger(x0_mat) @ h_j @ x0_mat)
+        h_imported = hermitian_part(dagger(x0_mat) @ h_j @ x0_mat)
         split_imported = split_hamiltonian(h_imported, setup.d_frame, setup.d_s)
         membership_ok = True
         rates_max_gap = 0.0

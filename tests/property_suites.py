@@ -4,6 +4,9 @@ Each suite checks one structural guarantee on n independently randomized
 instances drawn over several group and representation setups, raising
 AssertionError on the first violation and returning the instance count.
 """
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 from scipy.linalg import schur
 
@@ -25,8 +28,10 @@ from qrf_lab.frames import (
 )
 from qrf_lab.groups import Z2, Z2xZ2, Z3
 from qrf_lab.operators import (
+    conjugation_superop,
     dagger,
     degenerate_blocks,
+    fixed_space_projector,
     haar_state,
     haar_unitary,
     hs_inner,
@@ -40,6 +45,8 @@ from qrf_lab.operators import (
 )
 from qrf_lab.subalgebras import (
     BilocalUnitary,
+    as_matrix,
+    invariant_projector,
     membership_test,
     pi_d,
     pi_t,
@@ -470,6 +477,68 @@ def suite_rho_dot_marginals_match_dense_commutator(n=100, seed=911):
     return int(n)
 
 
+def superoperator_projector_oracle(setup, x, g_i, g_j, tol=1e-9):
+    """The label projector as the eigenvalue-1 space of conj(W) (x) W, W = X'u, by ordered Schur.
+
+    This is the d_p^2 x d_p^2 construction that invariant_projector replaced
+    with the pinching over W's own eigenspaces; returns a FixedSpace.
+    """
+    u = setup.perspective_change(g_i, g_j).matrix
+    superop = conjugation_superop(dagger(as_matrix(x))) @ conjugation_superop(u)
+    return fixed_space_projector(superop, tol=tol)
+
+
+def monomial_commutant_dimension(w, order):
+    """sum m_k^2 over the eigenvalues of a monomial w whose entries are order-th roots of unity.
+
+    Exact, with no rank decision: a cycle of length L of w's permutation whose
+    phases multiply to exp(2 pi i s / order) contributes the L-th roots of that
+    product, exp(2 pi i (s / order + k) / L) for k < L, kept as fractions of a turn.
+    """
+    w = np.asarray(w)
+    cols, rows = np.nonzero(w.T)
+    assert cols.tolist() == sorted(rows.tolist()) == list(range(w.shape[0])), "w is not monomial"
+    phases = w[rows, cols]
+    turns = np.rint(np.angle(phases) * order / (2 * np.pi)).astype(int) % order
+    assert np.abs(phases - np.exp(2j * np.pi * turns / order)).max() <= 1e-12
+    image = dict(zip(cols.tolist(), rows.tolist()))
+    counts, seen = Counter(), set()
+    for start in range(w.shape[0]):
+        length, total, col = 0, 0, start
+        while col not in seen:
+            seen.add(col)
+            total, col, length = total + turns[col], image[col], length + 1
+        for k in range(length):
+            counts[(Fraction(total, order * length) + Fraction(k, length)) % 1] += 1
+    return sum(m * m for m in counts.values())
+
+
+def suite_label_projector_matches_superoperator_oracle(n=100, seed=912):
+    """invariant_projector against the superoperator Schur oracle: dimension, .matrix and apply.
+
+    Instances cycle through every orientation pair of setup_pool() and one
+    dense explicit rep, each with the labels 1, 1 (x) U_S(g) and
+    U_F(a) (x) U_S(b) for random g, a, b.
+    """
+    cases = [(setup, g_i, g_j) for setup in setup_pool() + [haar_conjugated_z3_setup()]
+             for g_i in setup.group.elements for g_j in setup.group.elements]
+    rng = np.random.default_rng(seed)
+    for k in range(int(n)):
+        setup, g_i, g_j = cases[k % len(cases)]
+        d_f, d_s, d = setup.d_frame, setup.d_s, setup.d_perspective
+        elements = setup.group.elements
+        g, a, b = (elements[int(rng.integers(len(elements)))] for _ in range(3))
+        for x in (BilocalUnitary(np.eye(d_f), np.eye(d_s)), BilocalUnitary(np.eye(d_f), setup.u_s(g)),
+                  BilocalUnitary(setup.u_frame(a), setup.u_s(b))):
+            proj = invariant_projector(setup, x, g_i, g_j)
+            oracle = superoperator_projector_oracle(setup, x, g_i, g_j)
+            assert proj.dimension == oracle.dimension
+            assert np.abs(proj.matrix - oracle.projector).max() <= 1e-12
+            f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            assert np.abs(proj.apply(f) - unvec(oracle.projector @ vec(f), d)).max() <= 1e-12 * hs_norm(f)
+    return int(n)
+
+
 ALL_SUITES = (
     suite_physical_projector_rank,
     suite_reduction_coisometry,
@@ -482,4 +551,5 @@ ALL_SUITES = (
     suite_stacked_layers_match_single_states,
     suite_energetics_matches_dense_oracle,
     suite_rho_dot_marginals_match_dense_commutator,
+    suite_label_projector_matches_superoperator_oracle,
 )

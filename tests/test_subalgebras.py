@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrf_lab import FrameSetup, Z2, Z3, Z4
+from qrf_lab import FiniteAbelianGroup, FrameSetup, Z2, Z3, Z4
 from qrf_lab.operators import (
     ID2,
     PAULI,
+    NumericalRankError,
     SIGMA_X,
     SIGMA_Z,
     dagger,
@@ -35,6 +36,8 @@ from qrf_lab.subalgebras import (
     transport_bilocal,
 )
 from qrf_lab.scenarios import run_scenario
+
+from property_suites import monomial_commutant_dimension
 
 E = (0,)
 FLIP = (1,)
@@ -100,6 +103,67 @@ def test_invariant_projector_contains_members():
     proj = invariant_projector(setup, BilocalUnitary(ID2, ID2), E, E)
     assert proj.contains(ising_chain(1.0, 1.0, 1.0))
     assert not proj.contains(kron(SIGMA_X, ID2))
+
+
+def clock_chain(a, b, c):
+    """Z3 clock-model chain on the frame and the two system sites of Z3 with tensor_power 2.
+
+    Z is the clock diag(1, w, w^2); each term comes with its adjoint.  Every
+    term commutes with the perspective change at g_i = g_j = e.
+    """
+    z = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    i3 = np.eye(3)
+    terms = (a * kron(z, i3, i3), b * kron(i3, z, dagger(z)), c * kron(z, z, i3))
+    return sum(t + dagger(t) for t in terms)
+
+
+def test_projector_membership_does_not_depend_on_the_scale_of_f():
+    """contains compares with tol * ||f||: a chain stays a member and a frame flip a non-member at every scale."""
+    z3 = FrameSetup.from_rep_config(Z3, {"tensor_power": 2})
+    flip3 = kron(Z3.regular_representation((1,)), np.eye(9))
+    cases = ((qubit_setup(), ising_chain(1.0, 1.0, 1.0), kron(SIGMA_X, ID2)),
+             (z3, clock_chain(1.0, 1.0, 1.0), flip3 + dagger(flip3)))
+    for setup, member, non_member in cases:
+        e = setup.group.identity
+        proj = invariant_projector(setup, BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s)), e, e)
+        for s in 10.0 ** np.arange(-10, 9):
+            assert proj.contains(s * member), s
+            assert not proj.contains(s * non_member), s
+        assert proj.contains(np.zeros_like(member))
+
+
+def test_invariant_projector_guard_band():
+    """Eigenvalues of W = X'u within tol share a cluster, 20 tol apart they do not,
+    and 5 tol apart the dimension is ambiguous."""
+    setup = qubit_setup()
+    u = setup.perspective_change(E, E).matrix
+    tol = 1e-9
+    for spread, dimension in ((0.5, 6), (20.0, 4), (5.0, None)):
+        w = np.diag(np.exp(1j * np.array([0.0, spread * tol, 2.0, 4.0])))
+        x = u @ dagger(w)  # so that W = w exactly, u being a permutation
+        if dimension is None:
+            with pytest.raises(NumericalRankError, match="guard band"):
+                invariant_projector(setup, x, E, E, tol=tol)
+        else:
+            assert invariant_projector(setup, x, E, E, tol=tol).dimension == dimension
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_label_projector_dimension_matches_the_cycle_oracle(order):
+    """Z4 and Z5 with tensor_power 2 (d_p = 64 and 125): W is a permutation, so
+    sum m_k^2 follows exactly from its cycles, over every orientation pair."""
+    group = FiniteAbelianGroup((order,))
+    setup = FrameSetup.from_rep_config(group, {"tensor_power": 2})
+    d_f, d_s = setup.d_frame, setup.d_s
+    rng = np.random.default_rng(order)
+    elements = group.elements
+    for g_i, g_j in itertools.product(elements, repeat=2):
+        g, a, b = (elements[int(rng.integers(order))] for _ in range(3))
+        u = setup.perspective_change(g_i, g_j).matrix
+        for x in (BilocalUnitary(np.eye(d_f), np.eye(d_s)), BilocalUnitary(np.eye(d_f), setup.u_s(g)),
+                  BilocalUnitary(setup.u_frame(a), setup.u_s(b))):
+            expected = monomial_commutant_dimension(dagger(x.matrix) @ u, order)
+            assert invariant_projector(setup, x, g_i, g_j).dimension == expected
 
 
 def test_ising_membership_follows_transported_witness():
@@ -266,19 +330,31 @@ def test_classify_rejects_nonlocal_operator():
         classify_local_operator(setup, kron(SIGMA_Z, SIGMA_Z), "s_local", E, E)
 
 
-def test_invariant_projector_refuses_oversized_superoperator():
-    """d_p = 64 would need 4096 x 4096 superoperators; the guard fires first."""
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_superoperator_budget_refuses_d64_but_not_the_label_projector():
+    """At d_p = 64 the label projector is one 64 x 64 Schur form; its dense
+    .matrix and intersections would need 4096 x 4096 superoperators, and the
+    budget refuses those before allocating."""
     setup = FrameSetup.from_rep_config(Z4, {"tensor_power": 2})
     e = Z4.identity
     x = BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"d_p = 64 .* estimated \d+ bytes"):
-            invariant_projector(setup, x, e, e)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    made = []
+    assert _peak_bytes(lambda: made.append(invariant_projector(setup, x, e, e))) < 16 * 2 ** 20
+    proj = made[0]
+    assert proj.contains(np.eye(64))
+    for oversized in (lambda: proj.matrix, lambda: intersect_projectors(proj, proj)):
+        def refused():
+            with pytest.raises(ValueError, match=r"d_p = 64 .* estimated \d+ bytes"):
+                oversized()
+        assert _peak_bytes(refused) < 16 * 2 ** 20
 
 
 def test_size_guard_admits_d27():

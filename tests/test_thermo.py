@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qrf_lab import FrameSetup, Z2
-from qrf_lab.dynamics import block_length, evolve, split_hamiltonian
+from qrf_lab.dynamics import block_length, evolve, split_hamiltonian, transform_hamiltonian_pieces
 from qrf_lab.operators import (
     ID2,
     SIGMA_X,
@@ -21,6 +21,8 @@ from qrf_lab.subalgebras import (
     classify_local_operator,
     invariant_projector,
     membership_test,
+    pi_d,
+    pi_t,
 )
 from qrf_lab.thermo import (
     NonProductInitialStateError,
@@ -33,7 +35,7 @@ from qrf_lab.thermo import (
     gibbs_classification,
 )
 
-from property_suites import setup_pool
+from property_suites import haar_conjugated_z3_setup, setup_pool
 
 E = (0,)
 
@@ -333,6 +335,23 @@ def test_gibbs_classification_detects_rescaling():
     assert report.mu is not None
     assert np.isclose(abs(report.mu), mu, atol=1e-9)
     assert report.mu_fit_residual < 1e-9
+
+
+def test_gibbs_classification_of_an_interaction_in_the_pi_d_pi_t_range():
+    """With h_int = pi_D(pi_T(h_int)) the leftover rest_int is round-off; on a
+    dense explicit rep its transform is not Hermitian to round-off relative
+    to itself, so the pieces must take its Hermitian part."""
+    setup = haar_conjugated_z3_setup()
+    d_f, d_s = setup.d_frame, setup.d_s
+    rng = np.random.default_rng(0)
+    h_int = split_hamiltonian(random_hermitian(rng, d_f * d_s), d_f, d_s).h_int
+    h = pi_d(setup, pi_t(setup, h_int)) + 1e-3 * kron(np.eye(d_f), random_hermitian(rng, d_s))
+    report = gibbs_classification(setup, h, E, (1,))
+    assert not report.translation_invariant
+    _, pieces = transform_hamiltonian_pieces(setup, split_hamiltonian(h, d_f, d_s), E, (1,))
+    for leftover in (pieces.lambda_frame, pieces.lambda_s, pieces.lambda_int):
+        assert np.array_equal(leftover, dagger(leftover))
+        assert hs_norm(leftover) <= 1e-14 * hs_norm(h)
 
 
 def gibbs_verdicts(setup, scale):
