@@ -2,12 +2,16 @@
 
 Elements are tuples of residues, one per cyclic factor, enumerated in
 lexicographic order.  Every matrix basis downstream inherits this order.
+The element-to-index map and the Cayley tables of compose and inverse are
+built once per group, so arithmetic on elements is table lookup; only a
+value that is not already an element tuple goes through check_element.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -33,9 +37,26 @@ class FiniteAbelianGroup:
     def order(self) -> int:
         return prod(self.factors)
 
+    @cached_property
+    def _elements(self) -> tuple[Element, ...]:
+        return tuple(itertools.product(*(range(n) for n in self.factors)))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {g: k for k, g in enumerate(self._elements)}
+
+    @cached_property
+    def _cayley(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index tables: compose[a, b] = index(g_a g_b) and inverse[a] = index(g_a^-1)."""
+        residues, moduli = np.array(self._elements), np.array(self.factors)
+        strides = np.cumprod((self.factors[1:] + (1,))[::-1])[::-1]
+        compose = ((residues[:, None] + residues[None, :]) % moduli) @ strides
+        inverse = (-residues % moduli) @ strides
+        return compose, inverse
+
     @property
     def elements(self) -> list[Element]:
-        return list(itertools.product(*(range(n) for n in self.factors)))
+        return list(self._elements)
 
     @property
     def identity(self) -> Element:
@@ -43,11 +64,10 @@ class FiniteAbelianGroup:
 
     def index(self, g: Element) -> int:
         """Position of g in the lexicographic element list."""
-        g = self.check_element(g)
-        idx = 0
-        for r, n in zip(g, self.factors):
-            idx = idx * n + r
-        return idx
+        try:
+            return self._index[g]
+        except (KeyError, TypeError):  # not an element tuple: validate and convert
+            return self._index[self.check_element(g)]
 
     def check_element(self, g) -> Element:
         g = tuple(int(r) for r in (g if isinstance(g, (tuple, list)) else (g,)))
@@ -58,25 +78,21 @@ class FiniteAbelianGroup:
         return g
 
     def compose(self, g: Element, h: Element) -> Element:
-        g, h = self.check_element(g), self.check_element(h)
-        return tuple((a + b) % n for a, b, n in zip(g, h, self.factors))
+        return self._elements[self._cayley[0][self.index(g), self.index(h)]]
 
     def inverse(self, g: Element) -> Element:
-        g = self.check_element(g)
-        return tuple((-a) % n for a, n in zip(g, self.factors))
+        return self._elements[self._cayley[1][self.index(g)]]
 
     def regular_representation(self, g: Element) -> np.ndarray:
         """Permutation matrix sending |h> to |g h> in the element basis."""
-        g = self.check_element(g)
         n = self.order
         mat = np.zeros((n, n))
-        for k, h in enumerate(self.elements):
-            mat[self.index(self.compose(g, h)), k] = 1.0
+        mat[self._cayley[0][self.index(g)], np.arange(n)] = 1.0
         return mat
 
     def character(self, k: Element, g: Element) -> complex:
         """Character chi_k(g) = exp(2 pi i sum_m k_m g_m / n_m)."""
-        k, g = self.check_element(k), self.check_element(g)
+        k, g = self._elements[self.index(k)], self._elements[self.index(g)]
         phase = sum(km * gm / n for km, gm, n in zip(k, g, self.factors))
         return complex(np.exp(2j * np.pi * phase))
 

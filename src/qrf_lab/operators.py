@@ -259,11 +259,6 @@ def matrix_log(mat):
     return matrix_function(mat, safe_log, clamp=True)
 
 
-def matrix_power(mat, alpha):
-    """Power of a positive semidefinite matrix."""
-    return matrix_function(mat, lambda v: np.where(v > 0, v, 0.0) ** alpha, clamp=True)
-
-
 @dataclass
 class FixedSpace:
     """Eigenvalue-1 subspace of a matrix: orthogonal projector and basis."""

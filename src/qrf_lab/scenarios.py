@@ -9,6 +9,7 @@ golden-file stable.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -312,10 +313,14 @@ def parse_config(source, scenario=None):
     hamiltonian = _build_hamiltonian(setup, merged.get("hamiltonian"))
     params = merged.get("params", {})
     _require(isinstance(params, dict), "params", "expected an object")
-    allowed = SCENARIOS[name].param_names
+    defaults = SCENARIOS[name].defaults.get("params", {})
     for key in params:
-        _require(key in allowed, f"params.{key}",
-                 "unknown parameter; expected one of: " + ", ".join(sorted(allowed)))
+        _require(key in defaults, f"params.{key}",
+                 "unknown parameter; expected one of: " + ", ".join(sorted(defaults)))
+    # A parameter whose default is a float is validated here, once; the
+    # config echo (merged) keeps the value as given.
+    params = {key: _as_float(value, f"params.{key}") if isinstance(defaults[key], float) else value
+              for key, value in params.items()}
 
     return ScenarioConfig(
         scenario=name,
@@ -350,17 +355,12 @@ def _blank_row(t):
     return row
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    return format(float(value), ".17g")
-
-
 def write_csv(result, stream):
+    # One pass per row.  "%.17g" writes a number as format(float(v), ".17g")
+    # does (inf, -0 included) and a bool, np.bool_ too, as 1 or 0.
     lines = [",".join(result.columns)]
-    lines += [",".join([_format_cell(row.get(c)) for c in result.columns]) for row in result.rows]
+    lines += [",".join(["" if v is None else "%.17g" % v for v in map(row.get, result.columns)])
+              for row in result.rows]
     stream.write("\n".join(lines) + "\n")
 
 
@@ -450,13 +450,9 @@ def _bilocal_label(x):
     return f"{_pauli_label(x.y)}(x){_pauli_label(x.z)}"
 
 
-def _energetics_columns(columns, suffix, report):
-    columns[f"E_s_{suffix}"] = report.e_s
-    columns[f"E_frame_{suffix}"] = report.e_frame
-    columns[f"E_int_{suffix}"] = report.e_int
-    columns[f"qdot_s_{suffix}"] = report.qdot_conv_s
-    columns[f"wdot_s_{suffix}"] = report.wdot_conv_s
-    columns[f"estar_s_{suffix}"] = report.e_star_s
+# Column stem -> ThermoReport field of each perspective's energetics columns.
+_ENERGETICS_COLUMNS = {"E_s": "e_s", "E_frame": "e_frame", "E_int": "e_int",
+                       "qdot_s": "qdot_conv_s", "wdot_s": "wdot_conv_s", "estar_s": "e_star_s"}
 
 
 def _member(cfg, rho, x):
@@ -472,8 +468,8 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
     j's perspective through one conjugation by the perspective change.
     extras(times, rho, rho_s) gets each block's state stacks and system
     marginals, both keyed by perspective "i" and "j", and returns extra
-    columns, one value per time; it may also record summary quantities of
-    its own.  The initial product check runs once per perspective.
+    columns, one value per time.  The initial product check runs once per
+    perspective.
     """
     setup = cfg.setup
     dims = (setup.d_frame, setup.d_s)
@@ -488,12 +484,12 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
     rows = []
     for times, rho_i in GridEvolution(h_ibar).blocks(rho0_i, cfg.time_grid):
         rho = {"i": rho_i, "j": change.conjugate(rho_i)}
-        rho_s = {}
-        columns = {}
+        rho_s, columns = {}, {}
         for suffix, rho_t in rho.items():
             marginals = state_marginals(split[suffix], rho_t)
             report = marginal_energetics(split[suffix], cfg.prescription, marginals)
-            _energetics_columns(columns, suffix, report)
+            columns.update((f"{stem}_{suffix}", getattr(report, name))
+                           for stem, name in _ENERGETICS_COLUMNS.items())
             rho_s[suffix] = marginals.rho_s
             columns[f"SvN_s_{suffix}"] = s_s = von_neumann_entropy(marginals.rho_s)
             if suffix in initial:
@@ -519,6 +515,12 @@ def _require_qubit_pair(cfg):
              f"scenario {cfg.scenario!r} needs one qubit frame pair and a qubit system")
 
 
+def _qubit_amplitudes(cfg):
+    amplitudes = _as_complex_vector(cfg.params["amplitudes"], "params.amplitudes")
+    _require(amplitudes.size == 2, "params.amplitudes", "expected two amplitudes")
+    return amplitudes
+
+
 def _static_entropy_row(cfg, psi_or_rho):
     """A t = 0 row of system entropies for a state, or for a stack of states.
 
@@ -532,8 +534,7 @@ def _static_entropy_row(cfg, psi_or_rho):
     rho_s = {suffix: partial_trace(rho_t, (setup.d_frame, setup.d_s), drop=0)
              for suffix, rho_t in rho.items()}
     row = _blank_row(0.0)
-    row["SvN_s_i"] = von_neumann_entropy(rho_s["i"])
-    row["SvN_s_j"] = von_neumann_entropy(rho_s["j"])
+    row.update(SvN_s_i=von_neumann_entropy(rho_s["i"]), SvN_s_j=von_neumann_entropy(rho_s["j"]))
     return row, rho, rho_s
 
 
@@ -553,26 +554,20 @@ def _run_three_qubit_subalgebras(cfg):
     _require(len(coefficients) == 3, "params.coefficients", "expected [A, B, C]")
     _require(len(scan_coefficients) == 3, "params.scan_coefficients", "expected [A, B, C]")
 
-    identity_x = BilocalUnitary(ID2, ID2)
-    flip_x = BilocalUnitary(ID2, SIGMA_X)
+    identity_x, flip_x = _QUBIT_LABELS
     e = cfg.group.identity
     proj_identity = invariant_projector(setup, identity_x, e, e, tol=cfg.tolerance)
     proj_flip = invariant_projector(setup, flip_x, e, e, tol=cfg.tolerance)
     proj_both = intersect_projectors(proj_identity, proj_flip, tol=cfg.tolerance)
 
     h = _ising_chain(*coefficients)
-    rows = []
-    cases = []
+    rows, cases = [], []
     for index, (gi, gj) in enumerate([((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]):
         # The witness at (gi, gj) is the identity transported from (e, e).
         x = transport_bilocal(setup, identity_x, (e, e), (gi, gj))
         res = membership_test(setup, h, x, gi, gj, tol=cfg.tolerance)
-        cases.append({
-            "g_i": gi[0], "g_j": gj[0],
-            "x": _bilocal_label(x),
-            "member": res.is_member,
-            "residual": res.residual,
-        })
+        cases.append({"g_i": gi[0], "g_j": gj[0], "x": _bilocal_label(x),
+                      "member": res.is_member, "residual": res.residual})
         row = _blank_row(float(index))
         row["in_AX"] = res.is_member
         rows.append(row)
@@ -593,7 +588,7 @@ def _run_three_qubit_subalgebras(cfg):
             "max_residual": max(residuals),
         },
     }
-    return rows, summary, ()
+    return rows, summary
 
 
 def _run_w_state(cfg):
@@ -601,10 +596,7 @@ def _run_w_state(cfg):
     setup = cfg.setup
     _require(setup.d_frame == 2 and setup.d_s == 2 ** (n - 2), "params.n_qubits",
              f"representation dimension {setup.d_s} does not match {n} qubits")
-    amplitudes = _as_complex_vector(cfg.params["amplitudes"], "params.amplitudes")
-    _require(amplitudes.size == 2, "params.amplitudes", "expected two amplitudes")
-
-    psi = product_state(amplitudes, w_state(n - 2))
+    psi = product_state(_qubit_amplitudes(cfg), w_state(n - 2))
     row, rho, rho_s = _static_entropy_row(cfg, psi)
     witness = pure_state_bilocal_witness(setup, psi, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
     row["in_AX"] = witness is not None
@@ -622,7 +614,7 @@ def _run_w_state(cfg):
     if witness is not None:
         summary["witness"] = _bilocal_label(witness)
         summary["witness_residual"] = _member(cfg, rho, witness).residual
-    return [row], summary, ()
+    return [row], summary
 
 
 def _run_gb_states(cfg):
@@ -636,18 +628,15 @@ def _run_gb_states(cfg):
     _require(amplitudes.size == group.order, "params.frame_amplitudes",
              f"expected {group.order} amplitudes")
 
-    basis = [gb_state(group, h, k)
-             for h in group.elements for k in group.elements]
+    basis = [gb_state(group, h, k) for h in group.elements for k in group.elements]
     gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
     orthonormal_dev = float(np.abs(gram - np.eye(len(basis))).max())
     eigen_dev = 0.0
-    for g in group.elements:
-        for h in group.elements:
-            for k in group.elements:
-                v = gb_state(group, h, k)
-                lhs = setup.u_s(g) @ v
-                rhs = group.character(k, group.inverse(g)) * v
-                eigen_dev = max(eigen_dev, float(np.abs(lhs - rhs).max()))
+    for g, h, k in itertools.product(group.elements, repeat=3):
+        v = gb_state(group, h, k)
+        lhs = setup.u_s(g) @ v
+        rhs = group.character(k, group.inverse(g)) * v
+        eigen_dev = max(eigen_dev, float(np.abs(lhs - rhs).max()))
 
     psi = product_state(amplitudes, gb_state(group, shift, character))
     row, rho, _ = _static_entropy_row(cfg, psi)
@@ -664,7 +653,7 @@ def _run_gb_states(cfg):
         "witness_member": res.is_member,
         "witness_residual": res.residual,
     }
-    return [row], summary, ()
+    return [row], summary
 
 
 def _run_ghz(cfg):
@@ -680,8 +669,7 @@ def _run_ghz(cfg):
     flip_x = BilocalUnitary(np.eye(2), kron(SIGMA_X, SIGMA_X, SIGMA_X))
 
     if variant == "separable":
-        amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"],
-                                        "params.frame_amplitudes")
+        amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"], "params.frame_amplitudes")
         psi = product_state(amplitudes, ghz_s)
         row, rho, rho_s = _static_entropy_row(cfg, psi)
         res = _member(cfg, rho, identity_x)
@@ -692,7 +680,7 @@ def _run_ghz(cfg):
             "identity_residual": res.residual,
             "s_state_preserved_dev": float(np.abs(rho_s["j"] - np.outer(ghz_s, ghz_s.conj())).max()),
         }
-        return [row], summary, ()
+        return [row], summary
 
     if variant == "global":
         psi = ghz_state(group, 4)
@@ -710,9 +698,9 @@ def _run_ghz(cfg):
             "s_j_ground_dev": float(np.abs(rho_s["j"] - np.outer(basis_state(8, 0),
                                                                  basis_state(8, 0))).max()),
         }
-        return [row], summary, ()
+        return [row], summary
 
-    p_w = _as_float(cfg.params["p_w"], "params.p_w")
+    p_w = cfg.params["p_w"]
     _require(0.0 <= p_w <= 1.0, "params.p_w", "expected a probability")
     amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"], "params.frame_amplitudes")
     psi_w = product_state(basis_state(2, 1), w_state(3))
@@ -734,216 +722,126 @@ def _run_ghz(cfg):
         "renyi_half_gap": abs(renyi_entropy(rho_s_i, 0.5) - renyi_entropy(rho_s_j, 0.5)),
         "renyi_two_gap": abs(renyi_entropy(rho_s_i, 2.0) - renyi_entropy(rho_s_j, 2.0)),
     }
-    return [row], summary, ()
+    return [row], summary
 
 
-def _run_zz_oscillation(cfg):
-    _require_qubit_pair(cfg)
-    field_b = _as_float(cfg.params["field_b"], "params.field_b")
-    coupling_j = _as_float(cfg.params["coupling_j"], "params.coupling_j")
+# ------------------------------------------------ time-grid scenario parts
+# A deviation that a summary reports as a maximum over the grid is a per-time
+# column outside the rendered ones, and the summary maximises it over the rows.
+
+def _pure(psi):
+    return np.outer(psi, psi.conj())
+
+
+def _max_dev(a, b):
+    """max |a - b| per time, for stacks of matrices."""
+    return np.abs(a - b).max(axis=(-2, -1))
+
+
+def _zz_chain(cfg):
+    return _ising_chain(cfg.params["field_b"], cfg.params["field_b"], 2.0 * cfg.params["coupling_j"])
+
+
+def _zz_initial_state(cfg):
     state = cfg.params["state"]
     _require(state in ("plus-plus", "one-ab"), "params.state",
              f"expected plus-plus or one-ab, got {state!r}")
-    h = cfg.hamiltonian if cfg.hamiltonian is not None \
-        else _ising_chain(field_b, field_b, 2.0 * coupling_j)
     if state == "plus-plus":
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        psi0 = product_state(plus, plus)
-    else:
-        amplitudes = _as_complex_vector(cfg.params["amplitudes"], "params.amplitudes")
-        _require(amplitudes.size == 2, "params.amplitudes", "expected two amplitudes")
-        psi0 = product_state(basis_state(2, 1), amplitudes)
-    rho0 = np.outer(psi0, psi0.conj())
-    identity_x = BilocalUnitary(ID2, ID2)
-    flip_x = BilocalUnitary(ID2, SIGMA_X)
-    in_identity, in_flip = [], []
+        return _pure(product_state(plus, plus))
+    return _pure(product_state(basis_state(2, 1), _qubit_amplitudes(cfg)))
 
-    def memberships(times, rho, rho_s):
-        # in_AX is filled here, so that each label is tested once per block.
-        in_x = [_member(cfg, rho, x).is_member for x in (identity_x, flip_x)]
-        in_identity.extend(times[in_x[0]].tolist())
-        in_flip.extend(times[in_x[1]].tolist())
-        return {"in_AX": in_x[0] | in_x[1]}
 
-    rows = _dynamic_rows(cfg, h, rho0, extras=memberships)
-    summary = {
-        "field_b": field_b,
-        "coupling_j": coupling_j,
-        "in_identity_times": in_identity,
-        "in_flip_times": in_flip,
+def _zz_memberships(cfg, times, rho, rho_s):
+    # in_AX is filled here, so that each label is tested once per block.
+    in_identity, in_flip = (_member(cfg, rho, x).is_member for x in _QUBIT_LABELS)
+    return {"in_AX": in_identity | in_flip, "in_identity": in_identity, "in_flip": in_flip}
+
+
+def _zz_summary(cfg, h, rho0, rows):
+    return {
+        "field_b": cfg.params["field_b"],
+        "coupling_j": cfg.params["coupling_j"],
+        "in_identity_times": [row["t"] for row in rows if row["in_identity"]],
+        "in_flip_times": [row["t"] for row in rows if row["in_flip"]],
     }
-    return rows, summary, ()
 
 
-def _run_effectively_isolated(cfg):
-    _require_qubit_pair(cfg)
-    setup = cfg.setup
-    field_b = _as_float(cfg.params["field_b"], "params.field_b")
-    coupling_j = _as_float(cfg.params["coupling_j"], "params.coupling_j")
-    amplitudes = _as_complex_vector(cfg.params["amplitudes"], "params.amplitudes")
-    _require(amplitudes.size == 2, "params.amplitudes", "expected two amplitudes")
-    h = cfg.hamiltonian if cfg.hamiltonian is not None \
-        else _ising_chain(field_b, field_b, 2.0 * coupling_j)
-    psi0 = product_state(basis_state(2, 1), amplitudes)
-    rho0 = np.outer(psi0, psi0.conj())
-    flip_x = BilocalUnitary(ID2, SIGMA_X)
-    swap_devs = []
-
-    def swap_deviation(times, rho, rho_s):
-        swap_devs.append(float(np.abs(rho_s["j"] - SIGMA_X @ rho_s["i"] @ SIGMA_X).max()))
-        return {}
-
-    rows = _dynamic_rows(cfg, h, rho0, x_candidates=(flip_x,), extras=swap_deviation)
-    dims = (setup.d_frame, setup.d_s)
-    split = split_hamiltonian(h, *dims)
-    rho_frame = partial_trace(rho0, dims, drop=1)
-    h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
-    summary = {
-        "conjugation_dev": max(swap_devs),
+def _effectively_isolated_summary(cfg, h, rho0, rows):
+    dims = (cfg.setup.d_frame, cfg.setup.d_s)
+    h_tilde_s = mean_field_hamiltonian(split_hamiltonian(h, *dims), partial_trace(rho0, dims, drop=1), on="s")
+    return {
+        "conjugation_dev": max(row["conjugation_dev"] for row in rows),
         "h_tilde_s_dev_from_minus_2j_z": float(
-            np.abs(h_tilde_s - (-2.0 * coupling_j) * SIGMA_Z).max()),
+            np.abs(h_tilde_s - (-2.0 * cfg.params["coupling_j"]) * SIGMA_Z).max()),
     }
-    return rows, summary, ()
 
 
-def _run_relative_equilibrium(cfg):
-    _require_qubit_pair(cfg)
-    a = _as_float(cfg.params["a"], "params.a")
-    b = _as_float(cfg.params["b"], "params.b")
-    beta = _as_float(cfg.params["beta"], "params.beta")
-    h = cfg.hamiltonian if cfg.hamiltonian is not None \
-        else a * kron(SIGMA_X, ID2) + b * kron(ID2, SIGMA_Z)
-    thermal = gibbs_state(SIGMA_Z, beta)
-    rho0 = kron(np.diag([1.0, 0.0]).astype(complex), thermal)
-    inverted = gibbs_state(SIGMA_Z, -beta)
-    mixture_devs, stationary_devs = [], []
-
-    def deviations(times, rho, rho_s):
-        targets = np.array([math.cos(a * t) ** 2 * thermal + math.sin(a * t) ** 2 * inverted
-                            for t in times])
-        mixture_devs.append(float(np.abs(rho_s["j"] - targets).max()))
-        stationary_devs.append(float(np.abs(rho_s["i"] - thermal).max()))
-        return {}
-
-    rows = _dynamic_rows(cfg, h, rho0, extras=deviations)
-    summary = {
-        "mixture_formula_dev": max(mixture_devs),
-        "stationary_thermal_dev": max(stationary_devs),
-    }
-    return rows, summary, ()
+def _relative_equilibrium_deviations(cfg, times, rho, rho_s):
+    a, beta = cfg.params["a"], cfg.params["beta"]
+    thermal, inverted = gibbs_state(SIGMA_Z, beta), gibbs_state(SIGMA_Z, -beta)
+    targets = np.array([math.cos(a * t) ** 2 * thermal + math.sin(a * t) ** 2 * inverted
+                        for t in times])
+    return {"mixture_formula_dev": _max_dev(rho_s["j"], targets),
+            "stationary_thermal_dev": _max_dev(rho_s["i"], thermal)}
 
 
-def _run_negative_temperature(cfg):
-    _require_qubit_pair(cfg)
-    setup = cfg.setup
-    mu = _as_float(cfg.params["mu"], "params.mu")
-    nu = _as_float(cfg.params["nu"], "params.nu")
-    beta = _as_float(cfg.params["beta"], "params.beta")
-    h_s = SIGMA_Z
-    h = (nu * kron(SIGMA_Z, ID2) + kron(ID2, h_s) + mu * kron(SIGMA_Z, h_s))
-    if cfg.hamiltonian is not None:
-        h = cfg.hamiltonian
-    rho_frame0 = np.diag([0.0, 1.0]).astype(complex)
-    rho0 = kron(rho_frame0, gibbs_state(h_s, beta))
-
-    def extras(times, rho, rho_s):
-        return {"rho_S_R1": rho_s["i"], "rho_S_R2": rho_s["j"]}
-
-    rows = _dynamic_rows(cfg, h, rho0, extras=extras)
-
+def _negative_temperature_summary(cfg, h, rho0, rows):
+    mu, beta = cfg.params["mu"], cfg.params["beta"]
     row0, _, rho_s0 = _static_entropy_row(cfg, rho0)
-    rho_s_j = rho_s0["j"]
-    report = negative_temperature_predict(setup, h_s, beta, rho_frame0, cfg.g_j)
-    stationarity = float(np.linalg.norm(h @ rho0 - rho0 @ h))
+    report = negative_temperature_predict(cfg.setup, SIGMA_Z, beta, _EXCITED, cfg.g_j)
     summary = {
         "mu": mu,
-        "stationarity_dev": stationarity,
+        "stationarity_dev": float(np.linalg.norm(h @ rho0 - rho0 @ h)),
         "q_a": report.q_a,
-        "prediction_dev": float(np.abs(rho_s_j - report.predicted).max()),
+        "prediction_dev": float(np.abs(rho_s0["j"] - report.predicted).max()),
         "negative_beta_gibbs_dev": float(
-            np.abs(rho_s_j - gibbs_state(mu * h_s, -beta / mu)).max()) if mu != 0 else None,
+            np.abs(rho_s0["j"] - gibbs_state(mu * SIGMA_Z, -beta / mu)).max()) if mu != 0 else None,
     }
     if mu == 1.0:
-        summary["conjugation_dev"] = float(
-            np.abs(rho_s_j - SIGMA_X @ rho_s0["i"] @ SIGMA_X).max())
+        summary["conjugation_dev"] = float(np.abs(rho_s0["j"] - SIGMA_X @ rho_s0["i"] @ SIGMA_X).max())
         summary["entropy_gap"] = abs(row0["SvN_s_i"] - row0["SvN_s_j"])
-    return rows, summary, ("rho_S_R1", "rho_S_R2")
+    return summary
 
 
-def _run_isolated_vs_closed(cfg):
-    _require_qubit_pair(cfg)
-    setup = cfg.setup
+def _isolated_vs_closed_state(cfg):
     state = cfg.params["state"]
-    h = cfg.hamiltonian if cfg.hamiltonian is not None \
-        else kron(SIGMA_X, ID2) + kron(ID2, SIGMA_X)
     if state == "bell":
         psi_j = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     else:
         psi_j = _as_complex_vector(state, "params.state")
-        _require(psi_j.size == 4, "params.state",
-                 'expected "bell" or four amplitudes')
-    psi_i = dagger(setup.perspective_change(cfg.g_i, cfg.g_j).matrix) @ psi_j
-    rho0 = np.outer(psi_i, psi_i.conj())
-    marginal_devs = []
+        _require(psi_j.size == 4, "params.state", 'expected "bell" or four amplitudes')
+    return _pure(dagger(cfg.setup.perspective_change(cfg.g_i, cfg.g_j).matrix) @ psi_j)
 
-    def marginal_deviation(times, rho, rho_s):
-        rho_frame_j = partial_trace(rho["j"], (setup.d_frame, setup.d_s), drop=1)
-        for marginal in (rho_s["j"], rho_frame_j):
-            marginal_devs.append(float(np.abs(marginal - ID2 / 2).max()))
-        return {}
 
-    rows = _dynamic_rows(cfg, h, rho0, extras=marginal_deviation)
-    max_rate = 0.0
-    for row in rows:
-        for key in ("qdot_s_i", "wdot_s_i", "estar_s_i", "qdot_s_j", "wdot_s_j", "estar_s_j"):
-            max_rate = max(max_rate, abs(row[key]))
-    summary = {
-        "max_abs_rate": max_rate,
-        "max_marginal_dev_from_maximally_mixed_j": max(marginal_devs),
+def _marginal_deviation(cfg, times, rho, rho_s):
+    rho_frame_j = partial_trace(rho["j"], (cfg.setup.d_frame, cfg.setup.d_s), drop=1)
+    return {"marginal_dev": np.maximum(_max_dev(rho_s["j"], ID2 / 2), _max_dev(rho_frame_j, ID2 / 2))}
+
+
+def _isolated_vs_closed_summary(cfg, h, rho0, rows):
+    rates = ("qdot_s_i", "wdot_s_i", "estar_s_i", "qdot_s_j", "wdot_s_j", "estar_s_j")
+    return {
+        "max_abs_rate": max([0.0] + [abs(row[key]) for row in rows for key in rates]),
+        "max_marginal_dev_from_maximally_mixed_j": max(row["marginal_dev"] for row in rows),
     }
-    return rows, summary, ()
 
 
-def _run_zero_to_nonzero_entropy(cfg):
-    _require_qubit_pair(cfg)
-    beta = _as_float(cfg.params["beta"], "params.beta")
-    h = cfg.hamiltonian if cfg.hamiltonian is not None \
-        else kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z)
-    xplus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    rho0 = kron(gibbs_state(SIGMA_Z, beta), np.outer(xplus, xplus.conj()))
-
-    def extras(times, rho, rho_s):
-        return {f"purity_s_{suffix}": np.trace(r @ r, axis1=-2, axis2=-1).real
-                for suffix, r in rho_s.items()}
-
-    rows = _dynamic_rows(cfg, h, rho0, extras=extras)
-
-    purity_dev = 0.0
-    for row in rows:
-        t = row["t"]
-        target = 0.5 * (1.0 + math.cos(2 * t) ** 2
-                        + math.tanh(beta) ** 2 * math.sin(2 * t) ** 2)
-        purity_dev = max(purity_dev, abs(row["purity_s_j"] - target))
-    summary = {
+def _zero_to_nonzero_summary(cfg, h, rho0, rows):
+    beta = cfg.params["beta"]
+    targets = [0.5 * (1.0 + math.cos(2 * t) ** 2 + math.tanh(beta) ** 2 * math.sin(2 * t) ** 2)
+               for t in (row["t"] for row in rows)]
+    return {
         "beta": beta,
-        "purity_formula_dev": purity_dev,
+        "purity_formula_dev": max([0.0] + [abs(row["purity_s_j"] - target)
+                                           for row, target in zip(rows, targets)]),
         "max_sigma_i": max(row["sigma_i"] for row in rows),
         "max_phi_i": max(abs(row["phi_i"]) for row in rows),
         "max_phi_j": max(abs(row["phi_j"]) for row in rows),
     }
-    return rows, summary, ("purity_s_i", "purity_s_j")
 
 
-def _run_entropy_balance_oscillation(cfg):
-    _require_qubit_pair(cfg)
-    h = cfg.hamiltonian if cfg.hamiltonian is not None \
-        else kron(SIGMA_X, ID2) + kron(ID2, SIGMA_X)
-    psi0 = product_state(basis_state(2, 1), basis_state(2, 0))
-    rho0 = np.outer(psi0, psi0.conj())
-    x0 = BilocalUnitary(SIGMA_X, ID2)
-    x1 = BilocalUnitary(SIGMA_X, SIGMA_X)
-    rows = _dynamic_rows(cfg, h, rho0, x_candidates=(x0, x1))
-
+def _entropy_balance_summary(cfg, h, rho0, rows):
     # Off-grid probe times, evolved together from one eigendecomposition.
     probes = (math.pi, math.pi / 2, 0.7)
     entropies, rho, _ = _static_entropy_row(cfg, GridEvolution(h).states(rho0, probes))
@@ -951,6 +849,7 @@ def _run_entropy_balance_oscillation(cfg):
     def member_at(k, x):
         return _member(cfg, {suffix: rho_t[k] for suffix, rho_t in rho.items()}, x).is_member
 
+    x0, x1 = _ENTROPY_BALANCE_LABELS
     special = {
         "x0_member_at_pi": member_at(0, x0),
         "x1_member_at_half_pi": member_at(1, x1),
@@ -960,25 +859,44 @@ def _run_entropy_balance_oscillation(cfg):
     s_i, s_j = entropies["SvN_s_i"], entropies["SvN_s_j"]
     delta = [{"t": t, "svn_s_i": float(s_i[k]), "svn_s_j": float(s_j[k])}
              for k, t in enumerate(probes)]
-    summary = {"memberships": special, "entropy_probes": delta}
-    return rows, summary, ()
+    return {"memberships": special, "entropy_probes": delta}
+
+
+def _run_grid(cfg, entry):
+    """Rows and summary of a time-grid scenario, from the parts of its table entry."""
+    _require_qubit_pair(cfg)
+    h = entry.hamiltonian(cfg) if cfg.hamiltonian is None else cfg.hamiltonian
+    rho0 = entry.initial_state(cfg)
+    extras = entry.extras and functools.partial(entry.extras, cfg)
+    rows = _dynamic_rows(cfg, h, rho0, entry.candidates, extras)
+    return rows, entry.summary(cfg, h, rho0, rows)
 
 
 # ----------------------------------------------------------------- registry
 
 @dataclass(frozen=True)
 class Scenario:
+    """One catalog entry: its name, description and config defaults, then how it runs.
+
+    A static scenario sets run(cfg) -> (rows, summary).  A time-grid scenario
+    leaves run unset, and _run_grid builds it from the other parts:
+    hamiltonian(cfg), the default H, which a config "hamiltonian" replaces;
+    initial_state(cfg), rho0 in frame i's perspective; candidates, the labels X
+    whose membership fills in_AX; extras(cfg, times, rho, rho_s), per-time
+    columns; and summary(cfg, h, rho0, rows).  extra_fields names the extras
+    that JSON renders after the shared columns.
+    """
+
     name: str
     description: str
     defaults: dict
-    param_names: frozenset
     run: object = field(repr=False, default=None)
-
-
-def _scenario(name, description, defaults, run):
-    params = defaults.get("params", {})
-    return Scenario(name=name, description=description, defaults=defaults,
-                    param_names=frozenset(params), run=run)
+    hamiltonian: object = field(repr=False, default=None)
+    initial_state: object = field(repr=False, default=None)
+    candidates: tuple = field(repr=False, default=())
+    extras: object = field(repr=False, default=None)
+    summary: object = field(repr=False, default=None)
+    extra_fields: tuple = ()
 
 
 _BASE_DEFAULTS = {
@@ -991,28 +909,28 @@ _BASE_DEFAULTS = {
 }
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_QUBIT_LABELS = (BilocalUnitary(ID2, ID2), BilocalUnitary(ID2, SIGMA_X))
+_ENTROPY_BALANCE_LABELS = (BilocalUnitary(SIGMA_X, ID2), BilocalUnitary(SIGMA_X, SIGMA_X))
+_EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
-SCENARIOS = {}
-for scenario in (
-    _scenario(
+SCENARIOS = {scenario.name: scenario for scenario in (
+    Scenario(
         "three-qubit-subalgebras",
         "Invariant-subalgebra dimensions and an Ising-chain membership table "
         "for two qubit frames and one system qubit.",
         {"time_grid": {"start": 0.0, "stop": 3.0, "points": 4},
          "params": {"coefficients": [1.0, 1.0, 1.0],
                     "scan_coefficients": [1.0, 1.0, 2.0]}},
-        _run_three_qubit_subalgebras,
-    ),
-    _scenario(
+        run=_run_three_qubit_subalgebras),
+    Scenario(
         "w-state",
         "W-type superposition: subsystem entropies and bilocal witnesses "
         "in both frame perspectives.",
         {"rep": {"tensor_power": 3},
          "time_grid": {"start": 0.0, "stop": 0.0, "points": 1},
          "params": {"n_qubits": 5, "amplitudes": [_SQRT_HALF, _SQRT_HALF]}},
-        _run_w_state,
-    ),
-    _scenario(
+        run=_run_w_state),
+    Scenario(
         "gb-states",
         "Relative-shift/character basis states over a cyclic group: "
         "eigenrelations and an exact bilocal witness.",
@@ -1021,9 +939,8 @@ for scenario in (
          "time_grid": {"start": 0.0, "stop": 0.0, "points": 1},
          "params": {"shift": [1], "character": [2],
                     "frame_amplitudes": [[0.3, 0.1], [-0.5, 0.0], [0.0, 0.8]]}},
-        _run_gb_states,
-    ),
-    _scenario(
+        run=_run_gb_states),
+    Scenario(
         "ghz",
         "GHZ chain in separable, globally entangled, and mixed variants; "
         "witness existence and entropies.",
@@ -1032,64 +949,87 @@ for scenario in (
          "params": {"variant": "separable",
                     "frame_amplitudes": [[0.28, -0.4], [0.87, 0.0]],
                     "p_w": 0.3}},
-        _run_ghz,
-    ),
-    _scenario(
+        run=_run_ghz),
+    Scenario(
         "zz-oscillation",
         "ZZ-coupled qubit pair oscillating through two invariant "
         "subalgebras; full rate table.",
         {"time_grid": {"start": 0.0, "stop": 2 * math.pi, "points": 61},
          "params": {"field_b": 1.0, "coupling_j": 1.0, "state": "plus-plus",
                     "amplitudes": [1.0 / math.sqrt(3.0), math.sqrt(2.0 / 3.0)]}},
-        _run_zz_oscillation,
-    ),
-    _scenario(
+        hamiltonian=_zz_chain,
+        initial_state=_zz_initial_state,
+        extras=_zz_memberships,
+        summary=_zz_summary),
+    Scenario(
         "effectively-isolated",
         "Interacting chain whose system marginals in the two perspectives "
         "stay unitarily related for all times.",
         {"params": {"field_b": 0.7, "coupling_j": 0.4, "amplitudes": [0.6, 0.8]}},
-        _run_effectively_isolated,
-    ),
-    _scenario(
+        hamiltonian=_zz_chain,
+        initial_state=lambda cfg: _pure(product_state(basis_state(2, 1), _qubit_amplitudes(cfg))),
+        candidates=_QUBIT_LABELS[1:],
+        extras=lambda cfg, times, rho, rho_s: {
+            "conjugation_dev": _max_dev(rho_s["j"], SIGMA_X @ rho_s["i"] @ SIGMA_X)},
+        summary=_effectively_isolated_summary),
+    Scenario(
         "relative-equilibrium",
         "System stationary and thermal for one frame while the other sees "
         "an oscillating thermal mixture.",
         {"params": {"a": 1.0, "b": 1.0, "beta": 1.0}},
-        _run_relative_equilibrium,
-    ),
-    _scenario(
+        hamiltonian=lambda cfg: (cfg.params["a"] * kron(SIGMA_X, ID2)
+                                 + cfg.params["b"] * kron(ID2, SIGMA_Z)),
+        initial_state=lambda cfg: kron(np.diag([1.0, 0.0]).astype(complex),
+                                       gibbs_state(SIGMA_Z, cfg.params["beta"])),
+        extras=_relative_equilibrium_deviations,
+        summary=lambda cfg, h, rho0, rows: {
+            key: max(row[key] for row in rows)
+            for key in ("mixture_formula_dev", "stationary_thermal_dev")}),
+    Scenario(
         "negative-temperature",
         "Stationary product state read as a positive-temperature Gibbs state "
         "by one frame and a negative-temperature one by the other.",
         {"time_grid": {"start": 0.0, "stop": 1.0, "points": 5},
          "params": {"mu": 2.0, "nu": 1.0, "beta": 1.0}},
-        _run_negative_temperature,
-    ),
-    _scenario(
+        hamiltonian=lambda cfg: (cfg.params["nu"] * kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z)
+                                 + cfg.params["mu"] * kron(SIGMA_Z, SIGMA_Z)),
+        initial_state=lambda cfg: kron(_EXCITED, gibbs_state(SIGMA_Z, cfg.params["beta"])),
+        extras=lambda cfg, times, rho, rho_s: {"rho_S_R1": rho_s["i"], "rho_S_R2": rho_s["j"]},
+        summary=_negative_temperature_summary,
+        extra_fields=("rho_S_R1", "rho_S_R2")),
+    Scenario(
         "isolated-vs-closed",
         "X(x)1 + 1(x)X, free for one frame and interacting for the other, "
         "conserves every effective energy for any state; the Bell state "
         "leaves S pure for frame i and maximally mixed for frame j.",
         {"params": {"state": "bell"}},
-        _run_isolated_vs_closed,
-    ),
-    _scenario(
+        hamiltonian=lambda cfg: kron(SIGMA_X, ID2) + kron(ID2, SIGMA_X),
+        initial_state=_isolated_vs_closed_state,
+        extras=_marginal_deviation,
+        summary=_isolated_vs_closed_summary),
+    Scenario(
         "zero-to-nonzero-entropy",
         "Zero entropy production for one frame, periodic production for the "
         "other, with a closed-form system purity.",
         {"params": {"beta": 1.0}},
-        _run_zero_to_nonzero_entropy,
-    ),
-    _scenario(
+        hamiltonian=lambda cfg: kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z),
+        initial_state=lambda cfg: kron(gibbs_state(SIGMA_Z, cfg.params["beta"]),
+                                       _pure(np.array([1.0, 1.0]) / math.sqrt(2.0))),
+        extras=lambda cfg, times, rho, rho_s: {
+            f"purity_s_{suffix}": np.trace(r @ r, axis1=-2, axis2=-1).real for suffix, r in rho_s.items()},
+        summary=_zero_to_nonzero_summary,
+        extra_fields=("purity_s_i", "purity_s_j")),
+    Scenario(
         "entropy-balance-oscillation",
         "Entropy balances of the two perspectives coinciding at special "
         "times and differing between them.",
         {"orientations": {"g_i": [0], "g_j": [1]},
          "time_grid": {"start": 0.0, "stop": 2 * math.pi, "points": 41}},
-        _run_entropy_balance_oscillation,
-    ),
-):
-    SCENARIOS[scenario.name] = scenario
+        hamiltonian=lambda cfg: kron(SIGMA_X, ID2) + kron(ID2, SIGMA_X),
+        initial_state=lambda cfg: _pure(product_state(basis_state(2, 1), basis_state(2, 0))),
+        candidates=_ENTROPY_BALANCE_LABELS,
+        summary=_entropy_balance_summary),
+)}
 
 
 def list_scenarios():
@@ -1100,11 +1040,7 @@ def list_scenarios():
 def run_scenario(source, scenario=None):
     """Parse, run, and collect one scenario into a ScenarioResult."""
     cfg = source if isinstance(source, ScenarioConfig) else parse_config(source, scenario)
-    rows, summary, extra_fields = SCENARIOS[cfg.scenario].run(cfg)
-    return ScenarioResult(
-        name=cfg.scenario,
-        config=cfg.raw,
-        rows=rows,
-        summary=summary,
-        extra_fields=tuple(extra_fields),
-    )
+    entry = SCENARIOS[cfg.scenario]
+    rows, summary = entry.run(cfg) if entry.run else _run_grid(cfg, entry)
+    return ScenarioResult(name=cfg.scenario, config=cfg.raw, rows=rows, summary=summary,
+                          extra_fields=entry.extra_fields)

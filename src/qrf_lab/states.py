@@ -18,7 +18,6 @@ from .operators import (
     dagger,
     degenerate_blocks,
     hs_norm,
-    kron,
     partial_trace,
     polar_unitary,
 )
@@ -240,33 +239,3 @@ def negative_temperature_predict(setup, h_s, beta, rho_frame, g_j, require_flip=
         q_a=q_a,
         predicted=predicted,
     )
-
-
-def random_global_with_s_marginal(rng, d_frame, marginal, kind="mixed"):
-    """Random state on (frame, system) whose system marginal equals marginal.
-
-    kind "pure" draws a Haar-like purification (needs d_frame >= rank),
-    kind "mixed" attaches random pure frame states to the eigenbasis.
-    """
-    marginal = np.asarray(marginal, dtype=complex)
-    vals, vecs = np.linalg.eigh(marginal)
-    keep = vals > SUPPORT_CUTOFF
-    vals, vecs = vals[keep], vecs[:, keep]
-    rank = vals.size
-    if kind == "pure":
-        if d_frame < rank:
-            raise ValueError("purification needs frame dimension >= marginal rank")
-        g = rng.normal(size=(d_frame, rank)) + 1j * rng.normal(size=(d_frame, rank))
-        frame_vecs = np.linalg.qr(g)[0]
-        psi = sum(
-            math.sqrt(vals[k]) * np.kron(frame_vecs[:, k], vecs[:, k])
-            for k in range(rank))
-        return np.outer(psi, psi.conj())
-    if kind == "mixed":
-        out = np.zeros((d_frame * marginal.shape[0],) * 2, dtype=complex)
-        for k in range(rank):
-            v = rng.normal(size=d_frame) + 1j * rng.normal(size=d_frame)
-            v /= np.linalg.norm(v)
-            out += vals[k] * kron(np.outer(v, v.conj()), np.outer(vecs[:, k], vecs[:, k].conj()))
-        return out
-    raise ValueError('kind must be "pure" or "mixed"')

@@ -29,8 +29,8 @@ means and energies cost O(d^2) per state after that one-off set-up; only
 e_star multiplies matrices, of subsystem size.
 
 entropy_production_and_flow splits the same way: initial_product checks
-once that rho0 is a frame (x) system product and keeps rho_frame(0) and both
-marginal entropies; entropy_balance, the core, reads rho(t), rho_frame(t),
+once that rho0 is a frame (x) system product and keeps both marginals and
+their entropies; entropy_balance, the core, reads rho(t), rho_frame(t),
 rho_s(t) and, when the caller holds it, S(rho_s(t)), and takes each entropy once.
 """
 
@@ -72,7 +72,11 @@ from .subalgebras import as_matrix, membership_test, pure_state_bilocal_witness
 
 
 class NonProductInitialStateError(ValueError):
-    """Entropy balance needs an initial product state."""
+    """Entropy balance needs an initial product state; .initial holds the state's InitialProduct fields."""
+
+    def __init__(self, message, initial=None):
+        super().__init__(message)
+        self.initial = initial
 
 
 @dataclass(frozen=True)
@@ -319,22 +323,27 @@ class EntropyBalance:
 
 
 class InitialProduct(NamedTuple):
-    """Frame marginal of an initial frame (x) system product state and both marginal entropies."""
+    """Both marginals of an initial frame (x) system product state and their entropies."""
 
     rho_frame: np.ndarray
+    rho_s: np.ndarray
     s_frame: float
     s_s: float
 
 
 def initial_product(setup, rho0_ibar, tol=1e-9):
-    """The InitialProduct of rho0; NonProductInitialStateError unless rho0 = rho_frame (x) rho_s."""
+    """The InitialProduct of rho0; NonProductInitialStateError unless rho0 = rho_frame (x) rho_s.
+
+    The error carries the same marginals and entropies of rho0 as its .initial.
+    """
     dims = (setup.d_frame, setup.d_s)
     rho0 = np.asarray(rho0_ibar, dtype=complex)
     rho_s0 = partial_trace(rho0, dims, drop=0)
     rho_f0 = partial_trace(rho0, dims, drop=1)
+    initial = InitialProduct(rho_f0, rho_s0, von_neumann_entropy(rho_f0), von_neumann_entropy(rho_s0))
     if hs_norm(rho0 - kron(rho_f0, rho_s0)) > tol * max(1.0, hs_norm(rho0)):
-        raise NonProductInitialStateError("initial state must be a frame (x) system product")
-    return InitialProduct(rho_f0, von_neumann_entropy(rho_f0), von_neumann_entropy(rho_s0))
+        raise NonProductInitialStateError("initial state must be a frame (x) system product", initial)
+    return initial
 
 
 def entropy_balance(initial, rho_t, rho_frame_t, rho_s_t, s_s_t=None):
@@ -530,7 +539,6 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     split_j = split_hamiltonian(h_j, setup.d_frame, setup.d_s)
     times = np.linspace(float(t0), float(t1), int(grid))
     rho0 = np.asarray(rho0, dtype=complex)
-    dims = (setup.d_frame, setup.d_s)
     evolution = GridEvolution(h_total)
     endpoints = evolution.states(rho0, times[[0, -1]])
     rho_t0, rho_t1 = endpoints
@@ -584,15 +592,17 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")
 
-    def product_check(rho):
-        rho_s = partial_trace(rho, dims, drop=0)
-        rho_f = partial_trace(rho, dims, drop=1)
-        return hs_norm(rho - kron(rho_f, rho_s)) <= 1e-9 * max(1.0, hs_norm(rho)), rho_f
+    def marginals(rho):
+        """(InitialProduct of rho, whether rho is a frame (x) system product)."""
+        try:
+            return initial_product(setup, rho), True
+        except NonProductInitialStateError as exc:
+            return exc.initial, False
 
-    product_at_t0, rho_f_t0 = product_check(rho_t0)
-    product_at_t1, rho_f_t1 = product_check(rho_t1)
+    (start_i, product_at_t0), (end_i, product_at_t1), (start_j, product_j), (end_j, _) = (
+        marginals(rho) for rho in (rho_t0, rho_t1, rho_j_t0, rho_j_t1))
     frame_marginal_static = bool(product_at_t0 and product_at_t1
-                                 and hs_norm(rho_f_t1 - rho_f_t0) <= 1e-9)
+                                 and hs_norm(end_i.rho_frame - start_i.rho_frame) <= 1e-9)
 
     y_factors_match = None
     if hasattr(x0, "y") and hasattr(x1, "y"):
@@ -601,11 +611,10 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     sigma_i = phi_i = sigma_j = phi_j = None
     pure_balance_zero = None
     if product_at_t0:
-        balance_i = entropy_production_and_flow(setup, rho_t0, rho_t1)
+        balance_i = entropy_balance(start_i, rho_t1, end_i.rho_frame, end_i.rho_s, end_i.s_s)
         sigma_i, phi_i = balance_i.sigma, balance_i.phi
-        product_j, _ = product_check(rho_j_t0)
         if product_j:
-            balance_j = entropy_production_and_flow(setup, rho_j_t0, rho_j_t1)
+            balance_j = entropy_balance(start_j, rho_j_t1, end_j.rho_frame, end_j.rho_s, end_j.s_s)
             sigma_j, phi_j = balance_j.sigma, balance_j.phi
         else:
             premises.append("transformed initial state is not a product")
@@ -623,23 +632,15 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     member_t1 = x1 is not None and membership_test(
         setup, rho_t1, x1, g_i, g_j, transformed=rho_j_t1).is_member
     if member_t0 and member_t1:
-        def marginal_entropies(rho):
-            return (von_neumann_entropy(partial_trace(rho, dims, drop=1)),
-                    von_neumann_entropy(partial_trace(rho, dims, drop=0)))
-
-        s_f_i0, s_s_i0 = marginal_entropies(rho_t0)
-        s_f_i1, s_s_i1 = marginal_entropies(rho_t1)
-        s_f_j0, s_s_j0 = marginal_entropies(rho_j_t0)
-        s_f_j1, s_s_j1 = marginal_entropies(rho_j_t1)
-        delta_s_frame_equal = bool(abs((s_f_i1 - s_f_i0) - (s_f_j1 - s_f_j0)) <= 1e-8)
-        delta_s_s_equal = bool(abs((s_s_i1 - s_s_i0) - (s_s_j1 - s_s_j0)) <= 1e-8)
+        delta_s_frame_equal = bool(abs((end_i.s_frame - start_i.s_frame)
+                                       - (end_j.s_frame - start_j.s_frame)) <= 1e-8)
+        delta_s_s_equal = bool(abs((end_i.s_s - start_i.s_s) - (end_j.s_s - start_j.s_s)) <= 1e-8)
 
         if product_at_t0 and hasattr(x0, "y") and hasattr(x1, "y"):
-            rho_frame_1 = partial_trace(rho_t1, dims, drop=1)
             y01 = x0.y @ dagger(x1.y)
-            rotated = y01 @ rho_frame_1 @ dagger(y01)
-            lhs = relative_entropy(rotated, rho_f_t0)
-            rhs = relative_entropy(rho_frame_1, rho_f_t0)
+            rotated = y01 @ end_i.rho_frame @ dagger(y01)
+            lhs = relative_entropy(rotated, start_i.rho_frame)
+            rhs = relative_entropy(end_i.rho_frame, start_i.rho_frame)
             y_condition_holds = _agree(lhs, rhs)
             if sigma_j is not None:
                 sigma_phi_equal = _agree(sigma_i, sigma_j) and _agree(phi_i, phi_j)

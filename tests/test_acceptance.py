@@ -1,7 +1,8 @@
 """End-to-end acceptance checks, one per headline behavior of the toolkit.
 
 Each test exercises a documented workflow at its stated tolerance, so a
-verbose run reads as a ten-line scorecard for the package.
+verbose run reads as a nine-line scorecard for the package; the randomized
+property suites and their time budget are in test_properties.py.
 """
 
 import json
@@ -10,7 +11,6 @@ import time
 
 import numpy as np
 
-import property_suites
 from qrf_lab import FrameSetup, Z2, qrf_transform
 from qrf_lab.dynamics import split_hamiltonian
 from qrf_lab.operators import (
@@ -239,14 +239,6 @@ def test_membership_flag_times_and_entropy_crossings():
         row = min(result.rows, key=lambda row: abs(row["t"] - t_flag))
         assert abs(row["t"] - t_flag) <= step / 2
         assert abs(row["SvN_s_i"] - row["SvN_s_j"]) <= 1e-8
-
-
-def test_randomized_property_suites_complete_quickly():
-    """Every randomized suite passes 100 fresh instances inside the budget."""
-    start = time.perf_counter()
-    for suite in property_suites.ALL_SUITES:
-        assert suite(n=100) == 100, suite.__name__
-    assert time.perf_counter() - start < 60.0
 
 
 def _zz_trajectory(setup, rng):

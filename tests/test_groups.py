@@ -66,3 +66,29 @@ def test_regular_representation_is_a_homomorphism():
                 assert np.allclose(u_g @ group.regular_representation(h),
                                    group.regular_representation(group.compose(g, h)),
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (4, r"element \(4,\) out of range"),
+    ([4], r"element \(4,\) out of range"),
+    ([1, 0], r"element \(1, 0\) has wrong number of components"),
+    ((-1,), r"element \(-1,\) out of range"),
+])
+def test_bad_elements_raise_through_the_tables(bad, message):
+    """index, compose, inverse and character reject what check_element rejects, with its message."""
+    calls = (lambda: Z4.index(bad), lambda: Z4.compose(bad, (1,)), lambda: Z4.compose((1,), bad),
+             lambda: Z4.inverse(bad), lambda: Z4.character(bad, (1,)), lambda: Z4.character((1,), bad),
+             lambda: Z4.regular_representation(bad))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_list_and_int_inputs_use_the_tables():
+    assert Z4.index([3]) == Z4.index(3) == 3
+    assert Z4.compose([1], 3) == (0,) and Z4.inverse(1) == (3,)
+    assert Z4.character([1], 1) == Z4.character((1,), (1,))
+    group = FiniteAbelianGroup((2, 3))
+    for g in group.elements:
+        assert group.compose(g, group.inverse(g)) == group.identity
+        assert group.elements[group.index(list(g))] == g

@@ -26,8 +26,8 @@ from qrf_lab.operators import (
     hs_norm,
     kron,
     matrix_exp_scaled,
+    matrix_function,
     matrix_log,
-    matrix_power,
     monomial_gather,
     partial_trace,
     polar_unitary,
@@ -123,7 +123,7 @@ def test_matrix_log_and_power():
     rho = scipy.linalg.expm(h)
     rho = rho / np.trace(rho)
     assert np.allclose(scipy.linalg.expm(matrix_log(rho)), rho, atol=1e-10)
-    assert np.allclose(matrix_power(rho, 2.0), rho @ rho, atol=1e-12)
+    assert np.allclose(matrix_function(rho, np.square), rho @ rho, atol=1e-12)
 
 
 def test_polar_unitary():

@@ -114,6 +114,31 @@ def test_rejected_configs_name_the_offender(config, path_fragment):
     assert path_fragment in str(err.value)
 
 
+FLOAT_PARAMS = [(name, key) for name, entry in scenarios.SCENARIOS.items()
+                for key, value in entry.defaults.get("params", {}).items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("name, key", FLOAT_PARAMS, ids=lambda value: value)
+def test_float_parameters_are_validated_by_parse_config(name, key):
+    """A parameter with a float default is checked once, in parse_config, under its params path."""
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": name, "params": {key: "1.5"}})
+    assert (err.value.path, err.value.reason) == (f"params.{key}", "expected a finite number, got '1.5'")
+    cfg = parse_config({"scenario": name, "params": {key: 2}})
+    assert cfg.params[key] == 2.0 and isinstance(cfg.params[key], float)
+    assert cfg.raw["params"][key] == 2 and isinstance(cfg.raw["params"][key], int)
+
+
+def test_ghz_p_w_is_rejected_in_every_variant():
+    # The separable and global variants do not read p_w, but parse_config checks it all the same.
+    for variant in ("separable", "global", "mixed-w"):
+        with pytest.raises(ConfigError, match=r"params\.p_w: expected a finite number"):
+            run_scenario({"scenario": "ghz", "params": {"variant": variant, "p_w": None}})
+    with pytest.raises(ConfigError, match=r"params\.p_w: expected a probability"):
+        run_scenario({"scenario": "ghz", "params": {"variant": "mixed-w", "p_w": 1.5}})
+    assert run_scenario({"scenario": "ghz", "params": {"p_w": 1.5}}).summary["variant"] == "separable"
+
+
 def test_unknown_scenario_lists_valid_names():
     with pytest.raises(ConfigError) as err:
         parse_config({"scenario": "nope"})

@@ -14,7 +14,6 @@ from qrf_lab.states import (
     negative_temperature_predict,
     product_state,
     purity,
-    random_global_with_s_marginal,
     relative_entropy,
     renyi_entropy,
     subsystem_equivalence_witness,
@@ -153,14 +152,3 @@ def test_negative_temperature_requires_sectors():
     h_s = SIGMA_Z + 0.3 * SIGMA_X
     with pytest.raises(ValueError):
         negative_temperature_predict(setup, h_s, 1.0, np.eye(2) / 2, (0,))
-
-
-def test_random_global_with_s_marginal():
-    rng = np.random.default_rng(1)
-    marginal = gibbs_state(SIGMA_Z, 0.7)
-    rho = random_global_with_s_marginal(rng, 3, marginal)
-    from qrf_lab.operators import partial_trace
-    assert np.allclose(partial_trace(rho, (3, 2), drop=0), marginal, atol=1e-10)
-    assert np.isclose(np.trace(rho), 1.0)
-    vals = np.linalg.eigvalsh(rho)
-    assert vals.min() > -1e-12
