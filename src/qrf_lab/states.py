@@ -66,7 +66,8 @@ def gibbs_state(hamiltonian, beta):
     """exp(-beta H) / Z."""
     hamiltonian = assert_hermitian(np.asarray(hamiltonian, dtype=complex), what="Hamiltonian")
     vals, vecs = np.linalg.eigh(hamiltonian)
-    weights = np.exp(-beta * (vals - vals.min()))
+    # Shifted so that the largest weight is 1: no exp overflows, at either sign of beta.
+    weights = np.exp(-beta * (vals - (vals.min() if beta >= 0 else vals.max())))
     weights /= weights.sum()
     return (vecs * weights) @ dagger(vecs)
 

@@ -1,5 +1,7 @@
 """Tests for state constructors, entropies, and subsystem relations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,20 @@ def test_negative_temperature_prediction():
     assert report.commuting_sector == [(0,)]
     assert np.isclose(report.q_a, 1.0)
     assert np.allclose(report.predicted, gibbs_state(SIGMA_Z, -beta), atol=1e-12)
+
+
+def test_negative_temperature_prediction_does_not_overflow():
+    # beta * (lambda_max - lambda_min) = 2e4 is far past the exp overflow at about 709.
+    setup = FrameSetup.from_rep_config(Z2, "regular")
+    h_s = 1e4 * SIGMA_X
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = negative_temperature_predict(setup, h_s, 1.0, np.diag([0.0, 1.0]), (0,))
+        hot = gibbs_state(h_s, -1.0)
+    minus, plus = np.array([1.0, -1.0]) / np.sqrt(2.0), np.array([1.0, 1.0]) / np.sqrt(2.0)
+    assert np.isfinite(report.predicted).all()
+    assert np.allclose(report.predicted, np.outer(minus, minus), atol=1e-12)
+    assert np.allclose(hot, np.outer(plus, plus), atol=1e-12)
 
 
 def test_negative_temperature_requires_sectors():
