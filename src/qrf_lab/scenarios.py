@@ -769,7 +769,8 @@ def _zz_summary(cfg, h, rho0, rows):
 
 def _effectively_isolated_summary(cfg, h, rho0, rows):
     dims = (cfg.setup.d_frame, cfg.setup.d_s)
-    h_tilde_s = mean_field_hamiltonian(split_hamiltonian(h, *dims), partial_trace(rho0, dims, drop=1), on="s")
+    h_tilde_s = mean_field_hamiltonian(split_hamiltonian(h, *dims), partial_trace(rho0, dims, drop=1),
+                                       on="s")
     return {
         "conjugation_dev": max(row["conjugation_dev"] for row in rows),
         "h_tilde_s_dev_from_minus_2j_z": float(
@@ -878,13 +879,12 @@ def _run_grid(cfg, entry):
 class Scenario:
     """One catalog entry: its name, description and config defaults, then how it runs.
 
-    A static scenario sets run(cfg) -> (rows, summary).  A time-grid scenario
-    leaves run unset, and _run_grid builds it from the other parts:
-    hamiltonian(cfg), the default H, which a config "hamiltonian" replaces;
-    initial_state(cfg), rho0 in frame i's perspective; candidates, the labels X
-    whose membership fills in_AX; extras(cfg, times, rho, rho_s), per-time
-    columns; and summary(cfg, h, rho0, rows).  extra_fields names the extras
-    that JSON renders after the shared columns.
+    A static scenario sets run(cfg) -> (rows, summary).  _run_grid runs a
+    time-grid scenario from the other parts: hamiltonian(cfg), the default H
+    (a config "hamiltonian" replaces it); initial_state(cfg), rho0 in frame
+    i's perspective; candidates, the labels X whose membership fills in_AX;
+    extras(cfg, times, rho, rho_s), per-time columns; summary(cfg, h, rho0,
+    rows); and extra_fields, the extras JSON renders after the shared columns.
     """
 
     name: str
@@ -1015,8 +1015,8 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         hamiltonian=lambda cfg: kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z),
         initial_state=lambda cfg: kron(gibbs_state(SIGMA_Z, cfg.params["beta"]),
                                        _pure(np.array([1.0, 1.0]) / math.sqrt(2.0))),
-        extras=lambda cfg, times, rho, rho_s: {
-            f"purity_s_{suffix}": np.trace(r @ r, axis1=-2, axis2=-1).real for suffix, r in rho_s.items()},
+        extras=lambda cfg, times, rho, rho_s: {f"purity_s_{suffix}": np.trace(r @ r, axis1=-2, axis2=-1).real
+                                               for suffix, r in rho_s.items()},
         summary=_zero_to_nonzero_summary,
         extra_fields=("purity_s_i", "purity_s_j")),
     Scenario(

@@ -72,9 +72,9 @@ from .subalgebras import as_matrix, membership_test, pure_state_bilocal_witness
 
 
 class NonProductInitialStateError(ValueError):
-    """Entropy balance needs an initial product state; .initial holds the state's InitialProduct fields."""
+    """Entropy balance needs an initial product state; .initial has the state's marginals anyway."""
 
-    def __init__(self, message, initial=None):
+    def __init__(self, message, initial):
         super().__init__(message)
         self.initial = initial
 
