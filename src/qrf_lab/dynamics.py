@@ -5,8 +5,9 @@ interaction pieces with the identity component shared evenly between the
 two local parts, so the split is unique and reassembles exactly.
 
 Trajectories over a time grid come from GridEvolution: one
-eigendecomposition of H serves every time, and the grid is walked in
-blocks whose (k, d, d) complex stacks stay within STACK_BYTES.
+eigendecomposition of H serves every time, each state is formed from the
+eigenbasis without forming U(t), and the grid is walked in blocks whose
+(k, d, d) complex stacks stay within STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     return split_new, pieces
 
 
-STACK_BYTES = 64 * 1024
+STACK_BYTES = 128 * 1024
 
 
 def block_length(d):
@@ -174,28 +175,38 @@ def block_length(d):
 class GridEvolution:
     """Exact evolution of density matrices under one Hamiltonian, many times at once.
 
-    H = V diag(lambda) V' is diagonalized once.  U(t) = V exp(-i lambda t) V'
-    and U rho0 U' are formed with the same operations as evolve, so every
-    state on a grid equals evolve at that time bit for bit.
+    H = V diag(lambda) V' is diagonalized once, and rho0 is rotated once per
+    trajectory to r = V' rho0 V.  Each state is B r B' with
+    B = V diag(exp(-i lambda t)): two d x d products per time, and U(t) is
+    never formed.  evolve uses the same formula, so every state on a grid
+    equals evolve at that time bit for bit.
     """
 
     def __init__(self, hamiltonian):
         hamiltonian = assert_hermitian(np.asarray(hamiltonian, dtype=complex))
         self.vals, self.vecs = np.linalg.eigh(hamiltonian)
 
+    def _rotate(self, rho0):
+        return dagger(self.vecs) @ np.asarray(rho0, dtype=complex) @ self.vecs
+
+    def _from_eigenbasis(self, rotated, times):
+        b = self.vecs * np.exp(np.multiply.outer(-1j * times, self.vals))[:, None, :]
+        out = b @ rotated
+        np.conjugate(b, out=b)  # B' in place, so the block holds no further stack
+        return out @ b.swapaxes(-1, -2)
+
     def states(self, rho0, times):
         """rho(t) for every time, as one (len(times), d, d) stack."""
-        phases = np.exp(np.multiply.outer(-1j * np.asarray(times, dtype=float), self.vals))
-        u = (self.vecs * phases[:, None, :]) @ dagger(self.vecs)
-        return u @ np.asarray(rho0, dtype=complex) @ dagger(u)
+        return self._from_eigenbasis(self._rotate(rho0), np.asarray(times, dtype=float))
 
     def blocks(self, rho0, times):
         """Yield (times, states) over the grid, at most block_length(d) times at a time."""
         times = np.asarray(times, dtype=float)
+        rotated = self._rotate(rho0)
         k = block_length(self.vals.size)
         for start in range(0, times.size, k):
             block = times[start:start + k]
-            yield block, self.states(rho0, block)
+            yield block, self._from_eigenbasis(rotated, block)
 
 
 def propagator(hamiltonian, t):
@@ -204,11 +215,10 @@ def propagator(hamiltonian, t):
 
 def evolve(hamiltonian, state, t):
     """Exact evolution of a vector or density matrix by the given time."""
-    u = propagator(hamiltonian, t)
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        return u @ state
-    return u @ state @ dagger(u)
+        return propagator(hamiltonian, t) @ state
+    return GridEvolution(hamiltonian).states(state, [t])[0]
 
 
 @dataclass

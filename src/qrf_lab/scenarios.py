@@ -317,10 +317,16 @@ def parse_config(source, scenario=None):
     for key in params:
         _require(key in defaults, f"params.{key}",
                  "unknown parameter; expected one of: " + ", ".join(sorted(defaults)))
-    # A parameter whose default is a float is validated here, once; the
-    # config echo (merged) keeps the value as given.
+    # A parameter whose default is a float or an amplitude list is validated
+    # here, once, whichever branch reads it; the config echo (merged) keeps
+    # the value as given.
     params = {key: _as_float(value, f"params.{key}") if isinstance(defaults[key], float) else value
               for key, value in params.items()}
+    for key, count, message in (("amplitudes", 2, "expected two amplitudes"),
+                                ("frame_amplitudes", group.order, f"expected {group.order} amplitudes")):
+        if key in params:
+            params[key] = _as_complex_vector(params[key], f"params.{key}")
+            _require(params[key].size == count, f"params.{key}", message)
 
     return ScenarioConfig(
         scenario=name,
@@ -515,12 +521,6 @@ def _require_qubit_pair(cfg):
              f"scenario {cfg.scenario!r} needs one qubit frame pair and a qubit system")
 
 
-def _qubit_amplitudes(cfg):
-    amplitudes = _as_complex_vector(cfg.params["amplitudes"], "params.amplitudes")
-    _require(amplitudes.size == 2, "params.amplitudes", "expected two amplitudes")
-    return amplitudes
-
-
 def _static_entropy_row(cfg, psi_or_rho):
     """A t = 0 row of system entropies for a state, or for a stack of states.
 
@@ -596,7 +596,7 @@ def _run_w_state(cfg):
     setup = cfg.setup
     _require(setup.d_frame == 2 and setup.d_s == 2 ** (n - 2), "params.n_qubits",
              f"representation dimension {setup.d_s} does not match {n} qubits")
-    psi = product_state(_qubit_amplitudes(cfg), w_state(n - 2))
+    psi = product_state(cfg.params["amplitudes"], w_state(n - 2))
     row, rho, rho_s = _static_entropy_row(cfg, psi)
     witness = pure_state_bilocal_witness(setup, psi, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
     row["in_AX"] = witness is not None
@@ -624,9 +624,6 @@ def _run_gb_states(cfg):
              "scenario needs the system to carry two regular factors")
     shift = _build_orientation(group, cfg.params["shift"], "params.shift")
     character = _build_orientation(group, cfg.params["character"], "params.character")
-    amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"], "params.frame_amplitudes")
-    _require(amplitudes.size == group.order, "params.frame_amplitudes",
-             f"expected {group.order} amplitudes")
 
     basis = [gb_state(group, h, k) for h in group.elements for k in group.elements]
     gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
@@ -638,7 +635,7 @@ def _run_gb_states(cfg):
         rhs = group.character(k, group.inverse(g)) * v
         eigen_dev = max(eigen_dev, float(np.abs(lhs - rhs).max()))
 
-    psi = product_state(amplitudes, gb_state(group, shift, character))
+    psi = product_state(cfg.params["frame_amplitudes"], gb_state(group, shift, character))
     row, rho, _ = _static_entropy_row(cfg, psi)
     y = sum(group.character(character, g)
             * np.outer(basis_state(group.order, group.index(group.inverse(g))),
@@ -669,8 +666,7 @@ def _run_ghz(cfg):
     flip_x = BilocalUnitary(np.eye(2), kron(SIGMA_X, SIGMA_X, SIGMA_X))
 
     if variant == "separable":
-        amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"], "params.frame_amplitudes")
-        psi = product_state(amplitudes, ghz_s)
+        psi = product_state(cfg.params["frame_amplitudes"], ghz_s)
         row, rho, rho_s = _static_entropy_row(cfg, psi)
         res = _member(cfg, rho, identity_x)
         row["in_AX"] = res.is_member
@@ -702,9 +698,8 @@ def _run_ghz(cfg):
 
     p_w = cfg.params["p_w"]
     _require(0.0 <= p_w <= 1.0, "params.p_w", "expected a probability")
-    amplitudes = _as_complex_vector(cfg.params["frame_amplitudes"], "params.frame_amplitudes")
     psi_w = product_state(basis_state(2, 1), w_state(3))
-    psi_g = product_state(amplitudes, ghz_s)
+    psi_g = product_state(cfg.params["frame_amplitudes"], ghz_s)
     rho_mixed = (p_w * np.outer(psi_w, psi_w.conj())
                  + (1.0 - p_w) * np.outer(psi_g, psi_g.conj()))
     row, rho, rho_s = _static_entropy_row(cfg, rho_mixed)
@@ -749,7 +744,7 @@ def _zz_initial_state(cfg):
     if state == "plus-plus":
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         return _pure(product_state(plus, plus))
-    return _pure(product_state(basis_state(2, 1), _qubit_amplitudes(cfg)))
+    return _pure(product_state(basis_state(2, 1), cfg.params["amplitudes"]))
 
 
 def _zz_memberships(cfg, times, rho, rho_s):
@@ -967,7 +962,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         "stay unitarily related for all times.",
         {"params": {"field_b": 0.7, "coupling_j": 0.4, "amplitudes": [0.6, 0.8]}},
         hamiltonian=_zz_chain,
-        initial_state=lambda cfg: _pure(product_state(basis_state(2, 1), _qubit_amplitudes(cfg))),
+        initial_state=lambda cfg: _pure(product_state(basis_state(2, 1), cfg.params["amplitudes"])),
         candidates=_QUBIT_LABELS[1:],
         extras=lambda cfg, times, rho, rho_s: {
             "conjugation_dev": _max_dev(rho_s["j"], SIGMA_X @ rho_s["i"] @ SIGMA_X)},

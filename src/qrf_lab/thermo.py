@@ -36,6 +36,7 @@ rho_s(t) and, when the caller holds it, S(rho_s(t)), and takes each entropy once
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -528,7 +529,8 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     the rates read its marginals (state_marginals) in both perspectives.
 
     Rates scale as ||H||^2, so rates_match compares the unscaled
-    rates_max_gap with rate_tol * ||H||_2^2 (spectral norm).
+    rates_max_gap with rate_tol * ||H||_2^2, the spectral norm being
+    max |lambda| of the grid's eigendecomposition.
     """
     premises = []
     h_total = split.total
@@ -559,24 +561,26 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         premises.append("no subalgebra witness available at the initial time")
 
     membership_ok = False
+    in_grid = []  # membership in A_x0 at each grid time
     rates_max_gap = math.inf
     both_bare_max_gap = 0.0
     if x0 is not None:
         x0_mat = as_matrix(x0)
         h_imported = hermitian_part(dagger(x0_mat) @ h_j @ x0_mat)
         split_imported = split_hamiltonian(h_imported, setup.d_frame, setup.d_s)
-        membership_ok = True
         rates_max_gap = 0.0
         # Each block keeps only the marginals of rho and rho_dot in both
-        # perspectives; the rates run once per run of times whose subsystem
-        # stacks fit in STACK_BYTES.
-        run = block_length(max(setup.d_frame, setup.d_s))
-        for start in range(0, times.size, run):
+        # perspectives; the rates run once per run of whole blocks whose
+        # subsystem stacks fit in STACK_BYTES.
+        k = block_length(setup.d_perspective)
+        per_run = block_length(max(setup.d_frame, setup.d_s)) // k
+        blocks = evolution.blocks(rho0, times)
+        for _ in range(0, times.size, per_run * k):
             seen_i, seen_j, e_imported = [], [], []
-            for _, rho_t in evolution.blocks(rho0, times[start:start + run]):
+            for _, rho_t in itertools.islice(blocks, per_run):
                 rho_jt = change.conjugate(rho_t)
-                membership_ok &= bool(membership_test(setup, rho_t, x0, g_i, g_j,
-                                                      transformed=rho_jt).is_member.all())
+                in_grid += membership_test(setup, rho_t, x0, g_i, g_j,
+                                           transformed=rho_jt).is_member.tolist()
                 seen_i.append(state_marginals(split, rho_t))
                 seen_j.append(state_marginals(split_j, rho_jt))
                 e_imported.append(_real(_trace_product(split_imported.total, rho_t)))
@@ -589,6 +593,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
             rates_bare = marginal_energetics(split, prescription, marginals_i).rates_vector()
             rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
             both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
+        membership_ok = all(in_grid)
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")
 
@@ -627,10 +632,10 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
 
     delta_s_s_equal = delta_s_frame_equal = None
     y_condition_holds = sigma_phi_equal = None
-    member_t0 = x0 is not None and membership_test(
-        setup, rho_t0, x0, g_i, g_j, transformed=rho_j_t0).is_member
-    member_t1 = x1 is not None and membership_test(
-        setup, rho_t1, x1, g_i, g_j, transformed=rho_j_t1).is_member
+    # With x1 = x0 the grid loop has already tested both endpoints.
+    member_t0 = x0 is not None and in_grid[0]
+    member_t1 = x1 is not None and (in_grid[-1] if x1 is x0 else membership_test(
+        setup, rho_t1, x1, g_i, g_j, transformed=rho_j_t1).is_member)
     if member_t0 and member_t1:
         delta_s_frame_equal = bool(abs((end_i.s_frame - start_i.s_frame)
                                        - (end_j.s_frame - start_j.s_frame)) <= 1e-8)
@@ -651,7 +656,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         times=times,
         rates_max_gap=float(rates_max_gap),
         rates_match=bool(x0 is not None and membership_ok
-                         and rates_max_gap <= rate_tol * np.linalg.norm(h_total, 2) ** 2),
+                         and rates_max_gap <= rate_tol * np.abs(evolution.vals).max() ** 2),
         both_bare_max_gap=float(both_bare_max_gap),
         membership_ok=membership_ok,
         product_at_t0=product_at_t0,

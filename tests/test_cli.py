@@ -76,6 +76,11 @@ def test_config_file_target(tmp_path, capsys):
     (["run", "ghz", "--set", "tolerance=-2"], "tolerance"),
     (["run", "relative-equilibrium", "--set", "params.beta=NaN"], "params.beta"),
     (["run", "zz-oscillation", "--set", "orientations.g_i=[0.7]"], "orientations.g_i[0]"),
+    # Amplitude lists are checked even where the chosen variant or state does not read them.
+    (["run", "ghz", "--set", 'params.variant="global"', "--set", 'params.frame_amplitudes="junk"'],
+     "params.frame_amplitudes: expected a non-empty list"),
+    (["run", "zz-oscillation", "--set", "params.amplitudes=[1,2,3]"],
+     "params.amplitudes: expected two amplitudes"),
 ])
 def test_config_errors_exit_two(argv, fragment, capsys):
     assert main(argv) == 2

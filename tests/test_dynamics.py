@@ -32,6 +32,8 @@ from qrf_lab.operators import (
 )
 from qrf_lab.subalgebras import BilocalUnitary
 
+from property_suites import haar_conjugated_z3_setup, setup_pool
+
 E = (0,)
 
 
@@ -218,6 +220,33 @@ def test_grid_evolution_does_not_depend_on_block_boundaries():
         assert np.array_equal(rho, evolve(h, rho0, t))
 
 
+def dense_grid_oracle(h, rho0, times):
+    """U(t) = V exp(-i lambda t) V' formed for every time, then U rho0 U'."""
+    vals, vecs = np.linalg.eigh(h)
+    u = (vecs * np.exp(np.multiply.outer(-1j * times, vals))[:, None, :]) @ dagger(vecs)
+    return u @ rho0 @ dagger(u)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_grid_states_match_the_dense_propagator(scale):
+    """States formed in H's eigenbasis equal U(t) rho0 U(t)', on every setup of the pool
+    and the dense Haar-conjugated Z3 rep, with H structured by the perspective change."""
+    rng = np.random.default_rng(17)
+    times = np.linspace(-2.0, 3.0, 37)
+    for setup in setup_pool() + [haar_conjugated_z3_setup()]:
+        d = setup.d_perspective
+        elements = setup.group.elements
+        change = setup.perspective_change(*(elements[int(rng.integers(len(elements)))] for _ in range(2)))
+        h = change.conjugate(random_hermitian(rng, d, scale))
+        h = (h + dagger(h)) / 2
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho0 = g @ dagger(g) / np.trace(g @ dagger(g)).real
+        evolution = GridEvolution(h)
+        states = evolution.states(rho0, times)
+        assert np.abs(states - dense_grid_oracle(h, rho0, times)).max() <= 1e-12 * hs_norm(rho0)
+        assert np.array_equal(np.concatenate([s for _, s in evolution.blocks(rho0, times)]), states)
+
+
 def test_grid_blocks_stay_within_the_stack_budget():
     itemsize = np.dtype(complex).itemsize
     for d in (2, 4, 9, 16, 27, 64, 100):
@@ -227,4 +256,4 @@ def test_grid_blocks_stay_within_the_stack_budget():
         assert (k + 1) * d * d * itemsize > STACK_BYTES
     h = random_hermitian(np.random.default_rng(3), 27)
     sizes = [states.shape[0] for _, states in GridEvolution(h).blocks(np.eye(27) / 27, np.linspace(0, 1, 12))]
-    assert sizes == [5, 5, 2]
+    assert sizes == [11, 1]

@@ -129,6 +129,25 @@ def test_float_parameters_are_validated_by_parse_config(name, key):
     assert cfg.raw["params"][key] == 2 and isinstance(cfg.raw["params"][key], int)
 
 
+AMPLITUDE_PARAMS = [(name, key) for name, entry in scenarios.SCENARIOS.items()
+                    for key in entry.defaults.get("params", {}) if key in ("amplitudes", "frame_amplitudes")]
+
+
+@pytest.mark.parametrize("name, key", AMPLITUDE_PARAMS, ids=lambda value: value)
+def test_amplitude_lists_are_validated_by_parse_config(name, key):
+    """An amplitude list is checked once, in parse_config, for its entries and its count."""
+    given = scenarios.SCENARIOS[name].defaults["params"][key]
+    for bad, reason in (("junk", "expected a non-empty list"),
+                        (given + [1.0], f"expected {'two' if key == 'amplitudes' else len(given)} amplitudes")):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"scenario": name, "params": {key: bad}})
+        assert (err.value.path, err.value.reason) == (f"params.{key}", reason)
+    doubled = (2 * np.asarray(given)).tolist()
+    cfg = parse_config({"scenario": name, "params": {key: doubled}})
+    assert np.isclose(np.linalg.norm(cfg.params[key]), 1.0)  # normalised once, here
+    assert cfg.raw["params"][key] == doubled
+
+
 def test_ghz_p_w_is_rejected_in_every_variant():
     # The separable and global variants do not read p_w, but parse_config checks it all the same.
     for variant in ("separable", "global", "mixed-w"):
@@ -270,7 +289,7 @@ def test_each_state_is_conjugated_once(monkeypatch, name):
     monkeypatch.setattr(frames, "qrf_transform", forbidden)
     monkeypatch.setattr(scenarios, "qrf_transform", forbidden, raising=False)
     initial, evolved, conjugated = set(), Counter(), Counter()
-    states, conjugate = GridEvolution.states, PerspectiveChange.conjugate
+    states, blocks, conjugate = GridEvolution.states, GridEvolution.blocks, PerspectiveChange.conjugate
 
     def record_states(self, rho0, times):
         out = states(self, rho0, times)
@@ -278,12 +297,20 @@ def test_each_state_is_conjugated_once(monkeypatch, name):
         evolved.update(rho.tobytes() for rho in out)
         return out
 
+    def record_blocks(self, rho0, times):
+        initial.add(np.asarray(rho0, dtype=complex).tobytes())
+        for block, out in blocks(self, rho0, times):
+            evolved.update(rho.tobytes() for rho in out)
+            yield block, out
+
     def record_conjugate(self, ops):
         ops = np.asarray(ops, dtype=complex)
         conjugated.update(m.tobytes() for m in ops.reshape((-1,) + ops.shape[-2:]))
         return conjugate(self, ops)
 
+    # blocks forms its states without calling states, so both are recorded.
     monkeypatch.setattr(GridEvolution, "states", record_states)
+    monkeypatch.setattr(GridEvolution, "blocks", record_blocks)
     monkeypatch.setattr(PerspectiveChange, "conjugate", record_conjugate)
     result = run_scenario({"scenario": name})
     assert sum(evolved.values()) >= len(result.rows)

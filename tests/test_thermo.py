@@ -1,9 +1,12 @@
 """Tests for energy accounting, entropy balance, and Gibbs classification."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qrf_lab import FrameSetup, Z2
+from qrf_lab import FrameSetup, Z2, Z4, dynamics
 from qrf_lab.dynamics import block_length, evolve, split_hamiltonian, transform_hamiltonian_pieces
 from qrf_lab.operators import (
     ID2,
@@ -278,7 +281,8 @@ def test_balance_verifiers_matches_the_per_time_formula(case, prescription):
 
 
 def test_balance_verifiers_conjugates_each_state_once(monkeypatch):
-    """H, the two endpoints and each grid state go through u once, and through x once.
+    """H, the two endpoints and each grid state go through u once; each grid state goes
+    through x once, and the endpoints, being grid states, are not tested again.
 
     rho_dot is never formed, so it is never conjugated either.
     """
@@ -301,9 +305,82 @@ def test_balance_verifiers_conjugates_each_state_once(monkeypatch):
             return _original(self, ops)
         monkeypatch.setattr(cls, "conjugate", counting)
     counted = run()
-    assert counts == {"PerspectiveChange": 1 + 2 + grid, "BilocalUnitary": grid + 2}
+    assert counts == {"PerspectiveChange": 1 + 2 + grid, "BilocalUnitary": grid}
     assert counted.membership_ok and counted.rates_match
     assert counted.rates_max_gap == plain.rates_max_gap
+
+
+def test_balance_verifiers_reads_the_endpoint_verdicts_from_the_grid():
+    """With x1 = x0 the endpoint verdicts are the grid's first and last: a state that starts
+    in A_x and leaves it under a generic H fails the endpoint premise."""
+    rng = np.random.default_rng(59)
+    setup, _, rho0, x, g_i, g_j = _projected_member_trajectory(setup_pool()[2], rng)
+    h = random_hermitian(rng, setup.d_perspective)
+    report = balance_verifiers(setup, split_hamiltonian(h, setup.d_frame, setup.d_s), rho0, g_i, g_j,
+                               Prescription.split_alpha(0.5), 0.0, 1.5, x0=x, x1=x, grid=9)
+    assert membership_test(setup, rho0, x, g_i, g_j).is_member
+    assert not membership_test(setup, evolve(h, rho0, 1.5), x, g_i, g_j).is_member
+    assert not report.membership_ok
+    assert report.delta_s_s_equal is None and report.delta_s_frame_equal is None
+    assert "membership at both endpoint times is required for entropy-change checks" in report.premises_not_met
+
+
+def _wide_member_trajectory():
+    """A member trajectory at d_p = 64: Z4 with tensor_power 2."""
+    return _projected_member_trajectory(FrameSetup.from_rep_config(Z4, {"tensor_power": 2}),
+                                        np.random.default_rng(53))
+
+
+def test_balance_report_does_not_depend_on_the_block_budget(monkeypatch):
+    """Booleans and premises are equal, and the rate gaps agree to round-off, whether a
+    block holds one time or the whole grid."""
+    rng = np.random.default_rng(47)
+    cases = []
+    for member in (_projected_member_trajectory(setup_pool()[2], rng), _wide_member_trajectory()):
+        setup = member[0]
+        non_member = (setup, random_hermitian(rng, setup.d_perspective),
+                      random_product_state(rng, setup.d_frame, setup.d_s)) + member[3:]
+        cases += [(member, True), (non_member, False)]
+    for (setup, h, rho0, x, g_i, g_j), inside in cases:
+        split = split_hamiltonian(h, setup.d_frame, setup.d_s)
+        scale = np.linalg.norm(split.total, 2) ** 2
+        reports = []
+        for budget in (16 * 1024, 128 * 1024, 4 * 1024 * 1024):
+            monkeypatch.setattr(dynamics, "STACK_BYTES", budget)
+            reports.append(balance_verifiers(setup, split, rho0, g_i, g_j,
+                                             Prescription.split_alpha(0.4), 0.0, 1.5,
+                                             x0=x, x1=x, grid=50))
+        first = reports[0]
+        assert first.membership_ok == inside
+        for report in reports[1:]:
+            for field in dataclasses.fields(report):
+                a, b = getattr(first, field.name), getattr(report, field.name)
+                if field.name in ("rates_max_gap", "both_bare_max_gap"):
+                    assert abs(a - b) <= 1e-12 * scale, field.name
+                elif field.name == "times":
+                    assert np.array_equal(a, b)
+                else:
+                    assert a == b, field.name
+
+
+def test_balance_verifiers_memory_at_the_widest_frame():
+    """At d_p = 64 on a grid of 50, the blocks keep the traced peak at or below 4 MiB."""
+    setup, h, rho0, x, g_i, g_j = _wide_member_trajectory()
+    split = split_hamiltonian(h, setup.d_frame, setup.d_s)
+
+    def run(grid):
+        return balance_verifiers(setup, split, rho0, g_i, g_j, Prescription.split_alpha(0.5),
+                                 0.0, 1.5, x0=x, x1=x, grid=grid)
+
+    run(2)  # builds the perspective change and the split's cached pieces
+    tracemalloc.start()
+    try:
+        report = run(50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.membership_ok and report.rates_match
+    assert peak <= 4 * 1024 * 1024, peak
 
 
 def test_balance_verifiers_report_missing_premises():
