@@ -27,6 +27,7 @@ from .operators import (
     kron,
     matrix_exp_scaled,
     partial_trace,
+    product_trace_maps,
     read_only,
     twirl,
 )
@@ -43,8 +44,8 @@ class HamiltonianSplit:
 
     The split is frozen and keeps read-only complex copies of its pieces,
     so what it derives from them is built once, on first use, and kept on
-    the split: the total, the two mean-field maps, and the eigenspace
-    projectors of the local pieces.
+    the split: the total, the two mean-field maps, the two product-trace
+    maps of h_int, and the eigenspace projectors of the local pieces.
     """
 
     h_frame: np.ndarray
@@ -83,6 +84,11 @@ class HamiltonianSplit:
             "s": read_only(t.transpose(2, 0, 1, 3).reshape(d_f * d_f, d_s * d_s)),
             "frame": read_only(t.transpose(3, 1, 0, 2).reshape(d_s * d_s, d_f * d_f)),
         }
+
+    @cached_property
+    def product_trace_maps(self):
+        """product_trace_maps of h_int: what product_partial_traces contracts a state against."""
+        return tuple(map(read_only, product_trace_maps(self.h_int, (self.d_frame, self.d_s))))
 
     @cached_property
     def eigenspace_projectors(self):

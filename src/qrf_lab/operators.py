@@ -8,8 +8,11 @@ Conventions used throughout the package:
   largest entry, so rescaling A does not change the verdict;
 * eigenvalues below -1e-8 on nominally positive operators are treated as
   a real indefiniteness, smaller negatives as round-off;
-* dagger, kron, partial_trace and hs_norm also take stacks (..., d, d) of
-  operators, one per time point, and act on each matrix of the stack.
+* dagger, kron, partial_trace, product_partial_traces and hs_norm also take
+  stacks (..., d, d) of operators, one per time point, and act on each
+  matrix of the stack; a stack's hs_norm is one real dot per matrix;
+* product_partial_traces reads states in place and needs them Hermitian,
+  as density matrices are.
 """
 
 from __future__ import annotations
@@ -114,29 +117,39 @@ def partial_trace(mat, dims, drop):
     return tensor.reshape(lead + (size, size))
 
 
-def product_partial_traces(h, rho, dims):
-    """(Tr_s(h rho), Tr_frame(h rho)) for one rho or a stack (..., d, d), without forming h rho.
+def product_trace_maps(h, dims):
+    """The two reorderings of h (d x d on d_f x d_s factors) that product_partial_traces reads.
 
-    Each is one matmul: h's (d_f, d_s, d_f, d_s) factor tensor, reshaped so
-    the traced factor joins the contracted index, against the states laid
-    side by side.  That is d^2 d_f and d^2 d_s operations per state, where
-    h rho takes d^3, in two BLAS calls for the whole stack.
+    The frame map has rows (s, c) and columns f and holds conj(h[(f, s), c]);
+    the system map has rows s and columns (c, f) and holds h[(f, s), c].
     """
     d_f, d_s = dims
     d = d_f * d_s
+    h = np.asarray(h, dtype=complex)
+    return (np.ascontiguousarray(h.reshape(d_f, d_s * d).conj().T),
+            h.reshape(d_f, d_s, d).transpose(1, 2, 0).reshape(d_s, d * d_f))
+
+
+def product_partial_traces(maps, rho):
+    """(Tr_s(h rho), Tr_frame(h rho)) for a Hermitian rho or a stack (..., d, d) of them.
+
+    maps is product_trace_maps(h, dims).  Each partial trace is one batched
+    matmul that reads the stack in place, d^2 d_f and d^2 d_s operations per
+    state where h rho takes d^3, and h rho is never formed.  The frame side
+    contracts rho's rows (g, s) against h's rows (f, s), which gives
+    Tr_s(h rho)' because rho = rho'; a non-Hermitian rho gets a wrong frame
+    side.  The system side reads rho's rows as they are and needs no such
+    contract.
+    """
+    frame_map, s_map = maps
+    d_f, d_s = frame_map.shape[1], s_map.shape[0]
+    d = d_f * d_s
     rho = np.asarray(rho, dtype=complex)
     lead = rho.shape[:-2]
-    h = np.asarray(h, dtype=complex)
-    # cols[n, c, g, s] = rho_n[c, (g, s)].
-    cols = rho.reshape(-1, d, d_f, d_s)
-    n = cols.shape[0]
-    # Tr_s(h rho_n)[f, g] = sum over (s, c) of h[(f, s), c] rho_n[c, (g, s)].
-    on_frame = h.reshape(d_f, d_s * d) @ cols.transpose(3, 1, 0, 2).reshape(d_s * d, n * d_f)
-    # Tr_frame(h rho_n)[s, t] = sum over (f, c) of h[(f, s), c] rho_n[c, (f, t)].
-    on_s = (h.reshape(d_f, d_s, d).transpose(1, 0, 2).reshape(d_s, d_f * d)
-            @ cols.transpose(2, 1, 0, 3).reshape(d_f * d, n * d_s))
-    return (on_frame.reshape(d_f, n, d_f).transpose(1, 0, 2).reshape(lead + (d_f, d_f)),
-            on_s.reshape(d_s, n, d_s).transpose(1, 0, 2).reshape(lead + (d_s, d_s)))
+    # Row (n, g) of the stack seen as (n d_f, d_s d) holds rho_n[(g, s), c] at column (s, c).
+    on_frame_dagger = (rho.reshape(-1, d_s * d) @ frame_map).reshape(lead + (d_f, d_f))
+    # rho_n seen as (d d_f, d_s) holds rho_n[c, (f, t)] at row (c, f) and column t.
+    return dagger(on_frame_dagger), s_map @ rho.reshape(lead + (d * d_f, d_s))
 
 
 def read_only(mat):
@@ -197,11 +210,17 @@ def hs_inner(a, b):
 
 
 def hs_norm(a):
-    """Hilbert-Schmidt norm; a stack (k, m, n) gives one norm per matrix."""
+    """Hilbert-Schmidt norm; a stack (..., m, n) gives one norm per matrix.
+
+    A stack's norms are each one real dot of the matrix's entries (real and
+    imaginary parts side by side) with themselves.
+    """
     a = np.asarray(a)
-    if a.ndim > 2:
-        return np.linalg.norm(a, axis=(-2, -1))
-    return float(np.linalg.norm(a))
+    if a.ndim <= 2:
+        return float(np.linalg.norm(a))
+    rows = np.ascontiguousarray(a).reshape(-1, 1, a.shape[-2] * a.shape[-1])
+    rows = rows.view(rows.real.dtype) if rows.dtype.kind == "c" else rows.astype(float, copy=False)
+    return np.sqrt(rows @ rows.swapaxes(-1, -2)).reshape(a.shape[:-2])
 
 
 def vec(mat):

@@ -14,11 +14,16 @@ Tr_s rho, rho_s = Tr_frame rho, the same two marginals of rho_dot, and
 e_total = Tr(H rho).  state_marginals forms them; marginal_energetics is
 the core that turns them into a ThermoReport, for one state or a stack,
 and sees nothing else of the state, so a caller that holds the marginals
-(a scenario row, or a run of balance_verifiers blocks concatenated along
-the stack axis) evaluates the rates without any d x d object.  The
-default rho_dot = -i[H, rho] is never formed: its marginals are the local
-commutators plus Tr_other[h_int, rho], from one matmul per factor against
-h_int's factor tensor, d^2 (d_f + d_s) operations per state for both.
+(a scenario row, or a run of balance_verifiers blocks) evaluates the rates
+without any d x d object.  state_marginals reads a (Hermitian) state once:
+its two marginals, and Tr_s(h_int rho) and Tr_frame(h_int rho) from one
+batched matmul each against the split's product-trace maps, d^2 (d_f + d_s)
+operations per state for both.  Everything after that is of subsystem
+size: the default rho_dot = -i[H, rho] is never formed, its marginals
+being the local commutators plus Tr_other[h_int, rho], and e_total is
+Tr(h_frame rho_frame) + Tr(h_s rho_s) + Tr Tr_s(h_int rho).  So
+balance_verifiers keeps only those four traces per block and assembles
+the rest once per run of blocks concatenated along the stack axis.
 
 From the marginals on, every quantity is contracted on the factor tensor
 T[f, s, g, t] = h_int[(f, s), (g, t)]: the mean fields are products of the
@@ -230,25 +235,38 @@ class StateMarginals(NamedTuple):
 
 
 def state_marginals(split, rho_ibar, rho_dot=None):
-    """StateMarginals of a state (or stack) rho_ibar under H = split.total.
+    """StateMarginals of a Hermitian state (or stack) rho_ibar under H = split.total.
 
     rho_dot defaults to -i[H, rho], which is never formed: its marginals are
     the local commutators [h_frame, rho_frame] and [h_s, rho_s] plus
-    Tr_other[h_int, rho] = A - A', with A = Tr_other(h_int rho) contracted
-    on h_int's factor tensor (Hermitian h_int and rho give Tr(rho h_int) = A').
+    Tr_other[h_int, rho] = A - A', with A = Tr_other(h_int rho) from
+    product_partial_traces (Hermitian h_int and rho give Tr(rho h_int) = A').
+    e_total = Tr(h_frame rho_frame) + Tr(h_s rho_s) + Tr(h_int rho) reads the
+    same marginals and A, whether or not rho_dot is given.
     """
-    rho_ibar = np.asarray(rho_ibar, dtype=complex)
+    return _assembled(split, *_traced(split, rho_ibar), rho_dot=rho_dot)
+
+
+def _traced(split, rho):
+    """What state_marginals reads of rho itself: rho_frame, rho_s, Tr_s(h_int rho), Tr_frame(h_int rho)."""
+    rho = np.asarray(rho, dtype=complex)
     dims = (split.d_frame, split.d_s)
-    rho_frame, rho_s = partial_trace(rho_ibar, dims, drop=1), partial_trace(rho_ibar, dims, drop=0)
+    return (partial_trace(rho, dims, drop=1), partial_trace(rho, dims, drop=0),
+            *product_partial_traces(split.product_trace_maps, rho))
+
+
+def _assembled(split, rho_frame, rho_s, int_frame, int_s, rho_dot=None):
+    """StateMarginals from what _traced read of rho, in subsystem-size products only."""
     if rho_dot is None:
-        int_frame, int_s = product_partial_traces(split.h_int, rho_ibar, dims)
         rho_frame_dot = -1j * (split.h_frame @ rho_frame - rho_frame @ split.h_frame
                                + int_frame - dagger(int_frame))
         rho_s_dot = -1j * (split.h_s @ rho_s - rho_s @ split.h_s + int_s - dagger(int_s))
     else:
+        dims = (split.d_frame, split.d_s)
         rho_frame_dot, rho_s_dot = partial_trace(rho_dot, dims, drop=1), partial_trace(rho_dot, dims, drop=0)
-    return StateMarginals(rho_frame, rho_s, rho_frame_dot, rho_s_dot,
-                          _real(_trace_product(split.total, rho_ibar)))
+    e_total = (_trace_product(split.h_frame, rho_frame) + _trace_product(split.h_s, rho_s)
+               + np.trace(int_frame, axis1=-2, axis2=-1))
+    return StateMarginals(rho_frame, rho_s, rho_frame_dot, rho_s_dot, _real(e_total))
 
 
 def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
@@ -257,7 +275,8 @@ def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
     rho_dot defaults to the closed-system derivative -i[H, rho]; pass it
     explicitly when the trajectory is generated by a different operator.
     rho_ibar (and rho_dot) may be stacks (k, d, d) of states along a
-    trajectory; the report then holds arrays of k values.
+    trajectory; the report then holds arrays of k values.  rho_ibar must be
+    Hermitian, as state_marginals reads it as such.
     """
     return marginal_energetics(split, prescription, state_marginals(split, rho_ibar, rho_dot))
 
@@ -524,14 +543,23 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     perspectives instead use their bare generators, zero entropy production
     and flow for product member states, and equality of entropy changes
     between perspectives.  Missing premises are reported, not raised.
-    The grid is evolved from one eigendecomposition of H, block by block;
-    each state is conjugated to frame j once, and rho_dot is never formed:
-    the rates read its marginals (state_marginals) in both perspectives.
+    The grid is evolved from one eigendecomposition of H, block by block,
+    and each block is read once per perspective: one conjugation to frame j,
+    the membership test, and what state_marginals reads of a state (two
+    marginals, two h_int contractions).  rho_dot is never formed; the
+    subsystem-size rest of state_marginals and the rates run once per run
+    of blocks.  The endpoint states and their frame-j images are the grid's
+    first and last; rho(t0) is evolved before the walk only when x0 must be
+    searched, and rho(t1) too when none is found.
 
     Rates scale as ||H||^2, so rates_match compares the unscaled
     rates_max_gap with rate_tol * ||H||_2^2, the spectral norm being
-    max |lambda| of the grid's eigendecomposition.
+    max |lambda| of the grid's eigendecomposition.  grid counts the times
+    from t0 to t1 and must be at least 2.
     """
+    grid = int(grid)
+    if grid < 2:
+        raise ValueError(f"grid must hold both endpoint times, so at least 2; got grid={grid}")
     premises = []
     h_total = split.total
     change = setup.perspective_change(g_i, g_j)
@@ -539,12 +567,9 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     # Hermitian part keeps the split, and the rho_dot marginals it contracts, Hermitian.
     h_j = hermitian_part(change.conjugate(h_total))
     split_j = split_hamiltonian(h_j, setup.d_frame, setup.d_s)
-    times = np.linspace(float(t0), float(t1), int(grid))
+    times = np.linspace(float(t0), float(t1), grid)
     rho0 = np.asarray(rho0, dtype=complex)
     evolution = GridEvolution(h_total)
-    endpoints = evolution.states(rho0, times[[0, -1]])
-    rho_t0, rho_t1 = endpoints
-    rho_j_t0, rho_j_t1 = change.conjugate(endpoints)
 
     def find_witness(rho_t, provided):
         if provided is not None:
@@ -555,47 +580,52 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
             return pure_state_bilocal_witness(setup, psi, g_i, g_j)
         return None
 
-    x0 = find_witness(rho_t0, x0)
-    x1 = find_witness(rho_t1, x1)
     if x0 is None:
-        premises.append("no subalgebra witness available at the initial time")
+        rho_t0 = evolution.states(rho0, times[:1])[0]
+        x0 = find_witness(rho_t0, None)
 
     membership_ok = False
     in_grid = []  # membership in A_x0 at each grid time
     rates_max_gap = math.inf
     both_bare_max_gap = 0.0
-    if x0 is not None:
+    if x0 is None:
+        premises.append("no subalgebra witness available at the initial time")
+        rho_t1 = evolution.states(rho0, times[-1:])[0]
+        rho_j_t0, rho_j_t1 = change.conjugate(np.stack([rho_t0, rho_t1]))
+    else:
         x0_mat = as_matrix(x0)
-        h_imported = hermitian_part(dagger(x0_mat) @ h_j @ x0_mat)
-        split_imported = split_hamiltonian(h_imported, setup.d_frame, setup.d_s)
+        split_imported = split_hamiltonian(hermitian_part(dagger(x0_mat) @ h_j @ x0_mat),
+                                           setup.d_frame, setup.d_s)
         rates_max_gap = 0.0
-        # Each block keeps only the marginals of rho and rho_dot in both
+        # Each block leaves only what state_marginals reads of it, in both
         # perspectives; the rates run once per run of whole blocks whose
         # subsystem stacks fit in STACK_BYTES.
         k = block_length(setup.d_perspective)
         per_run = block_length(max(setup.d_frame, setup.d_s)) // k
         blocks = evolution.blocks(rho0, times)
         for _ in range(0, times.size, per_run * k):
-            seen_i, seen_j, e_imported = [], [], []
+            traced_i, traced_j = [], []
             for _, rho_t in itertools.islice(blocks, per_run):
                 rho_jt = change.conjugate(rho_t)
+                if not in_grid:
+                    rho_t0, rho_j_t0 = rho_t[0].copy(), rho_jt[0].copy()
                 in_grid += membership_test(setup, rho_t, x0, g_i, g_j,
                                            transformed=rho_jt).is_member.tolist()
-                seen_i.append(state_marginals(split, rho_t))
-                seen_j.append(state_marginals(split_j, rho_jt))
-                e_imported.append(_real(_trace_product(split_imported.total, rho_t)))
-            marginals_i, marginals_j = (StateMarginals(*map(np.concatenate, zip(*seen)))
-                                        for seen in (seen_i, seen_j))
+                traced_i.append(_traced(split, rho_t))
+                traced_j.append(_traced(split_j, rho_jt))
+            marginals_i, marginals_j = (_assembled(part, *map(np.concatenate, zip(*traced)))
+                                        for part, traced in ((split, traced_i), (split_j, traced_j)))
             rates_j = marginal_energetics(split_j, prescription, marginals_j).rates_vector()
-            rates_imported = marginal_energetics(
-                split_imported, prescription,
-                marginals_i._replace(e_total=np.concatenate(e_imported))).rates_vector()
+            # No rate reads e_total, so frame i's Tr(H rho) stands in for Tr(H_imported rho).
+            rates_imported = marginal_energetics(split_imported, prescription, marginals_i).rates_vector()
             rates_bare = marginal_energetics(split, prescription, marginals_i).rates_vector()
             rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
             both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
+        rho_t1, rho_j_t1 = rho_t[-1], rho_jt[-1]
         membership_ok = all(in_grid)
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")
+    x1 = find_witness(rho_t1, x1)
 
     def marginals(rho):
         """(InitialProduct of rho, whether rho is a frame (x) system product)."""

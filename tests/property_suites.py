@@ -39,6 +39,7 @@ from qrf_lab.operators import (
     kron,
     partial_trace,
     product_partial_traces,
+    product_trace_maps,
     random_hermitian,
     unvec,
     vec,
@@ -444,9 +445,10 @@ def suite_rho_dot_marginals_match_dense_commutator(n=100, seed=911):
     """The contracted marginals of -i[H, rho] equal the partial traces of the dense commutator.
 
     Instances run over setup_pool() and one dense explicit rep, with H
-    conjugated by the perspective change, for single states and stacks;
-    product_partial_traces is also checked against Tr(h rho) for a
-    non-Hermitian h.
+    conjugated by the perspective change, for single states and for stacks
+    of conjugated grid states (Hermitian only to round-off); e_total is
+    checked against the dense Tr(H rho), and product_partial_traces against
+    Tr(h rho) for a non-Hermitian h.
     """
     pool = setup_pool() + [haar_conjugated_z3_setup()]
     rng = np.random.default_rng(seed)
@@ -469,8 +471,9 @@ def suite_rho_dot_marginals_match_dense_commutator(n=100, seed=911):
             tol = 1e-12 * hs_norm(h) * np.max(hs_norm(rho))
             assert np.abs(marginals.rho_frame_dot - partial_trace(dense, dims, drop=1)).max() <= tol
             assert np.abs(marginals.rho_s_dot - partial_trace(dense, dims, drop=0)).max() <= tol
+            assert np.abs(marginals.e_total - np.trace(h @ rho, axis1=-2, axis2=-1).real).max() <= tol
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            on_frame, on_s = product_partial_traces(g, rho, dims)
+            on_frame, on_s = product_partial_traces(product_trace_maps(g, dims), rho)
             tol = 1e-12 * hs_norm(g) * np.max(hs_norm(rho))
             assert np.abs(on_frame - partial_trace(g @ rho, dims, drop=1)).max() <= tol
             assert np.abs(on_s - partial_trace(g @ rho, dims, drop=0)).max() <= tol

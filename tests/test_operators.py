@@ -81,6 +81,27 @@ def test_hs_inner_and_norm():
     assert np.isclose(hs_norm(SIGMA_Y), np.sqrt(2.0))
 
 
+def test_stack_hs_norm_matches_the_norm_of_each_matrix():
+    """One norm per matrix, within a few ulps of np.linalg.norm, for complex and real
+    stacks, non-square matrices, a non-contiguous view, extra leading axes and zeros."""
+    rng = np.random.default_rng(17)
+    complex_stack = rng.normal(size=(5, 3, 7)) + 1j * rng.normal(size=(5, 3, 7))
+    stacks = [
+        complex_stack,
+        rng.normal(size=(4, 6, 6)),
+        complex_stack.swapaxes(-1, -2),
+        1e150 * rng.normal(size=(2, 3, 4, 4)),
+        np.zeros((3, 4, 4), dtype=complex),
+        np.zeros((2, 5, 3)),
+    ]
+    for stack in stacks:
+        norms = hs_norm(stack)
+        assert norms.shape == stack.shape[:-2]
+        expected = np.array([np.linalg.norm(m) for m in stack.reshape((-1,) + stack.shape[-2:])])
+        assert np.all(np.abs(norms.ravel() - expected) <= 4 * np.spacing(expected)), stack.shape
+    assert np.array_equal(hs_norm(np.zeros((3, 4, 4), dtype=complex)), np.zeros(3))
+
+
 def test_assert_unitary_reports_residual():
     with pytest.raises(ValueError, match="max|"):
         assert_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))

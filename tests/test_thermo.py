@@ -267,7 +267,9 @@ def test_balance_verifiers_matches_the_per_time_formula(case, prescription):
     split = split_hamiltonian(h, setup.d_frame, setup.d_s)
     scale = np.linalg.norm(split.total, 2) ** 2
     chunk = block_length(max(setup.d_frame, setup.d_s))
-    for grid in (1, chunk - 1, chunk, chunk + 1, 50):
+    with pytest.raises(ValueError, match="grid"):
+        balance_verifiers(setup, split, rho0, g_i, g_j, prescription, 0.0, 1.5, x0=x, x1=x, grid=1)
+    for grid in (2, chunk - 1, chunk, chunk + 1, 50):
         report = balance_verifiers(setup, split, rho0, g_i, g_j, prescription, 0.0, 1.5,
                                    x0=x, x1=x, grid=grid)
         gap, bare_gap, member = _per_time_rates(setup, split, rho0, g_i, g_j, prescription,
@@ -280,9 +282,23 @@ def test_balance_verifiers_matches_the_per_time_formula(case, prescription):
             assert min(gap, bare_gap) > 1e-3 * scale, grid
 
 
+@pytest.mark.parametrize("grid", [-1, 0, 1])
+def test_balance_verifiers_rejects_a_grid_without_both_endpoints(grid, monkeypatch):
+    """A grid of fewer than two times raises a ValueError naming grid, before any evolution."""
+    setup, h, rho0, x, g_i, g_j = _member_trajectory()
+
+    def no_evolution(*args):
+        raise AssertionError("evolved before the grid was checked")
+
+    monkeypatch.setattr(dynamics.GridEvolution, "__init__", no_evolution)
+    with pytest.raises(ValueError, match="grid"):
+        balance_verifiers(setup, split_hamiltonian(h, 2, 2), rho0, g_i, g_j,
+                          Prescription.split_alpha(0.5), 0.0, 2.0, x0=x, x1=x, grid=grid)
+
+
 def test_balance_verifiers_conjugates_each_state_once(monkeypatch):
-    """H, the two endpoints and each grid state go through u once; each grid state goes
-    through x once, and the endpoints, being grid states, are not tested again.
+    """H and each grid state go through u once; each grid state goes through x once, and
+    the endpoints, being grid states, are neither conjugated nor tested again.
 
     rho_dot is never formed, so it is never conjugated either.
     """
@@ -305,7 +321,7 @@ def test_balance_verifiers_conjugates_each_state_once(monkeypatch):
             return _original(self, ops)
         monkeypatch.setattr(cls, "conjugate", counting)
     counted = run()
-    assert counts == {"PerspectiveChange": 1 + 2 + grid, "BilocalUnitary": grid}
+    assert counts == {"PerspectiveChange": 1 + grid, "BilocalUnitary": grid}
     assert counted.membership_ok and counted.rates_match
     assert counted.rates_max_gap == plain.rates_max_gap
 
