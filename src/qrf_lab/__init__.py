@@ -26,7 +26,6 @@ from .frames import (
     g_twirl,
     parity_swap,
     physical_basis,
-    pi_phys,
     qrf_transform,
     reduction_map,
     relational_observable,
@@ -99,15 +98,12 @@ from .subalgebras import (
 )
 from .thermo import (
     BalanceReport,
-    EffectiveHamiltonians,
     EntropyBalance,
     GibbsClassification,
     NonProductInitialStateError,
     Prescription,
     ThermoReport,
     balance_verifiers,
-    commutant_projection,
-    effective_hamiltonians,
     energetics,
     entropy_production_and_flow,
     gibbs_classification,

@@ -7,7 +7,8 @@ two local parts, so the split is unique and reassembles exactly.
 Trajectories over a time grid come from GridEvolution: one
 eigendecomposition of H serves every time, each state is formed from the
 eigenbasis without forming U(t), and the grid is walked in blocks whose
-(k, d, d) complex stacks stay within STACK_BYTES.
+(k, d, d) complex stacks stay within STACK_BYTES.  propagator and evolve
+take the same eigendecomposition for one time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .operators import (
     hermitian_part,
     hs_norm,
     kron,
-    matrix_exp_scaled,
     partial_trace,
     product_trace_maps,
     read_only,
@@ -216,7 +216,9 @@ class GridEvolution:
 
 
 def propagator(hamiltonian, t):
-    return matrix_exp_scaled(hamiltonian, -1j * t)
+    """U(t) = exp(-i H t), formed from GridEvolution's eigendecomposition of H."""
+    evolution = GridEvolution(hamiltonian)
+    return (evolution.vecs * np.exp(-1j * t * evolution.vals)) @ dagger(evolution.vecs)
 
 
 def evolve(hamiltonian, state, t):

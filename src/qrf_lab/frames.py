@@ -156,10 +156,6 @@ class FrameSetup:
         return out.reshape(self.d_kin, self.d_kin)
 
 
-def pi_phys(setup):
-    return setup.pi_phys()
-
-
 def reduction_map(setup, frame, g):
     """Co-isometry from the kinematical space to the perspective of the given frame."""
     bra = np.zeros((1, setup.d_frame))

@@ -6,8 +6,11 @@ Conventions used throughout the package:
   the conjugation f -> W f W' is kron(conj(W), W);
 * Hermiticity is checked as max|A - A'| <= 1e-10 max|A|, relative to the
   largest entry, so rescaling A does not change the verdict;
-* eigenvalues below -1e-8 on nominally positive operators are treated as
-  a real indefiniteness, smaller negatives as round-off;
+* eigenvalues below INDEFINITENESS_TOL = -1e-8 on nominally positive
+  operators are treated as a real indefiniteness, smaller negatives as
+  round-off;
+* no matrix functions live here: the entropies read their own spectra,
+  and exp(-i H t) comes from GridEvolution's eigendecomposition;
 * dagger, kron, partial_trace, product_partial_traces and hs_norm also take
   stacks (..., d, d) of operators, one per time point, and act on each
   matrix of the stack; a stack's hs_norm is one real dot per matrix;
@@ -27,7 +30,6 @@ from scipy.linalg import polar, schur
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 INDEFINITENESS_TOL = -1e-8
-EIGENVALUE_CLAMP = 1e-12
 
 
 class IndefiniteOperatorError(ValueError):
@@ -80,24 +82,6 @@ def assert_unitary(mat, tol=UNITARITY_TOL, what="operator"):
     if defect > tol:
         raise ValueError(f"{what} is not unitary: max|U U' - 1| = {defect:.3e}")
     return mat
-
-
-def embed_operator(ops, dims):
-    """Embed single-factor operators into the full tensor space.
-
-    ops maps factor position -> square matrix; absent factors get the
-    identity.  Factor order in the product follows dims.
-    """
-    parts = []
-    for site, d in enumerate(dims):
-        if site in ops:
-            op = np.asarray(ops[site])
-            if op.shape != (d, d):
-                raise ValueError(f"operator at factor {site} has shape {op.shape}, expected ({d}, {d})")
-            parts.append(op)
-        else:
-            parts.append(np.eye(d))
-    return kron(*parts)
 
 
 def partial_trace(mat, dims, drop):
@@ -235,47 +219,10 @@ def unvec(v, d=None):
     return v.reshape((d, d), order="F")
 
 
-def conjugation_superop(w, check=True):
-    """Superoperator of f -> w f w' acting on column-major vec(f)."""
-    w = np.asarray(w, dtype=complex)
-    if check:
-        assert_unitary(w)
+def conjugation_superop(w):
+    """Superoperator of f -> w f w' acting on column-major vec(f); w must be unitary."""
+    w = assert_unitary(np.asarray(w, dtype=complex))
     return np.kron(w.conj(), w)
-
-
-def _spectral(mat):
-    mat = assert_hermitian(np.asarray(mat, dtype=complex))
-    return np.linalg.eigh(mat)
-
-
-def matrix_function(mat, fn, clamp=False):
-    """Apply fn to the eigenvalues of a Hermitian matrix.
-
-    With clamp=True, eigenvalues in [-1e-8, 1e-12] are set to zero before
-    fn is applied; an eigenvalue below -1e-8 raises IndefiniteOperatorError.
-    """
-    vals, vecs = _spectral(mat)
-    if clamp:
-        if vals.min() < INDEFINITENESS_TOL:
-            raise IndefiniteOperatorError(f"eigenvalue {vals.min():.3e} below {INDEFINITENESS_TOL:.0e}")
-        vals = np.where(vals < EIGENVALUE_CLAMP, 0.0, vals)
-    return (vecs * fn(vals)) @ dagger(vecs)
-
-
-def matrix_exp_scaled(mat, c):
-    """exp(c * mat) for Hermitian mat; c = -i t gives unitary evolution."""
-    vals, vecs = _spectral(mat)
-    return (vecs * np.exp(c * vals)) @ dagger(vecs)
-
-
-def matrix_log(mat):
-    """Logarithm on the support of a positive semidefinite matrix."""
-    def safe_log(vals):
-        out = np.full_like(vals, 0.0)
-        pos = vals > 0
-        out[pos] = np.log(vals[pos])
-        return out
-    return matrix_function(mat, safe_log, clamp=True)
 
 
 @dataclass

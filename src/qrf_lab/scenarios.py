@@ -56,7 +56,6 @@ from .thermo import (
 VERSION = "0.1.0"
 
 DEFAULT_TOLERANCE = 1e-9
-TOLERANCE_ENV_VAR = "QRF_LAB_TOL"
 
 COLUMNS = (
     "t",
@@ -75,19 +74,6 @@ class ConfigError(ValueError):
         self.path = path
         self.reason = message
         super().__init__(f"{path}: {message}" if path else message)
-
-
-def default_tolerance():
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError("tolerance", f"{TOLERANCE_ENV_VAR} is not a number: {raw!r}")
-    if value <= 0:
-        raise ConfigError("tolerance", f"{TOLERANCE_ENV_VAR} must be positive, got {value}")
-    return value
 
 
 # --------------------------------------------------------------- validation
@@ -298,15 +284,19 @@ def parse_config(source, scenario=None):
     g_j = _build_orientation(group, orientations["g_j"], "orientations.g_j")
 
     tolerance = merged.get("tolerance")
-    if tolerance is None:
-        tolerance = default_tolerance()
-    tolerance = _as_float(tolerance, "tolerance")
+    tolerance = _as_float(DEFAULT_TOLERANCE if tolerance is None else tolerance, "tolerance")
     _require(tolerance > 0, "tolerance", "tolerance must be positive")
     merged["tolerance"] = tolerance
 
+    prescription = merged["prescription"]
+    _require(isinstance(prescription, dict), "prescription",
+             'expected {"prescription": "split_alpha" or "commuting_part", "alpha_s": number}')
+    for key in prescription:
+        _require(key in ("prescription", "alpha_s"), f"prescription.{key}", "unknown prescription key")
+    _as_float(prescription.get("alpha_s", 0.5), "prescription.alpha_s")
     try:
-        prescription = Prescription.from_config(merged["prescription"])
-    except (ValueError, TypeError, KeyError) as exc:
+        prescription = Prescription.from_config(prescription)
+    except ValueError as exc:
         raise ConfigError("prescription", str(exc))
 
     time_grid = _build_time_grid(merged["time_grid"])
@@ -543,16 +533,20 @@ def _ising_chain(a, b, c):
     return a * kron(SIGMA_Z, ID2) + b * kron(ID2, SIGMA_Z) + c * kron(SIGMA_Z, SIGMA_Z)
 
 
+def _ising_coefficients(cfg, key):
+    """The [A, B, C] of _ising_chain under params.key, as floats."""
+    raw, path = cfg.params[key], f"params.{key}"
+    _require(isinstance(raw, (list, tuple)) and len(raw) == 3, path, "expected [A, B, C]")
+    return [_as_float(c, path) for c in raw]
+
+
 # ---------------------------------------------------------------- scenarios
 
 def _run_three_qubit_subalgebras(cfg):
     _require_qubit_pair(cfg)
     setup = cfg.setup
-    coefficients = [_as_float(c, "params.coefficients") for c in cfg.params["coefficients"]]
-    scan_coefficients = [_as_float(c, "params.scan_coefficients")
-                         for c in cfg.params["scan_coefficients"]]
-    _require(len(coefficients) == 3, "params.coefficients", "expected [A, B, C]")
-    _require(len(scan_coefficients) == 3, "params.scan_coefficients", "expected [A, B, C]")
+    coefficients, scan_coefficients = (_ising_coefficients(cfg, key)
+                                       for key in ("coefficients", "scan_coefficients"))
 
     identity_x, flip_x = _QUBIT_LABELS
     e = cfg.group.identity

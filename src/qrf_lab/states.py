@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    INDEFINITENESS_TOL,
     IndefiniteOperatorError,
     assert_hermitian,
     dagger,
@@ -87,7 +88,7 @@ def basis_state(dim, index):
 
 def _checked_spectrum(rho):
     vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    if vals.min() < -1e-8:
+    if vals.min() < INDEFINITENESS_TOL:
         raise IndefiniteOperatorError(f"state has eigenvalue {vals.min():.3e}")
     return vals
 
@@ -207,7 +208,7 @@ class NegativeTemperatureReport:
     predicted: np.ndarray
 
 
-def negative_temperature_predict(setup, h_s, beta, rho_frame, g_j, require_flip=False):
+def negative_temperature_predict(setup, h_s, beta, rho_frame, g_j):
     """Predicted system state in the other perspective for a frame (x) Gibbs product.
 
     The prediction mixes the two Gibbs states at +/- beta with the weight
@@ -227,8 +228,6 @@ def negative_temperature_predict(setup, h_s, beta, rho_frame, g_j, require_flip=
             comm.append(g)
         else:
             raise ValueError(f"element {g} neither commutes nor anticommutes with the Hamiltonian")
-    if require_flip and not anti:
-        raise ValueError("no group element anticommutes with the Hamiltonian, a flip is impossible")
     q_a = 0.0
     for h in anti:
         idx = group.index(group.compose(g_j, group.inverse(h)))

@@ -19,11 +19,14 @@ without any d x d object.  state_marginals reads a (Hermitian) state once:
 its two marginals, and Tr_s(h_int rho) and Tr_frame(h_int rho) from one
 batched matmul each against the split's product-trace maps, d^2 (d_f + d_s)
 operations per state for both.  Everything after that is of subsystem
-size: the default rho_dot = -i[H, rho] is never formed, its marginals
-being the local commutators plus Tr_other[h_int, rho], and e_total is
+size: rho_dot = -i[H, rho] is never formed, its marginals being the local
+commutators plus Tr_other[h_int, rho], and e_total is
 Tr(h_frame rho_frame) + Tr(h_s rho_s) + Tr Tr_s(h_int rho).  So
 balance_verifiers keeps only those four traces per block and assembles
-the rest once per run of blocks concatenated along the stack axis.
+the rest once per run of blocks concatenated along the stack axis.  That
+is the one route from a state to its rates: a caller whose rho_dot comes
+from another generator builds the StateMarginals itself and calls
+marginal_energetics, as balance_verifiers does for the imported rates.
 
 From the marginals on, every quantity is contracted on the factor tensor
 T[f, s, g, t] = h_int[(f, s), (g, t)]: the mean fields are products of the
@@ -49,7 +52,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    COMMUTANT_GAP,
     GridEvolution,
     block_length,
     mean_field_hamiltonian,
@@ -59,7 +61,6 @@ from .dynamics import (
 )
 from .operators import (
     dagger,
-    eigenspace_projectors,
     hermitian_part,
     hs_norm,
     kron,
@@ -138,56 +139,23 @@ def _block_diagonal(projectors, op):
     return sum(p @ op @ p for p in projectors)
 
 
-def commutant_projection(h, op, gap=COMMUTANT_GAP):
-    """Project op onto the block-diagonal algebra of h's eigenspaces."""
-    return _block_diagonal(eigenspace_projectors(h, gap), np.asarray(op, dtype=complex))
-
-
-@dataclass
-class EffectiveHamiltonians:
-    h_frame_eff: np.ndarray
-    h_s_eff: np.ndarray
-    h_int_eff: np.ndarray
-    h_tilde_s: np.ndarray
-    h_tilde_frame: np.ndarray
-    interaction_mean: float | np.ndarray
-
-
-def effective_hamiltonians(setup, split, rho_ibar, prescription):
-    """Effective subsystem generators for the given state (or stack) and prescription."""
-    dims = (split.d_frame, split.d_s)
-    rho_ibar = np.asarray(rho_ibar, dtype=complex)
-    h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s, mean = _local_effective(
-        split, partial_trace(rho_ibar, dims, drop=1), partial_trace(rho_ibar, dims, drop=0), prescription)
-    return EffectiveHamiltonians(
-        h_frame_eff=h_frame_eff,
-        h_s_eff=h_s_eff,
-        h_int_eff=(split.total - kron(h_frame_eff, np.eye(split.d_s))
-                   - kron(np.eye(split.d_frame), h_s_eff)),
-        h_tilde_s=h_tilde_s,
-        h_tilde_frame=h_tilde_frame,
-        interaction_mean=mean,
-    )
-
-
 def _local_effective(split, rho_frame, rho_s, prescription):
-    """Mean fields, the interaction mean and the two effective local generators.
+    """The two effective local generators and the mean fields.
 
-    Returns (h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s, mean), where
-    mean = Tr(h_int rho_frame (x) rho_s) = Tr(h_tilde_s rho_s).
+    Returns (h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s); split_alpha
+    shares the interaction mean Tr(h_int rho_frame (x) rho_s) = Tr(h_tilde_s rho_s).
     """
     h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
     h_tilde_frame = mean_field_hamiltonian(split, rho_s, on="frame")
-    mean = _real(_trace_product(h_tilde_s, rho_s))
     if prescription.kind == "split_alpha":
-        shift = np.asarray(mean)[..., None, None]
+        shift = np.asarray(_real(_trace_product(h_tilde_s, rho_s)))[..., None, None]
         h_s_eff = split.h_s + h_tilde_s - prescription.alpha_s * shift * np.eye(split.d_s)
         h_frame_eff = split.h_frame + h_tilde_frame - prescription.alpha_frame * shift * np.eye(split.d_frame)
     else:
         projectors = split.eigenspace_projectors
         h_s_eff = split.h_s + _block_diagonal(projectors["s"], h_tilde_s)
         h_frame_eff = split.h_frame + _block_diagonal(projectors["frame"], h_tilde_frame)
-    return h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s, mean
+    return h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s
 
 
 @dataclass
@@ -234,17 +202,17 @@ class StateMarginals(NamedTuple):
     e_total: float | np.ndarray
 
 
-def state_marginals(split, rho_ibar, rho_dot=None):
+def state_marginals(split, rho_ibar):
     """StateMarginals of a Hermitian state (or stack) rho_ibar under H = split.total.
 
-    rho_dot defaults to -i[H, rho], which is never formed: its marginals are
-    the local commutators [h_frame, rho_frame] and [h_s, rho_s] plus
+    rho_dot = -i[H, rho] is never formed: its marginals are the local
+    commutators [h_frame, rho_frame] and [h_s, rho_s] plus
     Tr_other[h_int, rho] = A - A', with A = Tr_other(h_int rho) from
     product_partial_traces (Hermitian h_int and rho give Tr(rho h_int) = A').
     e_total = Tr(h_frame rho_frame) + Tr(h_s rho_s) + Tr(h_int rho) reads the
-    same marginals and A, whether or not rho_dot is given.
+    same marginals and A.
     """
-    return _assembled(split, *_traced(split, rho_ibar), rho_dot=rho_dot)
+    return _assembled(split, *_traced(split, rho_ibar))
 
 
 def _traced(split, rho):
@@ -255,36 +223,31 @@ def _traced(split, rho):
             *product_partial_traces(split.product_trace_maps, rho))
 
 
-def _assembled(split, rho_frame, rho_s, int_frame, int_s, rho_dot=None):
+def _assembled(split, rho_frame, rho_s, int_frame, int_s):
     """StateMarginals from what _traced read of rho, in subsystem-size products only."""
-    if rho_dot is None:
-        rho_frame_dot = -1j * (split.h_frame @ rho_frame - rho_frame @ split.h_frame
-                               + int_frame - dagger(int_frame))
-        rho_s_dot = -1j * (split.h_s @ rho_s - rho_s @ split.h_s + int_s - dagger(int_s))
-    else:
-        dims = (split.d_frame, split.d_s)
-        rho_frame_dot, rho_s_dot = partial_trace(rho_dot, dims, drop=1), partial_trace(rho_dot, dims, drop=0)
+    rho_frame_dot = -1j * (split.h_frame @ rho_frame - rho_frame @ split.h_frame
+                           + int_frame - dagger(int_frame))
+    rho_s_dot = -1j * (split.h_s @ rho_s - rho_s @ split.h_s + int_s - dagger(int_s))
     e_total = (_trace_product(split.h_frame, rho_frame) + _trace_product(split.h_s, rho_s)
                + np.trace(int_frame, axis1=-2, axis2=-1))
     return StateMarginals(rho_frame, rho_s, rho_frame_dot, rho_s_dot, _real(e_total))
 
 
-def energetics(setup, split, rho_ibar, prescription, rho_dot=None):
+def energetics(setup, split, rho_ibar, prescription):
     """Instantaneous energies and heat/work rates in one perspective.
 
-    rho_dot defaults to the closed-system derivative -i[H, rho]; pass it
-    explicitly when the trajectory is generated by a different operator.
-    rho_ibar (and rho_dot) may be stacks (k, d, d) of states along a
-    trajectory; the report then holds arrays of k values.  rho_ibar must be
-    Hermitian, as state_marginals reads it as such.
+    The rates read the closed-system derivative rho_dot = -i[H, rho].
+    rho_ibar may be a stack (k, d, d) of states along a trajectory; the
+    report then holds arrays of k values.  rho_ibar must be Hermitian, as
+    state_marginals reads it as such.
     """
-    return marginal_energetics(split, prescription, state_marginals(split, rho_ibar, rho_dot))
+    return marginal_energetics(split, prescription, state_marginals(split, rho_ibar))
 
 
 def marginal_energetics(split, prescription, marginals):
     """The ThermoReport of energetics from a state's StateMarginals alone."""
     rho_frame, rho_s, rho_frame_dot, rho_s_dot, e_total = marginals
-    h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s, _ = _local_effective(
+    h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s = _local_effective(
         split, rho_frame, rho_s, prescription)
     h_tilde_s_dot = mean_field_hamiltonian(split, rho_frame_dot, on="s")
     h_tilde_frame_dot = mean_field_hamiltonian(split, rho_s_dot, on="frame")

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from qrf_lab.dynamics import (
+    COMMUTANT_GAP,
     GridEvolution,
     HamiltonianSplit,
     evolve,
@@ -20,7 +21,6 @@ from qrf_lab.dynamics import (
 from qrf_lab.frames import (
     FrameSetup,
     parity_swap,
-    pi_phys,
     qrf_transform,
     reduction_map,
     relational_observable,
@@ -55,10 +55,11 @@ from qrf_lab.subalgebras import (
 )
 from qrf_lab.states import mutual_information, relative_entropy, von_neumann_entropy
 from qrf_lab.thermo import (
-    COMMUTANT_GAP,
     Prescription,
+    StateMarginals,
     energetics,
     entropy_production_and_flow,
+    marginal_energetics,
     state_marginals,
 )
 
@@ -103,7 +104,7 @@ def _random_density(rng, d):
 def suite_physical_projector_rank(n=100, seed=901):
     count = 0
     for _, rng, setup, g_i, _ in _instances(n, seed):
-        pi = pi_phys(setup)
+        pi = setup.pi_phys()
         assert hs_norm(pi - dagger(pi)) <= 1e-10
         assert hs_norm(pi @ pi - pi) <= 1e-10
         rank = round(float(np.trace(pi).real))
@@ -120,7 +121,7 @@ def suite_reduction_coisometry(n=100, seed=902):
         frame = 1 + k % 2
         r = reduction_map(setup, frame, g_i)
         assert np.allclose(r @ dagger(r), np.eye(setup.d_perspective), atol=1e-10)
-        assert np.allclose(dagger(r) @ r, pi_phys(setup), atol=1e-10)
+        assert np.allclose(dagger(r) @ r, setup.pi_phys(), atol=1e-10)
         count += 1
     return count
 
@@ -166,7 +167,7 @@ def suite_relational_observables(n=100, seed=905):
         obs = relational_observable(setup, frame, g_i, f)
         r = reduction_map(setup, frame, g_i)
         assert np.allclose(r @ obs @ dagger(r), f, atol=1e-9)
-        psi = pi_phys(setup) @ haar_state(rng, setup.d_kin)
+        psi = setup.pi_phys() @ haar_state(rng, setup.d_kin)
         psi = psi / np.linalg.norm(psi)
         reduced = r @ psi
         lhs = np.vdot(psi, obs @ psi)
@@ -326,6 +327,29 @@ def dense_energetics_oracle(split, rho_ibar, prescription, rho_dot=None):
     return out
 
 
+def energetics_with_rho_dot(split, rho, prescription, rho_dot):
+    """energetics of rho with a dense rho_dot from any generator, through marginal_energetics.
+
+    The StateMarginals are the partial traces of rho and rho_dot, and
+    e_total = Tr(H rho); rho and rho_dot may be stacks.
+    """
+    dims = (split.d_frame, split.d_s)
+    rho = np.asarray(rho, dtype=complex)
+    e_total = np.real(np.trace(split.total @ rho, axis1=-2, axis2=-1))
+    marginals = StateMarginals(
+        partial_trace(rho, dims, drop=1), partial_trace(rho, dims, drop=0),
+        partial_trace(rho_dot, dims, drop=1), partial_trace(rho_dot, dims, drop=0),
+        float(e_total) if e_total.ndim == 0 else e_total)
+    return marginal_energetics(split, prescription, marginals)
+
+
+def _report(setup, split, rho, prescription, rho_dot):
+    """energetics, or energetics_with_rho_dot when a rho_dot is supplied."""
+    if rho_dot is None:
+        return energetics(setup, split, rho, prescription)
+    return energetics_with_rho_dot(split, rho, prescription, rho_dot)
+
+
 def _degenerate_hermitian(rng, d):
     """Random Hermitian matrix with a spectrum of repeated values."""
     vals = rng.choice([-1.0, 0.5, 2.0], size=d)
@@ -361,7 +385,7 @@ def suite_energetics_matches_dense_oracle(n=100, seed=910):
                 cases = [(stack, rho_dot)] + [(rho, None if rho_dot is None else rho_dot[m])
                                               for m, rho in enumerate(stack)]
                 for rho, rho_d in cases:
-                    report = energetics(setup, split, rho, prescription, rho_dot=rho_d)
+                    report = _report(setup, split, rho, prescription, rho_d)
                     oracle = dense_energetics_oracle(split, rho, prescription, rho_dot=rho_d)
                     for name in ENERGETICS_FIELDS:
                         value = getattr(report, name)
@@ -403,10 +427,9 @@ def suite_stacked_layers_match_single_states(n=100, seed=909):
         else:
             prescription = Prescription.commuting_part()
         rho_dot = -1j * (h @ stack - stack @ h) if k % 3 == 0 else None
-        report = energetics(setup, split, stack, prescription, rho_dot=rho_dot)
+        report = _report(setup, split, stack, prescription, rho_dot)
         for m, rho in enumerate(stack):
-            single = energetics(setup, split, rho, prescription,
-                                rho_dot=None if rho_dot is None else rho_dot[m])
+            single = _report(setup, split, rho, prescription, None if rho_dot is None else rho_dot[m])
             for name in ENERGETICS_FIELDS:
                 assert abs(getattr(report, name)[m] - getattr(single, name)) <= 1e-12, name
 

@@ -81,6 +81,15 @@ def test_config_file_target(tmp_path, capsys):
      "params.frame_amplitudes: expected a non-empty list"),
     (["run", "zz-oscillation", "--set", "params.amplitudes=[1,2,3]"],
      "params.amplitudes: expected two amplitudes"),
+    (["run", "negative-temperature", "--set", "prescription.alpha_s=NaN"], "prescription.alpha_s"),
+    (["run", "negative-temperature", "--set", "prescription.alpha_s=Infinity"], "prescription.alpha_s"),
+    (["run", "negative-temperature", "--set", "prescription.alpha_s=true"], "prescription.alpha_s"),
+    (["run", "negative-temperature", "--set", 'prescription.alpha_s="0.3"'], "prescription.alpha_s"),
+    (["run", "negative-temperature", "--set", "prescription=5"], "prescription"),
+    (["run", "negative-temperature", "--set", "prescription.alpha=0.9"], "prescription.alpha:"),
+    (["run", "three-qubit-subalgebras", "--set", "params.coefficients=3"], "params.coefficients"),
+    (["run", "three-qubit-subalgebras", "--set", "params.scan_coefficients=3"],
+     "params.scan_coefficients"),
 ])
 def test_config_errors_exit_two(argv, fragment, capsys):
     assert main(argv) == 2

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qrf_lab import FrameSetup, Z2, Z3
 from qrf_lab.dynamics import (
@@ -51,6 +52,12 @@ def test_propagator_is_unitary():
     h = random_hermitian(rng, 4)
     u = propagator(h, 0.37)
     assert np.allclose(u @ dagger(u), np.eye(4), atol=1e-12)
+
+
+def test_propagator_matches_scipy():
+    rng = np.random.default_rng(3)
+    h = random_hermitian(rng, 4)
+    assert np.allclose(propagator(h, 0.7), scipy.linalg.expm(-1j * 0.7 * h), atol=1e-12)
 
 
 def test_evolve_vector_and_density_matrix_agree():

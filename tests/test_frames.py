@@ -8,7 +8,6 @@ from qrf_lab.frames import (
     g_twirl,
     parity_swap,
     physical_basis,
-    pi_phys,
     qrf_transform,
     reduction_map,
     relational_observable,
@@ -56,7 +55,7 @@ def test_setup_rejects_non_homomorphism():
 def test_pi_phys_is_a_projector():
     for group in (Z2, Z3, Z2xZ2):
         setup = FrameSetup.from_rep_config(group, "regular")
-        pi = pi_phys(setup)
+        pi = setup.pi_phys()
         assert np.allclose(pi @ pi, pi, atol=1e-12)
         assert np.allclose(pi, dagger(pi), atol=1e-12)
         rank = int(round(np.trace(pi).real))
@@ -67,7 +66,7 @@ def test_reduction_map_is_a_coisometry():
     setup = FrameSetup.from_rep_config(Z3, "regular")
     r1 = reduction_map(setup, 1, (1,))
     assert np.allclose(r1 @ dagger(r1), np.eye(setup.d_perspective), atol=1e-12)
-    assert np.allclose(dagger(r1) @ r1, pi_phys(setup), atol=1e-12)
+    assert np.allclose(dagger(r1) @ r1, setup.pi_phys(), atol=1e-12)
 
 
 def test_qrf_transform_unitary_and_composed_from_reductions():
@@ -172,7 +171,7 @@ def test_physical_basis_is_orthonormal_and_spans():
     n = basis.shape[1]
     assert n == setup.group.order * setup.d_s
     assert np.allclose(dagger(basis) @ basis, np.eye(n), atol=1e-12)
-    assert np.allclose(basis @ dagger(basis), pi_phys(setup), atol=1e-12)
+    assert np.allclose(basis @ dagger(basis), setup.pi_phys(), atol=1e-12)
 
 
 def test_relational_observable_reduces_back():
@@ -188,7 +187,7 @@ def test_relational_observable_reduces_back():
 def test_relational_observable_preserves_expectations():
     rng = np.random.default_rng(9)
     setup = qubit_setup()
-    pi = pi_phys(setup)
+    pi = setup.pi_phys()
     psi = pi @ haar_state(rng, setup.d_kin)
     psi = psi / np.linalg.norm(psi)
     f = random_hermitian(rng, setup.d_perspective)
@@ -209,4 +208,4 @@ def test_g_twirl_projects_onto_invariants():
     for g in setup.group.elements:
         u = setup.u_kin(g)
         assert np.allclose(u @ twirled @ dagger(u), twirled, atol=1e-12)
-    assert np.allclose(g_twirl(setup, pi_phys(setup)), pi_phys(setup), atol=1e-12)
+    assert np.allclose(g_twirl(setup, setup.pi_phys()), setup.pi_phys(), atol=1e-12)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qrf_lab import Z3
 from qrf_lab.dynamics import split_hamiltonian
@@ -18,16 +17,12 @@ from qrf_lab.operators import (
     conjugation_superop,
     dagger,
     degenerate_blocks,
-    embed_operator,
     fixed_space_projector,
     haar_state,
     haar_unitary,
     hs_inner,
     hs_norm,
     kron,
-    matrix_exp_scaled,
-    matrix_function,
-    matrix_log,
     monomial_gather,
     partial_trace,
     polar_unitary,
@@ -131,32 +126,11 @@ def test_assert_hermitian_is_relative_to_the_largest_entry():
                 assert np.abs(split.total - moved).max() <= 1e-14 * scale
 
 
-def test_matrix_exp_scaled_matches_scipy():
-    rng = np.random.default_rng(3)
-    h = random_hermitian(rng, 4)
-    assert np.allclose(matrix_exp_scaled(h, -1j * 0.7),
-                       scipy.linalg.expm(-1j * 0.7 * h), atol=1e-12)
-
-
-def test_matrix_log_and_power():
-    rng = np.random.default_rng(4)
-    h = random_hermitian(rng, 3)
-    rho = scipy.linalg.expm(h)
-    rho = rho / np.trace(rho)
-    assert np.allclose(scipy.linalg.expm(matrix_log(rho)), rho, atol=1e-10)
-    assert np.allclose(matrix_function(rho, np.square), rho @ rho, atol=1e-12)
-
-
 def test_polar_unitary():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u = polar_unitary(m)
     assert np.allclose(u @ dagger(u), np.eye(3), atol=1e-10)
-
-
-def test_embed_operator():
-    full = embed_operator({1: SIGMA_X}, (2, 2, 2))
-    assert np.allclose(full, kron(ID2, SIGMA_X, ID2))
 
 
 def test_degenerate_blocks():

@@ -106,6 +106,18 @@ def test_rep_override_replaces_scenario_default():
     ({"scenario": "ghz", "orientations": {"g_i": [0], "g_j": [True]}}, "orientations.g_j[0]"),
     ({"scenario": "gb-states", "params": {"shift": [1.0]}}, "params.shift[0]"),
     ({"scenario": "gb-states", "params": {"character": [True]}}, "params.character[0]"),
+    ({"scenario": "negative-temperature", "prescription": {"alpha_s": math.nan}}, "prescription.alpha_s"),
+    ({"scenario": "negative-temperature", "prescription": {"alpha_s": math.inf}}, "prescription.alpha_s"),
+    ({"scenario": "negative-temperature", "prescription": {"alpha_s": True}}, "prescription.alpha_s"),
+    ({"scenario": "negative-temperature", "prescription": {"alpha_s": "0.3"}}, "prescription.alpha_s"),
+    # alpha_s is checked whatever the kind, though commuting_part does not read it.
+    ({"scenario": "negative-temperature",
+      "prescription": {"prescription": "commuting_part", "alpha_s": None}}, "prescription.alpha_s"),
+    ({"scenario": "negative-temperature", "prescription": 5}, "prescription"),
+    ({"scenario": "negative-temperature", "prescription": {"alpha": 0.9}}, "prescription.alpha"),
+    ({"scenario": "three-qubit-subalgebras", "params": {"coefficients": 3}}, "params.coefficients"),
+    ({"scenario": "three-qubit-subalgebras", "params": {"scan_coefficients": 3}},
+     "params.scan_coefficients"),
 ], ids=lambda value: value if isinstance(value, str) else "config")
 def test_rejected_configs_name_the_offender(config, path_fragment):
     # Parameters are read by the scenario itself, so the whole run is tried.
@@ -175,11 +187,11 @@ def test_invalid_json_text_rejected():
 
 
 def test_tolerance_env_var(monkeypatch):
-    monkeypatch.setenv("QRF_LAB_TOL", "0.001")
-    assert parse_config({"scenario": "ghz"}).tolerance == 0.001
-    monkeypatch.setenv("QRF_LAB_TOL", "abc")
-    with pytest.raises(ConfigError):
-        parse_config({"scenario": "ghz"})
+    """The tolerance comes from the config alone; the environment does not change it."""
+    for value in ("0.001", "abc"):
+        monkeypatch.setenv("QRF_LAB_TOL", value)
+        assert parse_config({"scenario": "ghz"}).tolerance == scenarios.DEFAULT_TOLERANCE
+        assert parse_config({"scenario": "ghz", "tolerance": 0.25}).tolerance == 0.25
 
 
 def test_catalog_names_and_descriptions():

@@ -16,6 +16,7 @@ from qrf_lab.operators import (
     haar_unitary,
     hs_norm,
     kron,
+    partial_trace,
     random_hermitian,
 )
 from qrf_lab.states import gibbs_state, negative_temperature_predict
@@ -31,14 +32,12 @@ from qrf_lab.thermo import (
     NonProductInitialStateError,
     Prescription,
     balance_verifiers,
-    commutant_projection,
-    effective_hamiltonians,
     energetics,
     entropy_production_and_flow,
     gibbs_classification,
 )
 
-from property_suites import haar_conjugated_z3_setup, setup_pool
+from property_suites import energetics_with_rho_dot, haar_conjugated_z3_setup, setup_pool
 
 E = (0,)
 
@@ -68,33 +67,20 @@ def test_prescription_config():
 
 
 def test_no_interaction_means_effective_equals_bare():
+    """Without h_int the effective generators are the bare ones: no interaction energy, no work,
+    and each local energy is the bare Tr(h rho) of its marginal."""
     setup = qubit_setup()
     split = split_hamiltonian(kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_X), 2, 2)
-    rho = np.eye(4) / 4
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ dagger(g) / np.trace(g @ dagger(g)).real
+    rho_frame, rho_s = partial_trace(rho, (2, 2), drop=1), partial_trace(rho, (2, 2), drop=0)
     for presc in (Prescription.split_alpha(0.3), Prescription.commuting_part()):
-        eff = effective_hamiltonians(setup, split, rho, presc)
-        assert np.allclose(eff.h_s_eff, split.h_s, atol=1e-12)
-        assert np.allclose(eff.h_frame_eff, split.h_frame, atol=1e-12)
-        assert hs_norm(eff.h_tilde_s) < 1e-12
-
-
-def test_effective_hamiltonians_reconstruct_total():
-    setup = qubit_setup()
-    rng = np.random.default_rng(0)
-    split = split_hamiltonian(random_hermitian(rng, 4), 2, 2)
-    rho = random_product_state(rng, 2, 2)
-    for presc in (Prescription.split_alpha(0.5), Prescription.commuting_part()):
-        eff = effective_hamiltonians(setup, split, rho, presc)
-        total = (kron(eff.h_frame_eff, ID2) + kron(ID2, eff.h_s_eff)
-                 + eff.h_int_eff)
-        assert np.allclose(total, split.total, atol=1e-10)
-
-
-def test_commuting_part_blocks():
-    assert np.allclose(commutant_projection(SIGMA_Z, SIGMA_X), 0.0, atol=1e-12)
-    assert np.allclose(commutant_projection(SIGMA_Z, SIGMA_Z), SIGMA_Z, atol=1e-12)
-    mixed = 0.4 * SIGMA_Z + 0.7 * SIGMA_X
-    assert np.allclose(commutant_projection(SIGMA_Z, mixed), 0.4 * SIGMA_Z, atol=1e-12)
+        report = energetics(setup, split, rho, presc)
+        assert np.isclose(report.e_s, np.trace(split.h_s @ rho_s).real, atol=1e-12)
+        assert np.isclose(report.e_frame, np.trace(split.h_frame @ rho_frame).real, atol=1e-12)
+        assert abs(report.e_int) < 1e-12
+        assert abs(report.wdot_conv_s) < 1e-12 and abs(report.wdot_conv_frame) < 1e-12
 
 
 def test_first_law_closure_by_finite_differences():
@@ -105,9 +91,7 @@ def test_first_law_closure_by_finite_differences():
     rho0 = random_product_state(rng, 2, 2)
     presc = Prescription.split_alpha(0.5)
     t, dt = 0.8, 1e-6
-    rho = evolve(h, rho0, t)
-    rho_dot = -1j * (h @ rho - rho @ h)
-    report = energetics(setup, split, rho, presc, rho_dot=rho_dot)
+    report = energetics(setup, split, evolve(h, rho0, t), presc)
     e_plus = energetics(setup, split, evolve(h, rho0, t + dt), presc).e_s
     e_minus = energetics(setup, split, evolve(h, rho0, t - dt), presc).e_s
     fd = (e_plus - e_minus) / (2 * dt)
@@ -241,10 +225,10 @@ def _per_time_rates(setup, split, rho0, g_i, g_j, prescription, times, x):
         rho = evolve(h, rho0, t)
         rho_dot = -1j * (h @ rho - rho @ h)
         member &= membership_test(setup, rho, x, g_i, g_j).is_member
-        rates_j = energetics(setup, split_j, u @ rho @ dagger(u), prescription,
-                             rho_dot=u @ rho_dot @ dagger(u)).rates_vector()
-        rates_imported = energetics(setup, split_imported, rho, prescription, rho_dot=rho_dot).rates_vector()
-        rates_bare = energetics(setup, split, rho, prescription, rho_dot=rho_dot).rates_vector()
+        rates_j = energetics_with_rho_dot(split_j, u @ rho @ dagger(u), prescription,
+                                          u @ rho_dot @ dagger(u)).rates_vector()
+        rates_imported = energetics_with_rho_dot(split_imported, rho, prescription, rho_dot).rates_vector()
+        rates_bare = energetics_with_rho_dot(split, rho, prescription, rho_dot).rates_vector()
         gap = max(gap, np.abs(rates_imported - rates_j).max())
         bare_gap = max(bare_gap, np.abs(rates_bare - rates_j).max())
     return gap, bare_gap, member
