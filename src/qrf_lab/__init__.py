@@ -29,14 +29,12 @@ from .frames import (
     qrf_transform,
     reduction_map,
     relational_observable,
-    uhat_superoperator,
 )
 from .groups import Z2, Z2xZ2, Z3, Z4, FiniteAbelianGroup
 from .operators import (
     FixedSpace,
     IndefiniteOperatorError,
     NumericalRankError,
-    conjugation_superop,
     dagger,
     fixed_space_projector,
     hs_inner,
@@ -61,7 +59,6 @@ from .scenarios import (
     write_json,
 )
 from .states import (
-    EquivalenceWitness,
     NegativeTemperatureReport,
     basis_state,
     gb_state,

@@ -256,7 +256,7 @@ def mean_field_hamiltonian(split, rho_other, on="s"):
     return flat.reshape(lead + (d, d))
 
 
-def subsystem_eom_terms(setup, split, rho_ibar, tol=1e-10):
+def subsystem_eom_terms(setup, split, rho_ibar):
     """Terms of the reduced system equation of motion in one perspective."""
     rho_ibar = np.asarray(rho_ibar, dtype=complex)
     dims = (setup.d_frame, setup.d_s)
@@ -276,20 +276,20 @@ def subsystem_eom_terms(setup, split, rho_ibar, tol=1e-10):
         h_tilde_s=h_tilde_s,
         unitary_term=unitary_term,
         dissipative_term=dissipative_term,
-        effectively_closed=bool(hs_norm(closed_comm) <= tol * max(1.0, hs_norm(omega))),
+        effectively_closed=bool(hs_norm(closed_comm) <= 1e-10 * max(1.0, hs_norm(omega))),
     )
 
 
-def dynamical_type_classifier(setup, split, tol=CLASSIFIER_TOL):
+def dynamical_type_classifier(setup, split):
     """Classify the induced system dynamics as closed, open, or interacting.
 
-    Each residual is compared with tol * ||H||, so rescaling H leaves the
-    verdict unchanged; H = 0 is closed_to_closed.
+    Each residual is compared with CLASSIFIER_TOL * ||H||, so rescaling H
+    leaves the verdict unchanged; H = 0 is closed_to_closed.
     """
-    scale = hs_norm(split.total)
-    interacting = hs_norm(split.h_int) > tol * scale
-    frame_diagonal = hs_norm(split.h_frame - np.diag(np.diag(split.h_frame))) <= tol * scale
-    s_translation_invariant = hs_norm(split.h_s - s_factor_twirl(setup, split.h_s)) <= tol * scale
+    tol = CLASSIFIER_TOL * hs_norm(split.total)
+    interacting = hs_norm(split.h_int) > tol
+    frame_diagonal = hs_norm(split.h_frame - np.diag(np.diag(split.h_frame))) <= tol
+    s_translation_invariant = hs_norm(split.h_s - s_factor_twirl(setup, split.h_s)) <= tol
     if interacting:
         return "interacting"
     if frame_diagonal and s_translation_invariant:

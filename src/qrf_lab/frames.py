@@ -17,7 +17,6 @@ from .groups import FiniteAbelianGroup
 from .operators import (
     StructuredUnitary,
     assert_unitary,
-    conjugation_superop,
     dagger,
     kron,
     monomial_gather,
@@ -211,8 +210,3 @@ def physical_basis(setup):
     the identity orientation back to the kinematical space.
     """
     return dagger(reduction_map(setup, 1, setup.group.identity))
-
-
-def uhat_superoperator(setup, g_i, g_j):
-    """Conjugation superoperator of the perspective-local unitary."""
-    return conjugation_superop(setup.perspective_change(g_i, g_j).matrix)

@@ -62,12 +62,12 @@ def kron(*mats):
     return reduce(_kron2, mats)
 
 
-def assert_hermitian(mat, tol=HERMITICITY_TOL, what="operator"):
-    """Return mat if max|A - A'| <= tol max|A|, else raise ValueError."""
+def assert_hermitian(mat, what="operator"):
+    """Return mat if max|A - A'| <= HERMITICITY_TOL max|A|, else raise ValueError."""
     mat = np.asarray(mat)
     defect = np.abs(mat - dagger(mat)).max()
     scale = np.abs(mat).max()
-    if defect > tol * scale:
+    if defect > HERMITICITY_TOL * scale:
         raise ValueError(f"{what} is not Hermitian: max|A - A'| = {defect:.3e}, max|A| = {scale:.3e}")
     return mat
 
@@ -76,10 +76,10 @@ def hermitian_part(mat):
     return (mat + dagger(mat)) / 2
 
 
-def assert_unitary(mat, tol=UNITARITY_TOL, what="operator"):
+def assert_unitary(mat, what="operator"):
     mat = np.asarray(mat)
     defect = np.abs(mat @ dagger(mat) - np.eye(mat.shape[0])).max()
-    if defect > tol:
+    if defect > UNITARITY_TOL:
         raise ValueError(f"{what} is not unitary: max|U U' - 1| = {defect:.3e}")
     return mat
 
@@ -219,12 +219,6 @@ def unvec(v, d=None):
     return v.reshape((d, d), order="F")
 
 
-def conjugation_superop(w):
-    """Superoperator of f -> w f w' acting on column-major vec(f); w must be unitary."""
-    w = assert_unitary(np.asarray(w, dtype=complex))
-    return np.kron(w.conj(), w)
-
-
 @dataclass
 class FixedSpace:
     """Eigenvalue-1 subspace of a matrix: orthogonal projector and basis."""
@@ -237,13 +231,13 @@ class FixedSpace:
         return self.basis.shape[1]
 
 
-def fixed_space_projector(superop, tol=1e-9, guard=10.0):
+def fixed_space_projector(superop, tol=1e-9):
     """Orthogonal projector onto the eigenvalue-1 subspace of superop.
 
     Uses an ordered Schur decomposition so the leading Schur vectors span
     the selected invariant subspace.  Eigenvalues in the annulus
-    (tol, guard*tol] around 1 mean the rank is numerically ambiguous and
-    raise NumericalRankError with the observed gap.
+    (tol, 10 tol] around 1 mean the rank is numerically ambiguous and
+    raise NumericalRankError with the observed gap, as in invariant_projector.
     """
     superop = np.asarray(superop, dtype=complex)
 
@@ -255,9 +249,9 @@ def fixed_space_projector(superop, tol=1e-9, guard=10.0):
     rejected = eigs[sdim:]
     if rejected.size:
         gap = float(np.abs(rejected - 1.0).min())
-        if gap <= guard * tol:
+        if gap <= 10 * tol:
             raise NumericalRankError(
-                f"eigenvalue at distance {gap:.3e} from 1 is inside the guard band {guard * tol:.3e}")
+                f"eigenvalue at distance {gap:.3e} from 1 is inside the guard band {10 * tol:.3e}")
     basis = q[:, :sdim]
     return FixedSpace(projector=basis @ dagger(basis), basis=basis)
 

@@ -8,7 +8,6 @@ golden-file stable.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import itertools
@@ -45,7 +44,6 @@ from .subalgebras import (
     transport_bilocal,
 )
 from .thermo import (
-    NonProductInitialStateError,
     Prescription,
     entropy_balance,
     initial_product,
@@ -56,6 +54,8 @@ from .thermo import (
 VERSION = "0.1.0"
 
 DEFAULT_TOLERANCE = 1e-9
+# Largest d_p x d_p complex matrix a config may ask for: 64 MiB, d_p <= 2048.
+_MATRIX_BUDGET_BYTES = 64 * 2 ** 20
 
 COLUMNS = (
     "t",
@@ -144,11 +144,21 @@ def _build_group(raw):
         raise ConfigError("group.cyclic", str(exc))
 
 
+def _require_affordable(group, d_s, path):
+    """Refuse d_p = |G| d_s over the budget before the group's tables or any rep matrix exist."""
+    size = 16 * (group.order * d_s) ** 2
+    _require(size <= _MATRIX_BUDGET_BYTES, path, f"perspective dimension {group.order * d_s} needs "
+             f"{size} bytes per complex matrix, above the {_MATRIX_BUDGET_BYTES}-byte budget")
+
+
 def _build_setup(group, raw_rep):
     if raw_rep == "regular":
+        _require_affordable(group, group.order, "group.cyclic")
         return FrameSetup.from_rep_config(group, "regular")
     if isinstance(raw_rep, dict) and set(raw_rep) == {"tensor_power"}:
         power = _as_positive_int(raw_rep["tensor_power"], "rep.tensor_power")
+        # The order is at least 2, so a power past 64 is over the budget at any order.
+        _require_affordable(group, group.order ** min(power, 64), "rep.tensor_power")
         return FrameSetup.from_rep_config(group, {"tensor_power": power})
     if isinstance(raw_rep, dict) and set(raw_rep) == {"matrices"}:
         entries = raw_rep["matrices"]
@@ -164,6 +174,7 @@ def _build_setup(group, raw_rep):
             mat = np.array([[_as_complex(v, f"rep.matrices.{key}[{r}][{c}]")
                              for c, v in enumerate(row)] for r, row in enumerate(rows)])
             rep[element] = mat
+        _require_affordable(group, max(len(mat) for mat in rep.values()), "rep.matrices")
         try:
             return FrameSetup(group, rep)
         except ValueError as exc:
@@ -241,7 +252,7 @@ class ScenarioConfig:
     raw: dict
 
 
-def parse_config(source, scenario=None):
+def parse_config(source):
     """Validate a config given as a dict, JSON text, or a path to a JSON file."""
     if isinstance(source, dict):
         raw = dict(source)
@@ -258,7 +269,7 @@ def parse_config(source, scenario=None):
         raise ConfigError("", f"expected a dict, JSON text, or path, got {type(source).__name__}")
     _require(isinstance(raw, dict), "", "top-level config must be a JSON object")
 
-    name = scenario or raw.get("scenario")
+    name = raw.get("scenario")
     _require(isinstance(name, str) and name, "scenario", "a scenario name is required")
     if name not in SCENARIOS:
         raise ConfigError("scenario", f"unknown scenario {name!r}; valid names: "
@@ -473,10 +484,8 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
     split = {"i": split_hamiltonian(h_ibar, *dims),
              "j": split_hamiltonian(change.conjugate(h_ibar), *dims)}
     rho0_i = np.asarray(rho0_ibar, dtype=complex)
-    initial = {}
-    for suffix, rho0 in (("i", rho0_i), ("j", change.conjugate(rho0_i))):
-        with contextlib.suppress(NonProductInitialStateError):
-            initial[suffix] = initial_product(setup, rho0, cfg.tolerance)
+    initial = {suffix: initial_product(setup, rho0, cfg.tolerance)
+               for suffix, rho0 in (("i", rho0_i), ("j", change.conjugate(rho0_i)))}
     rows = []
     for times, rho_i in GridEvolution(h_ibar).blocks(rho0_i, cfg.time_grid):
         rho = {"i": rho_i, "j": change.conjugate(rho_i)}
@@ -488,7 +497,7 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
                            for stem, name in _ENERGETICS_COLUMNS.items())
             rho_s[suffix] = marginals.rho_s
             columns[f"SvN_s_{suffix}"] = s_s = von_neumann_entropy(marginals.rho_s)
-            if suffix in initial:
+            if initial[suffix].is_product:
                 balance = entropy_balance(initial[suffix], rho_t, marginals.rho_frame, marginals.rho_s, s_s)
                 columns[f"sigma_{suffix}"] = balance.sigma
                 columns[f"phi_{suffix}"] = balance.phi
@@ -1026,9 +1035,9 @@ def list_scenarios():
     return [(s.name, s.description) for s in SCENARIOS.values()]
 
 
-def run_scenario(source, scenario=None):
+def run_scenario(source):
     """Parse, run, and collect one scenario into a ScenarioResult."""
-    cfg = source if isinstance(source, ScenarioConfig) else parse_config(source, scenario)
+    cfg = source if isinstance(source, ScenarioConfig) else parse_config(source)
     entry = SCENARIOS[cfg.scenario]
     rows, summary = entry.run(cfg) if entry.run else _run_grid(cfg, entry)
     return ScenarioResult(name=cfg.scenario, config=cfg.raw, rows=rows, summary=summary,

@@ -167,37 +167,21 @@ def subsystem_transform(setup, rho_ibar, g_i, g_j):
     )
 
 
-@dataclass
-class EquivalenceWitness:
-    z: np.ndarray
-    rho_a_translation_invariant: bool | None
-
-
-def subsystem_equivalence_witness(rho_a, rho_b, setup=None, tol=SPECTRUM_TOL, gap=1e-8):
-    """Unitary z with rho_b = z rho_a z', or None when the spectra differ.
-
-    When a setup is supplied the report also notes whether rho_a commutes
-    with every system translation.
-    """
+def subsystem_equivalence_witness(rho_a, rho_b):
+    """Unitary z with rho_b = z rho_a z', or None when the spectra differ by more than SPECTRUM_TOL."""
     rho_a, rho_b = np.asarray(rho_a, dtype=complex), np.asarray(rho_b, dtype=complex)
     vals_a, vecs_a = np.linalg.eigh(rho_a)
     vals_b, vecs_b = np.linalg.eigh(rho_b)
     order_a, order_b = np.argsort(vals_a)[::-1], np.argsort(vals_b)[::-1]
     vals_a, vecs_a = vals_a[order_a], vecs_a[:, order_a]
     vals_b, vecs_b = vals_b[order_b], vecs_b[:, order_b]
-    if np.abs(vals_a - vals_b).max() > tol:
+    if np.abs(vals_a - vals_b).max() > SPECTRUM_TOL:
         return None
     vecs_b = np.array(vecs_b, dtype=complex)
-    for blk in degenerate_blocks(vals_a, gap):
+    for blk in degenerate_blocks(vals_a, 1e-8):
         w = polar_unitary(dagger(vecs_b[:, blk]) @ vecs_a[:, blk])
         vecs_b[:, blk] = vecs_b[:, blk] @ w
-    z = vecs_b @ dagger(vecs_a)
-    invariant = None
-    if setup is not None:
-        invariant = all(
-            hs_norm(rho_a @ setup.u_s(g) - setup.u_s(g) @ rho_a) <= 1e-10 * max(1.0, hs_norm(rho_a))
-            for g in setup.group.elements)
-    return EquivalenceWitness(z=z, rho_a_translation_invariant=invariant)
+    return vecs_b @ dagger(vecs_a)
 
 
 @dataclass

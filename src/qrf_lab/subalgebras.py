@@ -225,9 +225,9 @@ class SubalgebraProjector:
         q = self.schur_vectors
         return q @ (self.mask * (dagger(q) @ np.asarray(op, dtype=complex) @ q)) @ dagger(q)
 
-    def contains(self, op, tol=MEMBERSHIP_TOL):
-        """Whether ||apply(op) - op|| <= tol ||op||: rescaling op keeps the verdict, and 0 is a member."""
-        return bool(hs_norm(self.apply(op) - op) <= tol * hs_norm(op))
+    def contains(self, op):
+        """Whether ||apply(op) - op|| <= MEMBERSHIP_TOL ||op||; scale-free, and 0 is a member."""
+        return bool(hs_norm(self.apply(op) - op) <= MEMBERSHIP_TOL * hs_norm(op))
 
 
 def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
@@ -297,7 +297,7 @@ def classify_local_operator(setup, op, which, g_i, g_j):
     raise ValueError('which must be "s_local" or "frame_local"')
 
 
-def pure_state_bilocal_witness(setup, psi, g_i, g_j, tol=MEMBERSHIP_TOL, gap=DEGENERACY_GAP):
+def pure_state_bilocal_witness(setup, psi, g_i, g_j, tol=MEMBERSHIP_TOL):
     """Product unitary relating a pure state to its perspective-changed image.
 
     Returns None when the two states have different Schmidt spectra across
@@ -318,7 +318,7 @@ def pure_state_bilocal_witness(setup, psi, g_i, g_j, tol=MEMBERSHIP_TOL, gap=DEG
     b, d = dagger(bh), dagger(dh)
     a, b, c, d = (np.array(m, dtype=complex) for m in (a, b, c, d))
     k = lam_psi.size
-    for blk in degenerate_blocks(lam_psi, gap):
+    for blk in degenerate_blocks(lam_psi, DEGENERACY_GAP):
         w = polar_unitary(dagger(c[:, blk]) @ a[:, blk] + dagger(d[:, blk]) @ b[:, blk])
         c[:, blk] = c[:, blk] @ w
         d[:, blk] = d[:, blk] @ w

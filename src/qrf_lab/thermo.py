@@ -36,10 +36,10 @@ times B transposed, and e_int = e_total - e_frame - e_s.  Mean fields,
 means and energies cost O(d^2) per state after that one-off set-up; only
 e_star multiplies matrices, of subsystem size.
 
-entropy_production_and_flow splits the same way: initial_product checks
-once that rho0 is a frame (x) system product and keeps both marginals and
-their entropies; entropy_balance, the core, reads rho(t), rho_frame(t),
-rho_s(t) and, when the caller holds it, S(rho_s(t)), and takes each entropy once.
+entropy_production_and_flow splits the same way: initial_product keeps
+both marginals of rho0, their entropies and whether rho0 is their
+product; entropy_balance, the core, reads rho(t), rho_frame(t), rho_s(t)
+and, when the caller holds it, S(rho_s(t)), and takes each entropy once.
 """
 
 from __future__ import annotations
@@ -79,11 +79,7 @@ from .subalgebras import as_matrix, membership_test, pure_state_bilocal_witness
 
 
 class NonProductInitialStateError(ValueError):
-    """Entropy balance needs an initial product state; .initial has the state's marginals anyway."""
-
-    def __init__(self, message, initial):
-        super().__init__(message)
-        self.initial = initial
+    """Entropy balance needs an initial frame (x) system product state."""
 
 
 @dataclass(frozen=True)
@@ -233,7 +229,7 @@ def _assembled(split, rho_frame, rho_s, int_frame, int_s):
     return StateMarginals(rho_frame, rho_s, rho_frame_dot, rho_s_dot, _real(e_total))
 
 
-def energetics(setup, split, rho_ibar, prescription):
+def energetics(split, rho_ibar, prescription):
     """Instantaneous energies and heat/work rates in one perspective.
 
     The rates read the closed-system derivative rho_dot = -i[H, rho].
@@ -306,27 +302,23 @@ class EntropyBalance:
 
 
 class InitialProduct(NamedTuple):
-    """Both marginals of an initial frame (x) system product state and their entropies."""
+    """Both marginals of a state, their entropies, and whether the state is their product."""
 
     rho_frame: np.ndarray
     rho_s: np.ndarray
     s_frame: float
     s_s: float
+    is_product: bool
 
 
 def initial_product(setup, rho0_ibar, tol=1e-9):
-    """The InitialProduct of rho0; NonProductInitialStateError unless rho0 = rho_frame (x) rho_s.
-
-    The error carries the same marginals and entropies of rho0 as its .initial.
-    """
+    """The InitialProduct of rho0; is_product tells whether rho0 = rho_frame (x) rho_s within tol."""
     dims = (setup.d_frame, setup.d_s)
     rho0 = np.asarray(rho0_ibar, dtype=complex)
     rho_s0 = partial_trace(rho0, dims, drop=0)
     rho_f0 = partial_trace(rho0, dims, drop=1)
-    initial = InitialProduct(rho_f0, rho_s0, von_neumann_entropy(rho_f0), von_neumann_entropy(rho_s0))
-    if hs_norm(rho0 - kron(rho_f0, rho_s0)) > tol * max(1.0, hs_norm(rho0)):
-        raise NonProductInitialStateError("initial state must be a frame (x) system product", initial)
-    return initial
+    return InitialProduct(rho_f0, rho_s0, von_neumann_entropy(rho_f0), von_neumann_entropy(rho_s0),
+                          bool(hs_norm(rho0 - kron(rho_f0, rho_s0)) <= tol * max(1.0, hs_norm(rho0))))
 
 
 def entropy_balance(initial, rho_t, rho_frame_t, rho_s_t, s_s_t=None):
@@ -344,9 +336,12 @@ def entropy_balance(initial, rho_t, rho_frame_t, rho_s_t, s_s_t=None):
 def entropy_production_and_flow(setup, rho0_ibar, rho_t_ibar, tol=1e-9):
     """Entropy produced and entropy exchanged between an initial product state and a later state.
 
-    rho_t_ibar may be a stack (k, d, d) of later states.
+    rho_t_ibar may be a stack (k, d, d) of later states.  Raises
+    NonProductInitialStateError unless rho0 is a frame (x) system product.
     """
     initial = initial_product(setup, rho0_ibar, tol)
+    if not initial.is_product:
+        raise NonProductInitialStateError("initial state must be a frame (x) system product")
     rho_t = np.asarray(rho_t_ibar, dtype=complex)
     dims = (setup.d_frame, setup.d_s)
     return entropy_balance(initial, rho_t, partial_trace(rho_t, dims, drop=1),
@@ -389,11 +384,12 @@ class GibbsClassification:
     mu_fit_residual: float | None
 
 
-def gibbs_classification(setup, hamiltonian, g_i, g_j, sample_globals=8, beta=1.0, rng=None):
+def gibbs_classification(setup, hamiltonian, g_i, g_j):
     """How a system Gibbs state behaves under the perspective change.
 
     hamiltonian may be system-local (d_s x d_s) or a full perspective
-    Hamiltonian; the verdict concerns its system-local piece.
+    Hamiltonian; the verdict concerns its system-local piece.  The deviation
+    is sampled at beta = 1 over 8 global states drawn from default_rng(0).
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     d_f, d_s = setup.d_frame, setup.d_s
@@ -416,15 +412,15 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j, sample_globals=8, beta=1.
     lambda_zero = hs_norm(lambda_s) <= 1e-9 * scale
     verdict = translation_invariant and lambda_zero
 
-    rng = np.random.default_rng(0) if rng is None else rng
-    marginal = gibbs_state(h_s, beta)
+    rng = np.random.default_rng(0)
+    marginal = gibbs_state(h_s, 1.0)
     # Both reduced states see the global state only through its
     # frame-diagonal blocks, and the invariance statement holds for
     # extensions whose diagonal blocks are those of a product.  Sampling
     # therefore draws random products and dresses half of them with
     # frame-off-diagonal correlations, which leave those blocks untouched.
     deviation = 0.0
-    for k in range(int(sample_globals)):
+    for k in range(8):
         rho = kron(_random_density(rng, d_f), marginal)
         if k % 2 == 1:
             rho = _add_frame_coherences(rng, rho, d_f, d_s)
@@ -482,23 +478,23 @@ class BalanceReport:
     premises_not_met: list = field(default_factory=list)
 
 
-def _agree(a, b, tol=1e-8):
-    """Within tol of each other, or both infinite."""
+def _agree(a, b):
+    """Within 1e-8 of each other, or both infinite."""
     if math.isinf(a) or math.isinf(b):
         return math.isinf(a) and math.isinf(b)
-    return bool(abs(a - b) <= tol)
+    return bool(abs(a - b) <= 1e-8)
 
 
-def _phase_aligned_equal(a, b, tol=1e-8):
+def _phase_aligned_equal(a, b):
     overlap = np.trace(dagger(a) @ b)
     if abs(overlap) < 1e-12:
         return False
     phase = overlap / abs(overlap)
-    return hs_norm(a * phase - b) <= tol * max(1.0, hs_norm(a))
+    return hs_norm(a * phase - b) <= 1e-8 * max(1.0, hs_norm(a))
 
 
 def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
-                      x0=None, x1=None, grid=50, rate_tol=1e-8):
+                      x0=None, x1=None, grid=50):
     """Verify cross-perspective thermodynamic agreement along one trajectory.
 
     Checks, premises permitting: rate agreement between the transformed
@@ -516,7 +512,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     searched, and rho(t1) too when none is found.
 
     Rates scale as ||H||^2, so rates_match compares the unscaled
-    rates_max_gap with rate_tol * ||H||_2^2, the spectral norm being
+    rates_max_gap with 1e-8 ||H||_2^2, the spectral norm being
     max |lambda| of the grid's eigendecomposition.  grid counts the times
     from t0 to t1 and must be at least 2.
     """
@@ -590,16 +586,9 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
             premises.append("trajectory leaves the subalgebra on the grid")
     x1 = find_witness(rho_t1, x1)
 
-    def marginals(rho):
-        """(InitialProduct of rho, whether rho is a frame (x) system product)."""
-        try:
-            return initial_product(setup, rho), True
-        except NonProductInitialStateError as exc:
-            return exc.initial, False
-
-    (start_i, product_at_t0), (end_i, product_at_t1), (start_j, product_j), (end_j, _) = (
-        marginals(rho) for rho in (rho_t0, rho_t1, rho_j_t0, rho_j_t1))
-    frame_marginal_static = bool(product_at_t0 and product_at_t1
+    start_i, end_i, start_j, end_j = (initial_product(setup, rho)
+                                      for rho in (rho_t0, rho_t1, rho_j_t0, rho_j_t1))
+    frame_marginal_static = bool(start_i.is_product and end_i.is_product
                                  and hs_norm(end_i.rho_frame - start_i.rho_frame) <= 1e-9)
 
     y_factors_match = None
@@ -608,10 +597,10 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
 
     sigma_i = phi_i = sigma_j = phi_j = None
     pure_balance_zero = None
-    if product_at_t0:
+    if start_i.is_product:
         balance_i = entropy_balance(start_i, rho_t1, end_i.rho_frame, end_i.rho_s, end_i.s_s)
         sigma_i, phi_i = balance_i.sigma, balance_i.phi
-        if product_j:
+        if start_j.is_product:
             balance_j = entropy_balance(start_j, rho_j_t1, end_j.rho_frame, end_j.rho_s, end_j.s_s)
             sigma_j, phi_j = balance_j.sigma, balance_j.phi
         else:
@@ -634,7 +623,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
                                        - (end_j.s_frame - start_j.s_frame)) <= 1e-8)
         delta_s_s_equal = bool(abs((end_i.s_s - start_i.s_s) - (end_j.s_s - start_j.s_s)) <= 1e-8)
 
-        if product_at_t0 and hasattr(x0, "y") and hasattr(x1, "y"):
+        if start_i.is_product and hasattr(x0, "y") and hasattr(x1, "y"):
             y01 = x0.y @ dagger(x1.y)
             rotated = y01 @ end_i.rho_frame @ dagger(y01)
             lhs = relative_entropy(rotated, start_i.rho_frame)
@@ -649,11 +638,11 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         times=times,
         rates_max_gap=float(rates_max_gap),
         rates_match=bool(x0 is not None and membership_ok
-                         and rates_max_gap <= rate_tol * np.abs(evolution.vals).max() ** 2),
+                         and rates_max_gap <= 1e-8 * np.abs(evolution.vals).max() ** 2),
         both_bare_max_gap=float(both_bare_max_gap),
         membership_ok=membership_ok,
-        product_at_t0=product_at_t0,
-        product_at_t1=product_at_t1,
+        product_at_t0=start_i.is_product,
+        product_at_t1=end_i.is_product,
         frame_marginal_static=frame_marginal_static,
         y_factors_match=y_factors_match,
         sigma_i=sigma_i,

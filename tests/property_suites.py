@@ -24,11 +24,10 @@ from qrf_lab.frames import (
     qrf_transform,
     reduction_map,
     relational_observable,
-    uhat_superoperator,
 )
 from qrf_lab.groups import Z2, Z2xZ2, Z3
 from qrf_lab.operators import (
-    conjugation_superop,
+    assert_unitary,
     dagger,
     degenerate_blocks,
     fixed_space_projector,
@@ -182,8 +181,7 @@ def suite_dephased_translation_sector_swap(n=100, seed=906):
     for _, rng, setup, g_i, g_j in _instances(n, seed):
         f = random_hermitian(rng, setup.d_perspective)
         fdt = pi_d(setup, pi_t(setup, f))
-        uhat = uhat_superoperator(setup, g_i, g_j)
-        lhs = unvec(uhat @ vec(fdt), setup.d_perspective)
+        lhs = setup.perspective_change(g_i, g_j).conjugate(fdt)
         swap = kron(parity_swap(setup, g_i, g_j), np.eye(setup.d_s))
         rhs = swap @ fdt @ dagger(swap)
         assert hs_norm(lhs - rhs) <= 1e-9
@@ -235,10 +233,10 @@ def suite_first_law_and_entropy_production(n=100, seed=908):
         h = random_hermitian(rng, d_f * d_s)
         split = split_hamiltonian(h, d_f, d_s)
         rho0 = kron(_random_density(rng, d_f), _random_density(rng, d_s))
-        report = energetics(setup, split, rho0, prescription)
+        report = energetics(split, rho0, prescription)
         dt = 1e-6
-        e_minus = energetics(setup, split, evolve(h, rho0, -dt), prescription).e_s
-        e_plus = energetics(setup, split, evolve(h, rho0, dt), prescription).e_s
+        e_minus = energetics(split, evolve(h, rho0, -dt), prescription).e_s
+        e_plus = energetics(split, evolve(h, rho0, dt), prescription).e_s
         fd = (e_plus - e_minus) / (2.0 * dt)
         scale = max(1.0, abs(fd))
         assert abs(report.qdot_conv_s + report.wdot_conv_s - fd) <= 1e-6 * scale
@@ -343,10 +341,10 @@ def energetics_with_rho_dot(split, rho, prescription, rho_dot):
     return marginal_energetics(split, prescription, marginals)
 
 
-def _report(setup, split, rho, prescription, rho_dot):
+def _report(split, rho, prescription, rho_dot):
     """energetics, or energetics_with_rho_dot when a rho_dot is supplied."""
     if rho_dot is None:
-        return energetics(setup, split, rho, prescription)
+        return energetics(split, rho, prescription)
     return energetics_with_rho_dot(split, rho, prescription, rho_dot)
 
 
@@ -385,7 +383,7 @@ def suite_energetics_matches_dense_oracle(n=100, seed=910):
                 cases = [(stack, rho_dot)] + [(rho, None if rho_dot is None else rho_dot[m])
                                               for m, rho in enumerate(stack)]
                 for rho, rho_d in cases:
-                    report = _report(setup, split, rho, prescription, rho_d)
+                    report = _report(split, rho, prescription, rho_d)
                     oracle = dense_energetics_oracle(split, rho, prescription, rho_dot=rho_d)
                     for name in ENERGETICS_FIELDS:
                         value = getattr(report, name)
@@ -427,9 +425,9 @@ def suite_stacked_layers_match_single_states(n=100, seed=909):
         else:
             prescription = Prescription.commuting_part()
         rho_dot = -1j * (h @ stack - stack @ h) if k % 3 == 0 else None
-        report = _report(setup, split, stack, prescription, rho_dot)
+        report = _report(split, stack, prescription, rho_dot)
         for m, rho in enumerate(stack):
-            single = _report(setup, split, rho, prescription, None if rho_dot is None else rho_dot[m])
+            single = _report(split, rho, prescription, None if rho_dot is None else rho_dot[m])
             for name in ENERGETICS_FIELDS:
                 assert abs(getattr(report, name)[m] - getattr(single, name)) <= 1e-12, name
 
@@ -501,6 +499,12 @@ def suite_rho_dot_marginals_match_dense_commutator(n=100, seed=911):
             assert np.abs(on_frame - partial_trace(g @ rho, dims, drop=1)).max() <= tol
             assert np.abs(on_s - partial_trace(g @ rho, dims, drop=0)).max() <= tol
     return int(n)
+
+
+def conjugation_superop(w):
+    """Superoperator of f -> w f w' acting on column-major vec(f); w must be unitary."""
+    w = assert_unitary(np.asarray(w, dtype=complex))
+    return np.kron(w.conj(), w)
 
 
 def superoperator_projector_oracle(setup, x, g_i, g_j, tol=1e-9):

@@ -98,6 +98,29 @@ def test_config_errors_exit_two(argv, fragment, capsys):
     assert fragment in err
 
 
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("a setup was built")
+
+
+@pytest.mark.parametrize("overrides, key", [
+    # Z6 with tensor_power 5: d_s = 7776, six 968 MB rep matrices, and one d_p x d_p matrix of 35 GB.
+    (["group.cyclic=[6]", "rep.tensor_power=5"], "rep.tensor_power"),
+    # Z100000 regular: its Cayley table alone would take 80 GB.
+    (["group.cyclic=[100000]"], "group.cyclic"),
+    (["group.cyclic=[3]", "rep.tensor_power=1000000000"], "rep.tensor_power"),
+    (["group.cyclic=[5000]", 'rep={"matrices": {"0": [[1]]}}'], "rep.matrices"),
+])
+def test_oversize_setups_exit_two_before_any_is_built(overrides, key, monkeypatch, capsys):
+    """The size is estimated from the config alone; nothing of that size is ever allocated."""
+    monkeypatch.setattr(qrf_lab.FrameSetup, "__init__", _refuse_to_build)
+    monkeypatch.setattr(qrf_lab.FrameSetup, "from_rep_config", _refuse_to_build)
+    argv = ["run", "zz-oscillation"]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: perspective dimension ")
+
+
 def test_invalid_json_config_file_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{broken")

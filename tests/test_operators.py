@@ -14,7 +14,6 @@ from qrf_lab.operators import (
     SIGMA_Z,
     assert_hermitian,
     assert_unitary,
-    conjugation_superop,
     dagger,
     degenerate_blocks,
     fixed_space_projector,
@@ -31,7 +30,7 @@ from qrf_lab.operators import (
     vec,
 )
 
-from property_suites import haar_conjugated_z3_setup
+from property_suites import conjugation_superop, haar_conjugated_z3_setup
 
 
 def test_pauli_algebra():

@@ -19,10 +19,20 @@ from qrf_lab.scenarios import (
     run_scenario,
 )
 from qrf_lab.states import von_neumann_entropy
-from qrf_lab.thermo import NonProductInitialStateError, Prescription, entropy_production_and_flow
+from qrf_lab.thermo import Prescription, entropy_production_and_flow
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_the_size_budget_admits_d_p_2048_and_refuses_the_next_power(monkeypatch):
+    """Z2 with tensor_power 10 has d_p = 2048, 64 MiB per complex matrix: the largest admitted,
+    far above the d_p = 125 of Z5 with tensor_power 2, the largest the tests and README use."""
+    monkeypatch.setattr(frames.FrameSetup, "from_rep_config", lambda group, rep: ("built", rep))
+    base = {"scenario": "w-state", "group": {"cyclic": [2]}}
+    assert parse_config(dict(base, rep={"tensor_power": 10})).setup == ("built", {"tensor_power": 10})
+    with pytest.raises(ConfigError, match="perspective dimension 4096 needs 268435456 bytes"):
+        parse_config(dict(base, rep={"tensor_power": 11}))
 
 
 def test_defaults_fill_in():
@@ -36,11 +46,6 @@ def test_defaults_fill_in():
     assert cfg.time_grid.shape == (61,)
     assert cfg.time_grid[0] == 0.0
     assert np.isclose(cfg.time_grid[-1], 2.0 * math.pi)
-
-
-def test_scenario_argument_wins_over_source_key():
-    cfg = parse_config({"scenario": "w-state"}, scenario="ghz")
-    assert cfg.scenario == "ghz"
 
 
 def test_config_accepts_json_text_and_files(tmp_path):
@@ -474,7 +479,8 @@ def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
     setup, dims = cfg.setup, (cfg.setup.d_frame, cfg.setup.d_s)
     change = setup.perspective_change(cfg.g_i, cfg.g_j)
     rho0 = {"i": rho0_i, "j": change.conjugate(rho0_i)}
-    products = {suffix: _is_product(setup, rho, cfg.tolerance) for suffix, rho in rho0.items()}
+    products = {suffix: initial_product(setup, rho, cfg.tolerance).is_product
+                for suffix, rho in rho0.items()}
     assert products == {"i": True, "j": name != "isolated-vs-closed"}
     if name == "zero-to-nonzero-entropy":
         assert all(math.isfinite(row[key]) for row in rows for key in ("sigma_i", "sigma_j", "phi_j"))
@@ -486,11 +492,3 @@ def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
                 assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (balance.sigma, balance.phi)
             else:
                 assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (None, None)
-
-
-def _is_product(setup, rho0, tol):
-    try:
-        entropy_production_and_flow(setup, rho0, rho0, tol)
-    except NonProductInitialStateError:
-        return False
-    return True

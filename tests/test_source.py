@@ -68,3 +68,76 @@ def test_every_definition_has_a_caller_or_a_test():
     the re-exports in __init__ do not count."""
     sources = {str(p): p.read_text(encoding="utf-8") for p in MODULES + TESTS}
     assert unreferenced_definitions(sources, [str(p) for p in MODULES]) == []
+
+
+def _defaulted_parameters(function, is_method):
+    """(name, position) of each parameter of function that has a default; a keyword-only
+    parameter has position None, and a method's positions do not count self."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    offset = 1 if is_method else 0
+    found = [(arg.arg, k - offset) for k, arg in enumerate(positional)
+             if k >= len(positional) - len(args.defaults)]
+    return found + [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+
+
+def never_passed_parameters(sources, defining):
+    """(file, function, parameter) of each defaulted parameter of a def in the defining
+    files, nested defs and methods included, that no call in sources sets.
+
+    A call sets a parameter when it passes it by keyword, reaches its position, or
+    spreads *args or **kwargs.  Calls and definitions are matched by name, as in
+    unreferenced_definitions: a call to another function of the same name counts, and
+    __init__ is called by its class's name.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(callee, []).append(node)
+
+    def sets(call, name, position):
+        return (any(isinstance(arg, ast.Starred) for arg in call.args)
+                or any(keyword.arg in (None, name) for keyword in call.keywords)
+                or position is not None and position < len(call.args))
+
+    found = []
+    for file in defining:
+        methods = {id(node): owner.name for owner in ast.walk(trees[file]) if isinstance(owner, ast.ClassDef)
+                   for node in owner.body if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(trees[file]):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            owner = methods.get(id(node))
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            callee = owner if owner is not None and node.name == "__init__" else node.name
+            for name, position in _defaulted_parameters(node, owner is not None and not static):
+                if not any(sets(call, name, position) for call in calls.get(callee, ())):
+                    found.append((file, node.name, name))
+    return sorted(found)
+
+
+def test_the_checker_sees_a_never_passed_parameter():
+    sources = {
+        "a.py": "def f(x, by_position=1, by_keyword=2, unset=3):\n"
+                "    def inner(y, nested_unset=0):\n        return y\n    return inner(x)\n\n\n"
+                "def spread(a=1, *, b=2):\n    pass\n\n\n"
+                "class C:\n    def __init__(self, made=1, never=2):\n        pass\n\n"
+                "    def method(self, p=1, q=2):\n        pass\n",
+        "test_a.py": "from a import C, f, spread\nf(0, 1, by_keyword=5)\nspread(*[1])\nspread(**{})\n"
+                     "C(1).method(0)\n",
+    }
+    assert never_passed_parameters(sources, ["a.py"]) == [
+        ("a.py", "__init__", "never"), ("a.py", "f", "unset"), ("a.py", "inner", "nested_unset"),
+        ("a.py", "method", "q")]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """No default of the package is a constant in disguise: some call in the package, its
+    tests or the benchmark sets each parameter that has one."""
+    bench = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+    sources = {str(p): p.read_text(encoding="utf-8") for p in MODULES + TESTS + bench}
+    assert never_passed_parameters(sources, [str(p) for p in MODULES]) == []

@@ -127,9 +127,9 @@ def test_subsystem_transform_preserves_spectra():
 def test_equivalence_witness_finds_conjugation():
     rho_a = gibbs_state(SIGMA_Z, 1.0)
     rho_b = SIGMA_X @ rho_a @ SIGMA_X
-    witness = subsystem_equivalence_witness(rho_a, rho_b)
-    assert witness is not None
-    assert np.allclose(witness.z @ rho_a @ witness.z.conj().T, rho_b, atol=1e-9)
+    z = subsystem_equivalence_witness(rho_a, rho_b)
+    assert z is not None
+    assert np.allclose(z @ rho_a @ z.conj().T, rho_b, atol=1e-9)
 
 
 def test_equivalence_witness_rejects_different_spectra():

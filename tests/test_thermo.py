@@ -35,6 +35,7 @@ from qrf_lab.thermo import (
     energetics,
     entropy_production_and_flow,
     gibbs_classification,
+    initial_product,
 )
 
 from property_suites import energetics_with_rho_dot, haar_conjugated_z3_setup, setup_pool
@@ -69,14 +70,13 @@ def test_prescription_config():
 def test_no_interaction_means_effective_equals_bare():
     """Without h_int the effective generators are the bare ones: no interaction energy, no work,
     and each local energy is the bare Tr(h rho) of its marginal."""
-    setup = qubit_setup()
     split = split_hamiltonian(kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_X), 2, 2)
     rng = np.random.default_rng(2)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ dagger(g) / np.trace(g @ dagger(g)).real
     rho_frame, rho_s = partial_trace(rho, (2, 2), drop=1), partial_trace(rho, (2, 2), drop=0)
     for presc in (Prescription.split_alpha(0.3), Prescription.commuting_part()):
-        report = energetics(setup, split, rho, presc)
+        report = energetics(split, rho, presc)
         assert np.isclose(report.e_s, np.trace(split.h_s @ rho_s).real, atol=1e-12)
         assert np.isclose(report.e_frame, np.trace(split.h_frame @ rho_frame).real, atol=1e-12)
         assert abs(report.e_int) < 1e-12
@@ -84,16 +84,15 @@ def test_no_interaction_means_effective_equals_bare():
 
 
 def test_first_law_closure_by_finite_differences():
-    setup = qubit_setup()
     rng = np.random.default_rng(1)
     h = random_hermitian(rng, 4)
     split = split_hamiltonian(h, 2, 2)
     rho0 = random_product_state(rng, 2, 2)
     presc = Prescription.split_alpha(0.5)
     t, dt = 0.8, 1e-6
-    report = energetics(setup, split, evolve(h, rho0, t), presc)
-    e_plus = energetics(setup, split, evolve(h, rho0, t + dt), presc).e_s
-    e_minus = energetics(setup, split, evolve(h, rho0, t - dt), presc).e_s
+    report = energetics(split, evolve(h, rho0, t), presc)
+    e_plus = energetics(split, evolve(h, rho0, t + dt), presc).e_s
+    e_minus = energetics(split, evolve(h, rho0, t - dt), presc).e_s
     fd = (e_plus - e_minus) / (2 * dt)
     assert np.isclose(report.qdot_conv_s + report.wdot_conv_s, fd, atol=1e-6)
     assert np.isclose(report.qdot_alt_s + report.wdot_alt_s, fd, atol=1e-6)
@@ -104,14 +103,13 @@ def test_first_law_closure_by_finite_differences():
 
 
 def test_total_energy_is_conserved():
-    setup = qubit_setup()
     rng = np.random.default_rng(2)
     h = random_hermitian(rng, 4)
     split = split_hamiltonian(h, 2, 2)
     rho0 = random_product_state(rng, 2, 2)
     presc = Prescription.commuting_part()
-    e0 = energetics(setup, split, rho0, presc).e_total
-    e1 = energetics(setup, split, evolve(h, rho0, 1.7), presc).e_total
+    e0 = energetics(split, rho0, presc).e_total
+    e1 = energetics(split, evolve(h, rho0, 1.7), presc).e_total
     assert np.isclose(e0, e1, atol=1e-10)
     assert np.isclose(e0, np.trace(h @ rho0).real, atol=1e-10)
 
@@ -140,6 +138,18 @@ def test_entropy_balance_requires_product_start():
     rho = np.outer(bell, bell)
     with pytest.raises(NonProductInitialStateError):
         entropy_production_and_flow(setup, rho, rho)
+
+
+def test_initial_product_reports_a_correlated_state_without_raising():
+    setup = qubit_setup()
+    bell = np.zeros(4)
+    bell[[0, 3]] = 1.0 / np.sqrt(2.0)
+    correlated = initial_product(setup, np.outer(bell, bell))
+    assert not correlated.is_product
+    assert np.allclose(correlated.rho_frame, ID2 / 2) and np.allclose(correlated.rho_s, ID2 / 2)
+    assert np.isclose(correlated.s_frame, np.log(2.0)) and np.isclose(correlated.s_s, np.log(2.0))
+    product = initial_product(setup, kron(gibbs_state(SIGMA_Z, 0.5), ID2 / 2))
+    assert product.is_product and np.isclose(product.s_s, np.log(2.0))
 
 
 def test_stationary_product_state_has_zero_balance():
@@ -391,6 +401,34 @@ def test_balance_verifiers_report_missing_premises():
     report = balance_verifiers(setup, split_hamiltonian(h, 2, 2), rho0, E, E,
                                Prescription.split_alpha(0.5), 0.0, 1.0, grid=6)
     assert "no subalgebra witness available at the initial time" in report.premises_not_met
+
+
+ZERO = np.diag([1.0, 0.0])
+VERDICTS = ("product_at_t0", "product_at_t1", "frame_marginal_static", "y_factors_match",
+            "pure_balance_zero", "y_condition_holds", "sigma_phi_equal")
+
+
+@pytest.mark.parametrize("h, x1_y, t1, membership_ok, expected", [
+    # S rotates under 1 (x) sigma_x while the frame stays put: every check holds.
+    (kron(ID2, SIGMA_X), ID2, 1.3, True, dict.fromkeys(VERDICTS, True)),
+    # sigma_x (x) sigma_x entangles |00>: the end state is no product, so the y checks have no premise.
+    (kron(SIGMA_X, SIGMA_X), None, 0.7, False,
+     dict(product_at_t0=True, product_at_t1=False, frame_marginal_static=False, y_factors_match=None,
+          pure_balance_zero=None, y_condition_holds=None, sigma_phi_equal=None)),
+    # |00> is stationary under sigma_z (x) 1 and stays in A_1, but x1 = sigma_x (x) 1 has another y.
+    (kron(SIGMA_Z, ID2), SIGMA_X, np.pi / 2, True,
+     dict(product_at_t0=True, product_at_t1=True, frame_marginal_static=True, y_factors_match=False,
+          pure_balance_zero=None, y_condition_holds=None, sigma_phi_equal=None)),
+])
+def test_balance_verifiers_verdicts(h, x1_y, t1, membership_ok, expected):
+    """Each verdict of BalanceReport on a qubit pair started in |00>, with x0 = 1 (x) 1 unless
+    x1_y is None, in which case balance_verifiers searches both labels itself."""
+    labels = {} if x1_y is None else {"x0": BilocalUnitary(ID2, ID2), "x1": BilocalUnitary(x1_y, ID2)}
+    report = balance_verifiers(qubit_setup(), split_hamiltonian(h, 2, 2), kron(ZERO, ZERO), E, E,
+                               Prescription.split_alpha(0.5), 0.0, t1, grid=8, **labels)
+    assert {name: getattr(report, name) for name in VERDICTS} == expected
+    assert report.membership_ok is membership_ok
+    assert (report.premises_not_met == []) is all(expected.values())
 
 
 def test_gibbs_classification_translation_invariant():
