@@ -23,12 +23,7 @@ from .dynamics import (
 from .frames import (
     FrameSetup,
     PerspectiveChange,
-    g_twirl,
     parity_swap,
-    physical_basis,
-    qrf_transform,
-    reduction_map,
-    relational_observable,
 )
 from .groups import Z2, Z2xZ2, Z3, Z4, FiniteAbelianGroup
 from .operators import (
@@ -97,12 +92,10 @@ from .thermo import (
     BalanceReport,
     EntropyBalance,
     GibbsClassification,
-    NonProductInitialStateError,
     Prescription,
     ThermoReport,
     balance_verifiers,
     energetics,
-    entropy_production_and_flow,
     gibbs_classification,
 )
 

@@ -1,9 +1,9 @@
 """Reference-frame perspectives for a gauge group acting on two frames and a system.
 
-The kinematical space is H_1 (x) H_2 (x) H_S with the two frame factors
-carrying the regular representation and the system an arbitrary unitary
-representation of the same finite abelian group.  Perspective spaces keep
-the factor order (other frame, system).
+The two frames carry the regular representation and the system an arbitrary
+unitary representation of the same finite abelian group.  Perspective spaces
+keep the factor order (other frame, system), and PerspectiveChange maps one
+frame's perspective to the other's.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from .groups import FiniteAbelianGroup
 from .operators import (
     StructuredUnitary,
     assert_unitary,
-    dagger,
     kron,
     monomial_gather,
     read_only,
-    twirl,
 )
 
 
@@ -70,8 +68,6 @@ class FrameSetup:
         self._validate_representation()
         self.d_frame = group.order
         self.d_perspective = self.d_frame * self.d_s
-        self.d_kin = self.d_frame ** 2 * self.d_s
-        self._pi_phys = None
         self._perspective_changes = {}
 
     @classmethod
@@ -110,18 +106,6 @@ class FrameSetup:
     def u_frame(self, g):
         return self.group.regular_representation(g)
 
-    def u_kin(self, g):
-        """Global gauge action U^g on the kinematical space."""
-        reg = self.u_frame(g)
-        return kron(reg, reg, self.u_s(g))
-
-    def pi_phys(self):
-        """Group average of the gauge action; projector onto physical states."""
-        if self._pi_phys is None:
-            acc = sum(self.u_kin(g) for g in self.group.elements)
-            self._pi_phys = np.asarray(acc, dtype=complex) / self.group.order
-        return self._pi_phys
-
     def perspective_change(self, g_i, g_j) -> PerspectiveChange:
         """The perspective change u_ibar for one orientation pair, built once and cached."""
         group = self.group
@@ -138,44 +122,6 @@ class FrameSetup:
             self._perspective_changes[key] = change
         return change
 
-    def embed_kin(self, frame, frame_op, complement_op):
-        """Place frame_op at the given frame factor and complement_op on the rest.
-
-        complement_op acts on (other frame, system) in that order.
-        """
-        d_f, d_s = self.d_frame, self.d_s
-        comp = np.asarray(complement_op, dtype=complex).reshape(d_f, d_s, d_f, d_s)
-        frame_op = np.asarray(frame_op, dtype=complex)
-        if frame == 1:
-            out = np.einsum("ab,csdt->acsbdt", frame_op, comp)
-        elif frame == 2:
-            out = np.einsum("asbt,cd->acsbdt", comp, frame_op)
-        else:
-            raise ValueError("frame must be 1 or 2")
-        return out.reshape(self.d_kin, self.d_kin)
-
-
-def reduction_map(setup, frame, g):
-    """Co-isometry from the kinematical space to the perspective of the given frame."""
-    bra = np.zeros((1, setup.d_frame))
-    bra[0, setup.group.index(g)] = 1.0
-    if frame == 1:
-        stripper = kron(bra, np.eye(setup.d_frame), np.eye(setup.d_s))
-    elif frame == 2:
-        stripper = kron(np.eye(setup.d_frame), bra, np.eye(setup.d_s))
-    else:
-        raise ValueError("frame must be 1 or 2")
-    return np.sqrt(setup.group.order) * (stripper @ setup.pi_phys())
-
-
-def qrf_transform(setup, from_frame, to_frame, g_from, g_to):
-    """Unitary mapping the perspective of one frame to the other."""
-    if {from_frame, to_frame} != {1, 2}:
-        raise ValueError("transform must connect frame 1 and frame 2")
-    r_from = reduction_map(setup, from_frame, g_from)
-    r_to = reduction_map(setup, to_frame, g_to)
-    return r_to @ dagger(r_from)
-
 
 def parity_swap(setup, g_i, g_j):
     """Frame-factor map sum_g |g_i g><g_j g^-1| implementing the sign flip."""
@@ -183,30 +129,3 @@ def parity_swap(setup, g_i, g_j):
     mat = np.zeros((setup.d_frame, setup.d_frame), dtype=complex)
     mat[np.arange(perm.size), perm] = 1.0
     return mat
-
-
-def relational_observable(setup, frame, g, f):
-    """Gauge-invariant operator describing f relative to the frame at orientation g.
-
-    f acts on the perspective space (other frame, system).
-    """
-    group = setup.group
-    g = group.check_element(g)
-    proj = np.zeros((setup.d_frame, setup.d_frame))
-    proj[group.index(g), group.index(g)] = 1.0
-    pi = setup.pi_phys()
-    return group.order * (pi @ setup.embed_kin(frame, proj, f) @ pi)
-
-
-def g_twirl(setup, op):
-    """Incoherent average of op over the global gauge action."""
-    return twirl([setup.u_kin(g) for g in setup.group.elements], op)
-
-
-def physical_basis(setup):
-    """Orthonormal basis of the physical subspace, columns of one isometry.
-
-    Obtained by pulling the product basis of the perspective of frame 1 at
-    the identity orientation back to the kinematical space.
-    """
-    return dagger(reduction_map(setup, 1, setup.group.identity))

@@ -171,6 +171,9 @@ def _build_setup(group, raw_rep):
                 element = group.elements[idx]
             except (ValueError, IndexError):
                 raise ConfigError(f"rep.matrices.{key}", "key must be a valid element index")
+            _require(isinstance(rows, list) and rows and all(
+                isinstance(row, list) and len(row) == len(rows[0]) for row in rows),
+                f"rep.matrices.{key}", f"expected a non-empty list of equal-length rows, got {rows!r}")
             mat = np.array([[_as_complex(v, f"rep.matrices.{key}[{r}][{c}]")
                              for c, v in enumerate(row)] for r, row in enumerate(rows)])
             rep[element] = mat
@@ -304,11 +307,13 @@ def parse_config(source):
              'expected {"prescription": "split_alpha" or "commuting_part", "alpha_s": number}')
     for key in prescription:
         _require(key in ("prescription", "alpha_s"), f"prescription.{key}", "unknown prescription key")
-    _as_float(prescription.get("alpha_s", 0.5), "prescription.alpha_s")
-    try:
-        prescription = Prescription.from_config(prescription)
-    except ValueError as exc:
-        raise ConfigError("prescription", str(exc))
+    alpha_s = _as_float(prescription.get("alpha_s", 0.5), "prescription.alpha_s")
+    kind = prescription.get("prescription")
+    _require(kind in ("split_alpha", "commuting_part"), "prescription",
+             f"unknown prescription config {prescription!r}")
+    # commuting_part shares no interaction mean, so it ignores the alpha_s the defaults carry.
+    prescription = (Prescription.split_alpha(alpha_s) if kind == "split_alpha"
+                    else Prescription.commuting_part())
 
     time_grid = _build_time_grid(merged["time_grid"])
     hamiltonian = _build_hamiltonian(setup, merged.get("hamiltonian"))

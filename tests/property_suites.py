@@ -18,13 +18,7 @@ from qrf_lab.dynamics import (
     mean_field_hamiltonian,
     split_hamiltonian,
 )
-from qrf_lab.frames import (
-    FrameSetup,
-    parity_swap,
-    qrf_transform,
-    reduction_map,
-    relational_observable,
-)
+from qrf_lab.frames import FrameSetup, parity_swap
 from qrf_lab.groups import Z2, Z2xZ2, Z3
 from qrf_lab.operators import (
     assert_unitary,
@@ -57,10 +51,13 @@ from qrf_lab.thermo import (
     Prescription,
     StateMarginals,
     energetics,
-    entropy_production_and_flow,
+    entropy_balance,
+    initial_product,
     marginal_energetics,
     state_marginals,
 )
+
+from kinematics import d_kin, pi_phys, qrf_transform, reduction_map, relational_observable, u_kin
 
 
 def _diag_rep(group, character_labels):
@@ -103,12 +100,12 @@ def _random_density(rng, d):
 def suite_physical_projector_rank(n=100, seed=901):
     count = 0
     for _, rng, setup, g_i, _ in _instances(n, seed):
-        pi = setup.pi_phys()
+        pi = pi_phys(setup)
         assert hs_norm(pi - dagger(pi)) <= 1e-10
         assert hs_norm(pi @ pi - pi) <= 1e-10
         rank = round(float(np.trace(pi).real))
         assert rank == setup.group.order * setup.d_s
-        u = setup.u_kin(g_i)
+        u = u_kin(setup, g_i)
         assert hs_norm(u @ pi - pi @ u) <= 1e-10
         count += 1
     return count
@@ -120,7 +117,7 @@ def suite_reduction_coisometry(n=100, seed=902):
         frame = 1 + k % 2
         r = reduction_map(setup, frame, g_i)
         assert np.allclose(r @ dagger(r), np.eye(setup.d_perspective), atol=1e-10)
-        assert np.allclose(dagger(r) @ r, setup.pi_phys(), atol=1e-10)
+        assert np.allclose(dagger(r) @ r, pi_phys(setup), atol=1e-10)
         count += 1
     return count
 
@@ -166,7 +163,7 @@ def suite_relational_observables(n=100, seed=905):
         obs = relational_observable(setup, frame, g_i, f)
         r = reduction_map(setup, frame, g_i)
         assert np.allclose(r @ obs @ dagger(r), f, atol=1e-9)
-        psi = setup.pi_phys() @ haar_state(rng, setup.d_kin)
+        psi = pi_phys(setup) @ haar_state(rng, d_kin(setup))
         psi = psi / np.linalg.norm(psi)
         reduced = r @ psi
         lhs = np.vdot(psi, obs @ psi)
@@ -499,6 +496,27 @@ def suite_rho_dot_marginals_match_dense_commutator(n=100, seed=911):
             assert np.abs(on_frame - partial_trace(g @ rho, dims, drop=1)).max() <= tol
             assert np.abs(on_s - partial_trace(g @ rho, dims, drop=0)).max() <= tol
     return int(n)
+
+
+class NonProductInitialStateError(ValueError):
+    """Entropy balance needs an initial frame (x) system product state."""
+
+
+def entropy_production_and_flow(setup, rho0_ibar, rho_t_ibar, tol=1e-9):
+    """Entropy produced and entropy exchanged between an initial product state and a later state.
+
+    The package's two steps in one call, tracing the marginals afresh:
+    initial_product, then entropy_balance.  rho_t_ibar may be a stack
+    (k, d, d) of later states.  Raises NonProductInitialStateError unless
+    rho0 is a frame (x) system product.
+    """
+    initial = initial_product(setup, rho0_ibar, tol)
+    if not initial.is_product:
+        raise NonProductInitialStateError("initial state must be a frame (x) system product")
+    rho_t = np.asarray(rho_t_ibar, dtype=complex)
+    dims = (setup.d_frame, setup.d_s)
+    return entropy_balance(initial, rho_t, partial_trace(rho_t, dims, drop=1),
+                           partial_trace(rho_t, dims, drop=0))
 
 
 def conjugation_superop(w):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from qrf_lab import FrameSetup, Z2, qrf_transform
+from qrf_lab import FrameSetup, Z2
 from qrf_lab.dynamics import split_hamiltonian
 from qrf_lab.operators import (
     ID2,
@@ -34,6 +34,8 @@ from qrf_lab.subalgebras import (
     transport_bilocal,
 )
 from qrf_lab.thermo import Prescription, balance_verifiers
+
+from kinematics import qrf_transform
 
 E = (0,)
 FLIP = (1,)

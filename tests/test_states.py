@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qrf_lab import FrameSetup, Z2, Z3
-from qrf_lab.operators import ID2, SIGMA_X, SIGMA_Z, kron, random_hermitian
+from qrf_lab.operators import SIGMA_X, SIGMA_Z, kron, random_hermitian
 from qrf_lab.states import (
     basis_state,
     gb_state,

@@ -19,7 +19,8 @@ from qrf_lab.operators import (
     partial_trace,
     random_hermitian,
 )
-from qrf_lab.states import gibbs_state, negative_temperature_predict
+from qrf_lab.scenarios import parse_config
+from qrf_lab.states import gibbs_state, negative_temperature_predict, subsystem_transform
 from qrf_lab.subalgebras import (
     BilocalUnitary,
     classify_local_operator,
@@ -29,16 +30,20 @@ from qrf_lab.subalgebras import (
     pi_t,
 )
 from qrf_lab.thermo import (
-    NonProductInitialStateError,
     Prescription,
     balance_verifiers,
     energetics,
-    entropy_production_and_flow,
     gibbs_classification,
     initial_product,
 )
 
-from property_suites import energetics_with_rho_dot, haar_conjugated_z3_setup, setup_pool
+from property_suites import (
+    NonProductInitialStateError,
+    energetics_with_rho_dot,
+    entropy_production_and_flow,
+    haar_conjugated_z3_setup,
+    setup_pool,
+)
 
 E = (0,)
 
@@ -56,11 +61,16 @@ def random_product_state(rng, d_f, d_s):
 
 
 def test_prescription_config():
-    p = Prescription.from_config({"prescription": "split_alpha", "alpha_s": 0.25})
+    def prescription(config):
+        return parse_config({"scenario": "negative-temperature", "prescription": config}).prescription
+
+    p = prescription({"prescription": "split_alpha", "alpha_s": 0.25})
     assert p.kind == "split_alpha"
     assert np.isclose(p.alpha_frame, 0.75)
-    q = Prescription.from_config({"prescription": "commuting_part"})
+    # The alpha_s that the defaults carry does not reach commuting_part.
+    q = prescription({"prescription": "commuting_part"})
     assert q.kind == "commuting_part"
+    assert q == Prescription.commuting_part()
     with pytest.raises(ValueError):
         Prescription(kind="nonsense")
     with pytest.raises(ValueError):
@@ -436,7 +446,42 @@ def test_gibbs_classification_translation_invariant():
     report = gibbs_classification(setup, SIGMA_X, E, E)
     assert report.translation_invariant
     assert report.invariant_gibbs
-    assert report.sampled_max_deviation < 1e-9
+    assert report.max_deviation < 1e-9
+
+
+def _frame_state_with_coherences(rng, d_f, marginal):
+    """A random frame state (x) marginal, plus a random Hermitian term on the frame-off-diagonal
+    blocks scaled to keep the state positive."""
+    d_s = marginal.shape[0]
+    g = rng.normal(size=(d_f, d_f)) + 1j * rng.normal(size=(d_f, d_f))
+    rho = kron(g @ dagger(g) / np.trace(g @ dagger(g)).real, marginal)
+    omega = random_hermitian(rng, d_f * d_s).reshape(d_f, d_s, d_f, d_s)
+    omega[np.arange(d_f), :, np.arange(d_f), :] = 0.0
+    omega = omega.reshape(d_f * d_s, d_f * d_s)
+    return rho + 0.9 * np.linalg.eigvalsh(rho)[0] / np.linalg.norm(omega, 2) * omega
+
+
+def test_gibbs_max_deviation_bounds_every_frame_state():
+    """max_deviation is the exact maximum: it equals max_g ||U_S(g) m U_S(g)' - m|| for the
+    Gibbs state m, the frame basis states' values, and no random frame state with frame
+    coherences deviates further."""
+    rng = np.random.default_rng(21)
+    for setup in setup_pool() + [haar_conjugated_z3_setup()]:
+        d_f, d_s = setup.d_frame, setup.d_s
+        elements = setup.group.elements
+        h_s = random_hermitian(rng, d_s)
+        marginal = gibbs_state(split_hamiltonian(kron(np.eye(d_f), h_s), d_f, d_s).h_s, 1.0)
+        closed_form = max(hs_norm(u @ marginal @ dagger(u) - marginal) for u in setup.rep_s.values())
+        assert closed_form > 1e-3
+        for _ in range(3):
+            g_i, g_j = (elements[int(k)] for k in rng.integers(len(elements), size=2))
+            bound = gibbs_classification(setup, h_s, g_i, g_j).max_deviation
+            assert abs(bound - closed_form) <= 1e-12
+            for _ in range(10):
+                rho = _frame_state_with_coherences(rng, d_f, marginal)
+                assert np.linalg.eigvalsh(rho)[0] > 0
+                moved = subsystem_transform(setup, rho, g_i, g_j)
+                assert hs_norm(moved.rho_s - marginal) <= bound + 1e-12
 
 
 def test_gibbs_classification_detects_rescaling():
