@@ -27,11 +27,9 @@ from .frames import (
 )
 from .groups import Z2, Z2xZ2, Z3, Z4, FiniteAbelianGroup
 from .operators import (
-    FixedSpace,
     IndefiniteOperatorError,
     NumericalRankError,
     dagger,
-    fixed_space_projector,
     hs_inner,
     hs_norm,
     kron,

@@ -21,11 +21,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
+import string
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import polar, schur
+from scipy.linalg import polar
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -84,19 +84,26 @@ def assert_unitary(mat, what="operator"):
     return mat
 
 
+@lru_cache(maxsize=None)
+def _trace_subscripts(n, drop):
+    """einsum subscripts tracing the factors in drop out of n: factor k has the row
+    letter rows[k] and the column letter cols[k], and a dropped factor's column
+    repeats its row letter."""
+    if any(not 0 <= k < n for k in drop):
+        raise ValueError(f"factor index out of range: {drop}")
+    rows = string.ascii_lowercase[:n]
+    cols = "".join(r if k in drop else r.upper() for k, r in enumerate(rows))
+    kept = "".join(r for k, r in enumerate(rows) if k not in drop)
+    return f"...{rows}{cols}->...{kept}{kept.upper()}"
+
+
 def partial_trace(mat, dims, drop):
-    """Trace out the factors listed in drop (positions into dims)."""
+    """Trace out the factors listed in drop (positions into dims), as one einsum."""
     dims = tuple(int(d) for d in dims)
     drop = (drop,) if np.isscalar(drop) else tuple(drop)
-    if any(not 0 <= k < len(dims) for k in drop):
-        raise ValueError(f"factor index out of range: {drop}")
     mat = np.asarray(mat)
     lead = mat.shape[:-2]
-    n = len(dims)
-    tensor = mat.reshape(lead + dims + dims)
-    for k in sorted(drop, reverse=True):
-        tensor = np.trace(tensor, axis1=len(lead) + k, axis2=len(lead) + k + n)
-        n -= 1
+    tensor = np.einsum(_trace_subscripts(len(dims), drop), mat.reshape(lead + dims + dims))
     size = math.prod(d for k, d in enumerate(dims) if k not in drop)
     return tensor.reshape(lead + (size, size))
 
@@ -217,43 +224,6 @@ def unvec(v, d=None):
     if d is None:
         d = round(np.sqrt(v.size))
     return v.reshape((d, d), order="F")
-
-
-@dataclass
-class FixedSpace:
-    """Eigenvalue-1 subspace of a matrix: orthogonal projector and basis."""
-
-    projector: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def dimension(self):
-        return self.basis.shape[1]
-
-
-def fixed_space_projector(superop, tol=1e-9):
-    """Orthogonal projector onto the eigenvalue-1 subspace of superop.
-
-    Uses an ordered Schur decomposition so the leading Schur vectors span
-    the selected invariant subspace.  Eigenvalues in the annulus
-    (tol, 10 tol] around 1 mean the rank is numerically ambiguous and
-    raise NumericalRankError with the observed gap, as in invariant_projector.
-    """
-    superop = np.asarray(superop, dtype=complex)
-
-    def near_one(lam):
-        return abs(lam - 1.0) <= tol
-
-    triangular, q, sdim = schur(superop, output="complex", sort=near_one)
-    eigs = np.diag(triangular)
-    rejected = eigs[sdim:]
-    if rejected.size:
-        gap = float(np.abs(rejected - 1.0).min())
-        if gap <= 10 * tol:
-            raise NumericalRankError(
-                f"eigenvalue at distance {gap:.3e} from 1 is inside the guard band {10 * tol:.3e}")
-    basis = q[:, :sdim]
-    return FixedSpace(projector=basis @ dagger(basis), basis=basis)
 
 
 def polar_unitary(mat):

@@ -56,6 +56,11 @@ VERSION = "0.1.0"
 DEFAULT_TOLERANCE = 1e-9
 # Largest d_p x d_p complex matrix a config may ask for: 64 MiB, d_p <= 2048.
 _MATRIX_BUDGET_BYTES = 64 * 2 ** 20
+# A time-grid point costs at most 6.9 KB of grid, rows and rendered output
+# (tracemalloc, every time-grid scenario in both formats); the budget
+# admits 32768 points.
+_POINT_BYTES = 8 * 2 ** 10
+_GRID_BUDGET_BYTES = 256 * 2 ** 20
 
 COLUMNS = (
     "t",
@@ -164,20 +169,19 @@ def _build_setup(group, raw_rep):
         entries = raw_rep["matrices"]
         _require(isinstance(entries, dict) and entries, "rep.matrices",
                  "expected a map from element index to matrix")
-        rep = {}
+        mats = {}
         for key, rows in entries.items():
-            try:
-                idx = int(key)
-                element = group.elements[idx]
-            except (ValueError, IndexError):
-                raise ConfigError(f"rep.matrices.{key}", "key must be a valid element index")
             _require(isinstance(rows, list) and rows and all(
                 isinstance(row, list) and len(row) == len(rows[0]) for row in rows),
                 f"rep.matrices.{key}", f"expected a non-empty list of equal-length rows, got {rows!r}")
-            mat = np.array([[_as_complex(v, f"rep.matrices.{key}[{r}][{c}]")
-                             for c, v in enumerate(row)] for r, row in enumerate(rows)])
-            rep[element] = mat
-        _require_affordable(group, max(len(mat) for mat in rep.values()), "rep.matrices")
+            mats[key] = np.array([[_as_complex(v, f"rep.matrices.{key}[{r}][{c}]")
+                                   for c, v in enumerate(row)] for r, row in enumerate(rows)])
+        _require_affordable(group, max(len(mat) for mat in mats.values()), "rep.matrices")
+        for key in mats:
+            _require(str(key).isdecimal() and int(key) < group.order, f"rep.matrices.{key}",
+                     "key must be a valid element index")
+        elements = group.elements  # affordable, so the list is small
+        rep = {elements[int(key)]: mat for key, mat in mats.items()}
         try:
             return FrameSetup(group, rep)
         except ValueError as exc:
@@ -203,6 +207,9 @@ def _build_time_grid(raw):
     start = _as_float(raw.get("start", 0.0), "time_grid.start")
     stop = _as_float(raw.get("stop", 2 * math.pi), "time_grid.stop")
     points = _as_positive_int(raw.get("points", 50), "time_grid.points")
+    size = _POINT_BYTES * points
+    _require(size <= _GRID_BUDGET_BYTES, "time_grid.points", f"{points} points need an estimated {size} "
+             f"bytes of grid and rows, above the {_GRID_BUDGET_BYTES}-byte budget")
     if points > 1:
         _require(stop > start, "time_grid", "grid must be strictly increasing")
     return np.linspace(start, stop, points)

@@ -13,17 +13,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import eigh, schur
 
 from .frames import parity_swap
 from .operators import (
-    FixedSpace,
     NumericalRankError,
     StructuredUnitary,
     assert_unitary,
     dagger,
     degenerate_blocks,
-    fixed_space_projector,
     hs_norm,
     kron,
     monomial_gather,
@@ -38,10 +36,11 @@ from .operators import (
 MEMBERSHIP_TOL = 1e-9
 LOCALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
-# A projector's dense matrix and intersect_projectors hold about five
-# d_p^2 x d_p^2 complex matrices at peak (5.05-5.15 under tracemalloc at
-# d_p = 16 and 27).  The budget admits d_p = 27 (43 MB), not 64 (1.3 GB).
-SCHUR_PEAK_COPIES = 5
+# intersect_projectors holds about four d_p^2 x d_p^2 complex matrices at
+# peak, its operands' dense matrices among them (4.07-4.20 under tracemalloc
+# at d_p = 16 and 27): the two operands and S, then eigh's full-size
+# eigenvector array.  The budget admits d_p = 45, not 64 (1.1 GB).
+SUPEROPERATOR_PEAK_COPIES = 4
 SUPEROPERATOR_BUDGET_BYTES = 256 * 2 ** 20
 
 
@@ -190,22 +189,25 @@ class SubalgebraProjector:
 
     mask[a, b] marks pairs of W's eigenvalues in one cluster, apply is the
     pinching Q (mask * Q'fQ) Q', O(d_p^3), and the dimension is sum m_k^2.
-    An intersection holds its fixed space.  .matrix acts on column-major
-    vec(f), read-only, built on first use within the superoperator budget:
-    sum_C conj(P_C) (x) P_C over the clusters' projectors P_C.
+    An intersection holds an orthonormal basis (d_p^2 x D) of its column-major
+    vec space instead: apply is unvec(basis (basis' vec(f))) and the
+    dimension is D.  .matrix acts on vec(f), read-only, built on first use:
+    basis basis' for an intersection, and for a label, within the
+    superoperator budget, sum_C conj(P_C) (x) P_C over the clusters'
+    projectors P_C.
     """
 
     operand_dim: int
     schur_vectors: np.ndarray | None = None
     mask: np.ndarray | None = None
-    fixed_space: FixedSpace | None = None
+    basis: np.ndarray | None = None
 
     @cached_property
     def matrix(self):
-        if self.fixed_space is not None:
-            return read_only(self.fixed_space.projector)
+        if self.basis is not None:
+            return read_only(self.basis @ dagger(self.basis))
         d = self.operand_dim
-        estimate = SCHUR_PEAK_COPIES * d ** 4 * np.dtype(complex).itemsize
+        estimate = SUPEROPERATOR_PEAK_COPIES * d ** 4 * np.dtype(complex).itemsize
         if estimate > SUPEROPERATOR_BUDGET_BYTES:  # before allocating
             raise ValueError(f"the superoperator path at d_p = {d} needs an estimated {estimate} bytes "
                              f"at peak, above the {SUPEROPERATOR_BUDGET_BYTES}-byte budget")
@@ -217,11 +219,11 @@ class SubalgebraProjector:
 
     @property
     def dimension(self):
-        return self.fixed_space.dimension if self.mask is None else int(self.mask.sum())
+        return self.basis.shape[1] if self.mask is None else int(self.mask.sum())
 
     def apply(self, op):
         if self.mask is None:
-            return unvec(self.matrix @ vec(op), self.operand_dim)
+            return unvec(self.basis @ (dagger(self.basis) @ vec(op)), self.operand_dim)
         q = self.schur_vectors
         return q @ (self.mask * (dagger(q) @ np.asarray(op, dtype=complex) @ q)) @ dagger(q)
 
@@ -250,9 +252,27 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
 
 
 def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-9):
-    """Projector onto the intersection of two subalgebras; a.matrix enforces the budget first."""
-    space = fixed_space_projector(a.matrix @ b.matrix, tol=tol)
-    return SubalgebraProjector(operand_dim=a.operand_dim, fixed_space=space)
+    """Projector onto the intersection of two subalgebras, from one Hermitian eigenproblem.
+
+    Where a.matrix b.matrix has the eigenvalues cos^2 theta of the principal
+    angles between the two ranges, S = a.matrix + b.matrix has 1 +- cos theta
+    (Halmos's two-subspace theorem).  An eigenvector of S with eigenvalue mu
+    is selected when 1 - (mu - 1)^2 <= tol, the same |lambda - 1| <= tol
+    for lambda = cos^2 theta, and a value in (tol, 10 tol] raises
+    NumericalRankError.  eigh computes only mu >= 1 + sqrt(1 - 10 tol), less
+    a margin for round-off, the only values that are selected or guarded.
+    a.matrix enforces the superoperator budget before anything is allocated.
+    """
+    lowest = 1.0 + np.sqrt(max(0.0, 1.0 - 10 * tol)) - 1e-12
+    # Fortran order lets LAPACK overwrite S in place instead of copying it.
+    s = np.add(a.matrix, b.matrix, order="F")
+    mu, vectors = eigh(s, subset_by_value=(lowest, np.inf), overwrite_a=True)
+    defect = 1.0 - (mu - 1.0) ** 2
+    ambiguous = defect[(defect > tol) & (defect <= 10 * tol)]
+    if ambiguous.size:
+        raise NumericalRankError(
+            f"eigenvalue at distance {ambiguous.min():.3e} from 1 is inside the guard band {10 * tol:.3e}")
+    return SubalgebraProjector(operand_dim=a.operand_dim, basis=vectors[:, defect <= tol])
 
 
 @dataclass

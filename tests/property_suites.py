@@ -4,11 +4,12 @@ Each suite checks one structural guarantee on n independently randomized
 instances drawn over several group and representation setups, raising
 AssertionError on the first violation and returning the instance count.
 """
-from collections import Counter
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from qrf_lab.dynamics import (
     COMMUTANT_GAP,
@@ -21,10 +22,10 @@ from qrf_lab.dynamics import (
 from qrf_lab.frames import FrameSetup, parity_swap
 from qrf_lab.groups import Z2, Z2xZ2, Z3
 from qrf_lab.operators import (
+    NumericalRankError,
     assert_unitary,
     dagger,
     degenerate_blocks,
-    fixed_space_projector,
     haar_state,
     haar_unitary,
     hs_inner,
@@ -40,6 +41,7 @@ from qrf_lab.operators import (
 from qrf_lab.subalgebras import (
     BilocalUnitary,
     as_matrix,
+    intersect_projectors,
     invariant_projector,
     membership_test,
     pi_d,
@@ -525,6 +527,44 @@ def conjugation_superop(w):
     return np.kron(w.conj(), w)
 
 
+@dataclass
+class FixedSpace:
+    """Eigenvalue-1 subspace of a matrix: orthogonal projector and basis."""
+
+    projector: np.ndarray
+    basis: np.ndarray
+
+    @property
+    def dimension(self):
+        return self.basis.shape[1]
+
+
+def fixed_space_projector(superop, tol=1e-9):
+    """Orthogonal projector onto the eigenvalue-1 subspace of superop, by ordered Schur form.
+
+    The leading Schur vectors span the selected invariant subspace.
+    Eigenvalues in the annulus (tol, 10 tol] around 1 mean the rank is
+    numerically ambiguous and raise NumericalRankError with the observed gap.
+    This is the construction intersect_projectors used on the product of two
+    projectors before it took the Hermitian eigenproblem of their sum.
+    """
+    superop = np.asarray(superop, dtype=complex)
+
+    def near_one(lam):
+        return abs(lam - 1.0) <= tol
+
+    triangular, q, sdim = schur(superop, output="complex", sort=near_one)
+    eigs = np.diag(triangular)
+    rejected = eigs[sdim:]
+    if rejected.size:
+        gap = float(np.abs(rejected - 1.0).min())
+        if gap <= 10 * tol:
+            raise NumericalRankError(
+                f"eigenvalue at distance {gap:.3e} from 1 is inside the guard band {10 * tol:.3e}")
+    basis = q[:, :sdim]
+    return FixedSpace(projector=basis @ dagger(basis), basis=basis)
+
+
 def superoperator_projector_oracle(setup, x, g_i, g_j, tol=1e-9):
     """The label projector as the eigenvalue-1 space of conj(W) (x) W, W = X'u, by ordered Schur.
 
@@ -536,29 +576,41 @@ def superoperator_projector_oracle(setup, x, g_i, g_j, tol=1e-9):
     return fixed_space_projector(superop, tol=tol)
 
 
-def monomial_commutant_dimension(w, order):
-    """sum m_k^2 over the eigenvalues of a monomial w whose entries are order-th roots of unity.
+def monomial_commutant_dimension(ws, order):
+    """Dimension of the operators that commute with every monomial w in ws, exactly.
 
-    Exact, with no rank decision: a cycle of length L of w's permutation whose
-    phases multiply to exp(2 pi i s / order) contributes the L-th roots of that
-    product, exp(2 pi i (s / order + k) / L) for k < L, kept as fractions of a turn.
+    The entries of each w are order-th roots of unity, kept as integer turns,
+    and no rank decision is made.  Conjugation by w maps the matrix unit at
+    the index pair (a, b) to a phase times the one at (pi(a), pi(b)), so the
+    commutant has one dimension per orbit of index pairs, under the union of
+    the maps, around which the phases close up to 1.  That is when the orbit's
+    lift to (turn, a, b), each map adding its phase's turns, splits into
+    order orbits no larger than the orbit itself.
     """
-    w = np.asarray(w)
-    cols, rows = np.nonzero(w.T)
-    assert cols.tolist() == sorted(rows.tolist()) == list(range(w.shape[0])), "w is not monomial"
-    phases = w[rows, cols]
-    turns = np.rint(np.angle(phases) * order / (2 * np.pi)).astype(int) % order
-    assert np.abs(phases - np.exp(2j * np.pi * turns / order)).max() <= 1e-12
-    image = dict(zip(cols.tolist(), rows.tolist()))
-    counts, seen = Counter(), set()
-    for start in range(w.shape[0]):
-        length, total, col = 0, 0, start
-        while col not in seen:
-            seen.add(col)
-            total, col, length = total + turns[col], image[col], length + 1
-        for k in range(length):
-            counts[(Fraction(total, order * length) + Fraction(k, length)) % 1] += 1
-    return sum(m * m for m in counts.values())
+    d = np.asarray(ws[0]).shape[0]
+    nodes = np.arange(order * d * d).reshape(order, d, d)
+    start = np.arange(order)[:, None, None]
+    links = []
+    for w in ws:
+        w = np.asarray(w)
+        cols, rows = np.nonzero(w.T)
+        assert cols.tolist() == sorted(rows.tolist()) == list(range(d)), "w is not monomial"
+        phases = w[rows, cols]
+        turns = np.rint(np.angle(phases) * order / (2 * np.pi)).astype(int) % order
+        assert np.abs(phases - np.exp(2j * np.pi * turns / order)).max() <= 1e-12
+        # w E_ab w' = phases[a] conj(phases[b]) E_{rows[a], rows[b]}.
+        moved = nodes[(start + turns[:, None] - turns[None, :]) % order, rows[:, None], rows[None, :]]
+        links.append((nodes.ravel(), moved.ravel()))
+    tail, head = (np.concatenate(ends) for ends in zip(*links))
+
+    def orbits(tail, head, size):
+        graph = coo_matrix((np.ones(tail.size), (tail, head)), shape=(size, size))
+        return connected_components(graph, directed=False)[1]
+
+    lifted = orbits(tail, head, nodes.size)
+    base = orbits(tail % (d * d), head % (d * d), d * d)
+    flat = np.bincount(lifted)[lifted[:d * d]] == np.bincount(base)[base]
+    return np.unique(base[flat]).size
 
 
 def suite_label_projector_matches_superoperator_oracle(n=100, seed=912):
@@ -587,6 +639,32 @@ def suite_label_projector_matches_superoperator_oracle(n=100, seed=912):
     return int(n)
 
 
+def suite_intersection_matches_schur_oracle(n=100, seed=913):
+    """intersect_projectors against the sorted-Schur oracle on the product of the two projectors.
+
+    Instances cycle through setup_pool() and one dense explicit rep, each
+    intersecting two of the labels 1, 1 (x) U_S(g) and U_F(a) (x) U_S(b)
+    for random g, a, b at a random orientation pair: the dimensions agree,
+    and so does apply, within 1e-12 ||f||.
+    """
+    pool = setup_pool() + [haar_conjugated_z3_setup()]
+    rng = np.random.default_rng(seed)
+    for k in range(int(n)):
+        setup = pool[k % len(pool)]
+        d_f, d_s, d = setup.d_frame, setup.d_s, setup.d_perspective
+        elements = setup.group.elements
+        g_i, g_j, g, a, b = (elements[int(rng.integers(len(elements)))] for _ in range(5))
+        labels = (BilocalUnitary(np.eye(d_f), np.eye(d_s)), BilocalUnitary(np.eye(d_f), setup.u_s(g)),
+                  BilocalUnitary(setup.u_frame(a), setup.u_s(b)))
+        first, second = (invariant_projector(setup, labels[m], g_i, g_j) for m in rng.permutation(3)[:2])
+        both = intersect_projectors(first, second)
+        oracle = fixed_space_projector(first.matrix @ second.matrix)
+        assert both.dimension == oracle.dimension
+        f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert np.abs(both.apply(f) - unvec(oracle.projector @ vec(f), d)).max() <= 1e-12 * hs_norm(f)
+    return int(n)
+
+
 ALL_SUITES = (
     suite_physical_projector_rank,
     suite_reduction_coisometry,
@@ -600,4 +678,5 @@ ALL_SUITES = (
     suite_energetics_matches_dense_oracle,
     suite_rho_dot_marginals_match_dense_commutator,
     suite_label_projector_matches_superoperator_oracle,
+    suite_intersection_matches_schur_oracle,
 )

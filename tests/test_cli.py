@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qrf_lab
@@ -126,6 +127,12 @@ def test_oversize_setups_exit_two_before_any_is_built(overrides, key, monkeypatc
         argv += ["--set", assignment]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: perspective dimension ")
+
+
+def test_oversize_time_grid_exits_two_before_it_is_built(monkeypatch, capsys):
+    monkeypatch.setattr(np, "linspace", _refuse_to_build)
+    assert main(["run", "zz-oscillation", "--set", "time_grid.points=1000000000000"]) == 2
+    assert capsys.readouterr().err.startswith("config error: time_grid.points: 1000000000000 points need ")
 
 
 def test_invalid_json_config_file_exits_two(tmp_path, capsys):

@@ -7,7 +7,6 @@ from qrf_lab import Z3
 from qrf_lab.dynamics import split_hamiltonian
 from qrf_lab.operators import (
     ID2,
-    NumericalRankError,
     PAULI,
     SIGMA_X,
     SIGMA_Y,
@@ -16,7 +15,6 @@ from qrf_lab.operators import (
     assert_unitary,
     dagger,
     degenerate_blocks,
-    fixed_space_projector,
     haar_state,
     haar_unitary,
     hs_inner,
@@ -143,23 +141,6 @@ def test_conjugation_superop():
     f = random_hermitian(rng, 3)
     k = conjugation_superop(u)
     assert np.allclose(unvec(k @ vec(f), 3), u @ f @ dagger(u), atol=1e-12)
-
-
-def test_fixed_space_projector_of_conjugation():
-    # Fixed operators of conjugation by sigma_z are the diagonal ones.
-    k = conjugation_superop(SIGMA_Z)
-    space = fixed_space_projector(k)
-    assert space.basis.shape[1] == 2
-    f = np.array([[0.3, 0.4], [0.4, 0.7]])
-    projected = unvec(space.projector @ vec(f), 2)
-    assert np.allclose(projected, np.diag([0.3, 0.7]), atol=1e-12)
-
-
-def test_fixed_space_projector_guard_band():
-    # Eigenvalues crowding the threshold leave no clean rank gap.
-    k = np.diag([1.0, 1.0 - 5e-9, 0.0])
-    with pytest.raises(NumericalRankError):
-        fixed_space_projector(k, tol=1e-9)
 
 
 def test_haar_state_normalized():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -35,6 +36,39 @@ def test_the_size_budget_admits_d_p_2048_and_refuses_the_next_power(monkeypatch)
     assert parse_config(dict(base, rep={"tensor_power": 10})).setup == ("built", {"tensor_power": 10})
     with pytest.raises(ConfigError, match="perspective dimension 4096 needs 268435456 bytes"):
         parse_config(dict(base, rep={"tensor_power": 11}))
+
+
+def _refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("the grid was allocated")
+
+
+def test_the_grid_budget_admits_32768_points_and_refuses_the_next(monkeypatch):
+    """8 KiB per point, above the 6.9 KB measured: 32768 points pass, and a larger count is
+    refused from the config alone, before the grid or a row exists."""
+    base = {"scenario": "zz-oscillation"}
+    assert parse_config(dict(base, time_grid={"points": 32768})).time_grid.shape == (32768,)
+    monkeypatch.setattr(np, "linspace", _refuse_to_allocate)
+    for points in (32769, 10 ** 12):
+        with pytest.raises(ConfigError, match=f"time_grid.points: {points} points need an estimated "
+                                              f"{8192 * points} bytes"):
+            parse_config(dict(base, time_grid={"points": points}))
+
+
+def test_rep_matrices_refuse_an_oversize_group_before_listing_its_elements():
+    """Z50000 with 1 x 1 matrices has d_p = 50000; its element list (several MB) is never
+    built, and a key out of range is refused by one check against the order."""
+    rep = {"matrices": {"0": [[1.0]], "49999": [[1.0]]}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="rep.matrices: perspective dimension 50000"):
+            parse_config({"scenario": "w-state", "group": {"cyclic": [50000]}, "rep": rep})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    for key in ("2", "-1", "one"):
+        with pytest.raises(ConfigError, match=f"rep.matrices.{key}: key must be a valid element index"):
+            parse_config({"scenario": "w-state", "rep": {"matrices": {"0": EYE, key: FLIP}}})
 
 
 def test_defaults_fill_in():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,10 +21,13 @@ from qrf_lab.operators import (
     hs_norm,
     kron,
     random_hermitian,
+    unvec,
+    vec,
 )
 from qrf_lab.subalgebras import (
     BilocalUnitary,
     LocalityViolationError,
+    SubalgebraProjector,
     classify_local_operator,
     four_component_decomposition,
     intersect_projectors,
@@ -37,7 +41,7 @@ from qrf_lab.subalgebras import (
 )
 from qrf_lab.scenarios import run_scenario
 
-from property_suites import monomial_commutant_dimension
+from property_suites import conjugation_superop, fixed_space_projector, monomial_commutant_dimension
 
 E = (0,)
 FLIP = (1,)
@@ -151,7 +155,7 @@ def test_invariant_projector_guard_band():
 @pytest.mark.parametrize("order", [4, 5])
 def test_label_projector_dimension_matches_the_cycle_oracle(order):
     """Z4 and Z5 with tensor_power 2 (d_p = 64 and 125): W is a permutation, so
-    sum m_k^2 follows exactly from its cycles, over every orientation pair."""
+    sum m_k^2 follows exactly from its index-pair orbits, over every orientation pair."""
     group = FiniteAbelianGroup((order,))
     setup = FrameSetup.from_rep_config(group, {"tensor_power": 2})
     d_f, d_s = setup.d_frame, setup.d_s
@@ -162,8 +166,64 @@ def test_label_projector_dimension_matches_the_cycle_oracle(order):
         u = setup.perspective_change(g_i, g_j).matrix
         for x in (BilocalUnitary(np.eye(d_f), np.eye(d_s)), BilocalUnitary(np.eye(d_f), setup.u_s(g)),
                   BilocalUnitary(setup.u_frame(a), setup.u_s(b))):
-            expected = monomial_commutant_dimension(dagger(x.matrix) @ u, order)
+            expected = monomial_commutant_dimension([dagger(x.matrix) @ u], order)
             assert invariant_projector(setup, x, g_i, g_j).dimension == expected
+
+
+def test_intersection_guard_band():
+    """The diagonal commutant of d = 2 against a copy rotated by theta: the two meet in
+    the identity, and sigma_z meets its image at 1 - cos^2 = sin^2 2 theta, selected
+    within tol and ambiguous in (tol, 10 tol]."""
+    diagonal = np.eye(2, dtype=bool)
+    fixed = SubalgebraProjector(operand_dim=2, schur_vectors=np.eye(2, dtype=complex), mask=diagonal)
+    tol = 1e-9
+    for sin2, dimension in ((1e-10, 2), (5e-9, None), (1e-7, 1)):
+        theta = math.asin(math.sqrt(sin2)) / 2
+        c, s = math.cos(theta), math.sin(theta)
+        rotated = SubalgebraProjector(operand_dim=2, schur_vectors=np.array([[c, -s], [s, c]], dtype=complex),
+                                      mask=diagonal)
+        if dimension is None:
+            with pytest.raises(NumericalRankError, match="guard band"):
+                intersect_projectors(fixed, rotated, tol=tol)
+        else:
+            assert intersect_projectors(fixed, rotated, tol=tol).dimension == dimension
+
+
+def test_ladder_intersections_match_the_orbit_oracle():
+    """The labels 1 and 1 (x) U_S(g1) on the benchmark ladder's rungs, d_p = 4 to 27: the
+    intersection's dimension is the commutant of both W, counted exactly over index-pair orbits."""
+    rungs = (((2,), "regular"), ((3,), "regular"), ((4,), "regular"), ((2, 2), "regular"),
+             ((2,), {"tensor_power": 3}), ((3,), {"tensor_power": 2}))
+    dimensions = []
+    for moduli, rep in rungs:
+        group = FiniteAbelianGroup(moduli)
+        setup = FrameSetup.from_rep_config(group, rep)
+        e = group.identity
+        labels = (BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s)),
+                  BilocalUnitary(np.eye(setup.d_frame), setup.u_s(group.elements[1])))
+        u = setup.perspective_change(e, e).matrix
+        both = intersect_projectors(*(invariant_projector(setup, x, e, e) for x in labels))
+        expected = monomial_commutant_dimension([dagger(x.matrix) @ u for x in labels], math.lcm(*moduli))
+        assert both.dimension == expected, setup.d_perspective
+        dimensions.append(expected)
+    assert dimensions == [6, 15, 36, 72, 96, 135]
+
+
+def test_fixed_space_projector_of_conjugation():
+    # Fixed operators of conjugation by sigma_z are the diagonal ones.
+    k = conjugation_superop(SIGMA_Z)
+    space = fixed_space_projector(k)
+    assert space.basis.shape[1] == 2
+    f = np.array([[0.3, 0.4], [0.4, 0.7]])
+    projected = unvec(space.projector @ vec(f), 2)
+    assert np.allclose(projected, np.diag([0.3, 0.7]), atol=1e-12)
+
+
+def test_fixed_space_projector_guard_band():
+    # Eigenvalues crowding the threshold leave no clean rank gap.
+    k = np.diag([1.0, 1.0 - 5e-9, 0.0])
+    with pytest.raises(NumericalRankError):
+        fixed_space_projector(k, tol=1e-9)
 
 
 def test_ising_membership_follows_transported_witness():
