@@ -93,7 +93,6 @@ from .thermo import (
     Prescription,
     ThermoReport,
     balance_verifiers,
-    energetics,
     gibbs_classification,
 )
 

@@ -31,7 +31,7 @@ from .operators import (
     read_only,
     twirl,
 )
-from .subalgebras import as_matrix, invariant_projector, membership_test, pi_d, pi_t
+from .subalgebras import invariant_projector, membership_test, pi_d, pi_t
 
 CLASSIFIER_TOL = 1e-10
 # Eigenvalues of a local piece closer than this share one eigenspace.
@@ -314,9 +314,8 @@ def imported_hamiltonian_and_trajectory_check(setup, hamiltonian, x, g_i, g_j, r
     difference of the two generators.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
-    x_mat = as_matrix(x)
-    h_imported = dagger(x_mat) @ setup.perspective_change(g_i, g_j).conjugate(hamiltonian) @ x_mat
-    projector = invariant_projector(setup, x_mat, g_i, g_j)
+    h_imported = dagger(x.matrix) @ setup.perspective_change(g_i, g_j).conjugate(hamiltonian) @ x.matrix
+    projector = invariant_projector(setup, x, g_i, g_j)
     agreement = hs_norm(projector.apply(hamiltonian) - projector.apply(h_imported))
     times = np.asarray(time_grid, dtype=float)
     in_ax, comm_norms = [], []

@@ -48,7 +48,7 @@ from .thermo import (
     entropy_balance,
     initial_product,
     marginal_energetics,
-    state_marginals,
+    trajectory_runs,
 )
 
 VERSION = "0.1.0"
@@ -480,15 +480,16 @@ def _member(cfg, rho, x):
                            transformed=rho["j"])
 
 
-def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
+def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     """Rows for a unitary trajectory, reported in both perspectives.
 
-    The time grid is evolved in blocks, and each block's states reach frame
-    j's perspective through one conjugation by the perspective change.
-    extras(times, rho, rho_s) gets each block's state stacks and system
-    marginals, both keyed by perspective "i" and "j", and returns extra
-    columns, one value per time.  The initial product check runs once per
-    perspective.
+    The grid is read through thermo.trajectory_runs, one run of blocks at a
+    time: per block, the candidates' membership verdicts and, for a
+    perspective whose rho0 is a product, S(rho(t)); per run, energetics and
+    entropies from both perspectives' StateMarginals.  in_AX is the
+    candidates' verdicts or-ed together.  extras(times, marginals, members)
+    gets the run's StateMarginals keyed "i" and "j" and the candidates'
+    verdicts, and returns extra columns, one value per time.
     """
     setup = cfg.setup
     dims = (setup.d_frame, setup.d_s)
@@ -498,25 +499,31 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, x_candidates=(), extras=None):
     rho0_i = np.asarray(rho0_ibar, dtype=complex)
     initial = {suffix: initial_product(setup, rho0, cfg.tolerance)
                for suffix, rho0 in (("i", rho0_i), ("j", change.conjugate(rho0_i)))}
+
+    def read(rho):
+        # Keyed by candidate index, and by perspective for S(rho(t)).
+        verdicts = {n: _member(cfg, rho, x).is_member for n, x in enumerate(candidates)}
+        return verdicts | {suffix: von_neumann_entropy(rho[suffix]) for suffix in rho
+                           if initial[suffix].is_product}
+
     rows = []
-    for times, rho_i in GridEvolution(h_ibar).blocks(rho0_i, cfg.time_grid):
-        rho = {"i": rho_i, "j": change.conjugate(rho_i)}
-        rho_s, columns = {}, {}
-        for suffix, rho_t in rho.items():
-            marginals = state_marginals(split[suffix], rho_t)
-            report = marginal_energetics(split[suffix], cfg.prescription, marginals)
+    for times, marginals, from_states in trajectory_runs(GridEvolution(h_ibar), change, split, rho0_i,
+                                                         cfg.time_grid, read):
+        columns = {}
+        for suffix, m in marginals.items():
+            report = marginal_energetics(split[suffix], cfg.prescription, m)
             columns.update((f"{stem}_{suffix}", getattr(report, name))
                            for stem, name in _ENERGETICS_COLUMNS.items())
-            rho_s[suffix] = marginals.rho_s
-            columns[f"SvN_s_{suffix}"] = s_s = von_neumann_entropy(marginals.rho_s)
+            columns[f"SvN_s_{suffix}"] = s_s = von_neumann_entropy(m.rho_s)
             if initial[suffix].is_product:
-                balance = entropy_balance(initial[suffix], rho_t, marginals.rho_frame, marginals.rho_s, s_s)
+                balance = entropy_balance(initial[suffix], from_states[suffix], m.rho_frame, s_s)
                 columns[f"sigma_{suffix}"] = balance.sigma
                 columns[f"phi_{suffix}"] = balance.phi
-        if x_candidates:
-            columns["in_AX"] = np.logical_or.reduce([_member(cfg, rho, x).is_member for x in x_candidates])
+        members = [from_states[n] for n in range(len(candidates))]
+        if members:
+            columns["in_AX"] = np.logical_or.reduce(members)
         if extras is not None:
-            columns.update(extras(times, rho, rho_s))
+            columns.update(extras(times, marginals, members))
         # Per-time arrays become plain floats and bools; matrices stay arrays.
         per_time = zip(*[values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1
                          else values for values in columns.values()])
@@ -588,8 +595,7 @@ def _run_three_qubit_subalgebras(cfg):
         rows.append(row)
 
     h_scan = _ising_chain(*scan_coefficients)
-    candidates = [BilocalUnitary(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ"]
-    scan = membership_scan(setup, h_scan, candidates, (1,), (1,), tol=cfg.tolerance)
+    scan = membership_scan(setup, h_scan, _PAULI_LABELS, (1,), (1,), tol=cfg.tolerance)
     residuals = [res.residual for _, res in scan]
     summary = {
         "dim_identity": proj_identity.dimension,
@@ -762,12 +768,6 @@ def _zz_initial_state(cfg):
     return _pure(product_state(basis_state(2, 1), cfg.params["amplitudes"]))
 
 
-def _zz_memberships(cfg, times, rho, rho_s):
-    # in_AX is filled here, so that each label is tested once per block.
-    in_identity, in_flip = (_member(cfg, rho, x).is_member for x in _QUBIT_LABELS)
-    return {"in_AX": in_identity | in_flip, "in_identity": in_identity, "in_flip": in_flip}
-
-
 def _zz_summary(cfg, h, rho0, rows):
     return {
         "field_b": cfg.params["field_b"],
@@ -788,13 +788,13 @@ def _effectively_isolated_summary(cfg, h, rho0, rows):
     }
 
 
-def _relative_equilibrium_deviations(cfg, times, rho, rho_s):
+def _relative_equilibrium_deviations(cfg, times, marginals, members):
     a, beta = cfg.params["a"], cfg.params["beta"]
     thermal, inverted = gibbs_state(SIGMA_Z, beta), gibbs_state(SIGMA_Z, -beta)
     targets = np.array([math.cos(a * t) ** 2 * thermal + math.sin(a * t) ** 2 * inverted
                         for t in times])
-    return {"mixture_formula_dev": _max_dev(rho_s["j"], targets),
-            "stationary_thermal_dev": _max_dev(rho_s["i"], thermal)}
+    return {"mixture_formula_dev": _max_dev(marginals["j"].rho_s, targets),
+            "stationary_thermal_dev": _max_dev(marginals["i"].rho_s, thermal)}
 
 
 def _negative_temperature_summary(cfg, h, rho0, rows):
@@ -825,9 +825,9 @@ def _isolated_vs_closed_state(cfg):
     return _pure(dagger(cfg.setup.perspective_change(cfg.g_i, cfg.g_j).matrix) @ psi_j)
 
 
-def _marginal_deviation(cfg, times, rho, rho_s):
-    rho_frame_j = partial_trace(rho["j"], (cfg.setup.d_frame, cfg.setup.d_s), drop=1)
-    return {"marginal_dev": np.maximum(_max_dev(rho_s["j"], ID2 / 2), _max_dev(rho_frame_j, ID2 / 2))}
+def _marginal_deviation(cfg, times, marginals, members):
+    frame_j = marginals["j"]
+    return {"marginal_dev": np.maximum(_max_dev(frame_j.rho_s, ID2 / 2), _max_dev(frame_j.rho_frame, ID2 / 2))}
 
 
 def _isolated_vs_closed_summary(cfg, h, rho0, rows):
@@ -893,8 +893,10 @@ class Scenario:
     time-grid scenario from the other parts: hamiltonian(cfg), the default H
     (a config "hamiltonian" replaces it); initial_state(cfg), rho0 in frame
     i's perspective; candidates, the labels X whose membership fills in_AX;
-    extras(cfg, times, rho, rho_s), per-time columns; summary(cfg, h, rho0,
-    rows); and extra_fields, the extras JSON renders after the shared columns.
+    extras(cfg, times, marginals, members), per-time columns from a run's
+    StateMarginals, keyed "i" and "j", and the candidates' verdicts;
+    summary(cfg, h, rho0, rows); and extra_fields, the extras JSON renders
+    after the shared columns.
     """
 
     name: str
@@ -919,7 +921,9 @@ _BASE_DEFAULTS = {
 }
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# Labels are built once, so each keeps its conjugation gather across runs.
 _QUBIT_LABELS = (BilocalUnitary(ID2, ID2), BilocalUnitary(ID2, SIGMA_X))
+_PAULI_LABELS = tuple(BilocalUnitary(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ")
 _ENTROPY_BALANCE_LABELS = (BilocalUnitary(SIGMA_X, ID2), BilocalUnitary(SIGMA_X, SIGMA_X))
 _EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
@@ -969,7 +973,8 @@ SCENARIOS = {scenario.name: scenario for scenario in (
                     "amplitudes": [1.0 / math.sqrt(3.0), math.sqrt(2.0 / 3.0)]}},
         hamiltonian=_zz_chain,
         initial_state=_zz_initial_state,
-        extras=_zz_memberships,
+        candidates=_QUBIT_LABELS,
+        extras=lambda cfg, times, marginals, members: {"in_identity": members[0], "in_flip": members[1]},
         summary=_zz_summary),
     Scenario(
         "effectively-isolated",
@@ -979,8 +984,8 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         hamiltonian=_zz_chain,
         initial_state=lambda cfg: _pure(product_state(basis_state(2, 1), cfg.params["amplitudes"])),
         candidates=_QUBIT_LABELS[1:],
-        extras=lambda cfg, times, rho, rho_s: {
-            "conjugation_dev": _max_dev(rho_s["j"], SIGMA_X @ rho_s["i"] @ SIGMA_X)},
+        extras=lambda cfg, times, marginals, members: {"conjugation_dev": _max_dev(
+            marginals["j"].rho_s, SIGMA_X @ marginals["i"].rho_s @ SIGMA_X)},
         summary=_effectively_isolated_summary),
     Scenario(
         "relative-equilibrium",
@@ -1004,7 +1009,8 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         hamiltonian=lambda cfg: (cfg.params["nu"] * kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z)
                                  + cfg.params["mu"] * kron(SIGMA_Z, SIGMA_Z)),
         initial_state=lambda cfg: kron(_EXCITED, gibbs_state(SIGMA_Z, cfg.params["beta"])),
-        extras=lambda cfg, times, rho, rho_s: {"rho_S_R1": rho_s["i"], "rho_S_R2": rho_s["j"]},
+        extras=lambda cfg, times, marginals, members: {"rho_S_R1": marginals["i"].rho_s,
+                                                       "rho_S_R2": marginals["j"].rho_s},
         summary=_negative_temperature_summary,
         extra_fields=("rho_S_R1", "rho_S_R2")),
     Scenario(
@@ -1025,8 +1031,9 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         hamiltonian=lambda cfg: kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z),
         initial_state=lambda cfg: kron(gibbs_state(SIGMA_Z, cfg.params["beta"]),
                                        _pure(np.array([1.0, 1.0]) / math.sqrt(2.0))),
-        extras=lambda cfg, times, rho, rho_s: {f"purity_s_{suffix}": np.trace(r @ r, axis1=-2, axis2=-1).real
-                                               for suffix, r in rho_s.items()},
+        extras=lambda cfg, times, marginals, members: {
+            f"purity_s_{suffix}": np.trace(m.rho_s @ m.rho_s, axis1=-2, axis2=-1).real
+            for suffix, m in marginals.items()},
         summary=_zero_to_nonzero_summary,
         extra_fields=("purity_s_i", "purity_s_j")),
     Scenario(

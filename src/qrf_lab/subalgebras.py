@@ -53,11 +53,9 @@ class BilocalUnitary(StructuredUnitary):
     """Product unitary y (x) z across the (frame, system) split.
 
     The factors are read-only complex copies, and the dense matrix and the
-    gather are built once, on first use.  conjugate takes a stack as one
-    gather when y and z are monomial, else y and z act on the (d_f, d_s)
-    reshape (d_p^2 (d_f + d_s) operations per matrix, not d_p^3).  A single
-    matrix, a one-off test where the gather would not repay its set-up,
-    uses the dense matrix.
+    gather are built once, on first use.  conjugate takes one matrix or a
+    stack as one gather when y and z are monomial, else y and z act on the
+    (d_f, d_s) reshape (d_p^2 (d_f + d_s) operations per matrix, not d_p^3).
     """
 
     y: np.ndarray
@@ -77,20 +75,10 @@ class BilocalUnitary(StructuredUnitary):
     def _gather(self):
         return monomial_gather([0], self.matrix[None])
 
-    def conjugate(self, ops):
-        ops = np.asarray(ops, dtype=complex)
-        if ops.ndim == 2:
-            return self.matrix @ ops @ dagger(self.matrix)
-        return super().conjugate(ops)
-
     def _left(self, ops):
         d_f, d_s = self.y.shape[0], self.z.shape[0]
         rows = self.y @ ops.reshape(ops.shape[:-2] + (d_f, d_s * d_f * d_s))
         return (self.z @ rows.reshape(ops.shape[:-2] + (d_f, d_s, d_f * d_s))).reshape(ops.shape)
-
-
-def as_matrix(x):
-    return x.matrix if isinstance(x, BilocalUnitary) else np.asarray(x, dtype=complex)
 
 
 def pi_t(setup, op):
@@ -136,7 +124,7 @@ class MembershipResult:
 
 
 def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL, transformed=None):
-    """Check whether conjugating f by the perspective change equals conjugation by x.
+    """Check whether conjugating f by the perspective change equals conjugation by the label x.
 
     f is a member when the residual ||u f u' - x f x'|| is at most tol * ||f||,
     so rescaling f leaves the verdict unchanged and f = 0 is a member.  For
@@ -148,12 +136,7 @@ def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL, transformed=None)
     f = np.asarray(f, dtype=complex)
     if transformed is None:
         transformed = setup.perspective_change(g_i, g_j).conjugate(f)
-    if isinstance(x, BilocalUnitary):
-        moved = x.conjugate(f)
-    else:
-        x = np.asarray(x, dtype=complex)
-        moved = x @ f @ dagger(x)
-    residual = hs_norm(transformed - moved)
+    residual = hs_norm(transformed - x.conjugate(f))
     threshold = tol * hs_norm(f)
     is_member = residual <= threshold
     if f.ndim == 2:
@@ -240,7 +223,7 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
     unit circle.  A pair in (tol, 10 tol] raises NumericalRankError.
     """
     u = setup.perspective_change(g_i, g_j).matrix
-    w = assert_unitary(dagger(as_matrix(x)) @ u, what="W = X'u")
+    w = assert_unitary(dagger(x.matrix) @ u, what="W = X'u")
     triangular, q = schur(w, output="complex")
     eigs = np.diag(triangular)
     gaps = np.abs(eigs[:, None] - eigs[None, :])

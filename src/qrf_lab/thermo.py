@@ -6,27 +6,22 @@ a correction term moves conducted energy between the two when requested.
 All generator time derivatives are propagated analytically; nothing is
 finite-differenced inside the package.
 
-energetics and the entropy balances also take stacks (k, d, d) of states,
-one per time point, and then report arrays of k values.
-
-energetics reads a state only through its StateMarginals: rho_frame =
-Tr_s rho, rho_s = Tr_frame rho, the same two marginals of rho_dot, and
-e_total = Tr(H rho).  state_marginals forms them; marginal_energetics is
-the core that turns them into a ThermoReport, for one state or a stack,
-and sees nothing else of the state, so a caller that holds the marginals
-(a scenario row, or a run of balance_verifiers blocks) evaluates the rates
-without any d x d object.  state_marginals reads a (Hermitian) state once:
-its two marginals, and Tr_s(h_int rho) and Tr_frame(h_int rho) from one
-batched matmul each against the split's product-trace maps, d^2 (d_f + d_s)
-operations per state for both.  Everything after that is of subsystem
-size: rho_dot = -i[H, rho] is never formed, its marginals being the local
-commutators plus Tr_other[h_int, rho], and e_total is
-Tr(h_frame rho_frame) + Tr(h_s rho_s) + Tr Tr_s(h_int rho).  So
-balance_verifiers keeps only those four traces per block and assembles
-the rest once per run of blocks concatenated along the stack axis.  That
-is the one route from a state to its rates: a caller whose rho_dot comes
-from another generator builds the StateMarginals itself and calls
-marginal_energetics, as balance_verifiers does for the imported rates.
+A trajectory is read through one walk, trajectory_runs.  It evolves the
+time grid block by block, conjugates each block to frame j once, hands
+both stacks to its caller's read(rho) for what needs whole states
+(membership verdicts, S(rho(t)), endpoint states), and keeps only what
+_traced reads of each state: rho_frame = Tr_s rho, rho_s = Tr_frame rho,
+and Tr_s(h_int rho) and Tr_frame(h_int rho) from one batched matmul each
+against the split's product-trace maps, d^2 (d_f + d_s) operations per
+state for both.  Per run of blocks, _assembled turns them into the
+StateMarginals: those two marginals, the same two of rho_dot, and
+e_total = Tr(H rho).  rho_dot = -i[H, rho] is never formed, and nothing
+after _traced is larger than a subsystem.  marginal_energetics turns
+StateMarginals into a ThermoReport, for one state or a stack, and sees
+nothing else of the state: a caller whose rho_dot comes from another
+generator builds the StateMarginals itself, as balance_verifiers does
+for the imported rates.  Scenario rows and balance_verifiers both read
+the grid only through the walk.
 
 From the marginals on, every quantity is contracted on the factor tensor
 T[f, s, g, t] = h_int[(f, s), (g, t)]: the mean fields are products of the
@@ -39,9 +34,8 @@ e_star multiplies matrices, of subsystem size.
 The entropy balance splits the same way.  initial_product keeps both
 marginals of rho0, their entropies and whether rho0 is their product, and
 never raises: a balance needs a product rho0, and the caller reads
-is_product.  entropy_balance, the core, reads rho(t), rho_frame(t),
-rho_s(t) and, when the caller holds it, S(rho_s(t)), and takes each
-entropy once.
+is_product.  entropy_balance, the core, reads S(rho(t)), rho_frame(t) and
+S(rho_s(t)), so each entropy is taken once, by whoever holds its state.
 """
 
 from __future__ import annotations
@@ -76,7 +70,7 @@ from .states import (
     subsystem_transform,
     von_neumann_entropy,
 )
-from .subalgebras import as_matrix, membership_test, pure_state_bilocal_witness
+from .subalgebras import membership_test, pure_state_bilocal_witness
 
 
 @dataclass(frozen=True)
@@ -187,21 +181,8 @@ class StateMarginals(NamedTuple):
     e_total: float | np.ndarray
 
 
-def state_marginals(split, rho_ibar):
-    """StateMarginals of a Hermitian state (or stack) rho_ibar under H = split.total.
-
-    rho_dot = -i[H, rho] is never formed: its marginals are the local
-    commutators [h_frame, rho_frame] and [h_s, rho_s] plus
-    Tr_other[h_int, rho] = A - A', with A = Tr_other(h_int rho) from
-    product_partial_traces (Hermitian h_int and rho give Tr(rho h_int) = A').
-    e_total = Tr(h_frame rho_frame) + Tr(h_s rho_s) + Tr(h_int rho) reads the
-    same marginals and A.
-    """
-    return _assembled(split, *_traced(split, rho_ibar))
-
-
 def _traced(split, rho):
-    """What state_marginals reads of rho itself: rho_frame, rho_s, Tr_s(h_int rho), Tr_frame(h_int rho)."""
+    """What a state's StateMarginals read of it: rho_frame, rho_s, Tr_s(h_int rho), Tr_frame(h_int rho)."""
     rho = np.asarray(rho, dtype=complex)
     dims = (split.d_frame, split.d_s)
     return (partial_trace(rho, dims, drop=1), partial_trace(rho, dims, drop=0),
@@ -209,24 +190,19 @@ def _traced(split, rho):
 
 
 def _assembled(split, rho_frame, rho_s, int_frame, int_s):
-    """StateMarginals from what _traced read of rho, in subsystem-size products only."""
+    """StateMarginals from what _traced read of rho, in subsystem-size products only.
+
+    The marginals of rho_dot = -i[H, rho] are the local commutators plus
+    Tr_other[h_int, rho] = A - A', A = Tr_other(h_int rho) being what _traced
+    read (a Hermitian rho gives Tr(rho h_int) = A'), and e_total is
+    Tr(h_frame rho_frame) + Tr(h_s rho_s) + Tr(h_int rho).
+    """
     rho_frame_dot = -1j * (split.h_frame @ rho_frame - rho_frame @ split.h_frame
                            + int_frame - dagger(int_frame))
     rho_s_dot = -1j * (split.h_s @ rho_s - rho_s @ split.h_s + int_s - dagger(int_s))
     e_total = (_trace_product(split.h_frame, rho_frame) + _trace_product(split.h_s, rho_s)
                + np.trace(int_frame, axis1=-2, axis2=-1))
     return StateMarginals(rho_frame, rho_s, rho_frame_dot, rho_s_dot, _real(e_total))
-
-
-def energetics(split, rho_ibar, prescription):
-    """Instantaneous energies and heat/work rates in one perspective.
-
-    The rates read the closed-system derivative rho_dot = -i[H, rho].
-    rho_ibar may be a stack (k, d, d) of states along a trajectory; the
-    report then holds arrays of k values.  rho_ibar must be Hermitian, as
-    state_marginals reads it as such.
-    """
-    return marginal_energetics(split, prescription, state_marginals(split, rho_ibar))
 
 
 def marginal_energetics(split, prescription, marginals):
@@ -310,16 +286,44 @@ def initial_product(setup, rho0_ibar, tol=1e-9):
                           bool(hs_norm(rho0 - kron(rho_f0, rho_s0)) <= tol * max(1.0, hs_norm(rho0))))
 
 
-def entropy_balance(initial, rho_t, rho_frame_t, rho_s_t, s_s_t=None):
-    """EntropyBalance of a later state (or stack) from its marginals; s_s_t is S(rho_s_t) if known."""
+def entropy_balance(initial, s_t, rho_frame_t, s_s_t):
+    """EntropyBalance of a later state (or stack) from S(rho_t), its frame marginal and S(rho_s_t)."""
     s_frame_t = von_neumann_entropy(rho_frame_t)
-    s_s_t = von_neumann_entropy(rho_s_t) if s_s_t is None else s_s_t
-    info = s_frame_t + s_s_t - von_neumann_entropy(rho_t)  # as mutual_information sums
+    info = s_frame_t + s_s_t - s_t  # as mutual_information sums
     rel = relative_entropy(rho_frame_t, initial.rho_frame)
     delta_s_frame = s_frame_t - initial.s_frame
     # An infinite relative entropy makes both balances infinite.
     return EntropyBalance(sigma=info + rel, phi=delta_s_frame + rel, delta_s_s=s_s_t - initial.s_s,
                           delta_s_frame=delta_s_frame, mutual_information=info, frame_relative_entropy=rel)
+
+
+def trajectory_runs(evolution, change, splits, rho0, times, read):
+    """Walk rho0's trajectory over times in both perspectives, one run of whole blocks at a time.
+
+    Each block of evolution.blocks is conjugated to frame j once.  read gets
+    both stacks, keyed "i" and "j", for what needs whole states, and returns
+    a dict of per-time arrays; of each stack the walk keeps only what
+    _traced reads under splits["i"] or splits["j"].  A run holds as many
+    blocks as keep its subsystem stacks within STACK_BYTES, and for each run
+    the walk yields its times, both perspectives' StateMarginals keyed "i"
+    and "j", and read's arrays joined over the run.  No run's states are
+    held at once, and _assembled, of subsystem size, runs once per run.
+    """
+    d_f, d_s = splits["i"].d_frame, splits["i"].d_s
+    per_block = block_length(d_f * d_s)
+    per_run = block_length(max(d_f, d_s)) // per_block
+    blocks = evolution.blocks(rho0, times)
+    for _ in range(0, len(times), per_run * per_block):
+        run_times, traced, columns = [], {"i": [], "j": []}, []
+        for block, rho_i in itertools.islice(blocks, per_run):
+            rho = {"i": rho_i, "j": change.conjugate(rho_i)}
+            run_times.append(block)
+            columns.append(read(rho))
+            for key, rho_t in rho.items():
+                traced[key].append(_traced(splits[key], rho_t))
+        yield (np.concatenate(run_times),
+               {key: _assembled(splits[key], *map(np.concatenate, zip(*parts))) for key, parts in traced.items()},
+               {name: np.concatenate([part[name] for part in columns]) for name in columns[0]})
 
 
 @dataclass
@@ -448,14 +452,11 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     perspectives instead use their bare generators, zero entropy production
     and flow for product member states, and equality of entropy changes
     between perspectives.  Missing premises are reported, not raised.
-    The grid is evolved from one eigendecomposition of H, block by block,
-    and each block is read once per perspective: one conjugation to frame j,
-    the membership test, and what state_marginals reads of a state (two
-    marginals, two h_int contractions).  rho_dot is never formed; the
-    subsystem-size rest of state_marginals and the rates run once per run
-    of blocks.  The endpoint states and their frame-j images are the grid's
-    first and last; rho(t0) is evolved before the walk only when x0 must be
-    searched, and rho(t1) too when none is found.
+    The grid is read through trajectory_runs, which conjugates each state to
+    frame j once; per block the membership test reads both stacks, and the
+    rates run once per run of blocks.  The endpoint states and their frame-j
+    images are the grid's first and last; rho(t0) is evolved before the
+    walk only when x0 must be searched, and rho(t1) too when none is found.
 
     Rates scale as ||H||^2, so rates_match compares the unscaled
     rates_max_gap with 1e-8 ||H||_2^2, the spectral norm being
@@ -498,35 +499,28 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         rho_t1 = evolution.states(rho0, times[-1:])[0]
         rho_j_t0, rho_j_t1 = change.conjugate(np.stack([rho_t0, rho_t1]))
     else:
-        x0_mat = as_matrix(x0)
-        split_imported = split_hamiltonian(hermitian_part(dagger(x0_mat) @ h_j @ x0_mat),
+        split_imported = split_hamiltonian(hermitian_part(dagger(x0.matrix) @ h_j @ x0.matrix),
                                            setup.d_frame, setup.d_s)
         rates_max_gap = 0.0
-        # Each block leaves only what state_marginals reads of it, in both
-        # perspectives; the rates run once per run of whole blocks whose
-        # subsystem stacks fit in STACK_BYTES.
-        k = block_length(setup.d_perspective)
-        per_run = block_length(max(setup.d_frame, setup.d_s)) // k
-        blocks = evolution.blocks(rho0, times)
-        for _ in range(0, times.size, per_run * k):
-            traced_i, traced_j = [], []
-            for _, rho_t in itertools.islice(blocks, per_run):
-                rho_jt = change.conjugate(rho_t)
-                if not in_grid:
-                    rho_t0, rho_j_t0 = rho_t[0].copy(), rho_jt[0].copy()
-                in_grid += membership_test(setup, rho_t, x0, g_i, g_j,
-                                           transformed=rho_jt).is_member.tolist()
-                traced_i.append(_traced(split, rho_t))
-                traced_j.append(_traced(split_j, rho_jt))
-            marginals_i, marginals_j = (_assembled(part, *map(np.concatenate, zip(*traced)))
-                                        for part, traced in ((split, traced_i), (split_j, traced_j)))
-            rates_j = marginal_energetics(split_j, prescription, marginals_j).rates_vector()
+        first, last = {}, {}
+
+        def read(rho):
+            # The first states are copied so that their block can go; the last ones are the grid's end.
+            if not first:
+                first.update((key, rho_t[0].copy()) for key, rho_t in rho.items())
+            last.update((key, rho_t[-1]) for key, rho_t in rho.items())
+            return {"member": membership_test(setup, rho["i"], x0, g_i, g_j, transformed=rho["j"]).is_member}
+
+        for _, marginals, columns in trajectory_runs(evolution, change, {"i": split, "j": split_j},
+                                                     rho0, times, read):
+            in_grid += columns["member"].tolist()
+            rates_j = marginal_energetics(split_j, prescription, marginals["j"]).rates_vector()
             # No rate reads e_total, so frame i's Tr(H rho) stands in for Tr(H_imported rho).
-            rates_imported = marginal_energetics(split_imported, prescription, marginals_i).rates_vector()
-            rates_bare = marginal_energetics(split, prescription, marginals_i).rates_vector()
+            rates_imported = marginal_energetics(split_imported, prescription, marginals["i"]).rates_vector()
+            rates_bare = marginal_energetics(split, prescription, marginals["i"]).rates_vector()
             rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
             both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
-        rho_t1, rho_j_t1 = rho_t[-1], rho_jt[-1]
+        rho_t0, rho_j_t0, rho_t1, rho_j_t1 = first["i"], first["j"], last["i"], last["j"]
         membership_ok = all(in_grid)
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")
@@ -538,16 +532,16 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
                                  and hs_norm(end_i.rho_frame - start_i.rho_frame) <= 1e-9)
 
     y_factors_match = None
-    if hasattr(x0, "y") and hasattr(x1, "y"):
+    if x0 is not None and x1 is not None:
         y_factors_match = _phase_aligned_equal(x0.y, x1.y)
 
     sigma_i = phi_i = sigma_j = phi_j = None
     pure_balance_zero = None
     if start_i.is_product:
-        balance_i = entropy_balance(start_i, rho_t1, end_i.rho_frame, end_i.rho_s, end_i.s_s)
+        balance_i = entropy_balance(start_i, von_neumann_entropy(rho_t1), end_i.rho_frame, end_i.s_s)
         sigma_i, phi_i = balance_i.sigma, balance_i.phi
         if start_j.is_product:
-            balance_j = entropy_balance(start_j, rho_j_t1, end_j.rho_frame, end_j.rho_s, end_j.s_s)
+            balance_j = entropy_balance(start_j, von_neumann_entropy(rho_j_t1), end_j.rho_frame, end_j.s_s)
             sigma_j, phi_j = balance_j.sigma, balance_j.phi
         else:
             premises.append("transformed initial state is not a product")
@@ -569,7 +563,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
                                        - (end_j.s_frame - start_j.s_frame)) <= 1e-8)
         delta_s_s_equal = bool(abs((end_i.s_s - start_i.s_s) - (end_j.s_s - start_j.s_s)) <= 1e-8)
 
-        if start_i.is_product and hasattr(x0, "y") and hasattr(x1, "y"):
+        if start_i.is_product:
             y01 = x0.y @ dagger(x1.y)
             rotated = y01 @ end_i.rho_frame @ dagger(y01)
             lhs = relative_entropy(rotated, start_i.rho_frame)

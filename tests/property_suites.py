@@ -40,7 +40,6 @@ from qrf_lab.operators import (
 )
 from qrf_lab.subalgebras import (
     BilocalUnitary,
-    as_matrix,
     intersect_projectors,
     invariant_projector,
     membership_test,
@@ -52,11 +51,11 @@ from qrf_lab.states import mutual_information, relative_entropy, von_neumann_ent
 from qrf_lab.thermo import (
     Prescription,
     StateMarginals,
-    energetics,
+    _assembled,
+    _traced,
     entropy_balance,
     initial_product,
     marginal_energetics,
-    state_marginals,
 )
 
 from kinematics import d_kin, pi_phys, qrf_transform, reduction_map, relational_observable, u_kin
@@ -324,6 +323,17 @@ def dense_energetics_oracle(split, rho_ibar, prescription, rho_dot=None):
     return out
 
 
+def state_marginals(split, rho):
+    """StateMarginals of a Hermitian state (or stack) under H = split.total, as trajectory_runs
+    assembles them for a run of blocks."""
+    return _assembled(split, *_traced(split, rho))
+
+
+def energetics(split, rho, prescription):
+    """ThermoReport of a Hermitian state (or stack) under the closed-system rho_dot = -i[H, rho]."""
+    return marginal_energetics(split, prescription, state_marginals(split, rho))
+
+
 def energetics_with_rho_dot(split, rho, prescription, rho_dot):
     """energetics of rho with a dense rho_dot from any generator, through marginal_energetics.
 
@@ -517,8 +527,8 @@ def entropy_production_and_flow(setup, rho0_ibar, rho_t_ibar, tol=1e-9):
         raise NonProductInitialStateError("initial state must be a frame (x) system product")
     rho_t = np.asarray(rho_t_ibar, dtype=complex)
     dims = (setup.d_frame, setup.d_s)
-    return entropy_balance(initial, rho_t, partial_trace(rho_t, dims, drop=1),
-                           partial_trace(rho_t, dims, drop=0))
+    return entropy_balance(initial, von_neumann_entropy(rho_t), partial_trace(rho_t, dims, drop=1),
+                           von_neumann_entropy(partial_trace(rho_t, dims, drop=0)))
 
 
 def conjugation_superop(w):
@@ -572,7 +582,7 @@ def superoperator_projector_oracle(setup, x, g_i, g_j, tol=1e-9):
     with the pinching over W's own eigenspaces; returns a FixedSpace.
     """
     u = setup.perspective_change(g_i, g_j).matrix
-    superop = conjugation_superop(dagger(as_matrix(x))) @ conjugation_superop(u)
+    superop = conjugation_superop(dagger(x.matrix)) @ conjugation_superop(u)
     return fixed_space_projector(superop, tol=tol)
 
 

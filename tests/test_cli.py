@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import pytest
 
 import qrf_lab
 from qrf_lab.cli import main
+from qrf_lab.scenarios import parse_config
 
 
 def test_list_prints_catalog(capsys):
@@ -104,6 +106,53 @@ def test_config_errors_exit_two(argv, fragment, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert fragment in err
+
+
+MALFORMED = (None, "junk", -1, 0, 0.5, True, [], {}, [1, 2], [[1, 2], [3]], [[[1.0]]])
+REP_MATRICES = ([], {}, {"0": []}, {"0": "junk"}, {"0": [[1, 0], [0]]}, {"0": [[1, 0], [0, 1]], "1": [[0, 1]]},
+                {"0": [[1]], "1": [[0, 1], [1, 0]]}, {"2": [[1, 0], [0, 1]]}, {"x": [[1]]},
+                {"1": [[2, 0], [0, 1]]}, {"0": [[1, 0], [0, 1]], "1": [[0, 1], [1, 0]]},
+                {"0": [["1", 0], [0, 1]]}, {"0": [[None, 0], [0, 1]]}, {"0": [[[1, 0], 0], [0, 1]]})
+
+
+def _paths(node, path=()):
+    """The path of every entry of nested dicts and lists, containers and leaves alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutants(name):
+    """The defaults of a scenario with one entry replaced by a malformed value, then with
+    malformed rep.matrices."""
+    defaults = parse_config({"scenario": name}).raw
+    for path in _paths(defaults):
+        for value in MALFORMED:
+            raw = copy.deepcopy(defaults)
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            yield raw
+    for matrices in REP_MATRICES:
+        yield dict(defaults, rep={"matrices": matrices})
+
+
+@pytest.mark.filterwarnings("error")
+def test_malformed_configs_exit_zero_or_two(tmp_path, capsys):
+    """Keep the boundary: every entry of a time-grid and a static scenario's defaults,
+    replaced by a small malformed value, is either run or refused as a config error."""
+    crashed = []
+    for name in ("zz-oscillation", "gb-states"):
+        for k, raw in enumerate(_mutants(name)):
+            path = tmp_path / f"{name}-{k}.json"
+            path.write_text(json.dumps(raw))
+            code = main(["run", str(path), "--format", "json"])
+            if code not in (0, 2):
+                crashed.append((raw, capsys.readouterr().err))
+            capsys.readouterr()
+    assert crashed == []
 
 
 def _refuse_to_build(*args, **kwargs):

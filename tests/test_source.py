@@ -142,3 +142,41 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     bench = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
     sources = {str(p): p.read_text(encoding="utf-8") for p in MODULES + TESTS + bench}
     assert never_passed_parameters(sources, [str(p) for p in MODULES]) == []
+
+
+def callers(source, callee):
+    """Names of the outermost functions, methods included, whose bodies call callee by name
+    or as an attribute; a call outside every function counts as "<module>"."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
+                    found.add(owner)
+            top = owner == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if top else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_checker_sees_a_caller():
+    source = ("def walk(e):\n    return e.blocks(1)\n\n\nclass C:\n    def m(self, e):\n"
+              "        def inner():\n            return _traced(e)\n        return inner\n\n\n_traced(0)\n")
+    assert callers(source, "blocks") == {"walk"}
+    assert callers(source, "_traced") == {"m", "<module>"}
+
+
+def test_one_walk_reads_the_time_grid():
+    """Only thermo.trajectory_runs traces grid states, and besides it only the imported-Hamiltonian
+    check, which reads no marginals, walks GridEvolution.blocks."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+
+    def found(callee):
+        return {(name, owner) for name, text in sources.items() for owner in callers(text, callee)}
+
+    walk = ("thermo.py", "trajectory_runs")
+    assert found("_traced") == {walk}
+    assert found("blocks") == {walk, ("dynamics.py", "imported_hamiltonian_and_trajectory_check")}

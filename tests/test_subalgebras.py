@@ -137,14 +137,13 @@ def test_projector_membership_does_not_depend_on_the_scale_of_f():
 
 
 def test_invariant_projector_guard_band():
-    """Eigenvalues of W = X'u within tol share a cluster, 20 tol apart they do not,
-    and 5 tol apart the dimension is ambiguous."""
+    """With x = 1 (x) diag(1, e^{i eps}), W = X'u has the eigenvalues 1, e^{-i eps} and
+    +-e^{-i eps/2}: within tol of each other they share a cluster, 20 tol apart they do
+    not, and 5 tol apart the dimension is ambiguous."""
     setup = qubit_setup()
-    u = setup.perspective_change(E, E).matrix
     tol = 1e-9
-    for spread, dimension in ((0.5, 6), (20.0, 4), (5.0, None)):
-        w = np.diag(np.exp(1j * np.array([0.0, spread * tol, 2.0, 4.0])))
-        x = u @ dagger(w)  # so that W = w exactly, u being a permutation
+    for eps, dimension in ((0.5, 10), (40.0, 4), (10.0, None)):
+        x = BilocalUnitary(ID2, np.diag([1.0, np.exp(1j * eps * tol)]))
         if dimension is None:
             with pytest.raises(NumericalRankError, match="guard band"):
                 invariant_projector(setup, x, E, E, tol=tol)

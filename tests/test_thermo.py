@@ -19,7 +19,7 @@ from qrf_lab.operators import (
     partial_trace,
     random_hermitian,
 )
-from qrf_lab.scenarios import parse_config
+from qrf_lab.scenarios import SCENARIOS, parse_config, run_scenario
 from qrf_lab.states import gibbs_state, negative_temperature_predict, subsystem_transform
 from qrf_lab.subalgebras import (
     BilocalUnitary,
@@ -32,13 +32,13 @@ from qrf_lab.subalgebras import (
 from qrf_lab.thermo import (
     Prescription,
     balance_verifiers,
-    energetics,
     gibbs_classification,
     initial_product,
 )
 
 from property_suites import (
     NonProductInitialStateError,
+    energetics,
     energetics_with_rho_dot,
     entropy_production_and_flow,
     haar_conjugated_z3_setup,
@@ -381,6 +381,30 @@ def test_balance_report_does_not_depend_on_the_block_budget(monkeypatch):
                     assert np.array_equal(a, b)
                 else:
                     assert a == b, field.name
+
+
+EXACT_COLUMNS = ("t", "SvN_s_i", "SvN_s_j", "sigma_i", "sigma_j", "phi_i", "phi_j",
+                 "in_AX", "in_identity", "in_flip", "marginal_dev")
+RATE_STEMS = ("E_s", "E_frame", "E_int", "qdot_s", "wdot_s", "estar_s")
+
+
+@pytest.mark.parametrize("scenario", ["zz-oscillation", "isolated-vs-closed"])
+def test_scenario_rows_do_not_depend_on_the_block_budget(monkeypatch, scenario):
+    """On 1200 points a run spans several blocks at 16 and 128 KiB and is one block at 4 MiB:
+    verdicts, entropies and deviations are equal, and energies and rates agree to round-off."""
+    cfg = parse_config({"scenario": scenario, "time_grid": {"points": 1200}})
+    scale = np.linalg.norm(SCENARIOS[scenario].hamiltonian(cfg), 2) ** 2
+    runs = []
+    for budget in (16 * 1024, 128 * 1024, 4 * 1024 * 1024):
+        monkeypatch.setattr(dynamics, "STACK_BYTES", budget)
+        runs.append(run_scenario(cfg).rows)
+    first = runs[0]
+    assert len(first) == 1200
+    for rows in runs[1:]:
+        for a, b in zip(first, rows, strict=True):
+            assert [a.get(c) for c in EXACT_COLUMNS] == [b.get(c) for c in EXACT_COLUMNS]
+            for column in (f"{stem}_{suffix}" for stem in RATE_STEMS for suffix in "ij"):
+                assert abs(a[column] - b[column]) <= 1e-12 * scale, column
 
 
 def test_balance_verifiers_memory_at_the_widest_frame():
