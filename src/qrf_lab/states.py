@@ -126,13 +126,15 @@ def relative_entropy(rho, sigma):
     rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     svals, svecs = np.linalg.eigh(sigma)
     outside = svals <= SUPPORT_CUTOFF
-    # Block of rho on the kernel of sigma, written in sigma's eigenbasis.
-    kernel_block = (dagger(svecs) @ rho @ svecs) * (outside[..., :, None] & outside[..., None, :])
     rvals, _ = np.linalg.eigh(rho)
     safe = np.where(outside, 1.0, svals)
     log_sigma = (svecs * np.log(safe)[..., None, :]) @ dagger(svecs)
     cross_term = np.trace(rho @ log_sigma, axis1=-2, axis2=-1).real
-    value = np.where(hs_norm(kernel_block) > 1e-12, math.inf, _xlogx_sum(rvals) - cross_term)
+    value = np.asarray(_xlogx_sum(rvals) - cross_term)
+    if outside.any():
+        # Block of rho on the kernel of sigma, written in sigma's eigenbasis.
+        kernel_block = (dagger(svecs) @ rho @ svecs) * (outside[..., :, None] & outside[..., None, :])
+        value = np.where(hs_norm(kernel_block) > 1e-12, math.inf, value)
     return float(value) if value.ndim == 0 else value
 
 

@@ -53,9 +53,11 @@ class BilocalUnitary(StructuredUnitary):
     """Product unitary y (x) z across the (frame, system) split.
 
     The factors are read-only complex copies, and the dense matrix and the
-    gather are built once, on first use.  conjugate takes one matrix or a
-    stack as one gather when y and z are monomial, else y and z act on the
-    (d_f, d_s) reshape (d_p^2 (d_f + d_s) operations per matrix, not d_p^3).
+    gather are built once, on first use; the gather is read from y's
+    monomial structure and z, with no kron(y, z).  conjugate takes one
+    matrix or a stack as one gather when y and z are monomial, else y and z
+    act on the (d_f, d_s) reshape (d_p^2 (d_f + d_s) operations per matrix,
+    not d_p^3).
     """
 
     y: np.ndarray
@@ -73,7 +75,12 @@ class BilocalUnitary(StructuredUnitary):
 
     @cached_property
     def _gather(self):
-        return monomial_gather([0], self.matrix[None])
+        # A monomial y puts y[a, perm[a]] z at block (a, perm[a]) of kron(y, z).
+        nonzero = self.y != 0
+        if not ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()):
+            return None, None
+        perm = nonzero.argmax(axis=1)
+        return monomial_gather(perm, self.y[np.arange(perm.size), perm][:, None, None] * self.z)
 
     def _left(self, ops):
         d_f, d_s = self.y.shape[0], self.z.shape[0]

@@ -29,7 +29,8 @@ flattened marginals with the two mean-field maps the split builds once,
 the interaction mean is Tr(h_tilde_s rho_s), every Tr(A B) is the sum of A
 times B transposed, and e_int = e_total - e_frame - e_s.  Mean fields,
 means and energies cost O(d^2) per state after that one-off set-up; only
-e_star multiplies matrices, of subsystem size.
+e_star multiplies matrices, of subsystem size, and only under
+commuting_part: under split_alpha it is zero and never formed.
 
 The entropy balance splits the same way.  initial_product keeps both
 marginals of rho0, their entropies and whether rho0 is their product, and
@@ -206,7 +207,15 @@ def _assembled(split, rho_frame, rho_s, int_frame, int_s):
 
 
 def marginal_energetics(split, prescription, marginals):
-    """The ThermoReport of energetics from a state's StateMarginals alone."""
+    """The ThermoReport of energetics from a state's StateMarginals alone.
+
+    Under split_alpha each side's h_eff is gen - alpha c 1, gen = h_bare +
+    h_tilde and c = Tr(h_tilde_s rho_s) a number per state, so
+    e_star = -i Tr(h_eff [gen, rho_m]) = -i Tr(gen [gen, rho_m]) + i alpha c
+    Tr[gen, rho_m] = 0 by cyclicity of the trace, for any rho_m and any
+    rho_dot, which e_star never reads.  It is then +0.0 and each alternative
+    rate is the conventional one; commuting_part forms the commutator.
+    """
     rho_frame, rho_s, rho_frame_dot, rho_s_dot, e_total = marginals
     h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s = _local_effective(
         split, rho_frame, rho_s, prescription)
@@ -222,16 +231,17 @@ def marginal_energetics(split, prescription, marginals):
         h_s_eff_dot = _block_diagonal(projectors["s"], h_tilde_s_dot)
         h_frame_eff_dot = _block_diagonal(projectors["frame"], h_tilde_frame_dot)
 
-    def rates(h_eff, h_eff_dot, h_bare, h_tilde, rho_m, rho_m_dot):
+    def rates(side, h_eff, h_eff_dot, h_bare, h_tilde, rho_m, rho_m_dot):
         qdot = _real(_trace_product(h_eff, rho_m_dot))
         wdot = _real(_trace_product(h_eff_dot, rho_m))
-        gen = h_bare + h_tilde
-        e_star = _real(-1j * _trace_product(h_eff, gen @ rho_m - rho_m @ gen))
-        return qdot, wdot, e_star
-
-    qdot_s, wdot_s, e_star_s = rates(h_s_eff, h_s_eff_dot, split.h_s, h_tilde_s, rho_s, rho_s_dot)
-    qdot_f, wdot_f, e_star_f = rates(
-        h_frame_eff, h_frame_eff_dot, split.h_frame, h_tilde_frame, rho_frame, rho_frame_dot)
+        if prescription.kind == "split_alpha":
+            e_star, qdot_alt, wdot_alt = _real(np.zeros(np.shape(qdot))), qdot, wdot
+        else:
+            gen = h_bare + h_tilde
+            e_star = _real(-1j * _trace_product(h_eff, gen @ rho_m - rho_m @ gen))
+            qdot_alt, wdot_alt = qdot - e_star, wdot + e_star
+        return {f"qdot_conv_{side}": qdot, f"wdot_conv_{side}": wdot, f"e_star_{side}": e_star,
+                f"qdot_alt_{side}": qdot_alt, f"wdot_alt_{side}": wdot_alt}
 
     e_frame = _real(_trace_product(h_frame_eff, rho_frame))
     e_s = _real(_trace_product(h_s_eff, rho_s))
@@ -241,16 +251,9 @@ def marginal_energetics(split, prescription, marginals):
         # Tr(h_int_eff rho), with h_int_eff = H - h_frame_eff (x) 1 - 1 (x) h_s_eff.
         e_int=e_total - e_frame - e_s,
         e_total=e_total,
-        qdot_conv_s=qdot_s,
-        wdot_conv_s=wdot_s,
-        e_star_s=e_star_s,
-        qdot_alt_s=qdot_s - e_star_s,
-        wdot_alt_s=wdot_s + e_star_s,
-        qdot_conv_frame=qdot_f,
-        wdot_conv_frame=wdot_f,
-        e_star_frame=e_star_f,
-        qdot_alt_frame=qdot_f - e_star_f,
-        wdot_alt_frame=wdot_f + e_star_f,
+        **rates("s", h_s_eff, h_s_eff_dot, split.h_s, h_tilde_s, rho_s, rho_s_dot),
+        **rates("frame", h_frame_eff, h_frame_eff_dot, split.h_frame, h_tilde_frame,
+                rho_frame, rho_frame_dot),
     )
 
 

@@ -1,25 +1,33 @@
 """Tests for energy accounting, entropy balance, and Gibbs classification."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qrf_lab import FrameSetup, Z2, Z4, dynamics
-from qrf_lab.dynamics import block_length, evolve, split_hamiltonian, transform_hamiltonian_pieces
+from qrf_lab.dynamics import (
+    GridEvolution,
+    block_length,
+    evolve,
+    split_hamiltonian,
+    transform_hamiltonian_pieces,
+)
 from qrf_lab.operators import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
     dagger,
     haar_unitary,
+    hermitian_part,
     hs_norm,
     kron,
     partial_trace,
     random_hermitian,
 )
-from qrf_lab.scenarios import SCENARIOS, parse_config, run_scenario
+from qrf_lab.scenarios import SCENARIOS, parse_config, render, run_scenario
 from qrf_lab.states import gibbs_state, negative_temperature_predict, subsystem_transform
 from qrf_lab.subalgebras import (
     BilocalUnitary,
@@ -37,7 +45,9 @@ from qrf_lab.thermo import (
 )
 
 from property_suites import (
+    ENERGETICS_FIELDS,
     NonProductInitialStateError,
+    dense_energetics_oracle,
     energetics,
     energetics_with_rho_dot,
     entropy_production_and_flow,
@@ -110,6 +120,54 @@ def test_first_law_closure_by_finite_differences():
                       atol=1e-10)
     assert np.isclose(report.wdot_alt_s, report.wdot_conv_s + report.e_star_s,
                       atol=1e-10)
+
+
+def _assert_e_star_is_zero(report):
+    """Each e_star is +0.0, shaped as the other rates, and each alternative rate is the conventional one."""
+    for side in ("s", "frame"):
+        e_star = np.asarray(getattr(report, f"e_star_{side}"))
+        assert e_star.shape == np.shape(report.qdot_conv_s)
+        assert not e_star.any() and not np.signbit(e_star).any(), side
+        for rate in ("qdot", "wdot"):
+            alt, conv = (np.asarray(getattr(report, f"{rate}_{kind}_{side}")) for kind in ("alt", "conv"))
+            assert alt.tobytes() == conv.tobytes(), (rate, side)
+
+
+def test_e_star_vanishes_under_split_alpha():
+    """Under split_alpha h_eff = h_bare + h_tilde - alpha c 1 with c a number per state, so
+    e_star = Tr(h_eff [h_bare + h_tilde, rho]) is 0 by cyclicity whatever rho_dot is.  It is +0.0
+    on single states and stacks at every energy scale, for frame i's marginals under frame i's
+    split and an imported one, with rho_dot from H or from another generator; commuting_part
+    still matches the dense oracle, and no estar_s cell of the default catalog reads -0."""
+    rng = np.random.default_rng(29)
+    split_alpha, commuting = Prescription.split_alpha(0.3), Prescription.commuting_part()
+    for setup in setup_pool():
+        d_f, d_s = setup.d_frame, setup.d_s
+        change = setup.perspective_change(setup.group.elements[0], setup.group.elements[-1])
+        x = BilocalUnitary(haar_unitary(rng, d_f), haar_unitary(rng, d_s))
+        rho0 = random_product_state(rng, d_f, d_s)
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            h = random_hermitian(rng, d_f * d_s, scale)
+            g = random_hermitian(rng, d_f * d_s, scale)
+            h_imported = dagger(x.matrix) @ hermitian_part(change.conjugate(h)) @ x.matrix
+            splits = (split_hamiltonian(h, d_f, d_s), split_hamiltonian(hermitian_part(h_imported), d_f, d_s))
+            stack = GridEvolution(h).states(rho0, np.array([0.0, 0.5, 1.3]) / scale)
+            norm = np.linalg.norm(h, 2) + np.linalg.norm(g, 2)
+            for rho in (stack, stack[1]):
+                # The closed-system path that trajectory_runs takes, then supplied rho_dot.
+                _assert_e_star_is_zero(energetics(splits[0], rho, split_alpha))
+                for split, gen in itertools.product(splits, (h, g)):
+                    rho_dot = -1j * (gen @ rho - rho @ gen)
+                    _assert_e_star_is_zero(energetics_with_rho_dot(split, rho, split_alpha, rho_dot))
+                    report = energetics_with_rho_dot(split, rho, commuting, rho_dot)
+                    oracle = dense_energetics_oracle(split, rho, commuting, rho_dot)
+                    for name in ENERGETICS_FIELDS:
+                        tol = 1e-12 * (norm if name in ("e_frame", "e_s", "e_int", "e_total") else norm ** 2)
+                        assert np.abs(getattr(report, name) - oracle[name]).max() <= tol, (name, scale)
+    for name in SCENARIOS:
+        header, *rows = render(run_scenario({"scenario": name}), "csv").splitlines()
+        columns = [n for n, column in enumerate(header.split(",")) if column.startswith("estar_s_")]
+        assert not any(row.split(",")[n].startswith("-0") for row in rows for n in columns), name
 
 
 def test_total_energy_is_conserved():
