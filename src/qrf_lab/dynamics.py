@@ -29,6 +29,7 @@ from .operators import (
     partial_trace,
     product_trace_maps,
     read_only,
+    stack_times,
     twirl,
 )
 from .subalgebras import invariant_projector, membership_test, pi_d, pi_t
@@ -197,7 +198,7 @@ class GridEvolution:
 
     def _from_eigenbasis(self, rotated, times):
         b = self.vecs * np.exp(np.multiply.outer(-1j * times, self.vals))[:, None, :]
-        out = b @ rotated
+        out = stack_times(b, rotated)
         np.conjugate(b, out=b)  # B' in place, so the block holds no further stack
         return out @ b.swapaxes(-1, -2)
 

@@ -143,6 +143,17 @@ def product_partial_traces(maps, rho):
     return dagger(on_frame_dagger), s_map @ rho.reshape(lead + (d * d_f, d_s))
 
 
+def stack_times(stack, mat):
+    """stack @ mat for a stack (..., m, n) and one (n, p) matrix, as one GEMM over the stack's rows."""
+    stack = np.asarray(stack)
+    return (stack.reshape(-1, stack.shape[-1]) @ mat).reshape(stack.shape[:-1] + mat.shape[-1:])
+
+
+def trace_product(a, b):
+    """Tr(a b) over the last two axes, as the sum of a times b transposed, without forming a b."""
+    return (a * np.swapaxes(b, -1, -2)).sum(axis=(-2, -1))
+
+
 def read_only(mat):
     mat.flags.writeable = False
     return mat

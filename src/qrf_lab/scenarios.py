@@ -421,8 +421,9 @@ def _json_text(value, pad="\n", strict=False):
 
 
 def write_json(result, stream):
+    # _json_text's document, with each row in one pass: a finite float by float.__repr__, the rest through it.
     columns = list(result.columns) + list(result.extra_fields)
-    document = {
+    head = _json_text({
         "scenario": result.name,
         "metadata": {
             "config": result.config,
@@ -430,9 +431,14 @@ def write_json(result, stream):
             "columns": columns,
         },
         "summary": result.summary,
-        "rows": [{c: row.get(c) for c in columns} for row in result.rows],
-    }
-    stream.write(_json_text(document) + "\n")
+    })
+    pad = "\n      "
+    keys = [encode_basestring_ascii(c) + ": " for c in columns]
+    rows = ["{" + pad + ("," + pad).join(
+        [key + (float.__repr__(v) if type(v) is float and math.isfinite(v) else _json_text(v, pad))
+         for key, v in zip(keys, map(row.get, columns))]) + "\n    }" for row in result.rows]
+    body = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    stream.write(head[:-2] + ',\n  "rows": ' + body + "\n}\n")
 
 
 def render(result, out_format):
@@ -484,12 +490,13 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     """Rows for a unitary trajectory, reported in both perspectives.
 
     The grid is read through thermo.trajectory_runs, one run of blocks at a
-    time: per block, the candidates' membership verdicts and, for a
-    perspective whose rho0 is a product, S(rho(t)); per run, energetics and
-    entropies from both perspectives' StateMarginals.  in_AX is the
-    candidates' verdicts or-ed together.  extras(times, marginals, members)
-    gets the run's StateMarginals keyed "i" and "j" and the candidates'
-    verdicts, and returns extra columns, one value per time.
+    time: per block, the candidates' membership verdicts; per run, energetics
+    and entropies from both perspectives' StateMarginals.  S(rho(t)) is
+    S(rho0) at every time and in both perspectives, taken once when some
+    perspective's rho0 is a product.  in_AX is the candidates' verdicts
+    or-ed together.  extras(times, marginals, members) gets the run's
+    StateMarginals keyed "i" and "j" and the candidates' verdicts, and
+    returns extra columns, one value per time.
     """
     setup = cfg.setup
     dims = (setup.d_frame, setup.d_s)
@@ -499,16 +506,14 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     rho0_i = np.asarray(rho0_ibar, dtype=complex)
     initial = {suffix: initial_product(setup, rho0, cfg.tolerance)
                for suffix, rho0 in (("i", rho0_i), ("j", change.conjugate(rho0_i)))}
+    s_t = von_neumann_entropy(rho0_i) if any(p.is_product for p in initial.values()) else None
 
     def read(rho):
-        # Keyed by candidate index, and by perspective for S(rho(t)).
-        verdicts = {n: _member(cfg, rho, x).is_member for n, x in enumerate(candidates)}
-        return verdicts | {suffix: von_neumann_entropy(rho[suffix]) for suffix in rho
-                           if initial[suffix].is_product}
+        return {n: _member(cfg, rho, x).is_member for n, x in enumerate(candidates)}
 
     rows = []
-    for times, marginals, from_states in trajectory_runs(GridEvolution(h_ibar), change, split, rho0_i,
-                                                         cfg.time_grid, read):
+    for times, marginals, verdicts in trajectory_runs(GridEvolution(h_ibar), change, split, rho0_i,
+                                                      cfg.time_grid, read):
         columns = {}
         for suffix, m in marginals.items():
             report = marginal_energetics(split[suffix], cfg.prescription, m)
@@ -516,10 +521,10 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
                            for stem, name in _ENERGETICS_COLUMNS.items())
             columns[f"SvN_s_{suffix}"] = s_s = von_neumann_entropy(m.rho_s)
             if initial[suffix].is_product:
-                balance = entropy_balance(initial[suffix], from_states[suffix], m.rho_frame, s_s)
+                balance = entropy_balance(initial[suffix], s_t, m.rho_frame, s_s)
                 columns[f"sigma_{suffix}"] = balance.sigma
                 columns[f"phi_{suffix}"] = balance.phi
-        members = [from_states[n] for n in range(len(candidates))]
+        members = list(verdicts.values())
         if members:
             columns["in_AX"] = np.logical_or.reduce(members)
         if extras is not None:

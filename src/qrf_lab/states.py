@@ -21,6 +21,7 @@ from .operators import (
     hs_norm,
     partial_trace,
     polar_unitary,
+    trace_product,
 )
 
 SUPPORT_CUTOFF = 1e-12
@@ -101,8 +102,8 @@ def _xlogx_sum(vals):
 
 
 def von_neumann_entropy(rho):
-    """S(rho) in nats; a stack (k, d, d) gives one entropy per matrix."""
-    return -_xlogx_sum(_checked_spectrum(rho))
+    """S(rho) in nats; a stack (k, d, d) gives one entropy per matrix, and a pure state +0.0."""
+    return 0.0 - _xlogx_sum(_checked_spectrum(rho))
 
 
 def renyi_entropy(rho, alpha):
@@ -117,25 +118,36 @@ def renyi_entropy(rho, alpha):
     return float(np.log((vals ** alpha).sum()) / (1.0 - alpha))
 
 
+def support_log(sigma):
+    """(log sigma on its support, sigma's kernel eigenvectors with the support's columns zeroed);
+    eigenvalues at or below SUPPORT_CUTOFF make the kernel.  A stack gives stacks."""
+    vals, vecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
+    outside = vals <= SUPPORT_CUTOFF
+    log_sigma = (vecs * np.log(np.where(outside, 1.0, vals))[..., None, :]) @ dagger(vecs)
+    return log_sigma, vecs * outside[..., None, :]
+
+
+def entropy_and_relative_entropy(rho, log_sigma, kernel):
+    """(S(rho), S(rho || sigma)) from one checked spectrum of rho and (log_sigma, kernel) = support_log(sigma);
+    Tr(rho log sigma) is taken elementwise, and a block of rho on the kernel makes S(rho || sigma) math.inf."""
+    rho = np.asarray(rho, dtype=complex)
+    xlogx = _xlogx_sum(_checked_spectrum(rho))
+    value = np.asarray(xlogx - trace_product(rho, log_sigma).real)
+    if kernel.any():
+        value = np.where(hs_norm(dagger(kernel) @ rho @ kernel) > 1e-12, math.inf, value)
+    return 0.0 - xlogx, float(value) if value.ndim == 0 else value
+
+
 def relative_entropy(rho, sigma):
     """S(rho || sigma), math.inf when supp(rho) is not inside supp(sigma).
 
     Either argument may be a stack (k, d, d); the result is then an array
-    of k values.
+    of k values.  It composes support_log(sigma) with entropy_and_relative_entropy,
+    as entropy_balance does with initial_product's log.  There S(rho(t)) = S(rho0)
+    on a unitary trajectory in either frame, so the full state's positivity is
+    checked once, on rho0, and the frame marginal's at every time, as rho's here.
     """
-    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
-    svals, svecs = np.linalg.eigh(sigma)
-    outside = svals <= SUPPORT_CUTOFF
-    rvals, _ = np.linalg.eigh(rho)
-    safe = np.where(outside, 1.0, svals)
-    log_sigma = (svecs * np.log(safe)[..., None, :]) @ dagger(svecs)
-    cross_term = np.trace(rho @ log_sigma, axis1=-2, axis2=-1).real
-    value = np.asarray(_xlogx_sum(rvals) - cross_term)
-    if outside.any():
-        # Block of rho on the kernel of sigma, written in sigma's eigenbasis.
-        kernel_block = (dagger(svecs) @ rho @ svecs) * (outside[..., :, None] & outside[..., None, :])
-        value = np.where(hs_norm(kernel_block) > 1e-12, math.inf, value)
-    return float(value) if value.ndim == 0 else value
+    return entropy_and_relative_entropy(rho, *support_log(sigma))[1]
 
 
 def mutual_information(rho, dims):

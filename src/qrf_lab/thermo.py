@@ -9,7 +9,7 @@ finite-differenced inside the package.
 A trajectory is read through one walk, trajectory_runs.  It evolves the
 time grid block by block, conjugates each block to frame j once, hands
 both stacks to its caller's read(rho) for what needs whole states
-(membership verdicts, S(rho(t)), endpoint states), and keeps only what
+(membership verdicts, endpoint states), and keeps only what
 _traced reads of each state: rho_frame = Tr_s rho, rho_s = Tr_frame rho,
 and Tr_s(h_int rho) and Tr_frame(h_int rho) from one batched matmul each
 against the split's product-trace maps, d^2 (d_f + d_s) operations per
@@ -33,10 +33,13 @@ e_star multiplies matrices, of subsystem size, and only under
 commuting_part: under split_alpha it is zero and never formed.
 
 The entropy balance splits the same way.  initial_product keeps both
-marginals of rho0, their entropies and whether rho0 is their product, and
-never raises: a balance needs a product rho0, and the caller reads
-is_product.  entropy_balance, the core, reads S(rho(t)), rho_frame(t) and
-S(rho_s(t)), so each entropy is taken once, by whoever holds its state.
+marginals of rho0, their entropies, log rho_frame(0) on its support with a
+basis of its kernel, and whether rho0 is their product; it never raises,
+so the caller reads is_product.  entropy_balance, the core, reads S(rho(t)),
+rho_frame(t) and S(rho_s(t)), and takes S(rho_frame(t)) and
+D(rho_frame(t) || rho_frame(0)) from one spectrum of rho_frame(t).  S(rho(t))
+= S(rho0) on a unitary trajectory in either frame, so callers pass S(rho0):
+the full state's positivity is checked once, on rho0, the marginals' at every time.
 """
 
 from __future__ import annotations
@@ -63,12 +66,16 @@ from .operators import (
     kron,
     partial_trace,
     product_partial_traces,
+    stack_times,
+    trace_product,
 )
 from .states import (
+    entropy_and_relative_entropy,
     gibbs_state,
     purity,
     relative_entropy,
     subsystem_transform,
+    support_log,
     von_neumann_entropy,
 )
 from .subalgebras import membership_test, pure_state_bilocal_witness
@@ -103,11 +110,6 @@ class Prescription:
         return cls(kind="commuting_part")
 
 
-def _trace_product(a, b):
-    """Tr(a b) over the last two axes, as the sum of a times b transposed, without forming a b."""
-    return (a * np.swapaxes(b, -1, -2)).sum(axis=(-2, -1))
-
-
 def _real(value):
     """Real part as a float for a scalar, as an array for a stack."""
     value = np.real(value)
@@ -128,7 +130,7 @@ def _local_effective(split, rho_frame, rho_s, prescription):
     h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
     h_tilde_frame = mean_field_hamiltonian(split, rho_s, on="frame")
     if prescription.kind == "split_alpha":
-        shift = np.asarray(_real(_trace_product(h_tilde_s, rho_s)))[..., None, None]
+        shift = np.asarray(_real(trace_product(h_tilde_s, rho_s)))[..., None, None]
         h_s_eff = split.h_s + h_tilde_s - prescription.alpha_s * shift * np.eye(split.d_s)
         h_frame_eff = split.h_frame + h_tilde_frame - prescription.alpha_frame * shift * np.eye(split.d_frame)
     else:
@@ -198,10 +200,10 @@ def _assembled(split, rho_frame, rho_s, int_frame, int_s):
     read (a Hermitian rho gives Tr(rho h_int) = A'), and e_total is
     Tr(h_frame rho_frame) + Tr(h_s rho_s) + Tr(h_int rho).
     """
-    rho_frame_dot = -1j * (split.h_frame @ rho_frame - rho_frame @ split.h_frame
+    rho_frame_dot = -1j * (split.h_frame @ rho_frame - stack_times(rho_frame, split.h_frame)
                            + int_frame - dagger(int_frame))
-    rho_s_dot = -1j * (split.h_s @ rho_s - rho_s @ split.h_s + int_s - dagger(int_s))
-    e_total = (_trace_product(split.h_frame, rho_frame) + _trace_product(split.h_s, rho_s)
+    rho_s_dot = -1j * (split.h_s @ rho_s - stack_times(rho_s, split.h_s) + int_s - dagger(int_s))
+    e_total = (trace_product(split.h_frame, rho_frame) + trace_product(split.h_s, rho_s)
                + np.trace(int_frame, axis1=-2, axis2=-1))
     return StateMarginals(rho_frame, rho_s, rho_frame_dot, rho_s_dot, _real(e_total))
 
@@ -221,7 +223,7 @@ def marginal_energetics(split, prescription, marginals):
         split, rho_frame, rho_s, prescription)
     h_tilde_s_dot = mean_field_hamiltonian(split, rho_frame_dot, on="s")
     h_tilde_frame_dot = mean_field_hamiltonian(split, rho_s_dot, on="frame")
-    mean_dot = _real(_trace_product(h_tilde_s_dot, rho_s) + _trace_product(h_tilde_s, rho_s_dot))
+    mean_dot = _real(trace_product(h_tilde_s_dot, rho_s) + trace_product(h_tilde_s, rho_s_dot))
     if prescription.kind == "split_alpha":
         shift = np.asarray(mean_dot)[..., None, None]
         h_s_eff_dot = h_tilde_s_dot - prescription.alpha_s * shift * np.eye(split.d_s)
@@ -232,19 +234,19 @@ def marginal_energetics(split, prescription, marginals):
         h_frame_eff_dot = _block_diagonal(projectors["frame"], h_tilde_frame_dot)
 
     def rates(side, h_eff, h_eff_dot, h_bare, h_tilde, rho_m, rho_m_dot):
-        qdot = _real(_trace_product(h_eff, rho_m_dot))
-        wdot = _real(_trace_product(h_eff_dot, rho_m))
+        qdot = _real(trace_product(h_eff, rho_m_dot))
+        wdot = _real(trace_product(h_eff_dot, rho_m))
         if prescription.kind == "split_alpha":
             e_star, qdot_alt, wdot_alt = _real(np.zeros(np.shape(qdot))), qdot, wdot
         else:
             gen = h_bare + h_tilde
-            e_star = _real(-1j * _trace_product(h_eff, gen @ rho_m - rho_m @ gen))
+            e_star = _real(-1j * trace_product(h_eff, gen @ rho_m - rho_m @ gen))
             qdot_alt, wdot_alt = qdot - e_star, wdot + e_star
         return {f"qdot_conv_{side}": qdot, f"wdot_conv_{side}": wdot, f"e_star_{side}": e_star,
                 f"qdot_alt_{side}": qdot_alt, f"wdot_alt_{side}": wdot_alt}
 
-    e_frame = _real(_trace_product(h_frame_eff, rho_frame))
-    e_s = _real(_trace_product(h_s_eff, rho_s))
+    e_frame = _real(trace_product(h_frame_eff, rho_frame))
+    e_s = _real(trace_product(h_s_eff, rho_s))
     return ThermoReport(
         e_frame=e_frame,
         e_s=e_s,
@@ -270,30 +272,38 @@ class EntropyBalance:
 
 
 class InitialProduct(NamedTuple):
-    """Both marginals of a state, their entropies, and whether the state is their product."""
+    """Both marginals of a state, their entropies, whether the state is their product, and
+    support_log(rho_frame), which each D(rho_frame(t) || rho_frame) reads; k of each for a stack."""
 
     rho_frame: np.ndarray
     rho_s: np.ndarray
     s_frame: float
     s_s: float
     is_product: bool
+    log_frame: np.ndarray
+    kernel_frame: np.ndarray
 
 
 def initial_product(setup, rho0_ibar, tol=1e-9):
-    """The InitialProduct of rho0; is_product tells whether rho0 = rho_frame (x) rho_s within tol."""
+    """The InitialProduct of rho0 or a stack; is_product tells whether rho0 = rho_frame (x) rho_s within tol."""
     dims = (setup.d_frame, setup.d_s)
     rho0 = np.asarray(rho0_ibar, dtype=complex)
     rho_s0 = partial_trace(rho0, dims, drop=0)
     rho_f0 = partial_trace(rho0, dims, drop=1)
+    is_product = np.asarray(hs_norm(rho0 - kron(rho_f0, rho_s0)) <= tol * np.maximum(1.0, hs_norm(rho0)))
     return InitialProduct(rho_f0, rho_s0, von_neumann_entropy(rho_f0), von_neumann_entropy(rho_s0),
-                          bool(hs_norm(rho0 - kron(rho_f0, rho_s0)) <= tol * max(1.0, hs_norm(rho0))))
+                          is_product.tolist(), *support_log(rho_f0))
 
 
 def entropy_balance(initial, s_t, rho_frame_t, s_s_t):
-    """EntropyBalance of a later state (or stack) from S(rho_t), its frame marginal and S(rho_s_t)."""
-    s_frame_t = von_neumann_entropy(rho_frame_t)
+    """EntropyBalance of a later state (or stack) from S(rho_t), its frame marginal and S(rho_s_t).
+
+    S(rho_t) = S(rho0) on a unitary trajectory in either frame; one checked
+    spectrum of rho_frame_t gives S(rho_frame_t) and, with initial's
+    support_log, D(rho_frame_t || rho_frame(0)).
+    """
+    s_frame_t, rel = entropy_and_relative_entropy(rho_frame_t, initial.log_frame, initial.kernel_frame)
     info = s_frame_t + s_s_t - s_t  # as mutual_information sums
-    rel = relative_entropy(rho_frame_t, initial.rho_frame)
     delta_s_frame = s_frame_t - initial.s_frame
     # An infinite relative entropy makes both balances infinite.
     return EntropyBalance(sigma=info + rel, phi=delta_s_frame + rel, delta_s_s=s_s_t - initial.s_s,
@@ -529,8 +539,9 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
             premises.append("trajectory leaves the subalgebra on the grid")
     x1 = find_witness(rho_t1, x1)
 
-    start_i, end_i, start_j, end_j = (initial_product(setup, rho)
-                                      for rho in (rho_t0, rho_t1, rho_j_t0, rho_j_t1))
+    start_i, end_i, start_j, end_j = (InitialProduct(*fields) for fields in zip(
+        *initial_product(setup, np.stack([rho_t0, rho_t1, rho_j_t0, rho_j_t1]))))
+    s_t1 = von_neumann_entropy(rho_t0)  # unitary evolution and the perspective change keep the spectrum
     frame_marginal_static = bool(start_i.is_product and end_i.is_product
                                  and hs_norm(end_i.rho_frame - start_i.rho_frame) <= 1e-9)
 
@@ -541,10 +552,10 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     sigma_i = phi_i = sigma_j = phi_j = None
     pure_balance_zero = None
     if start_i.is_product:
-        balance_i = entropy_balance(start_i, von_neumann_entropy(rho_t1), end_i.rho_frame, end_i.s_s)
+        balance_i = entropy_balance(start_i, s_t1, end_i.rho_frame, end_i.s_s)
         sigma_i, phi_i = balance_i.sigma, balance_i.phi
         if start_j.is_product:
-            balance_j = entropy_balance(start_j, von_neumann_entropy(rho_j_t1), end_j.rho_frame, end_j.s_s)
+            balance_j = entropy_balance(start_j, s_t1, end_j.rho_frame, end_j.s_s)
             sigma_j, phi_j = balance_j.sigma, balance_j.phi
         else:
             premises.append("transformed initial state is not a product")

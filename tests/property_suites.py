@@ -4,6 +4,7 @@ Each suite checks one structural guarantee on n independently randomized
 instances drawn over several group and representation setups, raising
 AssertionError on the first violation and returning the instance count.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ from qrf_lab.subalgebras import (
     pi_t,
     pure_state_bilocal_witness,
 )
-from qrf_lab.states import mutual_information, relative_entropy, von_neumann_entropy
+from qrf_lab.states import SUPPORT_CUTOFF, mutual_information, relative_entropy, von_neumann_entropy
 from qrf_lab.thermo import (
     Prescription,
     StateMarginals,
@@ -92,8 +93,10 @@ def _instances(n, seed):
         yield k, rng, setup, g_i, g_j
 
 
-def _random_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def _random_density(rng, d, rank=None):
+    """A random density matrix of the given rank, full rank by default."""
+    rank = d if rank is None else rank
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 
@@ -514,20 +517,22 @@ class NonProductInitialStateError(ValueError):
     """Entropy balance needs an initial frame (x) system product state."""
 
 
-def entropy_production_and_flow(setup, rho0_ibar, rho_t_ibar, tol=1e-9):
+def entropy_production_and_flow(setup, rho0_ibar, rho_t_ibar, tol=1e-9, s_t=None):
     """Entropy produced and entropy exchanged between an initial product state and a later state.
 
     The package's two steps in one call, tracing the marginals afresh:
     initial_product, then entropy_balance.  rho_t_ibar may be a stack
-    (k, d, d) of later states.  Raises NonProductInitialStateError unless
-    rho0 is a frame (x) system product.
+    (k, d, d) of later states.  s_t stands in for S(rho_t) when given, as
+    S(rho0) does on a unitary trajectory.  Raises NonProductInitialStateError
+    unless rho0 is a frame (x) system product.
     """
     initial = initial_product(setup, rho0_ibar, tol)
     if not initial.is_product:
         raise NonProductInitialStateError("initial state must be a frame (x) system product")
     rho_t = np.asarray(rho_t_ibar, dtype=complex)
     dims = (setup.d_frame, setup.d_s)
-    return entropy_balance(initial, von_neumann_entropy(rho_t), partial_trace(rho_t, dims, drop=1),
+    return entropy_balance(initial, von_neumann_entropy(rho_t) if s_t is None else s_t,
+                           partial_trace(rho_t, dims, drop=1),
                            von_neumann_entropy(partial_trace(rho_t, dims, drop=0)))
 
 
@@ -675,6 +680,71 @@ def suite_intersection_matches_schur_oracle(n=100, seed=913):
     return int(n)
 
 
+def _relative_entropy_by_overlaps(rho, sigma):
+    """S(rho || sigma) = sum_a p_a log p_a - sum_ab p_a |<a|b>|^2 log q_b from both eigenbases,
+    math.inf when rho puts weight on sigma's kernel."""
+    p, r = np.linalg.eigh(rho)
+    q, s = np.linalg.eigh(sigma)
+    weights = p[:, None] * np.abs(dagger(r) @ s) ** 2
+    support, kept = q > SUPPORT_CUTOFF, p > SUPPORT_CUTOFF
+    if weights[:, ~support].sum() > 1e-12:
+        return math.inf
+    return float((p[kept] * np.log(p[kept])).sum() - (weights[:, support] * np.log(q[support])).sum())
+
+
+def suite_entropy_balance_from_one_spectrum(n=100, seed=914):
+    """S(rho(t)) = S(rho0) along a unitary trajectory and its frame-j image, and entropy_balance,
+    one spectrum of rho_frame(t), equals von_neumann_entropy plus relative_entropy.
+
+    Instances run over setup_pool() and one dense explicit rep.  rho0 = rho_f (x) rho_s is full
+    rank on even instances; on odd ones rho_f has rank below d_f, so rho_frame(0) has a kernel
+    that every later rho_frame(t) leaves, and frame i's relative entropies are inf.
+    relative_entropy is checked against the overlap formula, and a stacked initial_product
+    against one call per state.
+    """
+    pool = setup_pool() + [haar_conjugated_z3_setup()]
+    rng = np.random.default_rng(seed)
+    for k in range(int(n)):
+        setup = pool[k % len(pool)]
+        d_f, d_s = setup.d_frame, setup.d_s
+        dims = (d_f, d_s)
+        elements = setup.group.elements
+        g_i, g_j = (elements[int(rng.integers(len(elements)))] for _ in range(2))
+        change = setup.perspective_change(g_i, g_j)
+        deficient = k % 2 == 1
+        rho0 = kron(_random_density(rng, d_f, int(rng.integers(1, d_f)) if deficient else None),
+                    _random_density(rng, d_s))
+        s0 = von_neumann_entropy(rho0)
+        times = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 6)))
+        stack = GridEvolution(random_hermitian(rng, d_f * d_s)).states(rho0, times)
+        starts = np.stack([rho0, change.conjugate(rho0)])
+        stacked = initial_product(setup, starts)
+        for frame, (start, rho_t) in enumerate(zip(starts, (stack, change.conjugate(stack)))):
+            assert np.abs(von_neumann_entropy(rho_t) - s0).max() <= 1e-13
+            initial = initial_product(setup, start)
+            for name, value in initial._asdict().items():
+                assert np.array_equal(getattr(stacked, name)[frame], value), name
+            if not initial.is_product:
+                continue
+            assert abs(relative_entropy(initial.rho_frame, initial.rho_frame)) <= 1e-13
+            rho_frame_t = partial_trace(rho_t, dims, drop=1)
+            s_s_t = von_neumann_entropy(partial_trace(rho_t, dims, drop=0))
+            s_frame_t = von_neumann_entropy(rho_frame_t)
+            rel = relative_entropy(rho_frame_t, initial.rho_frame)
+            _assert_stack_matches(rel, [_relative_entropy_by_overlaps(r, initial.rho_frame)
+                                        for r in rho_frame_t], 1e-13)
+            if deficient and frame == 0:
+                assert np.isinf(rel).all()
+            expected = np.array([s_frame_t + s_s_t - s0 + rel, s_frame_t - initial.s_frame + rel, rel])
+            balance = entropy_balance(initial, s0, rho_frame_t, s_s_t)
+            _assert_stack_matches([balance.sigma, balance.phi, balance.frame_relative_entropy], expected, 1e-13)
+            for m in range(len(times)):
+                single = entropy_balance(initial, s0, rho_frame_t[m], s_s_t[m])
+                _assert_stack_matches([single.sigma, single.phi, single.frame_relative_entropy],
+                                      expected[:, m], 1e-13)
+    return int(n)
+
+
 ALL_SUITES = (
     suite_physical_projector_rank,
     suite_reduction_coisometry,
@@ -689,4 +759,5 @@ ALL_SUITES = (
     suite_rho_dot_marginals_match_dense_commutator,
     suite_label_projector_matches_superoperator_oracle,
     suite_intersection_matches_schur_oracle,
+    suite_entropy_balance_from_one_spectrum,
 )

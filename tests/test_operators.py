@@ -24,6 +24,7 @@ from qrf_lab.operators import (
     partial_trace,
     polar_unitary,
     random_hermitian,
+    stack_times,
     unvec,
     vec,
 )
@@ -92,6 +93,19 @@ def test_stack_hs_norm_matches_the_norm_of_each_matrix():
         expected = np.array([np.linalg.norm(m) for m in stack.reshape((-1,) + stack.shape[-2:])])
         assert np.all(np.abs(norms.ravel() - expected) <= 4 * np.spacing(expected)), stack.shape
     assert np.array_equal(hs_norm(np.zeros((3, 4, 4), dtype=complex)), np.zeros(3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 50, 512])
+@pytest.mark.parametrize("d", [2, 4, 16, 64])
+def test_stack_times_equals_the_broadcast_matmul_bit_for_bit(k, d):
+    """One GEMM over the stack's rows gives the bits of stack @ mat, for a contiguous stack,
+    a transposed view of it and every other matrix of it."""
+    rng = np.random.default_rng(k * 100 + d)
+    stack = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for view in (stack, stack.swapaxes(-1, -2), stack[::2]):
+        assert np.array_equal(stack_times(view, mat), view @ mat)
+    assert np.array_equal(stack_times(stack[0], mat), stack[0] @ mat)
 
 
 def test_assert_unitary_reports_residual():

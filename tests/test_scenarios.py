@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qrf_lab import frames, scenarios
+from qrf_lab import frames, scenarios, states
 from qrf_lab.dynamics import GridEvolution, block_length
 from qrf_lab.frames import PerspectiveChange
 from qrf_lab.operators import partial_trace
@@ -477,6 +477,52 @@ def test_json_rejects_non_finite_values_the_oracle_rejects(value):
         render(result, "json")
 
 
+@pytest.mark.parametrize("points", [2, 200])
+def test_one_full_state_spectrum_per_dynamic_run(monkeypatch, points):
+    """Of the eigen-solver calls qrf_lab.states makes in one _dynamic_rows run, exactly one
+    takes d_p x d_p matrices, for S(rho0), however long the grid; the rest take marginals."""
+    shapes = []
+
+    def counted(solver):
+        def call(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return solver(a, *args, **kwargs)
+        return call
+
+    class Linalg:
+        eigh, eigvalsh = staticmethod(counted(np.linalg.eigh)), staticmethod(counted(np.linalg.eigvalsh))
+
+        def __getattr__(self, name):
+            return getattr(np.linalg, name)
+
+    class Numpy:
+        linalg = Linalg()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    dynamic_rows = scenarios._dynamic_rows
+
+    def record_run(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(states, "np", Numpy())
+            return dynamic_rows(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_dynamic_rows", record_run)
+    cfg = parse_config({"scenario": "zz-oscillation", "time_grid": {"start": 0.0, "stop": 3.0, "points": points}})
+    assert len(run_scenario(cfg).rows) == points
+    d_p = cfg.setup.d_perspective
+    assert shapes.count((d_p, d_p)) == 1 and len(shapes) > 1
+
+
+def test_no_entropy_cell_of_a_default_scenario_reads_minus_zero():
+    """A pure state's entropy is +0.0, so no SvN_*, sigma_* or phi_* cell of a default CSV prints -0."""
+    for name in scenarios.SCENARIOS:
+        header, *lines = render(run_scenario({"scenario": name}), "csv").splitlines()
+        entropy = [k for k, column in enumerate(header.split(",")) if column.startswith(("SvN_", "sigma_", "phi_"))]
+        assert [line.split(",")[k] for line in lines for k in entropy].count("-0") == 0, name
+
+
 @pytest.mark.parametrize("name", ["zz-oscillation", "entropy-balance-oscillation",
                                   "zero-to-nonzero-entropy", "isolated-vs-closed"])
 def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
@@ -515,11 +561,14 @@ def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
     assert products == {"i": True, "j": name != "isolated-vs-closed"}
     if name == "zero-to-nonzero-entropy":
         assert all(math.isfinite(row[key]) for row in rows for key in ("sigma_i", "sigma_j", "phi_j"))
+    # S(rho(t)) is S(rho0) on a unitary trajectory in either frame, and the rows take it once, from rho0.
+    s0 = von_neumann_entropy(rho0_i)
     for row, rho_i in zip(rows, GridEvolution(h).states(rho0_i, cfg.time_grid)):
         for suffix, rho_t in (("i", rho_i), ("j", change.conjugate(rho_i))):
+            assert abs(von_neumann_entropy(rho_t) - s0) <= 1e-14
             assert row[f"SvN_s_{suffix}"] == von_neumann_entropy(partial_trace(rho_t, dims, drop=0))
             if products[suffix]:
-                balance = entropy_production_and_flow(setup, rho0[suffix], rho_t, cfg.tolerance)
+                balance = entropy_production_and_flow(setup, rho0[suffix], rho_t, cfg.tolerance, s_t=s0)
                 assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (balance.sigma, balance.phi)
             else:
                 assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (None, None)

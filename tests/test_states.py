@@ -70,6 +70,13 @@ def test_gibbs_state():
     assert np.isclose(np.trace(rho), 1.0)
 
 
+def test_pure_state_entropy_is_positive_zero():
+    """A pure state's entropy is +0.0, never -0.0, alone and in a stack."""
+    pure = np.diag([1.0, 0.0])
+    assert np.copysign(1.0, von_neumann_entropy(pure)) == 1.0
+    assert np.all(np.copysign(1.0, von_neumann_entropy(np.stack([pure, np.diag([0.0, 1.0])]))) == 1.0)
+
+
 def test_von_neumann_entropy_known_values():
     assert np.isclose(von_neumann_entropy(np.diag([1.0, 0.0])), 0.0, atol=1e-12)
     assert np.isclose(von_neumann_entropy(np.eye(2) / 2), LOG2, atol=1e-12)
