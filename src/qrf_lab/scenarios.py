@@ -457,18 +457,32 @@ def render(result, out_format):
 _PHASE_LABELS = ((1.0, ""), (-1.0, "-"), (1.0j, "i*"), (-1.0j, "-i*"))
 
 
+def _pauli_strings(n):
+    strings = list(itertools.product("IXYZ", repeat=n))
+    return [".".join(names) for names in strings], np.stack([kron(*(PAULI[c] for c in names)) for names in strings])
+
+
+# The names and the stacked matrices of every n-qubit Pauli string, n = 1..3.
+_PAULI_STRINGS = {n: _pauli_strings(n) for n in (1, 2, 3)}
+
+
 def _pauli_label(mat):
-    """Label a matrix as a phase times a tensor product of Paulis, or "?"."""
+    """Label a matrix as a phase times a tensor product of Paulis, or "?".
+
+    The strings P are orthonormal under Tr(P M) / d, so only the one with the
+    largest coefficient, at the nearest of the four phases, can match; it is
+    confirmed with np.allclose(mat, phase * P, atol=1e-12).
+    """
     d = mat.shape[0]
     n = d.bit_length() - 1
-    if d != 2 ** n or n > 3:
+    if d != 2 ** n or n not in _PAULI_STRINGS:
         return "?"
-    for names in itertools.product("IXYZ", repeat=n):
-        candidate = kron(*(PAULI[name] for name in names))
-        for phase, prefix in _PHASE_LABELS:
-            if np.allclose(mat, phase * candidate, atol=1e-12):
-                return prefix + ".".join(names)
-    return "?"
+    names, stack = _PAULI_STRINGS[n]
+    # Tr(P M) = sum conj(P) * M for a Hermitian P.
+    coefficients = stack.reshape(len(names), d * d).conj() @ np.ravel(mat) / d
+    k = int(np.abs(coefficients).argmax())
+    phase, prefix = max(_PHASE_LABELS, key=lambda label: (np.conj(label[0]) * coefficients[k]).real)
+    return prefix + names[k] if np.allclose(mat, phase * stack[k], atol=1e-12) else "?"
 
 
 def _bilocal_label(x):

@@ -87,11 +87,14 @@ def basis_state(dim, index):
     return v
 
 
-def _checked_spectrum(rho):
-    vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+def _checked(vals):
     if vals.min() < INDEFINITENESS_TOL:
         raise IndefiniteOperatorError(f"state has eigenvalue {vals.min():.3e}")
     return vals
+
+
+def _checked_spectrum(rho):
+    return _checked(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
 
 
 def _xlogx_sum(vals):
@@ -118,13 +121,23 @@ def renyi_entropy(rho, alpha):
     return float(np.log((vals ** alpha).sum()) / (1.0 - alpha))
 
 
-def support_log(sigma):
-    """(log sigma on its support, sigma's kernel eigenvectors with the support's columns zeroed);
-    eigenvalues at or below SUPPORT_CUTOFF make the kernel.  A stack gives stacks."""
+def _spectral_log(sigma):
     vals, vecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
     outside = vals <= SUPPORT_CUTOFF
     log_sigma = (vecs * np.log(np.where(outside, 1.0, vals))[..., None, :]) @ dagger(vecs)
-    return log_sigma, vecs * outside[..., None, :]
+    return vals, log_sigma, vecs * outside[..., None, :]
+
+
+def support_log(sigma):
+    """(log sigma on its support, sigma's kernel eigenvectors with the support's columns zeroed);
+    eigenvalues at or below SUPPORT_CUTOFF make the kernel.  A stack gives stacks."""
+    return _spectral_log(sigma)[1:]
+
+
+def entropy_and_support_log(rho):
+    """(S(rho), *support_log(rho)) from one eigh, rho's spectrum checked as von_neumann_entropy checks it."""
+    vals, log_rho, kernel = _spectral_log(rho)
+    return 0.0 - _xlogx_sum(_checked(vals)), log_rho, kernel
 
 
 def entropy_and_relative_entropy(rho, log_sigma, kernel):

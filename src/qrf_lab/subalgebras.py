@@ -36,11 +36,10 @@ from .operators import (
 MEMBERSHIP_TOL = 1e-9
 LOCALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
-# intersect_projectors holds about four d_p^2 x d_p^2 complex matrices at
-# peak, its operands' dense matrices among them (4.07-4.20 under tracemalloc
-# at d_p = 16 and 27): the two operands and S, then eigh's full-size
-# eigenvector array.  The budget admits d_p = 45, not 64 (1.1 GB).
-SUPEROPERATOR_PEAK_COPIES = 4
+# intersect_projectors holds one d_p^2 x d_p^2 complex matrix S and eigh's
+# d_p^2 x min(dim) eigenvectors at peak, besides temporaries of d_p^3 entries
+# (1.45 and 1.37 copies of S under tracemalloc at d_p = 16 and 27).  The
+# budget refuses d_p = 64, where S alone is 256 MiB.
 SUPEROPERATOR_BUDGET_BYTES = 256 * 2 ** 20
 
 
@@ -173,6 +172,32 @@ def transport_bilocal(setup, x: BilocalUnitary, old, new) -> BilocalUnitary:
     return BilocalUnitary(y=y_new, z=z_new)
 
 
+def _check_superoperator_budget(d, columns):
+    """Refuse, before allocating, a d^2 x d^2 complex matrix with a d^2 x columns one beside it."""
+    estimate = (d ** 4 + d ** 2 * columns) * np.dtype(complex).itemsize
+    if estimate > SUPEROPERATOR_BUDGET_BYTES:
+        raise ValueError(f"the superoperator path at d_p = {d} needs an estimated {estimate} bytes "
+                         f"at peak, above the {SUPEROPERATOR_BUDGET_BYTES}-byte budget")
+
+
+def _superoperator_transpose(labels, d):
+    """sum_C P_C (x) conj(P_C) over every label's clusters, a C-order d^2 x d^2 array.
+
+    Its transpose is sum_C conj(P_C) (x) P_C, the labels' summed .matrix, in
+    Fortran order.  It is written d rows at a time, with no temporary above
+    d^3 entries besides the stack of conj(P_C).
+    """
+    conj_p = np.stack([label.schur_vectors[:, cluster].conj() @ label.schur_vectors[:, cluster].T
+                       for label in labels for cluster in np.unique(label.mask, axis=0)])
+    out = np.empty((d, d, d, d), dtype=complex)
+    by_row = conj_p.transpose(1, 0, 2)
+    for i in range(d):
+        # out[i, k, j, l] = sum_C P_C[i, j] conj(P_C[k, l]), and P_C[i, j] = conj(P_C)[j, i]:
+        # that column of each conj(P_C) is copied to the unit stride a GEMM needs.
+        np.matmul(conj_p[:, :, i].T.copy(), by_row, out=out[i])
+    return out.reshape(d * d, d * d)
+
+
 @dataclass(frozen=True)
 class SubalgebraProjector:
     """Orthogonal projector onto a subalgebra: for a label, the commutant of W = Q T Q'.
@@ -196,16 +221,8 @@ class SubalgebraProjector:
     def matrix(self):
         if self.basis is not None:
             return read_only(self.basis @ dagger(self.basis))
-        d = self.operand_dim
-        estimate = SUPEROPERATOR_PEAK_COPIES * d ** 4 * np.dtype(complex).itemsize
-        if estimate > SUPEROPERATOR_BUDGET_BYTES:  # before allocating
-            raise ValueError(f"the superoperator path at d_p = {d} needs an estimated {estimate} bytes "
-                             f"at peak, above the {SUPEROPERATOR_BUDGET_BYTES}-byte budget")
-        total = 0.0
-        for cluster in np.unique(self.mask, axis=0):
-            p = self.schur_vectors[:, cluster] @ dagger(self.schur_vectors[:, cluster])
-            total = total + kron(p.conj(), p)
-        return read_only(total)
+        _check_superoperator_budget(self.operand_dim, self.operand_dim)  # at most d_p clusters
+        return read_only(_superoperator_transpose([self], self.operand_dim).T)
 
     @property
     def dimension(self):
@@ -242,27 +259,37 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
 
 
 def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-9):
-    """Projector onto the intersection of two subalgebras, from one Hermitian eigenproblem.
+    """Projector onto the intersection of two label subalgebras, from one Hermitian eigenproblem.
 
     Where a.matrix b.matrix has the eigenvalues cos^2 theta of the principal
     angles between the two ranges, S = a.matrix + b.matrix has 1 +- cos theta
     (Halmos's two-subspace theorem).  An eigenvector of S with eigenvalue mu
     is selected when 1 - (mu - 1)^2 <= tol, the same |lambda - 1| <= tol
     for lambda = cos^2 theta, and a value in (tol, 10 tol] raises
-    NumericalRankError.  eigh computes only mu >= 1 + sqrt(1 - 10 tol), less
-    a margin for round-off, the only values that are selected or guarded.
-    a.matrix enforces the superoperator budget before anything is allocated.
+    NumericalRankError.  At most min(a.dimension, b.dimension) eigenvalues of
+    S exceed 1, so eigh computes only that many from the top, and those with
+    mu >= 1 + sqrt(1 - 10 tol), less a margin for round-off, are the only
+    ones selected or guarded (for tol < 0.1).  S is accumulated in place from
+    the labels' cluster projectors, never from a.matrix or b.matrix, and eigh
+    overwrites it; the peak is S and the kept eigenvectors, which the
+    superoperator budget checks before anything is allocated.
     """
+    if a.mask is None or b.mask is None:
+        raise ValueError("intersect_projectors takes two label projectors, as invariant_projector returns")
+    d = a.operand_dim
+    n, top = d * d, min(a.dimension, b.dimension)
+    # Beside S: both labels' cluster projectors while it is summed, then the eigenvectors.
+    _check_superoperator_budget(d, max(top, 2 * d))
     lowest = 1.0 + np.sqrt(max(0.0, 1.0 - 10 * tol)) - 1e-12
-    # Fortran order lets LAPACK overwrite S in place instead of copying it.
-    s = np.add(a.matrix, b.matrix, order="F")
-    mu, vectors = eigh(s, subset_by_value=(lowest, np.inf), overwrite_a=True)
-    defect = 1.0 - (mu - 1.0) ** 2
+    # The C-order sum of P (x) conj(P) is S in Fortran order: eigh works on it in place.
+    s = _superoperator_transpose([a, b], d).T
+    mu, vectors = eigh(s, subset_by_index=(n - top, n - 1), overwrite_a=True)
+    defect = np.where(mu >= lowest, 1.0 - (mu - 1.0) ** 2, np.inf)
     ambiguous = defect[(defect > tol) & (defect <= 10 * tol)]
     if ambiguous.size:
         raise NumericalRankError(
             f"eigenvalue at distance {ambiguous.min():.3e} from 1 is inside the guard band {10 * tol:.3e}")
-    return SubalgebraProjector(operand_dim=a.operand_dim, basis=vectors[:, defect <= tol])
+    return SubalgebraProjector(operand_dim=d, basis=vectors[:, defect <= tol])
 
 
 @dataclass

@@ -71,11 +71,10 @@ from .operators import (
 )
 from .states import (
     entropy_and_relative_entropy,
+    entropy_and_support_log,
     gibbs_state,
     purity,
-    relative_entropy,
     subsystem_transform,
-    support_log,
     von_neumann_entropy,
 )
 from .subalgebras import membership_test, pure_state_bilocal_witness
@@ -291,8 +290,8 @@ def initial_product(setup, rho0_ibar, tol=1e-9):
     rho_s0 = partial_trace(rho0, dims, drop=0)
     rho_f0 = partial_trace(rho0, dims, drop=1)
     is_product = np.asarray(hs_norm(rho0 - kron(rho_f0, rho_s0)) <= tol * np.maximum(1.0, hs_norm(rho0)))
-    return InitialProduct(rho_f0, rho_s0, von_neumann_entropy(rho_f0), von_neumann_entropy(rho_s0),
-                          is_product.tolist(), *support_log(rho_f0))
+    s_f0, log_f0, kernel_f0 = entropy_and_support_log(rho_f0)
+    return InitialProduct(rho_f0, rho_s0, s_f0, von_neumann_entropy(rho_s0), is_product.tolist(), log_f0, kernel_f0)
 
 
 def entropy_balance(initial, s_t, rho_frame_t, s_s_t):
@@ -580,8 +579,9 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         if start_i.is_product:
             y01 = x0.y @ dagger(x1.y)
             rotated = y01 @ end_i.rho_frame @ dagger(y01)
-            lhs = relative_entropy(rotated, start_i.rho_frame)
-            rhs = relative_entropy(end_i.rho_frame, start_i.rho_frame)
+            # Both against rho_frame(t0), whose log start_i already holds.
+            lhs, rhs = (entropy_and_relative_entropy(rho, start_i.log_frame, start_i.kernel_frame)[1]
+                        for rho in (rotated, end_i.rho_frame))
             y_condition_holds = _agree(lhs, rhs)
             if sigma_j is not None:
                 sigma_phi_equal = _agree(sigma_i, sigma_j) and _agree(phi_i, phi_j)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from qrf_lab import frames, scenarios, states
 from qrf_lab.dynamics import GridEvolution, block_length
 from qrf_lab.frames import PerspectiveChange
-from qrf_lab.operators import partial_trace
+from qrf_lab.operators import PAULI, SIGMA_X, SIGMA_Z, kron, partial_trace
 from qrf_lab.scenarios import (
     COLUMNS,
     ConfigError,
@@ -572,3 +573,35 @@ def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
                 assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (balance.sigma, balance.phi)
             else:
                 assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (None, None)
+
+
+def _pauli_label_by_enumeration(mat):
+    """Every Pauli string times every phase in turn, the first np.allclose match, or "?"."""
+    d = mat.shape[0]
+    n = d.bit_length() - 1
+    if d != 2 ** n or n > 3:
+        return "?"
+    for names in itertools.product("IXYZ", repeat=n):
+        candidate = kron(*(PAULI[name] for name in names))
+        for phase, prefix in scenarios._PHASE_LABELS:
+            if np.allclose(mat, phase * candidate, atol=1e-12):
+                return prefix + ".".join(names)
+    return "?"
+
+
+def test_pauli_label_matches_the_enumeration():
+    """The largest Tr(P M) / d picks the one candidate: every string at every phase for
+    n = 1..3 gets the enumeration's label, and so do matrices that are no Pauli string."""
+    for n in (1, 2, 3):
+        for names in itertools.product("IXYZ", repeat=n):
+            for phase, prefix in scenarios._PHASE_LABELS:
+                mat = phase * kron(*(PAULI[name] for name in names))
+                label = scenarios._pauli_label(mat)
+                assert label == _pauli_label_by_enumeration(mat) == prefix + ".".join(names)
+    hadamard = (SIGMA_X + SIGMA_Z) / math.sqrt(2)
+    others = (hadamard, SIGMA_X + SIGMA_Z, np.zeros((2, 2)), 1.0001 * SIGMA_X, kron(hadamard, SIGMA_X),
+              np.eye(3), np.eye(16))
+    for mat in others:
+        assert scenarios._pauli_label(mat) == _pauli_label_by_enumeration(mat) == "?"
+    # Within np.allclose's default rtol of 1e-5 a rescaled Pauli keeps its label.
+    assert scenarios._pauli_label(1.000001 * SIGMA_X) == _pauli_label_by_enumeration(1.000001 * SIGMA_X) == "X"

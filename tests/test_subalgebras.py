@@ -208,6 +208,51 @@ def test_ladder_intersections_match_the_orbit_oracle():
     assert dimensions == [6, 15, 36, 72, 96, 135]
 
 
+def _ladder_labels(moduli, rep):
+    """The projectors of the labels 1 and 1 (x) U_S(g1) at g_i = g_j = e, as the benchmark ladder builds them."""
+    group = FiniteAbelianGroup(moduli)
+    setup = FrameSetup.from_rep_config(group, rep)
+    e = group.identity
+    labels = (BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s)),
+              BilocalUnitary(np.eye(setup.d_frame), setup.u_s(group.elements[1])))
+    return [invariant_projector(setup, x, e, e) for x in labels]
+
+
+@pytest.mark.parametrize("moduli, rep", [((4,), "regular"), ((3,), {"tensor_power": 2})])
+def test_intersection_peak_is_one_superoperator_and_its_kept_eigenvectors(moduli, rep):
+    """At d_p = 16 and 27 intersect_projectors holds at most 1.6 d_p^2 x d_p^2 complex matrices
+    under tracemalloc: S itself, eigh's d_p^2 x min(dim) eigenvectors and smaller temporaries,
+    with neither operand's dense .matrix."""
+    first, second = _ladder_labels(moduli, rep)
+    d = first.operand_dim
+    made = []
+    peak = _peak_bytes(lambda: made.append(intersect_projectors(first, second)))
+    assert peak <= 1.6 * d ** 4 * np.dtype(complex).itemsize, peak / (d ** 4 * 16)
+    assert "matrix" not in vars(first) and "matrix" not in vars(second)
+    eye = np.eye(d)
+    assert np.abs(made[0].apply(eye) - eye).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_intersection_of_two_full_algebras_takes_the_whole_spectrum(d):
+    """With one cluster each label is all of M_d, so min(dim) = d^2: the top-index subset is
+    the whole spectrum of S = 2, and the intersection is every operator."""
+    rng = np.random.default_rng(d)
+    full = [SubalgebraProjector(operand_dim=d, schur_vectors=haar_unitary(rng, d),
+                                mask=np.ones((d, d), dtype=bool)) for _ in range(2)]
+    both = intersect_projectors(*full)
+    assert both.dimension == d * d
+    f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    assert np.abs(both.apply(f) - f).max() <= 1e-12 * hs_norm(f)
+
+
+def test_intersection_takes_label_projectors_only():
+    setup = qubit_setup()
+    labels = [invariant_projector(setup, BilocalUnitary(ID2, z), E, E) for z in (ID2, SIGMA_X)]
+    with pytest.raises(ValueError, match="label projectors"):
+        intersect_projectors(intersect_projectors(*labels), labels[0])
+
+
 def test_fixed_space_projector_of_conjugation():
     # Fixed operators of conjugation by sigma_z are the diagonal ones.
     k = conjugation_superop(SIGMA_Z)

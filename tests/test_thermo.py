@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrf_lab import FrameSetup, Z2, Z4, dynamics
+from qrf_lab import FrameSetup, Z2, Z4, dynamics, states
 from qrf_lab.dynamics import (
     GridEvolution,
     block_length,
@@ -28,7 +28,13 @@ from qrf_lab.operators import (
     random_hermitian,
 )
 from qrf_lab.scenarios import SCENARIOS, parse_config, render, run_scenario
-from qrf_lab.states import gibbs_state, negative_temperature_predict, subsystem_transform
+from qrf_lab.states import (
+    IndefiniteOperatorError,
+    gibbs_state,
+    negative_temperature_predict,
+    subsystem_transform,
+    von_neumann_entropy,
+)
 from qrf_lab.subalgebras import (
     BilocalUnitary,
     classify_local_operator,
@@ -218,6 +224,59 @@ def test_initial_product_reports_a_correlated_state_without_raising():
     assert np.isclose(correlated.s_frame, np.log(2.0)) and np.isclose(correlated.s_s, np.log(2.0))
     product = initial_product(setup, kron(gibbs_state(SIGMA_Z, 0.5), ID2 / 2))
     assert product.is_product and np.isclose(product.s_s, np.log(2.0))
+
+
+def _counted_eigen_solvers(monkeypatch):
+    """Route qrf_lab.states' eigh and eigvalsh through counters; returns the list of names called."""
+    calls = []
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return getattr(np.linalg, name)(*args, **kwargs)
+        return call
+
+    class Linalg:
+        eigh, eigvalsh = staticmethod(counted("eigh")), staticmethod(counted("eigvalsh"))
+
+    class Numpy:
+        linalg = Linalg()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(states, "np", Numpy())
+    return calls
+
+
+def test_initial_product_diagonalises_the_frame_marginal_once(monkeypatch):
+    """S(rho_F(0)) and log rho_F(0) come from one eigh, S(rho_S(0)) from one eigvalsh, and an
+    indefinite frame marginal still raises."""
+    setup = qubit_setup()
+    rho0 = kron(gibbs_state(SIGMA_Z, 0.5), ID2 / 2)
+    expected = von_neumann_entropy(gibbs_state(SIGMA_Z, 0.5))
+    calls = _counted_eigen_solvers(monkeypatch)
+    initial = initial_product(setup, rho0)
+    assert sorted(calls) == ["eigh", "eigvalsh"]
+    assert abs(initial.s_frame - expected) <= 1e-15
+    with pytest.raises(IndefiniteOperatorError):
+        initial_product(setup, kron(np.diag([1.1, -0.1]), ID2 / 2))
+
+
+def test_y_condition_reads_the_log_of_the_start_frame_marginal(monkeypatch):
+    """Both relative entropies of the y-condition use start_i's log rho_F(t0): a qubit-pair run
+    with x0 = x1 = 1 (x) 1 calls support_log no more."""
+    setup = qubit_setup()
+    split = split_hamiltonian(kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z) + kron(SIGMA_Z, SIGMA_Z), 2, 2)
+    rho0 = kron(gibbs_state(SIGMA_Z, 0.5), ID2 / 2)
+    identity = BilocalUnitary(ID2, ID2)
+    calls = []
+    support_log = states.support_log
+    monkeypatch.setattr(states, "support_log", lambda sigma: calls.append(sigma) or support_log(sigma))
+    report = balance_verifiers(setup, split, rho0, E, E, Prescription.split_alpha(0.5), 0.0, 1.0,
+                               x0=identity, x1=identity, grid=5)
+    assert report.y_condition_holds is True
+    assert calls == []
 
 
 def test_stationary_product_state_has_zero_balance():
