@@ -15,7 +15,6 @@ from .dynamics import (
     imported_hamiltonian_and_trajectory_check,
     mean_field_hamiltonian,
     propagator,
-    s_factor_twirl,
     split_hamiltonian,
     subsystem_eom_terms,
     transform_hamiltonian_pieces,

@@ -30,7 +30,6 @@ from .operators import (
     product_trace_maps,
     read_only,
     stack_times,
-    twirl,
 )
 from .subalgebras import invariant_projector, membership_test, pi_d, pi_t
 
@@ -130,10 +129,6 @@ class TransformedPieces:
     lambda_int: np.ndarray
 
 
-def s_factor_twirl(setup, op):
-    return twirl([setup.u_s(g) for g in setup.group.elements], op)
-
-
 def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     """Transform a split Hamiltonian and attribute every piece of the result."""
     d_f, d_s = setup.d_frame, setup.d_s
@@ -144,7 +139,7 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     parity = parity_swap(setup, g_i, g_j)
     h_frame_diag = np.diag(np.diag(split.h_frame))
     h_frame_off = split.h_frame - h_frame_diag
-    h_s_trans = s_factor_twirl(setup, split.h_s)
+    h_s_trans = pi_t(setup, split.h_s)
     h_s_rest = split.h_s - h_s_trans
 
     dt_int = pi_d(setup, pi_t(setup, split.h_int))
@@ -290,7 +285,7 @@ def dynamical_type_classifier(setup, split):
     tol = CLASSIFIER_TOL * hs_norm(split.total)
     interacting = hs_norm(split.h_int) > tol
     frame_diagonal = hs_norm(split.h_frame - np.diag(np.diag(split.h_frame))) <= tol
-    s_translation_invariant = hs_norm(split.h_s - s_factor_twirl(setup, split.h_s)) <= tol
+    s_translation_invariant = hs_norm(split.h_s - pi_t(setup, split.h_s)) <= tol
     if interacting:
         return "interacting"
     if frame_diagonal and s_translation_invariant:

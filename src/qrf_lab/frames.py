@@ -17,6 +17,7 @@ from .groups import FiniteAbelianGroup
 from .operators import (
     StructuredUnitary,
     assert_unitary,
+    hs_norm,
     kron,
     monomial_gather,
     read_only,
@@ -61,11 +62,11 @@ class FrameSetup:
 
     def __init__(self, group: FiniteAbelianGroup, rep_s):
         self.group = group
-        self.rep_s = {group.check_element(g): np.asarray(u, dtype=complex) for g, u in rep_s.items()}
-        if set(self.rep_s) != set(group.elements):
+        rep_s = {group.check_element(g): np.asarray(u, dtype=complex) for g, u in rep_s.items()}
+        if set(rep_s) != set(group.elements):
             raise ValueError("system representation must cover every group element exactly once")
-        self.d_s = self.rep_s[group.identity].shape[0]
-        self._validate_representation()
+        self.d_s = rep_s[group.identity].shape[0]
+        self.translations = read_only(self._validated_representation(rep_s))  # the U_S(g) in element order
         self.d_frame = group.order
         self.d_perspective = self.d_frame * self.d_s
         self._perspective_changes = {}
@@ -74,34 +75,45 @@ class FrameSetup:
     def from_rep_config(cls, group, config) -> "FrameSetup":
         """Build from "regular" or {"tensor_power": m}; FrameSetup takes an explicit map."""
         if config == "regular":
-            rep = {g: group.regular_representation(g) for g in group.elements}
-        elif isinstance(config, dict) and set(config) == {"tensor_power"}:
-            m = int(config["tensor_power"])
-            if m < 1:
-                raise ValueError("tensor_power must be >= 1")
-            rep = {g: kron(*([group.regular_representation(g)] * m)) for g in group.elements}
-        else:
+            config = {"tensor_power": 1}
+        if not (isinstance(config, dict) and set(config) == {"tensor_power"}):
             raise ValueError(f"unrecognized representation config: {config!r}")
-        return cls(group, rep)
+        m = int(config["tensor_power"])
+        if m < 1:
+            raise ValueError("tensor_power must be >= 1")
+        return cls(group, {g: kron(*([group.regular_representation(g)] * m)) for g in group.elements})
 
-    def _validate_representation(self):
+    def _validated_representation(self, rep_s):
+        """The U_S(g) stacked in element order, once checked to be a unitary representation.
+
+        With U(0) = 1, U is a homomorphism if and only if U(g + e_k) = U(g) U(e_k) for every g and
+        generator e_k (by induction on h in U(g + h) = U(g) U(h)).  Each step is held to 1e-10, so
+        a pair's defect is bounded through the generator steps that reach h, not by 1e-10 directly.
+        """
         group = self.group
-        ident = self.rep_s[group.identity]
-        if ident.shape != (self.d_s, self.d_s) or np.abs(ident - np.eye(self.d_s)).max() > 1e-10:
-            raise ValueError("representation must send the identity element to the identity matrix")
-        for g, u in self.rep_s.items():
+        for g, u in rep_s.items():
             if u.shape != (self.d_s, self.d_s):
                 raise ValueError("representation matrices must share one square shape")
             assert_unitary(u, what=f"representation of {g}")
-        for g in group.elements:
-            for h in group.elements:
-                lhs = self.rep_s[g] @ self.rep_s[h]
-                rhs = self.rep_s[group.compose(g, h)]
-                if np.abs(lhs - rhs).max() > 1e-10:
-                    raise ValueError(f"representation is not a homomorphism at pair ({g}, {h})")
+        elements = group.elements  # the identity first
+        stack = np.array([rep_s[g] for g in elements])
+        if np.abs(stack[0] - np.eye(self.d_s)).max() > 1e-10:
+            raise ValueError("representation must send the identity element to the identity matrix")
+        for e in group.generators:
+            steps = [group.index(group.compose(g, e)) for g in elements]
+            failed = np.abs(stack @ stack[group.index(e)] - stack[steps]).max(axis=(1, 2)) > 1e-10
+            if failed.any():
+                raise ValueError(f"representation is not a homomorphism at pair ({elements[failed.argmax()]}, {e})")
+        return stack
+
+    def translation_sectors(self, h, threshold):
+        """Two boolean masks over the elements, in element order: U_S(g) commutes with the system
+        operator h, and U_S(g) anticommutes with it, each as ||U_S(g) h -+ h U_S(g)|| <= threshold."""
+        left, right = self.translations @ h, h @ self.translations
+        return hs_norm(left - right) <= threshold, hs_norm(left + right) <= threshold
 
     def u_s(self, g):
-        return self.rep_s[self.group.check_element(g)]
+        return self.translations[self.group.index(g)]
 
     def u_frame(self, g):
         return self.group.regular_representation(g)
@@ -112,12 +124,11 @@ class FrameSetup:
         key = (group.check_element(g_i), group.check_element(g_j))
         change = self._perspective_changes.get(key)
         if change is None:
+            rows = [group.index(group.compose(g_i, g)) for g in group.elements]
             perm = np.empty(self.d_frame, dtype=int)
-            blocks = np.empty((self.d_frame, self.d_s, self.d_s), dtype=complex)
-            for g in group.elements:
-                row = group.index(group.compose(g_i, g))
-                perm[row] = group.index(group.compose(g_j, group.inverse(g)))
-                blocks[row] = self.u_s(g)
+            perm[rows] = [group.index(group.compose(g_j, group.inverse(g))) for g in group.elements]
+            blocks = np.empty_like(self.translations)
+            blocks[rows] = self.translations
             change = PerspectiveChange(perm=read_only(perm), blocks=read_only(blocks))
             self._perspective_changes[key] = change
         return change

@@ -62,6 +62,11 @@ class FiniteAbelianGroup:
     def identity(self) -> Element:
         return (0,) * len(self.factors)
 
+    @property
+    def generators(self) -> tuple[Element, ...]:
+        """e_k, residue 1 in factor k and 0 elsewhere, one per factor; they generate the group."""
+        return tuple(self.identity[:k] + (1 % n,) + self.identity[k + 1:] for k, n in enumerate(self.factors))
+
     def index(self, g: Element) -> int:
         """Position of g in the lexicographic element list."""
         try:

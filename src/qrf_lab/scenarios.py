@@ -665,23 +665,20 @@ def _run_gb_states(cfg):
     shift = _build_orientation(group, cfg.params["shift"], "params.shift")
     character = _build_orientation(group, cfg.params["character"], "params.character")
 
-    basis = [gb_state(group, h, k) for h in group.elements for k in group.elements]
-    gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
+    basis = {(h, k): gb_state(group, h, k) for h in group.elements for k in group.elements}
+    gram = np.array([[np.vdot(u, v) for v in basis.values()] for u in basis.values()])
     orthonormal_dev = float(np.abs(gram - np.eye(len(basis))).max())
     eigen_dev = 0.0
-    for g, h, k in itertools.product(group.elements, repeat=3):
-        v = gb_state(group, h, k)
-        lhs = setup.u_s(g) @ v
-        rhs = group.character(k, group.inverse(g)) * v
-        eigen_dev = max(eigen_dev, float(np.abs(lhs - rhs).max()))
+    for (_, k), v in basis.items():
+        phases = np.array([group.character(k, group.inverse(g)) for g in group.elements])
+        eigen_dev = max(eigen_dev, float(np.abs(setup.translations @ v - phases[:, None] * v).max()))
 
     psi = product_state(cfg.params["frame_amplitudes"], gb_state(group, shift, character))
     row, rho, _ = _static_entropy_row(cfg, psi)
-    y = sum(group.character(character, g)
-            * np.outer(basis_state(group.order, group.index(group.inverse(g))),
-                       basis_state(group.order, group.index(g)))
-            for g in group.elements)
-    witness = BilocalUnitary(np.asarray(y, dtype=complex), np.eye(setup.d_s))
+    y = np.zeros((group.order, group.order), dtype=complex)
+    for g in group.elements:
+        y[group.index(group.inverse(g)), group.index(g)] = group.character(character, g)
+    witness = BilocalUnitary(y, np.eye(setup.d_s))
     res = _member(cfg, rho, witness)
     row["in_AX"] = res.is_member
     summary = {

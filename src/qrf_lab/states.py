@@ -46,10 +46,8 @@ def ghz_state(group, n):
         raise ValueError("ghz_state needs at least two factors")
     order = group.order
     v = np.zeros(order ** n, dtype=complex)
-    for g in group.elements:
-        idx = group.index(g)
-        pos = sum(idx * order ** (n - 1 - m) for m in range(n))
-        v[pos] = 1.0 / math.sqrt(order)
+    # |g>^(x n) sits at index(g) (1 + order + ... + order^(n - 1)).
+    v[np.arange(order) * sum(order ** m for m in range(n))] = 1.0 / math.sqrt(order)
     return v
 
 
@@ -229,20 +227,15 @@ def negative_temperature_predict(setup, h_s, beta, rho_frame, g_j):
     rho_frame = np.asarray(rho_frame, dtype=complex)
     group = setup.group
     g_j = group.check_element(g_j)
-    scale = hs_norm(h_s)
-    anti, comm = [], []
-    for g in group.elements:
-        u = setup.u_s(g)
-        if hs_norm(u @ h_s + h_s @ u) <= 1e-10 * scale:
-            anti.append(g)
-        elif hs_norm(u @ h_s - h_s @ u) <= 1e-10 * scale:
-            comm.append(g)
-        else:
-            raise ValueError(f"element {g} neither commutes nor anticommutes with the Hamiltonian")
-    q_a = 0.0
-    for h in anti:
-        idx = group.index(group.compose(g_j, group.inverse(h)))
-        q_a += float(rho_frame[idx, idx].real)
+    commutes, anticommutes = setup.translation_sectors(h_s, 1e-10 * hs_norm(h_s))
+    either = commutes | anticommutes
+    if not either.all():
+        g = group.elements[either.argmin()]
+        raise ValueError(f"element {g} neither commutes nor anticommutes with the Hamiltonian")
+    anti = [g for g, a in zip(group.elements, anticommutes) if a]
+    comm = [g for g, c in zip(group.elements, commutes & ~anticommutes) if c]  # h_s = 0 counts as anticommuting
+    rows = [group.index(group.compose(g_j, group.inverse(h))) for h in anti]
+    q_a = sum((float(rho_frame[i, i].real) for i in rows), 0.0)
     predicted = q_a * gibbs_state(h_s, -beta) + (1.0 - q_a) * gibbs_state(h_s, beta)
     return NegativeTemperatureReport(
         anticommuting_sector=anti,

@@ -88,8 +88,14 @@ class BilocalUnitary(StructuredUnitary):
 
 
 def pi_t(setup, op):
-    """Project onto the commutant of the system translations (system side twirl)."""
-    return twirl([kron(np.eye(setup.d_frame), setup.u_s(g)) for g in setup.group.elements], op)
+    """Project onto the commutant of the system translations: average U_S(g) op U_S(g)' over
+    the group on the system factor of op, a d_s x d_s or a d_p x d_p operator."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape not in ((setup.d_s, setup.d_s), (setup.d_perspective, setup.d_perspective)):
+        raise ValueError(f"pi_t takes a d_s x d_s or a d_p x d_p operator, not {op.shape}")
+    n = op.shape[0] // setup.d_s  # 1 for a system operator, d_f for a perspective operator
+    blocks = op.reshape(n, setup.d_s, n, setup.d_s).transpose(0, 2, 1, 3)
+    return twirl(setup.translations, blocks).transpose(0, 2, 1, 3).reshape(op.shape)
 
 
 def pi_d(setup, op):
@@ -315,9 +321,7 @@ def classify_local_operator(setup, op, which, g_i, g_j):
         factor = partial_trace(op, (d_f, d_s), drop=0) / d_f
         if hs_norm(op - kron(np.eye(d_f), factor)) > LOCALITY_TOL * scale:
             raise LocalityViolationError("operator is not identity on the frame factor")
-        translation_invariant = all(
-            hs_norm(factor @ setup.u_s(g) - setup.u_s(g) @ factor) <= LOCALITY_TOL * scale
-            for g in setup.group.elements)
+        translation_invariant = bool(setup.translation_sectors(factor, LOCALITY_TOL * scale)[0].all())
         witness = BilocalUnitary(y=np.eye(d_f), z=np.eye(d_s)) if translation_invariant else None
         return LocalOperatorReport(which=which, factor=factor, tps_invariant=translation_invariant,
                                    unitary_invariant_all_orientations=translation_invariant,

@@ -55,7 +55,6 @@ from .dynamics import (
     GridEvolution,
     block_length,
     mean_field_hamiltonian,
-    s_factor_twirl,
     split_hamiltonian,
     transform_hamiltonian_pieces,
 )
@@ -74,10 +73,9 @@ from .states import (
     entropy_and_support_log,
     gibbs_state,
     purity,
-    subsystem_transform,
     von_neumann_entropy,
 )
-from .subalgebras import membership_test, pure_state_bilocal_witness
+from .subalgebras import membership_test, pi_t, pure_state_bilocal_witness
 
 
 @dataclass(frozen=True)
@@ -373,9 +371,9 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     h_s = split.h_s
     scale = hs_norm(h_s)  # relative, so that no verdict depends on the energy unit
 
-    translation_invariant = all(
-        hs_norm(h_s @ setup.u_s(g) - setup.u_s(g) @ h_s) <= 1e-10 * scale
-        for g in setup.group.elements)
+    commutes, anticommutes = setup.translation_sectors(h_s, 1e-10 * scale)
+    translation_invariant = bool(commutes.all())
+    anti = list(itertools.compress(setup.group.elements, anticommutes))
 
     split_new, pieces = transform_hamiltonian_pieces(setup, split, g_i, g_j)
     lambda_s = pieces.lambda_s
@@ -383,15 +381,11 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     verdict = translation_invariant and lambda_zero
 
     marginal = gibbs_state(h_s, 1.0)
-    # Frame j's rho_s reads only the frame-diagonal blocks p_a marginal of
-    # such a state, and the deviation is convex in the weights p_a, so its
-    # maximum is reached on a frame basis state |a><a| (x) marginal.
-    deviation = max(hs_norm(subsystem_transform(setup, kron(np.diag(e), marginal), g_i, g_j).rho_s
-                            - marginal) for e in np.eye(d_f))
+    # Frame j's rho_s reads only the frame-diagonal blocks p_a marginal of such a state and is
+    # convex in the weights p_a; for |a><a| (x) marginal it is U_S(g) marginal U_S(g)', one g per a.
+    deviation = hs_norm(setup.translations @ marginal @ dagger(setup.translations) - marginal).max()
 
-    in_kernel = hs_norm(s_factor_twirl(setup, h_s)) <= 1e-9 * scale
-    anti = [g for g in setup.group.elements
-            if hs_norm(setup.u_s(g) @ h_s + h_s @ setup.u_s(g)) <= 1e-10 * scale]
+    in_kernel = hs_norm(pi_t(setup, h_s)) <= 1e-9 * scale
 
     mu = mu_sign = residual = None
     if in_kernel and anti and hs_norm(h_s) > 0:

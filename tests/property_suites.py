@@ -21,7 +21,7 @@ from qrf_lab.dynamics import (
     split_hamiltonian,
 )
 from qrf_lab.frames import FrameSetup, parity_swap
-from qrf_lab.groups import Z2, Z2xZ2, Z3
+from qrf_lab.groups import Z2, Z2xZ2, Z3, Z4, FiniteAbelianGroup
 from qrf_lab.operators import (
     NumericalRankError,
     assert_unitary,
@@ -36,6 +36,7 @@ from qrf_lab.operators import (
     product_partial_traces,
     product_trace_maps,
     random_hermitian,
+    twirl,
     unvec,
     vec,
 )
@@ -70,7 +71,13 @@ def _diag_rep(group, character_labels):
 
 
 def setup_pool():
-    """Setups spanning Z2, Z3, and Z2xZ2 with system dimensions up to 8."""
+    """Setups over Z2, Z3, Z4, Z6, Z2xZ2 and Z2xZ4 with d_p from 4 to 16.
+
+    Besides regular, tensor-power and diagonal reps, Z2xZ4's generators have
+    different orders, and Z3 regular times a character is monomial but
+    neither diagonal nor a permutation.
+    """
+    z6, z2xz4 = FiniteAbelianGroup((6,)), FiniteAbelianGroup((2, 4))
     return [
         FrameSetup.from_rep_config(Z2, "regular"),
         FrameSetup.from_rep_config(Z2, {"tensor_power": 2}),
@@ -79,6 +86,10 @@ def setup_pool():
         FrameSetup(Z3, _diag_rep(Z3, [(0,), (1,)])),
         FrameSetup.from_rep_config(Z2xZ2, "regular"),
         FrameSetup(Z2xZ2, _diag_rep(Z2xZ2, [(0, 0), (0, 1), (1, 0)])),
+        FrameSetup.from_rep_config(Z4, "regular"),
+        FrameSetup(z6, _diag_rep(z6, [(1,), (3,)])),
+        FrameSetup(z2xz4, _diag_rep(z2xz4, [(0, 1), (1, 0)])),
+        FrameSetup(Z3, {g: Z3.character((1,), g) * Z3.regular_representation(g) for g in Z3.elements}),
     ]
 
 
@@ -146,6 +157,12 @@ def suite_projector_algebra(n=100, seed=904):
         f = random_hermitian(rng, setup.d_perspective)
         h = random_hermitian(rng, setup.d_perspective)
         ft, fd = pi_t(setup, f), pi_d(setup, f)
+        # pi_t against the dense group average, on a perspective and on a system operator.
+        dense = twirl([kron(np.eye(setup.d_frame), setup.u_s(g)) for g in setup.group.elements], f)
+        assert hs_norm(ft - dense) <= 1e-12 * hs_norm(f)
+        f_s = random_hermitian(rng, setup.d_s)
+        dense_s = twirl([setup.u_s(g) for g in setup.group.elements], f_s)
+        assert hs_norm(pi_t(setup, f_s) - dense_s) <= 1e-12 * hs_norm(f_s)
         assert hs_norm(pi_t(setup, ft) - ft) <= 1e-10
         assert hs_norm(pi_d(setup, fd) - fd) <= 1e-10
         assert abs(hs_inner(ft, h) - hs_inner(f, pi_t(setup, h))) <= 1e-9
@@ -631,26 +648,27 @@ def monomial_commutant_dimension(ws, order):
 def suite_label_projector_matches_superoperator_oracle(n=100, seed=912):
     """invariant_projector against the superoperator Schur oracle: dimension, .matrix and apply.
 
-    Instances cycle through every orientation pair of setup_pool() and one
-    dense explicit rep, each with the labels 1, 1 (x) U_S(g) and
-    U_F(a) (x) U_S(b) for random g, a, b.
+    The cases are every orientation pair of every setup in setup_pool() and
+    one dense explicit rep, each with the labels 1, 1 (x) U_S(g) and
+    U_F(a) (x) U_S(b) for random g, a, b.  Of the N cases, instance k checks
+    k mod N, k mod N + n, k mod N + 2n, ..., so any n instances reach them all.
     """
     cases = [(setup, g_i, g_j) for setup in setup_pool() + [haar_conjugated_z3_setup()]
              for g_i in setup.group.elements for g_j in setup.group.elements]
     rng = np.random.default_rng(seed)
     for k in range(int(n)):
-        setup, g_i, g_j = cases[k % len(cases)]
-        d_f, d_s, d = setup.d_frame, setup.d_s, setup.d_perspective
-        elements = setup.group.elements
-        g, a, b = (elements[int(rng.integers(len(elements)))] for _ in range(3))
-        for x in (BilocalUnitary(np.eye(d_f), np.eye(d_s)), BilocalUnitary(np.eye(d_f), setup.u_s(g)),
-                  BilocalUnitary(setup.u_frame(a), setup.u_s(b))):
-            proj = invariant_projector(setup, x, g_i, g_j)
-            oracle = superoperator_projector_oracle(setup, x, g_i, g_j)
-            assert proj.dimension == oracle.dimension
-            assert np.abs(proj.matrix - oracle.projector).max() <= 1e-12
-            f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            assert np.abs(proj.apply(f) - unvec(oracle.projector @ vec(f), d)).max() <= 1e-12 * hs_norm(f)
+        for setup, g_i, g_j in cases[k % len(cases)::int(n)]:
+            d_f, d_s, d = setup.d_frame, setup.d_s, setup.d_perspective
+            elements = setup.group.elements
+            g, a, b = (elements[int(rng.integers(len(elements)))] for _ in range(3))
+            for x in (BilocalUnitary(np.eye(d_f), np.eye(d_s)), BilocalUnitary(np.eye(d_f), setup.u_s(g)),
+                      BilocalUnitary(setup.u_frame(a), setup.u_s(b))):
+                proj = invariant_projector(setup, x, g_i, g_j)
+                oracle = superoperator_projector_oracle(setup, x, g_i, g_j)
+                assert proj.dimension == oracle.dimension
+                assert np.abs(proj.matrix - oracle.projector).max() <= 1e-12
+                f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                assert np.abs(proj.apply(f) - unvec(oracle.projector @ vec(f), d)).max() <= 1e-12 * hs_norm(f)
     return int(n)
 
 

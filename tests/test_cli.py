@@ -99,6 +99,10 @@ def test_config_file_target(tmp_path, capsys):
     *((["run", "zz-oscillation", "--set", f'rep={{"matrices": {{"0": {entry}, "1": [[0, 1], [1, 0]]}}}}'],
        "rep.matrices.0: expected a non-empty list of equal-length rows")
       for entry in ("[[1, 0], [0]]", "5", "[1, 0]")),
+    # Characters i^g of Z4, wrong only at the non-generator element (2,).
+    (["run", "zz-oscillation", "--set", "group.cyclic=[4]", "--set",
+      'rep={"matrices": {"0": [[1]], "1": [[[0, 1]]], "2": [[1]], "3": [[[0, -1]]]}}'],
+     "rep.matrices: representation is not a homomorphism"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_config_errors_exit_two(argv, fragment, capsys):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from qrf_lab import FrameSetup, Z2, Z2xZ2, Z3
+from qrf_lab import FrameSetup, Z2, Z2xZ2, Z3, Z4
 from qrf_lab.frames import parity_swap
 from qrf_lab.operators import (
     ID2,
     SIGMA_X,
+    SIGMA_Z,
     dagger,
     haar_state,
     kron,
@@ -53,6 +54,19 @@ def test_setup_rejects_non_homomorphism():
     rep = {(0,): np.eye(2), (1,): np.diag([1.0, 1j])}
     with pytest.raises(ValueError):
         FrameSetup(Z2, rep)
+
+
+@pytest.mark.parametrize("group, rep", [
+    # Characters i^g of Z4, wrong only at the non-generator element (2,).
+    (Z4, {(0,): [[1.0]], (1,): [[1j]], (2,): [[1.0]], (3,): [[-1j]]}),
+    # U(1, 0) = X and U(0, 1) = Z do not commute, so no U(1, 1) makes a homomorphism.
+    (Z2xZ2, {(0, 0): ID2, (1, 0): SIGMA_X, (0, 1): SIGMA_Z, (1, 1): SIGMA_X @ SIGMA_Z}),
+])
+def test_setup_rejects_a_rep_wrong_away_from_the_generators(group, rep):
+    """The homomorphism is checked on generator steps U(g + e_k) = U(g) U(e_k); these reps
+    are unitary and send the identity to 1, and each fails some step."""
+    with pytest.raises(ValueError, match="not a homomorphism at pair"):
+        FrameSetup(group, rep)
 
 
 def test_pi_phys_is_a_projector():
@@ -104,7 +118,7 @@ def dense_perspective_unitary(setup, g_i, g_j):
 
 
 def is_permutation_rep(setup):
-    return all(np.isin(u, (0.0, 1.0)).all() for u in setup.rep_s.values())
+    return bool(np.isin(setup.translations, (0.0, 1.0)).all())
 
 
 def orientation_pairs(setup):

@@ -21,6 +21,13 @@ def test_product_group_basics():
         assert Z2xZ2.inverse(g) == g
 
 
+def test_generators_have_one_unit_residue_each():
+    assert Z4.generators == ((1,),)
+    assert FiniteAbelianGroup((2, 4)).generators == ((1, 0), (0, 1))
+    # A trivial factor Z_1 contributes the identity: its only residue is 0.
+    assert FiniteAbelianGroup((1, 3)).generators == ((0, 0), (0, 1))
+
+
 def test_element_checking():
     assert Z3.check_element(2) == (2,)
     assert Z3.check_element([1]) == (1,)

@@ -180,3 +180,14 @@ def test_one_walk_reads_the_time_grid():
     walk = ("thermo.py", "trajectory_runs")
     assert found("_traced") == {walk}
     assert found("blocks") == {walk, ("dynamics.py", "imported_hamiltonian_and_trajectory_check")}
+
+
+def test_one_system_twirl():
+    """pi_t is the only average over the U_S(g): no module defines s_factor_twirl, and only
+    subalgebras.pi_t calls operators.twirl."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    defined = {node.name for text in sources.values() for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.FunctionDef)}
+    assert "s_factor_twirl" not in defined
+    assert {(name, owner) for name, text in sources.items() for owner in callers(text, "twirl")} == {
+        ("subalgebras.py", "pi_t")}

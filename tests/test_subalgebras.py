@@ -65,6 +65,12 @@ def test_pi_t_examples():
     assert np.allclose(pi_t(setup, fixed), fixed, atol=1e-12)
     f = random_hermitian(rng, 4)
     assert np.allclose(pi_t(setup, pi_t(setup, f)), pi_t(setup, f), atol=1e-12)
+    assert np.allclose(pi_t(setup, SIGMA_Z), 0.0, atol=1e-12)
+    assert np.allclose(pi_t(setup, SIGMA_X), SIGMA_X, atol=1e-12)
+    # Only a d_s x d_s or a d_p x d_p operand is twirled, not any multiple of d_s.
+    for shape in ((6, 6), (8, 8), (2, 4), (4, 2)):
+        with pytest.raises(ValueError, match="d_s x d_s or a d_p x d_p"):
+            pi_t(setup, np.zeros(shape))
 
 
 def test_pi_d_examples():

@@ -612,7 +612,7 @@ def test_gibbs_max_deviation_bounds_every_frame_state():
         elements = setup.group.elements
         h_s = random_hermitian(rng, d_s)
         marginal = gibbs_state(split_hamiltonian(kron(np.eye(d_f), h_s), d_f, d_s).h_s, 1.0)
-        closed_form = max(hs_norm(u @ marginal @ dagger(u) - marginal) for u in setup.rep_s.values())
+        closed_form = max(hs_norm(u @ marginal @ dagger(u) - marginal) for u in setup.translations)
         assert closed_form > 1e-3
         for _ in range(3):
             g_i, g_j = (elements[int(k)] for k in rng.integers(len(elements), size=2))
