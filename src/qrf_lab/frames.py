@@ -62,7 +62,11 @@ class FrameSetup:
 
     def __init__(self, group: FiniteAbelianGroup, rep_s):
         self.group = group
-        rep_s = {group.check_element(g): np.asarray(u, dtype=complex) for g, u in rep_s.items()}
+        named = {}
+        for g in rep_s:
+            if (first := named.setdefault(group.check_element(g), g)) is not g:
+                raise ValueError(f"keys {first!r} and {g!r} name the same group element")
+        rep_s = {element: np.asarray(rep_s[g], dtype=complex) for element, g in named.items()}
         if set(rep_s) != set(group.elements):
             raise ValueError("system representation must cover every group element exactly once")
         self.d_s = rep_s[group.identity].shape[0]

@@ -177,9 +177,12 @@ def _build_setup(group, raw_rep):
             mats[key] = np.array([[_as_complex(v, f"rep.matrices.{key}[{r}][{c}]")
                                    for c, v in enumerate(row)] for r, row in enumerate(rows)])
         _require_affordable(group, max(len(mat) for mat in mats.values()), "rep.matrices")
+        indices = {}
         for key in mats:
             _require(str(key).isdecimal() and int(key) < group.order, f"rep.matrices.{key}",
                      "key must be a valid element index")
+            _require((first := indices.setdefault(int(key), key)) == key, f"rep.matrices.{key}",
+                     f"keys {first!r} and {key!r} name the same element")
         elements = group.elements  # affordable, so the list is small
         rep = {elements[int(key)]: mat for key, mat in mats.items()}
         try:

@@ -10,7 +10,7 @@ witness construction for pure states live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh, schur
@@ -36,10 +36,10 @@ from .operators import (
 MEMBERSHIP_TOL = 1e-9
 LOCALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
-# intersect_projectors holds one d_p^2 x d_p^2 complex matrix S and eigh's
-# d_p^2 x min(dim) eigenvectors at peak, besides temporaries of d_p^3 entries
-# (1.45 and 1.37 copies of S under tracemalloc at d_p = 16 and 27).  The
-# budget refuses d_p = 64, where S alone is 256 MiB.
+# intersect_projectors holds S in its real form and the eigenvector array of its
+# size that eigh's value range allocates, 16 d_p^4 bytes at peak (2.16 and 2.05
+# real copies of S under tracemalloc at d_p = 16 and 27).  The budget refuses
+# d_p >= 64, and from d_p = 58 on when a label nears all of M_d.
 SUPEROPERATOR_BUDGET_BYTES = 256 * 2 ** 20
 
 
@@ -178,30 +178,47 @@ def transport_bilocal(setup, x: BilocalUnitary, old, new) -> BilocalUnitary:
     return BilocalUnitary(y=y_new, z=z_new)
 
 
-def _check_superoperator_budget(d, columns):
-    """Refuse, before allocating, a d^2 x d^2 complex matrix with a d^2 x columns one beside it."""
-    estimate = (d ** 4 + d ** 2 * columns) * np.dtype(complex).itemsize
+def _check_superoperator_budget(d, top):
+    """Refuse, before allocating, an intersection whose real form would pass the budget: in doubles,
+    S, its n x n eigenvectors and under 64 n of work (n = d^2), or later top kept eigenvectors and their
+    complex basis."""
+    n = d * d
+    estimate = np.dtype(float).itemsize * max(2 * n * n + 64 * n, 3 * n * top)
     if estimate > SUPEROPERATOR_BUDGET_BYTES:
         raise ValueError(f"the superoperator path at d_p = {d} needs an estimated {estimate} bytes "
                          f"at peak, above the {SUPEROPERATOR_BUDGET_BYTES}-byte budget")
 
 
-def _superoperator_transpose(labels, d):
-    """sum_C P_C (x) conj(P_C) over every label's clusters, a C-order d^2 x d^2 array.
+@lru_cache(maxsize=None)
+def _hermitian_coordinates(d):
+    """g, read-only: 1/sqrt 2 above the diagonal, -i/sqrt 2 below it and (1 - i)/2 on it.
 
-    Its transpose is sum_C conj(P_C) (x) P_C, the labels' summed .matrix, in
-    Fortran order.  It is written d rows at a time, with no temporary above
-    d^3 entries besides the stack of conj(P_C).
+    B_kl = Herm(2 conj(g[k, l]) E_kl) is E_kk, (E_kl + E_lk)/sqrt 2 for k < l and i (E_kl - E_lk)/sqrt 2
+    for k > l, an orthonormal basis of the Hermitian d x d operators.  h has the coordinates Re(2 g h),
+    entrywise, and the coordinates r are the h with conj(h) = g (r + i r^T).
     """
-    conj_p = np.stack([label.schur_vectors[:, cluster].conj() @ label.schur_vectors[:, cluster].T
-                       for label in labels for cluster in np.unique(label.mask, axis=0)])
-    out = np.empty((d, d, d, d), dtype=complex)
-    by_row = conj_p.transpose(1, 0, 2)
-    for i in range(d):
-        # out[i, k, j, l] = sum_C P_C[i, j] conj(P_C[k, l]), and P_C[i, j] = conj(P_C)[j, i]:
-        # that column of each conj(P_C) is copied to the unit stride a GEMM needs.
-        np.matmul(conj_p[:, :, i].T.copy(), by_row, out=out[i])
-    return out.reshape(d * d, d * d)
+    g = np.where(np.triu(np.ones((d, d), dtype=bool), 1), 1.0, -1j) / np.sqrt(2)
+    np.fill_diagonal(g, (1 - 1j) / 2)
+    return read_only(g)
+
+
+def _hermitian_superoperator(labels, d):
+    """S = sum_C P_C . P_C over every label's clusters, on the Hermitian operators in the basis B_kl.
+
+    S is real symmetric there, a d^2 x d^2 Fortran-order float array indexed by (k, l) in C order,
+    written for one k at a time from N_kl[a, b] = sum_C P_C[a, k] P_C[l, b], one GEMM for all l.
+    """
+    g = _hermitian_coordinates(d)
+    # P_C = Q diag(row) Q', with one mask row per cluster: the row of its first eigenvalue.
+    p = np.concatenate([(q * mask[np.unique(mask.argmax(axis=1))][:, None, :]) @ dagger(q)
+                        for q, mask in ((label.schur_vectors, label.mask) for label in labels)])
+    flat = p.reshape(len(p), d * d)
+    out = np.empty((d, d, d, d))
+    for k in range(d):
+        y = (p[:, :, k].T @ flat).reshape(d, d, d) * (2 * g[k].conj())[:, None]  # y[a, l, b]
+        # S(B_kl) = Herm(y[:, l]): its coordinates Re(g (y + y')) are row (k, l) of the symmetric S.
+        out[k] = (g[:, None, :] * (y + y.conj().transpose(2, 1, 0))).real.transpose(1, 0, 2)
+    return out.reshape(d * d, d * d).T
 
 
 @dataclass(frozen=True)
@@ -212,23 +229,13 @@ class SubalgebraProjector:
     pinching Q (mask * Q'fQ) Q', O(d_p^3), and the dimension is sum m_k^2.
     An intersection holds an orthonormal basis (d_p^2 x D) of its column-major
     vec space instead: apply is unvec(basis (basis' vec(f))) and the
-    dimension is D.  .matrix acts on vec(f), read-only, built on first use:
-    basis basis' for an intersection, and for a label, within the
-    superoperator budget, sum_C conj(P_C) (x) P_C over the clusters'
-    projectors P_C.
+    dimension is D.
     """
 
     operand_dim: int
     schur_vectors: np.ndarray | None = None
     mask: np.ndarray | None = None
     basis: np.ndarray | None = None
-
-    @cached_property
-    def matrix(self):
-        if self.basis is not None:
-            return read_only(self.basis @ dagger(self.basis))
-        _check_superoperator_budget(self.operand_dim, self.operand_dim)  # at most d_p clusters
-        return read_only(_superoperator_transpose([self], self.operand_dim).T)
 
     @property
     def dimension(self):
@@ -265,37 +272,42 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
 
 
 def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-9):
-    """Projector onto the intersection of two label subalgebras, from one Hermitian eigenproblem.
+    """Projector onto the intersection of two label subalgebras, from one real symmetric eigenproblem.
 
-    Where a.matrix b.matrix has the eigenvalues cos^2 theta of the principal
-    angles between the two ranges, S = a.matrix + b.matrix has 1 +- cos theta
-    (Halmos's two-subspace theorem).  An eigenvector of S with eigenvalue mu
-    is selected when 1 - (mu - 1)^2 <= tol, the same |lambda - 1| <= tol
-    for lambda = cos^2 theta, and a value in (tol, 10 tol] raises
-    NumericalRankError.  At most min(a.dimension, b.dimension) eigenvalues of
-    S exceed 1, so eigh computes only that many from the top, and those with
-    mu >= 1 + sqrt(1 - 10 tol), less a margin for round-off, are the only
-    ones selected or guarded (for tol < 0.1).  S is accumulated in place from
-    the labels' cluster projectors, never from a.matrix or b.matrix, and eigh
-    overwrites it; the peak is S and the kept eigenvectors, which the
-    superoperator budget checks before anything is allocated.
+    Where P_A P_B has the eigenvalues cos^2 theta of the principal angles
+    between the two subalgebras, S = P_A + P_B has 1 +- cos theta (Halmos's
+    two-subspace theorem).  S is a sum of pinchings f -> P_C f P_C with
+    Hermitian P_C, so on the Hermitian operators it is a real symmetric
+    d_p^2 x d_p^2 matrix with the same spectrum, and both subalgebras being
+    closed under f -> f', its Hermitian eigenvectors span the intersection.
+    An eigenvalue mu is selected when 1 - (mu - 1)^2 <= tol, the same
+    |lambda - 1| <= tol for lambda = cos^2 theta, and a value in
+    (tol, 10 tol] raises NumericalRankError.  eigh computes only the mu above
+    1 + sqrt(1 - 10 tol), less a margin for round-off (for tol < 0.1), and
+    selects them by value: an index range on an exactly degenerate spectrum
+    can come back short.  eigh overwrites S, which is freed before the kept
+    eigenvectors become the complex column-major basis; the peak, which the
+    budget checks before allocating, is S and the d_p^2 x d_p^2 eigenvectors
+    that a value range allocates, one complex S in bytes.
     """
     if a.mask is None or b.mask is None:
         raise ValueError("intersect_projectors takes two label projectors, as invariant_projector returns")
     d = a.operand_dim
-    n, top = d * d, min(a.dimension, b.dimension)
-    # Beside S: both labels' cluster projectors while it is summed, then the eigenvectors.
-    _check_superoperator_budget(d, max(top, 2 * d))
+    _check_superoperator_budget(d, min(a.dimension, b.dimension))
     lowest = 1.0 + np.sqrt(max(0.0, 1.0 - 10 * tol)) - 1e-12
-    # The C-order sum of P (x) conj(P) is S in Fortran order: eigh works on it in place.
-    s = _superoperator_transpose([a, b], d).T
-    mu, vectors = eigh(s, subset_by_index=(n - top, n - 1), overwrite_a=True)
-    defect = np.where(mu >= lowest, 1.0 - (mu - 1.0) ** 2, np.inf)
+    mu, vectors = eigh(_hermitian_superoperator([a, b], d), subset_by_value=(lowest, np.inf), overwrite_a=True)
+    defect = 1.0 - (mu - 1.0) ** 2
     ambiguous = defect[(defect > tol) & (defect <= 10 * tol)]
     if ambiguous.size:
         raise NumericalRankError(
             f"eigenvalue at distance {ambiguous.min():.3e} from 1 is inside the guard band {10 * tol:.3e}")
-    return SubalgebraProjector(operand_dim=d, basis=vectors[:, defect <= tol])
+    kept = vectors[:, defect <= tol].reshape(d, d, -1)
+    del vectors
+    # A Hermitian eigenvector's column-major vec is its conjugate in C order, g (r + i r^T).
+    basis = 1j * kept.transpose(1, 0, 2)
+    basis += kept
+    basis *= _hermitian_coordinates(d)[:, :, None]
+    return SubalgebraProjector(operand_dim=d, basis=basis.reshape(d * d, -1))
 
 
 @dataclass

@@ -103,6 +103,10 @@ def test_config_file_target(tmp_path, capsys):
     (["run", "zz-oscillation", "--set", "group.cyclic=[4]", "--set",
       'rep={"matrices": {"0": [[1]], "1": [[[0, 1]]], "2": [[1]], "3": [[[0, -1]]]}}'],
      "rep.matrices: representation is not a homomorphism"),
+    # "1" and "01" name one element; the later matrix Z used to replace X, and the run exited 0.
+    (["run", "zz-oscillation", "--set",
+      'rep={"matrices": {"0": [[1, 0], [0, 1]], "1": [[0, 1], [1, 0]], "01": [[1, 0], [0, -1]]}}'],
+     "rep.matrices.01: keys '1' and '01' name the same element"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_config_errors_exit_two(argv, fragment, capsys):

@@ -56,6 +56,13 @@ def test_setup_rejects_non_homomorphism():
         FrameSetup(Z2, rep)
 
 
+def test_setup_rejects_two_keys_for_one_element():
+    """(1,) and 1 name one element of Z2, so the map does not cover each element exactly once;
+    the later matrix used to replace the earlier one silently."""
+    with pytest.raises(ValueError, match=r"keys \(1,\) and 1 name the same group element"):
+        FrameSetup(Z2, {(0,): ID2, (1,): SIGMA_X, 1: SIGMA_Z})
+
+
 @pytest.mark.parametrize("group, rep", [
     # Characters i^g of Z4, wrong only at the non-generator element (2,).
     (Z4, {(0,): [[1.0]], (1,): [[1j]], (2,): [[1.0]], (3,): [[-1j]]}),
