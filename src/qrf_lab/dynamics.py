@@ -34,7 +34,7 @@ from .operators import (
 from .subalgebras import invariant_projector, membership_test, pi_d, pi_t
 
 CLASSIFIER_TOL = 1e-10
-# Eigenvalues of a local piece closer than this share one eigenspace.
+# Eigenvalues of a local piece closer than this times ||H|| share one eigenspace.
 COMMUTANT_GAP = 1e-8
 
 
@@ -92,9 +92,10 @@ class HamiltonianSplit:
 
     @cached_property
     def eigenspace_projectors(self):
-        """Projectors onto the eigenspaces of h_s and of h_frame, keyed "s" and "frame"."""
-        return {"s": read_only(eigenspace_projectors(self.h_s, COMMUTANT_GAP)),
-                "frame": read_only(eigenspace_projectors(self.h_frame, COMMUTANT_GAP))}
+        """Eigenspace projectors of h_s and of h_frame, keyed "s" and "frame", at the gap COMMUTANT_GAP ||H||."""
+        gap = COMMUTANT_GAP * hs_norm(self.total)
+        return {"s": read_only(eigenspace_projectors(self.h_s, gap)),
+                "frame": read_only(eigenspace_projectors(self.h_frame, gap))}
 
 
 def split_hamiltonian(hamiltonian, d_frame, d_s):

@@ -104,7 +104,7 @@ class FrameSetup:
         if np.abs(stack[0] - np.eye(self.d_s)).max() > 1e-10:
             raise ValueError("representation must send the identity element to the identity matrix")
         for e in group.generators:
-            steps = [group.index(group.compose(g, e)) for g in elements]
+            steps = group._translate_indices(e)
             failed = np.abs(stack @ stack[group.index(e)] - stack[steps]).max(axis=(1, 2)) > 1e-10
             if failed.any():
                 raise ValueError(f"representation is not a homomorphism at pair ({elements[failed.argmax()]}, {e})")
@@ -128,11 +128,9 @@ class FrameSetup:
         key = (group.check_element(g_i), group.check_element(g_j))
         change = self._perspective_changes.get(key)
         if change is None:
-            rows = [group.index(group.compose(g_i, g)) for g in group.elements]
-            perm = np.empty(self.d_frame, dtype=int)
-            perm[rows] = [group.index(group.compose(g_j, group.inverse(g))) for g in group.elements]
-            blocks = np.empty_like(self.translations)
-            blocks[rows] = self.translations
+            # Row a = g_i g holds U_S(g) = U_S(g_i^-1 a) in column g_j g^-1 = (g_i g_j) a^-1.
+            perm = group._translate_indices(group.compose(g_i, g_j), sign=-1)
+            blocks = self.translations[group._translate_indices(group.inverse(g_i))]
             change = PerspectiveChange(perm=read_only(perm), blocks=read_only(blocks))
             self._perspective_changes[key] = change
         return change

@@ -1,10 +1,11 @@
 """Finite abelian groups as direct products of cyclic factors.
 
 Elements are tuples of residues, one per cyclic factor, enumerated in
-lexicographic order.  Every matrix basis downstream inherits this order.
-The element-to-index map and the Cayley tables of compose and inverse are
-built once per group, so arithmetic on elements is table lookup; only a
-value that is not already an element tuple goes through check_element.
+lexicographic order.  Every matrix basis downstream inherits this order,
+so an index is the residues read in mixed radix.  The element-to-index map
+is built once per group; only a value that is not already an element tuple
+goes through check_element.  Composing one element with all the others is
+one vectorized index array; no |G| x |G| table is ever built.
 """
 
 from __future__ import annotations
@@ -45,15 +46,6 @@ class FiniteAbelianGroup:
     def _index(self) -> dict:
         return {g: k for k, g in enumerate(self._elements)}
 
-    @cached_property
-    def _cayley(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index tables: compose[a, b] = index(g_a g_b) and inverse[a] = index(g_a^-1)."""
-        residues, moduli = np.array(self._elements), np.array(self.factors)
-        strides = np.cumprod((self.factors[1:] + (1,))[::-1])[::-1]
-        compose = ((residues[:, None] + residues[None, :]) % moduli) @ strides
-        inverse = (-residues % moduli) @ strides
-        return compose, inverse
-
     @property
     def elements(self) -> list[Element]:
         return list(self._elements)
@@ -82,22 +74,35 @@ class FiniteAbelianGroup:
             raise ValueError(f"element {g} out of range for moduli {self.factors}")
         return g
 
+    def _element(self, g) -> Element:
+        return self._elements[self.index(g)]
+
     def compose(self, g: Element, h: Element) -> Element:
-        return self._elements[self._cayley[0][self.index(g), self.index(h)]]
+        return tuple((a + b) % n for a, b, n in zip(self._element(g), self._element(h), self.factors))
 
     def inverse(self, g: Element) -> Element:
-        return self._elements[self._cayley[1][self.index(g)]]
+        return tuple(-a % n for a, n in zip(self._element(g), self.factors))
+
+    @cached_property
+    def _residues(self) -> np.ndarray:
+        """The (m, |G|) residues of the elements, one row per factor, in element order."""
+        return np.indices(self.factors).reshape(-1, self.order)
+
+    def _translate_indices(self, g: Element, sign: int = 1) -> np.ndarray:
+        """Index of g h, or of g h^-1 for sign = -1, for every element h in element order."""
+        residues = np.array(self._element(g))[:, None] + sign * self._residues
+        return np.ravel_multi_index(residues, self.factors, mode="wrap")  # residues mod n_k, in mixed radix
 
     def regular_representation(self, g: Element) -> np.ndarray:
         """Permutation matrix sending |h> to |g h> in the element basis."""
         n = self.order
         mat = np.zeros((n, n))
-        mat[self._cayley[0][self.index(g)], np.arange(n)] = 1.0
+        mat[self._translate_indices(g), np.arange(n)] = 1.0
         return mat
 
     def character(self, k: Element, g: Element) -> complex:
         """Character chi_k(g) = exp(2 pi i sum_m k_m g_m / n_m)."""
-        k, g = self._elements[self.index(k)], self._elements[self.index(g)]
+        k, g = self._element(k), self._element(g)
         phase = sum(km * gm / n for km, gm, n in zip(k, g, self.factors))
         return complex(np.exp(2j * np.pi * phase))
 

@@ -257,11 +257,17 @@ def degenerate_blocks(values, gap):
 def eigenspace_projectors(h, gap):
     """Stack (m, d, d) of projectors onto the eigenspaces of a Hermitian h.
 
-    Eigenvalues are taken in descending order and grouped by degenerate_blocks.
+    Eigenvalues are taken in descending order and grouped by degenerate_blocks;
+    neighbours at a distance in (gap, 10 gap] raise NumericalRankError.
     """
     vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
+    steps = vals[:-1] - vals[1:]
+    ambiguous = steps[(steps > gap) & (steps <= 10 * gap)]
+    if ambiguous.size:
+        raise NumericalRankError(
+            f"eigenvalues at distance {ambiguous.min():.3e} are inside the guard band {10 * gap:.3e}")
     return np.array([vecs[:, blk] @ dagger(vecs[:, blk]) for blk in degenerate_blocks(vals, gap)])
 
 

@@ -150,21 +150,22 @@ def _build_group(raw):
 
 
 def _require_affordable(group, d_s, path):
-    """Refuse d_p = |G| d_s over the budget before the group's tables or any rep matrix exist."""
+    """Refuse d_p = |G| d_s over the budget from the config alone, before any d_p-sized array exists."""
     size = 16 * (group.order * d_s) ** 2
     _require(size <= _MATRIX_BUDGET_BYTES, path, f"perspective dimension {group.order * d_s} needs "
              f"{size} bytes per complex matrix, above the {_MATRIX_BUDGET_BYTES}-byte budget")
 
 
-def _build_setup(group, raw_rep):
+def _parse_rep(group, raw_rep):
+    """The system dimension d_s of a rep config within the budget, and a builder of its FrameSetup."""
     if raw_rep == "regular":
         _require_affordable(group, group.order, "group.cyclic")
-        return FrameSetup.from_rep_config(group, "regular")
+        return group.order, lambda: FrameSetup.from_rep_config(group, "regular")
     if isinstance(raw_rep, dict) and set(raw_rep) == {"tensor_power"}:
         power = _as_positive_int(raw_rep["tensor_power"], "rep.tensor_power")
         # The order is at least 2, so a power past 64 is over the budget at any order.
         _require_affordable(group, group.order ** min(power, 64), "rep.tensor_power")
-        return FrameSetup.from_rep_config(group, {"tensor_power": power})
+        return group.order ** power, lambda: FrameSetup.from_rep_config(group, {"tensor_power": power})
     if isinstance(raw_rep, dict) and set(raw_rep) == {"matrices"}:
         entries = raw_rep["matrices"]
         _require(isinstance(entries, dict) and entries, "rep.matrices",
@@ -176,19 +177,19 @@ def _build_setup(group, raw_rep):
                 f"rep.matrices.{key}", f"expected a non-empty list of equal-length rows, got {rows!r}")
             mats[key] = np.array([[_as_complex(v, f"rep.matrices.{key}[{r}][{c}]")
                                    for c, v in enumerate(row)] for r, row in enumerate(rows)])
-        _require_affordable(group, max(len(mat) for mat in mats.values()), "rep.matrices")
+        d_s = max(len(mat) for mat in mats.values())
+        _require_affordable(group, d_s, "rep.matrices")
         indices = {}
         for key in mats:
             _require(str(key).isdecimal() and int(key) < group.order, f"rep.matrices.{key}",
                      "key must be a valid element index")
             _require((first := indices.setdefault(int(key), key)) == key, f"rep.matrices.{key}",
                      f"keys {first!r} and {key!r} name the same element")
+        _require(all(mat.shape == (d_s, d_s) for mat in mats.values()), "rep.matrices",
+                 "representation matrices must share one square shape")
         elements = group.elements  # affordable, so the list is small
         rep = {elements[int(key)]: mat for key, mat in mats.items()}
-        try:
-            return FrameSetup(group, rep)
-        except ValueError as exc:
-            raise ConfigError("rep.matrices", str(exc))
+        return d_s, lambda: FrameSetup(group, rep)
     raise ConfigError("rep", f'expected "regular", {{"tensor_power": m}},'
                              f' or {{"matrices": ...}}, got {raw_rep!r}')
 
@@ -218,18 +219,19 @@ def _build_time_grid(raw):
     return np.linspace(start, stop, points)
 
 
-def _build_hamiltonian(setup, raw):
+def _pauli_terms(order, d_s, raw):
+    """Each hamiltonian term as (coefficient, Pauli factors), checked against the config's (|G|, d_s)."""
     if raw is None:
         return None
     _require(isinstance(raw, dict) and set(raw) == {"terms"}, "hamiltonian",
              'expected {"terms": [...]}')
     terms = raw["terms"]
     _require(isinstance(terms, list) and terms, "hamiltonian.terms", "expected a non-empty list")
-    n_system = round(math.log2(setup.d_s)) if setup.d_s > 1 else 0
-    _require(setup.d_frame == 2 and setup.d_s == 2 ** n_system, "hamiltonian",
+    n_system = round(math.log2(d_s)) if d_s > 1 else 0
+    _require(order == 2 and d_s == 2 ** n_system, "hamiltonian",
              "Pauli terms need a qubit frame and a power-of-two system dimension")
     n_factors = 1 + n_system
-    total = np.zeros((setup.d_perspective, setup.d_perspective), dtype=complex)
+    parsed = []
     for i, term in enumerate(terms):
         base = f"hamiltonian.terms[{i}]"
         _require(isinstance(term, dict) and set(term) == {"coefficient", "factors"},
@@ -238,14 +240,10 @@ def _build_hamiltonian(setup, raw):
         factors = term["factors"]
         _require(isinstance(factors, list) and len(factors) == n_factors,
                  f"{base}.factors", f"expected {n_factors} factors for this setup")
-        mats = []
         for j, name in enumerate(factors):
-            key = _PAULI_NAMES.get(str(name).lower())
-            _require(key is not None, f"{base}.factors[{j}]",
-                     f"unknown Pauli name {name!r}")
-            mats.append(PAULI[key])
-        total = total + coefficient * kron(*mats)
-    return total
+            _require(str(name).lower() in _PAULI_NAMES, f"{base}.factors[{j}]", f"unknown Pauli name {name!r}")
+        parsed.append((coefficient, [PAULI[_PAULI_NAMES[str(name).lower()]] for name in factors]))
+    return parsed
 
 
 @dataclass
@@ -299,8 +297,9 @@ def parse_config(source):
     for key in merged:
         _require(key in known, key, "unknown configuration key")
 
+    # Every check reads the config and the (|G|, d_s) it implies; the setup and H come last.
     group = _build_group(merged["group"])
-    setup = _build_setup(group, merged["rep"])
+    d_s, build_setup = _parse_rep(group, merged["rep"])
     orientations = merged["orientations"]
     _require(isinstance(orientations, dict) and set(orientations) == {"g_i", "g_j"},
              "orientations", 'expected {"g_i": [...], "g_j": [...]}')
@@ -326,7 +325,7 @@ def parse_config(source):
                     else Prescription.commuting_part())
 
     time_grid = _build_time_grid(merged["time_grid"])
-    hamiltonian = _build_hamiltonian(setup, merged.get("hamiltonian"))
+    terms = _pauli_terms(group.order, d_s, merged.get("hamiltonian"))
     params = merged.get("params", {})
     _require(isinstance(params, dict), "params", "expected an object")
     defaults = SCENARIOS[name].defaults.get("params", {})
@@ -343,6 +342,14 @@ def parse_config(source):
         if key in params:
             params[key] = _as_complex_vector(params[key], f"params.{key}")
             _require(params[key].size == count, f"params.{key}", message)
+    SCENARIOS[name].requires(name, group.order, d_s, params)
+
+    try:  # only a rep.matrices config can be refused here: regular and tensor-power reps are valid
+        setup = build_setup()
+    except ValueError as exc:
+        raise ConfigError("rep.matrices", str(exc))
+    hamiltonian = None if terms is None else sum(
+        (c * kron(*mats) for c, mats in terms), np.zeros((setup.d_perspective,) * 2, dtype=complex))
 
     return ScenarioConfig(
         scenario=name,
@@ -556,11 +563,6 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     return rows
 
 
-def _require_qubit_pair(cfg):
-    _require(cfg.setup.d_frame == 2 and cfg.setup.d_s == 2, "group",
-             f"scenario {cfg.scenario!r} needs one qubit frame pair and a qubit system")
-
-
 def _static_entropy_row(cfg, psi_or_rho):
     """A t = 0 row of system entropies for a state, or for a stack of states.
 
@@ -593,7 +595,6 @@ def _ising_coefficients(cfg, key):
 # ---------------------------------------------------------------- scenarios
 
 def _run_three_qubit_subalgebras(cfg):
-    _require_qubit_pair(cfg)
     setup = cfg.setup
     coefficients, scan_coefficients = (_ising_coefficients(cfg, key)
                                        for key in ("coefficients", "scan_coefficients"))
@@ -635,10 +636,8 @@ def _run_three_qubit_subalgebras(cfg):
 
 
 def _run_w_state(cfg):
-    n = _as_positive_int(cfg.params["n_qubits"], "params.n_qubits", minimum=3)
+    n = cfg.params["n_qubits"]
     setup = cfg.setup
-    _require(setup.d_frame == 2 and setup.d_s == 2 ** (n - 2), "params.n_qubits",
-             f"representation dimension {setup.d_s} does not match {n} qubits")
     psi = product_state(cfg.params["amplitudes"], w_state(n - 2))
     row, rho, rho_s = _static_entropy_row(cfg, psi)
     witness = pure_state_bilocal_witness(setup, psi, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
@@ -663,18 +662,15 @@ def _run_w_state(cfg):
 def _run_gb_states(cfg):
     setup = cfg.setup
     group = cfg.group
-    _require(setup.d_s == group.order ** 2, "rep",
-             "scenario needs the system to carry two regular factors")
     shift = _build_orientation(group, cfg.params["shift"], "params.shift")
     character = _build_orientation(group, cfg.params["character"], "params.character")
 
     basis = {(h, k): gb_state(group, h, k) for h in group.elements for k in group.elements}
     gram = np.array([[np.vdot(u, v) for v in basis.values()] for u in basis.values()])
     orthonormal_dev = float(np.abs(gram - np.eye(len(basis))).max())
-    eigen_dev = 0.0
-    for (_, k), v in basis.items():
-        phases = np.array([group.character(k, group.inverse(g)) for g in group.elements])
-        eigen_dev = max(eigen_dev, float(np.abs(setup.translations @ v - phases[:, None] * v).max()))
+    # U_S(g) v = chi_k(g^-1) v for the basis state v of character k.
+    phases = {k: np.array([[group.character(k, group.inverse(g))] for g in group.elements]) for k in group.elements}
+    eigen_dev = max(float(np.abs(setup.translations @ v - phases[k] * v).max()) for (_, k), v in basis.items())
 
     psi = product_state(cfg.params["frame_amplitudes"], gb_state(group, shift, character))
     row, rho, _ = _static_entropy_row(cfg, psi)
@@ -694,69 +690,37 @@ def _run_gb_states(cfg):
 
 
 def _run_ghz(cfg):
-    setup = cfg.setup
-    group = cfg.group
     variant = cfg.params["variant"]
-    _require(variant in ("separable", "global", "mixed-w"), "params.variant",
-             f"expected separable, global, or mixed-w, got {variant!r}")
-    _require(group.order == 2 and setup.d_s == 8, "rep",
-             "scenario needs a qubit group with a three-qubit system")
-    ghz_s = ghz_state(group, 3)
-    identity_x = BilocalUnitary(np.eye(2), np.eye(8))
-    flip_x = BilocalUnitary(np.eye(2), kron(SIGMA_X, SIGMA_X, SIGMA_X))
-
-    if variant == "separable":
-        psi = product_state(cfg.params["frame_amplitudes"], ghz_s)
-        row, rho, rho_s = _static_entropy_row(cfg, psi)
-        res = _member(cfg, rho, identity_x)
-        row["in_AX"] = res.is_member
-        summary = {
-            "variant": variant,
-            "identity_member": res.is_member,
-            "identity_residual": res.residual,
-            "s_state_preserved_dev": float(np.abs(rho_s["j"] - np.outer(ghz_s, ghz_s.conj())).max()),
-        }
-        return [row], summary
-
-    if variant == "global":
-        psi = ghz_state(group, 4)
-        row, rho, rho_s = _static_entropy_row(cfg, psi)
-        res = _member(cfg, rho, identity_x)
-        row["in_AX"] = res.is_member
-        witness = pure_state_bilocal_witness(setup, psi, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
-        even_mix = 0.5 * (np.outer(basis_state(8, 0), basis_state(8, 0))
-                          + np.outer(basis_state(8, 7), basis_state(8, 7)))
-        summary = {
-            "variant": variant,
-            "identity_member": res.is_member,
-            "witness_found": witness is not None,
-            "s_i_even_mixture_dev": float(np.abs(rho_s["i"] - even_mix).max()),
-            "s_j_ground_dev": float(np.abs(rho_s["j"] - np.outer(basis_state(8, 0),
-                                                                 basis_state(8, 0))).max()),
-        }
-        return [row], summary
-
-    p_w = cfg.params["p_w"]
-    _require(0.0 <= p_w <= 1.0, "params.p_w", "expected a probability")
-    psi_w = product_state(basis_state(2, 1), w_state(3))
+    ghz_s = ghz_state(cfg.group, 3)
     psi_g = product_state(cfg.params["frame_amplitudes"], ghz_s)
-    rho_mixed = (p_w * np.outer(psi_w, psi_w.conj())
-                 + (1.0 - p_w) * np.outer(psi_g, psi_g.conj()))
-    row, rho, rho_s = _static_entropy_row(cfg, rho_mixed)
-    res = _member(cfg, rho, flip_x)
+    if variant == "mixed-w":
+        p_w = cfg.params["p_w"]
+        _require(0.0 <= p_w <= 1.0, "params.p_w", "expected a probability")
+        psi_w = product_state(basis_state(2, 1), w_state(3))
+        state, x = p_w * _pure(psi_w) + (1.0 - p_w) * _pure(psi_g), _GHZ_LABELS[1]
+    else:
+        state, x = (ghz_state(cfg.group, 4) if variant == "global" else psi_g), _GHZ_LABELS[0]
+    row, rho, rho_s = _static_entropy_row(cfg, state)
+    res = _member(cfg, rho, x)
     row["in_AX"] = res.is_member
-    rho_s_i, rho_s_j = rho_s["i"], rho_s["j"]
-    sx3 = kron(SIGMA_X, SIGMA_X, SIGMA_X)
-    summary = {
-        "variant": variant,
-        "branch_overlap": float(abs(np.vdot(psi_w, psi_g))),
-        "flip_member": res.is_member,
-        "flip_residual": res.residual,
-        "conjugation_dev": float(np.abs(rho_s_j - sx3 @ rho_s_i @ sx3).max()),
-        "svn_gap": abs(von_neumann_entropy(rho_s_i) - von_neumann_entropy(rho_s_j)),
-        "renyi_half_gap": abs(renyi_entropy(rho_s_i, 0.5) - renyi_entropy(rho_s_j, 0.5)),
-        "renyi_two_gap": abs(renyi_entropy(rho_s_i, 2.0) - renyi_entropy(rho_s_j, 2.0)),
-    }
+    summary = {"variant": variant}
+    if variant == "separable":
+        summary.update(identity_member=res.is_member, identity_residual=res.residual,
+                       s_state_preserved_dev=float(np.abs(rho_s["j"] - _pure(ghz_s)).max()))
+    elif variant == "global":
+        witness = pure_state_bilocal_witness(cfg.setup, state, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
+        ground, top = _pure(basis_state(8, 0)), _pure(basis_state(8, 7))
+        summary.update(identity_member=res.is_member, witness_found=witness is not None,
+                       s_i_even_mixture_dev=float(np.abs(rho_s["i"] - 0.5 * (ground + top)).max()),
+                       s_j_ground_dev=float(np.abs(rho_s["j"] - ground).max()))
+    else:
+        s_i, s_j, flip = rho_s["i"], rho_s["j"], x.z
+        summary.update(
+            branch_overlap=float(abs(np.vdot(psi_w, psi_g))), flip_member=res.is_member,
+            flip_residual=res.residual, conjugation_dev=float(np.abs(s_j - flip @ s_i @ flip).max()),
+            svn_gap=abs(von_neumann_entropy(s_i) - von_neumann_entropy(s_j)),
+            renyi_half_gap=abs(renyi_entropy(s_i, 0.5) - renyi_entropy(s_j, 0.5)),
+            renyi_two_gap=abs(renyi_entropy(s_i, 2.0) - renyi_entropy(s_j, 2.0)))
     return [row], summary
 
 
@@ -894,7 +858,6 @@ def _entropy_balance_summary(cfg, h, rho0, rows):
 
 def _run_grid(cfg, entry):
     """Rows and summary of a time-grid scenario, from the parts of its table entry."""
-    _require_qubit_pair(cfg)
     h = entry.hamiltonian(cfg) if cfg.hamiltonian is None else cfg.hamiltonian
     rho0 = entry.initial_state(cfg)
     extras = entry.extras and functools.partial(entry.extras, cfg)
@@ -904,11 +867,32 @@ def _run_grid(cfg, entry):
 
 # ----------------------------------------------------------------- registry
 
+def _qubit_pair(name, order, d_s, params):
+    _require(order == 2 and d_s == 2, "group", f"scenario {name!r} needs one qubit frame pair and a qubit system")
+
+
+def _w_state_shape(name, order, d_s, params):
+    n = _as_positive_int(params["n_qubits"], "params.n_qubits", minimum=3)
+    # n - 2 <= d_s, which the budget bounds, keeps 2^(n - 2) small.
+    _require(order == 2 and n - 2 <= d_s and d_s == 2 ** (n - 2), "params.n_qubits",
+             f"representation dimension {d_s} does not match {n} qubits")
+
+
+def _ghz_shape(name, order, d_s, params):
+    variant = params["variant"]
+    _require(variant in ("separable", "global", "mixed-w"), "params.variant",
+             f"expected separable, global, or mixed-w, got {variant!r}")
+    _require(order == 2 and d_s == 8, "rep", "scenario needs a qubit group with a three-qubit system")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One catalog entry: its name, description and config defaults, then how it runs.
 
-    A static scenario sets run(cfg) -> (rows, summary).  _run_grid runs a
+    requires(name, order, d_s, params) refuses a config whose (|G|, d_s) the
+    scenario cannot run on; parse_config calls it before the setup exists,
+    and the default asks for a qubit frame pair and a qubit system.  A
+    static scenario sets run(cfg) -> (rows, summary).  _run_grid runs a
     time-grid scenario from the other parts: hamiltonian(cfg), the default H
     (a config "hamiltonian" replaces it); initial_state(cfg), rho0 in frame
     i's perspective; candidates, the labels X whose membership fills in_AX;
@@ -921,6 +905,7 @@ class Scenario:
     name: str
     description: str
     defaults: dict
+    requires: object = field(repr=False, default=_qubit_pair)
     run: object = field(repr=False, default=None)
     hamiltonian: object = field(repr=False, default=None)
     initial_state: object = field(repr=False, default=None)
@@ -944,6 +929,7 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _QUBIT_LABELS = (BilocalUnitary(ID2, ID2), BilocalUnitary(ID2, SIGMA_X))
 _PAULI_LABELS = tuple(BilocalUnitary(PAULI[a], PAULI[b]) for a in "IXYZ" for b in "IXYZ")
 _ENTROPY_BALANCE_LABELS = (BilocalUnitary(SIGMA_X, ID2), BilocalUnitary(SIGMA_X, SIGMA_X))
+_GHZ_LABELS = (BilocalUnitary(ID2, np.eye(8)), BilocalUnitary(ID2, kron(SIGMA_X, SIGMA_X, SIGMA_X)))
 _EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
 SCENARIOS = {scenario.name: scenario for scenario in (
@@ -962,6 +948,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         {"rep": {"tensor_power": 3},
          "time_grid": {"start": 0.0, "stop": 0.0, "points": 1},
          "params": {"n_qubits": 5, "amplitudes": [_SQRT_HALF, _SQRT_HALF]}},
+        requires=_w_state_shape,
         run=_run_w_state),
     Scenario(
         "gb-states",
@@ -972,6 +959,8 @@ SCENARIOS = {scenario.name: scenario for scenario in (
          "time_grid": {"start": 0.0, "stop": 0.0, "points": 1},
          "params": {"shift": [1], "character": [2],
                     "frame_amplitudes": [[0.3, 0.1], [-0.5, 0.0], [0.0, 0.8]]}},
+        requires=lambda name, order, d_s, params: _require(
+            d_s == order ** 2, "rep", "scenario needs the system to carry two regular factors"),
         run=_run_gb_states),
     Scenario(
         "ghz",
@@ -982,6 +971,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
          "params": {"variant": "separable",
                     "frame_amplitudes": [[0.28, -0.4], [0.87, 0.0]],
                     "p_w": 0.3}},
+        requires=_ghz_shape,
         run=_run_ghz),
     Scenario(
         "zz-oscillation",

@@ -57,8 +57,7 @@ def gb_state(group, h, k):
     k = group.check_element(k)
     order = group.order
     v = np.zeros(order ** 2, dtype=complex)
-    for g in group.elements:
-        v[group.index(g) * order + group.index(group.compose(g, h))] += group.character(k, g)
+    v[np.arange(order) * order + group._translate_indices(h)] += [group.character(k, g) for g in group.elements]
     return v / math.sqrt(order)
 
 

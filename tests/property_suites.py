@@ -280,12 +280,12 @@ def _dense_mean_field(split, rho_other, on):
     return partial_trace(split.h_int @ kron(np.eye(d_f), rho_other), (d_f, d_s), drop=1)
 
 
-def _dense_commutant_projection(h, op):
+def _dense_commutant_projection(h, op, gap):
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     out = np.zeros_like(np.asarray(op, dtype=complex))
-    for blk in degenerate_blocks(vals, COMMUTANT_GAP):
+    for blk in degenerate_blocks(vals, gap):
         p = vecs[:, blk] @ dagger(vecs[:, blk])
         out += p @ op @ p
     return out
@@ -320,10 +320,12 @@ def dense_energetics_oracle(split, rho_ibar, prescription, rho_dot=None):
         h_s_eff_dot = share(h_tilde_s_dot, mean_dot, prescription.alpha_s, d_s)
         h_f_eff_dot = share(h_tilde_f_dot, mean_dot, prescription.alpha_frame, d_f)
     else:
+        gap = COMMUTANT_GAP * np.linalg.norm(total)
+
         def share(h_bare, h_tilde):
             if h_tilde.ndim == 2:
-                return _dense_commutant_projection(h_bare, h_tilde)
-            return np.array([_dense_commutant_projection(h_bare, m) for m in h_tilde])
+                return _dense_commutant_projection(h_bare, h_tilde, gap)
+            return np.array([_dense_commutant_projection(h_bare, m, gap) for m in h_tilde])
         h_s_eff = split.h_s + share(split.h_s, h_tilde_s)
         h_f_eff = split.h_frame + share(split.h_frame, h_tilde_f)
         h_s_eff_dot = share(split.h_s, h_tilde_s_dot)

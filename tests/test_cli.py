@@ -99,9 +99,12 @@ def test_config_file_target(tmp_path, capsys):
     *((["run", "zz-oscillation", "--set", f'rep={{"matrices": {{"0": {entry}, "1": [[0, 1], [1, 0]]}}}}'],
        "rep.matrices.0: expected a non-empty list of equal-length rows")
       for entry in ("[[1, 0], [0]]", "5", "[1, 0]")),
-    # Characters i^g of Z4, wrong only at the non-generator element (2,).
-    (["run", "zz-oscillation", "--set", "group.cyclic=[4]", "--set",
-      'rep={"matrices": {"0": [[1]], "1": [[[0, 1]]], "2": [[1]], "3": [[[0, -1]]]}}'],
+    # Characters i^g of Z4 times the identity on the d_s = 16 that gb-states needs, wrong only
+    # at the non-generator element (2,).
+    (["run", "gb-states", "--set", "group.cyclic=[4]", "--set", "params.frame_amplitudes=[1, 0, 0, 0]",
+      "--set", "rep=" + json.dumps({"matrices": {str(g): [[phase if r == c else 0 for c in range(16)]
+                                                          for r in range(16)]
+                                                 for g, phase in enumerate([1, [0, 1], 1, [0, -1]])}})],
      "rep.matrices: representation is not a homomorphism"),
     # "1" and "01" name one element; the later matrix Z used to replace X, and the run exited 0.
     (["run", "zz-oscillation", "--set",
@@ -184,6 +187,34 @@ def test_oversize_setups_exit_two_before_any_is_built(overrides, key, monkeypatc
         argv += ["--set", assignment]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: perspective dimension ")
+
+
+_QUBIT_PAIR = "needs one qubit frame pair and a qubit system"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["three-qubit-subalgebras", "--set", "group.cyclic=[3]"],
+                 f"group: scenario 'three-qubit-subalgebras' {_QUBIT_PAIR}", id="three-qubit-subalgebras-z3"),
+    pytest.param(["zz-oscillation", "--set", "group.cyclic=[3]"],
+                 f"group: scenario 'zz-oscillation' {_QUBIT_PAIR}", id="zz-oscillation-z3"),
+    pytest.param(["w-state", "--set", "params.n_qubits=4"],
+                 "params.n_qubits: representation dimension 8 does not match 4 qubits", id="w-state-4-qubits"),
+    pytest.param(["gb-states", "--set", "rep.tensor_power=1"],
+                 "rep: scenario needs the system to carry two regular factors", id="gb-states-power-1"),
+    pytest.param(["ghz", "--set", "rep.tensor_power=2"],
+                 "rep: scenario needs a qubit group with a three-qubit system", id="ghz-power-2"),
+    # Z1024 with the trivial 1 x 1 rep: within the size budget, but no qubit frame pair.
+    pytest.param(["zz-oscillation", "--set", "group.cyclic=[1024]", "--set",
+                  "rep=" + json.dumps({"matrices": {str(k): [[1]] for k in range(1024)}})],
+                 f"group: scenario 'zz-oscillation' {_QUBIT_PAIR}", id="zz-oscillation-z1024-matrices"),
+])
+def test_wrong_shapes_exit_two_before_any_setup_is_built(argv, message, monkeypatch, capsys):
+    """Each scenario's requirement on (|G|, d_s) is read from the config alone."""
+    monkeypatch.setattr(qrf_lab.FrameSetup, "__init__", _refuse_to_build)
+    monkeypatch.setattr(qrf_lab.FrameSetup, "from_rep_config", _refuse_to_build)
+    for fmt in ("csv", "json"):
+        assert main(["run"] + argv + ["--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 def test_oversize_time_grid_exits_two_before_it_is_built(monkeypatch, capsys):

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from qrf_lab import FrameSetup, Z2, Z3
 from qrf_lab.dynamics import (
+    COMMUTANT_GAP,
     STACK_BYTES,
     GridEvolution,
     HamiltonianSplit,
@@ -25,6 +26,7 @@ from qrf_lab.operators import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
+    NumericalRankError,
     dagger,
     hs_norm,
     kron,
@@ -162,6 +164,26 @@ def test_dynamical_type_classifier_does_not_depend_on_the_energy_scale():
         h = s * base
         split = split_hamiltonian((h + dagger(h)) / 2, 3, 3)
         assert dynamical_type_classifier(setup, split) == "interacting", s
+
+
+@pytest.mark.parametrize("factor, count", [(0.5, 1), (5.0, None), (20.0, 2)])
+def test_eigenspace_gaps_in_the_guard_band_raise(factor, count):
+    """h_S = diag(0, delta) beside Z (x) 1: a gap delta up to COMMUTANT_GAP ||H|| merges, one above
+    ten times that splits, and one in between raises NumericalRankError."""
+    delta = factor * COMMUTANT_GAP * hs_norm(kron(SIGMA_Z, ID2))
+    split = split_hamiltonian(kron(SIGMA_Z, ID2) + kron(ID2, np.diag([0.0, delta])), 2, 2)
+    if count is None:
+        with pytest.raises(NumericalRankError, match="inside the guard band"):
+            split.eigenspace_projectors
+    else:
+        assert len(split.eigenspace_projectors["s"]) == count
+        assert len(split.eigenspace_projectors["frame"]) == 2
+
+
+def test_zero_hamiltonian_has_one_eigenspace_per_factor():
+    projectors = split_hamiltonian(np.zeros((4, 4)), 2, 2).eigenspace_projectors
+    for key in ("s", "frame"):
+        assert len(projectors[key]) == 1 and np.allclose(projectors[key][0], np.eye(2), atol=1e-12)
 
 
 def test_effectively_isolated_chain():

@@ -1,9 +1,11 @@
 """Tests for the perspective change, checked against the kinematical construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qrf_lab import FrameSetup, Z2, Z2xZ2, Z3, Z4
+from qrf_lab import FiniteAbelianGroup, FrameSetup, Z2, Z2xZ2, Z3, Z4
 from qrf_lab.frames import parity_swap
 from qrf_lab.operators import (
     ID2,
@@ -74,6 +76,24 @@ def test_setup_rejects_a_rep_wrong_away_from_the_generators(group, rep):
     are unitary and send the identity to 1, and each fails some step."""
     with pytest.raises(ValueError, match="not a homomorphism at pair"):
         FrameSetup(group, rep)
+
+
+def test_a_setup_over_z2048_builds_no_group_table():
+    """Validation and the perspective change read each element's translates as one index array,
+    so a 1 x 1 rep over Z2048 (d_p = 2048, inside the budget) peaks far below the 32 MiB that a
+    |G| x |G| index table takes."""
+    group = FiniteAbelianGroup((2048,))
+    rep = {g: [[np.exp(2j * np.pi * g[0] / 2048)]] for g in group.elements}
+    tracemalloc.start()
+    try:
+        change = FrameSetup(group, rep).perspective_change((5,), (2047,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    # Row a = 5 + g holds U_S(g) in column 2047 - g.
+    assert np.array_equal(change.perm, (2052 - np.arange(2048)) % 2048)
+    assert np.allclose(change.blocks[:, 0, 0], np.exp(2j * np.pi * (np.arange(2048) - 5) / 2048), atol=1e-12)
 
 
 def test_pi_phys_is_a_projector():

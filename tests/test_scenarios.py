@@ -31,9 +31,10 @@ FLIP = [[0.0, 1.0], [1.0, 0.0]]
 
 def test_the_size_budget_admits_d_p_2048_and_refuses_the_next_power(monkeypatch):
     """Z2 with tensor_power 10 has d_p = 2048, 64 MiB per complex matrix: the largest admitted,
-    far above the d_p = 125 of Z5 with tensor_power 2, the largest the tests and README use."""
+    far above the d_p = 125 of Z5 with tensor_power 2, the largest the tests and README use.
+    Twelve qubits give the w-state the d_s = 1024 that this rep carries."""
     monkeypatch.setattr(frames.FrameSetup, "from_rep_config", lambda group, rep: ("built", rep))
-    base = {"scenario": "w-state", "group": {"cyclic": [2]}}
+    base = {"scenario": "w-state", "group": {"cyclic": [2]}, "params": {"n_qubits": 12}}
     assert parse_config(dict(base, rep={"tensor_power": 10})).setup == ("built", {"tensor_power": 10})
     with pytest.raises(ConfigError, match="perspective dimension 4096 needs 268435456 bytes"):
         parse_config(dict(base, rep={"tensor_power": 11}))
@@ -95,8 +96,10 @@ def test_config_accepts_json_text_and_files(tmp_path):
 
 
 def test_group_config_round_trip():
-    cfg = parse_config({"scenario": "zz-oscillation", "group": {"cyclic": [2, 3]},
-                        "orientations": {"g_i": [1, 2], "g_j": [0, 0]}})
+    # gb-states runs on any group; its system carries two regular factors.
+    cfg = parse_config({"scenario": "gb-states", "group": {"cyclic": [2, 3]},
+                        "orientations": {"g_i": [1, 2], "g_j": [0, 0]},
+                        "params": {"frame_amplitudes": [1, 0, 0, 0, 0, 0]}})
     assert cfg.group.order == 6
     assert cfg.group.factors == (2, 3)
     assert cfg.g_i == (1, 2)

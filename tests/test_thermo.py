@@ -347,6 +347,28 @@ def test_rates_match_does_not_depend_on_the_energy_scale(case):
         assert report.rates_match, (s, report.rates_max_gap)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e8, 1e10])
+def test_commuting_part_eigenspaces_do_not_depend_on_the_energy_scale(scale):
+    """h_S with the spectrum (1, 1, -1, -1) in a Haar-random basis keeps its two eigenspaces at
+    every scale s of H, and the commuting_part rates grow as s^2."""
+    rng = np.random.default_rng(7)
+    v = haar_unitary(rng, 4)
+    h_s = v @ np.diag([1.0, 1.0, -1.0, -1.0]) @ dagger(v)
+    h = (kron(random_hermitian(rng, 2), np.eye(4)) + kron(ID2, h_s)
+         + dynamics.split_hamiltonian(random_hermitian(rng, 8), 2, 4).h_int)
+    rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = rho @ dagger(rho)
+    rho /= np.trace(rho).real
+
+    def rates(s):
+        split = dynamics.split_hamiltonian(s * h, 2, 4)
+        assert len(split.eigenspace_projectors["s"]) == 2
+        return energetics(split, rho, Prescription.commuting_part()).rates_vector() / s ** 2
+
+    reference = rates(1.0)
+    assert np.abs(rates(scale) - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
 def _per_time_rates(setup, split, rho0, g_i, g_j, prescription, times, x):
     """Rate gaps and membership by the per-time formula: the full rho_dot, conjugated, and
     three energetics calls at every time."""
