@@ -40,12 +40,14 @@ COMMUTANT_GAP = 1e-8
 
 @dataclass(frozen=True)
 class HamiltonianSplit:
-    """Perspective Hamiltonian as h_frame (x) 1 + 1 (x) h_s + h_int.
+    """Perspective Hamiltonian as h_frame (x) 1 + 1 (x) h_s + h_int, or a stack of them.
 
     The split is frozen and keeps read-only complex copies of its pieces,
     so what it derives from them is built once, on first use, and kept on
     the split: the total, the two mean-field maps, the two product-trace
-    maps of h_int, and the eigenspace projectors of the local pieces.
+    maps of h_int, and the eigenspace projectors of the local pieces.  A
+    stacked split's pieces broadcast against states with the same leading
+    axes, and its maps take one GEMM per member: (2, 1) meets (2, k).
     """
 
     h_frame: np.ndarray
@@ -58,11 +60,11 @@ class HamiltonianSplit:
 
     @property
     def d_frame(self):
-        return self.h_frame.shape[0]
+        return self.h_frame.shape[-1]
 
     @property
     def d_s(self):
-        return self.h_s.shape[0]
+        return self.h_s.shape[-1]
 
     @cached_property
     def total(self):
@@ -79,10 +81,11 @@ class HamiltonianSplit:
         columns (f, g); both hold T[f, s, g, t].
         """
         d_f, d_s = self.d_frame, self.d_s
-        t = self.h_int.reshape(d_f, d_s, d_f, d_s)
+        lead = self.h_int.shape[:-2]
+        t = self.h_int.reshape(-1, d_f, d_s, d_f, d_s)  # one leading axis, whatever the split's
         return {
-            "s": read_only(t.transpose(2, 0, 1, 3).reshape(d_f * d_f, d_s * d_s)),
-            "frame": read_only(t.transpose(3, 1, 0, 2).reshape(d_s * d_s, d_f * d_f)),
+            "s": read_only(t.transpose(0, 3, 1, 2, 4).reshape(lead + (d_f * d_f, d_s * d_s))),
+            "frame": read_only(t.transpose(0, 4, 2, 1, 3).reshape(lead + (d_s * d_s, d_f * d_f))),
         }
 
     @cached_property
@@ -92,23 +95,25 @@ class HamiltonianSplit:
 
     @cached_property
     def eigenspace_projectors(self):
-        """Eigenspace projectors of h_s and of h_frame, keyed "s" and "frame", at the gap COMMUTANT_GAP ||H||."""
-        gap = COMMUTANT_GAP * hs_norm(self.total)
-        return {"s": read_only(eigenspace_projectors(self.h_s, gap)),
-                "frame": read_only(eigenspace_projectors(self.h_frame, gap))}
+        """Eigenspace projectors of h_s and of h_frame, keyed "s" and "frame", at the gap COMMUTANT_GAP ||H||;
+        a stacked split holds a tuple of one stack per member, as their counts can differ."""
+        members = zip(*(a.reshape((-1,) + a.shape[-2:]) for a in (self.total, self.h_s, self.h_frame)))
+        found = [{key: read_only(eigenspace_projectors(piece, COMMUTANT_GAP * hs_norm(total)))
+                  for key, piece in (("s", h_s), ("frame", h_frame))} for total, h_s, h_frame in members]
+        return found[0] if self.h_s.ndim == 2 else {key: tuple(f[key] for f in found) for key in found[0]}
 
 
 def split_hamiltonian(hamiltonian, d_frame, d_s):
-    """Unique split with both partial traces of h_int vanishing.
+    """Unique split with both partial traces of h_int vanishing, of one Hamiltonian or of each in a stack.
 
     The identity component of the total is shared evenly between the two
     local pieces.
     """
     hamiltonian = assert_hermitian(np.asarray(hamiltonian, dtype=complex), what="Hamiltonian")
     dims = (d_frame, d_s)
-    c = float(np.trace(hamiltonian).real) / (d_frame * d_s)
-    h_frame = partial_trace(hamiltonian, dims, drop=1) / d_s - (c / 2) * np.eye(d_frame)
-    h_s = partial_trace(hamiltonian, dims, drop=0) / d_frame - (c / 2) * np.eye(d_s)
+    half = (np.trace(hamiltonian, axis1=-2, axis2=-1).real / (d_frame * d_s) / 2)[..., None, None]
+    h_frame = partial_trace(hamiltonian, dims, drop=1) / d_s - half * np.eye(d_frame)
+    h_s = partial_trace(hamiltonian, dims, drop=0) / d_frame - half * np.eye(d_s)
     h_int = hamiltonian - kron(h_frame, np.eye(d_s)) - kron(np.eye(d_frame), h_s)
     return HamiltonianSplit(h_frame=h_frame, h_s=h_s, h_int=h_int)
 
@@ -248,9 +253,9 @@ def mean_field_hamiltonian(split, rho_other, on="s"):
         raise ValueError('on must be "s" or "frame"')
     d = split.d_s if on == "s" else split.d_frame
     rho_other = np.asarray(rho_other, dtype=complex)
-    lead = rho_other.shape[:-2]
-    flat = rho_other.reshape(lead + (-1,)) @ split.mean_field_maps[on]
-    return flat.reshape(lead + (d, d))
+    mean_field_map = split.mean_field_maps[on]
+    flat = rho_other.reshape(mean_field_map.shape[:-2] + (-1, mean_field_map.shape[-2])) @ mean_field_map
+    return flat.reshape(rho_other.shape[:-2] + (d, d))
 
 
 def subsystem_eom_terms(setup, split, rho_ibar):

@@ -63,12 +63,13 @@ def kron(*mats):
 
 
 def assert_hermitian(mat, what="operator"):
-    """Return mat if max|A - A'| <= HERMITICITY_TOL max|A|, else raise ValueError."""
+    """Return mat if max|A - A'| <= HERMITICITY_TOL max|A|, for each matrix of a stack, else raise ValueError."""
     mat = np.asarray(mat)
-    defect = np.abs(mat - dagger(mat)).max()
-    scale = np.abs(mat).max()
-    if defect > HERMITICITY_TOL * scale:
-        raise ValueError(f"{what} is not Hermitian: max|A - A'| = {defect:.3e}, max|A| = {scale:.3e}")
+    for a in mat.reshape((-1,) + mat.shape[-2:]):
+        defect = np.abs(a - dagger(a)).max()
+        scale = np.abs(a).max()
+        if defect > HERMITICITY_TOL * scale:
+            raise ValueError(f"{what} is not Hermitian: max|A - A'| = {defect:.3e}, max|A| = {scale:.3e}")
     return mat
 
 
@@ -109,7 +110,7 @@ def partial_trace(mat, dims, drop):
 
 
 def product_trace_maps(h, dims):
-    """The two reorderings of h (d x d on d_f x d_s factors) that product_partial_traces reads.
+    """The two reorderings of h (d x d on d_f x d_s factors, or a stack) that product_partial_traces reads.
 
     The frame map has rows (s, c) and columns f and holds conj(h[(f, s), c]);
     the system map has rows s and columns (c, f) and holds h[(f, s), c].
@@ -117,8 +118,9 @@ def product_trace_maps(h, dims):
     d_f, d_s = dims
     d = d_f * d_s
     h = np.asarray(h, dtype=complex)
-    return (np.ascontiguousarray(h.reshape(d_f, d_s * d).conj().T),
-            h.reshape(d_f, d_s, d).transpose(1, 2, 0).reshape(d_s, d * d_f))
+    lead = h.shape[:-2]
+    return (np.ascontiguousarray(h.reshape(lead + (d_f, d_s * d)).conj().swapaxes(-1, -2)),
+            h.reshape(-1, d_f, d_s, d).transpose(0, 2, 3, 1).reshape(lead + (d_s, d * d_f)))
 
 
 def product_partial_traces(maps, rho):
@@ -130,23 +132,23 @@ def product_partial_traces(maps, rho):
     contracts rho's rows (g, s) against h's rows (f, s), which gives
     Tr_s(h rho)' because rho = rho'; a non-Hermitian rho gets a wrong frame
     side.  The system side reads rho's rows as they are and needs no such
-    contract.
+    contract.  The maps of a stack of h pair up with rho's leading axes.
     """
     frame_map, s_map = maps
-    d_f, d_s = frame_map.shape[1], s_map.shape[0]
+    d_f, d_s = frame_map.shape[-1], s_map.shape[-2]
     d = d_f * d_s
     rho = np.asarray(rho, dtype=complex)
     lead = rho.shape[:-2]
-    # Row (n, g) of the stack seen as (n d_f, d_s d) holds rho_n[(g, s), c] at column (s, c).
-    on_frame_dagger = (rho.reshape(-1, d_s * d) @ frame_map).reshape(lead + (d_f, d_f))
+    # Row (n, g) of a map's stack seen as (n d_f, d_s d) holds rho_n[(g, s), c] at column (s, c).
+    on_frame_dagger = (rho.reshape(frame_map.shape[:-2] + (-1, d_s * d)) @ frame_map).reshape(lead + (d_f, d_f))
     # rho_n seen as (d d_f, d_s) holds rho_n[c, (f, t)] at row (c, f) and column t.
     return dagger(on_frame_dagger), s_map @ rho.reshape(lead + (d * d_f, d_s))
 
 
 def stack_times(stack, mat):
-    """stack @ mat for a stack (..., m, n) and one (n, p) matrix, as one GEMM over the stack's rows."""
+    """stack @ mat for a stack (..., m, n), one GEMM over its rows per (n, p) matrix; mat may be a stack too."""
     stack = np.asarray(stack)
-    return (stack.reshape(-1, stack.shape[-1]) @ mat).reshape(stack.shape[:-1] + mat.shape[-1:])
+    return (stack.reshape(mat.shape[:-2] + (-1, stack.shape[-1])) @ mat).reshape(stack.shape[:-1] + mat.shape[-1:])
 
 
 def trace_product(a, b):
@@ -269,22 +271,6 @@ def eigenspace_projectors(h, gap):
         raise NumericalRankError(
             f"eigenvalues at distance {ambiguous.min():.3e} are inside the guard band {10 * gap:.3e}")
     return np.array([vecs[:, blk] @ dagger(vecs[:, blk]) for blk in degenerate_blocks(vals, gap)])
-
-
-def random_hermitian(rng, d, scale=1.0):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (g + dagger(g)) / 2
-
-
-def haar_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def haar_state(rng, d):
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -481,7 +481,8 @@ def _pauli_label(mat):
 
     The strings P are orthonormal under Tr(P M) / d, so only the one with the
     largest coefficient, at the nearest of the four phases, can match; it is
-    confirmed with np.allclose(mat, phase * P, atol=1e-12).
+    confirmed with np.allclose(mat, phase * P, atol=1e-12)'s bound, written
+    out: |M - phase P| <= 1e-12 + 1e-5 |phase P| entrywise.
     """
     d = mat.shape[0]
     n = d.bit_length() - 1
@@ -492,91 +493,82 @@ def _pauli_label(mat):
     coefficients = stack.reshape(len(names), d * d).conj() @ np.ravel(mat) / d
     k = int(np.abs(coefficients).argmax())
     phase, prefix = max(_PHASE_LABELS, key=lambda label: (np.conj(label[0]) * coefficients[k]).real)
-    return prefix + names[k] if np.allclose(mat, phase * stack[k], atol=1e-12) else "?"
+    target = phase * stack[k]
+    return prefix + names[k] if (np.abs(mat - target) <= 1e-12 + 1e-5 * np.abs(target)).all() else "?"
 
 
 def _bilocal_label(x):
     return f"{_pauli_label(x.y)}(x){_pauli_label(x.z)}"
 
 
-# Column stem -> ThermoReport field of each perspective's energetics columns.
+# Column stem -> ThermoReport field, in COLUMNS order; each stem has an _i and a _j column.
 _ENERGETICS_COLUMNS = {"E_s": "e_s", "E_frame": "e_frame", "E_int": "e_int",
                        "qdot_s": "qdot_conv_s", "wdot_s": "wdot_conv_s", "estar_s": "e_star_s"}
 
 
 def _member(cfg, rho, x):
-    """membership_test of rho["i"] against x, reusing its frame-j image rho["j"]."""
-    return membership_test(cfg.setup, rho["i"], x, cfg.g_i, cfg.g_j, tol=cfg.tolerance,
-                           transformed=rho["j"])
+    """membership_test of rho[0], frame i's state or stack, against x, reusing its frame-j image rho[1]."""
+    return membership_test(cfg.setup, rho[0], x, cfg.g_i, cfg.g_j, tol=cfg.tolerance, transformed=rho[1])
 
 
 def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     """Rows for a unitary trajectory, reported in both perspectives.
 
-    The grid is read through thermo.trajectory_runs, one run of blocks at a
-    time: per block, the candidates' membership verdicts; per run, energetics
-    and entropies from both perspectives' StateMarginals.  S(rho(t)) is
-    S(rho0) at every time and in both perspectives, taken once when some
-    perspective's rho0 is a product.  in_AX is the candidates' verdicts
-    or-ed together.  extras(times, marginals, members) gets the run's
-    StateMarginals keyed "i" and "j" and the candidates' verdicts, and
-    returns extra columns, one value per time.
+    The split of H and the InitialProduct of rho0 hold both perspectives,
+    frame i first, with the leading axes (2, 1) that meet a run's (2, k)
+    stacks.  The grid is read through thermo.trajectory_runs, one run of
+    blocks at a time: per block, the candidates' membership verdicts; per
+    run, energetics, entropies and entropy balances of both perspectives in
+    one call each.  S(rho(t)) is S(rho0) at every time and in both
+    perspectives, taken once; a perspective whose rho0 is no product keeps
+    its sigma and phi cells empty.  in_AX is the candidates' verdicts or-ed
+    together.  extras(times, marginals, members) gets the run's
+    StateMarginals and the candidates' verdicts, and returns extra columns,
+    one value per time.  Each row is one dict over the run's column lists.
     """
     setup = cfg.setup
-    dims = (setup.d_frame, setup.d_s)
     change = setup.perspective_change(cfg.g_i, cfg.g_j)
-    split = {"i": split_hamiltonian(h_ibar, *dims),
-             "j": split_hamiltonian(change.conjugate(h_ibar), *dims)}
-    rho0_i = np.asarray(rho0_ibar, dtype=complex)
-    initial = {suffix: initial_product(setup, rho0, cfg.tolerance)
-               for suffix, rho0 in (("i", rho0_i), ("j", change.conjugate(rho0_i)))}
-    s_t = von_neumann_entropy(rho0_i) if any(p.is_product for p in initial.values()) else None
+    h_ibar, rho0_i = np.asarray(h_ibar, dtype=complex), np.asarray(rho0_ibar, dtype=complex)
+    split = split_hamiltonian(np.stack([h_ibar, change.conjugate(h_ibar)])[:, None], setup.d_frame, setup.d_s)
+    initial = initial_product(setup, np.stack([rho0_i, change.conjugate(rho0_i)])[:, None], cfg.tolerance)
+    products, s_t = np.ravel(initial.is_product), von_neumann_entropy(rho0_i)
 
     def read(rho):
-        return {n: _member(cfg, rho, x).is_member for n, x in enumerate(candidates)}
+        return [_member(cfg, rho, x).is_member for x in candidates]
 
     rows = []
-    for times, marginals, verdicts in trajectory_runs(GridEvolution(h_ibar), change, split, rho0_i,
-                                                      cfg.time_grid, read):
-        columns = {}
-        for suffix, m in marginals.items():
-            report = marginal_energetics(split[suffix], cfg.prescription, m)
-            columns.update((f"{stem}_{suffix}", getattr(report, name))
-                           for stem, name in _ENERGETICS_COLUMNS.items())
-            columns[f"SvN_s_{suffix}"] = s_s = von_neumann_entropy(m.rho_s)
-            if initial[suffix].is_product:
-                balance = entropy_balance(initial[suffix], s_t, m.rho_frame, s_s)
-                columns[f"sigma_{suffix}"] = balance.sigma
-                columns[f"phi_{suffix}"] = balance.phi
-        members = list(verdicts.values())
-        if members:
-            columns["in_AX"] = np.logical_or.reduce(members)
-        if extras is not None:
-            columns.update(extras(times, marginals, members))
+    for times, marginals, members in trajectory_runs(GridEvolution(h_ibar), change, split, rho0_i,
+                                                     cfg.time_grid, read):
+        report = marginal_energetics(split, cfg.prescription, marginals)
+        s_s = von_neumann_entropy(marginals.rho_s)
+        balance = entropy_balance(initial, s_t, marginals.rho_frame, s_s)
+        blank = [None] * len(times)
+        pairs = [getattr(report, name) for name in _ENERGETICS_COLUMNS.values()] + [s_s] + [
+            [values if product else blank for values, product in zip(pair, products)]
+            for pair in (balance.sigma, balance.phi)]
+        extra = extras(times, marginals, members) if extras else {}
+        in_ax = np.logical_or.reduce(members) if members else blank
+        keys, columns = COLUMNS + tuple(extra), [times, *itertools.chain(*pairs), in_ax, *extra.values()]
         # Per-time arrays become plain floats and bools; matrices stay arrays.
         per_time = zip(*[values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1
-                         else values for values in columns.values()])
-        for t, values in zip(times, per_time):
-            row = _blank_row(t)
-            row.update(zip(columns, values))
-            rows.append(row)
+                         else values for values in columns])
+        rows += [dict(zip(keys, values)) for values in per_time]
     return rows
 
 
 def _static_entropy_row(cfg, psi_or_rho):
     """A t = 0 row of system entropies for a state, or for a stack of states.
 
-    Also returns the states and system marginals in both perspectives, keyed
-    by "i" and "j" as in _dynamic_rows.
+    Also returns the states and system marginals of both perspectives, each
+    as one stack with frame i first, as in _dynamic_rows.
     """
     setup = cfg.setup
     mat = np.asarray(psi_or_rho, dtype=complex)
     rho_i = np.outer(mat, mat.conj()) if mat.ndim == 1 else mat
-    rho = {"i": rho_i, "j": setup.perspective_change(cfg.g_i, cfg.g_j).conjugate(rho_i)}
-    rho_s = {suffix: partial_trace(rho_t, (setup.d_frame, setup.d_s), drop=0)
-             for suffix, rho_t in rho.items()}
+    rho = np.stack([rho_i, setup.perspective_change(cfg.g_i, cfg.g_j).conjugate(rho_i)])
+    rho_s = partial_trace(rho, (setup.d_frame, setup.d_s), drop=0)
     row = _blank_row(0.0)
-    row.update(SvN_s_i=von_neumann_entropy(rho_s["i"]), SvN_s_j=von_neumann_entropy(rho_s["j"]))
+    row["SvN_s_i"], row["SvN_s_j"] = von_neumann_entropy(rho_s).tolist()
     return row, rho, rho_s
 
 
@@ -647,8 +639,8 @@ def _run_w_state(cfg):
     summary = {
         "svn_s_i": row["SvN_s_i"],
         "svn_s_j": row["SvN_s_j"],
-        "renyi_half_s_j": renyi_entropy(rho_s["j"], 0.5),
-        "renyi_two_s_j": renyi_entropy(rho_s["j"], 2.0),
+        "renyi_half_s_j": renyi_entropy(rho_s[1], 0.5),
+        "renyi_two_s_j": renyi_entropy(rho_s[1], 2.0),
         "witness_found": witness is not None,
         "identity_member": _member(cfg, rho, identity_x).is_member,
         "flip_member": _member(cfg, rho, flip_x).is_member,
@@ -706,15 +698,15 @@ def _run_ghz(cfg):
     summary = {"variant": variant}
     if variant == "separable":
         summary.update(identity_member=res.is_member, identity_residual=res.residual,
-                       s_state_preserved_dev=float(np.abs(rho_s["j"] - _pure(ghz_s)).max()))
+                       s_state_preserved_dev=float(np.abs(rho_s[1] - _pure(ghz_s)).max()))
     elif variant == "global":
         witness = pure_state_bilocal_witness(cfg.setup, state, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
         ground, top = _pure(basis_state(8, 0)), _pure(basis_state(8, 7))
         summary.update(identity_member=res.is_member, witness_found=witness is not None,
-                       s_i_even_mixture_dev=float(np.abs(rho_s["i"] - 0.5 * (ground + top)).max()),
-                       s_j_ground_dev=float(np.abs(rho_s["j"] - ground).max()))
+                       s_i_even_mixture_dev=float(np.abs(rho_s[0] - 0.5 * (ground + top)).max()),
+                       s_j_ground_dev=float(np.abs(rho_s[1] - ground).max()))
     else:
-        s_i, s_j, flip = rho_s["i"], rho_s["j"], x.z
+        (s_i, s_j), flip = rho_s, x.z
         summary.update(
             branch_overlap=float(abs(np.vdot(psi_w, psi_g))), flip_member=res.is_member,
             flip_residual=res.residual, conjugation_dev=float(np.abs(s_j - flip @ s_i @ flip).max()),
@@ -776,8 +768,8 @@ def _relative_equilibrium_deviations(cfg, times, marginals, members):
     thermal, inverted = gibbs_state(SIGMA_Z, beta), gibbs_state(SIGMA_Z, -beta)
     targets = np.array([math.cos(a * t) ** 2 * thermal + math.sin(a * t) ** 2 * inverted
                         for t in times])
-    return {"mixture_formula_dev": _max_dev(marginals["j"].rho_s, targets),
-            "stationary_thermal_dev": _max_dev(marginals["i"].rho_s, thermal)}
+    return {"mixture_formula_dev": _max_dev(marginals.rho_s[1], targets),
+            "stationary_thermal_dev": _max_dev(marginals.rho_s[0], thermal)}
 
 
 def _negative_temperature_summary(cfg, h, rho0, rows):
@@ -788,12 +780,12 @@ def _negative_temperature_summary(cfg, h, rho0, rows):
         "mu": mu,
         "stationarity_dev": float(np.linalg.norm(h @ rho0 - rho0 @ h)),
         "q_a": report.q_a,
-        "prediction_dev": float(np.abs(rho_s0["j"] - report.predicted).max()),
+        "prediction_dev": float(np.abs(rho_s0[1] - report.predicted).max()),
         "negative_beta_gibbs_dev": float(
-            np.abs(rho_s0["j"] - gibbs_state(mu * SIGMA_Z, -beta / mu)).max()) if mu != 0 else None,
+            np.abs(rho_s0[1] - gibbs_state(mu * SIGMA_Z, -beta / mu)).max()) if mu != 0 else None,
     }
     if mu == 1.0:
-        summary["conjugation_dev"] = float(np.abs(rho_s0["j"] - SIGMA_X @ rho_s0["i"] @ SIGMA_X).max())
+        summary["conjugation_dev"] = float(np.abs(rho_s0[1] - SIGMA_X @ rho_s0[0] @ SIGMA_X).max())
         summary["entropy_gap"] = abs(row0["SvN_s_i"] - row0["SvN_s_j"])
     return summary
 
@@ -809,8 +801,7 @@ def _isolated_vs_closed_state(cfg):
 
 
 def _marginal_deviation(cfg, times, marginals, members):
-    frame_j = marginals["j"]
-    return {"marginal_dev": np.maximum(_max_dev(frame_j.rho_s, ID2 / 2), _max_dev(frame_j.rho_frame, ID2 / 2))}
+    return {"marginal_dev": np.maximum(*(_max_dev(m[1], ID2 / 2) for m in (marginals.rho_s, marginals.rho_frame)))}
 
 
 def _isolated_vs_closed_summary(cfg, h, rho0, rows):
@@ -841,7 +832,7 @@ def _entropy_balance_summary(cfg, h, rho0, rows):
     entropies, rho, _ = _static_entropy_row(cfg, GridEvolution(h).states(rho0, probes))
 
     def member_at(k, x):
-        return _member(cfg, {suffix: rho_t[k] for suffix, rho_t in rho.items()}, x).is_member
+        return _member(cfg, rho[:, k], x).is_member
 
     x0, x1 = _ENTROPY_BALANCE_LABELS
     special = {
@@ -897,7 +888,8 @@ class Scenario:
     (a config "hamiltonian" replaces it); initial_state(cfg), rho0 in frame
     i's perspective; candidates, the labels X whose membership fills in_AX;
     extras(cfg, times, marginals, members), per-time columns from a run's
-    StateMarginals, keyed "i" and "j", and the candidates' verdicts;
+    StateMarginals, both perspectives in one stack with frame i first, and
+    the candidates' verdicts;
     summary(cfg, h, rho0, rows); and extra_fields, the extras JSON renders
     after the shared columns.
     """
@@ -994,7 +986,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         initial_state=lambda cfg: _pure(product_state(basis_state(2, 1), cfg.params["amplitudes"])),
         candidates=_QUBIT_LABELS[1:],
         extras=lambda cfg, times, marginals, members: {"conjugation_dev": _max_dev(
-            marginals["j"].rho_s, SIGMA_X @ marginals["i"].rho_s @ SIGMA_X)},
+            marginals.rho_s[1], SIGMA_X @ marginals.rho_s[0] @ SIGMA_X)},
         summary=_effectively_isolated_summary),
     Scenario(
         "relative-equilibrium",
@@ -1018,8 +1010,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         hamiltonian=lambda cfg: (cfg.params["nu"] * kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z)
                                  + cfg.params["mu"] * kron(SIGMA_Z, SIGMA_Z)),
         initial_state=lambda cfg: kron(_EXCITED, gibbs_state(SIGMA_Z, cfg.params["beta"])),
-        extras=lambda cfg, times, marginals, members: {"rho_S_R1": marginals["i"].rho_s,
-                                                       "rho_S_R2": marginals["j"].rho_s},
+        extras=lambda cfg, times, marginals, members: dict(zip(("rho_S_R1", "rho_S_R2"), marginals.rho_s)),
         summary=_negative_temperature_summary,
         extra_fields=("rho_S_R1", "rho_S_R2")),
     Scenario(
@@ -1040,9 +1031,8 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         hamiltonian=lambda cfg: kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z),
         initial_state=lambda cfg: kron(gibbs_state(SIGMA_Z, cfg.params["beta"]),
                                        _pure(np.array([1.0, 1.0]) / math.sqrt(2.0))),
-        extras=lambda cfg, times, marginals, members: {
-            f"purity_s_{suffix}": np.trace(m.rho_s @ m.rho_s, axis1=-2, axis2=-1).real
-            for suffix, m in marginals.items()},
+        extras=lambda cfg, times, marginals, members: dict(zip(
+            ("purity_s_i", "purity_s_j"), np.trace(marginals.rho_s @ marginals.rho_s, axis1=-2, axis2=-1).real)),
         summary=_zero_to_nonzero_summary,
         extra_fields=("purity_s_i", "purity_s_j")),
     Scenario(

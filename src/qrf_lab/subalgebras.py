@@ -207,6 +207,8 @@ def _hermitian_superoperator(labels, d):
 
     S is real symmetric there, a d^2 x d^2 Fortran-order float array indexed by (k, l) in C order,
     written for one k at a time from N_kl[a, b] = sum_C P_C[a, k] P_C[l, b], one GEMM for all l.
+    Only the triangle that eigh reads, the array's lower one, is set: the coordinates (a, b) >= (k, l)
+    of each S(B_kl), which its rows a >= k hold.
     """
     g = _hermitian_coordinates(d)
     # P_C = Q diag(row) Q', with one mask row per cluster: the row of its first eigenvalue.
@@ -217,7 +219,7 @@ def _hermitian_superoperator(labels, d):
     for k in range(d):
         y = (p[:, :, k].T @ flat).reshape(d, d, d) * (2 * g[k].conj())[:, None]  # y[a, l, b]
         # S(B_kl) = Herm(y[:, l]): its coordinates Re(g (y + y')) are row (k, l) of the symmetric S.
-        out[k] = (g[:, None, :] * (y + y.conj().transpose(2, 1, 0))).real.transpose(1, 0, 2)
+        out[k, :, k:] = (g[k:, None, :] * (y[k:] + y[:, :, k:].conj().transpose(2, 1, 0))).real.transpose(1, 0, 2)
     return out.reshape(d * d, d * d).T
 
 
@@ -295,7 +297,8 @@ def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-
     d = a.operand_dim
     _check_superoperator_budget(d, min(a.dimension, b.dimension))
     lowest = 1.0 + np.sqrt(max(0.0, 1.0 - 10 * tol)) - 1e-12
-    mu, vectors = eigh(_hermitian_superoperator([a, b], d), subset_by_value=(lowest, np.inf), overwrite_a=True)
+    mu, vectors = eigh(_hermitian_superoperator([a, b], d), subset_by_value=(lowest, np.inf), overwrite_a=True,
+                       check_finite=False)  # S is finite, and set only on the triangle that eigh reads
     defect = 1.0 - (mu - 1.0) ** 2
     ambiguous = defect[(defect > tol) & (defect <= 10 * tol)]
     if ambiguous.size:

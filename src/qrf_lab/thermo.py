@@ -6,22 +6,24 @@ a correction term moves conducted energy between the two when requested.
 All generator time derivatives are propagated analytically; nothing is
 finite-differenced inside the package.
 
-A trajectory is read through one walk, trajectory_runs.  It evolves the
-time grid block by block, conjugates each block to frame j once, hands
-both stacks to its caller's read(rho) for what needs whole states
-(membership verdicts, endpoint states), and keeps only what
-_traced reads of each state: rho_frame = Tr_s rho, rho_s = Tr_frame rho,
-and Tr_s(h_int rho) and Tr_frame(h_int rho) from one batched matmul each
-against the split's product-trace maps, d^2 (d_f + d_s) operations per
-state for both.  Per run of blocks, _assembled turns them into the
-StateMarginals: those two marginals, the same two of rho_dot, and
-e_total = Tr(H rho).  rho_dot = -i[H, rho] is never formed, and nothing
-after _traced is larger than a subsystem.  marginal_energetics turns
-StateMarginals into a ThermoReport, for one state or a stack, and sees
-nothing else of the state: a caller whose rho_dot comes from another
-generator builds the StateMarginals itself, as balance_verifiers does
-for the imported rates.  Scenario rows and balance_verifiers both read
-the grid only through the walk.
+A trajectory is read through one walk, trajectory_runs, with the two
+perspectives as a leading axis of length 2, frame i first: one split of
+both Hamiltonians, leading axes (2, 1), and per block one (2, k, d, d)
+stack of the states and their frame-j images, each conjugated once.  The
+caller's read(rho) gets that stack for what needs whole states
+(membership verdicts, endpoint states); the walk keeps only what _traced
+reads of it: rho_frame = Tr_s rho, rho_s = Tr_frame rho, and Tr_s(h_int
+rho) and Tr_frame(h_int rho) from one GEMM per perspective against the
+split's product-trace maps, d^2 (d_f + d_s) operations per state for both.
+Per run of blocks, _assembled turns them into the (2, k) StateMarginals:
+those two marginals, the same two of rho_dot, and e_total = Tr(H rho).
+rho_dot = -i[H, rho] is never formed, and nothing after _traced is larger
+than a subsystem.  marginal_energetics turns StateMarginals into a
+ThermoReport, for one state, a stack or both perspectives' stacks, and
+sees nothing else of the state: a caller whose rho_dot comes from another
+generator builds the StateMarginals itself, as balance_verifiers does for
+the imported rates.  Scenario rows and balance_verifiers both read the
+grid only through the walk.
 
 From the marginals on, every quantity is contracted on the factor tensor
 T[f, s, g, t] = h_int[(f, s), (g, t)]: the mean fields are products of the
@@ -34,8 +36,9 @@ commuting_part: under split_alpha it is zero and never formed.
 
 The entropy balance splits the same way.  initial_product keeps both
 marginals of rho0, their entropies, log rho_frame(0) on its support with a
-basis of its kernel, and whether rho0 is their product; it never raises,
-so the caller reads is_product.  entropy_balance, the core, reads S(rho(t)),
+basis of its kernel, and whether rho0 is their product, for both
+perspectives at once when rho0 is their (2, 1) stack; it never raises, so
+the caller reads is_product.  entropy_balance, the core, reads S(rho(t)),
 rho_frame(t) and S(rho_s(t)), and takes S(rho_frame(t)) and
 D(rho_frame(t) || rho_frame(0)) from one spectrum of rho_frame(t).  S(rho(t))
 = S(rho0) on a unitary trajectory in either frame, so callers pass S(rho0):
@@ -53,6 +56,7 @@ import numpy as np
 
 from .dynamics import (
     GridEvolution,
+    HamiltonianSplit,
     block_length,
     mean_field_hamiltonian,
     split_hamiltonian,
@@ -114,7 +118,9 @@ def _real(value):
 
 
 def _block_diagonal(projectors, op):
-    """Sum of p op p over a stack of projectors; op may be a stack."""
+    """Sum of p op p over a stack of projectors, or a tuple of one per member of op; op may be a stack."""
+    if isinstance(projectors, tuple):
+        return np.stack([_block_diagonal(p, member) for p, member in zip(projectors, op)])
     return sum(p @ op @ p for p in projectors)
 
 
@@ -307,33 +313,33 @@ def entropy_balance(initial, s_t, rho_frame_t, s_s_t):
                           delta_s_frame=delta_s_frame, mutual_information=info, frame_relative_entropy=rel)
 
 
-def trajectory_runs(evolution, change, splits, rho0, times, read):
+def trajectory_runs(evolution, change, split, rho0, times, read):
     """Walk rho0's trajectory over times in both perspectives, one run of whole blocks at a time.
 
-    Each block of evolution.blocks is conjugated to frame j once.  read gets
-    both stacks, keyed "i" and "j", for what needs whole states, and returns
-    a dict of per-time arrays; of each stack the walk keeps only what
-    _traced reads under splits["i"] or splits["j"].  A run holds as many
-    blocks as keep its subsystem stacks within STACK_BYTES, and for each run
-    the walk yields its times, both perspectives' StateMarginals keyed "i"
-    and "j", and read's arrays joined over the run.  No run's states are
-    held at once, and _assembled, of subsystem size, runs once per run.
+    split holds both perspectives' Hamiltonians, frame i first, with the
+    leading axes (2, 1).  Each block of evolution.blocks and its conjugate
+    to frame j, taken once, form one (2, k, d, d) stack; read gets it, for
+    what needs whole states, and returns a list of per-time arrays, and the
+    walk keeps only what _traced reads of it.  A run holds as many blocks
+    as keep each perspective's subsystem stacks within STACK_BYTES, and for
+    each run the walk yields its times, both perspectives' StateMarginals
+    as one (2, k) stack, and read's arrays joined over the run.  No run's
+    states are held at once, and _assembled runs once per run.
     """
-    d_f, d_s = splits["i"].d_frame, splits["i"].d_s
+    d_f, d_s = split.d_frame, split.d_s
     per_block = block_length(d_f * d_s)
     per_run = block_length(max(d_f, d_s)) // per_block
     blocks = evolution.blocks(rho0, times)
     for _ in range(0, len(times), per_run * per_block):
-        run_times, traced, columns = [], {"i": [], "j": []}, []
-        for block, rho_i in itertools.islice(blocks, per_run):
-            rho = {"i": rho_i, "j": change.conjugate(rho_i)}
+        run_times, traced, columns = [], [], []
+        for block, rho in itertools.islice(blocks, per_run):
+            rho = np.array([rho, change.conjugate(rho)])  # frees the block, which the stack holds
             run_times.append(block)
             columns.append(read(rho))
-            for key, rho_t in rho.items():
-                traced[key].append(_traced(splits[key], rho_t))
+            traced.append(_traced(split, rho))
         yield (np.concatenate(run_times),
-               {key: _assembled(splits[key], *map(np.concatenate, zip(*parts))) for key, parts in traced.items()},
-               {name: np.concatenate([part[name] for part in columns]) for name in columns[0]})
+               _assembled(split, *(np.concatenate(parts, axis=1) for parts in zip(*traced))),
+               [np.concatenate(parts) for parts in zip(*columns)])
 
 
 @dataclass
@@ -434,6 +440,12 @@ class BalanceReport:
     premises_not_met: list = field(default_factory=list)
 
 
+def _stacked(*splits):
+    """One split of the given splits' pieces, member by member, with the leading axes (m, 1) of the walk."""
+    pieces = zip(*((split.h_frame, split.h_s, split.h_int) for split in splits))
+    return HamiltonianSplit(*(np.array(members)[:, None] for members in pieces))
+
+
 def _agree(a, b):
     """Within 1e-8 of each other, or both infinite."""
     if math.isinf(a) or math.isinf(b):
@@ -508,25 +520,26 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         split_imported = split_hamiltonian(hermitian_part(dagger(x0.matrix) @ h_j @ x0.matrix),
                                            setup.d_frame, setup.d_s)
         rates_max_gap = 0.0
-        first, last = {}, {}
+        pair, ends = _stacked(split, split_j), {}
 
         def read(rho):
             # The first states are copied so that their block can go; the last ones are the grid's end.
-            if not first:
-                first.update((key, rho_t[0].copy()) for key, rho_t in rho.items())
-            last.update((key, rho_t[-1]) for key, rho_t in rho.items())
-            return {"member": membership_test(setup, rho["i"], x0, g_i, g_j, transformed=rho["j"]).is_member}
+            if not ends:
+                ends["first"] = rho[:, 0].copy()
+            ends["last"] = rho[:, -1]
+            return [membership_test(setup, rho[0], x0, g_i, g_j, transformed=rho[1]).is_member]
 
-        for _, marginals, columns in trajectory_runs(evolution, change, {"i": split, "j": split_j},
-                                                     rho0, times, read):
-            in_grid += columns["member"].tolist()
-            rates_j = marginal_energetics(split_j, prescription, marginals["j"]).rates_vector()
+        for _, marginals, (member,) in trajectory_runs(evolution, change, pair, rho0, times, read):
+            in_grid += member.tolist()
+            # One call per rate set on the halves: a call on the pair doubles its temporaries.
+            frame_i, frame_j = (StateMarginals(*fields) for fields in zip(*marginals))
+            rates_j = marginal_energetics(split_j, prescription, frame_j).rates_vector()
             # No rate reads e_total, so frame i's Tr(H rho) stands in for Tr(H_imported rho).
-            rates_imported = marginal_energetics(split_imported, prescription, marginals["i"]).rates_vector()
-            rates_bare = marginal_energetics(split, prescription, marginals["i"]).rates_vector()
+            rates_imported = marginal_energetics(split_imported, prescription, frame_i).rates_vector()
+            rates_bare = marginal_energetics(split, prescription, frame_i).rates_vector()
             rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
             both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
-        rho_t0, rho_j_t0, rho_t1, rho_j_t1 = first["i"], first["j"], last["i"], last["j"]
+        (rho_t0, rho_j_t0), (rho_t1, rho_j_t1) = ends["first"], ends["last"]
         membership_ok = all(in_grid)
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")

@@ -4,6 +4,7 @@ Each suite checks one structural guarantee on n independently randomized
 instances drawn over several group and representation setups, raising
 AssertionError on the first violation and returning the instance count.
 """
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,10 +13,12 @@ from scipy.linalg import schur
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from qrf_lab import scenarios
 from qrf_lab.dynamics import (
     COMMUTANT_GAP,
     GridEvolution,
     HamiltonianSplit,
+    block_length,
     evolve,
     mean_field_hamiltonian,
     split_hamiltonian,
@@ -27,15 +30,12 @@ from qrf_lab.operators import (
     assert_unitary,
     dagger,
     degenerate_blocks,
-    haar_state,
-    haar_unitary,
     hs_inner,
     hs_norm,
     kron,
     partial_trace,
     product_partial_traces,
     product_trace_maps,
-    random_hermitian,
     twirl,
     unvec,
     vec,
@@ -102,6 +102,22 @@ def _instances(n, seed):
         g_i = elements[int(rng.integers(len(elements)))]
         g_j = elements[int(rng.integers(len(elements)))]
         yield k, rng, setup, g_i, g_j
+
+
+def random_hermitian(rng, d, scale=1.0):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return scale * (g + dagger(g)) / 2
+
+
+def haar_unitary(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def haar_state(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
 
 
 def _random_density(rng, d, rank=None):
@@ -530,6 +546,92 @@ def suite_rho_dot_marginals_match_dense_commutator(n=100, seed=911):
             assert np.abs(on_frame - partial_trace(g @ rho, dims, drop=1)).max() <= tol
             assert np.abs(on_s - partial_trace(g @ rho, dims, drop=0)).max() <= tol
     return int(n)
+
+
+def per_perspective_runs(evolution, change, splits, rho0, times, read):
+    """thermo.trajectory_runs as it was before both perspectives became one stack: the oracle of
+    the stacked walk.
+
+    Each perspective keeps its own split, keyed "i" and "j", its own stack of
+    states and its own _traced and _assembled calls; read gets both stacks
+    keyed the same way and returns a dict of per-time arrays.  Runs and
+    blocks are cut as the stacked walk cuts them.
+    """
+    d_f, d_s = splits["i"].d_frame, splits["i"].d_s
+    per_block = block_length(d_f * d_s)
+    per_run = block_length(max(d_f, d_s)) // per_block
+    blocks = evolution.blocks(rho0, times)
+    for _ in range(0, len(times), per_run * per_block):
+        run_times, traced, columns = [], {"i": [], "j": []}, []
+        for block, rho_i in itertools.islice(blocks, per_run):
+            rho = {"i": rho_i, "j": change.conjugate(rho_i)}
+            run_times.append(block)
+            columns.append(read(rho))
+            for key, rho_t in rho.items():
+                traced[key].append(_traced(splits[key], rho_t))
+        yield (np.concatenate(run_times),
+               {key: _assembled(splits[key], *map(np.concatenate, zip(*parts))) for key, parts in traced.items()},
+               {name: np.concatenate([part[name] for part in columns]) for name in columns[0]})
+
+
+def per_perspective_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
+    """scenarios._dynamic_rows as it was before both perspectives became one stack, through
+    per_perspective_runs: each perspective is split, checked for a product, given energetics,
+    entropies and an entropy balance on its own, and each row is a blank row updated with the
+    run's columns.  extras gets the two perspectives' StateMarginals stacked, frame i first, as
+    the scenarios' extras read them."""
+    setup = cfg.setup
+    dims = (setup.d_frame, setup.d_s)
+    change = setup.perspective_change(cfg.g_i, cfg.g_j)
+    split = {"i": split_hamiltonian(h_ibar, *dims), "j": split_hamiltonian(change.conjugate(h_ibar), *dims)}
+    rho0_i = np.asarray(rho0_ibar, dtype=complex)
+    initial = {suffix: initial_product(setup, rho0, cfg.tolerance)
+               for suffix, rho0 in (("i", rho0_i), ("j", change.conjugate(rho0_i)))}
+    s_t = von_neumann_entropy(rho0_i) if any(p.is_product for p in initial.values()) else None
+
+    def read(rho):
+        return {n: membership_test(setup, rho["i"], x, cfg.g_i, cfg.g_j, tol=cfg.tolerance,
+                                   transformed=rho["j"]).is_member for n, x in enumerate(candidates)}
+
+    rows = []
+    for times, marginals, verdicts in per_perspective_runs(GridEvolution(h_ibar), change, split, rho0_i,
+                                                           cfg.time_grid, read):
+        columns = {}
+        for suffix, m in marginals.items():
+            report = marginal_energetics(split[suffix], cfg.prescription, m)
+            columns.update((f"{stem}_{suffix}", getattr(report, name))
+                           for stem, name in scenarios._ENERGETICS_COLUMNS.items())
+            columns[f"SvN_s_{suffix}"] = s_s = von_neumann_entropy(m.rho_s)
+            if initial[suffix].is_product:
+                balance = entropy_balance(initial[suffix], s_t, m.rho_frame, s_s)
+                columns[f"sigma_{suffix}"] = balance.sigma
+                columns[f"phi_{suffix}"] = balance.phi
+        members = list(verdicts.values())
+        if members:
+            columns["in_AX"] = np.logical_or.reduce(members)
+        if extras is not None:
+            stacked = StateMarginals(*map(np.stack, zip(marginals["i"], marginals["j"])))
+            columns.update(extras(times, stacked, members))
+        per_time = zip(*[values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1
+                         else values for values in columns.values()])
+        for t, values in zip(times, per_time):
+            row = scenarios._blank_row(t)
+            row.update(zip(columns, values))
+            rows.append(row)
+    return rows
+
+
+def per_perspective_static_row(cfg, psi_or_rho):
+    """scenarios._static_entropy_row with each perspective traced and its entropy taken on its
+    own; the states and system marginals come back stacked, frame i first."""
+    setup = cfg.setup
+    mat = np.asarray(psi_or_rho, dtype=complex)
+    rho_i = np.outer(mat, mat.conj()) if mat.ndim == 1 else mat
+    rho = [rho_i, setup.perspective_change(cfg.g_i, cfg.g_j).conjugate(rho_i)]
+    rho_s = [partial_trace(rho_t, (setup.d_frame, setup.d_s), drop=0) for rho_t in rho]
+    row = scenarios._blank_row(0.0)
+    row.update(SvN_s_i=von_neumann_entropy(rho_s[0]), SvN_s_j=von_neumann_entropy(rho_s[1]))
+    return row, np.stack(rho), np.stack(rho_s)
 
 
 class NonProductInitialStateError(ValueError):

@@ -19,10 +19,8 @@ from qrf_lab.operators import (
     SIGMA_X,
     SIGMA_Z,
     dagger,
-    haar_unitary,
     hs_norm,
     kron,
-    random_hermitian,
 )
 from qrf_lab.scenarios import run_scenario
 from qrf_lab.subalgebras import (
@@ -36,6 +34,7 @@ from qrf_lab.subalgebras import (
 from qrf_lab.thermo import Prescription, balance_verifiers
 
 from kinematics import qrf_transform
+from property_suites import haar_unitary, random_hermitian
 
 E = (0,)
 FLIP = (1,)

@@ -31,11 +31,10 @@ from qrf_lab.operators import (
     hs_norm,
     kron,
     partial_trace,
-    random_hermitian,
 )
 from qrf_lab.subalgebras import BilocalUnitary
 
-from property_suites import haar_conjugated_z3_setup, setup_pool
+from property_suites import haar_conjugated_z3_setup, random_hermitian, setup_pool
 
 E = (0,)
 

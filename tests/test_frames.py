@@ -12,9 +12,7 @@ from qrf_lab.operators import (
     SIGMA_X,
     SIGMA_Z,
     dagger,
-    haar_state,
     kron,
-    random_hermitian,
 )
 
 from kinematics import (
@@ -27,7 +25,7 @@ from kinematics import (
     relational_observable,
     u_kin,
 )
-from property_suites import haar_conjugated_z3_setup, setup_pool
+from property_suites import haar_conjugated_z3_setup, haar_state, random_hermitian, setup_pool
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],

@@ -15,21 +15,24 @@ from qrf_lab.operators import (
     assert_unitary,
     dagger,
     degenerate_blocks,
-    haar_state,
-    haar_unitary,
     hs_inner,
     hs_norm,
     kron,
     monomial_gather,
     partial_trace,
     polar_unitary,
-    random_hermitian,
     stack_times,
     unvec,
     vec,
 )
 
-from property_suites import conjugation_superop, haar_conjugated_z3_setup
+from property_suites import (
+    conjugation_superop,
+    haar_conjugated_z3_setup,
+    haar_state,
+    haar_unitary,
+    random_hermitian,
+)
 
 
 def test_pauli_algebra():

@@ -23,7 +23,7 @@ from qrf_lab.scenarios import (
 from qrf_lab.states import von_neumann_entropy
 from qrf_lab.thermo import Prescription
 
-from property_suites import entropy_production_and_flow
+from property_suites import entropy_production_and_flow, per_perspective_rows, per_perspective_static_row
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -532,8 +532,8 @@ def test_no_entropy_cell_of_a_default_scenario_reads_minus_zero():
 def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
     """Rows over several blocks hold the per-time entropy balances bit for bit.
 
-    The initial state is checked for a product once per perspective and run,
-    not once per block; a perspective whose initial state is no product
+    The initial state is checked for a product once per run, both perspectives
+    in one stack, not once per block; a perspective whose initial state is no product
     (frame j for isolated-vs-closed) keeps its sigma and phi cells empty.
     zero-to-nonzero-entropy starts from a full-rank frame state, so its
     relative entropies, and with them sigma and phi, stay finite.
@@ -554,7 +554,9 @@ def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
     points = block_length(4) + 44
     cfg = parse_config({"scenario": name, "time_grid": {"start": 0.0, "stop": 7.0, "points": points}})
     rows = run_scenario(cfg).rows
-    assert len(rows) == points and len(runs) == 1 and len(checks) == 2
+    assert len(rows) == points and len(runs) == 1 and len(checks) == 1
+    d_p = cfg.setup.d_perspective
+    assert np.shape(checks[0][1]) == (2, 1, d_p, d_p)
 
     (h, rho0_i), = runs
     setup, dims = cfg.setup, (cfg.setup.d_frame, cfg.setup.d_s)
@@ -576,6 +578,19 @@ def test_entropy_columns_match_the_per_time_balance(monkeypatch, name):
                 assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (balance.sigma, balance.phi)
             else:
                 assert (row[f"sigma_{suffix}"], row[f"phi_{suffix}"]) == (None, None)
+
+
+@pytest.mark.parametrize("prescription", [{"prescription": "split_alpha", "alpha_s": 0.5},
+                                          {"prescription": "commuting_part"}], ids=["split_alpha", "commuting_part"])
+def test_defaults_render_as_through_the_per_perspective_walk(monkeypatch, prescription):
+    """All 11 defaults render to the same CSV and JSON text whether both perspectives run as one
+    stack or each on its own, as per_perspective_rows and per_perspective_static_row run them."""
+    configs = [{"scenario": name, "prescription": prescription} for name in scenarios.SCENARIOS]
+    stacked = [render(run_scenario(cfg), fmt) for cfg in configs for fmt in ("csv", "json")]
+    monkeypatch.setattr(scenarios, "_dynamic_rows", per_perspective_rows)
+    monkeypatch.setattr(scenarios, "_static_entropy_row", per_perspective_static_row)
+    assert len(configs) == 11
+    assert stacked == [render(run_scenario(cfg), fmt) for cfg in configs for fmt in ("csv", "json")]
 
 
 def _pauli_label_by_enumeration(mat):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qrf_lab import FrameSetup, Z2, Z3
-from qrf_lab.operators import SIGMA_X, SIGMA_Z, kron, random_hermitian
+from qrf_lab.operators import SIGMA_X, SIGMA_Z, kron
 from qrf_lab.states import (
     basis_state,
     gb_state,
@@ -23,6 +23,8 @@ from qrf_lab.states import (
     von_neumann_entropy,
     w_state,
 )
+
+from property_suites import random_hermitian
 
 LOG2 = np.log(2.0)
 

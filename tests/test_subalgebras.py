@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from qrf_lab import FiniteAbelianGroup, FrameSetup, Z2, Z3, Z4, subalgebras
 from qrf_lab.operators import (
@@ -16,11 +17,9 @@ from qrf_lab.operators import (
     SIGMA_X,
     SIGMA_Z,
     dagger,
-    haar_unitary,
     hs_inner,
     hs_norm,
     kron,
-    random_hermitian,
     unvec,
     vec,
 )
@@ -46,8 +45,10 @@ from property_suites import (
     conjugation_superop,
     fixed_space_projector,
     haar_conjugated_z3_setup,
+    haar_unitary,
     label_superoperator,
     monomial_commutant_dimension,
+    random_hermitian,
     setup_pool,
 )
 
@@ -301,7 +302,49 @@ def test_real_form_is_the_complex_superoperator_in_the_hermitian_basis():
         assert np.abs(dagger(t) @ t - np.eye(d * d)).max() <= 1e-14
         complex_form = dagger(t) @ (label_superoperator(projs[0]) + label_superoperator(projs[1])) @ t
         assert np.abs(complex_form.imag).max() <= 1e-12
-        assert np.abs(_hermitian_superoperator(projs, d) - complex_form.real).max() <= 1e-12
+        # Symmetric, so the lower triangle, all that the build sets and eigh reads, is all of it.
+        assert np.abs(complex_form - complex_form.T).max() <= 1e-12
+        lower = np.tril_indices(d * d)
+        assert np.abs(_hermitian_superoperator(projs, d)[lower] - complex_form.real[lower]).max() <= 1e-12
+
+
+def _full_hermitian_superoperator(labels, d):
+    """The real form S of _hermitian_superoperator with both triangles set, each row (k, l) from
+    all of N_kl[a, b] = sum_C P_C[a, k] P_C[l, b], as it was built before only one triangle was."""
+    g = subalgebras._hermitian_coordinates(d)
+    p = np.concatenate([(q * mask[np.unique(mask.argmax(axis=1))][:, None, :]) @ dagger(q)
+                        for q, mask in ((label.schur_vectors, label.mask) for label in labels)])
+    flat = p.reshape(len(p), d * d)
+    out = np.empty((d, d, d, d))
+    for k in range(d):
+        y = (p[:, :, k].T @ flat).reshape(d, d, d) * (2 * g[k].conj())[:, None]
+        out[k] = (g[:, None, :] * (y + y.conj().transpose(2, 1, 0))).real.transpose(1, 0, 2)
+    return out.reshape(d * d, d * d).T
+
+
+@pytest.mark.parametrize("moduli, rep", [((2,), "regular"), ((3,), "regular"), ((4,), "regular"),
+                                         ((3,), {"tensor_power": 2})], ids=["4", "9", "16", "27"])
+def test_triangle_build_matches_the_full_build(moduli, rep):
+    """At d_p = 4, 9, 16 and 27, on the benchmark ladder's labels and, where one fits, a pair at
+    random orientations: the triangle that eigh reads matches the full build to round-off, and
+    the full build's eigenvalues, selected as intersect_projectors selects them, count the
+    intersection's dimension exactly."""
+    rng = np.random.default_rng(len(moduli) + moduli[0])
+    setup = FrameSetup.from_rep_config(FiniteAbelianGroup(moduli), rep)
+    elements = setup.group.elements
+    pairs = [_ladder_labels(moduli, rep)]
+    if setup.d_perspective < 27:
+        g_i, g_j, a, b = (elements[int(rng.integers(len(elements)))] for _ in range(4))
+        pairs.append([invariant_projector(setup, x, g_i, g_j) for x in (
+            BilocalUnitary(np.eye(setup.d_frame), setup.u_s(a)), BilocalUnitary(setup.u_frame(b), np.eye(setup.d_s)))])
+    tol = 1e-9
+    for labels in pairs:
+        d = setup.d_perspective
+        full = _full_hermitian_superoperator(labels, d)
+        lower = np.tril_indices(d * d)
+        assert np.abs(_hermitian_superoperator(labels, d)[lower] - full[lower]).max() <= 1e-14 * np.abs(full).max()
+        mu = eigh(full, eigvals_only=True, subset_by_value=(1.0 + math.sqrt(1.0 - 10 * tol) - 1e-12, np.inf))
+        assert intersect_projectors(*labels, tol=tol).dimension == np.count_nonzero(1.0 - (mu - 1.0) ** 2 <= tol)
 
 
 @pytest.mark.parametrize("d", [2, 3])

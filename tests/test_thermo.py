@@ -20,12 +20,10 @@ from qrf_lab.operators import (
     SIGMA_X,
     SIGMA_Z,
     dagger,
-    haar_unitary,
     hermitian_part,
     hs_norm,
     kron,
     partial_trace,
-    random_hermitian,
 )
 from qrf_lab.scenarios import SCENARIOS, parse_config, render, run_scenario
 from qrf_lab.states import (
@@ -44,10 +42,16 @@ from qrf_lab.subalgebras import (
     pi_t,
 )
 from qrf_lab.thermo import (
+    EntropyBalance,
     Prescription,
+    StateMarginals,
+    ThermoReport,
     balance_verifiers,
+    entropy_balance,
     gibbs_classification,
     initial_product,
+    marginal_energetics,
+    trajectory_runs,
 )
 
 from property_suites import (
@@ -58,6 +62,9 @@ from property_suites import (
     energetics_with_rho_dot,
     entropy_production_and_flow,
     haar_conjugated_z3_setup,
+    haar_unitary,
+    per_perspective_runs,
+    random_hermitian,
     setup_pool,
 )
 
@@ -564,6 +571,88 @@ def test_balance_verifiers_memory_at_the_widest_frame():
         tracemalloc.stop()
     assert report.membership_ok and report.rates_match
     assert peak <= 4 * 1024 * 1024, peak
+
+
+def _bits(value):
+    """The bytes of a value as a complex array, so that -0.0 and +0.0 differ."""
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+def _walk_cases(rng):
+    """(setup, H, rho0, g_i, g_j): random Hamiltonians and product states over setup_pool(); then
+    X (x) 1 + 1 (x) Z on Z2, whose h_s has two eigenspaces for frame i and one for frame j, from
+    rho0 with -0.0 entries, one of them a correlated state.
+
+    Every perspective change here is monomial, so the per-perspective walk held frame j's states
+    in C order, as the stack holds both.  A dense change (the Haar-conjugated Z3 rep) handed it a
+    conjugate-transposed view instead, whose marginals came out in the other memory order, and a
+    sum over a matrix could then round in its last bit otherwise than the stack's."""
+    cases = []
+    for setup in setup_pool():
+        elements = setup.group.elements
+        g_i, g_j = (elements[int(rng.integers(len(elements)))] for _ in range(2))
+        h = random_hermitian(rng, setup.d_perspective)
+        cases.append((setup, split_hamiltonian(h, setup.d_frame, setup.d_s).total, random_product_state(
+            rng, setup.d_frame, setup.d_s), g_i, g_j))
+    qubits = qubit_setup()
+    h = kron(SIGMA_X, ID2) + kron(ID2, SIGMA_Z)
+    minus_zero = np.array([[0.5, -0.0], [-0.0, 0.5]])
+    cases.append((qubits, h, kron(minus_zero, gibbs_state(SIGMA_Z, 0.7)), E, E))
+    bell = np.array([1.0, -0.0, 0.0, 1.0]) / np.sqrt(2)
+    cases.append((qubits, h, np.outer(bell, bell) * (1 - 0.0j), E, (1,)))
+    return cases
+
+
+@pytest.mark.parametrize("prescription", [Prescription.split_alpha(0.3), Prescription.commuting_part()],
+                         ids=["split_alpha", "commuting_part"])
+def test_stacked_walk_matches_the_per_perspective_walk(monkeypatch, prescription):
+    """Bit for bit, over runs of several blocks: the stacked walk's StateMarginals, every
+    ThermoReport field and both entropy balances equal those of per_perspective_runs, the walk
+    that kept one split, one stack and one call of each layer per perspective."""
+    monkeypatch.setattr(dynamics, "STACK_BYTES", 1024)
+    rng = np.random.default_rng(61)
+    counts = []
+    for setup, h, rho0, g_i, g_j in _walk_cases(rng):
+        d_f, d_s = setup.d_frame, setup.d_s
+        change = setup.perspective_change(g_i, g_j)
+        h_j, rho0_j = change.conjugate(h), change.conjugate(rho0)
+        splits = {"i": split_hamiltonian(h, d_f, d_s), "j": split_hamiltonian(h_j, d_f, d_s)}
+        pair = split_hamiltonian(np.stack([h, h_j])[:, None], d_f, d_s)
+        initial = {"i": initial_product(setup, rho0), "j": initial_product(setup, rho0_j)}
+        pair_initial = initial_product(setup, np.stack([rho0, rho0_j])[:, None])
+        s_t = von_neumann_entropy(rho0)
+        times = np.linspace(0.0, 2.5, 37)
+        x = BilocalUnitary(np.eye(d_f), np.eye(d_s))
+
+        def read(rho):
+            return [membership_test(setup, rho[0], x, g_i, g_j, transformed=rho[1]).is_member]
+
+        def read_each(rho):
+            return {"member": membership_test(setup, rho["i"], x, g_i, g_j, transformed=rho["j"]).is_member}
+
+        stacked = trajectory_runs(GridEvolution(h), change, pair, rho0, times, read)
+        oracle = per_perspective_runs(GridEvolution(h), change, splits, rho0, times, read_each)
+        runs = 0
+        for (run_times, marginals, (member,)), (oracle_times, each, columns) in zip(stacked, oracle, strict=True):
+            runs += 1
+            assert _bits(run_times) == _bits(oracle_times) and _bits(member) == _bits(columns["member"])
+            report = marginal_energetics(pair, prescription, marginals)
+            s_s = von_neumann_entropy(marginals.rho_s)
+            balance = entropy_balance(pair_initial, s_t, marginals.rho_frame, s_s)
+            for n, key in enumerate("ij"):
+                for name in StateMarginals._fields:
+                    assert _bits(getattr(marginals, name)[n]) == _bits(getattr(each[key], name)), name
+                single = marginal_energetics(splits[key], prescription, each[key])
+                for field in dataclasses.fields(ThermoReport):
+                    assert _bits(getattr(report, field.name)[n]) == _bits(getattr(single, field.name)), field.name
+                single_s = von_neumann_entropy(each[key].rho_s)
+                assert _bits(s_s[n]) == _bits(single_s)
+                single_balance = entropy_balance(initial[key], s_t, each[key].rho_frame, single_s)
+                for field in dataclasses.fields(EntropyBalance):
+                    assert _bits(getattr(balance, field.name)[n]) == _bits(getattr(single_balance, field.name))
+        assert runs > 1
+        counts.append(tuple(map(len, pair.eigenspace_projectors["s"])))
+    assert counts[-1] == (2, 1)
 
 
 def test_balance_verifiers_report_missing_premises():
