@@ -22,7 +22,7 @@ from .frames import parity_swap
 from .operators import (
     assert_hermitian,
     dagger,
-    eigenspace_projectors,
+    eigenspaces,
     hermitian_part,
     hs_norm,
     kron,
@@ -45,9 +45,9 @@ class HamiltonianSplit:
     The split is frozen and keeps read-only complex copies of its pieces,
     so what it derives from them is built once, on first use, and kept on
     the split: the total, the two mean-field maps, the two product-trace
-    maps of h_int, and the eigenspace projectors of the local pieces.  A
-    stacked split's pieces broadcast against states with the same leading
-    axes, and its maps take one GEMM per member: (2, 1) meets (2, k).
+    maps of h_int, and the eigenspaces of the local pieces.  A stacked
+    split's pieces, eigenspaces included, broadcast against states with the
+    same leading axes, and its maps take one GEMM per member: (2, 1) meets (2, k).
     """
 
     h_frame: np.ndarray
@@ -94,13 +94,12 @@ class HamiltonianSplit:
         return tuple(map(read_only, product_trace_maps(self.h_int, (self.d_frame, self.d_s))))
 
     @cached_property
-    def eigenspace_projectors(self):
-        """Eigenspace projectors of h_s and of h_frame, keyed "s" and "frame", at the gap COMMUTANT_GAP ||H||;
-        a stacked split holds a tuple of one stack per member, as their counts can differ."""
-        members = zip(*(a.reshape((-1,) + a.shape[-2:]) for a in (self.total, self.h_s, self.h_frame)))
-        found = [{key: read_only(eigenspace_projectors(piece, COMMUTANT_GAP * hs_norm(total)))
-                  for key, piece in (("s", h_s), ("frame", h_frame))} for total, h_s, h_frame in members]
-        return found[0] if self.h_s.ndim == 2 else {key: tuple(f[key] for f in found) for key in found[0]}
+    def eigenspaces(self):
+        """eigenspaces of h_s and of h_frame, keyed "s" and "frame", at the gap COMMUTANT_GAP ||H||, one
+        gap per member of a stacked split: (vectors, mask) pairs of the pieces' shape, for pinch."""
+        gap = COMMUTANT_GAP * hs_norm(self.total)
+        return {key: tuple(map(read_only, eigenspaces(piece, gap)))
+                for key, piece in (("s", self.h_s), ("frame", self.h_frame))}
 
 
 def split_hamiltonian(hamiltonian, d_frame, d_s):
@@ -278,7 +277,7 @@ def subsystem_eom_terms(setup, split, rho_ibar):
         h_tilde_s=h_tilde_s,
         unitary_term=unitary_term,
         dissipative_term=dissipative_term,
-        effectively_closed=bool(hs_norm(closed_comm) <= 1e-10 * max(1.0, hs_norm(omega))),
+        effectively_closed=hs_norm(closed_comm) <= 1e-10 * max(1.0, hs_norm(omega)),
     )
 
 

@@ -11,9 +11,10 @@ Conventions used throughout the package:
   round-off;
 * no matrix functions live here: the entropies read their own spectra,
   and exp(-i H t) comes from GridEvolution's eigendecomposition;
-* dagger, kron, partial_trace, product_partial_traces and hs_norm also take
-  stacks (..., d, d) of operators, one per time point, and act on each
-  matrix of the stack; a stack's hs_norm is one real dot per matrix;
+* dagger, kron, partial_trace, product_partial_traces, trace_product,
+  hs_inner, hs_norm, eigenspaces and pinch also take stacks (..., d, d),
+  one operator per time point or perspective; a matrix is a stack of one,
+  so a reduction's bits depend neither on the stacking nor on the layout;
 * product_partial_traces reads states in place and needs them Hermitian,
   as density matrices are.
 """
@@ -152,8 +153,10 @@ def stack_times(stack, mat):
 
 
 def trace_product(a, b):
-    """Tr(a b) over the last two axes, as the sum of a times b transposed, without forming a b."""
-    return (a * np.swapaxes(b, -1, -2)).sum(axis=(-2, -1))
+    """Tr(a b) over the last two axes without forming a b: the C-order product of a and b transposed,
+    summed over one flattened axis, so its bits depend on the values alone, not on the layouts."""
+    prod = np.multiply(a, np.swapaxes(b, -1, -2), order="C")
+    return prod.reshape(prod.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def read_only(mat):
@@ -208,23 +211,26 @@ def twirl(unitaries, op):
     return sum(u @ op @ dagger(u) for u in unitaries) / len(unitaries)
 
 
+def unstacked(value, kind=float):
+    """A per-matrix result as a Python kind for one matrix, as it is for a stack."""
+    return kind(value) if np.ndim(value) == 0 else value
+
+
 def hs_inner(a, b):
-    """Hilbert-Schmidt inner product Tr(a' b)."""
-    return complex(np.trace(dagger(a) @ np.asarray(b)))
+    """Hilbert-Schmidt inner product Tr(a' b), a trace_product; a stack gives one per matrix."""
+    return unstacked(np.asarray(trace_product(dagger(a), b), dtype=complex), complex)
 
 
 def hs_norm(a):
     """Hilbert-Schmidt norm; a stack (..., m, n) gives one norm per matrix.
 
-    A stack's norms are each one real dot of the matrix's entries (real and
-    imaginary parts side by side) with themselves.
+    Each norm is one real dot of the entries (real and imaginary parts side
+    by side) in C order, for a matrix alone as in a stack.
     """
     a = np.asarray(a)
-    if a.ndim <= 2:
-        return float(np.linalg.norm(a))
     rows = np.ascontiguousarray(a).reshape(-1, 1, a.shape[-2] * a.shape[-1])
     rows = rows.view(rows.real.dtype) if rows.dtype.kind == "c" else rows.astype(float, copy=False)
-    return np.sqrt(rows @ rows.swapaxes(-1, -2)).reshape(a.shape[:-2])
+    return unstacked(np.sqrt(rows @ rows.swapaxes(-1, -2)).reshape(a.shape[:-2]))
 
 
 def vec(mat):
@@ -256,21 +262,30 @@ def degenerate_blocks(values, gap):
     return blocks
 
 
-def eigenspace_projectors(h, gap):
-    """Stack (m, d, d) of projectors onto the eigenspaces of a Hermitian h.
+def check_guard_band(distances, gap, what):
+    """Raise NumericalRankError, naming what, for a distance in (gap, 10 gap], too near gap to select by."""
+    gap = np.broadcast_to(gap, np.shape(distances))
+    inside = (distances > gap) & (distances <= 10 * gap)
+    if inside.any():
+        distance, gap = min(zip(distances[inside], gap[inside]))
+        raise NumericalRankError(f"{what} {distance:.3e} is inside the guard band ({gap:.3e}, {10 * gap:.3e}]")
 
-    Eigenvalues are taken in descending order and grouped by degenerate_blocks;
-    neighbours at a distance in (gap, 10 gap] raise NumericalRankError.
-    """
-    vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    steps = vals[:-1] - vals[1:]
-    ambiguous = steps[(steps > gap) & (steps <= 10 * gap)]
-    if ambiguous.size:
-        raise NumericalRankError(
-            f"eigenvalues at distance {ambiguous.min():.3e} are inside the guard band {10 * gap:.3e}")
-    return np.array([vecs[:, blk] @ dagger(vecs[:, blk]) for blk in degenerate_blocks(vals, gap)])
+
+def eigenspaces(h, gap):
+    """(vectors, mask) of a Hermitian h or of each matrix of a stack, for pinch: eigh's eigenvectors, and
+    whether eigenvalues a and b share an eigenspace at mask[a, b].  Neighbours at most gap apart chain into
+    one; a distance in (gap, 10 gap] raises NumericalRankError.  A stack takes one gap per member."""
+    vals, vectors = np.linalg.eigh(np.asarray(h, dtype=complex))
+    steps, gap = np.diff(vals, axis=-1), np.asarray(gap)[..., None]
+    check_guard_band(steps, gap, "the distance between neighbouring eigenvalues")
+    space = np.cumsum(np.insert(steps > gap, 0, False, axis=-1), axis=-1)  # each eigenvalue's eigenspace
+    return vectors, space[..., :, None] == space[..., None, :]
+
+
+def pinch(vectors, mask, op):
+    """V (mask * V' op V) V' with V = vectors: the part of op, or of each matrix of a stack, that is
+    block diagonal on the spaces that mask joins; vectors and mask may be stacks too."""
+    return vectors @ (mask * (dagger(vectors) @ np.asarray(op, dtype=complex) @ vectors)) @ dagger(vectors)
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import GridEvolution, mean_field_hamiltonian, split_hamiltonian
 from .frames import FrameSetup
 from .groups import FiniteAbelianGroup
-from .operators import ID2, PAULI, SIGMA_X, SIGMA_Z, dagger, kron, partial_trace
+from .operators import ID2, PAULI, SIGMA_X, SIGMA_Z, dagger, hs_norm, kron, partial_trace
 from .states import (
     basis_state,
     gb_state,
@@ -30,6 +30,7 @@ from .states import (
     gibbs_state,
     negative_temperature_predict,
     product_state,
+    purity,
     renyi_entropy,
     von_neumann_entropy,
     w_state,
@@ -778,7 +779,7 @@ def _negative_temperature_summary(cfg, h, rho0, rows):
     report = negative_temperature_predict(cfg.setup, SIGMA_Z, beta, _EXCITED, cfg.g_j)
     summary = {
         "mu": mu,
-        "stationarity_dev": float(np.linalg.norm(h @ rho0 - rho0 @ h)),
+        "stationarity_dev": hs_norm(h @ rho0 - rho0 @ h),
         "q_a": report.q_a,
         "prediction_dev": float(np.abs(rho_s0[1] - report.predicted).max()),
         "negative_beta_gibbs_dev": float(
@@ -1032,7 +1033,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         initial_state=lambda cfg: kron(gibbs_state(SIGMA_Z, cfg.params["beta"]),
                                        _pure(np.array([1.0, 1.0]) / math.sqrt(2.0))),
         extras=lambda cfg, times, marginals, members: dict(zip(
-            ("purity_s_i", "purity_s_j"), np.trace(marginals.rho_s @ marginals.rho_s, axis1=-2, axis2=-1).real)),
+            ("purity_s_i", "purity_s_j"), purity(marginals.rho_s))),
         summary=_zero_to_nonzero_summary,
         extra_fields=("purity_s_i", "purity_s_j")),
     Scenario(

@@ -22,6 +22,7 @@ from .operators import (
     partial_trace,
     polar_unitary,
     trace_product,
+    unstacked,
 )
 
 SUPPORT_CUTOFF = 1e-12
@@ -97,8 +98,7 @@ def _checked_spectrum(rho):
 def _xlogx_sum(vals):
     """Sum of v ln v over the last axis, skipping v <= SUPPORT_CUTOFF."""
     kept = np.where(vals > SUPPORT_CUTOFF, vals, 1.0)
-    total = (kept * np.log(kept)).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return unstacked((kept * np.log(kept)).sum(axis=-1))
 
 
 def von_neumann_entropy(rho):
@@ -107,15 +107,15 @@ def von_neumann_entropy(rho):
 
 
 def renyi_entropy(rho, alpha):
-    """Renyi entropy of order alpha > 0; alpha = 1 falls back to von Neumann."""
+    """Renyi entropy of order alpha > 0, one per matrix of a stack; alpha = 1 falls back to von Neumann."""
     alpha = float(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if alpha == 1.0:
         return von_neumann_entropy(rho)
     vals = _checked_spectrum(rho)
-    vals = vals[vals > SUPPORT_CUTOFF]
-    return float(np.log((vals ** alpha).sum()) / (1.0 - alpha))
+    powers = np.where(vals > SUPPORT_CUTOFF, vals, 0.0) ** alpha
+    return unstacked(np.log(powers.sum(axis=-1)) / (1.0 - alpha))
 
 
 def _spectral_log(sigma):
@@ -145,7 +145,7 @@ def entropy_and_relative_entropy(rho, log_sigma, kernel):
     value = np.asarray(xlogx - trace_product(rho, log_sigma).real)
     if kernel.any():
         value = np.where(hs_norm(dagger(kernel) @ rho @ kernel) > 1e-12, math.inf, value)
-    return 0.0 - xlogx, float(value) if value.ndim == 0 else value
+    return 0.0 - xlogx, unstacked(value)
 
 
 def relative_entropy(rho, sigma):
@@ -169,8 +169,8 @@ def mutual_information(rho, dims):
 
 
 def purity(rho):
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    """Tr(rho^2), a trace_product; a stack (k, d, d) gives one purity per matrix."""
+    return unstacked(trace_product(rho, rho).real)
 
 
 @dataclass

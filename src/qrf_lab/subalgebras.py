@@ -17,15 +17,16 @@ from scipy.linalg import eigh, schur
 
 from .frames import parity_swap
 from .operators import (
-    NumericalRankError,
     StructuredUnitary,
     assert_unitary,
+    check_guard_band,
     dagger,
     degenerate_blocks,
     hs_norm,
     kron,
     monomial_gather,
     partial_trace,
+    pinch,
     polar_unitary,
     read_only,
     twirl,
@@ -150,10 +151,7 @@ def membership_test(setup, f, x, g_i, g_j, tol=MEMBERSHIP_TOL, transformed=None)
         transformed = setup.perspective_change(g_i, g_j).conjugate(f)
     residual = hs_norm(transformed - x.conjugate(f))
     threshold = tol * hs_norm(f)
-    is_member = residual <= threshold
-    if f.ndim == 2:
-        is_member, residual, threshold = bool(is_member), float(residual), float(threshold)
-    return MembershipResult(is_member=is_member, residual=residual, tolerance=threshold)
+    return MembershipResult(is_member=residual <= threshold, residual=residual, tolerance=threshold)
 
 
 def membership_scan(setup, f, candidates, g_i, g_j, tol=MEMBERSHIP_TOL):
@@ -246,12 +244,11 @@ class SubalgebraProjector:
     def apply(self, op):
         if self.mask is None:
             return unvec(self.basis @ (dagger(self.basis) @ vec(op)), self.operand_dim)
-        q = self.schur_vectors
-        return q @ (self.mask * (dagger(q) @ np.asarray(op, dtype=complex) @ q)) @ dagger(q)
+        return pinch(self.schur_vectors, self.mask, op)
 
     def contains(self, op):
         """Whether ||apply(op) - op|| <= MEMBERSHIP_TOL ||op||; scale-free, and 0 is a member."""
-        return bool(hs_norm(self.apply(op) - op) <= MEMBERSHIP_TOL * hs_norm(op))
+        return hs_norm(self.apply(op) - op) <= MEMBERSHIP_TOL * hs_norm(op)
 
 
 def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
@@ -266,10 +263,7 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
     triangular, q = schur(w, output="complex")
     eigs = np.diag(triangular)
     gaps = np.abs(eigs[:, None] - eigs[None, :])
-    ambiguous = gaps[(gaps > tol) & (gaps <= 10 * tol)]
-    if ambiguous.size:
-        raise NumericalRankError(
-            f"eigenvalues of W at distance {ambiguous.min():.3e} are inside the guard band {10 * tol:.3e}")
+    check_guard_band(gaps, tol, "the distance between eigenvalues of W")
     return SubalgebraProjector(operand_dim=setup.d_perspective, schur_vectors=q, mask=gaps <= tol)
 
 
@@ -300,10 +294,7 @@ def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-
     mu, vectors = eigh(_hermitian_superoperator([a, b], d), subset_by_value=(lowest, np.inf), overwrite_a=True,
                        check_finite=False)  # S is finite, and set only on the triangle that eigh reads
     defect = 1.0 - (mu - 1.0) ** 2
-    ambiguous = defect[(defect > tol) & (defect <= 10 * tol)]
-    if ambiguous.size:
-        raise NumericalRankError(
-            f"eigenvalue at distance {ambiguous.min():.3e} from 1 is inside the guard band {10 * tol:.3e}")
+    check_guard_band(defect, tol, "the distance of an eigenvalue of P_A P_B from 1")
     kept = vectors[:, defect <= tol].reshape(d, d, -1)
     del vectors
     # A Hermitian eigenvector's column-major vec is its conjugate in C order, g (r + i r^T).

@@ -31,8 +31,9 @@ flattened marginals with the two mean-field maps the split builds once,
 the interaction mean is Tr(h_tilde_s rho_s), every Tr(A B) is the sum of A
 times B transposed, and e_int = e_total - e_frame - e_s.  Mean fields,
 means and energies cost O(d^2) per state after that one-off set-up; only
-e_star multiplies matrices, of subsystem size, and only under
-commuting_part: under split_alpha it is zero and never formed.
+commuting_part multiplies matrices, of subsystem size: e_star, never formed
+under split_alpha, where it is zero, and one pinch of each mean field onto
+its side's eigenspaces, for one perspective or both.
 
 The entropy balance splits the same way.  initial_product keeps both
 marginals of rho0, their entropies, log rho_frame(0) on its support with a
@@ -65,12 +66,15 @@ from .dynamics import (
 from .operators import (
     dagger,
     hermitian_part,
+    hs_inner,
     hs_norm,
     kron,
     partial_trace,
+    pinch,
     product_partial_traces,
     stack_times,
     trace_product,
+    unstacked,
 )
 from .states import (
     entropy_and_relative_entropy,
@@ -113,15 +117,7 @@ class Prescription:
 
 def _real(value):
     """Real part as a float for a scalar, as an array for a stack."""
-    value = np.real(value)
-    return float(value) if value.ndim == 0 else value
-
-
-def _block_diagonal(projectors, op):
-    """Sum of p op p over a stack of projectors, or a tuple of one per member of op; op may be a stack."""
-    if isinstance(projectors, tuple):
-        return np.stack([_block_diagonal(p, member) for p, member in zip(projectors, op)])
-    return sum(p @ op @ p for p in projectors)
+    return unstacked(np.real(value))
 
 
 def _local_effective(split, rho_frame, rho_s, prescription):
@@ -137,9 +133,8 @@ def _local_effective(split, rho_frame, rho_s, prescription):
         h_s_eff = split.h_s + h_tilde_s - prescription.alpha_s * shift * np.eye(split.d_s)
         h_frame_eff = split.h_frame + h_tilde_frame - prescription.alpha_frame * shift * np.eye(split.d_frame)
     else:
-        projectors = split.eigenspace_projectors
-        h_s_eff = split.h_s + _block_diagonal(projectors["s"], h_tilde_s)
-        h_frame_eff = split.h_frame + _block_diagonal(projectors["frame"], h_tilde_frame)
+        h_s_eff = split.h_s + pinch(*split.eigenspaces["s"], h_tilde_s)
+        h_frame_eff = split.h_frame + pinch(*split.eigenspaces["frame"], h_tilde_frame)
     return h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s
 
 
@@ -232,9 +227,8 @@ def marginal_energetics(split, prescription, marginals):
         h_s_eff_dot = h_tilde_s_dot - prescription.alpha_s * shift * np.eye(split.d_s)
         h_frame_eff_dot = h_tilde_frame_dot - prescription.alpha_frame * shift * np.eye(split.d_frame)
     else:
-        projectors = split.eigenspace_projectors
-        h_s_eff_dot = _block_diagonal(projectors["s"], h_tilde_s_dot)
-        h_frame_eff_dot = _block_diagonal(projectors["frame"], h_tilde_frame_dot)
+        h_s_eff_dot = pinch(*split.eigenspaces["s"], h_tilde_s_dot)
+        h_frame_eff_dot = pinch(*split.eigenspaces["frame"], h_tilde_frame_dot)
 
     def rates(side, h_eff, h_eff_dot, h_bare, h_tilde, rho_m, rho_m_dot):
         qdot = _real(trace_product(h_eff, rho_m_dot))
@@ -394,17 +388,16 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     in_kernel = hs_norm(pi_t(setup, h_s)) <= 1e-9 * scale
 
     mu = mu_sign = residual = None
-    if in_kernel and anti and hs_norm(h_s) > 0:
-        h_s_new = split_new.h_s
-        coeff = float(np.trace(dagger(h_s) @ h_s_new).real) / float(np.trace(dagger(h_s) @ h_s).real)
-        fit = hs_norm(h_s_new - coeff * h_s)
+    if in_kernel and anti and scale > 0:
+        coeff = hs_inner(h_s, split_new.h_s).real / hs_inner(h_s, h_s).real
+        fit = hs_norm(split_new.h_s - coeff * h_s)
         if fit <= 1e-9 * scale and abs(coeff) > 0:
             mu, mu_sign, residual = abs(coeff), int(np.sign(coeff)), float(fit)
 
     return GibbsClassification(
         translation_invariant=translation_invariant,
         lambda_s=lambda_s,
-        lambda_s_norm=float(hs_norm(lambda_s)),
+        lambda_s_norm=hs_norm(lambda_s),
         invariant_gibbs=verdict,
         max_deviation=float(deviation),
         in_translation_kernel=in_kernel,
@@ -454,7 +447,7 @@ def _agree(a, b):
 
 
 def _phase_aligned_equal(a, b):
-    overlap = np.trace(dagger(a) @ b)
+    overlap = hs_inner(a, b)
     if abs(overlap) < 1e-12:
         return False
     phase = overlap / abs(overlap)

@@ -296,6 +296,12 @@ def _dense_mean_field(split, rho_other, on):
     return partial_trace(split.h_int @ kron(np.eye(d_f), rho_other), (d_f, d_s), drop=1)
 
 
+def eigenspace_count(mask):
+    """How many eigenspaces an eigenspaces mask joins its eigenvalues into, per member of a stack: one plus
+    the neighbouring pairs, in eigh's ascending order, that it keeps apart."""
+    return 1 + np.count_nonzero(~np.diagonal(mask, offset=1, axis1=-2, axis2=-1), axis=-1)
+
+
 def _dense_commutant_projection(h, op, gap):
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals)[::-1]

@@ -31,10 +31,11 @@ from qrf_lab.operators import (
     hs_norm,
     kron,
     partial_trace,
+    pinch,
 )
 from qrf_lab.subalgebras import BilocalUnitary
 
-from property_suites import haar_conjugated_z3_setup, random_hermitian, setup_pool
+from property_suites import eigenspace_count, haar_conjugated_z3_setup, random_hermitian, setup_pool
 
 E = (0,)
 
@@ -168,21 +169,25 @@ def test_dynamical_type_classifier_does_not_depend_on_the_energy_scale():
 @pytest.mark.parametrize("factor, count", [(0.5, 1), (5.0, None), (20.0, 2)])
 def test_eigenspace_gaps_in_the_guard_band_raise(factor, count):
     """h_S = diag(0, delta) beside Z (x) 1: a gap delta up to COMMUTANT_GAP ||H|| merges, one above
-    ten times that splits, and one in between raises NumericalRankError."""
+    ten times that splits, and one in between raises NumericalRankError.  A stacked split of H and
+    1e6 H takes each member's own gap, so both members reach the verdict of H alone."""
     delta = factor * COMMUTANT_GAP * hs_norm(kron(SIGMA_Z, ID2))
-    split = split_hamiltonian(kron(SIGMA_Z, ID2) + kron(ID2, np.diag([0.0, delta])), 2, 2)
-    if count is None:
-        with pytest.raises(NumericalRankError, match="inside the guard band"):
-            split.eigenspace_projectors
-    else:
-        assert len(split.eigenspace_projectors["s"]) == count
-        assert len(split.eigenspace_projectors["frame"]) == 2
+    h = kron(SIGMA_Z, ID2) + kron(ID2, np.diag([0.0, delta]))
+    for split in (split_hamiltonian(h, 2, 2), split_hamiltonian(np.stack([h, 1e6 * h]), 2, 2)):
+        if count is None:
+            with pytest.raises(NumericalRankError, match="inside the guard band"):
+                split.eigenspaces
+        else:
+            assert np.all(eigenspace_count(split.eigenspaces["s"][1]) == count)
+            assert np.all(eigenspace_count(split.eigenspaces["frame"][1]) == 2)
 
 
 def test_zero_hamiltonian_has_one_eigenspace_per_factor():
-    projectors = split_hamiltonian(np.zeros((4, 4)), 2, 2).eigenspace_projectors
+    spaces = split_hamiltonian(np.zeros((4, 4)), 2, 2).eigenspaces
     for key in ("s", "frame"):
-        assert len(projectors[key]) == 1 and np.allclose(projectors[key][0], np.eye(2), atol=1e-12)
+        vectors, mask = spaces[key]
+        assert eigenspace_count(mask) == 1 and mask.all()
+        assert np.allclose(pinch(vectors, mask, SIGMA_X), SIGMA_X, atol=1e-12)
 
 
 def test_effectively_isolated_chain():

@@ -22,9 +22,11 @@ from qrf_lab.operators import (
     partial_trace,
     polar_unitary,
     stack_times,
+    trace_product,
     unvec,
     vec,
 )
+from qrf_lab.states import purity
 
 from property_suites import (
     conjugation_superop,
@@ -96,6 +98,39 @@ def test_stack_hs_norm_matches_the_norm_of_each_matrix():
         expected = np.array([np.linalg.norm(m) for m in stack.reshape((-1,) + stack.shape[-2:])])
         assert np.all(np.abs(norms.ravel() - expected) <= 4 * np.spacing(expected)), stack.shape
     assert np.array_equal(hs_norm(np.zeros((3, 4, 4), dtype=complex)), np.zeros(3))
+
+
+def _layouts(stack):
+    """stack's values in C order, in Fortran order, and as the conjugate-transposed view of a C array that
+    the dense branch of StructuredUnitary.conjugate returns."""
+    return {"C": np.ascontiguousarray(stack), "F": np.asfortranarray(stack),
+            "dagger view": dagger(np.ascontiguousarray(dagger(stack)))}
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_reductions_depend_on_the_values_alone(kind):
+    """hs_norm, trace_product, hs_inner and purity give each matrix of a stack the bits it gets alone
+    in C order, for d from 2 to 27 and every layout of each operand, mixed ones too."""
+    rng = np.random.default_rng(83)
+    for d in range(2, 28):
+        a, b = (rng.normal(size=(3, d, d)) + (1j * rng.normal(size=(3, d, d)) if kind == "complex" else 0)
+                for _ in range(2))
+        layouts_a, layouts_b = _layouts(a), _layouts(b)
+        for name, stack in layouts_a.items():
+            norms = hs_norm(stack)
+            assert norms.shape == (3,) and isinstance(hs_norm(a[0]), float)
+            for n in range(3):
+                assert _bits(norms[n]) == _bits(hs_norm(a[n])) == _bits(hs_norm(stack[n])), (d, name)
+            assert _bits(purity(stack)) == _bits([purity(m) for m in a]), (d, name)
+            for other, stack_b in layouts_b.items():
+                products, inner = trace_product(stack, stack_b), hs_inner(stack, stack_b)
+                for n in range(3):
+                    assert _bits(products[n]) == _bits(trace_product(a[n], b[n])), (d, name, other)
+                    assert _bits(inner[n]) == _bits(hs_inner(a[n], b[n])), (d, name, other)
 
 
 @pytest.mark.parametrize("k", [1, 2, 50, 512])

@@ -97,6 +97,16 @@ def test_renyi_entropy_limits():
         assert np.isclose(renyi_entropy(uniform, alpha), np.log(4.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_renyi_entropy_of_a_stack_is_one_entropy_per_matrix(alpha):
+    """{pure, rank-2 uniform}, a -1e-13 eigenvalue among them: 0 and ln 2, each matrix's own value."""
+    stack = np.array([np.diag([1.0, 0.0, -1e-13]), np.diag([0.5, 0.5, 0.0])])
+    values = renyi_entropy(stack, alpha)
+    assert values.shape == (2,)
+    assert np.allclose(values, [0.0, np.log(2.0)], atol=1e-12)
+    assert values.tolist() == [renyi_entropy(m, alpha) for m in stack]
+
+
 def test_purity():
     assert np.isclose(purity(np.diag([1.0, 0.0])), 1.0)
     assert np.isclose(purity(np.eye(2) / 2), 0.5)

@@ -58,6 +58,7 @@ from property_suites import (
     ENERGETICS_FIELDS,
     NonProductInitialStateError,
     dense_energetics_oracle,
+    eigenspace_count,
     energetics,
     energetics_with_rho_dot,
     entropy_production_and_flow,
@@ -336,28 +337,9 @@ def test_balance_verifiers_on_member_trajectory():
     assert report.delta_s_frame_equal
 
 
-@pytest.mark.parametrize("case", ["qubits", "z2xz2_regular"])
-def test_rates_match_does_not_depend_on_the_energy_scale(case):
-    """H -> s H over t -> t / s is the same trajectory; rates grow as s^2."""
-    if case == "qubits":
-        setup, h, rho0, x, g_i, g_j = _member_trajectory()
-    else:
-        z2xz2_regular = setup_pool()[5]  # d_p = 16
-        setup, h, rho0, x, g_i, g_j = _projected_member_trajectory(
-            z2xz2_regular, np.random.default_rng(31))
-    for s in 10.0 ** np.arange(-6, 7):
-        split = split_hamiltonian(s * h, setup.d_frame, setup.d_s)
-        report = balance_verifiers(setup, split, rho0, g_i, g_j,
-                                   Prescription.split_alpha(0.5), 0.0, 2.0 / s,
-                                   x0=x, x1=x, grid=12)
-        assert report.membership_ok, s
-        assert report.rates_match, (s, report.rates_max_gap)
-
-
-@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e8, 1e10])
-def test_commuting_part_eigenspaces_do_not_depend_on_the_energy_scale(scale):
-    """h_S with the spectrum (1, 1, -1, -1) in a Haar-random basis keeps its two eigenspaces at
-    every scale s of H, and the commuting_part rates grow as s^2."""
+def _degenerate_h_s_case():
+    """H on d_f = 2, d_s = 4 whose h_S has the spectrum (1, 1, -1, -1) in a Haar-random basis, and
+    a random full-rank state."""
     rng = np.random.default_rng(7)
     v = haar_unitary(rng, 4)
     h_s = v @ np.diag([1.0, 1.0, -1.0, -1.0]) @ dagger(v)
@@ -365,11 +347,52 @@ def test_commuting_part_eigenspaces_do_not_depend_on_the_energy_scale(scale):
          + dynamics.split_hamiltonian(random_hermitian(rng, 8), 2, 4).h_int)
     rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = rho @ dagger(rho)
-    rho /= np.trace(rho).real
+    return h, rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("case", ["qubits", "z2xz2_regular", "degenerate_h_s"])
+def test_rates_match_does_not_depend_on_the_energy_scale(case):
+    """H -> s H over t -> t / s is the same trajectory and rates grow as s^2, so for s from 1e-12
+    to 1e10 every boolean of the BalanceReport, and its unmet premises, keep their values at s = 1;
+    the degenerate h_S runs under commuting_part, the others under split_alpha."""
+    prescription = Prescription.commuting_part() if case == "degenerate_h_s" else Prescription.split_alpha(0.5)
+    if case == "qubits":
+        setup, h, rho0, x, g_i, g_j = _member_trajectory()
+    elif case == "z2xz2_regular":
+        z2xz2_regular = setup_pool()[5]  # d_p = 16
+        setup, h, rho0, x, g_i, g_j = _projected_member_trajectory(
+            z2xz2_regular, np.random.default_rng(31))
+    else:
+        setup = setup_pool()[1]  # Z2 with tensor_power 2: d_f = 2, d_s = 4
+        (h, rho0), x, g_i, g_j = _degenerate_h_s_case(), BilocalUnitary(ID2, np.eye(4)), E, E
+
+    def verdicts(s):
+        split = split_hamiltonian(s * h, setup.d_frame, setup.d_s)
+        report = balance_verifiers(setup, split, rho0, g_i, g_j, prescription, 0.0, 2.0 / s,
+                                   x0=x, x1=x, grid=12)
+        gaps = np.array([report.rates_max_gap, report.both_bare_max_gap]) / s ** 2
+        return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+                if f.type.startswith("bool") or f.name == "premises_not_met"}, gaps
+
+    reference, reference_gaps = verdicts(1.0)
+    if case != "degenerate_h_s":
+        assert reference["membership_ok"] and reference["rates_match"]
+    for s in 10.0 ** np.arange(-12, 11):
+        found, gaps = verdicts(s)
+        assert found == reference, s
+        if case == "degenerate_h_s":  # x is no witness here, so the gaps are rates, not round-off
+            assert np.abs(gaps - reference_gaps).max() <= 1e-10 * reference_gaps.max(), s
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e8, 1e10])
+def test_commuting_part_eigenspaces_do_not_depend_on_the_energy_scale(scale):
+    """h_S with the spectrum (1, 1, -1, -1) in a Haar-random basis keeps its two eigenspaces at
+    every scale s of H, and the commuting_part rates grow as s^2."""
+    h, rho = _degenerate_h_s_case()
 
     def rates(s):
         split = dynamics.split_hamiltonian(s * h, 2, 4)
-        assert len(split.eigenspace_projectors["s"]) == 2
+        assert eigenspace_count(split.eigenspaces["s"][1]) == 2
         return energetics(split, rho, Prescription.commuting_part()).rates_vector() / s ** 2
 
     reference = rates(1.0)
@@ -651,7 +674,7 @@ def test_stacked_walk_matches_the_per_perspective_walk(monkeypatch, prescription
                 for field in dataclasses.fields(EntropyBalance):
                     assert _bits(getattr(balance, field.name)[n]) == _bits(getattr(single_balance, field.name))
         assert runs > 1
-        counts.append(tuple(map(len, pair.eigenspace_projectors["s"])))
+        counts.append(tuple(eigenspace_count(pair.eigenspaces["s"][1]).ravel()))
     assert counts[-1] == (2, 1)
 
 
