@@ -95,8 +95,8 @@ class HamiltonianSplit:
 
     @cached_property
     def eigenspaces(self):
-        """eigenspaces of h_s and of h_frame, keyed "s" and "frame", at the gap COMMUTANT_GAP ||H||, one
-        gap per member of a stacked split: (vectors, mask) pairs of the pieces' shape, for pinch."""
+        """eigenspaces of h_s and of h_frame, keyed "s" and "frame", clustered at the gap COMMUTANT_GAP ||H||,
+        one per member of a stacked split: (vectors, mask) pairs of the pieces' shape, for pinch."""
         gap = COMMUTANT_GAP * hs_norm(self.total)
         return {key: tuple(map(read_only, eigenspaces(piece, gap)))
                 for key, piece in (("s", self.h_s), ("frame", self.h_frame))}

@@ -16,7 +16,9 @@ Conventions used throughout the package:
   one operator per time point or perspective; a matrix is a stack of one,
   so a reduction's bits depend neither on the stacking nor on the layout;
 * product_partial_traces reads states in place and needs them Hermitian,
-  as density matrices are.
+  as density matrices are;
+* one rule, clusters, groups every spectrum: values at most gap apart share
+  a cluster, and a distance in (gap, 10 gap] raises NumericalRankError.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from scipy.linalg import polar
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 INDEFINITENESS_TOL = -1e-8
+# The witnesses' gap: fixed, as their spectra are a unit vector's Schmidt coefficients or a unit-trace state's.
+DEGENERACY_GAP = 1e-8
 
 
 class IndefiniteOperatorError(ValueError):
@@ -251,17 +255,6 @@ def polar_unitary(mat):
     return u
 
 
-def degenerate_blocks(values, gap):
-    """Group indices of a descending value list into blocks split by gaps."""
-    blocks = []
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k - 1] - values[k] > gap:
-            blocks.append(slice(start, k))
-            start = k
-    return blocks
-
-
 def check_guard_band(distances, gap, what):
     """Raise NumericalRankError, naming what, for a distance in (gap, 10 gap], too near gap to select by."""
     gap = np.broadcast_to(gap, np.shape(distances))
@@ -271,15 +264,22 @@ def check_guard_band(distances, gap, what):
         raise NumericalRankError(f"{what} {distance:.3e} is inside the guard band ({gap:.3e}, {10 * gap:.3e}]")
 
 
+def clusters(values, gap, what):
+    """same[..., a, b] = |v_a - v_b| <= gap over the last axis of values, real or complex, with one gap
+    per member of a stack.  Every pairwise distance goes to check_guard_band, naming what, so same is an
+    equivalence relation: a ~ b ~ c puts |v_a - v_c| at most 2 gap, within gap or inside the band."""
+    values = np.asarray(values)
+    distances = np.abs(values[..., :, None] - values[..., None, :])
+    gap = np.asarray(gap)[..., None, None]
+    check_guard_band(distances, gap, what)
+    return distances <= gap
+
+
 def eigenspaces(h, gap):
     """(vectors, mask) of a Hermitian h or of each matrix of a stack, for pinch: eigh's eigenvectors, and
-    whether eigenvalues a and b share an eigenspace at mask[a, b].  Neighbours at most gap apart chain into
-    one; a distance in (gap, 10 gap] raises NumericalRankError.  A stack takes one gap per member."""
+    the clusters of its eigenvalues at gap, one gap per member of a stack."""
     vals, vectors = np.linalg.eigh(np.asarray(h, dtype=complex))
-    steps, gap = np.diff(vals, axis=-1), np.asarray(gap)[..., None]
-    check_guard_band(steps, gap, "the distance between neighbouring eigenvalues")
-    space = np.cumsum(np.insert(steps > gap, 0, False, axis=-1), axis=-1)  # each eigenvalue's eigenspace
-    return vectors, space[..., :, None] == space[..., None, :]
+    return vectors, clusters(vals, gap, "the distance between eigenvalues")
 
 
 def pinch(vectors, mask, op):

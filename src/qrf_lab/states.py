@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    DEGENERACY_GAP,
     INDEFINITENESS_TOL,
     IndefiniteOperatorError,
     assert_hermitian,
+    clusters,
     dagger,
-    degenerate_blocks,
     hs_norm,
     partial_trace,
     polar_unitary,
@@ -196,13 +197,11 @@ def subsystem_equivalence_witness(rho_a, rho_b):
     rho_a, rho_b = np.asarray(rho_a, dtype=complex), np.asarray(rho_b, dtype=complex)
     vals_a, vecs_a = np.linalg.eigh(rho_a)
     vals_b, vecs_b = np.linalg.eigh(rho_b)
-    order_a, order_b = np.argsort(vals_a)[::-1], np.argsort(vals_b)[::-1]
-    vals_a, vecs_a = vals_a[order_a], vecs_a[:, order_a]
-    vals_b, vecs_b = vals_b[order_b], vecs_b[:, order_b]
     if np.abs(vals_a - vals_b).max() > SPECTRUM_TOL:
         return None
-    vecs_b = np.array(vecs_b, dtype=complex)
-    for blk in degenerate_blocks(vals_a, 1e-8):
+    same = clusters(vals_a, DEGENERACY_GAP, "the distance between eigenvalues of rho_a")
+    starts = np.flatnonzero(same.argmax(axis=1) == np.arange(vals_a.size))  # sorted, so a cluster is a slice
+    for blk in map(slice, starts, [*starts[1:], vals_a.size]):
         w = polar_unitary(dagger(vecs_b[:, blk]) @ vecs_a[:, blk])
         vecs_b[:, blk] = vecs_b[:, blk] @ w
     return vecs_b @ dagger(vecs_a)

@@ -17,11 +17,12 @@ from scipy.linalg import eigh, schur
 
 from .frames import parity_swap
 from .operators import (
+    DEGENERACY_GAP,
     StructuredUnitary,
     assert_unitary,
     check_guard_band,
+    clusters,
     dagger,
-    degenerate_blocks,
     hs_norm,
     kron,
     monomial_gather,
@@ -36,7 +37,6 @@ from .operators import (
 
 MEMBERSHIP_TOL = 1e-9
 LOCALITY_TOL = 1e-10
-DEGENERACY_GAP = 1e-8
 # intersect_projectors holds S in its real form and the eigenvector array of its
 # size that eigh's value range allocates, 16 d_p^4 bytes at peak (2.16 and 2.05
 # real copies of S under tracemalloc at d_p = 16 and 27).  The budget refuses
@@ -254,17 +254,14 @@ class SubalgebraProjector:
 def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
     """Projector onto the subalgebra labeled by x at the given orientations: the commutant of W = x'u.
 
-    W's eigenvalues within tol of each other share a cluster, which is the
-    selection |conj(mu_a) mu_b - 1| <= tol on conj(W) (x) W, mu being on the
-    unit circle.  A pair in (tol, 10 tol] raises NumericalRankError.
+    operators.clusters groups W's eigenvalues at tol, the selection
+    |conj(mu_a) mu_b - 1| <= tol on conj(W) (x) W, mu being on the unit circle.
     """
     u = setup.perspective_change(g_i, g_j).matrix
     w = assert_unitary(dagger(x.matrix) @ u, what="W = X'u")
     triangular, q = schur(w, output="complex")
-    eigs = np.diag(triangular)
-    gaps = np.abs(eigs[:, None] - eigs[None, :])
-    check_guard_band(gaps, tol, "the distance between eigenvalues of W")
-    return SubalgebraProjector(operand_dim=setup.d_perspective, schur_vectors=q, mask=gaps <= tol)
+    mask = clusters(np.diag(triangular), tol, "the distance between eigenvalues of W")
+    return SubalgebraProjector(operand_dim=setup.d_perspective, schur_vectors=q, mask=mask)
 
 
 def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-9):
@@ -365,7 +362,9 @@ def pure_state_bilocal_witness(setup, psi, g_i, g_j, tol=MEMBERSHIP_TOL):
     b, d = dagger(bh), dagger(dh)
     a, b, c, d = (np.array(m, dtype=complex) for m in (a, b, c, d))
     k = lam_psi.size
-    for blk in degenerate_blocks(lam_psi, DEGENERACY_GAP):
+    same = clusters(lam_psi, DEGENERACY_GAP, "the distance between Schmidt coefficients")
+    starts = np.flatnonzero(same.argmax(axis=1) == np.arange(k))  # sorted, so a cluster is a slice
+    for blk in map(slice, starts, [*starts[1:], k]):
         w = polar_unitary(dagger(c[:, blk]) @ a[:, blk] + dagger(d[:, blk]) @ b[:, blk])
         c[:, blk] = c[:, blk] @ w
         d[:, blk] = d[:, blk] @ w

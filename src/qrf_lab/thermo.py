@@ -368,7 +368,7 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     else:
         raise ValueError("hamiltonian must act on the system factor or the full perspective space")
     split = split_hamiltonian(total, d_f, d_s)
-    h_s = split.h_s
+    h_s = hermitian_part(split.h_s)  # Hermitian to H's round-off, which an h_s near 0 is not to its own
     scale = hs_norm(h_s)  # relative, so that no verdict depends on the energy unit
 
     commutes, anticommutes = setup.translation_sectors(h_s, 1e-10 * scale)
@@ -391,7 +391,7 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     if in_kernel and anti and scale > 0:
         coeff = hs_inner(h_s, split_new.h_s).real / hs_inner(h_s, h_s).real
         fit = hs_norm(split_new.h_s - coeff * h_s)
-        if fit <= 1e-9 * scale and abs(coeff) > 0:
+        if fit <= 1e-9 * scale and abs(coeff) > 1e-9:  # at the fit's tolerance, so round-off has no sign
             mu, mu_sign, residual = abs(coeff), int(np.sign(coeff)), float(fit)
 
     return GibbsClassification(

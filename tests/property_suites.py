@@ -19,6 +19,7 @@ from qrf_lab.dynamics import (
     GridEvolution,
     HamiltonianSplit,
     block_length,
+    dynamical_type_classifier,
     evolve,
     mean_field_hamiltonian,
     split_hamiltonian,
@@ -29,7 +30,6 @@ from qrf_lab.operators import (
     NumericalRankError,
     assert_unitary,
     dagger,
-    degenerate_blocks,
     hs_inner,
     hs_norm,
     kron,
@@ -56,6 +56,7 @@ from qrf_lab.thermo import (
     _assembled,
     _traced,
     entropy_balance,
+    gibbs_classification,
     initial_product,
     marginal_energetics,
 )
@@ -303,13 +304,18 @@ def eigenspace_count(mask):
 
 
 def _dense_commutant_projection(h, op, gap):
+    """The pinching onto the eigenspaces of h, with its own clustering: descending neighbours more than
+    gap apart start a new eigenspace."""
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     out = np.zeros_like(np.asarray(op, dtype=complex))
-    for blk in degenerate_blocks(vals, gap):
-        p = vecs[:, blk] @ dagger(vecs[:, blk])
-        out += p @ op @ p
+    start = 0
+    for k in range(1, len(vals) + 1):
+        if k == len(vals) or vals[k - 1] - vals[k] > gap:
+            p = vecs[:, start:k] @ dagger(vecs[:, start:k])
+            out += p @ op @ p
+            start = k
     return out
 
 
@@ -888,6 +894,44 @@ def suite_entropy_balance_from_one_spectrum(n=100, seed=914):
     return int(n)
 
 
+def _scale_free_verdicts(setup, hamiltonian, g_i, g_j):
+    """The yes/no verdicts read from a perspective Hamiltonian, and its eigenspace counts."""
+    split = split_hamiltonian(hamiltonian, setup.d_frame, setup.d_s)
+    gibbs = gibbs_classification(setup, hamiltonian, g_i, g_j)
+    return (dynamical_type_classifier(setup, split), gibbs.translation_invariant, gibbs.invariant_gibbs,
+            gibbs.in_translation_kernel, gibbs.mu_sign,
+            *(int(eigenspace_count(split.eigenspaces[key][1])) for key in ("s", "frame")))
+
+
+def suite_verdicts_do_not_depend_on_energy_scale(n=100, seed=915):
+    """dynamical_type_classifier, gibbs_classification's booleans and mu_sign, and the eigenspace
+    counts of the split are the same for s H as for H, s from 1e-12 to 1e10.
+
+    H = h_F (x) 1 + 1 (x) h_S + h_int over setup_pool(), with traceless h_F and h_S and an
+    h_int without local parts, so that the split returns them.  h_S cycles through translation
+    invariant, in the translations' kernel, degenerate (zero up to round-off where its values
+    coincide) and generic; h_F is diagonal on every other instance.  h_int cycles through zero,
+    generic and h_D (x) h_S with a diagonal h_D, which the perspective change turns into a
+    multiple of h_S when h_S anticommutes with every U_S(g) but e (the kernel over Z2), so that
+    mu_sign is set.
+    """
+    scales = (1e-12, 1e-5, 1e3, 1e10)
+    for k, rng, setup, g_i, g_j in _instances(n, seed):
+        d_f, d_s = setup.d_frame, setup.d_s
+        h_s = random_hermitian(rng, d_s)
+        h_s = (pi_t(setup, h_s), h_s - pi_t(setup, h_s), _degenerate_hermitian(rng, d_s), h_s)[k % 4]
+        h_f = np.diag(rng.normal(size=d_f)) if k % 2 == 0 else random_hermitian(rng, d_f)
+        h_f, h_s = (h - np.trace(h) / len(h) * np.eye(len(h)) for h in (h_f, h_s))
+        h_d, generic = rng.normal(size=d_f), random_hermitian(rng, d_f * d_s, 0.3)
+        h_int = (0 * generic, split_hamiltonian(generic, d_f, d_s).h_int,
+                 kron(np.diag(h_d - h_d.mean()), h_s))[k % 3]
+        hamiltonian = kron(h_f, np.eye(d_s)) + kron(np.eye(d_f), h_s) + h_int
+        expected = _scale_free_verdicts(setup, hamiltonian, g_i, g_j)
+        for scale in scales:
+            assert _scale_free_verdicts(setup, scale * hamiltonian, g_i, g_j) == expected, (k, scale)
+    return int(n)
+
+
 ALL_SUITES = (
     suite_physical_projector_rank,
     suite_reduction_coisometry,
@@ -903,4 +947,5 @@ ALL_SUITES = (
     suite_label_projector_matches_superoperator_oracle,
     suite_intersection_matches_schur_oracle,
     suite_entropy_balance_from_one_spectrum,
+    suite_verdicts_do_not_depend_on_energy_scale,
 )

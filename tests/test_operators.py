@@ -11,10 +11,12 @@ from qrf_lab.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    NumericalRankError,
     assert_hermitian,
     assert_unitary,
+    clusters,
     dagger,
-    degenerate_blocks,
+    eigenspaces,
     hs_inner,
     hs_norm,
     kron,
@@ -182,9 +184,17 @@ def test_polar_unitary():
     assert np.allclose(u @ dagger(u), np.eye(3), atol=1e-10)
 
 
-def test_degenerate_blocks():
-    blocks = degenerate_blocks([3.0, 3.0 - 1e-12, 1.0, 0.0], gap=1e-6)
-    assert blocks == [slice(0, 2), slice(2, 3), slice(3, 4)]
+def test_clusters():
+    same = clusters([3.0, 3.0 - 1e-12, 1.0, 0.0], 1e-6, "the distance")
+    assert same.tolist() == [[True, True, False, False], [True, True, False, False],
+                             [False, False, True, False], [False, False, False, True]]
+
+
+def test_an_eigenvalue_chain_longer_than_the_gap_raises():
+    """Neighbours 0.6 apart at the gap 1.0 would chain into one eigenspace of span 1.2; the span is
+    inside the guard band, so the clustering is not an equivalence and raises."""
+    with pytest.raises(NumericalRankError, match="eigenvalues 1.200e\\+00 is inside the guard band"):
+        eigenspaces(np.diag([0.0, 0.6, 1.2]), 1.0)
 
 
 def test_conjugation_superop():

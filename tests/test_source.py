@@ -182,12 +182,26 @@ def test_one_walk_reads_the_time_grid():
     assert found("blocks") == {walk, ("dynamics.py", "imported_hamiltonian_and_trajectory_check")}
 
 
-def test_one_system_twirl():
-    """pi_t is the only average over the U_S(g): no module defines s_factor_twirl, and only
-    subalgebras.pi_t calls operators.twirl."""
+def _defined_and_callers(callee):
+    """The names of every function the package defines, and the (module, caller) pairs of callee."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     defined = {node.name for text in sources.values() for node in ast.walk(ast.parse(text))
                if isinstance(node, ast.FunctionDef)}
+    return defined, {(name, owner) for name, text in sources.items() for owner in callers(text, callee)}
+
+
+def test_one_system_twirl():
+    """pi_t is the only average over the U_S(g): no module defines s_factor_twirl, and only
+    subalgebras.pi_t calls operators.twirl."""
+    defined, found = _defined_and_callers("twirl")
     assert "s_factor_twirl" not in defined
-    assert {(name, owner) for name, text in sources.items() for owner in callers(text, "twirl")} == {
-        ("subalgebras.py", "pi_t")}
+    assert found == {("subalgebras.py", "pi_t")}
+
+
+def test_one_clustering_rule():
+    """operators.clusters is the only clustering of a spectrum: no module defines degenerate_blocks, and
+    only clusters and subalgebras.intersect_projectors, which selects values near 1 rather than
+    clustering them, call check_guard_band."""
+    defined, found = _defined_and_callers("check_guard_band")
+    assert "degenerate_blocks" not in defined
+    assert found == {("operators.py", "clusters"), ("subalgebras.py", "intersect_projectors")}

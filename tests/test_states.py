@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qrf_lab import FrameSetup, Z2, Z3
-from qrf_lab.operators import SIGMA_X, SIGMA_Z, kron
+from qrf_lab.operators import SIGMA_X, SIGMA_Z, NumericalRankError, kron
 from qrf_lab.states import (
     basis_state,
     gb_state,
@@ -155,6 +155,13 @@ def test_equivalence_witness_rejects_different_spectra():
     rho_a = np.diag([0.9, 0.1])
     rho_b = np.diag([0.6, 0.4])
     assert subsystem_equivalence_witness(rho_a, rho_b) is None
+
+
+def test_equivalence_witness_raises_for_eigenvalues_in_the_guard_band():
+    """Eigenvalues 5e-8 apart are neither one cluster nor clearly two at the gap 1e-8."""
+    p = 0.5 + 2.5e-8
+    with pytest.raises(NumericalRankError, match="eigenvalues of rho_a 5.000e-08 is inside the guard band"):
+        subsystem_equivalence_witness(np.diag([p, 1 - p]), np.diag([p, 1 - p]))
 
 
 def test_negative_temperature_prediction():

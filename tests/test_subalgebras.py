@@ -529,6 +529,16 @@ def test_pure_state_witness_absent_for_generic_state():
     assert pure_state_bilocal_witness(setup, psi, E, E) is None
 
 
+def test_pure_state_witness_raises_for_schmidt_coefficients_in_the_guard_band():
+    """sqrt(p)|0>|+> + sqrt(1 - p)|1>|->, whose Schmidt coefficients are 3.5e-8 apart: neither one
+    cluster nor clearly two at the gap 1e-8, so no witness is aligned on a guess."""
+    p = 0.5 + 2.5e-8
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
+    psi = np.sqrt(p) * np.kron([1.0, 0.0], plus) + np.sqrt(1 - p) * np.kron([0.0, 1.0], minus)
+    with pytest.raises(NumericalRankError, match="Schmidt coefficients 3.536e-08 is inside the guard band"):
+        pure_state_bilocal_witness(qubit_setup(), psi, E, E)
+
+
 def test_classify_local_operators():
     setup = qubit_setup()
     s_flip = classify_local_operator(setup, kron(ID2, SIGMA_X), "s_local", E, E)

@@ -772,6 +772,16 @@ def test_gibbs_classification_detects_rescaling():
     assert report.mu_fit_residual < 1e-9
 
 
+def test_gibbs_classification_of_a_system_piece_at_round_off():
+    """H is Hermitian to its own round-off, and its h_s, 1e-17 i Z, is not Hermitian to itself; the
+    classification reads h_s = 0, whose Gibbs state is maximally mixed, and does not raise."""
+    setup = qubit_setup()
+    h = kron(SIGMA_Z, ID2) + kron(ID2, 1e-17j * SIGMA_Z)
+    report = gibbs_classification(setup, h, E, (1,))
+    assert report.invariant_gibbs and report.in_translation_kernel
+    assert report.max_deviation == 0.0 and report.mu_sign is None
+
+
 def test_gibbs_classification_of_an_interaction_in_the_pi_d_pi_t_range():
     """With h_int = pi_D(pi_T(h_int)) the leftover rest_int is round-off; on a
     dense explicit rep its transform is not Hermitian to round-off relative
