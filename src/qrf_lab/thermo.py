@@ -25,15 +25,16 @@ generator builds the StateMarginals itself, as balance_verifiers does for
 the imported rates.  Scenario rows and balance_verifiers both read the
 grid only through the walk.
 
-From the marginals on, every quantity is contracted on the factor tensor
-T[f, s, g, t] = h_int[(f, s), (g, t)]: the mean fields are products of the
-flattened marginals with the two mean-field maps the split builds once,
-the interaction mean is Tr(h_tilde_s rho_s), every Tr(A B) is the sum of A
-times B transposed, and e_int = e_total - e_frame - e_s.  Mean fields,
-means and energies cost O(d^2) per state after that one-off set-up; only
-commuting_part multiplies matrices, of subsystem size: e_star, never formed
-under split_alpha, where it is zero, and one pinch of each mean field onto
-its side's eigenspaces, for one perspective or both.
+From the marginals on, marginal_energetics is one loop over the two sides,
+system then frame, with the one prescription branch inside it.  Every
+quantity is contracted on the factor tensor T[f, s, g, t] = h_int[(f, s),
+(g, t)]: the mean fields are products of the flattened marginals with the
+two mean-field maps the split builds once, the interaction mean is
+Tr(h_tilde_s rho_s), every Tr(A B) is the sum of A times B transposed, and
+e_int = e_total - e_frame - e_s.  Mean fields, means and energies cost
+O(d^2) per state after that one-off set-up; only commuting_part multiplies
+matrices, of subsystem size: e_star, zero under split_alpha, and one pinch
+of each mean field onto its side's eigenspaces, for one perspective or both.
 
 The entropy balance splits the same way.  initial_product keeps both
 marginals of rho0, their entropies, log rho_frame(0) on its support with a
@@ -120,24 +121,6 @@ def _real(value):
     return unstacked(np.real(value))
 
 
-def _local_effective(split, rho_frame, rho_s, prescription):
-    """The two effective local generators and the mean fields.
-
-    Returns (h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s); split_alpha
-    shares the interaction mean Tr(h_int rho_frame (x) rho_s) = Tr(h_tilde_s rho_s).
-    """
-    h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
-    h_tilde_frame = mean_field_hamiltonian(split, rho_s, on="frame")
-    if prescription.kind == "split_alpha":
-        shift = np.asarray(_real(trace_product(h_tilde_s, rho_s)))[..., None, None]
-        h_s_eff = split.h_s + h_tilde_s - prescription.alpha_s * shift * np.eye(split.d_s)
-        h_frame_eff = split.h_frame + h_tilde_frame - prescription.alpha_frame * shift * np.eye(split.d_frame)
-    else:
-        h_s_eff = split.h_s + pinch(*split.eigenspaces["s"], h_tilde_s)
-        h_frame_eff = split.h_frame + pinch(*split.eigenspaces["frame"], h_tilde_frame)
-    return h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s
-
-
 @dataclass
 class ThermoReport:
     """Energies and rates of one perspective at one instant.
@@ -209,51 +192,40 @@ def _assembled(split, rho_frame, rho_s, int_frame, int_s):
 def marginal_energetics(split, prescription, marginals):
     """The ThermoReport of energetics from a state's StateMarginals alone.
 
-    Under split_alpha each side's h_eff is gen - alpha c 1, gen = h_bare +
-    h_tilde and c = Tr(h_tilde_s rho_s) a number per state, so
+    One loop over the sides, s and frame, each with its bare piece h, mean
+    field h_tilde and share alpha of c = Tr(h_tilde_s rho_s), one number per
+    state; gen = h + h_tilde.  split_alpha takes h_eff = gen - alpha c 1, so
     e_star = -i Tr(h_eff [gen, rho_m]) = -i Tr(gen [gen, rho_m]) + i alpha c
-    Tr[gen, rho_m] = 0 by cyclicity of the trace, for any rho_m and any
-    rho_dot, which e_star never reads.  It is then +0.0 and each alternative
-    rate is the conventional one; commuting_part forms the commutator.
+    Tr[gen, rho_m] = 0 by cyclicity of the trace, whatever rho_m and rho_dot:
+    it is +0.0, and no commutator is formed.  commuting_part takes h_eff = h
+    + h_tilde pinched onto h's eigenspaces, and forms e_star.  Under both the
+    alternative rates are qdot - e_star and wdot + e_star.
     """
     rho_frame, rho_s, rho_frame_dot, rho_s_dot, e_total = marginals
-    h_frame_eff, h_s_eff, h_tilde_frame, h_tilde_s = _local_effective(
-        split, rho_frame, rho_s, prescription)
-    h_tilde_s_dot = mean_field_hamiltonian(split, rho_frame_dot, on="s")
-    h_tilde_frame_dot = mean_field_hamiltonian(split, rho_s_dot, on="frame")
-    mean_dot = _real(trace_product(h_tilde_s_dot, rho_s) + trace_product(h_tilde_s, rho_s_dot))
-    if prescription.kind == "split_alpha":
-        shift = np.asarray(mean_dot)[..., None, None]
-        h_s_eff_dot = h_tilde_s_dot - prescription.alpha_s * shift * np.eye(split.d_s)
-        h_frame_eff_dot = h_tilde_frame_dot - prescription.alpha_frame * shift * np.eye(split.d_frame)
-    else:
-        h_s_eff_dot = pinch(*split.eigenspaces["s"], h_tilde_s_dot)
-        h_frame_eff_dot = pinch(*split.eigenspaces["frame"], h_tilde_frame_dot)
-
-    def rates(side, h_eff, h_eff_dot, h_bare, h_tilde, rho_m, rho_m_dot):
-        qdot = _real(trace_product(h_eff, rho_m_dot))
-        wdot = _real(trace_product(h_eff_dot, rho_m))
+    h_tilde_s, h_tilde_s_dot = (mean_field_hamiltonian(split, rho, on="s") for rho in (rho_frame, rho_frame_dot))
+    h_tilde_f, h_tilde_f_dot = (mean_field_hamiltonian(split, rho, on="frame") for rho in (rho_s, rho_s_dot))
+    c = np.asarray(_real(trace_product(h_tilde_s, rho_s)))
+    c_dot = np.asarray(_real(trace_product(h_tilde_s_dot, rho_s) + trace_product(h_tilde_s, rho_s_dot)))
+    sides = (("s", split.h_s, h_tilde_s, h_tilde_s_dot, rho_s, rho_s_dot, prescription.alpha_s),
+             ("frame", split.h_frame, h_tilde_f, h_tilde_f_dot, rho_frame, rho_frame_dot, prescription.alpha_frame))
+    report = {"e_total": e_total}
+    for side, h_bare, h_tilde, h_tilde_dot, rho_m, rho_m_dot, alpha in sides:
+        gen = h_bare + h_tilde
         if prescription.kind == "split_alpha":
-            e_star, qdot_alt, wdot_alt = _real(np.zeros(np.shape(qdot))), qdot, wdot
+            one = np.eye(gen.shape[-1])
+            h_eff = gen - alpha * c[..., None, None] * one
+            h_eff_dot = h_tilde_dot - alpha * c_dot[..., None, None] * one
+            e_star = _real(np.zeros(c.shape))
         else:
-            gen = h_bare + h_tilde
+            h_eff = h_bare + pinch(*split.eigenspaces[side], h_tilde)
+            h_eff_dot = pinch(*split.eigenspaces[side], h_tilde_dot)
             e_star = _real(-1j * trace_product(h_eff, gen @ rho_m - rho_m @ gen))
-            qdot_alt, wdot_alt = qdot - e_star, wdot + e_star
-        return {f"qdot_conv_{side}": qdot, f"wdot_conv_{side}": wdot, f"e_star_{side}": e_star,
-                f"qdot_alt_{side}": qdot_alt, f"wdot_alt_{side}": wdot_alt}
-
-    e_frame = _real(trace_product(h_frame_eff, rho_frame))
-    e_s = _real(trace_product(h_s_eff, rho_s))
-    return ThermoReport(
-        e_frame=e_frame,
-        e_s=e_s,
-        # Tr(h_int_eff rho), with h_int_eff = H - h_frame_eff (x) 1 - 1 (x) h_s_eff.
-        e_int=e_total - e_frame - e_s,
-        e_total=e_total,
-        **rates("s", h_s_eff, h_s_eff_dot, split.h_s, h_tilde_s, rho_s, rho_s_dot),
-        **rates("frame", h_frame_eff, h_frame_eff_dot, split.h_frame, h_tilde_frame,
-                rho_frame, rho_frame_dot),
-    )
+        qdot, wdot = _real(trace_product(h_eff, rho_m_dot)), _real(trace_product(h_eff_dot, rho_m))
+        report |= {f"e_{side}": _real(trace_product(h_eff, rho_m)), f"qdot_conv_{side}": qdot,
+                   f"wdot_conv_{side}": wdot, f"e_star_{side}": e_star,
+                   f"qdot_alt_{side}": qdot - e_star, f"wdot_alt_{side}": wdot + e_star}
+    # Tr(h_int_eff rho), with h_int_eff = H - h_frame_eff (x) 1 - 1 (x) h_s_eff.
+    return ThermoReport(e_int=report["e_total"] - report["e_frame"] - report["e_s"], **report)
 
 
 @dataclass
@@ -357,7 +329,8 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     Hamiltonian; the verdict concerns its system-local piece.  max_deviation
     is the largest HS distance, at beta = 1, between the Gibbs state and
     frame j's rho_s over every global state whose frame-diagonal blocks are
-    those of a frame state (x) that Gibbs state.
+    those of a frame state (x) that Gibbs state.  Every threshold is relative
+    to ||H||, as in dynamical_type_classifier: an h_s of H's round-off is 0.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     d_f, d_s = setup.d_frame, setup.d_s
@@ -369,7 +342,7 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
         raise ValueError("hamiltonian must act on the system factor or the full perspective space")
     split = split_hamiltonian(total, d_f, d_s)
     h_s = hermitian_part(split.h_s)  # Hermitian to H's round-off, which an h_s near 0 is not to its own
-    scale = hs_norm(h_s)  # relative, so that no verdict depends on the energy unit
+    scale = hs_norm(split.total)  # ||H||, as dynamical_type_classifier, so no verdict depends on the energy unit
 
     commutes, anticommutes = setup.translation_sectors(h_s, 1e-10 * scale)
     translation_invariant = bool(commutes.all())
@@ -388,7 +361,7 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     in_kernel = hs_norm(pi_t(setup, h_s)) <= 1e-9 * scale
 
     mu = mu_sign = residual = None
-    if in_kernel and anti and scale > 0:
+    if in_kernel and anti and hs_norm(h_s) > 1e-9 * scale:  # an h_s of H's round-off has no mu
         coeff = hs_inner(h_s, split_new.h_s).real / hs_inner(h_s, h_s).real
         fit = hs_norm(split_new.h_s - coeff * h_s)
         if fit <= 1e-9 * scale and abs(coeff) > 1e-9:  # at the fit's tolerance, so round-off has no sign

@@ -903,9 +903,8 @@ def _scale_free_verdicts(setup, hamiltonian, g_i, g_j):
             *(int(eigenspace_count(split.eigenspaces[key][1])) for key in ("s", "frame")))
 
 
-def suite_verdicts_do_not_depend_on_energy_scale(n=100, seed=915):
-    """dynamical_type_classifier, gibbs_classification's booleans and mu_sign, and the eigenspace
-    counts of the split are the same for s H as for H, s from 1e-12 to 1e10.
+def energy_scale_instances(n, seed):
+    """(k, setup, H, g_i, g_j) of suite_verdicts_do_not_depend_on_energy_scale, instance by instance.
 
     H = h_F (x) 1 + 1 (x) h_S + h_int over setup_pool(), with traceless h_F and h_S and an
     h_int without local parts, so that the split returns them.  h_S cycles through translation
@@ -915,7 +914,6 @@ def suite_verdicts_do_not_depend_on_energy_scale(n=100, seed=915):
     multiple of h_S when h_S anticommutes with every U_S(g) but e (the kernel over Z2), so that
     mu_sign is set.
     """
-    scales = (1e-12, 1e-5, 1e3, 1e10)
     for k, rng, setup, g_i, g_j in _instances(n, seed):
         d_f, d_s = setup.d_frame, setup.d_s
         h_s = random_hermitian(rng, d_s)
@@ -925,7 +923,16 @@ def suite_verdicts_do_not_depend_on_energy_scale(n=100, seed=915):
         h_d, generic = rng.normal(size=d_f), random_hermitian(rng, d_f * d_s, 0.3)
         h_int = (0 * generic, split_hamiltonian(generic, d_f, d_s).h_int,
                  kron(np.diag(h_d - h_d.mean()), h_s))[k % 3]
-        hamiltonian = kron(h_f, np.eye(d_s)) + kron(np.eye(d_f), h_s) + h_int
+        yield k, setup, kron(h_f, np.eye(d_s)) + kron(np.eye(d_f), h_s) + h_int, g_i, g_j
+
+
+def suite_verdicts_do_not_depend_on_energy_scale(n=100, seed=915):
+    """dynamical_type_classifier, gibbs_classification's booleans and mu_sign, and the eigenspace
+    counts of the split are the same for s H as for H, s from 1e-12 to 1e10, over
+    energy_scale_instances.
+    """
+    scales = (1e-12, 1e-5, 1e3, 1e10)
+    for k, setup, hamiltonian, g_i, g_j in energy_scale_instances(n, seed):
         expected = _scale_free_verdicts(setup, hamiltonian, g_i, g_j)
         for scale in scales:
             assert _scale_free_verdicts(setup, scale * hamiltonian, g_i, g_j) == expected, (k, scale)

@@ -623,3 +623,39 @@ def test_pauli_label_matches_the_enumeration():
         assert scenarios._pauli_label(mat) == _pauli_label_by_enumeration(mat) == "?"
     # Within np.allclose's default rtol of 1e-5 a rescaled Pauli keeps its label.
     assert scenarios._pauli_label(1.000001 * SIGMA_X) == _pauli_label_by_enumeration(1.000001 * SIGMA_X) == "X"
+
+
+GRID_SCENARIOS = [name for name, entry in scenarios.SCENARIOS.items() if entry.run is None]
+RATE_COLUMNS = [f"{stem}_s_{suffix}" for stem in ("qdot", "wdot", "estar") for suffix in "ij"]
+
+
+def _scaled_rows(name, prescription, scale):
+    """Rows of a time-grid default with its H given as Pauli terms times scale and its grid divided by it."""
+    cfg = parse_config({"scenario": name})
+    entry, grid = scenarios.SCENARIOS[name], cfg.raw["time_grid"]
+    h = entry.hamiltonian(cfg)
+    terms = [{"coefficient": scale * np.trace(kron(PAULI[a], PAULI[b]) @ h).real / 4, "factors": [a, b]}
+             for a, b in itertools.product("IXYZ", repeat=2)]
+    time_grid = {"start": grid["start"] / scale, "stop": grid["stop"] / scale, "points": grid["points"]}
+    return run_scenario({"scenario": name, "prescription": prescription, "hamiltonian": {"terms": terms},
+                         "time_grid": time_grid}).rows
+
+
+@pytest.mark.parametrize("prescription", [{"prescription": "split_alpha", "alpha_s": 0.5},
+                                          {"prescription": "commuting_part"}], ids=["split_alpha", "commuting_part"])
+@pytest.mark.parametrize("name", GRID_SCENARIOS)
+def test_rows_do_not_depend_on_the_energy_scale(name, prescription):
+    """H -> s H with t -> t / s, s from 1e-8 to 1e8: every membership verdict is the same, and every
+    rate, which scales as s^2, is s^2 times its s = 1 value within 1e-10 (1 + max |rate|).  Rows only:
+    a summary may probe fixed times, which do not scale."""
+    assert len(GRID_SCENARIOS) == 7
+    reference = _scaled_rows(name, prescription, 1.0)
+    verdicts = [key for key in ("in_AX", "in_identity", "in_flip") if key in reference[0]]
+    expected = {key: [row[key] for row in reference] for key in verdicts}
+    rates = np.array([[row[key] for key in RATE_COLUMNS] for row in reference])
+    bound = 1e-10 * (1.0 + np.abs(rates).max(axis=0))
+    for scale in (1e-8, 1e-4, 1e4, 1e8):
+        rows = _scaled_rows(name, prescription, scale)
+        assert {key: [row[key] for row in rows] for key in verdicts} == expected, scale
+        scaled = np.array([[row[key] for key in RATE_COLUMNS] for row in rows]) / scale ** 2
+        assert (np.abs(scaled - rates) <= bound).all(), (scale, np.abs(scaled - rates).max(axis=0))

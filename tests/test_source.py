@@ -205,3 +205,32 @@ def test_one_clustering_rule():
     defined, found = _defined_and_callers("check_guard_band")
     assert "degenerate_blocks" not in defined
     assert found == {("operators.py", "clusters"), ("subalgebras.py", "intersect_projectors")}
+
+
+def attribute_reads(source, attr):
+    """How often each outermost def or class of source reads attr as an attribute; a read outside
+    every def and class counts as "<module>"."""
+    tree = ast.parse(source)
+    owners = Counter()
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        owners.update(owner for child in ast.walk(node)
+                      if isinstance(child, ast.Attribute) and child.attr == attr
+                      and isinstance(child.ctx, ast.Load))
+    return owners
+
+
+def test_the_checker_sees_attribute_reads():
+    source = ("class P:\n    def m(self):\n        return self.kind\n\n\n"
+              "def f(p):\n    p.kind = 1\n    return p.kind, p.kind\n\n\nprint(P().kind)\n")
+    assert attribute_reads(source, "kind") == {"P": 1, "f": 2, "<module>": 1}
+
+
+def test_one_prescription_branch():
+    """marginal_energetics decides the prescription once, inside its loop over the two sides: no module
+    defines _local_effective, and besides Prescription itself only that one read of thermo.py takes kind."""
+    defined, _ = _defined_and_callers("_local_effective")
+    assert "_local_effective" not in defined
+    reads = attribute_reads((Path(qrf_lab.__file__).parent / "thermo.py").read_text(encoding="utf-8"), "kind")
+    assert reads.pop("Prescription") >= 1
+    assert reads == {"marginal_energetics": 1}

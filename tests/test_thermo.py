@@ -61,6 +61,7 @@ from property_suites import (
     eigenspace_count,
     energetics,
     energetics_with_rho_dot,
+    energy_scale_instances,
     entropy_production_and_flow,
     haar_conjugated_z3_setup,
     haar_unitary,
@@ -839,3 +840,17 @@ def test_gibbs_verdicts_for_zero_hamiltonian():
     negative = [(elements, [])] * 2
     local = [(True, True, True)] * 2 + [(True, False, True)] * 2
     assert gibbs_verdicts(setup, 0.0) == gibbs + negative + local
+
+
+def test_gibbs_classification_of_a_system_piece_of_round_off_in_a_larger_h():
+    """Instance 26 of the energy-scale suite: Z3 with d_s = 2, whose degenerate h_S is zero up to
+    H's round-off.  Measured against ||H||, as dynamical_type_classifier measures, that h_S is 0:
+    it commutes with every U_S(g), so the Gibbs state is invariant, and it has no mu."""
+    k, setup, h, g_i, g_j = next(itertools.islice(energy_scale_instances(27, 915), 26, None))
+    split = split_hamiltonian(h, setup.d_frame, setup.d_s)
+    assert (k, setup.d_s, g_i, g_j) == (26, 2, (2,), (2,))
+    assert 0 < hs_norm(split.h_s) <= 1e-15 * hs_norm(split.total)
+    assert dynamics.dynamical_type_classifier(setup, split) == "closed_to_closed"
+    report = gibbs_classification(setup, h, g_i, g_j)
+    assert report.translation_invariant and report.in_translation_kernel
+    assert report.mu is None and report.mu_sign is None
