@@ -376,7 +376,6 @@ class ScenarioResult:
     rows: list
     summary: dict
     extra_fields: tuple = ()
-    columns: tuple = COLUMNS
 
 
 def _blank_row(t):
@@ -388,8 +387,8 @@ def _blank_row(t):
 def write_csv(result, stream):
     # One pass per row.  "%.17g" writes a number as format(float(v), ".17g")
     # does (inf, -0 included) and a bool, np.bool_ too, as 1 or 0.
-    lines = [",".join(result.columns)]
-    lines += [",".join(["" if v is None else "%.17g" % v for v in map(row.get, result.columns)])
+    lines = [",".join(COLUMNS)]
+    lines += [",".join(["" if v is None else "%.17g" % v for v in map(row.get, COLUMNS)])
               for row in result.rows]
     stream.write("\n".join(lines) + "\n")
 
@@ -433,7 +432,7 @@ def _json_text(value, pad="\n", strict=False):
 
 def write_json(result, stream):
     # _json_text's document, with each row in one pass: a finite float by float.__repr__, the rest through it.
-    columns = list(result.columns) + list(result.extra_fields)
+    columns = list(COLUMNS) + list(result.extra_fields)
     head = _json_text({
         "scenario": result.name,
         "metadata": {
@@ -711,7 +710,7 @@ def _run_ghz(cfg):
         summary.update(
             branch_overlap=float(abs(np.vdot(psi_w, psi_g))), flip_member=res.is_member,
             flip_residual=res.residual, conjugation_dev=float(np.abs(s_j - flip @ s_i @ flip).max()),
-            svn_gap=abs(von_neumann_entropy(s_i) - von_neumann_entropy(s_j)),
+            svn_gap=abs(row["SvN_s_i"] - row["SvN_s_j"]),
             renyi_half_gap=abs(renyi_entropy(s_i, 0.5) - renyi_entropy(s_j, 0.5)),
             renyi_two_gap=abs(renyi_entropy(s_i, 2.0) - renyi_entropy(s_j, 2.0)))
     return [row], summary

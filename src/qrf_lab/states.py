@@ -119,23 +119,14 @@ def renyi_entropy(rho, alpha):
     return unstacked(np.log(powers.sum(axis=-1)) / (1.0 - alpha))
 
 
-def _spectral_log(sigma):
-    vals, vecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
-    outside = vals <= SUPPORT_CUTOFF
-    log_sigma = (vecs * np.log(np.where(outside, 1.0, vals))[..., None, :]) @ dagger(vecs)
-    return vals, log_sigma, vecs * outside[..., None, :]
-
-
 def support_log(sigma):
-    """(log sigma on its support, sigma's kernel eigenvectors with the support's columns zeroed);
-    eigenvalues at or below SUPPORT_CUTOFF make the kernel.  A stack gives stacks."""
-    return _spectral_log(sigma)[1:]
-
-
-def entropy_and_support_log(rho):
-    """(S(rho), *support_log(rho)) from one eigh, rho's spectrum checked as von_neumann_entropy checks it."""
-    vals, log_rho, kernel = _spectral_log(rho)
-    return 0.0 - _xlogx_sum(_checked(vals)), log_rho, kernel
+    """(S(sigma), log sigma on its support, sigma's kernel eigenvectors with the support's columns zeroed)
+    from one eigh, sigma's spectrum checked as von_neumann_entropy checks it; eigenvalues at or below
+    SUPPORT_CUTOFF make the kernel.  A stack gives stacks."""
+    vals, vecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
+    outside = _checked(vals) <= SUPPORT_CUTOFF
+    log_sigma = (vecs * np.log(np.where(outside, 1.0, vals))[..., None, :]) @ dagger(vecs)
+    return 0.0 - _xlogx_sum(vals), log_sigma, vecs * outside[..., None, :]
 
 
 def entropy_and_relative_entropy(rho, log_sigma, kernel):
@@ -152,13 +143,13 @@ def entropy_and_relative_entropy(rho, log_sigma, kernel):
 def relative_entropy(rho, sigma):
     """S(rho || sigma), math.inf when supp(rho) is not inside supp(sigma).
 
-    Either argument may be a stack (k, d, d); the result is then an array
-    of k values.  It composes support_log(sigma) with entropy_and_relative_entropy,
-    as entropy_balance does with initial_product's log.  There S(rho(t)) = S(rho0)
-    on a unitary trajectory in either frame, so the full state's positivity is
-    checked once, on rho0, and the frame marginal's at every time, as rho's here.
+    Either argument may be a stack (k, d, d); the result is then an array of
+    k values.  Both spectra are checked: an indefinite rho or sigma raises
+    IndefiniteOperatorError.  This is support_log(sigma) composed with
+    entropy_and_relative_entropy, as entropy_balance composes them with
+    initial_product's log, where rho_frame(0) is checked once and rho_frame(t) at every time.
     """
-    return entropy_and_relative_entropy(rho, *support_log(sigma))[1]
+    return entropy_and_relative_entropy(rho, *support_log(sigma)[1:])[1]
 
 
 def mutual_information(rho, dims):

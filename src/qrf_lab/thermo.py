@@ -37,14 +37,15 @@ matrices, of subsystem size: e_star, zero under split_alpha, and one pinch
 of each mean field onto its side's eigenspaces, for one perspective or both.
 
 The entropy balance splits the same way.  initial_product keeps both
-marginals of rho0, their entropies, log rho_frame(0) on its support with a
-basis of its kernel, and whether rho0 is their product, for both
-perspectives at once when rho0 is their (2, 1) stack; it never raises, so
-the caller reads is_product.  entropy_balance, the core, reads S(rho(t)),
-rho_frame(t) and S(rho_s(t)), and takes S(rho_frame(t)) and
-D(rho_frame(t) || rho_frame(0)) from one spectrum of rho_frame(t).  S(rho(t))
-= S(rho0) on a unitary trajectory in either frame, so callers pass S(rho0):
-the full state's positivity is checked once, on rho0, the marginals' at every time.
+marginals of rho0, S(rho_s(0)), whether rho0 is their product (a rho0 that is
+not one does not raise; the caller reads is_product), and from one checked
+spectrum support_log(rho_frame(0)): S(rho_frame(0)), log rho_frame(0) on its
+support and a basis of its kernel; for both perspectives at once when rho0 is
+their (2, 1) stack.  entropy_balance, the core, reads S(rho(t)), rho_frame(t)
+and S(rho_s(t)), and takes S(rho_frame(t)) and D(rho_frame(t) || rho_frame(0))
+from one spectrum of rho_frame(t).  S(rho(t)) = S(rho0) on a unitary
+trajectory in either frame, so callers pass S(rho0): the full state's
+positivity is checked once, on rho0, the marginals' at every time.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ from .operators import (
 )
 from .states import (
     entropy_and_relative_entropy,
-    entropy_and_support_log,
     gibbs_state,
     purity,
+    support_log,
     von_neumann_entropy,
 )
 from .subalgebras import membership_test, pi_t, pure_state_bilocal_witness
@@ -241,8 +242,8 @@ class EntropyBalance:
 
 
 class InitialProduct(NamedTuple):
-    """Both marginals of a state, their entropies, whether the state is their product, and
-    support_log(rho_frame), which each D(rho_frame(t) || rho_frame) reads; k of each for a stack."""
+    """Both marginals of a state, S(rho_s), whether the state is their product, and (s_frame, log_frame,
+    kernel_frame) = support_log(rho_frame), which each D(rho_frame(t) || rho_frame) reads; k of each for a stack."""
 
     rho_frame: np.ndarray
     rho_s: np.ndarray
@@ -260,7 +261,7 @@ def initial_product(setup, rho0_ibar, tol=1e-9):
     rho_s0 = partial_trace(rho0, dims, drop=0)
     rho_f0 = partial_trace(rho0, dims, drop=1)
     is_product = np.asarray(hs_norm(rho0 - kron(rho_f0, rho_s0)) <= tol * np.maximum(1.0, hs_norm(rho0)))
-    s_f0, log_f0, kernel_f0 = entropy_and_support_log(rho_f0)
+    s_f0, log_f0, kernel_f0 = support_log(rho_f0)
     return InitialProduct(rho_f0, rho_s0, s_f0, von_neumann_entropy(rho_s0), is_product.tolist(), log_f0, kernel_f0)
 
 
@@ -552,10 +553,9 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         if start_i.is_product:
             y01 = x0.y @ dagger(x1.y)
             rotated = y01 @ end_i.rho_frame @ dagger(y01)
-            # Both against rho_frame(t0), whose log start_i already holds.
-            lhs, rhs = (entropy_and_relative_entropy(rho, start_i.log_frame, start_i.kernel_frame)[1]
-                        for rho in (rotated, end_i.rho_frame))
-            y_condition_holds = _agree(lhs, rhs)
+            # Only the rotated side is new: D(rho_frame(t1) || rho_frame(t0)) is balance_i's.
+            lhs = entropy_and_relative_entropy(rotated, start_i.log_frame, start_i.kernel_frame)[1]
+            y_condition_holds = _agree(lhs, balance_i.frame_relative_entropy)
             if sigma_j is not None:
                 sigma_phi_equal = _agree(sigma_i, sigma_j) and _agree(phi_i, phi_j)
     else:

@@ -250,7 +250,6 @@ def test_catalog_names_and_descriptions():
 def test_every_scenario_runs_and_renders(name):
     result = run_scenario({"scenario": name})
     assert result.name == name
-    assert result.columns == COLUMNS
     assert len(result.rows) >= 1
     assert result.summary
     lines = render(result, "csv").strip().split("\n")
@@ -277,7 +276,7 @@ def test_csv_cell_formatting():
     row["in_AX"] = True
     result = ScenarioResult(name="x", config={}, rows=[row], summary={})
     lines = render(result, "csv").strip().split("\n")
-    cells = dict(zip(result.columns, lines[1].split(",")))
+    cells = dict(zip(COLUMNS, lines[1].split(",")))
     assert cells["t"] == "0.25"
     assert cells["E_s_i"] == "0.33333333333333331"
     assert cells["sigma_i"] == "inf"
@@ -396,7 +395,7 @@ def jsonify_oracle(value):
 
 
 def json_oracle(result):
-    columns = list(result.columns) + list(result.extra_fields)
+    columns = list(COLUMNS) + list(result.extra_fields)
     document = {
         "scenario": result.name,
         "metadata": {
@@ -420,8 +419,8 @@ def csv_oracle(result):
             return "inf" if value > 0 else "-inf"
         return format(float(value), ".17g")
 
-    lines = [",".join(result.columns)]
-    lines += [",".join(cell(row.get(c)) for c in result.columns) for row in result.rows]
+    lines = [",".join(COLUMNS)]
+    lines += [",".join(cell(row.get(c)) for c in COLUMNS) for row in result.rows]
     return "".join(line + "\n" for line in lines)
 
 
@@ -659,3 +658,44 @@ def test_rows_do_not_depend_on_the_energy_scale(name, prescription):
         assert {key: [row[key] for row in rows] for key in verdicts} == expected, scale
         scaled = np.array([[row[key] for key in RATE_COLUMNS] for row in rows]) / scale ** 2
         assert (np.abs(scaled - rates) <= bound).all(), (scale, np.abs(scaled - rates).max(axis=0))
+
+
+# The parameters that set the scale of H, for the time-grid defaults whose summaries probe no fixed time
+# and no fixed H coefficient.
+SCALED_PARAMETERS = {"zz-oscillation": ("field_b", "coupling_j"),
+                     "effectively-isolated": ("field_b", "coupling_j"),
+                     "relative-equilibrium": ("a", "b")}
+
+
+def _scaled_result(name, scale):
+    """A time-grid default with its scale parameters times scale and its grid's stop divided by it."""
+    cfg = parse_config({"scenario": name})
+    grid = cfg.raw["time_grid"]
+    return run_scenario({"scenario": name,
+                         "params": {key: scale * cfg.params[key] for key in SCALED_PARAMETERS[name]},
+                         "time_grid": dict(grid, stop=grid["stop"] / scale)})
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_PARAMETERS))
+def test_summaries_do_not_depend_on_the_energy_scale(name):
+    """H -> s H with the grid's stop -> stop / s, s from 1e-8 to 1e8: in_AX is the same, the membership
+    times times s keep their length and stay within 1e-12 stop of their s = 1 values, and each deviation,
+    h_tilde_s's over s, stays within 1e-12 of its s = 1 value.  The entries that echo the scaled
+    parameters are skipped."""
+    reference = _scaled_result(name, 1.0)
+    stop = reference.config["time_grid"]["stop"]
+    expected = {key: value for key, value in reference.summary.items() if key not in SCALED_PARAMETERS[name]}
+    assert expected
+    for scale in (1e-8, 1e-4, 1e4, 1e8):
+        result = _scaled_result(name, scale)
+        assert [row["in_AX"] for row in result.rows] == [row["in_AX"] for row in reference.rows], scale
+        summary = {key: value for key, value in result.summary.items() if key not in SCALED_PARAMETERS[name]}
+        assert summary.keys() == expected.keys()
+        for key, value in summary.items():
+            if key.endswith("_times"):
+                assert len(value) == len(expected[key]), (scale, key)
+                gap = np.abs(scale * np.array(value) - expected[key]).max(initial=0.0)
+                assert gap <= 1e-12 * stop, (scale, key, gap)
+            else:
+                value = value / scale if key == "h_tilde_s_dev_from_minus_2j_z" else value
+                assert abs(value - expected[key]) <= 1e-12, (scale, key, value)

@@ -83,6 +83,24 @@ def _defaulted_parameters(function, is_method):
                     if default is not None]
 
 
+def _calls_by_name(trees):
+    """Each call in trees of a name or an attribute, keyed by that name."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(callee, []).append(node)
+    return calls
+
+
+def _sets(call, name, position):
+    """Whether call passes name by keyword, reaches its position, or spreads *args or **kwargs."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(keyword.arg in (None, name) for keyword in call.keywords)
+            or position is not None and position < len(call.args))
+
+
 def never_passed_parameters(sources, defining):
     """(file, function, parameter) of each defaulted parameter of a def in the defining
     files, nested defs and methods included, that no call in sources sets.
@@ -93,18 +111,7 @@ def never_passed_parameters(sources, defining):
     __init__ is called by its class's name.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    calls = {}
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                calls.setdefault(callee, []).append(node)
-
-    def sets(call, name, position):
-        return (any(isinstance(arg, ast.Starred) for arg in call.args)
-                or any(keyword.arg in (None, name) for keyword in call.keywords)
-                or position is not None and position < len(call.args))
-
+    calls = _calls_by_name(trees)
     found = []
     for file in defining:
         methods = {id(node): owner.name for owner in ast.walk(trees[file]) if isinstance(owner, ast.ClassDef)
@@ -116,7 +123,7 @@ def never_passed_parameters(sources, defining):
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
             callee = owner if owner is not None and node.name == "__init__" else node.name
             for name, position in _defaulted_parameters(node, owner is not None and not static):
-                if not any(sets(call, name, position) for call in calls.get(callee, ())):
+                if not any(_sets(call, name, position) for call in calls.get(callee, ())):
                     found.append((file, node.name, name))
     return sorted(found)
 
@@ -142,6 +149,52 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     bench = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
     sources = {str(p): p.read_text(encoding="utf-8") for p in MODULES + TESTS + bench}
     assert never_passed_parameters(sources, [str(p) for p in MODULES]) == []
+
+
+def never_passed_fields(sources, defining):
+    """(file, class, field) of each field with a default, field(...) included, of a dataclass in
+    the defining files that no call of the class in sources sets, by never_passed_parameters' rules;
+    a field's position is its place among the class's annotated assignments."""
+    def is_dataclass(node):
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    calls = _calls_by_name(trees)
+    found = []
+    for file in defining:
+        for node in ast.walk(trees[file]):
+            if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
+                continue
+            annotated = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            for position, item in enumerate(annotated):
+                name = item.target.id
+                if item.value is not None and not any(_sets(call, name, position)
+                                                      for call in calls.get(node.name, ())):
+                    found.append((file, node.name, name))
+    return sorted(found)
+
+
+def test_the_checker_sees_a_never_passed_field():
+    sources = {
+        "a.py": "import dataclasses\nfrom dataclasses import dataclass, field\n\n\n"
+                "@dataclass\nclass R:\n    need: int\n    by_position: int = 1\n    by_keyword: int = 2\n"
+                "    unset: int = 3\n    unset_factory: list = field(default_factory=list)\n\n\n"
+                "@dataclasses.dataclass(frozen=True)\nclass F:\n    never: int = 0\n\n\n"
+                "@dataclass\nclass Spread:\n    a: int = 1\n\n\n"
+                "class Plain:\n    x: int = 1\n",
+        "test_a.py": "from a import F, Plain, R, Spread\nR(0, 1, by_keyword=5)\nF()\nSpread(**{})\nPlain()\n",
+    }
+    assert never_passed_fields(sources, ["a.py"]) == [
+        ("a.py", "F", "never"), ("a.py", "R", "unset"), ("a.py", "R", "unset_factory")]
+
+
+def test_every_dataclass_default_is_passed_by_some_call():
+    """No field default in the package, its tests or the benchmark is a constant in disguise: some
+    call in them sets each dataclass field that has one."""
+    bench = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+    sources = {str(p): p.read_text(encoding="utf-8") for p in MODULES + TESTS + bench}
+    assert never_passed_fields(sources, list(sources)) == []
 
 
 def callers(source, callee):
@@ -234,3 +287,12 @@ def test_one_prescription_branch():
     reads = attribute_reads((Path(qrf_lab.__file__).parent / "thermo.py").read_text(encoding="utf-8"), "kind")
     assert reads.pop("Prescription") >= 1
     assert reads == {"marginal_energetics": 1}
+
+
+def test_one_reference_route():
+    """states.support_log is the one route to a reference state's entropy and log: no module defines
+    _spectral_log or entropy_and_support_log, and only thermo.initial_product and
+    states.relative_entropy call support_log."""
+    defined, found = _defined_and_callers("support_log")
+    assert not {"_spectral_log", "entropy_and_support_log"} & defined
+    assert found == {("thermo.py", "initial_product"), ("states.py", "relative_entropy")}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qrf_lab import FrameSetup, Z2, Z3
-from qrf_lab.operators import SIGMA_X, SIGMA_Z, NumericalRankError, kron
+from qrf_lab.operators import SIGMA_X, SIGMA_Z, IndefiniteOperatorError, NumericalRankError, kron
 from qrf_lab.states import (
     basis_state,
     gb_state,
@@ -129,6 +129,15 @@ def test_relative_entropy():
     assert np.isclose(relative_entropy(rho, rho), 0.0, atol=1e-12)
     assert np.isinf(relative_entropy(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
 
+
+
+def test_relative_entropy_refuses_an_indefinite_reference():
+    """sigma's spectrum is checked as rho's is: an eigenvalue below -1e-8 raises rather than
+    count as kernel, which gave D(|0><0| || sigma) = -0.0953 < 0 and D(1/2 || sigma) = inf."""
+    sigma = np.diag([1.1, -0.1])
+    for rho in (np.diag([1.0, 0.0]), np.eye(2) / 2):
+        with pytest.raises(IndefiniteOperatorError):
+            relative_entropy(rho, sigma)
 
 def test_subsystem_transform_preserves_spectra():
     setup = FrameSetup.from_rep_config(Z2, "regular")

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrf_lab import FrameSetup, Z2, Z4, dynamics, states
+from qrf_lab import FrameSetup, Z2, Z4, dynamics, states, thermo
 from qrf_lab.dynamics import (
     GridEvolution,
     block_length,
@@ -274,18 +274,20 @@ def test_initial_product_diagonalises_the_frame_marginal_once(monkeypatch):
 
 def test_y_condition_reads_the_log_of_the_start_frame_marginal(monkeypatch):
     """Both relative entropies of the y-condition use start_i's log rho_F(t0): a qubit-pair run
-    with x0 = x1 = 1 (x) 1 calls support_log no more."""
+    with x0 = x1 = 1 (x) 1 calls support_log once, from initial_product, on the stack of the four
+    endpoint frame marginals, rho_F(t0) first."""
     setup = qubit_setup()
     split = split_hamiltonian(kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_Z) + kron(SIGMA_Z, SIGMA_Z), 2, 2)
     rho0 = kron(gibbs_state(SIGMA_Z, 0.5), ID2 / 2)
     identity = BilocalUnitary(ID2, ID2)
     calls = []
-    support_log = states.support_log
-    monkeypatch.setattr(states, "support_log", lambda sigma: calls.append(sigma) or support_log(sigma))
+    support_log = thermo.support_log
+    monkeypatch.setattr(thermo, "support_log", lambda sigma: calls.append(sigma) or support_log(sigma))
     report = balance_verifiers(setup, split, rho0, E, E, Prescription.split_alpha(0.5), 0.0, 1.0,
                                x0=identity, x1=identity, grid=5)
     assert report.y_condition_holds is True
-    assert calls == []
+    assert [np.shape(sigma) for sigma in calls] == [(4, 2, 2)]
+    assert hs_norm(calls[0][0] - gibbs_state(SIGMA_Z, 0.5)) <= 1e-12
 
 
 def test_stationary_product_state_has_zero_balance():
