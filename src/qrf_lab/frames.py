@@ -9,7 +9,7 @@ frame's perspective to the other's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,7 +58,8 @@ class PerspectiveChange(StructuredUnitary):
 
 
 class FrameSetup:
-    """Group, system representation, and the maps derived from them."""
+    """Group, system representation, and the maps derived from them; once built, only its cache
+    of perspective changes grows, so from_rep_config can share one."""
 
     def __init__(self, group: FiniteAbelianGroup, rep_s):
         self.group = group
@@ -77,7 +78,8 @@ class FrameSetup:
 
     @classmethod
     def from_rep_config(cls, group, config) -> "FrameSetup":
-        """Build from "regular" or {"tensor_power": m}; FrameSetup takes an explicit map."""
+        """The setup for "regular" (m = 1) or {"tensor_power": m}; FrameSetup takes an explicit map.
+        One with d_p = |G|^(m+1) <= 64 is built once per (group, m) and process, at most 8 kept."""
         if config == "regular":
             config = {"tensor_power": 1}
         if not (isinstance(config, dict) and set(config) == {"tensor_power"}):
@@ -85,7 +87,8 @@ class FrameSetup:
         m = int(config["tensor_power"])
         if m < 1:
             raise ValueError("tensor_power must be >= 1")
-        return cls(group, {g: kron(*([group.regular_representation(g)] * m)) for g in group.elements})
+        shared = group.order ** min(m + 1, 7) <= 64  # |G| >= 2, so |G|^7 > 64 already
+        return (_tensor_power_setup if shared else _tensor_power_setup.__wrapped__)(group, m)
 
     def _validated_representation(self, rep_s):
         """The U_S(g) stacked in element order, once checked to be a unitary representation.
@@ -134,6 +137,11 @@ class FrameSetup:
             change = PerspectiveChange(perm=read_only(perm), blocks=read_only(blocks))
             self._perspective_changes[key] = change
         return change
+
+
+@lru_cache(maxsize=8)  # about 6.5 MiB per setup at d_p = 64, every perspective change built
+def _tensor_power_setup(group, m):
+    return FrameSetup(group, {g: kron(*([group.regular_representation(g)] * m)) for g in group.elements})
 
 
 def parity_swap(setup, g_i, g_j):

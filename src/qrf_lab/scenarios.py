@@ -354,7 +354,7 @@ def parse_config(source):
 
     return ScenarioConfig(
         scenario=name,
-        group=group,
+        group=setup.group,  # a shared setup's group: one element index per group per process
         setup=setup,
         g_i=g_i,
         g_j=g_j,

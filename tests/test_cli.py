@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import qrf_lab
+from qrf_lab import frames
 from qrf_lab.cli import main
-from qrf_lab.scenarios import parse_config
+from qrf_lab.scenarios import list_scenarios, parse_config
 
 
 def test_list_prints_catalog(capsys):
@@ -253,6 +254,47 @@ def test_parser_is_built_once_and_keeps_no_override(monkeypatch, capsys):
     assert fresh.returncode == 0, fresh.stderr
     assert (second.out, second.err) == (fresh.stdout, fresh.stderr)
     assert overridden.out != fresh.stdout
+
+
+def _snapshot(setup):
+    return (setup.translations.tobytes(), setup.d_s, setup.d_frame, setup.group)
+
+
+def test_shared_setups_change_no_output_and_no_run_changes_them(monkeypatch, capsys):
+    """The 11 defaults, ghz global and mixed-w, and each default under commuting_part, in both
+    formats, twice in one process: the second pass reuses the first pass's setups, prints the
+    same bytes and exits the same, and leaves each setup as it was, its perspective changes aside."""
+    names = [name for name, _ in list_scenarios()]
+    variants = ([[name] for name in names]
+                + [["ghz", "--set", f"params.variant={variant}"] for variant in ("global", "mixed-w")]
+                + [[name, "--set", "prescription.prescription=commuting_part"] for name in names])
+    argvs = [["run", *variant, "--format", fmt] for variant in variants for fmt in ("csv", "json")]
+    assert len(argvs) == 48
+    built = {}
+    build = frames.FrameSetup.from_rep_config
+
+    def record(group, config):
+        setup = build(group, config)
+        built.setdefault(id(setup), setup)
+        return setup
+
+    monkeypatch.setattr(frames.FrameSetup, "from_rep_config", record)
+    frames._tensor_power_setup.cache_clear()
+    passes, snapshots = [], []
+    for _ in range(2):
+        outputs = []
+        for argv in argvs:
+            code = main(argv)
+            outputs.append((code, *capsys.readouterr()))
+        passes.append(outputs)
+        snapshots.append({key: (_snapshot(setup), set(setup._perspective_changes))
+                          for key, setup in built.items()})
+    assert passes[1] == passes[0]
+    assert all(code == 0 for code, _, _ in passes[0])
+    assert len(built) == frames._tensor_power_setup.cache_info().currsize == 3
+    assert snapshots[1].keys() == snapshots[0].keys()
+    for key, (state, changes) in snapshots[0].items():
+        assert snapshots[1][key][0] == state and snapshots[1][key][1] >= changes
 
 
 def test_console_script_runs():

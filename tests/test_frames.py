@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrf_lab import FiniteAbelianGroup, FrameSetup, Z2, Z2xZ2, Z3, Z4
+from qrf_lab import FiniteAbelianGroup, FrameSetup, Z2, Z2xZ2, Z3, Z4, frames
 from qrf_lab.frames import parity_swap
 from qrf_lab.operators import (
     ID2,
@@ -14,6 +14,7 @@ from qrf_lab.operators import (
     dagger,
     kron,
 )
+from qrf_lab.scenarios import parse_config
 
 from kinematics import (
     d_kin,
@@ -92,6 +93,44 @@ def test_a_setup_over_z2048_builds_no_group_table():
     # Row a = 5 + g holds U_S(g) in column 2047 - g.
     assert np.array_equal(change.perm, (2052 - np.arange(2048)) % 2048)
     assert np.allclose(change.blocks[:, 0, 0], np.exp(2j * np.pi * (np.arange(2048) - 5) / 2048), atol=1e-12)
+
+
+def test_regular_and_tensor_power_setups_are_built_once_per_group_and_power():
+    """An equal group and power give the shared setup, however the config spells them."""
+    setup = FrameSetup.from_rep_config(Z2, "regular")
+    assert FrameSetup.from_rep_config(FiniteAbelianGroup((2,)), {"tensor_power": 1}) is setup
+    assert FrameSetup.from_rep_config(Z2, {"tensor_power": 2}) is not setup
+    assert FrameSetup.from_rep_config(Z3, "regular") is not setup
+    assert FrameSetup(Z2, {(0,): np.eye(2), (1,): SIGMA_X}) is not setup
+
+
+@pytest.mark.parametrize("group, m, d_p", [(Z2, 5, 64), (Z4, 2, 64), (FiniteAbelianGroup((8,)), 1, 64),
+                                           (Z2, 6, 128), (FiniteAbelianGroup((9,)), 1, 81),
+                                           (FiniteAbelianGroup((5,)), 2, 125)])
+def test_only_setups_up_to_d_p_64_are_shared(group, m, d_p):
+    first = FrameSetup.from_rep_config(group, {"tensor_power": m})
+    assert first.d_perspective == d_p
+    assert (FrameSetup.from_rep_config(group, {"tensor_power": m}) is first) == (d_p <= 64)
+
+
+def test_parse_config_shares_a_regular_setup_and_never_an_explicit_one():
+    """A config holds its setup's group, so a shared setup brings one group object too."""
+    first, second = (parse_config({"scenario": "zz-oscillation"}) for _ in range(2))
+    assert second.setup is first.setup
+    assert first.group is first.setup.group and second.group is first.group
+    rep = {"matrices": {"0": [[1, 0], [0, 1]], "1": [[0, 1], [1, 0]]}}
+    first, second = (parse_config({"scenario": "zz-oscillation", "rep": rep}) for _ in range(2))
+    assert second.setup is not first.setup
+    assert first.setup.translations.tobytes() == FrameSetup.from_rep_config(Z2, "regular").translations.tobytes()
+
+
+def test_at_most_eight_setups_are_kept():
+    frames._tensor_power_setup.cache_clear()
+    small = [(Z2, 1), (Z2, 2), (Z2, 3), (Z2, 4), (Z3, 1), (Z3, 2), (Z4, 1), (Z2xZ2, 1),
+             (FiniteAbelianGroup((5,)), 1)]
+    for group, m in small:
+        FrameSetup.from_rep_config(group, {"tensor_power": m})
+    assert frames._tensor_power_setup.cache_info().currsize == 8
 
 
 def test_pi_phys_is_a_projector():

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ def test_the_size_budget_admits_d_p_2048_and_refuses_the_next_power(monkeypatch)
     """Z2 with tensor_power 10 has d_p = 2048, 64 MiB per complex matrix: the largest admitted,
     far above the d_p = 125 of Z5 with tensor_power 2, the largest the tests and README use.
     Twelve qubits give the w-state the d_s = 1024 that this rep carries."""
-    monkeypatch.setattr(frames.FrameSetup, "from_rep_config", lambda group, rep: ("built", rep))
+    monkeypatch.setattr(frames.FrameSetup, "from_rep_config", lambda group, rep: SimpleNamespace(group=group, rep=rep))
     base = {"scenario": "w-state", "group": {"cyclic": [2]}, "params": {"n_qubits": 12}}
-    assert parse_config(dict(base, rep={"tensor_power": 10})).setup == ("built", {"tensor_power": 10})
+    assert parse_config(dict(base, rep={"tensor_power": 10})).setup.rep == {"tensor_power": 10}
     with pytest.raises(ConfigError, match="perspective dimension 4096 needs 268435456 bytes"):
         parse_config(dict(base, rep={"tensor_power": 11}))
 
