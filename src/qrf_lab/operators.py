@@ -28,7 +28,6 @@ import string
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import polar
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -250,9 +249,9 @@ def unvec(v, d=None):
 
 
 def polar_unitary(mat):
-    """Unitary factor of the polar decomposition."""
-    u, _ = polar(np.asarray(mat, dtype=complex))
-    return u
+    """Unitary factor of the polar decomposition, U V' from the SVD U s V' of mat."""
+    u, _, vh = np.linalg.svd(np.asarray(mat, dtype=complex), full_matrices=False)
+    return u @ vh
 
 
 def check_guard_band(distances, gap, what):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, schur
 
 from .frames import parity_swap
 from .operators import (
@@ -257,6 +256,7 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
     operators.clusters groups W's eigenvalues at tol, the selection
     |conj(mu_a) mu_b - 1| <= tol on conj(W) (x) W, mu being on the unit circle.
     """
+    from scipy.linalg import schur  # here and in intersect_projectors only, so qrf_lab imports without scipy
     u = setup.perspective_change(g_i, g_j).matrix
     w = assert_unitary(dagger(x.matrix) @ u, what="W = X'u")
     triangular, q = schur(w, output="complex")
@@ -283,6 +283,7 @@ def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-
     budget checks before allocating, is S and the d_p^2 x d_p^2 eigenvectors
     that a value range allocates, one complex S in bytes.
     """
+    from scipy.linalg import eigh
     if a.mask is None or b.mask is None:
         raise ValueError("intersect_projectors takes two label projectors, as invariant_projector returns")
     d = a.operand_dim

@@ -28,13 +28,14 @@ grid only through the walk.
 From the marginals on, marginal_energetics is one loop over the two sides,
 system then frame, with the one prescription branch inside it.  Every
 quantity is contracted on the factor tensor T[f, s, g, t] = h_int[(f, s),
-(g, t)]: the mean fields are products of the flattened marginals with the
-two mean-field maps the split builds once, the interaction mean is
-Tr(h_tilde_s rho_s), every Tr(A B) is the sum of A times B transposed, and
-e_int = e_total - e_frame - e_s.  Mean fields, means and energies cost
-O(d^2) per state after that one-off set-up; only commuting_part multiplies
-matrices, of subsystem size: e_star, zero under split_alpha, and one pinch
-of each mean field onto its side's eigenspaces, for one perspective or both.
+(g, t)]: a mean field is a product of a flattened marginal with one of the
+two mean-field maps the split builds once, every Tr(A B) is the sum of A
+times B transposed, and e_int = e_total - e_frame - e_s.  split_alpha reads
+only the "s" map, for rho_frame and rho_frame_dot, and each interaction term
+as a trace of those two mean fields, O(d^2) per state after that one-off
+set-up.  commuting_part reads the "frame" map too, and multiplies matrices
+of subsystem size: e_star and one pinch of each mean field onto its side's
+eigenspaces, for one perspective or both.
 
 The entropy balance splits the same way.  initial_product keeps both
 marginals of rho0, S(rho_s(0)), whether rho0 is their product (a rho0 that is
@@ -193,37 +194,45 @@ def _assembled(split, rho_frame, rho_s, int_frame, int_s):
 def marginal_energetics(split, prescription, marginals):
     """The ThermoReport of energetics from a state's StateMarginals alone.
 
-    One loop over the sides, s and frame, each with its bare piece h, mean
-    field h_tilde and share alpha of c = Tr(h_tilde_s rho_s), one number per
-    state; gen = h + h_tilde.  split_alpha takes h_eff = gen - alpha c 1, so
-    e_star = -i Tr(h_eff [gen, rho_m]) = -i Tr(gen [gen, rho_m]) + i alpha c
-    Tr[gen, rho_m] = 0 by cyclicity of the trace, whatever rho_m and rho_dot:
-    it is +0.0, and no commutator is formed.  commuting_part takes h_eff = h
-    + h_tilde pinched onto h's eigenspaces, and forms e_star.  Under both the
-    alternative rates are qdot - e_star and wdot + e_star.
+    Every interaction term is B(x_f, y_s) = Tr(h_int x_f (x) y_s) =
+    Tr(h_tilde_s(x_f) y_s), so split_alpha reads only the "s" map, for rho_f
+    and rho_f_dot, and never forms h_eff = h + h_tilde - alpha c 1, where c =
+    B(rho_f, rho_s): e_m = Tr(h rho_m) + c - alpha c Tr rho_m, qdot_s =
+    Tr(h_s rho_s_dot) + B(rho_f, rho_s_dot) - alpha_s c Tr rho_s_dot and
+    wdot_s = B(rho_f_dot, rho_s) - alpha_s c_dot Tr rho_s, the frame's with
+    the B's swapped; e_star = -i Tr(h_eff [gen, rho_m]), gen = h + h_tilde, is
+    0 by cyclicity of the trace for any rho_dot, so +0.0.  commuting_part
+    reads the "frame" map too: it pinches each side's h_tilde onto h's
+    eigenspaces and forms e_star.  Under both the alternative rates are
+    qdot - e_star and wdot + e_star.
     """
     rho_frame, rho_s, rho_frame_dot, rho_s_dot, e_total = marginals
     h_tilde_s, h_tilde_s_dot = (mean_field_hamiltonian(split, rho, on="s") for rho in (rho_frame, rho_frame_dot))
-    h_tilde_f, h_tilde_f_dot = (mean_field_hamiltonian(split, rho, on="frame") for rho in (rho_s, rho_s_dot))
-    c = np.asarray(_real(trace_product(h_tilde_s, rho_s)))
-    c_dot = np.asarray(_real(trace_product(h_tilde_s_dot, rho_s) + trace_product(h_tilde_s, rho_s_dot)))
-    sides = (("s", split.h_s, h_tilde_s, h_tilde_s_dot, rho_s, rho_s_dot, prescription.alpha_s),
-             ("frame", split.h_frame, h_tilde_f, h_tilde_f_dot, rho_frame, rho_frame_dot, prescription.alpha_frame))
+    c, b_frame_dot, b_s_dot = (trace_product(h, rho).real for h, rho in (
+        (h_tilde_s, rho_s), (h_tilde_s_dot, rho_s), (h_tilde_s, rho_s_dot)))
+    c_dot = b_frame_dot + b_s_dot
+    # Each side's mean fields (the frame's formed only when commuting_part unpacks them), heat B and work B.
+    sides = (("s", split.h_s, (h_tilde_s, h_tilde_s_dot), rho_s, rho_s_dot, b_s_dot, b_frame_dot,
+              prescription.alpha_s),
+             ("frame", split.h_frame,
+              (mean_field_hamiltonian(split, rho, on="frame") for rho in (rho_s, rho_s_dot)),
+              rho_frame, rho_frame_dot, b_frame_dot, b_s_dot, prescription.alpha_frame))
     report = {"e_total": e_total}
-    for side, h_bare, h_tilde, h_tilde_dot, rho_m, rho_m_dot, alpha in sides:
-        gen = h_bare + h_tilde
+    for side, h_bare, mean_fields, rho_m, rho_m_dot, b_heat, b_work, alpha in sides:
         if prescription.kind == "split_alpha":
-            one = np.eye(gen.shape[-1])
-            h_eff = gen - alpha * c[..., None, None] * one
-            h_eff_dot = h_tilde_dot - alpha * c_dot[..., None, None] * one
-            e_star = _real(np.zeros(c.shape))
+            tr_m, tr_m_dot = (np.trace(rho, axis1=-2, axis2=-1).real for rho in (rho_m, rho_m_dot))
+            e_m = trace_product(h_bare, rho_m).real + c - alpha * c * tr_m
+            qdot = trace_product(h_bare, rho_m_dot).real + b_heat - alpha * c * tr_m_dot
+            wdot, e_star = b_work - alpha * c_dot * tr_m, np.zeros(c.shape)
         else:
-            h_eff = h_bare + pinch(*split.eigenspaces[side], h_tilde)
+            h_tilde, h_tilde_dot = mean_fields
+            gen, h_eff = h_bare + h_tilde, h_bare + pinch(*split.eigenspaces[side], h_tilde)
             h_eff_dot = pinch(*split.eigenspaces[side], h_tilde_dot)
-            e_star = _real(-1j * trace_product(h_eff, gen @ rho_m - rho_m @ gen))
-        qdot, wdot = _real(trace_product(h_eff, rho_m_dot)), _real(trace_product(h_eff_dot, rho_m))
-        report |= {f"e_{side}": _real(trace_product(h_eff, rho_m)), f"qdot_conv_{side}": qdot,
-                   f"wdot_conv_{side}": wdot, f"e_star_{side}": e_star,
+            e_star = -1j * trace_product(h_eff, gen @ rho_m - rho_m @ gen)
+            e_m, qdot, wdot = (trace_product(h, rho) for h, rho in (
+                (h_eff, rho_m), (h_eff, rho_m_dot), (h_eff_dot, rho_m)))
+        e_m, qdot, wdot, e_star = map(_real, (e_m, qdot, wdot, e_star))
+        report |= {f"e_{side}": e_m, f"qdot_conv_{side}": qdot, f"wdot_conv_{side}": wdot, f"e_star_{side}": e_star,
                    f"qdot_alt_{side}": qdot - e_star, f"wdot_alt_{side}": wdot + e_star}
     # Tr(h_int_eff rho), with h_int_eff = H - h_frame_eff (x) 1 - 1 (x) h_s_eff.
     return ThermoReport(e_int=report["e_total"] - report["e_frame"] - report["e_s"], **report)

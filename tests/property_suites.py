@@ -415,7 +415,8 @@ def _degenerate_hermitian(rng, d):
 
 
 def suite_energetics_matches_dense_oracle(n=100, seed=910):
-    """Contracted energetics and mean fields agree with the dense formula."""
+    """Contracted energetics and mean fields agree with the dense formula, under split_alpha at a
+    random alpha_s and at alpha_s = 0 and 1, where one side takes all of c, and under commuting_part."""
     count = 0
     for k, rng, setup, g_i, g_j in _instances(n, seed):
         d_f, d_s = setup.d_frame, setup.d_s
@@ -437,7 +438,8 @@ def suite_energetics_matches_dense_oracle(n=100, seed=910):
         # A supplied rho_dot from another generator must be used as given.
         g = random_hermitian(rng, d_f * d_s, scale)
         supplied = -1j * (g @ stack - stack @ g)
-        for prescription in (Prescription.split_alpha(float(rng.random())), Prescription.commuting_part()):
+        for prescription in (Prescription.split_alpha(float(rng.random())), Prescription.split_alpha(0.0),
+                             Prescription.split_alpha(1.0), Prescription.commuting_part()):
             for rho_dot in (None, supplied):
                 cases = [(stack, rho_dot)] + [(rho, None if rho_dot is None else rho_dot[m])
                                               for m, rho in enumerate(stack)]

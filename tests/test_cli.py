@@ -297,6 +297,34 @@ def test_shared_setups_change_no_output_and_no_run_changes_them(monkeypatch, cap
         assert snapshots[1][key][0] == state and snapshots[1][key][1] >= changes
 
 
+def _imports_scipy(code):
+    """Whether a fresh interpreter has scipy in sys.modules after running code against this qrf_lab."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qrf_lab.__file__).resolve().parents[1]))
+    probe = code + "\nimport sys\nprint('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+def _quiet_runs(names):
+    return ("import contextlib, io\nfrom qrf_lab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert all(main(['run', name]) == 0 for name in {names!r})")
+
+
+def test_importing_the_package_imports_no_scipy():
+    assert not _imports_scipy("import qrf_lab")
+
+
+def test_only_the_subalgebra_projectors_import_scipy():
+    """Every default but three-qubit-subalgebras runs without scipy: only invariant_projector and
+    intersect_projectors import it, and that default, which calls both, does."""
+    names = [name for name, _ in list_scenarios()]
+    names.remove("three-qubit-subalgebras")
+    assert not _imports_scipy(_quiet_runs(names))
+    assert _imports_scipy(_quiet_runs(["three-qubit-subalgebras"]))
+
+
 def test_console_script_runs():
     """The declared console script resolves to ``main`` and runs as the
     wrapper that an install generates would run it, without installing."""

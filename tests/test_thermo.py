@@ -185,6 +185,25 @@ def test_e_star_vanishes_under_split_alpha():
         assert not any(row.split(",")[n].startswith("-0") for row in rows for n in columns), name
 
 
+def test_split_alpha_reads_only_the_system_mean_fields(monkeypatch):
+    """Every split_alpha term is B(x_F, y_S) = Tr(h_tilde_s(x_F) y_S), so one marginal_energetics call
+    forms the "s" mean fields of rho_F and rho_F_dot and no frame mean field; commuting_part pinches
+    both sides' mean fields, so it forms the frame's two, of rho_S and rho_S_dot, as well."""
+    rng = np.random.default_rng(31)
+    split = split_hamiltonian(random_hermitian(rng, 6), 2, 3)
+    stack = GridEvolution(split.total).states(random_product_state(rng, 2, 3), np.array([0.0, 0.4]))
+    calls = []
+    mean_field = thermo.mean_field_hamiltonian
+    monkeypatch.setattr(thermo, "mean_field_hamiltonian",
+                        lambda split, rho, on: calls.append((on, np.shape(rho)[-1])) or mean_field(split, rho, on=on))
+    for prescription, expected in ((Prescription.split_alpha(0.3), [("s", 2)] * 2),
+                                   (Prescription.commuting_part(), [("s", 2)] * 2 + [("frame", 3)] * 2)):
+        for rho in (stack, stack[1]):
+            calls.clear()
+            energetics(split, rho, prescription)
+            assert calls == expected, prescription.kind
+
+
 def test_total_energy_is_conserved():
     rng = np.random.default_rng(2)
     h = random_hermitian(rng, 4)
