@@ -315,7 +315,7 @@ def imported_hamiltonian_and_trajectory_check(setup, hamiltonian, x, g_i, g_j, r
     difference of the two generators.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
-    h_imported = dagger(x.matrix) @ setup.perspective_change(g_i, g_j).conjugate(hamiltonian) @ x.matrix
+    h_imported = x.adjoint.conjugate(setup.perspective_change(g_i, g_j).conjugate(hamiltonian))
     projector = invariant_projector(setup, x, g_i, g_j)
     agreement = hs_norm(projector.apply(hamiltonian) - projector.apply(h_imported))
     times = np.asarray(time_grid, dtype=float)

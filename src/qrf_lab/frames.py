@@ -17,6 +17,7 @@ from .groups import FiniteAbelianGroup
 from .operators import (
     StructuredUnitary,
     assert_unitary,
+    dagger,
     hs_norm,
     kron,
     monomial_gather,
@@ -32,7 +33,9 @@ class PerspectiveChange(StructuredUnitary):
     g_i g = a, in block column perm[a] (the index of g_j g^-1), and both
     arrays are read-only.  conjugate uses that structure; when every U_S(g)
     is monomial (regular and tensor-power reps are permutations, diagonal
-    reps give phases) it is one gather over the d_p indices.
+    reps give phases) it is one gather over the d_p indices.  perm is
+    a -> (g_i g_j) a^-1, an involution as (g_i g_j) ((g_i g_j) a^-1)^-1 = a,
+    so the adjoint u' is PerspectiveChange(perm, blocks[perm]'), built once.
     """
 
     perm: np.ndarray
@@ -43,17 +46,12 @@ class PerspectiveChange(StructuredUnitary):
         return monomial_gather(self.perm, self.blocks)
 
     @cached_property
-    def matrix(self):
-        """The dense u, read-only."""
-        d_f, d_s = self.blocks.shape[:2]
-        mat = np.zeros((d_f, d_s, d_f, d_s), dtype=complex)
-        mat[np.arange(d_f), :, self.perm, :] = self.blocks
-        # +0.0 for every zero, -0.0 entries of U_S(g) included, as a sum of krons writes.
-        return read_only(mat.reshape(d_f * d_s, d_f * d_s) + 0.0)
+    def adjoint(self):
+        return PerspectiveChange(perm=self.perm, blocks=read_only(dagger(self.blocks[self.perm])))
 
-    def _left(self, ops):
+    def left(self, ops):
         d_f, d_s = self.blocks.shape[:2]
-        rows = ops.reshape(ops.shape[:-2] + (d_f, d_s, d_f * d_s))[..., self.perm, :, :]
+        rows = ops.reshape(ops.shape[:-2] + (d_f, d_s, ops.shape[-1]))[..., self.perm, :, :]
         return (self.blocks @ rows).reshape(ops.shape)
 
 
@@ -139,7 +137,7 @@ class FrameSetup:
         return change
 
 
-@lru_cache(maxsize=8)  # about 6.5 MiB per setup at d_p = 64, every perspective change built
+@lru_cache(maxsize=8)  # about 3.1 MiB per setup at d_p = 64, every perspective change and its adjoint built
 def _tensor_power_setup(group, m):
     return FrameSetup(group, {g: kron(*([group.regular_representation(g)] * m)) for g in group.elements})
 

@@ -187,8 +187,8 @@ def monomial_gather(perm, blocks):
 class StructuredUnitary:
     """A unitary w applied through its structure instead of its dense matrix.
 
-    Subclasses define _left(ops) = w @ ops for stacks and _gather, the
-    monomial_gather of w.
+    Subclasses define left(ops) = w @ ops for stacks of any width, adjoint,
+    w' in the same structure, and _gather, the monomial_gather of w.
     """
 
     def conjugate(self, ops):
@@ -201,7 +201,7 @@ class StructuredUnitary:
         ops = np.asarray(ops, dtype=complex)
         flat, phases = self._gather
         if flat is None:
-            return dagger(self._left(dagger(self._left(ops))))
+            return dagger(self.left(dagger(self.left(ops))))
         out = np.take(ops.reshape(ops.shape[:-2] + (-1,)), flat, axis=-1).reshape(ops.shape)
         if phases is not None:
             out = phases[:, None] * out * phases.conj()

@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import GridEvolution, mean_field_hamiltonian, split_hamiltonian
 from .frames import FrameSetup
 from .groups import FiniteAbelianGroup
-from .operators import ID2, PAULI, SIGMA_X, SIGMA_Z, dagger, hs_norm, kron, partial_trace
+from .operators import ID2, PAULI, SIGMA_X, SIGMA_Z, hs_norm, kron, partial_trace
 from .states import (
     basis_state,
     gb_state,
@@ -55,7 +55,7 @@ from .thermo import (
 VERSION = "0.1.0"
 
 DEFAULT_TOLERANCE = 1e-9
-# Largest d_p x d_p complex matrix a config may ask for: 64 MiB, d_p <= 2048.
+# Largest d_p x d_p complex matrix a config may ask for: 64 MiB, d_p <= 2048; w-state peaks at 7.5 of them.
 _MATRIX_BUDGET_BYTES = 64 * 2 ** 20
 # A time-grid point costs at most 6.9 KB of grid, rows and rendered output
 # (tracemalloc, every time-grid scenario in both formats); the budget
@@ -797,7 +797,7 @@ def _isolated_vs_closed_state(cfg):
     else:
         psi_j = _as_complex_vector(state, "params.state")
         _require(psi_j.size == 4, "params.state", 'expected "bell" or four amplitudes')
-    return _pure(dagger(cfg.setup.perspective_change(cfg.g_i, cfg.g_j).matrix) @ psi_j)
+    return _pure(cfg.setup.perspective_change(cfg.g_i, cfg.g_j).adjoint.left(psi_j[:, None])[:, 0])
 
 
 def _marginal_deviation(cfg, times, marginals, members):

@@ -51,9 +51,9 @@ class LocalityViolationError(ValueError):
 class BilocalUnitary(StructuredUnitary):
     """Product unitary y (x) z across the (frame, system) split.
 
-    The factors are read-only complex copies, and the dense matrix and the
-    gather are built once, on first use; the gather is read from y's
-    monomial structure and z, with no kron(y, z).  conjugate takes one
+    The factors are read-only complex copies, and the gather is built once,
+    on first use, from y's monomial structure and z, with no kron(y, z);
+    so is the adjoint, the BilocalUnitary(y', z').  conjugate takes one
     matrix or a stack as one gather when y and z are monomial, else y and z
     act on the (d_f, d_s) reshape (d_p^2 (d_f + d_s) operations per matrix,
     not d_p^3).
@@ -68,9 +68,8 @@ class BilocalUnitary(StructuredUnitary):
             object.__setattr__(self, name, read_only(factor))
 
     @cached_property
-    def matrix(self):
-        """kron(y, z), read-only."""
-        return read_only(kron(self.y, self.z))
+    def adjoint(self):
+        return BilocalUnitary(dagger(self.y), dagger(self.z))
 
     @cached_property
     def _gather(self):
@@ -81,10 +80,10 @@ class BilocalUnitary(StructuredUnitary):
         perm = nonzero.argmax(axis=1)
         return monomial_gather(perm, self.y[np.arange(perm.size), perm][:, None, None] * self.z)
 
-    def _left(self, ops):
-        d_f, d_s = self.y.shape[0], self.z.shape[0]
-        rows = self.y @ ops.reshape(ops.shape[:-2] + (d_f, d_s * d_f * d_s))
-        return (self.z @ rows.reshape(ops.shape[:-2] + (d_f, d_s, d_f * d_s))).reshape(ops.shape)
+    def left(self, ops):
+        d_f, d_s, n = self.y.shape[0], self.z.shape[0], ops.shape[-1]
+        rows = self.y @ ops.reshape(ops.shape[:-2] + (d_f, d_s * n))
+        return (self.z @ rows.reshape(ops.shape[:-2] + (d_f, d_s, n))).reshape(ops.shape)
 
 
 def pi_t(setup, op):
@@ -257,8 +256,8 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
     |conj(mu_a) mu_b - 1| <= tol on conj(W) (x) W, mu being on the unit circle.
     """
     from scipy.linalg import schur  # here and in intersect_projectors only, so qrf_lab imports without scipy
-    u = setup.perspective_change(g_i, g_j).matrix
-    w = assert_unitary(dagger(x.matrix) @ u, what="W = X'u")
+    # W = (u'X)', with +0.0 for the -0.0 that the product can write.
+    w = assert_unitary(dagger(setup.perspective_change(g_i, g_j).adjoint.left(kron(x.y, x.z))) + 0.0, what="W = X'u")
     triangular, q = schur(w, output="complex")
     mask = clusters(np.diag(triangular), tol, "the distance between eigenvalues of W")
     return SubalgebraProjector(operand_dim=setup.d_perspective, schur_vectors=q, mask=mask)
@@ -352,10 +351,9 @@ def pure_state_bilocal_witness(setup, psi, g_i, g_j, tol=MEMBERSHIP_TOL):
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("state vector must be normalized")
-    phi = setup.perspective_change(g_i, g_j).matrix @ psi
     d_f, d_s = setup.d_frame, setup.d_s
     m_psi = psi.reshape(d_f, d_s)
-    m_phi = phi.reshape(d_f, d_s)
+    m_phi = setup.perspective_change(g_i, g_j).left(psi[:, None]).reshape(d_f, d_s)  # u psi
     a, lam_psi, bh = np.linalg.svd(m_psi)
     c, lam_phi, dh = np.linalg.svd(m_phi)
     if np.abs(lam_psi - lam_phi).max() > tol:

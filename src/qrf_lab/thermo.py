@@ -51,6 +51,7 @@ positivity is checked once, on rho0, the marginals' at every time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -208,22 +209,23 @@ def marginal_energetics(split, prescription, marginals):
     """
     rho_frame, rho_s, rho_frame_dot, rho_s_dot, e_total = marginals
     h_tilde_s, h_tilde_s_dot = (mean_field_hamiltonian(split, rho, on="s") for rho in (rho_frame, rho_frame_dot))
-    c, b_frame_dot, b_s_dot = (trace_product(h, rho).real for h, rho in (
-        (h_tilde_s, rho_s), (h_tilde_s_dot, rho_s), (h_tilde_s, rho_s_dot)))
-    c_dot = b_frame_dot + b_s_dot
-    # Each side's mean fields (the frame's formed only when commuting_part unpacks them), heat B and work B.
-    sides = (("s", split.h_s, (h_tilde_s, h_tilde_s_dot), rho_s, rho_s_dot, b_s_dot, b_frame_dot,
-              prescription.alpha_s),
+    # c, B(rho_f_dot, rho_s) and B(rho_f, rho_s_dot), formed on first use, as only split_alpha reads them.
+    bilinear = functools.cache(lambda: [trace_product(h, rho).real for h, rho in (
+        (h_tilde_s, rho_s), (h_tilde_s_dot, rho_s), (h_tilde_s, rho_s_dot))])
+    # Each side's mean fields (the frame's formed only when commuting_part unpacks them), and the order
+    # in which it reads bilinear's values as c, its work B and its heat B.
+    sides = (("s", split.h_s, (h_tilde_s, h_tilde_s_dot), rho_s, rho_s_dot, (0, 1, 2), prescription.alpha_s),
              ("frame", split.h_frame,
               (mean_field_hamiltonian(split, rho, on="frame") for rho in (rho_s, rho_s_dot)),
-              rho_frame, rho_frame_dot, b_frame_dot, b_s_dot, prescription.alpha_frame))
+              rho_frame, rho_frame_dot, (0, 2, 1), prescription.alpha_frame))
     report = {"e_total": e_total}
-    for side, h_bare, mean_fields, rho_m, rho_m_dot, b_heat, b_work, alpha in sides:
+    for side, h_bare, mean_fields, rho_m, rho_m_dot, order, alpha in sides:
         if prescription.kind == "split_alpha":
+            c, b_work, b_heat = (bilinear()[k] for k in order)
             tr_m, tr_m_dot = (np.trace(rho, axis1=-2, axis2=-1).real for rho in (rho_m, rho_m_dot))
             e_m = trace_product(h_bare, rho_m).real + c - alpha * c * tr_m
             qdot = trace_product(h_bare, rho_m_dot).real + b_heat - alpha * c * tr_m_dot
-            wdot, e_star = b_work - alpha * c_dot * tr_m, np.zeros(c.shape)
+            wdot, e_star = b_work - alpha * (b_work + b_heat) * tr_m, np.zeros(c.shape)  # b_work + b_heat = c_dot
         else:
             h_tilde, h_tilde_dot = mean_fields
             gen, h_eff = h_bare + h_tilde, h_bare + pinch(*split.eigenspaces[side], h_tilde)
@@ -493,8 +495,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         rho_t1 = evolution.states(rho0, times[-1:])[0]
         rho_j_t0, rho_j_t1 = change.conjugate(np.stack([rho_t0, rho_t1]))
     else:
-        split_imported = split_hamiltonian(hermitian_part(dagger(x0.matrix) @ h_j @ x0.matrix),
-                                           setup.d_frame, setup.d_s)
+        split_imported = split_hamiltonian(hermitian_part(x0.adjoint.conjugate(h_j)), setup.d_frame, setup.d_s)
         rates_max_gap = 0.0
         pair, ends = _stacked(split, split_j), {}
 

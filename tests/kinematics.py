@@ -18,8 +18,10 @@ Giacomini and Castro-Ruiz, Quantum 4, 225 (2020)):
   which R_i(g) reduces back to f.
 
 Every array here is d_kin-sized, which is why none of it lives in the
-package; the tests compare the two constructions.  Perspective operators
-act on (other frame, system) in that order.
+package; the tests compare the two constructions.  dense_perspective_unitary
+writes u_ibar itself out as a dense d_p x d_p sum, the oracle for the
+package's structured u, its adjoint and what they act on.  Perspective
+operators act on (other frame, system) in that order.
 """
 import numpy as np
 
@@ -58,6 +60,19 @@ def embed_kin(setup, frame, frame_op, complement_op):
     else:
         raise ValueError("frame must be 1 or 2")
     return out.reshape(d_kin(setup), d_kin(setup))
+
+
+def dense_perspective_unitary(setup, g_i, g_j):
+    """sum_g |g_i g><g_j g^-1| (x) U_S(g), summed term by term as a dense matrix."""
+    group = setup.group
+    mat = np.zeros((setup.d_perspective, setup.d_perspective), dtype=complex)
+    for g in group.elements:
+        ket = np.zeros((setup.d_frame, 1))
+        ket[group.index(group.compose(g_i, g)), 0] = 1.0
+        bra = np.zeros((1, setup.d_frame))
+        bra[0, group.index(group.compose(g_j, group.inverse(g)))] = 1.0
+        mat += kron(ket @ bra, setup.u_s(g))
+    return mat
 
 
 def reduction_map(setup, frame, g):

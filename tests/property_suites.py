@@ -61,7 +61,15 @@ from qrf_lab.thermo import (
     marginal_energetics,
 )
 
-from kinematics import d_kin, pi_phys, qrf_transform, reduction_map, relational_observable, u_kin
+from kinematics import (
+    d_kin,
+    dense_perspective_unitary,
+    pi_phys,
+    qrf_transform,
+    reduction_map,
+    relational_observable,
+    u_kin,
+)
 
 
 def _diag_rep(group, character_labels):
@@ -232,7 +240,7 @@ def suite_pure_state_witness(n=100, seed=907):
             # so a witness must exist and certify membership.
             y = haar_unitary(rng, setup.d_frame)
             z = haar_unitary(rng, setup.d_s)
-            u = setup.perspective_change(g_i, g_j).matrix
+            u = dense_perspective_unitary(setup, g_i, g_j)
             m = dagger(kron(y, z)) @ u
             _, vecs_m = schur(m, output="complex")
             psi = vecs_m[:, int(rng.integers(setup.d_perspective))]
@@ -421,7 +429,7 @@ def suite_energetics_matches_dense_oracle(n=100, seed=910):
     for k, rng, setup, g_i, g_j in _instances(n, seed):
         d_f, d_s = setup.d_frame, setup.d_s
         dims = (d_f, d_s)
-        u = setup.perspective_change(g_i, g_j).matrix
+        u = dense_perspective_unitary(setup, g_i, g_j)
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         h = u @ random_hermitian(rng, d_f * d_s, scale) @ dagger(u)
         split = split_hamiltonian((h + dagger(h)) / 2, d_f, d_s)
@@ -515,6 +523,10 @@ def suite_stacked_layers_match_single_states(n=100, seed=909):
                                   [single.sigma, single.phi, single.delta_s_s])
         count += 1
     return count
+
+
+def is_permutation_rep(setup):
+    return bool(np.isin(setup.translations, (0.0, 1.0)).all())
 
 
 def haar_conjugated_z3_setup():
@@ -736,8 +748,8 @@ def superoperator_projector_oracle(setup, x, g_i, g_j, tol=1e-9):
     This is the d_p^2 x d_p^2 construction that invariant_projector replaced
     with the pinching over W's own eigenspaces; returns a FixedSpace.
     """
-    u = setup.perspective_change(g_i, g_j).matrix
-    superop = conjugation_superop(dagger(x.matrix)) @ conjugation_superop(u)
+    u = dense_perspective_unitary(setup, g_i, g_j)
+    superop = conjugation_superop(dagger(kron(x.y, x.z))) @ conjugation_superop(u)
     return fixed_space_projector(superop, tol=tol)
 
 

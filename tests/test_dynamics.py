@@ -35,6 +35,7 @@ from qrf_lab.operators import (
 )
 from qrf_lab.subalgebras import BilocalUnitary
 
+from kinematics import dense_perspective_unitary
 from property_suites import eigenspace_count, haar_conjugated_z3_setup, random_hermitian, setup_pool
 
 E = (0,)
@@ -133,7 +134,7 @@ def test_transform_pieces_reassemble():
     rng = np.random.default_rng(3)
     split = split_hamiltonian(random_hermitian(rng, 4), 2, 2)
     split_new, pieces = transform_hamiltonian_pieces(setup, split, E, E)
-    u = setup.perspective_change(E, E).matrix
+    u = dense_perspective_unitary(setup, E, E)
     transformed = u @ split.total @ dagger(u)
     assert np.allclose(split_new.total, transformed, atol=1e-10)
     rebuilt = (kron(pieces.frame_from_diag + pieces.lambda_frame, ID2)

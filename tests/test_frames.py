@@ -18,6 +18,7 @@ from qrf_lab.scenarios import parse_config
 
 from kinematics import (
     d_kin,
+    dense_perspective_unitary,
     g_twirl,
     physical_basis,
     pi_phys,
@@ -26,7 +27,13 @@ from kinematics import (
     relational_observable,
     u_kin,
 )
-from property_suites import haar_conjugated_z3_setup, haar_state, random_hermitian, setup_pool
+from property_suites import (
+    haar_conjugated_z3_setup,
+    haar_state,
+    is_permutation_rep,
+    random_hermitian,
+    setup_pool,
+)
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -168,23 +175,6 @@ def test_qubit_frame_change_is_cnot_like():
     assert np.allclose(v, expected, atol=1e-12)
 
 
-def dense_perspective_unitary(setup, g_i, g_j):
-    """sum_g |g_i g><g_j g^-1| (x) U_S(g), summed term by term as a dense matrix."""
-    group = setup.group
-    mat = np.zeros((setup.d_perspective, setup.d_perspective), dtype=complex)
-    for g in group.elements:
-        ket = np.zeros((setup.d_frame, 1))
-        ket[group.index(group.compose(g_i, g)), 0] = 1.0
-        bra = np.zeros((1, setup.d_frame))
-        bra[0, group.index(group.compose(g_j, group.inverse(g)))] = 1.0
-        mat += kron(ket @ bra, setup.u_s(g))
-    return mat
-
-
-def is_permutation_rep(setup):
-    return bool(np.isin(setup.translations, (0.0, 1.0)).all())
-
-
 def orientation_pairs(setup):
     return [(g_i, g_j) for g_i in setup.group.elements for g_j in setup.group.elements]
 
@@ -194,21 +184,21 @@ def test_perspective_unitary_is_cached_read_only():
                   FrameSetup.from_rep_config(Z3, {"tensor_power": 2}), haar_conjugated_z3_setup()):
         for g_i, g_j in orientation_pairs(setup):
             change = setup.perspective_change(g_i, g_j)
-            u = change.matrix
-            assert u.tobytes() == dense_perspective_unitary(setup, g_i, g_j).tobytes()
-            assert not u.flags.writeable
-            assert change.matrix is u
+            assert not change.perm.flags.writeable and not change.blocks.flags.writeable
+            assert change.adjoint is change.adjoint
+            assert not change.adjoint.blocks.flags.writeable
             assert setup.perspective_change(list(g_i), list(g_j)) is change
     with pytest.raises(ValueError):
-        u[0, 0] = 2.0
-    with pytest.raises(ValueError):
         change.blocks[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        change.adjoint.blocks[0, 0, 0] = 2.0
 
 
 def test_perspective_change_is_cnot_for_qubits():
     setup = qubit_setup()
     change = setup.perspective_change((0,), (0,))
-    assert np.array_equal(change.matrix, CNOT)
+    assert np.array_equal(dense_perspective_unitary(setup, (0,), (0,)), CNOT)
+    assert np.array_equal(change.left(np.eye(4, dtype=complex)), CNOT)
     assert np.array_equal(change.blocks, [ID2, SIGMA_X])
     parity = parity_swap(setup, (0,), (0,))
     assert np.array_equal(parity[np.arange(setup.d_frame), change.perm], np.ones(setup.d_frame))
@@ -221,11 +211,12 @@ def test_perspective_change_conjugates_like_the_dense_unitary():
         exact = is_permutation_rep(setup)
         for g_i, g_j in orientation_pairs(setup):
             u = setup.perspective_change(g_i, g_j)
+            m = dense_perspective_unitary(setup, g_i, g_j)
             stack = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
             stack[:, 0, 1] = -0.0
             for ops in (stack, stack[1], random_hermitian(rng, d)):
                 moved = u.conjugate(ops)
-                dense = u.matrix @ ops @ dagger(u.matrix)
+                dense = m @ ops @ dagger(m)
                 assert moved.shape == dense.shape
                 if exact:
                     # Bit for bit once -0.0 is written as +0.0.
@@ -234,11 +225,39 @@ def test_perspective_change_conjugates_like_the_dense_unitary():
                     assert np.abs(moved - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
+def test_perspective_change_adjoint_is_the_dense_adjoint():
+    """u' = PerspectiveChange(perm, blocks[perm]'), perm being an involution.  Written out by left on
+    the identity, u and u' are the oracle and its dagger, bit for bit on permutation reps once -0.0
+    is written as +0.0; left takes a stack of any width, a column vector included, and u' undoes u."""
+    rng = np.random.default_rng(43)
+    for setup in setup_pool() + [haar_conjugated_z3_setup()]:
+        d = setup.d_perspective
+        exact = is_permutation_rep(setup)
+        for g_i, g_j in orientation_pairs(setup):
+            change = setup.perspective_change(g_i, g_j)
+            assert np.array_equal(change.perm[change.perm], np.arange(setup.d_frame))
+            m = dense_perspective_unitary(setup, g_i, g_j)
+            for w, dense in ((change, m), (change.adjoint, dagger(m) + 0.0)):
+                written = w.left(np.eye(d, dtype=complex)) + 0.0
+                if exact:
+                    assert written.tobytes() == dense.tobytes()
+                else:
+                    assert np.abs(written - dense).max() <= 1e-15
+            psi = haar_state(rng, d)
+            stack = rng.normal(size=(2, d, 3)) + 1j * rng.normal(size=(2, d, 3))
+            for ops in (psi[:, None], stack):
+                moved = change.left(ops)
+                assert moved.shape == ops.shape
+                assert np.abs(moved - m @ ops).max() <= 1e-14
+                assert np.abs(change.adjoint.left(moved) - ops).max() <= 1e-14
+
+
 def test_qrf_transform_agrees_with_perspective_change():
     for setup in setup_pool():
         for g_i, g_j in orientation_pairs(setup):
             v = qrf_transform(setup, 1, 2, g_i, g_j)
-            assert np.abs(v - setup.perspective_change(g_i, g_j).matrix).max() <= 1e-14
+            u = setup.perspective_change(g_i, g_j).left(np.eye(setup.d_perspective, dtype=complex))
+            assert np.abs(v - u).max() <= 1e-14
 
 
 def test_parity_swap_matches_sigma_x():

@@ -41,6 +41,20 @@ def test_the_size_budget_admits_d_p_2048_and_refuses_the_next_power(monkeypatch)
         parse_config(dict(base, rep={"tensor_power": 11}))
 
 
+def test_the_w_state_peaks_below_eight_budget_matrices():
+    """w-state at d_p = 512, parsed, run and rendered, peaks at 7.5 complex d_p x d_p matrices under
+    tracemalloc, as at the budget's d_p = 2048; the bound is 8, as u is applied through its structure."""
+    raw = {"scenario": "w-state", "rep": {"tensor_power": 8}, "params": {"n_qubits": 10}}
+    d_p = 512
+    tracemalloc.start()
+    try:
+        render(run_scenario(parse_config(raw)), "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * d_p ** 2
+
+
 def _refuse_to_allocate(*args, **kwargs):
     raise AssertionError("the grid was allocated")
 

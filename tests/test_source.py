@@ -296,3 +296,38 @@ def test_one_reference_route():
     defined, found = _defined_and_callers("support_log")
     assert not {"_spectral_log", "entropy_and_support_log"} & defined
     assert found == {("thermo.py", "initial_product"), ("states.py", "relative_entropy")}
+
+
+def dense_structured_unitaries(source):
+    """(class, "defines") for each class of source that derives from StructuredUnitary and defines matrix
+    in its body, as a method or an annotated or plain assignment, and (owner, "reads") for each outermost
+    def or class, or "<module>", that reads a matrix attribute."""
+    def binds_matrix(cls):
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "matrix":
+                return True
+            targets = item.targets if isinstance(item, ast.Assign) else [getattr(item, "target", None)]
+            if any(isinstance(target, ast.Name) and target.id == "matrix" for target in targets):
+                return True
+        return False
+
+    found = [(node.name, "defines") for node in ast.parse(source).body
+             if isinstance(node, ast.ClassDef) and binds_matrix(node)
+             and any(getattr(base, "id", None) == "StructuredUnitary" for base in node.bases)]
+    return sorted(found + [(owner, "reads") for owner in attribute_reads(source, "matrix")])
+
+
+def test_the_checker_sees_a_dense_structured_unitary():
+    source = ("class A(StructuredUnitary):\n    @cached_property\n    def matrix(self):\n        return 1\n\n\n"
+              "class B(StructuredUnitary):\n    matrix: int = 0\n\n\nclass C(StructuredUnitary):\n    matrix = 0\n\n\n"
+              "class D:\n    def matrix(self):\n        return 2\n\n\n"
+              "def f(u):\n    return u.matrix @ u.left(u.matrix)\n")
+    assert dense_structured_unitaries(source) == [("A", "defines"), ("B", "defines"), ("C", "defines"),
+                                                  ("f", "reads")]
+
+
+def test_no_dense_structured_unitary():
+    """Every u, u', X and X' goes through PerspectiveChange's and BilocalUnitary's structure: no class
+    of the package that derives from StructuredUnitary defines matrix, and no module reads one."""
+    found = {p.name: dense_structured_unitaries(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: uses for name, uses in found.items() if uses} == {}

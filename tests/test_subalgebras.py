@@ -41,11 +41,13 @@ from qrf_lab.subalgebras import (
 )
 from qrf_lab.scenarios import run_scenario
 
+from kinematics import dense_perspective_unitary
 from property_suites import (
     conjugation_superop,
     fixed_space_projector,
     haar_conjugated_z3_setup,
     haar_unitary,
+    is_permutation_rep,
     label_superoperator,
     monomial_commutant_dimension,
     random_hermitian,
@@ -177,10 +179,10 @@ def test_label_projector_dimension_matches_the_cycle_oracle(order):
     elements = group.elements
     for g_i, g_j in itertools.product(elements, repeat=2):
         g, a, b = (elements[int(rng.integers(order))] for _ in range(3))
-        u = setup.perspective_change(g_i, g_j).matrix
+        u = dense_perspective_unitary(setup, g_i, g_j)
         for x in (BilocalUnitary(np.eye(d_f), np.eye(d_s)), BilocalUnitary(np.eye(d_f), setup.u_s(g)),
                   BilocalUnitary(setup.u_frame(a), setup.u_s(b))):
-            expected = monomial_commutant_dimension([dagger(x.matrix) @ u], order)
+            expected = monomial_commutant_dimension([dagger(kron(x.y, x.z)) @ u], order)
             assert invariant_projector(setup, x, g_i, g_j).dimension == expected
 
 
@@ -215,9 +217,9 @@ def test_ladder_intersections_match_the_orbit_oracle():
         e = group.identity
         labels = (BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s)),
                   BilocalUnitary(np.eye(setup.d_frame), setup.u_s(group.elements[1])))
-        u = setup.perspective_change(e, e).matrix
+        u = dense_perspective_unitary(setup, e, e)
         both = intersect_projectors(*(invariant_projector(setup, x, e, e) for x in labels))
-        expected = monomial_commutant_dimension([dagger(x.matrix) @ u for x in labels], math.lcm(*moduli))
+        expected = monomial_commutant_dimension([dagger(kron(x.y, x.z)) @ u for x in labels], math.lcm(*moduli))
         assert both.dimension == expected, setup.d_perspective
         dimensions.append(expected)
     assert dimensions == [6, 15, 36, 72, 96, 135]
@@ -413,13 +415,9 @@ def test_ising_with_strong_coupling_has_no_pauli_witness():
     assert np.isclose(best, 2.8284271247461903, atol=1e-9)
 
 
-def test_bilocal_unitary_caches_a_read_only_matrix():
+def test_bilocal_unitary_holds_read_only_factors():
     y = np.array(SIGMA_X.real)
     x = BilocalUnitary(y, SIGMA_Z)
-    mat = x.matrix
-    assert np.array_equal(mat, kron(SIGMA_X, SIGMA_Z))
-    assert x.matrix is mat
-    assert not mat.flags.writeable
     assert not x.y.flags.writeable and not x.z.flags.writeable
     assert x.y.dtype == complex
     y[0, 0] = 5.0  # the instance holds a copy
@@ -427,7 +425,7 @@ def test_bilocal_unitary_caches_a_read_only_matrix():
     with pytest.raises(dataclasses.FrozenInstanceError):
         x.y = ID2
     with pytest.raises(ValueError):
-        mat[0, 0] = 2.0
+        x.y[0, 0] = 2.0
 
 
 def test_bilocal_conjugate_matches_the_dense_product():
@@ -441,17 +439,57 @@ def test_bilocal_conjugate_matches_the_dense_product():
     ]
     for y, z, permutation in cases:
         x = BilocalUnitary(y, z)
-        d = x.matrix.shape[0]
+        m = kron(x.y, x.z)
+        d = m.shape[0]
         stack = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
         stack[:, 1, 0] = -0.0
         for ops in (stack, stack[2]):
             moved = x.conjugate(ops)
-            dense = x.matrix @ ops @ dagger(x.matrix)
+            dense = m @ ops @ dagger(m)
             assert moved.shape == dense.shape
             if permutation:
                 assert moved.tobytes() == (dense + 0.0).tobytes()
             else:
                 assert np.abs(moved - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_bilocal_adjoint_is_the_dense_adjoint():
+    """X' = BilocalUnitary(y', z'), built once: written out it is kron(y, z)', bit for bit for
+    permutation factors once -0.0 is written as +0.0, and left takes a stack of any width.  The
+    labels are U_frame(g_i) (x) U_S(g_j) over every orientation pair, and a Haar label per pair."""
+    rng = np.random.default_rng(47)
+    for setup in setup_pool() + [haar_conjugated_z3_setup()]:
+        d = setup.d_perspective
+        for g_i, g_j in itertools.product(setup.group.elements, repeat=2):
+            for x in (BilocalUnitary(setup.u_frame(g_i), setup.u_s(g_j)),
+                      BilocalUnitary(haar_unitary(rng, setup.d_frame), haar_unitary(rng, setup.d_s))):
+                assert x.adjoint is x.adjoint
+                m = kron(x.y, x.z)
+                adjoint = kron(x.adjoint.y, x.adjoint.z)
+                if np.isin(m, (0.0, 1.0)).all():
+                    assert (adjoint + 0.0).tobytes() == (dagger(m) + 0.0).tobytes()
+                else:
+                    assert np.abs(adjoint - dagger(m)).max() <= 1e-15
+                ops = rng.normal(size=(2, d, 3)) + 1j * rng.normal(size=(2, d, 3))
+                for stack in (ops, ops[0, :, :1]):
+                    assert np.abs(x.adjoint.left(stack) - dagger(m) @ stack).max() <= 1e-14
+
+
+def test_label_projector_reads_w_bit_for_bit_on_permutation_reps(monkeypatch):
+    """invariant_projector forms W = X'u as (u'X)' through u's adjoint: on permutation reps, for
+    the labels U_frame(g_i) (x) U_S(g_j), it is dagger(kron(y, z)) @ u + 0.0 with u the dense
+    oracle, bit for bit, over every orientation pair."""
+    seen = []
+    checked = subalgebras.assert_unitary
+    monkeypatch.setattr(subalgebras, "assert_unitary",
+                        lambda mat, what: seen.append(mat) or checked(mat, what=what))
+    for setup in filter(is_permutation_rep, setup_pool()):
+        for g_i, g_j in itertools.product(setup.group.elements, repeat=2):
+            x = BilocalUnitary(setup.u_frame(g_i), setup.u_s(g_j))
+            seen.clear()
+            invariant_projector(setup, x, g_i, g_j)
+            expected = dagger(kron(x.y, x.z)) @ dense_perspective_unitary(setup, g_i, g_j) + 0.0
+            assert [w.tobytes() for w in seen] == [expected.tobytes()]
 
 
 def test_membership_test_reuses_the_transformed_stack():

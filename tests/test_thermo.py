@@ -54,6 +54,7 @@ from qrf_lab.thermo import (
     trajectory_runs,
 )
 
+from kinematics import dense_perspective_unitary
 from property_suites import (
     ENERGETICS_FIELDS,
     NonProductInitialStateError,
@@ -68,6 +69,7 @@ from property_suites import (
     per_perspective_runs,
     random_hermitian,
     setup_pool,
+    state_marginals,
 )
 
 E = (0,)
@@ -164,7 +166,8 @@ def test_e_star_vanishes_under_split_alpha():
         for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
             h = random_hermitian(rng, d_f * d_s, scale)
             g = random_hermitian(rng, d_f * d_s, scale)
-            h_imported = dagger(x.matrix) @ hermitian_part(change.conjugate(h)) @ x.matrix
+            m = kron(x.y, x.z)
+            h_imported = dagger(m) @ hermitian_part(change.conjugate(h)) @ m
             splits = (split_hamiltonian(h, d_f, d_s), split_hamiltonian(hermitian_part(h_imported), d_f, d_s))
             stack = GridEvolution(h).states(rho0, np.array([0.0, 0.5, 1.3]) / scale)
             norm = np.linalg.norm(h, 2) + np.linalg.norm(g, 2)
@@ -202,6 +205,24 @@ def test_split_alpha_reads_only_the_system_mean_fields(monkeypatch):
             calls.clear()
             energetics(split, rho, prescription)
             assert calls == expected, prescription.kind
+
+
+def test_commuting_part_forms_no_bilinear_form_of_split_alpha(monkeypatch):
+    """c = B(rho_F, rho_S) and the two B's of c_dot are read under split_alpha only: one
+    marginal_energetics call on a 2 x 3 split takes 7 traces under split_alpha, c's three and
+    e_m and qdot for each side, and 8 under commuting_part, e_star, e_m, qdot and wdot for each."""
+    rng = np.random.default_rng(31)
+    split = split_hamiltonian(random_hermitian(rng, 6), 2, 3)
+    stack = GridEvolution(split.total).states(random_product_state(rng, 2, 3), np.array([0.0, 0.4]))
+    calls = []
+    trace_product = thermo.trace_product
+    monkeypatch.setattr(thermo, "trace_product", lambda a, b: calls.append(1) or trace_product(a, b))
+    for prescription, expected in ((Prescription.split_alpha(0.3), 7), (Prescription.commuting_part(), 8)):
+        for rho in (stack, stack[1]):
+            marginals = state_marginals(split, rho)
+            calls.clear()
+            marginal_energetics(split, prescription, marginals)
+            assert len(calls) == expected, prescription.kind
 
 
 def test_total_energy_is_conserved():
@@ -425,11 +446,11 @@ def _per_time_rates(setup, split, rho0, g_i, g_j, prescription, times, x):
     """Rate gaps and membership by the per-time formula: the full rho_dot, conjugated, and
     three energetics calls at every time."""
     h = split.total
-    u = setup.perspective_change(g_i, g_j).matrix
+    u, m = dense_perspective_unitary(setup, g_i, g_j), kron(x.y, x.z)
     h_j = u @ h @ dagger(u)
     h_j = (h_j + dagger(h_j)) / 2
     split_j = split_hamiltonian(h_j, setup.d_frame, setup.d_s)
-    h_imported = dagger(x.matrix) @ h_j @ x.matrix
+    h_imported = dagger(m) @ h_j @ m
     split_imported = split_hamiltonian((h_imported + dagger(h_imported)) / 2, setup.d_frame, setup.d_s)
     gap, bare_gap, member = 0.0, 0.0, True
     for t in times:
@@ -492,8 +513,8 @@ def test_balance_verifiers_rejects_a_grid_without_both_endpoints(grid, monkeypat
 
 
 def test_balance_verifiers_conjugates_each_state_once(monkeypatch):
-    """H and each grid state go through u once; each grid state goes through x once, and
-    the endpoints, being grid states, are neither conjugated nor tested again.
+    """H and each grid state go through u once; each grid state goes through x once and H_j
+    through x' once, and the endpoints, being grid states, are neither conjugated nor tested again.
 
     rho_dot is never formed, so it is never conjugated either.
     """
@@ -516,7 +537,7 @@ def test_balance_verifiers_conjugates_each_state_once(monkeypatch):
             return _original(self, ops)
         monkeypatch.setattr(cls, "conjugate", counting)
     counted = run()
-    assert counts == {"PerspectiveChange": 1 + grid, "BilocalUnitary": grid}
+    assert counts == {"PerspectiveChange": 1 + grid, "BilocalUnitary": grid + 1}
     assert counted.membership_ok and counted.rates_match
     assert counted.rates_max_gap == plain.rates_max_gap
 
