@@ -14,7 +14,6 @@ from .dynamics import (
     evolve,
     imported_hamiltonian_and_trajectory_check,
     mean_field_hamiltonian,
-    propagator,
     split_hamiltonian,
     subsystem_eom_terms,
     transform_hamiltonian_pieces,

@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .scenarios import ConfigError, SCENARIOS, list_scenarios, parse_config, render, run_scenario
+from .scenarios import ConfigError, SCENARIOS, list_scenarios, load_config_object, parse_config, render, run_scenario
 
 
 def _apply_override(raw, assignment):
@@ -29,24 +29,6 @@ def _apply_override(raw, assignment):
     node[parts[-1]] = parsed
 
 
-def _load_raw_config(target):
-    if target in SCENARIOS:
-        return {"scenario": target}
-    if os.path.exists(target):
-        with open(target, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("", f"invalid JSON in {target}: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("", f"top-level config in {target} must be a JSON object")
-        return raw
-    raise ConfigError(
-        "scenario",
-        f"unknown scenario or missing file {target!r}; valid names: "
-        + ", ".join(sorted(SCENARIOS)))
-
-
 def _cmd_list(_args):
     width = max(len(name) for name, _ in list_scenarios())
     for name, description in list_scenarios():
@@ -66,7 +48,14 @@ def _summary_lines(summary, prefix=""):
 
 
 def _cmd_run(args):
-    raw = _load_raw_config(args.target)
+    target = args.target
+    if target in SCENARIOS:
+        raw = {"scenario": target}
+    elif os.path.exists(target):
+        raw = load_config_object(target, f" in {target}")
+    else:
+        raise ConfigError("scenario", f"unknown scenario or missing file {target!r}; valid names: "
+                                      + ", ".join(sorted(SCENARIOS)))
     for assignment in args.overrides:
         _apply_override(raw, assignment)
     config = parse_config(raw)

@@ -7,8 +7,8 @@ two local parts, so the split is unique and reassembles exactly.
 Trajectories over a time grid come from GridEvolution: one
 eigendecomposition of H serves every time, each state is formed from the
 eigenbasis without forming U(t), and the grid is walked in blocks whose
-(k, d, d) complex stacks stay within STACK_BYTES.  propagator and evolve
-take the same eigendecomposition for one time.
+(k, d, d) complex stacks stay within STACK_BYTES.  evolve takes the same
+eigendecomposition for one time, and never forms U(t) either.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ from .operators import (
     read_only,
     stack_times,
 )
-from .subalgebras import invariant_projector, membership_test, pi_d, pi_t
+from .subalgebras import BilocalUnitary, invariant_projector, membership_test, pi_d, pi_t
 
 CLASSIFIER_TOL = 1e-10
 # Eigenvalues of a local piece closer than this times ||H|| share one eigenspace.
 COMMUTANT_GAP = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianSplit:
     """Perspective Hamiltonian as h_frame (x) 1 + 1 (x) h_s + h_int, or a stack of them.
 
@@ -151,8 +151,7 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     rest_int = split.h_int - dt_int
 
     int_from_locals = change.conjugate(kron(h_frame_off, np.eye(d_s)) + kron(np.eye(d_f), h_s_rest))
-    p_full = kron(parity, np.eye(d_s))
-    int_from_dt = p_full @ dt_int @ dagger(p_full)
+    int_from_dt = BilocalUnitary(parity, np.eye(d_s)).conjugate(dt_int)
     # rest_int may vanish up to round-off, which the relative Hermiticity check would reject.
     leftovers = split_hamiltonian(hermitian_part(change.conjugate(rest_int)), d_f, d_s)
 
@@ -216,18 +215,13 @@ class GridEvolution:
             yield block, self._from_eigenbasis(rotated, block)
 
 
-def propagator(hamiltonian, t):
-    """U(t) = exp(-i H t), formed from GridEvolution's eigendecomposition of H."""
-    evolution = GridEvolution(hamiltonian)
-    return (evolution.vecs * np.exp(-1j * t * evolution.vals)) @ dagger(evolution.vecs)
-
-
 def evolve(hamiltonian, state, t):
-    """Exact evolution of a vector or density matrix by the given time."""
+    """Exact evolution of a vector or density matrix by the given time, from GridEvolution's eigendecomposition."""
     state = np.asarray(state, dtype=complex)
+    evolution = GridEvolution(hamiltonian)
     if state.ndim == 1:
-        return propagator(hamiltonian, t) @ state
-    return GridEvolution(hamiltonian).states(state, [t])[0]
+        return evolution.vecs @ (np.exp(-1j * t * evolution.vals) * (dagger(evolution.vecs) @ state))
+    return evolution.states(state, [t])[0]
 
 
 @dataclass

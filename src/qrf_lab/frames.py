@@ -25,7 +25,7 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerspectiveChange(StructuredUnitary):
     """u_ibar = sum_g |g_i g><g_j g^-1| (x) U_S(g) for one orientation pair.
 

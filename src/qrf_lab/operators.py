@@ -248,12 +248,6 @@ def unvec(v, d=None):
     return v.reshape((d, d), order="F")
 
 
-def polar_unitary(mat):
-    """Unitary factor of the polar decomposition, U V' from the SVD U s V' of mat."""
-    u, _, vh = np.linalg.svd(np.asarray(mat, dtype=complex), full_matrices=False)
-    return u @ vh
-
-
 def check_guard_band(distances, gap, what):
     """Raise NumericalRankError, naming what, for a distance in (gap, 10 gap], too near gap to select by."""
     gap = np.broadcast_to(gap, np.shape(distances))
@@ -272,6 +266,24 @@ def clusters(values, gap, what):
     gap = np.asarray(gap)[..., None, None]
     check_guard_band(distances, gap, what)
     return distances <= gap
+
+
+def align_clusters(pairs, values=None, what=None):
+    """Rotate each target's columns onto its source's in place, for pairs of (target, source) matrices: in
+    each cluster of the sorted values at DEGENERACY_GAP, naming what, or in all columns for values None,
+    by U V' from the SVD U s V' of the sum of target' source over the pairs, in their order."""
+    blocks = [slice(None)]
+    if values is not None:
+        same = clusters(values, DEGENERACY_GAP, what)
+        starts = np.flatnonzero(same.argmax(axis=1) == np.arange(len(values)))  # sorted, so a cluster is a slice
+        blocks = map(slice, starts, [*starts[1:], len(values)])
+    for blk in blocks:
+        # reduce, not sum, so the first overlap is not added to 0: 0 + (-0.0) would be +0.0.
+        overlap = reduce(np.add, (dagger(target[:, blk]) @ source[:, blk] for target, source in pairs))
+        u, _, vh = np.linalg.svd(overlap, full_matrices=False)
+        w = u @ vh
+        for target, _ in pairs:
+            target[:, blk] = target[:, blk] @ w
 
 
 def eigenspaces(h, gap):

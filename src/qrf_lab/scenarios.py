@@ -249,10 +249,9 @@ def _pauli_terms(order, d_s, raw):
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario configuration with derived objects attached."""
+    """Validated scenario configuration with derived objects attached; setup.group is its group."""
 
     scenario: str
-    group: FiniteAbelianGroup
     setup: FrameSetup
     g_i: tuple
     g_j: tuple
@@ -264,22 +263,29 @@ class ScenarioConfig:
     raw: dict
 
 
+def load_config_object(source, where=""):
+    """The JSON object in the file at path source, or in the JSON text source, else a ConfigError;
+    where (e.g. " in cfg.json") follows "invalid JSON" or "top-level config" in its message."""
+    text = source
+    if isinstance(source, os.PathLike) or os.path.exists(source):
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError("", f"invalid JSON{where}: {exc}")
+    _require(isinstance(raw, dict), "", f"top-level config{where} must be a JSON object")
+    return raw
+
+
 def parse_config(source):
     """Validate a config given as a dict, JSON text, or a path to a JSON file."""
     if isinstance(source, dict):
         raw = dict(source)
     elif isinstance(source, (str, os.PathLike)):
-        text = source
-        if isinstance(source, os.PathLike) or os.path.exists(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("", f"invalid JSON: {exc}")
+        raw = load_config_object(source)
     else:
         raise ConfigError("", f"expected a dict, JSON text, or path, got {type(source).__name__}")
-    _require(isinstance(raw, dict), "", "top-level config must be a JSON object")
 
     name = raw.get("scenario")
     _require(isinstance(name, str) and name, "scenario", "a scenario name is required")
@@ -354,7 +360,6 @@ def parse_config(source):
 
     return ScenarioConfig(
         scenario=name,
-        group=setup.group,  # a shared setup's group: one element index per group per process
         setup=setup,
         g_i=g_i,
         g_j=g_j,
@@ -592,7 +597,7 @@ def _run_three_qubit_subalgebras(cfg):
                                        for key in ("coefficients", "scan_coefficients"))
 
     identity_x, flip_x = _QUBIT_LABELS
-    e = cfg.group.identity
+    e = setup.group.identity
     proj_identity = invariant_projector(setup, identity_x, e, e, tol=cfg.tolerance)
     proj_flip = invariant_projector(setup, flip_x, e, e, tol=cfg.tolerance)
     proj_both = intersect_projectors(proj_identity, proj_flip, tol=cfg.tolerance)
@@ -653,7 +658,7 @@ def _run_w_state(cfg):
 
 def _run_gb_states(cfg):
     setup = cfg.setup
-    group = cfg.group
+    group = setup.group
     shift = _build_orientation(group, cfg.params["shift"], "params.shift")
     character = _build_orientation(group, cfg.params["character"], "params.character")
 
@@ -683,15 +688,14 @@ def _run_gb_states(cfg):
 
 def _run_ghz(cfg):
     variant = cfg.params["variant"]
-    ghz_s = ghz_state(cfg.group, 3)
+    ghz_s = ghz_state(cfg.setup.group, 3)
     psi_g = product_state(cfg.params["frame_amplitudes"], ghz_s)
     if variant == "mixed-w":
         p_w = cfg.params["p_w"]
-        _require(0.0 <= p_w <= 1.0, "params.p_w", "expected a probability")
         psi_w = product_state(basis_state(2, 1), w_state(3))
         state, x = p_w * _pure(psi_w) + (1.0 - p_w) * _pure(psi_g), _GHZ_LABELS[1]
     else:
-        state, x = (ghz_state(cfg.group, 4) if variant == "global" else psi_g), _GHZ_LABELS[0]
+        state, x = (ghz_state(cfg.setup.group, 4) if variant == "global" else psi_g), _GHZ_LABELS[0]
     row, rho, rho_s = _static_entropy_row(cfg, state)
     res = _member(cfg, rho, x)
     row["in_AX"] = res.is_member
@@ -874,6 +878,7 @@ def _ghz_shape(name, order, d_s, params):
     _require(variant in ("separable", "global", "mixed-w"), "params.variant",
              f"expected separable, global, or mixed-w, got {variant!r}")
     _require(order == 2 and d_s == 8, "rep", "scenario needs a qubit group with a three-qubit system")
+    _require(0.0 <= params["p_w"] <= 1.0, "params.p_w", "expected a probability")
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DEGENERACY_GAP,
     INDEFINITENESS_TOL,
     IndefiniteOperatorError,
+    align_clusters,
     assert_hermitian,
-    clusters,
     dagger,
     hs_norm,
+    kron,
     partial_trace,
-    polar_unitary,
     trace_product,
     unstacked,
 )
@@ -74,10 +73,7 @@ def gibbs_state(hamiltonian, beta):
 
 
 def product_state(*vectors):
-    out = np.asarray(vectors[0], dtype=complex).ravel()
-    for v in vectors[1:]:
-        out = np.kron(out, np.asarray(v, dtype=complex).ravel())
-    return out
+    return kron(*(np.asarray(v, dtype=complex).ravel() for v in vectors))
 
 
 def basis_state(dim, index):
@@ -190,11 +186,7 @@ def subsystem_equivalence_witness(rho_a, rho_b):
     vals_b, vecs_b = np.linalg.eigh(rho_b)
     if np.abs(vals_a - vals_b).max() > SPECTRUM_TOL:
         return None
-    same = clusters(vals_a, DEGENERACY_GAP, "the distance between eigenvalues of rho_a")
-    starts = np.flatnonzero(same.argmax(axis=1) == np.arange(vals_a.size))  # sorted, so a cluster is a slice
-    for blk in map(slice, starts, [*starts[1:], vals_a.size]):
-        w = polar_unitary(dagger(vecs_b[:, blk]) @ vecs_a[:, blk])
-        vecs_b[:, blk] = vecs_b[:, blk] @ w
+    align_clusters([(vecs_b, vecs_a)], vals_a, "the distance between eigenvalues of rho_a")
     return vecs_b @ dagger(vecs_a)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .frames import parity_swap
 from .operators import (
-    DEGENERACY_GAP,
     StructuredUnitary,
+    align_clusters,
     assert_unitary,
     check_guard_band,
     clusters,
@@ -27,7 +27,6 @@ from .operators import (
     monomial_gather,
     partial_trace,
     pinch,
-    polar_unitary,
     read_only,
     twirl,
     unvec,
@@ -47,7 +46,7 @@ class LocalityViolationError(ValueError):
     """Operator is not local on the declared factor."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilocalUnitary(StructuredUnitary):
     """Product unitary y (x) z across the (frame, system) split.
 
@@ -219,7 +218,7 @@ def _hermitian_superoperator(labels, d):
     return out.reshape(d * d, d * d).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubalgebraProjector:
     """Orthogonal projector onto a subalgebra: for a label, the commutant of W = Q T Q'.
 
@@ -361,18 +360,10 @@ def pure_state_bilocal_witness(setup, psi, g_i, g_j, tol=MEMBERSHIP_TOL):
     b, d = dagger(bh), dagger(dh)
     a, b, c, d = (np.array(m, dtype=complex) for m in (a, b, c, d))
     k = lam_psi.size
-    same = clusters(lam_psi, DEGENERACY_GAP, "the distance between Schmidt coefficients")
-    starts = np.flatnonzero(same.argmax(axis=1) == np.arange(k))  # sorted, so a cluster is a slice
-    for blk in map(slice, starts, [*starts[1:], k]):
-        w = polar_unitary(dagger(c[:, blk]) @ a[:, blk] + dagger(d[:, blk]) @ b[:, blk])
-        c[:, blk] = c[:, blk] @ w
-        d[:, blk] = d[:, blk] @ w
-    if d_f > k:
-        w = polar_unitary(dagger(c[:, k:]) @ a[:, k:])
-        c[:, k:] = c[:, k:] @ w
-    if d_s > k:
-        w = polar_unitary(dagger(d[:, k:]) @ b[:, k:])
-        d[:, k:] = d[:, k:] @ w
+    align_clusters([(c, a), (d, b)], lam_psi, "the distance between Schmidt coefficients")
+    for target, source, size in ((c, a, d_f), (d, b, d_s)):
+        if size > k:  # the columns past the k Schmidt vectors, on the larger factor, make one cluster
+            align_clusters([(target[:, k:], source[:, k:])])
     y = c @ dagger(a)
     z = d.conj() @ b.T
     witness = BilocalUnitary(y=y, z=z)

@@ -13,7 +13,7 @@ import pytest
 import qrf_lab
 from qrf_lab import frames
 from qrf_lab.cli import main
-from qrf_lab.scenarios import list_scenarios, parse_config
+from qrf_lab.scenarios import ConfigError, list_scenarios, parse_config
 
 
 def test_list_prints_catalog(capsys):
@@ -225,10 +225,19 @@ def test_oversize_time_grid_exits_two_before_it_is_built(monkeypatch, capsys):
 
 
 def test_invalid_json_config_file_exits_two(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{broken")
-    assert main(["run", str(path)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    """The CLI and parse_config read a JSON file through one function; the CLI names the file."""
+    broken, listed = tmp_path / "broken.json", tmp_path / "list.json"
+    broken.write_text("{broken")
+    listed.write_text("[1, 2]")
+    decode = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    for path, message in ((broken, f"invalid JSON in {broken}: {decode}"),
+                          (listed, f"top-level config in {listed} must be a JSON object")):
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+    for path, message in ((broken, f"invalid JSON: {decode}"), (listed, "top-level config must be a JSON object")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == message
 
 
 def test_parser_is_built_once_and_keeps_no_override(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Tests for exact evolution, Hamiltonian splitting, and trajectory checks."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from qrf_lab.dynamics import (
     evolve,
     imported_hamiltonian_and_trajectory_check,
     mean_field_hamiltonian,
-    propagator,
     split_hamiltonian,
     subsystem_eom_terms,
     transform_hamiltonian_pieces,
@@ -33,7 +33,8 @@ from qrf_lab.operators import (
     partial_trace,
     pinch,
 )
-from qrf_lab.subalgebras import BilocalUnitary
+from qrf_lab.frames import parity_swap
+from qrf_lab.subalgebras import BilocalUnitary, pi_d, pi_t
 
 from kinematics import dense_perspective_unitary
 from property_suites import eigenspace_count, haar_conjugated_z3_setup, random_hermitian, setup_pool
@@ -50,17 +51,20 @@ def zz_chain(b, j):
             + 2.0 * j * kron(SIGMA_Z, SIGMA_Z))
 
 
-def test_propagator_is_unitary():
+def test_evolve_of_a_vector_is_unitary():
+    """The images of the basis vectors are the columns of U(t), which is unitary and exp(-i H t)."""
     rng = np.random.default_rng(0)
     h = random_hermitian(rng, 4)
-    u = propagator(h, 0.37)
+    u = np.stack([evolve(h, column, 0.37) for column in np.eye(4)], axis=1)
     assert np.allclose(u @ dagger(u), np.eye(4), atol=1e-12)
+    assert np.allclose(u, scipy.linalg.expm(-1j * 0.37 * h), atol=1e-12)
 
 
-def test_propagator_matches_scipy():
+def test_evolve_of_a_vector_matches_scipy():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 4)
-    assert np.allclose(propagator(h, 0.7), scipy.linalg.expm(-1j * 0.7 * h), atol=1e-12)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    assert np.allclose(evolve(h, psi, 0.7), scipy.linalg.expm(-1j * 0.7 * h) @ psi, atol=1e-12)
 
 
 def test_evolve_vector_and_density_matrix_agree():
@@ -141,6 +145,21 @@ def test_transform_pieces_reassemble():
                + kron(ID2, pieces.s_translation_part + pieces.lambda_s)
                + pieces.int_from_locals + pieces.int_from_dt + pieces.lambda_int)
     assert np.allclose(rebuilt, transformed, atol=1e-10)
+
+
+def test_int_from_dt_is_the_dense_parity_conjugation_bit_for_bit():
+    """int_from_dt conjugates the frame-diagonal, translation-invariant interaction by the parity swap
+    through BilocalUnitary's gather, which equals kron(parity, 1) dt_int kron(parity, 1)' bit for bit
+    once the products' -0.0 is written as +0.0: on every setup of the pool and every orientation pair."""
+    rng = np.random.default_rng(29)
+    for setup in setup_pool():
+        d_f, d_s = setup.d_frame, setup.d_s
+        split = split_hamiltonian(random_hermitian(rng, setup.d_perspective), d_f, d_s)
+        dt_int = pi_d(setup, pi_t(setup, split.h_int))
+        for g_i, g_j in itertools.product(setup.group.elements, repeat=2):
+            _, pieces = transform_hamiltonian_pieces(setup, split, g_i, g_j)
+            p_full = kron(parity_swap(setup, g_i, g_j), np.eye(d_s))
+            assert pieces.int_from_dt.tobytes() == (p_full @ dt_int @ dagger(p_full) + 0.0).tobytes()
 
 
 def test_dynamical_type_classifier():

@@ -12,6 +12,7 @@ from qrf_lab.operators import (
     SIGMA_Y,
     SIGMA_Z,
     NumericalRankError,
+    align_clusters,
     assert_hermitian,
     assert_unitary,
     clusters,
@@ -22,7 +23,6 @@ from qrf_lab.operators import (
     kron,
     monomial_gather,
     partial_trace,
-    polar_unitary,
     stack_times,
     trace_product,
     unvec,
@@ -177,11 +177,26 @@ def test_assert_hermitian_is_relative_to_the_largest_entry():
                 assert np.abs(split.total - moved).max() <= 1e-14 * scale
 
 
-def test_polar_unitary():
+def test_align_clusters():
+    """A target basis that differs from its source by a unitary within each cluster is rotated onto it,
+    in place and by a unitary: per cluster of the values, or over all columns for values None."""
     rng = np.random.default_rng(5)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    u = polar_unitary(m)
-    assert np.allclose(u @ dagger(u), np.eye(3), atol=1e-10)
+    source = haar_unitary(rng, 5)
+    values = np.array([0.1, 0.1, 0.3, 0.6, 0.6 + 1e-12])
+    within = np.zeros((5, 5), dtype=complex)
+    for blk in (slice(0, 2), slice(2, 3), slice(3, 5)):
+        within[blk, blk] = haar_unitary(rng, blk.stop - blk.start)
+    for clustered, rotation in ((values, within), (None, haar_unitary(rng, 5))):
+        target = source @ rotation
+        align_clusters([(target, source)], clustered, "the distance")
+        assert np.abs(target - source).max() <= 1e-12
+    before = haar_unitary(rng, 5)
+    target = before.copy()
+    align_clusters([(target, source)])
+    u, _, vh = np.linalg.svd(dagger(before) @ source)
+    assert np.allclose(target, before @ u @ vh, atol=1e-12)  # the polar factor, U V', of the overlap
+    with pytest.raises(NumericalRankError, match="the distance 5.000e-08 is inside the guard band"):
+        align_clusters([(target, source)], [0.0, 5e-8, 1.0, 1.0, 1.0], "the distance")
 
 
 def test_clusters():

@@ -91,7 +91,7 @@ def test_rep_matrices_refuse_an_oversize_group_before_listing_its_elements():
 def test_defaults_fill_in():
     cfg = parse_config({"scenario": "zz-oscillation"})
     assert cfg.scenario == "zz-oscillation"
-    assert cfg.group.order == 2
+    assert cfg.setup.group.order == 2
     assert cfg.setup.d_s == 2
     assert cfg.g_i == (0,) and cfg.g_j == (0,)
     assert cfg.tolerance == 1e-9
@@ -115,8 +115,8 @@ def test_group_config_round_trip():
     cfg = parse_config({"scenario": "gb-states", "group": {"cyclic": [2, 3]},
                         "orientations": {"g_i": [1, 2], "g_j": [0, 0]},
                         "params": {"frame_amplitudes": [1, 0, 0, 0, 0, 0]}})
-    assert cfg.group.order == 6
-    assert cfg.group.factors == (2, 3)
+    assert cfg.setup.group.order == 6
+    assert cfg.setup.group.factors == (2, 3)
     assert cfg.g_i == (1, 2)
 
 
@@ -196,9 +196,9 @@ def test_float_parameters_are_validated_by_parse_config(name, key):
     with pytest.raises(ConfigError) as err:
         parse_config({"scenario": name, "params": {key: "1.5"}})
     assert (err.value.path, err.value.reason) == (f"params.{key}", "expected a finite number, got '1.5'")
-    cfg = parse_config({"scenario": name, "params": {key: 2}})
-    assert cfg.params[key] == 2.0 and isinstance(cfg.params[key], float)
-    assert cfg.raw["params"][key] == 2 and isinstance(cfg.raw["params"][key], int)
+    cfg = parse_config({"scenario": name, "params": {key: 1}})
+    assert cfg.params[key] == 1.0 and isinstance(cfg.params[key], float)
+    assert cfg.raw["params"][key] == 1 and isinstance(cfg.raw["params"][key], int)
 
 
 AMPLITUDE_PARAMS = [(name, key) for name, entry in scenarios.SCENARIOS.items()
@@ -225,9 +225,10 @@ def test_ghz_p_w_is_rejected_in_every_variant():
     for variant in ("separable", "global", "mixed-w"):
         with pytest.raises(ConfigError, match=r"params\.p_w: expected a finite number"):
             run_scenario({"scenario": "ghz", "params": {"variant": variant, "p_w": None}})
-    with pytest.raises(ConfigError, match=r"params\.p_w: expected a probability"):
-        run_scenario({"scenario": "ghz", "params": {"variant": "mixed-w", "p_w": 1.5}})
-    assert run_scenario({"scenario": "ghz", "params": {"p_w": 1.5}}).summary["variant"] == "separable"
+        for p_w in (-0.25, 1.5):
+            with pytest.raises(ConfigError, match=r"^params\.p_w: expected a probability$"):
+                parse_config({"scenario": "ghz", "params": {"variant": variant, "p_w": p_w}})
+        assert parse_config({"scenario": "ghz", "params": {"variant": variant, "p_w": 1}}).params["p_w"] == 1.0
 
 
 def test_unknown_scenario_lists_valid_names():

@@ -289,6 +289,24 @@ def test_one_prescription_branch():
     assert reads == {"marginal_energetics": 1}
 
 
+def test_one_cluster_alignment():
+    """operators.align_clusters is the one rotation of bases onto bases within clusters: no module defines
+    polar_unitary, both witnesses call align_clusters, and neither clusters a spectrum itself."""
+    defined, found = _defined_and_callers("align_clusters")
+    assert "polar_unitary" not in defined
+    witnesses = {("subalgebras.py", "pure_state_bilocal_witness"), ("states.py", "subsystem_equivalence_witness")}
+    assert witnesses <= found
+    assert not witnesses & _defined_and_callers("clusters")[1]
+
+
+def test_one_evolution_path():
+    """Every evolution goes through GridEvolution's eigendecomposition, and no module forms U(t): none
+    defines propagator, and evolve calls GridEvolution."""
+    defined, found = _defined_and_callers("GridEvolution")
+    assert "propagator" not in defined
+    assert ("dynamics.py", "evolve") in found
+
+
 def test_one_reference_route():
     """states.support_log is the one route to a reference state's entropy and log: no module defines
     _spectral_log or entropy_and_support_log, and only thermo.initial_product and

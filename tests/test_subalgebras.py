@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import eigh
 
 from qrf_lab import FiniteAbelianGroup, FrameSetup, Z2, Z3, Z4, subalgebras
+from qrf_lab.dynamics import split_hamiltonian
 from qrf_lab.operators import (
     ID2,
     PAULI,
@@ -426,6 +427,25 @@ def test_bilocal_unitary_holds_read_only_factors():
         x.y = ID2
     with pytest.raises(ValueError):
         x.y[0, 0] = 2.0
+
+
+def test_unitaries_splits_and_projectors_compare_by_identity():
+    """PerspectiveChange, BilocalUnitary, HamiltonianSplit and SubalgebraProjector hold arrays, so
+    equality is identity: == and in compare no arrays and raise nothing, and each one hashes."""
+    setup = qubit_setup()
+    other = FrameSetup(Z2, {g: Z2.regular_representation(g) for g in Z2.elements})
+    label = BilocalUnitary(ID2, ID2)
+    h = ising_chain(1.0, 1.0, 1.0)
+    pairs = [
+        (setup.perspective_change(E, E), other.perspective_change(E, E)),
+        (label, BilocalUnitary(ID2, ID2)),
+        (split_hamiltonian(h, 2, 2), split_hamiltonian(h, 2, 2)),
+        (invariant_projector(setup, label, E, E), invariant_projector(other, label, E, E)),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 def test_bilocal_conjugate_matches_the_dense_product():
