@@ -2,7 +2,8 @@
 
 A perspective Hamiltonian is stored as frame-local, system-local, and
 interaction pieces with the identity component shared evenly between the
-two local parts, so the split is unique and reassembles exactly.
+two local parts, so the split is unique and reassembles exactly; the split
+of u op u', what the other perspective sees of op, is conjugated_split.
 
 Trajectories over a time grid come from GridEvolution: one
 eigendecomposition of H serves every time, each state is formed from the
@@ -117,6 +118,13 @@ def split_hamiltonian(hamiltonian, d_frame, d_s):
     return HamiltonianSplit(h_frame=h_frame, h_s=h_s, h_int=h_int)
 
 
+def conjugated_split(w, op, d_frame, d_s):
+    """split_hamiltonian of the Hermitian part of w op w', w a structured unitary such as a perspective change.
+    Conjugation leaves an anti-Hermitian round-off of eps ||op||: the Hermitian part keeps the split, and the
+    rho_dot marginals it contracts, Hermitian, and lets an op of round-off size past assert_hermitian."""
+    return split_hamiltonian(hermitian_part(w.conjugate(op)), d_frame, d_s)
+
+
 @dataclass
 class TransformedPieces:
     """Where each part of a transformed Hamiltonian comes from.
@@ -138,8 +146,7 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     """Transform a split Hamiltonian and attribute every piece of the result."""
     d_f, d_s = setup.d_frame, setup.d_s
     change = setup.perspective_change(g_i, g_j)
-    new_total = change.conjugate(split.total)
-    split_new = split_hamiltonian(new_total, d_f, d_s)
+    split_new = conjugated_split(change, split.total, d_f, d_s)
 
     parity = parity_swap(setup, g_i, g_j)
     h_frame_diag = np.diag(np.diag(split.h_frame))
@@ -152,8 +159,7 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
 
     int_from_locals = change.conjugate(kron(h_frame_off, np.eye(d_s)) + kron(np.eye(d_f), h_s_rest))
     int_from_dt = BilocalUnitary(parity, np.eye(d_s)).conjugate(dt_int)
-    # rest_int may vanish up to round-off, which the relative Hermiticity check would reject.
-    leftovers = split_hamiltonian(hermitian_part(change.conjugate(rest_int)), d_f, d_s)
+    leftovers = conjugated_split(change, rest_int, d_f, d_s)
 
     pieces = TransformedPieces(
         frame_from_diag=parity @ h_frame_diag @ dagger(parity),
@@ -278,18 +284,17 @@ def subsystem_eom_terms(setup, split, rho_ibar):
 def dynamical_type_classifier(setup, split):
     """Classify the induced system dynamics as closed, open, or interacting.
 
-    Each residual is compared with CLASSIFIER_TOL * ||H||, so rescaling H
-    leaves the verdict unchanged; H = 0 is closed_to_closed.
+    A non-interacting H is closed_to_closed when frame j's split of u H u' has no interaction either, with
+    u at (e, e): u(g_i, g_j) = (1 (x) U_S(g_i)') u(e, e) (T (x) 1), T a frame translation, which keeps the
+    U_S(g^-1 h) each <g|h_F|h> meets.  Each residual is compared with CLASSIFIER_TOL * ||H||, so rescaling
+    H leaves the verdict unchanged; H = 0 is closed_to_closed.
     """
     tol = CLASSIFIER_TOL * hs_norm(split.total)
-    interacting = hs_norm(split.h_int) > tol
-    frame_diagonal = hs_norm(split.h_frame - np.diag(np.diag(split.h_frame))) <= tol
-    s_translation_invariant = hs_norm(split.h_s - pi_t(setup, split.h_s)) <= tol
-    if interacting:
+    if hs_norm(split.h_int) > tol:
         return "interacting"
-    if frame_diagonal and s_translation_invariant:
-        return "closed_to_closed"
-    return "closed_to_open"
+    e = setup.group.identity
+    seen = conjugated_split(setup.perspective_change(e, e), split.total, split.d_frame, split.d_s)
+    return "closed_to_closed" if hs_norm(seen.h_int) <= tol else "closed_to_open"
 
 
 @dataclass

@@ -15,6 +15,7 @@ Conventions used throughout the package:
   hs_inner, hs_norm, eigenspaces and pinch also take stacks (..., d, d),
   one operator per time point or perspective; a matrix is a stack of one,
   so a reduction's bits depend neither on the stacking nor on the layout;
+* partial_trace traces factor 0 or 1 out of the one bipartition, (d_f, d_s);
 * product_partial_traces reads states in place and needs them Hermitian,
   as density matrices are;
 * one rule, clusters, groups every spectrum: values at most gap apart share
@@ -23,9 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-import string
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -89,28 +88,12 @@ def assert_unitary(mat, what="operator"):
     return mat
 
 
-@lru_cache(maxsize=None)
-def _trace_subscripts(n, drop):
-    """einsum subscripts tracing the factors in drop out of n: factor k has the row
-    letter rows[k] and the column letter cols[k], and a dropped factor's column
-    repeats its row letter."""
-    if any(not 0 <= k < n for k in drop):
-        raise ValueError(f"factor index out of range: {drop}")
-    rows = string.ascii_lowercase[:n]
-    cols = "".join(r if k in drop else r.upper() for k, r in enumerate(rows))
-    kept = "".join(r for k, r in enumerate(rows) if k not in drop)
-    return f"...{rows}{cols}->...{kept}{kept.upper()}"
-
-
 def partial_trace(mat, dims, drop):
-    """Trace out the factors listed in drop (positions into dims), as one einsum."""
-    dims = tuple(int(d) for d in dims)
-    drop = (drop,) if np.isscalar(drop) else tuple(drop)
+    """Trace factor drop (0 or 1) out of the bipartition dims = (d_0, d_1), as one einsum."""
+    if drop not in (0, 1):
+        raise ValueError(f"factor index out of range: {drop}")
     mat = np.asarray(mat)
-    lead = mat.shape[:-2]
-    tensor = np.einsum(_trace_subscripts(len(dims), drop), mat.reshape(lead + dims + dims))
-    size = math.prod(d for k, d in enumerate(dims) if k not in drop)
-    return tensor.reshape(lead + (size, size))
+    return np.einsum(("...abaB->...bB", "...abAb->...aA")[drop], mat.reshape((*mat.shape[:-2], *dims, *dims)))
 
 
 def product_trace_maps(h, dims):

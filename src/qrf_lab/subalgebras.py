@@ -314,7 +314,9 @@ def classify_local_operator(setup, op, which, g_i, g_j):
     """Classify a factor-local operator's behavior under the perspective change.
 
     which is "s_local" or "frame_local"; op lives on the full perspective
-    space and must be identity on the other factor.
+    space and must be identity on the other factor.  tps_invariant says whether u op u' passes the locality
+    test op passed; a frame-local op is tested on u op u' itself, as a hop whose U_S(a^-1 b) is a scalar stays
+    local.  in_diagonal_translation_range and witness keep the diagonal criterion and its parity witness.
     """
     op = np.asarray(op, dtype=complex)
     d_f, d_s = setup.d_frame, setup.d_s
@@ -329,12 +331,15 @@ def classify_local_operator(setup, op, which, g_i, g_j):
                                    unitary_invariant_all_orientations=translation_invariant,
                                    witness=witness, in_diagonal_translation_range=translation_invariant)
     if which == "frame_local":
-        factor = partial_trace(op, (d_f, d_s), drop=1) / d_s
-        if hs_norm(op - kron(factor, np.eye(d_s))) > LOCALITY_TOL * scale:
+        ops = np.stack([op, setup.perspective_change(g_i, g_j).conjugate(op)])  # op and u op u', one test
+        factors = partial_trace(ops, (d_f, d_s), drop=1) / d_s
+        local, tps_invariant = hs_norm(ops - kron(factors, np.eye(d_s))) <= LOCALITY_TOL * scale
+        if not local:
             raise LocalityViolationError("operator is not identity on the system factor")
+        factor = factors[0]
         diagonal = hs_norm(factor - np.diag(np.diag(factor))) <= LOCALITY_TOL * scale
         witness = BilocalUnitary(y=parity_swap(setup, g_i, g_j), z=np.eye(d_s)) if diagonal else None
-        return LocalOperatorReport(which=which, factor=factor, tps_invariant=diagonal,
+        return LocalOperatorReport(which=which, factor=factor, tps_invariant=bool(tps_invariant),
                                    unitary_invariant_all_orientations=False,
                                    witness=witness, in_diagonal_translation_range=diagonal)
     raise ValueError('which must be "s_local" or "frame_local"')

@@ -63,9 +63,9 @@ from .dynamics import (
     GridEvolution,
     HamiltonianSplit,
     block_length,
+    conjugated_split,
     mean_field_hamiltonian,
     split_hamiltonian,
-    transform_hamiltonian_pieces,
 )
 from .operators import (
     dagger,
@@ -360,8 +360,10 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     translation_invariant = bool(commutes.all())
     anti = list(itertools.compress(setup.group.elements, anticommutes))
 
-    split_new, pieces = transform_hamiltonian_pieces(setup, split, g_i, g_j)
-    lambda_s = pieces.lambda_s
+    # Frame j's h_S is pi_T(h_S) plus lambda_S, from the interaction outside pi_D pi_T: no other piece adds one.
+    split_new = conjugated_split(setup.perspective_change(g_i, g_j), split.total, d_f, d_s)
+    h_s_trans = pi_t(setup, h_s)
+    lambda_s = split_new.h_s - h_s_trans
     lambda_zero = hs_norm(lambda_s) <= 1e-9 * scale
     verdict = translation_invariant and lambda_zero
 
@@ -370,7 +372,7 @@ def gibbs_classification(setup, hamiltonian, g_i, g_j):
     # convex in the weights p_a; for |a><a| (x) marginal it is U_S(g) marginal U_S(g)', one g per a.
     deviation = hs_norm(setup.translations @ marginal @ dagger(setup.translations) - marginal).max()
 
-    in_kernel = hs_norm(pi_t(setup, h_s)) <= 1e-9 * scale
+    in_kernel = hs_norm(h_s_trans) <= 1e-9 * scale
 
     mu = mu_sign = residual = None
     if in_kernel and anti and hs_norm(h_s) > 1e-9 * scale:  # an h_s of H's round-off has no mu
@@ -465,10 +467,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     premises = []
     h_total = split.total
     change = setup.perspective_change(g_i, g_j)
-    # Conjugation leaves an anti-Hermitian round-off of order eps ||H||; the
-    # Hermitian part keeps the split, and the rho_dot marginals it contracts, Hermitian.
-    h_j = hermitian_part(change.conjugate(h_total))
-    split_j = split_hamiltonian(h_j, setup.d_frame, setup.d_s)
+    split_j = conjugated_split(change, h_total, setup.d_frame, setup.d_s)
     times = np.linspace(float(t0), float(t1), grid)
     rho0 = np.asarray(rho0, dtype=complex)
     evolution = GridEvolution(h_total)
@@ -495,7 +494,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         rho_t1 = evolution.states(rho0, times[-1:])[0]
         rho_j_t0, rho_j_t1 = change.conjugate(np.stack([rho_t0, rho_t1]))
     else:
-        split_imported = split_hamiltonian(hermitian_part(x0.adjoint.conjugate(h_j)), setup.d_frame, setup.d_s)
+        split_imported = conjugated_split(x0.adjoint, split_j.total, setup.d_frame, setup.d_s)
         rates_max_gap = 0.0
         pair, ends = _stacked(split, split_j), {}
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qrf_lab import FrameSetup, Z2, Z3
+from qrf_lab import FrameSetup, Z2, Z3, Z4
 from qrf_lab.dynamics import (
     COMMUTANT_GAP,
     STACK_BYTES,
@@ -34,7 +34,7 @@ from qrf_lab.operators import (
     pinch,
 )
 from qrf_lab.frames import parity_swap
-from qrf_lab.subalgebras import BilocalUnitary, pi_d, pi_t
+from qrf_lab.subalgebras import BilocalUnitary, classify_local_operator, pi_d, pi_t
 
 from kinematics import dense_perspective_unitary
 from property_suites import eigenspace_count, haar_conjugated_z3_setup, random_hermitian, setup_pool
@@ -184,6 +184,65 @@ def test_dynamical_type_classifier_does_not_depend_on_the_energy_scale():
         h = s * base
         split = split_hamiltonian((h + dagger(h)) / 2, 3, 3)
         assert dynamical_type_classifier(setup, split) == "interacting", s
+
+
+def _frame_hop(setup, a, b):
+    """(|a><b| + |b><a|) (x) 1 on the perspective space, a and b frame indices."""
+    hop = np.zeros((setup.d_frame, setup.d_frame))
+    hop[a, b] = hop[b, a] = 1.0
+    return kron(hop, np.eye(setup.d_s))
+
+
+def _dense_image_keeps_the_split(setup, op, u):
+    """Whether the dense u op u' has no interaction, and whether it is frame-local."""
+    d_f, d_s = setup.d_frame, setup.d_s
+    image = u @ op @ dagger(u)
+    tol = 1e-10 * hs_norm(op)
+    no_interaction = hs_norm(split_hamiltonian(image, d_f, d_s).h_int) <= tol
+    frame_local = hs_norm(image - kron(partial_trace(image, (d_f, d_s), drop=1) / d_s, np.eye(d_s))) <= tol
+    return no_interaction, frame_local
+
+
+def test_frame_hops_keep_the_split_exactly_when_their_dense_image_does():
+    """Every frame hop (|a><b| + h.c.) (x) 1 of the pool, at every orientation pair: the classifier calls
+    it closed_to_closed, and classify_local_operator TPS invariant, exactly when the dense u H u' has no
+    interaction and is frame-local, which happens when U_S(g) is a scalar for the g relating a and b.
+    Z6 with characters 1 and 3 (U_S(3) = -1) and Z2xZ4 with characters (0, 1) and (1, 0) (U_S((1, 2))
+    = -1) have such hops, whose frame factor is not diagonal."""
+    disagreements = set()
+    kept = 0
+    for n, setup in enumerate(setup_pool()):
+        pairs = list(itertools.product(setup.group.elements, repeat=2))
+        dense = [dense_perspective_unitary(setup, g_i, g_j) for g_i, g_j in pairs]
+        for a, b in itertools.combinations(range(setup.d_frame), 2):
+            op = _frame_hop(setup, a, b)
+            verdict = dynamical_type_classifier(setup, split_hamiltonian(op, setup.d_frame, setup.d_s))
+            for (g_i, g_j), u in zip(pairs, dense):
+                no_interaction, frame_local = _dense_image_keeps_the_split(setup, op, u)
+                assert no_interaction == frame_local
+                kept += no_interaction
+                if verdict != ("closed_to_closed" if no_interaction else "closed_to_open"):
+                    disagreements.add(("classifier", n, a, b))
+                report = classify_local_operator(setup, op, "frame_local", g_i, g_j)
+                if report.tps_invariant != frame_local:
+                    disagreements.add(("local operator", n, a, b))
+                assert not report.in_diagonal_translation_range and report.witness is None
+    assert kept > 0
+    assert sorted(disagreements) == []
+
+
+def test_a_z4_hop_across_a_scalar_translation_keeps_the_split():
+    """Z4 on a qubit with U_S(1) = diag(i, -i), so U_S(2) = -1: the 0 <-> 2 frame hop stays free of
+    interaction and frame-local in frame j, while the 0 <-> 1 hop, across U_S(1), does not."""
+    step = np.diag([1j, -1j])
+    setup = FrameSetup(Z4, {g: np.linalg.matrix_power(step, g[0]) for g in Z4.elements})
+    for b, kept in ((2, True), (1, False)):
+        op = _frame_hop(setup, 0, b)
+        assert _dense_image_keeps_the_split(setup, op, dense_perspective_unitary(setup, (0,), (0,))) == (kept, kept)
+        verdict = dynamical_type_classifier(setup, split_hamiltonian(op, 4, 2))
+        assert verdict == ("closed_to_closed" if kept else "closed_to_open")
+        for g_i, g_j in itertools.product(Z4.elements, repeat=2):
+            assert classify_local_operator(setup, op, "frame_local", g_i, g_j).tps_invariant is kept
 
 
 @pytest.mark.parametrize("factor, count", [(0.5, 1), (5.0, None), (20.0, 2)])

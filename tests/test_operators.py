@@ -69,6 +69,13 @@ def test_partial_trace_preserves_trace():
     assert np.isclose(np.trace(reduced), np.trace(m))
 
 
+@pytest.mark.parametrize("drop", [2, -1, (0,)])
+def test_partial_trace_refuses_a_factor_outside_the_bipartition(drop):
+    """The one bipartition has factors 0 and 1, and drop names one of them, not a tuple of them."""
+    with pytest.raises(ValueError, match="factor index out of range"):
+        partial_trace(np.eye(6), (2, 3), drop)
+
+
 def test_vec_unvec_round_trip():
     rng = np.random.default_rng(2)
     m = random_hermitian(rng, 3)

@@ -349,3 +349,43 @@ def test_no_dense_structured_unitary():
     of the package that derives from StructuredUnitary defines matrix, and no module reads one."""
     found = {p.name: dense_structured_unitaries(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def hermitian_splits(source):
+    """Names of the outermost defs and classes of source that pass a hermitian_part(...) call straight to
+    split_hamiltonian, each by name or as an attribute; a call outside every def and class counts as
+    "<module>"."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found.update(owner for call in ast.walk(node) if _calls(call, "split_hamiltonian")
+                     and any(_calls(arg, "hermitian_part") for arg in call.args))
+    return found
+
+
+def test_the_checker_sees_a_hermitian_split():
+    source = ("def a(h):\n    return split_hamiltonian(hermitian_part(h), 2, 2)\n\n\n"
+              "def b(h):\n    return dynamics.split_hamiltonian(h, 2, 2), hermitian_part(h)\n\n\n"
+              "dynamics.split_hamiltonian(operators.hermitian_part(0), 1, 1)\n")
+    assert hermitian_splits(source) == {"a", "<module>"}
+
+
+def test_one_conjugated_split():
+    """dynamics.conjugated_split is the one split of what the other perspective sees: no other function
+    passes a hermitian_part(...) to split_hamiltonian, and gibbs_classification reads lambda_S off that
+    split instead of calling transform_hamiltonian_pieces."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    found = {(name, owner) for name, text in sources.items() for owner in hermitian_splits(text)}
+    assert found == {("dynamics.py", "conjugated_split")}
+    assert ("thermo.py", "gibbs_classification") not in _defined_and_callers("transform_hamiltonian_pieces")[1]
+
+
+def test_one_bipartite_trace():
+    """operators.partial_trace serves the one bipartition, (frame, system), with one einsum string per
+    factor it drops: no module defines _trace_subscripts."""
+    defined, _ = _defined_and_callers("partial_trace")
+    assert "_trace_subscripts" not in defined

@@ -842,6 +842,38 @@ def test_gibbs_classification_of_an_interaction_in_the_pi_d_pi_t_range():
         assert hs_norm(leftover) <= 1e-14 * hs_norm(h)
 
 
+def _lambda_s_cases():
+    """(setup, H, g_i, g_j): the first 44 energy-scale instances, four on each setup of the pool, and on the
+    Haar-conjugated Z3 rep two each of a generic H, an s-local H, and pi_D pi_T interactions beside an h_S,
+    each at a random orientation pair."""
+    cases = [(setup, h, g_i, g_j) for _, setup, h, g_i, g_j in energy_scale_instances(44, 915)]
+    setup = haar_conjugated_z3_setup()
+    rng = np.random.default_rng(34)
+    elements = setup.group.elements
+    for k in range(8):
+        generic, h_s = random_hermitian(rng, 9), random_hermitian(rng, 3)
+        h = (generic, kron(np.eye(3), h_s), pi_d(setup, pi_t(setup, generic)) + kron(np.eye(3), h_s),
+             kron(np.diag(rng.normal(size=3)), h_s) + kron(np.eye(3), pi_t(setup, h_s)))[k // 2]
+        g_i, g_j = (elements[int(m)] for m in rng.integers(3, size=2))
+        cases.append((setup, h, g_i, g_j))
+    return cases
+
+
+def test_gibbs_lambda_s_is_frame_js_system_piece_less_its_translation_part():
+    """lambda_S = h_S^(j) - pi_T(h_S), read off the one conjugated split, is within 1e-12 ||H|| of the
+    lambda_s that transform_hamiltonian_pieces attributes, and invariant_gibbs is the verdict that the
+    attributed lambda_s gives."""
+    for setup, h, g_i, g_j in _lambda_s_cases():
+        split = split_hamiltonian(h, setup.d_frame, setup.d_s)
+        scale = hs_norm(split.total)
+        report = gibbs_classification(setup, h, g_i, g_j)
+        _, pieces = transform_hamiltonian_pieces(setup, split, g_i, g_j)
+        assert hs_norm(report.lambda_s - pieces.lambda_s) <= 1e-12 * scale
+        assert report.lambda_s_norm == hs_norm(report.lambda_s)
+        lambda_zero = hs_norm(pieces.lambda_s) <= 1e-9 * scale
+        assert report.invariant_gibbs is (report.translation_invariant and lambda_zero)
+
+
 def gibbs_verdicts(setup, scale):
     """Every yes/no verdict of the Gibbs, negative-temperature and local-operator classifiers.
 
