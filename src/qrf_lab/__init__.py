@@ -7,7 +7,6 @@ dynamics and thermodynamics, plus a catalog of runnable scenarios.
 """
 from .dynamics import (
     HamiltonianSplit,
-    SubsystemEOMTerms,
     TrajectoryImportReport,
     TransformedPieces,
     dynamical_type_classifier,
@@ -15,7 +14,6 @@ from .dynamics import (
     imported_hamiltonian_and_trajectory_check,
     mean_field_hamiltonian,
     split_hamiltonian,
-    subsystem_eom_terms,
     transform_hamiltonian_pieces,
 )
 from .frames import (
@@ -89,9 +87,11 @@ from .thermo import (
     EntropyBalance,
     GibbsClassification,
     Prescription,
+    SubsystemEOMTerms,
     ThermoReport,
     balance_verifiers,
     gibbs_classification,
+    subsystem_eom_terms,
 )
 
 __version__ = VERSION

@@ -127,10 +127,12 @@ def conjugated_split(w, op, d_frame, d_s):
 
 @dataclass
 class TransformedPieces:
-    """Where each part of a transformed Hamiltonian comes from.
+    """Where each piece of frame j's split of u H u' comes from.
 
     Local factors are stored on their own factor space; the three
-    interaction contributions live on the full perspective space.
+    interaction contributions live on the full perspective space.  To
+    round-off, frame_from_diag + lambda_frame = h_frame, s_translation_part
+    + lambda_s = h_s and int_from_locals + int_from_dt + lambda_int = h_int.
     """
 
     frame_from_diag: np.ndarray
@@ -157,20 +159,20 @@ def transform_hamiltonian_pieces(setup, split, g_i, g_j):
     dt_int = pi_d(setup, pi_t(setup, split.h_int))
     rest_int = split.h_int - dt_int
 
-    int_from_locals = change.conjugate(kron(h_frame_off, np.eye(d_s)) + kron(np.eye(d_f), h_s_rest))
+    # u (h_F,off (x) 1) u' has a frame-local part wherever some U_S(g), g != e, has a trace.
+    from_locals = conjugated_split(change, kron(h_frame_off, np.eye(d_s)) + kron(np.eye(d_f), h_s_rest), d_f, d_s)
     int_from_dt = BilocalUnitary(parity, np.eye(d_s)).conjugate(dt_int)
     leftovers = conjugated_split(change, rest_int, d_f, d_s)
 
-    pieces = TransformedPieces(
+    return split_new, TransformedPieces(
         frame_from_diag=parity @ h_frame_diag @ dagger(parity),
-        lambda_frame=leftovers.h_frame,
+        lambda_frame=leftovers.h_frame + from_locals.h_frame,
         s_translation_part=h_s_trans,
-        lambda_s=leftovers.h_s,
-        int_from_locals=int_from_locals,
+        lambda_s=leftovers.h_s + from_locals.h_s,
+        int_from_locals=from_locals.h_int,
         int_from_dt=int_from_dt,
         lambda_int=leftovers.h_int,
     )
-    return split_new, pieces
 
 
 STACK_BYTES = 128 * 1024
@@ -230,17 +232,6 @@ def evolve(hamiltonian, state, t):
     return evolution.states(state, [t])[0]
 
 
-@dataclass
-class SubsystemEOMTerms:
-    rho_s: np.ndarray
-    rho_frame: np.ndarray
-    omega: np.ndarray
-    h_tilde_s: np.ndarray
-    unitary_term: np.ndarray
-    dissipative_term: np.ndarray
-    effectively_closed: bool
-
-
 def mean_field_hamiltonian(split, rho_other, on="s"):
     """Partial average of the interaction against the other factor's state (or stack).
 
@@ -255,30 +246,6 @@ def mean_field_hamiltonian(split, rho_other, on="s"):
     mean_field_map = split.mean_field_maps[on]
     flat = rho_other.reshape(mean_field_map.shape[:-2] + (-1, mean_field_map.shape[-2])) @ mean_field_map
     return flat.reshape(rho_other.shape[:-2] + (d, d))
-
-
-def subsystem_eom_terms(setup, split, rho_ibar):
-    """Terms of the reduced system equation of motion in one perspective."""
-    rho_ibar = np.asarray(rho_ibar, dtype=complex)
-    dims = (setup.d_frame, setup.d_s)
-    rho_s = partial_trace(rho_ibar, dims, drop=0)
-    rho_frame = partial_trace(rho_ibar, dims, drop=1)
-    omega = rho_ibar - kron(rho_frame, rho_s)
-    h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
-    h_eff = split.h_s + h_tilde_s
-    unitary_term = -1j * (h_eff @ rho_s - rho_s @ h_eff)
-    comm = split.h_int @ omega - omega @ split.h_int
-    dissipative_term = -1j * partial_trace(comm, dims, drop=0)
-    closed_comm = kron(np.eye(setup.d_frame), rho_s) @ omega - omega @ kron(np.eye(setup.d_frame), rho_s)
-    return SubsystemEOMTerms(
-        rho_s=rho_s,
-        rho_frame=rho_frame,
-        omega=omega,
-        h_tilde_s=h_tilde_s,
-        unitary_term=unitary_term,
-        dissipative_term=dissipative_term,
-        effectively_closed=hs_norm(closed_comm) <= 1e-10 * max(1.0, hs_norm(omega)),
-    )
 
 
 def dynamical_type_classifier(setup, split):
@@ -309,12 +276,15 @@ class TrajectoryImportReport:
 def imported_hamiltonian_and_trajectory_check(setup, hamiltonian, x, g_i, g_j, rho0, time_grid):
     """Pull the other perspective's Hamiltonian back through x and test a trajectory.
 
-    For every grid time the report records subalgebra membership of the
-    evolved state and the norm of the commutator between the state and the
-    difference of the two generators.
+    h_imported is the total of conjugated_split(x', u H u'), the generator
+    balance_verifiers imports, so it is Hermitian bit for bit.  For every
+    grid time the report records subalgebra membership of the evolved state
+    and the norm of the commutator between the state and the difference of
+    the two generators.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
-    h_imported = x.adjoint.conjugate(setup.perspective_change(g_i, g_j).conjugate(hamiltonian))
+    change = setup.perspective_change(g_i, g_j)
+    h_imported = conjugated_split(x.adjoint, change.conjugate(hamiltonian), setup.d_frame, setup.d_s).total
     projector = invariant_projector(setup, x, g_i, g_j)
     agreement = hs_norm(projector.apply(hamiltonian) - projector.apply(h_imported))
     times = np.asarray(time_grid, dtype=float)
@@ -323,10 +293,4 @@ def imported_hamiltonian_and_trajectory_check(setup, hamiltonian, x, g_i, g_j, r
     for _, rho_t in GridEvolution(hamiltonian).blocks(rho0, times):
         in_ax += membership_test(setup, rho_t, x, g_i, g_j).is_member.tolist()
         comm_norms += hs_norm(diff @ rho_t - rho_t @ diff).tolist()
-    return TrajectoryImportReport(
-        h_imported=h_imported,
-        times=times,
-        in_ax=in_ax,
-        commutator_norms=comm_norms,
-        generator_agreement_residual=float(agreement),
-    )
+    return TrajectoryImportReport(h_imported, times, in_ax, comm_norms, float(agreement))

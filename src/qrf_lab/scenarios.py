@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .dynamics import GridEvolution, mean_field_hamiltonian, split_hamiltonian
+from .dynamics import GridEvolution, conjugated_split, mean_field_hamiltonian, split_hamiltonian
 from .frames import FrameSetup
 from .groups import FiniteAbelianGroup
 from .operators import ID2, PAULI, SIGMA_X, SIGMA_Z, hs_norm, kron, partial_trace
@@ -46,6 +46,7 @@ from .subalgebras import (
 )
 from .thermo import (
     Prescription,
+    _stacked,
     entropy_balance,
     initial_product,
     marginal_energetics,
@@ -532,9 +533,9 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     one value per time.  Each row is one dict over the run's column lists.
     """
     setup = cfg.setup
-    change = setup.perspective_change(cfg.g_i, cfg.g_j)
+    dims, change = (setup.d_frame, setup.d_s), setup.perspective_change(cfg.g_i, cfg.g_j)
     h_ibar, rho0_i = np.asarray(h_ibar, dtype=complex), np.asarray(rho0_ibar, dtype=complex)
-    split = split_hamiltonian(np.stack([h_ibar, change.conjugate(h_ibar)])[:, None], setup.d_frame, setup.d_s)
+    split = _stacked(split_hamiltonian(h_ibar, *dims), conjugated_split(change, h_ibar, *dims))
     initial = initial_product(setup, np.stack([rho0_i, change.conjugate(rho0_i)])[:, None], cfg.tolerance)
     products, s_t = np.ravel(initial.is_product), von_neumann_entropy(rho0_i)
 

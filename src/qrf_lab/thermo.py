@@ -23,7 +23,8 @@ ThermoReport, for one state, a stack or both perspectives' stacks, and
 sees nothing else of the state: a caller whose rho_dot comes from another
 generator builds the StateMarginals itself, as balance_verifiers does for
 the imported rates.  Scenario rows and balance_verifiers both read the
-grid only through the walk.
+grid only through the walk; subsystem_eom_terms reads one state's reduced
+equation of motion through the same _traced and _assembled.
 
 From the marginals on, marginal_energetics is one loop over the two sides,
 system then frame, with the one prescription branch inside it.  Every
@@ -68,6 +69,7 @@ from .dynamics import (
     split_hamiltonian,
 )
 from .operators import (
+    assert_hermitian,
     dagger,
     hermitian_part,
     hs_inner,
@@ -190,6 +192,36 @@ def _assembled(split, rho_frame, rho_s, int_frame, int_s):
     e_total = (trace_product(split.h_frame, rho_frame) + trace_product(split.h_s, rho_s)
                + np.trace(int_frame, axis1=-2, axis2=-1))
     return StateMarginals(rho_frame, rho_s, rho_frame_dot, rho_s_dot, _real(e_total))
+
+
+@dataclass
+class SubsystemEOMTerms:
+    rho_s: np.ndarray
+    rho_frame: np.ndarray
+    omega: np.ndarray
+    h_tilde_s: np.ndarray
+    unitary_term: np.ndarray
+    dissipative_term: np.ndarray
+    effectively_closed: bool
+
+
+def subsystem_eom_terms(setup, split, rho_ibar):
+    """Terms of the reduced system equation of motion in one perspective, read off _assembled's marginals.
+
+    The unitary term is -i[h_s + h_tilde_s, rho_s]; the dissipative term, rho_s_dot less it, is
+    -i Tr_frame[h_int, omega], omega = rho - rho_frame (x) rho_s.  rho is effectively closed when
+    [1 (x) rho_s, rho] = [1 (x) rho_s, omega] vanishes, formed on rho's (d_f, d_s) row or column axes.
+    """
+    rho = assert_hermitian(np.asarray(rho_ibar, dtype=complex), what="state")  # _assembled reads Tr(rho h_int) as A'
+    rho_frame, rho_s, _, rho_s_dot, _ = _assembled(split, *_traced(split, rho))
+    omega = rho - kron(rho_frame, rho_s)
+    h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
+    h_eff = split.h_s + h_tilde_s
+    unitary_term = -1j * (h_eff @ rho_s - rho_s @ h_eff)
+    rows, columns = rho.reshape(setup.d_frame, setup.d_s, -1), rho.reshape(-1, setup.d_frame, setup.d_s)
+    closed_comm = (rho_s @ rows).reshape(rho.shape) - (columns @ rho_s).reshape(rho.shape)
+    return SubsystemEOMTerms(rho_s, rho_frame, omega, h_tilde_s, unitary_term, rho_s_dot - unitary_term,
+                             hs_norm(closed_comm) <= 1e-10 * max(1.0, hs_norm(omega)))
 
 
 def marginal_energetics(split, prescription, marginals):

@@ -129,7 +129,7 @@ def haar_state(rng, d):
     return v / np.linalg.norm(v)
 
 
-def _random_density(rng, d, rank=None):
+def random_density(rng, d, rank=None):
     """A random density matrix of the given rank, full rank by default."""
     rank = d if rank is None else rank
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
@@ -275,7 +275,7 @@ def suite_first_law_and_entropy_production(n=100, seed=908):
         d_f, d_s = setup.d_frame, setup.d_s
         h = random_hermitian(rng, d_f * d_s)
         split = split_hamiltonian(h, d_f, d_s)
-        rho0 = kron(_random_density(rng, d_f), _random_density(rng, d_s))
+        rho0 = kron(random_density(rng, d_f), random_density(rng, d_s))
         report = energetics(split, rho0, prescription)
         dt = 1e-6
         e_minus = energetics(split, evolve(h, rho0, -dt), prescription).e_s
@@ -439,8 +439,8 @@ def suite_energetics_matches_dense_oracle(n=100, seed=910):
                                      split.h_int)
         tol = 1e-12 * max(1.0, np.linalg.norm(split.total, 2) ** 2)
 
-        rho0 = kron(_random_density(rng, d_f), _random_density(rng, d_s))
-        rho0 = u @ _random_density(rng, d_f * d_s) @ dagger(u) if k % 4 == 3 else rho0
+        rho0 = kron(random_density(rng, d_f), random_density(rng, d_s))
+        rho0 = u @ random_density(rng, d_f * d_s) @ dagger(u) if k % 4 == 3 else rho0
         times = np.sort(rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 5))))
         stack = GridEvolution(split.total).states(rho0, times)
         # A supplied rho_dot from another generator must be used as given.
@@ -485,7 +485,7 @@ def suite_stacked_layers_match_single_states(n=100, seed=909):
         dims = (d_f, d_s)
         h = random_hermitian(rng, d_f * d_s)
         split = split_hamiltonian(h, d_f, d_s)
-        rho0 = kron(_random_density(rng, d_f), _random_density(rng, d_s))
+        rho0 = kron(random_density(rng, d_f), random_density(rng, d_s))
         times = np.sort(rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 6))))
         stack = GridEvolution(h).states(rho0, times)
 
@@ -556,7 +556,7 @@ def suite_rho_dot_marginals_match_dense_commutator(n=100, seed=911):
         h = change.conjugate(random_hermitian(rng, d, 10.0 ** rng.uniform(-3.0, 3.0)))
         split = split_hamiltonian((h + dagger(h)) / 2, d_f, d_s)
         h = split.total
-        rho0 = _random_density(rng, d)
+        rho0 = random_density(rng, d)
         times = rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 6)))
         stack = change.conjugate(GridEvolution(h).states(rho0, times))
         for rho in (stack, stack[0], rho0):
@@ -875,8 +875,8 @@ def suite_entropy_balance_from_one_spectrum(n=100, seed=914):
         g_i, g_j = (elements[int(rng.integers(len(elements)))] for _ in range(2))
         change = setup.perspective_change(g_i, g_j)
         deficient = k % 2 == 1
-        rho0 = kron(_random_density(rng, d_f, int(rng.integers(1, d_f)) if deficient else None),
-                    _random_density(rng, d_s))
+        rho0 = kron(random_density(rng, d_f, int(rng.integers(1, d_f)) if deficient else None),
+                    random_density(rng, d_s))
         s0 = von_neumann_entropy(rho0)
         times = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 6)))
         stack = GridEvolution(random_hermitian(rng, d_f * d_s)).states(rho0, times)

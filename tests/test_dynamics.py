@@ -14,12 +14,12 @@ from qrf_lab.dynamics import (
     GridEvolution,
     HamiltonianSplit,
     block_length,
+    conjugated_split,
     dynamical_type_classifier,
     evolve,
     imported_hamiltonian_and_trajectory_check,
     mean_field_hamiltonian,
     split_hamiltonian,
-    subsystem_eom_terms,
     transform_hamiltonian_pieces,
 )
 from qrf_lab.operators import (
@@ -35,9 +35,10 @@ from qrf_lab.operators import (
 )
 from qrf_lab.frames import parity_swap
 from qrf_lab.subalgebras import BilocalUnitary, classify_local_operator, pi_d, pi_t
+from qrf_lab.thermo import subsystem_eom_terms
 
 from kinematics import dense_perspective_unitary
-from property_suites import eigenspace_count, haar_conjugated_z3_setup, random_hermitian, setup_pool
+from property_suites import eigenspace_count, haar_conjugated_z3_setup, haar_unitary, random_hermitian, setup_pool
 
 E = (0,)
 
@@ -162,6 +163,24 @@ def test_int_from_dt_is_the_dense_parity_conjugation_bit_for_bit():
             assert pieces.int_from_dt.tobytes() == (p_full @ dt_int @ dagger(p_full) + 0.0).tobytes()
 
 
+def test_pieces_add_up_to_frame_js_split():
+    """Each piece lands where frame j's split puts it: frame_from_diag + lambda_frame = h_frame,
+    s_translation_part + lambda_s = h_s and int_from_locals + int_from_dt + lambda_int = h_int, within
+    1e-12 ||H||, for a random H at every orientation pair of the pool, of the Z4 rep with U_S(1) =
+    diag(i, -i) and of the Haar-conjugated Z3 rep.  Wherever some U_S(g), g != e, has a trace,
+    u (h_F,off (x) 1) u' has a frame-local part, which lambda_frame holds and int_from_locals does not."""
+    rng = np.random.default_rng(41)
+    for setup in setup_pool() + [z4_scalar_step_setup(), haar_conjugated_z3_setup()]:
+        split = split_hamiltonian(random_hermitian(rng, setup.d_perspective), setup.d_frame, setup.d_s)
+        tol = 1e-12 * hs_norm(split.total)
+        for g_i, g_j in itertools.product(setup.group.elements, repeat=2):
+            split_new, pieces = transform_hamiltonian_pieces(setup, split, g_i, g_j)
+            assert hs_norm(pieces.frame_from_diag + pieces.lambda_frame - split_new.h_frame) <= tol
+            assert hs_norm(pieces.s_translation_part + pieces.lambda_s - split_new.h_s) <= tol
+            assert hs_norm(pieces.int_from_locals + pieces.int_from_dt + pieces.lambda_int
+                           - split_new.h_int) <= tol
+
+
 def test_dynamical_type_classifier():
     setup = qubit_setup()
     closed = split_hamiltonian(kron(SIGMA_Z, ID2) + kron(ID2, SIGMA_X), 2, 2)
@@ -231,11 +250,16 @@ def test_frame_hops_keep_the_split_exactly_when_their_dense_image_does():
     assert sorted(disagreements) == []
 
 
+def z4_scalar_step_setup():
+    """Z4 on a qubit with U_S(1) = diag(i, -i), so U_S(2) = -1: a scalar translation besides the identity."""
+    step = np.diag([1j, -1j])
+    return FrameSetup(Z4, {g: np.linalg.matrix_power(step, g[0]) for g in Z4.elements})
+
+
 def test_a_z4_hop_across_a_scalar_translation_keeps_the_split():
     """Z4 on a qubit with U_S(1) = diag(i, -i), so U_S(2) = -1: the 0 <-> 2 frame hop stays free of
     interaction and frame-local in frame j, while the 0 <-> 1 hop, across U_S(1), does not."""
-    step = np.diag([1j, -1j])
-    setup = FrameSetup(Z4, {g: np.linalg.matrix_power(step, g[0]) for g in Z4.elements})
+    setup = z4_scalar_step_setup()
     for b, kept in ((2, True), (1, False)):
         op = _frame_hop(setup, 0, b)
         assert _dense_image_keeps_the_split(setup, op, dense_perspective_unitary(setup, (0,), (0,))) == (kept, kept)
@@ -297,6 +321,24 @@ def test_imported_hamiltonian_for_zz_chain():
     assert all(report.in_ax)
     assert max(report.commutator_norms) < 1e-12
     assert report.generator_agreement_residual < 1e-12
+
+
+def test_the_imported_generator_is_hermitian_bit_for_bit():
+    """h_imported is the total of conjugated_split(x', u H u'), equal to its own adjoint bit for bit,
+    for a random H and label at a random orientation pair of every setup of the pool and the
+    Haar-conjugated Z3 rep."""
+    rng = np.random.default_rng(43)
+    for setup in setup_pool() + [haar_conjugated_z3_setup()]:
+        d_f, d_s = setup.d_frame, setup.d_s
+        elements = setup.group.elements
+        g_i, g_j = (elements[int(m)] for m in rng.integers(len(elements), size=2))
+        h = random_hermitian(rng, setup.d_perspective)
+        x = BilocalUnitary(haar_unitary(rng, d_f), haar_unitary(rng, d_s))
+        rho0 = kron(np.eye(d_f) / d_f, np.eye(d_s) / d_s)
+        report = imported_hamiltonian_and_trajectory_check(setup, h, x, g_i, g_j, rho0, [0.0, 0.5])
+        assert np.array_equal(report.h_imported, dagger(report.h_imported))
+        change = setup.perspective_change(g_i, g_j)
+        assert np.array_equal(report.h_imported, conjugated_split(x.adjoint, change.conjugate(h), d_f, d_s).total)
 
 
 def test_trajectory_leaving_the_subalgebra_is_flagged():

@@ -71,6 +71,33 @@ def test_every_definition_has_a_caller_or_a_test():
     assert unreferenced_definitions(sources, [str(p) for p in MODULES]) == []
 
 
+def unused_exports(init, modules, tests):
+    """Names that init imports and modules define as top-level functions, that no call in modules reaches,
+    by name or as an attribute, and no test names; each argument is source text, or a list of it.  An
+    import is neither a call nor a name."""
+    trees = dict(enumerate(map(ast.parse, modules)))
+    functions = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.FunctionDef)}
+    exported = {alias.asname or alias.name for node in ast.parse(init).body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    called, named = _calls_by_name(trees), sum(map(_names, map(ast.parse, tests)), Counter())
+    return sorted(name for name in exported & functions if name not in called and not named[name])
+
+
+def test_the_checker_sees_an_unused_export():
+    init = "from .a import Kept, called, orphan, tested\nfrom .b import elsewhere\n"
+    modules = ["def called():\n    pass\n\n\ndef orphan():\n    pass\n\n\ndef tested():\n    return called()\n\n\n"
+               "class Kept:\n    pass\n", "def elsewhere():\n    pass\n"]
+    tests = ["from qrf_lab import elsewhere, orphan, tested\nassert tested() is None\n"]
+    assert unused_exports(init, modules, tests) == ["elsewhere", "orphan"]
+
+
+def test_every_exported_function_has_a_caller_or_a_test():
+    """Each function that qrf_lab/__init__.py re-exports is called in the package or named in its tests."""
+    init = Path(qrf_lab.__file__).read_text(encoding="utf-8")
+    read = [[p.read_text(encoding="utf-8") for p in paths] for paths in (MODULES, TESTS)]
+    assert unused_exports(init, *read) == []
+
+
 def _defaulted_parameters(function, is_method):
     """(name, position) of each parameter of function that has a default; a keyword-only
     parameter has position None, and a method's positions do not count self."""
@@ -224,14 +251,15 @@ def test_the_checker_sees_a_caller():
 
 def test_one_walk_reads_the_time_grid():
     """Only thermo.trajectory_runs traces grid states, and besides it only the imported-Hamiltonian
-    check, which reads no marginals, walks GridEvolution.blocks."""
+    check, which reads no marginals, walks GridEvolution.blocks; thermo.subsystem_eom_terms traces the
+    one state it is given."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
 
     def found(callee):
         return {(name, owner) for name, text in sources.items() for owner in callers(text, callee)}
 
     walk = ("thermo.py", "trajectory_runs")
-    assert found("_traced") == {walk}
+    assert found("_traced") == {walk, ("thermo.py", "subsystem_eom_terms")}
     assert found("blocks") == {walk, ("dynamics.py", "imported_hamiltonian_and_trajectory_check")}
 
 
@@ -355,33 +383,63 @@ def _calls(node, name):
     return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
 
 
-def hermitian_splits(source):
-    """Names of the outermost defs and classes of source that pass a hermitian_part(...) call straight to
-    split_hamiltonian, each by name or as an attribute; a call outside every def and class counts as
-    "<module>"."""
-    found = set()
-    for node in ast.parse(source).body:
-        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-        found.update(owner for call in ast.walk(node) if _calls(call, "split_hamiltonian")
-                     and any(_calls(arg, "hermitian_part") for arg in call.args))
-    return found
+def owners(source, matches):
+    """Names of the outermost defs and classes of source that hold a node for which matches is true; a node
+    outside every def and class counts as "<module>"."""
+    return {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.parse(source).body if any(map(matches, ast.walk(node)))}
+
+
+def splits_holding(source, callee):
+    """owners of a split_hamiltonian call whose arguments hold a callee(...) call at any depth, each called
+    by name or as an attribute."""
+    return owners(source, lambda node: _calls(node, "split_hamiltonian") and any(
+        _calls(inner, callee) for arg in node.args + [k.value for k in node.keywords] for inner in ast.walk(arg)))
 
 
 def test_the_checker_sees_a_hermitian_split():
     source = ("def a(h):\n    return split_hamiltonian(hermitian_part(h), 2, 2)\n\n\n"
               "def b(h):\n    return dynamics.split_hamiltonian(h, 2, 2), hermitian_part(h)\n\n\n"
               "dynamics.split_hamiltonian(operators.hermitian_part(0), 1, 1)\n")
-    assert hermitian_splits(source) == {"a", "<module>"}
+    assert splits_holding(source, "hermitian_part") == {"a", "<module>"}
+
+
+def test_the_checker_sees_a_conjugating_split():
+    source = ("def a(h, u):\n    return split_hamiltonian(np.stack([h, u.conjugate(h)])[:, None], 2, 2)\n\n\n"
+              "def b(h, u):\n    return split_hamiltonian(h, 2, 2), u.conjugate(h)\n\n\n"
+              "class C:\n    def m(self, h):\n        return split_hamiltonian(hamiltonian=self.u.conjugate(h))\n")
+    assert splits_holding(source, "conjugate") == {"a", "C"}
 
 
 def test_one_conjugated_split():
     """dynamics.conjugated_split is the one split of what the other perspective sees: no other function
-    passes a hermitian_part(...) to split_hamiltonian, and gibbs_classification reads lambda_S off that
-    split instead of calling transform_hamiltonian_pieces."""
+    passes a hermitian_part(...) or a conjugate(...) to split_hamiltonian, at any depth of its arguments,
+    and gibbs_classification reads lambda_S off that split instead of calling transform_hamiltonian_pieces."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    found = {(name, owner) for name, text in sources.items() for owner in hermitian_splits(text)}
-    assert found == {("dynamics.py", "conjugated_split")}
+    for callee in ("hermitian_part", "conjugate"):
+        found = {(name, owner) for name, text in sources.items() for owner in splits_holding(text, callee)}
+        assert found == {("dynamics.py", "conjugated_split")}, callee
     assert ("thermo.py", "gibbs_classification") not in _defined_and_callers("transform_hamiltonian_pieces")[1]
+
+
+def adjoint_conjugations(source):
+    """owners of a call of the form ....adjoint.conjugate(...)."""
+    return owners(source, lambda node: _calls(node, "conjugate")
+                  and getattr(getattr(node.func, "value", None), "attr", None) == "adjoint")
+
+
+def test_the_checker_sees_an_adjoint_conjugation():
+    source = ("def a(x, h):\n    return x.adjoint.conjugate(h)\n\n\n"
+              "def b(x, h):\n    return conjugated_split(x.adjoint, h, 2, 2), x.conjugate(h), x.adjoint.left(h)\n\n\n"
+              "w.y.adjoint.conjugate(0)\n")
+    assert adjoint_conjugations(source) == {"a", "<module>"}
+
+
+def test_one_imported_construction():
+    """A generator pulled back through a label is the total of conjugated_split(x.adjoint, ...): no module
+    applies a label's adjoint as x.adjoint.conjugate(...)."""
+    found = {p.name: adjoint_conjugations(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: owner for name, owner in found.items() if owner} == {}
 
 
 def test_one_bipartite_trace():

@@ -67,6 +67,7 @@ from property_suites import (
     haar_conjugated_z3_setup,
     haar_unitary,
     per_perspective_runs,
+    random_density,
     random_hermitian,
     setup_pool,
     state_marginals,
@@ -235,6 +236,51 @@ def test_total_energy_is_conserved():
     e1 = energetics(split, evolve(h, rho0, 1.7), presc).e_total
     assert np.isclose(e0, e1, atol=1e-10)
     assert np.isclose(e0, np.trace(h @ rho0).real, atol=1e-10)
+
+
+def dense_eom_oracle(split, rho):
+    """The unitary and dissipative terms of the reduced system equation of motion and the closedness
+    verdict, from d_p x d_p products against omega = rho - rho_frame (x) rho_s: the formula
+    subsystem_eom_terms used before it read _assembled's marginals."""
+    dims = (split.d_frame, split.d_s)
+    rho_s, rho_frame = partial_trace(rho, dims, drop=0), partial_trace(rho, dims, drop=1)
+    omega = rho - kron(rho_frame, rho_s)
+    h_eff = split.h_s + dynamics.mean_field_hamiltonian(split, rho_frame, on="s")
+    dissipative = -1j * partial_trace(split.h_int @ omega - omega @ split.h_int, dims, drop=0)
+    lift = kron(np.eye(split.d_frame), rho_s)
+    closed = hs_norm(lift @ omega - omega @ lift) <= 1e-10 * max(1.0, hs_norm(omega))
+    return -1j * (h_eff @ rho_s - rho_s @ h_eff), dissipative, closed
+
+
+def test_subsystem_eom_terms_match_the_dense_oracle():
+    """Over the pool and the Haar-conjugated Z3 rep, for a correlated mixed state, a product state and a
+    state classical on an eigenbasis of rho_s (correlated, yet [1 (x) rho_s, rho] = 0): both terms within
+    1e-12 ||H|| of dense_eom_oracle's, and the same effectively_closed verdict."""
+    rng = np.random.default_rng(47)
+    verdicts = set()
+    for setup in setup_pool() + [haar_conjugated_z3_setup()]:
+        d_f, d_s = setup.d_frame, setup.d_s
+        split = split_hamiltonian(random_hermitian(rng, d_f * d_s), d_f, d_s)
+        weights = rng.dirichlet(np.ones(d_s))
+        classical = sum(kron(w * random_density(rng, d_f), np.diag(np.eye(d_s)[s])) for s, w in enumerate(weights))
+        for rho in (random_density(rng, d_f * d_s), kron(random_density(rng, d_f), random_density(rng, d_s)),
+                    classical):
+            terms = thermo.subsystem_eom_terms(setup, split, rho)
+            unitary, dissipative, closed = dense_eom_oracle(split, rho)
+            assert hs_norm(terms.unitary_term - unitary) <= 1e-12 * hs_norm(split.total)
+            assert hs_norm(terms.dissipative_term - dissipative) <= 1e-12 * hs_norm(split.total)
+            assert terms.effectively_closed == closed
+            verdicts.add((closed, hs_norm(terms.omega) > 1e-3))
+    assert verdicts == {(False, True), (True, False), (True, True)}
+
+
+def test_subsystem_eom_terms_rejects_a_non_hermitian_state():
+    """The terms read Tr(rho h_int) as the adjoint of Tr(h_int rho), which holds for a Hermitian rho only."""
+    setup = qubit_setup()
+    split = split_hamiltonian(kron(SIGMA_Z, SIGMA_Z), 2, 2)
+    rho = np.eye(4) / 4 + 0.1j * kron(ID2, SIGMA_Z)
+    with pytest.raises(ValueError, match="state is not Hermitian"):
+        thermo.subsystem_eom_terms(setup, split, rho)
 
 
 def test_entropy_balance_identities():
