@@ -103,6 +103,12 @@ class HamiltonianSplit:
                 for key, piece in (("s", self.h_s), ("frame", self.h_frame))}
 
 
+def stacked_split(*splits):
+    """One split holding the splits' pieces member by member, with the walk's leading axes (m, 1), frame i first."""
+    pieces = zip(*((split.h_frame, split.h_s, split.h_int) for split in splits))
+    return HamiltonianSplit(*(np.array(members)[:, None] for members in pieces))
+
+
 def split_hamiltonian(hamiltonian, d_frame, d_s):
     """Unique split with both partial traces of h_int vanishing, of one Hamiltonian or of each in a stack.
 
@@ -285,11 +291,10 @@ def imported_hamiltonian_and_trajectory_check(setup, hamiltonian, x, g_i, g_j, r
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     change = setup.perspective_change(g_i, g_j)
     h_imported = conjugated_split(x.adjoint, change.conjugate(hamiltonian), setup.d_frame, setup.d_s).total
-    projector = invariant_projector(setup, x, g_i, g_j)
-    agreement = hs_norm(projector.apply(hamiltonian) - projector.apply(h_imported))
+    diff = hamiltonian - h_imported
+    agreement = hs_norm(invariant_projector(setup, x, g_i, g_j).apply(diff))
     times = np.asarray(time_grid, dtype=float)
     in_ax, comm_norms = [], []
-    diff = hamiltonian - h_imported
     for _, rho_t in GridEvolution(hamiltonian).blocks(rho0, times):
         in_ax += membership_test(setup, rho_t, x, g_i, g_j).is_member.tolist()
         comm_norms += hs_norm(diff @ rho_t - rho_t @ diff).tolist()

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .dynamics import GridEvolution, conjugated_split, mean_field_hamiltonian, split_hamiltonian
+from .dynamics import GridEvolution, conjugated_split, mean_field_hamiltonian, split_hamiltonian, stacked_split
 from .frames import FrameSetup
 from .groups import FiniteAbelianGroup
 from .operators import ID2, PAULI, SIGMA_X, SIGMA_Z, hs_norm, kron, partial_trace
@@ -46,7 +46,6 @@ from .subalgebras import (
 )
 from .thermo import (
     Prescription,
-    _stacked,
     entropy_balance,
     initial_product,
     marginal_energetics,
@@ -535,7 +534,7 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     setup = cfg.setup
     dims, change = (setup.d_frame, setup.d_s), setup.perspective_change(cfg.g_i, cfg.g_j)
     h_ibar, rho0_i = np.asarray(h_ibar, dtype=complex), np.asarray(rho0_ibar, dtype=complex)
-    split = _stacked(split_hamiltonian(h_ibar, *dims), conjugated_split(change, h_ibar, *dims))
+    split = stacked_split(split_hamiltonian(h_ibar, *dims), conjugated_split(change, h_ibar, *dims))
     initial = initial_product(setup, np.stack([rho0_i, change.conjugate(rho0_i)])[:, None], cfg.tolerance)
     products, s_t = np.ravel(initial.is_product), von_neumann_entropy(rho0_i)
 
@@ -712,12 +711,12 @@ def _run_ghz(cfg):
                        s_j_ground_dev=float(np.abs(rho_s[1] - ground).max()))
     else:
         (s_i, s_j), flip = rho_s, x.z
+        (half_i, half_j), (two_i, two_j) = (renyi_entropy(rho_s, alpha).tolist() for alpha in (0.5, 2.0))
         summary.update(
             branch_overlap=float(abs(np.vdot(psi_w, psi_g))), flip_member=res.is_member,
             flip_residual=res.residual, conjugation_dev=float(np.abs(s_j - flip @ s_i @ flip).max()),
             svn_gap=abs(row["SvN_s_i"] - row["SvN_s_j"]),
-            renyi_half_gap=abs(renyi_entropy(s_i, 0.5) - renyi_entropy(s_j, 0.5)),
-            renyi_two_gap=abs(renyi_entropy(s_i, 2.0) - renyi_entropy(s_j, 2.0)))
+            renyi_half_gap=abs(half_i - half_j), renyi_two_gap=abs(two_i - two_j))
     return [row], summary
 
 

@@ -22,9 +22,11 @@ than a subsystem.  marginal_energetics turns StateMarginals into a
 ThermoReport, for one state, a stack or both perspectives' stacks, and
 sees nothing else of the state: a caller whose rho_dot comes from another
 generator builds the StateMarginals itself, as balance_verifiers does for
-the imported rates.  Scenario rows and balance_verifiers both read the
-grid only through the walk; subsystem_eom_terms reads one state's reduced
-equation of motion through the same _traced and _assembled.
+the imported rates from frame i's half of a run's pair.  Scenario rows and
+balance_verifiers both read the grid only through the walk, and each takes
+both perspectives' rates, in one call per run, and entropy balances off its
+pair stacks; subsystem_eom_terms reads one state's reduced equation of
+motion through the same _traced and _assembled.
 
 From the marginals on, marginal_energetics is one loop over the two sides,
 system then frame, with the one prescription branch inside it.  Every
@@ -43,10 +45,11 @@ marginals of rho0, S(rho_s(0)), whether rho0 is their product (a rho0 that is
 not one does not raise; the caller reads is_product), and from one checked
 spectrum support_log(rho_frame(0)): S(rho_frame(0)), log rho_frame(0) on its
 support and a basis of its kernel; for both perspectives at once when rho0 is
-their (2, 1) stack.  entropy_balance, the core, reads S(rho(t)), rho_frame(t)
-and S(rho_s(t)), and takes S(rho_frame(t)) and D(rho_frame(t) || rho_frame(0))
-from one spectrum of rho_frame(t).  S(rho(t)) = S(rho0) on a unitary
-trajectory in either frame, so callers pass S(rho0): the full state's
+their (2, 1) stack, or balance_verifiers' four endpoint states, sliced into
+the pairs at t0 and at t1.  entropy_balance, the core, reads S(rho(t)),
+rho_frame(t) and S(rho_s(t)), and takes S(rho_frame(t)) and D(rho_frame(t) ||
+rho_frame(0)) from one spectrum of rho_frame(t).  S(rho(t)) = S(rho0) on a
+unitary trajectory in either frame, so callers pass S(rho0): the full state's
 positivity is checked once, on rho0, the marginals' at every time.
 """
 
@@ -62,11 +65,11 @@ import numpy as np
 
 from .dynamics import (
     GridEvolution,
-    HamiltonianSplit,
     block_length,
     conjugated_split,
     mean_field_hamiltonian,
     split_hamiltonian,
+    stacked_split,
 )
 from .operators import (
     assert_hermitian,
@@ -452,12 +455,6 @@ class BalanceReport:
     premises_not_met: list = field(default_factory=list)
 
 
-def _stacked(*splits):
-    """One split of the given splits' pieces, member by member, with the leading axes (m, 1) of the walk."""
-    pieces = zip(*((split.h_frame, split.h_s, split.h_int) for split in splits))
-    return HamiltonianSplit(*(np.array(members)[:, None] for members in pieces))
-
-
 def _agree(a, b):
     """Within 1e-8 of each other, or both infinite."""
     if math.isinf(a) or math.isinf(b):
@@ -483,10 +480,13 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     and flow for product member states, and equality of entropy changes
     between perspectives.  Missing premises are reported, not raised.
     The grid is read through trajectory_runs, which conjugates each state to
-    frame j once; per block the membership test reads both stacks, and the
-    rates run once per run of blocks.  The endpoint states and their frame-j
-    images are the grid's first and last; rho(t0) is evolved before the
-    walk only when x0 must be searched, and rho(t1) too when none is found.
+    frame j once; per block the membership test reads both stacks, and per
+    run of blocks one energetics call on the pair gives both perspectives'
+    bare rates, one more on frame i's half the imported ones.  The endpoint
+    states and their frame-j images are the grid's first and last, and one
+    entropy_balance on the pairs at t0 and t1 gives both perspectives' sigma
+    and phi; rho(t0) is evolved before the walk only when x0 must be
+    searched, and rho(t1) too when none is found.
 
     Rates scale as ||H||^2, so rates_match compares the unscaled
     rates_max_gap with 1e-8 ||H||_2^2, the spectral norm being
@@ -523,12 +523,12 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     both_bare_max_gap = 0.0
     if x0 is None:
         premises.append("no subalgebra witness available at the initial time")
-        rho_t1 = evolution.states(rho0, times[-1:])[0]
-        rho_j_t0, rho_j_t1 = change.conjugate(np.stack([rho_t0, rho_t1]))
+        endpoints = np.stack([rho_t0, evolution.states(rho0, times[-1:])[0]])
+        endpoints = np.stack([endpoints, change.conjugate(endpoints)], axis=1)
     else:
         split_imported = conjugated_split(x0.adjoint, split_j.total, setup.d_frame, setup.d_s)
         rates_max_gap = 0.0
-        pair, ends = _stacked(split, split_j), {}
+        pair, ends = stacked_split(split, split_j), {}
 
         def read(rho):
             # The first states are copied so that their block can go; the last ones are the grid's end.
@@ -539,44 +539,39 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
 
         for _, marginals, (member,) in trajectory_runs(evolution, change, pair, rho0, times, read):
             in_grid += member.tolist()
-            # One call per rate set on the halves: a call on the pair doubles its temporaries.
-            frame_i, frame_j = (StateMarginals(*fields) for fields in zip(*marginals))
-            rates_j = marginal_energetics(split_j, prescription, frame_j).rates_vector()
+            rates_bare, rates_j = marginal_energetics(pair, prescription, marginals).rates_vector().swapaxes(0, 1)
             # No rate reads e_total, so frame i's Tr(H rho) stands in for Tr(H_imported rho).
+            frame_i = StateMarginals(*(fields[0] for fields in marginals))
             rates_imported = marginal_energetics(split_imported, prescription, frame_i).rates_vector()
-            rates_bare = marginal_energetics(split, prescription, frame_i).rates_vector()
             rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
             both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
-        (rho_t0, rho_j_t0), (rho_t1, rho_j_t1) = ends["first"], ends["last"]
+        endpoints = np.stack([ends["first"], ends["last"]])
         membership_ok = all(in_grid)
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")
+    rho_t1, rho_j_t1 = endpoints[1]
     x1 = find_witness(rho_t1, x1)
 
-    start_i, end_i, start_j, end_j = (InitialProduct(*fields) for fields in zip(
-        *initial_product(setup, np.stack([rho_t0, rho_t1, rho_j_t0, rho_j_t1]))))
-    s_t1 = von_neumann_entropy(rho_t0)  # unitary evolution and the perspective change keep the spectrum
-    frame_marginal_static = bool(start_i.is_product and end_i.is_product
-                                 and hs_norm(end_i.rho_frame - start_i.rho_frame) <= 1e-9)
+    # endpoints holds (t0: i, j; t1: i, j), so support_log runs once, on the four frame marginals.
+    both = initial_product(setup, endpoints.reshape((4,) + endpoints.shape[2:]))
+    start, end = (InitialProduct(*(fields[n:n + 2] for fields in both)) for n in (0, 2))
+    s_t1 = von_neumann_entropy(endpoints[0, 0])  # unitary evolution and the perspective change keep the spectrum
+    frame_marginal_static = bool(start.is_product[0] and end.is_product[0]
+                                 and hs_norm(end.rho_frame[0] - start.rho_frame[0]) <= 1e-9)
 
-    y_factors_match = None
-    if x0 is not None and x1 is not None:
-        y_factors_match = _phase_aligned_equal(x0.y, x1.y)
+    y_factors_match = None if x0 is None or x1 is None else _phase_aligned_equal(x0.y, x1.y)
 
-    sigma_i = phi_i = sigma_j = phi_j = None
-    pure_balance_zero = None
-    if start_i.is_product:
-        balance_i = entropy_balance(start_i, s_t1, end_i.rho_frame, end_i.s_s)
-        sigma_i, phi_i = balance_i.sigma, balance_i.phi
-        if start_j.is_product:
-            balance_j = entropy_balance(start_j, s_t1, end_j.rho_frame, end_j.s_s)
-            sigma_j, phi_j = balance_j.sigma, balance_j.phi
+    sigma_i = phi_i = sigma_j = phi_j = pure_balance_zero = None
+    if start.is_product[0]:
+        # Both perspectives' balances at t1; frame j's are dropped when its start is no product.
+        balance = entropy_balance(start, s_t1, end.rho_frame, end.s_s)
+        sigma_i, phi_i = balance.sigma[0], balance.phi[0]
+        if start.is_product[1]:
+            sigma_j, phi_j = balance.sigma[1], balance.phi[1]
         else:
             premises.append("transformed initial state is not a product")
-        if (frame_marginal_static and y_factors_match and membership_ok
-                and sigma_j is not None):
-            pure_balance_zero = bool(
-                max(abs(sigma_i), abs(phi_i), abs(sigma_j), abs(phi_j)) <= 1e-8)
+        if frame_marginal_static and y_factors_match and membership_ok and sigma_j is not None:
+            pure_balance_zero = bool(max(abs(sigma_i), abs(phi_i), abs(sigma_j), abs(phi_j)) <= 1e-8)
     else:
         premises.append("initial state is not a product")
 
@@ -587,16 +582,16 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     member_t1 = x1 is not None and (in_grid[-1] if x1 is x0 else membership_test(
         setup, rho_t1, x1, g_i, g_j, transformed=rho_j_t1).is_member)
     if member_t0 and member_t1:
-        delta_s_frame_equal = bool(abs((end_i.s_frame - start_i.s_frame)
-                                       - (end_j.s_frame - start_j.s_frame)) <= 1e-8)
-        delta_s_s_equal = bool(abs((end_i.s_s - start_i.s_s) - (end_j.s_s - start_j.s_s)) <= 1e-8)
+        delta_s_frame, delta_s_s = end.s_frame - start.s_frame, end.s_s - start.s_s
+        delta_s_frame_equal = bool(abs(delta_s_frame[0] - delta_s_frame[1]) <= 1e-8)
+        delta_s_s_equal = bool(abs(delta_s_s[0] - delta_s_s[1]) <= 1e-8)
 
-        if start_i.is_product:
+        if start.is_product[0]:
             y01 = x0.y @ dagger(x1.y)
-            rotated = y01 @ end_i.rho_frame @ dagger(y01)
-            # Only the rotated side is new: D(rho_frame(t1) || rho_frame(t0)) is balance_i's.
-            lhs = entropy_and_relative_entropy(rotated, start_i.log_frame, start_i.kernel_frame)[1]
-            y_condition_holds = _agree(lhs, balance_i.frame_relative_entropy)
+            rotated = y01 @ end.rho_frame[0] @ dagger(y01)
+            # Only the rotated side is new: D(rho_frame(t1) || rho_frame(t0)) is the balance's.
+            lhs = entropy_and_relative_entropy(rotated, start.log_frame[0], start.kernel_frame[0])[1]
+            y_condition_holds = _agree(lhs, balance.frame_relative_entropy[0])
             if sigma_j is not None:
                 sigma_phi_equal = _agree(sigma_i, sigma_j) and _agree(phi_i, phi_j)
     else:
@@ -609,8 +604,8 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
                          and rates_max_gap <= 1e-8 * np.abs(evolution.vals).max() ** 2),
         both_bare_max_gap=float(both_bare_max_gap),
         membership_ok=membership_ok,
-        product_at_t0=start_i.is_product,
-        product_at_t1=end_i.is_product,
+        product_at_t0=start.is_product[0],
+        product_at_t1=end.is_product[0],
         frame_marginal_static=frame_marginal_static,
         y_factors_match=y_factors_match,
         sigma_i=sigma_i,

@@ -19,10 +19,12 @@ from qrf_lab.dynamics import (
     GridEvolution,
     HamiltonianSplit,
     block_length,
+    conjugated_split,
     dynamical_type_classifier,
     evolve,
     mean_field_hamiltonian,
     split_hamiltonian,
+    stacked_split,
 )
 from qrf_lab.frames import FrameSetup, parity_swap
 from qrf_lab.groups import Z2, Z2xZ2, Z3, Z4, FiniteAbelianGroup
@@ -49,16 +51,28 @@ from qrf_lab.subalgebras import (
     pi_t,
     pure_state_bilocal_witness,
 )
-from qrf_lab.states import SUPPORT_CUTOFF, mutual_information, relative_entropy, von_neumann_entropy
+from qrf_lab.states import (
+    SUPPORT_CUTOFF,
+    entropy_and_relative_entropy,
+    mutual_information,
+    purity,
+    relative_entropy,
+    von_neumann_entropy,
+)
 from qrf_lab.thermo import (
+    BalanceReport,
+    InitialProduct,
     Prescription,
     StateMarginals,
+    _agree,
     _assembled,
+    _phase_aligned_equal,
     _traced,
     entropy_balance,
     gibbs_classification,
     initial_product,
     marginal_energetics,
+    trajectory_runs,
 )
 
 from kinematics import (
@@ -658,6 +672,117 @@ def per_perspective_static_row(cfg, psi_or_rho):
     row = scenarios._blank_row(0.0)
     row.update(SvN_s_i=von_neumann_entropy(rho_s[0]), SvN_s_j=von_neumann_entropy(rho_s[1]))
     return row, np.stack(rho), np.stack(rho_s)
+
+
+def per_perspective_balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1, x0=None, x1=None,
+                                      grid=50):
+    """thermo.balance_verifiers as it was before it read both perspectives off the walk's pair: the oracle
+    of its pair reads.
+
+    The walk is the same, but each run's StateMarginals are split into the two halves, with one
+    energetics call per rate set (frame j's rates on frame j's own split), and the endpoints give four
+    InitialProducts and one entropy balance per perspective.
+    """
+    grid = int(grid)
+    premises = []
+    h_total = split.total
+    change = setup.perspective_change(g_i, g_j)
+    split_j = conjugated_split(change, h_total, setup.d_frame, setup.d_s)
+    times = np.linspace(float(t0), float(t1), grid)
+    rho0 = np.asarray(rho0, dtype=complex)
+    evolution = GridEvolution(h_total)
+
+    def find_witness(rho_t, provided):
+        if provided is not None:
+            return provided
+        if purity(rho_t) >= 1.0 - 1e-10:
+            vals, vecs = np.linalg.eigh(rho_t)
+            return pure_state_bilocal_witness(setup, vecs[:, int(np.argmax(vals))], g_i, g_j)
+        return None
+
+    if x0 is None:
+        rho_t0 = evolution.states(rho0, times[:1])[0]
+        x0 = find_witness(rho_t0, None)
+
+    membership_ok, in_grid, rates_max_gap, both_bare_max_gap = False, [], math.inf, 0.0
+    if x0 is None:
+        premises.append("no subalgebra witness available at the initial time")
+        rho_t1 = evolution.states(rho0, times[-1:])[0]
+        rho_j_t0, rho_j_t1 = change.conjugate(np.stack([rho_t0, rho_t1]))
+    else:
+        split_imported = conjugated_split(x0.adjoint, split_j.total, setup.d_frame, setup.d_s)
+        rates_max_gap = 0.0
+        pair, ends = stacked_split(split, split_j), {}
+
+        def read(rho):
+            if not ends:
+                ends["first"] = rho[:, 0].copy()
+            ends["last"] = rho[:, -1]
+            return [membership_test(setup, rho[0], x0, g_i, g_j, transformed=rho[1]).is_member]
+
+        for _, marginals, (member,) in trajectory_runs(evolution, change, pair, rho0, times, read):
+            in_grid += member.tolist()
+            frame_i, frame_j = (StateMarginals(*fields) for fields in zip(*marginals))
+            rates_j = marginal_energetics(split_j, prescription, frame_j).rates_vector()
+            rates_imported = marginal_energetics(split_imported, prescription, frame_i).rates_vector()
+            rates_bare = marginal_energetics(split, prescription, frame_i).rates_vector()
+            rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
+            both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
+        (rho_t0, rho_j_t0), (rho_t1, rho_j_t1) = ends["first"], ends["last"]
+        membership_ok = all(in_grid)
+        if not membership_ok:
+            premises.append("trajectory leaves the subalgebra on the grid")
+    x1 = find_witness(rho_t1, x1)
+
+    start_i, end_i, start_j, end_j = (InitialProduct(*fields) for fields in zip(
+        *initial_product(setup, np.stack([rho_t0, rho_t1, rho_j_t0, rho_j_t1]))))
+    s_t1 = von_neumann_entropy(rho_t0)
+    frame_marginal_static = bool(start_i.is_product and end_i.is_product
+                                 and hs_norm(end_i.rho_frame - start_i.rho_frame) <= 1e-9)
+    y_factors_match = None if x0 is None or x1 is None else _phase_aligned_equal(x0.y, x1.y)
+
+    sigma_i = phi_i = sigma_j = phi_j = pure_balance_zero = None
+    if start_i.is_product:
+        balance_i = entropy_balance(start_i, s_t1, end_i.rho_frame, end_i.s_s)
+        sigma_i, phi_i = balance_i.sigma, balance_i.phi
+        if start_j.is_product:
+            balance_j = entropy_balance(start_j, s_t1, end_j.rho_frame, end_j.s_s)
+            sigma_j, phi_j = balance_j.sigma, balance_j.phi
+        else:
+            premises.append("transformed initial state is not a product")
+        if frame_marginal_static and y_factors_match and membership_ok and sigma_j is not None:
+            pure_balance_zero = bool(max(abs(sigma_i), abs(phi_i), abs(sigma_j), abs(phi_j)) <= 1e-8)
+    else:
+        premises.append("initial state is not a product")
+
+    delta_s_s_equal = delta_s_frame_equal = y_condition_holds = sigma_phi_equal = None
+    member_t0 = x0 is not None and in_grid[0]
+    member_t1 = x1 is not None and (in_grid[-1] if x1 is x0 else membership_test(
+        setup, rho_t1, x1, g_i, g_j, transformed=rho_j_t1).is_member)
+    if member_t0 and member_t1:
+        delta_s_frame_equal = bool(abs((end_i.s_frame - start_i.s_frame)
+                                       - (end_j.s_frame - start_j.s_frame)) <= 1e-8)
+        delta_s_s_equal = bool(abs((end_i.s_s - start_i.s_s) - (end_j.s_s - start_j.s_s)) <= 1e-8)
+        if start_i.is_product:
+            y01 = x0.y @ dagger(x1.y)
+            rotated = y01 @ end_i.rho_frame @ dagger(y01)
+            lhs = entropy_and_relative_entropy(rotated, start_i.log_frame, start_i.kernel_frame)[1]
+            y_condition_holds = _agree(lhs, balance_i.frame_relative_entropy)
+            if sigma_j is not None:
+                sigma_phi_equal = _agree(sigma_i, sigma_j) and _agree(phi_i, phi_j)
+    else:
+        premises.append("membership at both endpoint times is required for entropy-change checks")
+
+    return BalanceReport(
+        times=times, rates_max_gap=float(rates_max_gap),
+        rates_match=bool(x0 is not None and membership_ok
+                         and rates_max_gap <= 1e-8 * np.abs(evolution.vals).max() ** 2),
+        both_bare_max_gap=float(both_bare_max_gap), membership_ok=membership_ok,
+        product_at_t0=start_i.is_product, product_at_t1=end_i.is_product,
+        frame_marginal_static=frame_marginal_static, y_factors_match=y_factors_match,
+        sigma_i=sigma_i, phi_i=phi_i, sigma_j=sigma_j, phi_j=phi_j, pure_balance_zero=pure_balance_zero,
+        delta_s_s_equal=delta_s_s_equal, delta_s_frame_equal=delta_s_frame_equal,
+        y_condition_holds=y_condition_holds, sigma_phi_equal=sigma_phi_equal, premises_not_met=premises)
 
 
 class NonProductInitialStateError(ValueError):

@@ -34,7 +34,7 @@ from qrf_lab.operators import (
     pinch,
 )
 from qrf_lab.frames import parity_swap
-from qrf_lab.subalgebras import BilocalUnitary, classify_local_operator, pi_d, pi_t
+from qrf_lab.subalgebras import BilocalUnitary, classify_local_operator, invariant_projector, pi_d, pi_t
 from qrf_lab.thermo import subsystem_eom_terms
 
 from kinematics import dense_perspective_unitary
@@ -339,6 +339,24 @@ def test_the_imported_generator_is_hermitian_bit_for_bit():
         assert np.array_equal(report.h_imported, dagger(report.h_imported))
         change = setup.perspective_change(g_i, g_j)
         assert np.array_equal(report.h_imported, conjugated_split(x.adjoint, change.conjugate(h), d_f, d_s).total)
+
+
+def test_the_agreement_residual_pinches_the_difference_once():
+    """generator_agreement_residual is ||P(H - h_imported)||, P the projector onto A_x: one pinching of the
+    difference, within 1e-14 max(1, ||H||) of ||P(H) - P(h_imported)||, the two pinchings it replaced,
+    for a random H and label at a random orientation pair of every setup of the pool."""
+    rng = np.random.default_rng(71)
+    for setup in setup_pool():
+        d_f, d_s = setup.d_frame, setup.d_s
+        elements = setup.group.elements
+        g_i, g_j = (elements[int(m)] for m in rng.integers(len(elements), size=2))
+        h = random_hermitian(rng, setup.d_perspective)
+        x = BilocalUnitary(haar_unitary(rng, d_f), haar_unitary(rng, d_s))
+        rho0 = kron(np.eye(d_f) / d_f, np.eye(d_s) / d_s)
+        report = imported_hamiltonian_and_trajectory_check(setup, h, x, g_i, g_j, rho0, [0.0])
+        projector = invariant_projector(setup, x, g_i, g_j)
+        two_pinchings = hs_norm(projector.apply(h) - projector.apply(report.h_imported))
+        assert abs(report.generator_agreement_residual - two_pinchings) <= 1e-14 * max(1.0, hs_norm(h))
 
 
 def test_trajectory_leaving_the_subalgebra_is_flagged():

@@ -231,6 +231,18 @@ def test_ghz_p_w_is_rejected_in_every_variant():
         assert parse_config({"scenario": "ghz", "params": {"variant": variant, "p_w": 1}}).params["p_w"] == 1.0
 
 
+def test_ghz_mixed_w_takes_each_renyi_gap_from_one_call(monkeypatch):
+    """The mixed-w summary takes both system marginals' Renyi entropies of each order from one call on
+    their pair, and each gap is the float that the per-marginal entropies give, bit for bit."""
+    seen, renyi = [], scenarios.renyi_entropy
+    monkeypatch.setattr(scenarios, "renyi_entropy", lambda rho, alpha: seen.append((rho, alpha)) or renyi(rho, alpha))
+    summary = run_scenario({"scenario": "ghz", "params": {"variant": "mixed-w", "p_w": 0.3}}).summary
+    assert [(np.shape(rho)[0], alpha) for rho, alpha in seen] == [(2, 0.5), (2, 2.0)]
+    for (rho_s, alpha), key in zip(seen, ("renyi_half_gap", "renyi_two_gap")):
+        expected = abs(renyi(rho_s[0], alpha) - renyi(rho_s[1], alpha))
+        assert type(summary[key]) is float and summary[key] == expected, key
+
+
 def test_unknown_scenario_lists_valid_names():
     with pytest.raises(ConfigError) as err:
         parse_config({"scenario": "nope"})

@@ -447,3 +447,24 @@ def test_one_bipartite_trace():
     factor it drops: no module defines _trace_subscripts."""
     defined, _ = _defined_and_callers("partial_trace")
     assert "_trace_subscripts" not in defined
+
+
+def private_imports(source):
+    """(line, module, name) of each name that source imports with a leading underscore from a module of its
+    own package, by a relative import."""
+    return sorted((node.lineno, node.module, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level > 0
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_the_checker_sees_a_private_import():
+    source = ("from .thermo import _stacked, entropy_balance\nfrom . import _version\n"
+              "from numpy.linalg import _umath_linalg\nfrom .dynamics import (\n    GridEvolution,\n    _helper,\n)\n")
+    assert private_imports(source) == [(1, "thermo", "_stacked"), (2, None, "_version"), (4, "dynamics", "_helper")]
+
+
+def test_no_private_name_crosses_a_module():
+    """No module of the package imports another's private name: what two modules share, such as
+    dynamics.stacked_split, has a public name."""
+    found = {p.name: private_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: names for name, names in found.items() if names} == {}

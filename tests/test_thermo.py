@@ -42,6 +42,7 @@ from qrf_lab.subalgebras import (
     pi_t,
 )
 from qrf_lab.thermo import (
+    BalanceReport,
     EntropyBalance,
     Prescription,
     StateMarginals,
@@ -66,6 +67,7 @@ from property_suites import (
     entropy_production_and_flow,
     haar_conjugated_z3_setup,
     haar_unitary,
+    per_perspective_balance_verifiers,
     per_perspective_runs,
     random_density,
     random_hermitian,
@@ -765,6 +767,82 @@ def test_stacked_walk_matches_the_per_perspective_walk(monkeypatch, prescription
         assert runs > 1
         counts.append(tuple(eigenspace_count(pair.eigenspaces["s"][1]).ravel()))
     assert counts[-1] == (2, 1)
+
+
+def _balance_cases(rng):
+    """(setup, H, rho0, g_i, g_j, x0, x1) on every setup of the pool: a member trajectory with x0 = x1 given;
+    under a random H with x0 = x1 = None, so that the witness search runs, a mixed product state and
+    |g><g| (x) |psi><psi|; and |g><g| (x) rho_S under H = h_F (x) 1 + 1 (x) h_S, h_F diagonal, with the identity
+    label.  |g><g| (x) rho_S is a product in frame j too, so sigma_j is set."""
+    cases = []
+    for setup in setup_pool():
+        d_f, d_s = setup.d_frame, setup.d_s
+        _, h, rho0, x, g_i, g_j = _projected_member_trajectory(setup, rng)
+        cases.append((setup, h, rho0, g_i, g_j, x, x))
+        frame = np.diag(np.eye(d_f)[int(rng.integers(d_f))])
+        h = random_hermitian(rng, setup.d_perspective)
+        for rho0 in (kron(random_density(rng, d_f), random_density(rng, d_s)), kron(frame, random_density(rng, d_s, 1))):
+            cases.append((setup, h, rho0, g_i, g_j, None, None))
+        h = kron(np.diag(rng.normal(size=d_f)), np.eye(d_s)) + kron(np.eye(d_f), random_hermitian(rng, d_s))
+        identity = BilocalUnitary(np.eye(d_f), np.eye(d_s))
+        cases.append((setup, h, kron(frame, random_density(rng, d_s)), g_i, g_j, identity, identity))
+    setup, h, rho0, x, g_i, g_j = _wide_member_trajectory()
+    return cases + [(setup, h, rho0, g_i, g_j, x, x)]
+
+
+NO_WITNESS = "no subalgebra witness available at the initial time"
+
+
+@pytest.mark.parametrize("prescription", [Prescription.split_alpha(0.3), Prescription.commuting_part()],
+                         ids=["split_alpha", "commuting_part"])
+def test_balance_verifiers_matches_the_per_perspective_oracle(monkeypatch, prescription):
+    """Every BalanceReport field, types included, equals bit for bit that of the oracle that read each
+    perspective on its own (three rate calls on the halves of each run, four InitialProducts and two
+    balances), over runs of several blocks, both with the labels given and searched, and on d_p = 64."""
+    monkeypatch.setattr(dynamics, "STACK_BYTES", 256)  # a run of four one-time blocks at d_p = 4
+    reports = []
+    for setup, h, rho0, g_i, g_j, x0, x1 in _balance_cases(np.random.default_rng(67)):
+        split = split_hamiltonian(h, setup.d_frame, setup.d_s)
+        args = (setup, split, rho0, g_i, g_j, prescription, 0.0, 1.3)
+        report = balance_verifiers(*args, x0=x0, x1=x1, grid=12)
+        oracle = per_perspective_balance_verifiers(*args, x0=x0, x1=x1, grid=12)
+        for field in dataclasses.fields(BalanceReport):
+            a, b = getattr(report, field.name), getattr(oracle, field.name)
+            assert type(a) is type(b), field.name
+            assert a == b if a is None or isinstance(a, (bool, list)) else _bits(a) == _bits(b), field.name
+        reports.append((x0, report))
+    searched = [NO_WITNESS in report.premises_not_met for x0, report in reports if x0 is None]
+    assert any(searched) and not all(searched)
+    assert any(report.sigma_j is not None and report.sigma_phi_equal is not None for _, report in reports)
+    assert any(report.sigma_i is not None and report.sigma_j is None for _, report in reports)
+
+
+def test_balance_verifiers_reads_both_perspectives_in_one_call_each(monkeypatch):
+    """Each run of blocks makes two energetics calls, one on the pair and one for the imported rates, and
+    each verification one entropy balance, for both perspectives."""
+    monkeypatch.setattr(dynamics, "STACK_BYTES", 256)
+    setup, h, rho0, x, g_i, g_j = _member_trajectory()
+    calls = {"runs": 0, "marginal_energetics": 0, "entropy_balance": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    def runs(*args):
+        for run in trajectory_runs(*args):
+            calls["runs"] += 1
+            yield run
+
+    for name in ("marginal_energetics", "entropy_balance"):
+        monkeypatch.setattr(thermo, name, counted(name, getattr(thermo, name)))
+    monkeypatch.setattr(thermo, "trajectory_runs", runs)
+    report = balance_verifiers(setup, split_hamiltonian(h, 2, 2), rho0, g_i, g_j,
+                               Prescription.split_alpha(0.5), 0.0, 2.0, x0=x, x1=x, grid=12)
+    assert report.rates_match and report.sigma_i is not None
+    assert calls["runs"] > 1
+    assert calls == {"runs": calls["runs"], "marginal_energetics": 2 * calls["runs"], "entropy_balance": 1}
 
 
 def test_balance_verifiers_report_missing_premises():
