@@ -44,8 +44,6 @@ from .scenarios import (
     parse_config,
     render,
     run_scenario,
-    write_csv,
-    write_json,
 )
 from .states import (
     NegativeTemperatureReport,

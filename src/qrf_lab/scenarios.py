@@ -9,7 +9,6 @@ golden-file stable.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import json
 import math
@@ -332,6 +331,8 @@ def parse_config(source):
                     else Prescription.commuting_part())
 
     time_grid = _build_time_grid(merged["time_grid"])
+    _require(SCENARIOS[name].run is None or merged.get("hamiltonian") is None, "hamiltonian",
+             f"scenario {name!r} reads no hamiltonian")
     terms = _pauli_terms(group.order, d_s, merged.get("hamiltonian"))
     params = merged.get("params", {})
     _require(isinstance(params, dict), "params", "expected an object")
@@ -389,13 +390,13 @@ def _blank_row(t):
     return row
 
 
-def write_csv(result, stream):
+def _csv_text(result):
     # One pass per row.  "%.17g" writes a number as format(float(v), ".17g")
     # does (inf, -0 included) and a bool, np.bool_ too, as 1 or 0.
     lines = [",".join(COLUMNS)]
     lines += [",".join(["" if v is None else "%.17g" % v for v in map(row.get, COLUMNS)])
               for row in result.rows]
-    stream.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(value, pad="\n", strict=False):
@@ -435,7 +436,7 @@ def _json_text(value, pad="\n", strict=False):
     return encode_basestring_ascii(str(value))
 
 
-def write_json(result, stream):
+def _json_document(result):
     # _json_text's document, with each row in one pass: a finite float by float.__repr__, the rest through it.
     columns = list(COLUMNS) + list(result.extra_fields)
     head = _json_text({
@@ -453,18 +454,14 @@ def write_json(result, stream):
         [key + (float.__repr__(v) if type(v) is float and math.isfinite(v) else _json_text(v, pad))
          for key, v in zip(keys, map(row.get, columns))]) + "\n    }" for row in result.rows]
     body = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    stream.write(head[:-2] + ',\n  "rows": ' + body + "\n}\n")
+    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 
 def render(result, out_format):
-    buffer = io.StringIO()
-    if out_format == "csv":
-        write_csv(result, buffer)
-    elif out_format == "json":
-        write_json(result, buffer)
-    else:
+    """The CSV or JSON text of a ScenarioResult."""
+    if out_format not in ("csv", "json"):
         raise ValueError(f"unknown output format {out_format!r}")
-    return buffer.getvalue()
+    return _csv_text(result) if out_format == "csv" else _json_document(result)
 
 
 # --------------------------------------------------------- shared machinery
@@ -799,8 +796,8 @@ def _isolated_vs_closed_state(cfg):
     if state == "bell":
         psi_j = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     else:
-        psi_j = _as_complex_vector(state, "params.state")
-        _require(psi_j.size == 4, "params.state", 'expected "bell" or four amplitudes')
+        psi_j = None if isinstance(state, str) else _as_complex_vector(state, "params.state")
+        _require(psi_j is not None and psi_j.size == 4, "params.state", 'expected "bell" or four amplitudes')
     return _pure(cfg.setup.perspective_change(cfg.g_i, cfg.g_j).adjoint.left(psi_j[:, None])[:, 0])
 
 

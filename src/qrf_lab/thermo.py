@@ -51,6 +51,8 @@ rho_frame(t) and S(rho_s(t)), and takes S(rho_frame(t)) and D(rho_frame(t) ||
 rho_frame(0)) from one spectrum of rho_frame(t).  S(rho(t)) = S(rho0) on a
 unitary trajectory in either frame, so callers pass S(rho0): the full state's
 positivity is checked once, on rho0, the marginals' at every time.
+balance_verifiers' tail takes S(rho(t1)) only for a product start, x1 only
+when x0 exists, and membership at t1 only for a member at t0.
 """
 
 from __future__ import annotations
@@ -486,7 +488,9 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     states and their frame-j images are the grid's first and last, and one
     entropy_balance on the pairs at t0 and t1 gives both perspectives' sigma
     and phi; rho(t0) is evolved before the walk only when x0 must be
-    searched, and rho(t1) too when none is found.
+    searched, and rho(t1) too when none is found.  The tail takes S(rho(t1))
+    only for a product start, x1 only when x0 exists, and membership at t1
+    only for a member at t0.
 
     Rates scale as ||H||^2, so rates_match compares the unscaled
     rates_max_gap with 1e-8 ||H||_2^2, the spectral norm being
@@ -550,41 +554,37 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         if not membership_ok:
             premises.append("trajectory leaves the subalgebra on the grid")
     rho_t1, rho_j_t1 = endpoints[1]
-    x1 = find_witness(rho_t1, x1)
+    x1 = None if x0 is None else find_witness(rho_t1, x1)  # nothing reads x1 without x0
 
     # endpoints holds (t0: i, j; t1: i, j), so support_log runs once, on the four frame marginals.
     both = initial_product(setup, endpoints.reshape((4,) + endpoints.shape[2:]))
     start, end = (InitialProduct(*(fields[n:n + 2] for fields in both)) for n in (0, 2))
-    s_t1 = von_neumann_entropy(endpoints[0, 0])  # unitary evolution and the perspective change keep the spectrum
     frame_marginal_static = bool(start.is_product[0] and end.is_product[0]
                                  and hs_norm(end.rho_frame[0] - start.rho_frame[0]) <= 1e-9)
 
-    y_factors_match = None if x0 is None or x1 is None else _phase_aligned_equal(x0.y, x1.y)
+    y_factors_match = None if x1 is None else _phase_aligned_equal(x0.y, x1.y)
 
     sigma_i = phi_i = sigma_j = phi_j = pure_balance_zero = None
     if start.is_product[0]:
-        # Both perspectives' balances at t1; frame j's are dropped when its start is no product.
-        balance = entropy_balance(start, s_t1, end.rho_frame, end.s_s)
+        # Both perspectives' balances at t1; frame j's are dropped when its start is no product.  Unitary
+        # evolution and the perspective change keep the spectrum, so S(rho(t1)) is S(rho(t0)).
+        balance = entropy_balance(start, von_neumann_entropy(endpoints[0, 0]), end.rho_frame, end.s_s)
         sigma_i, phi_i = balance.sigma[0], balance.phi[0]
         if start.is_product[1]:
             sigma_j, phi_j = balance.sigma[1], balance.phi[1]
         else:
             premises.append("transformed initial state is not a product")
         if frame_marginal_static and y_factors_match and membership_ok and sigma_j is not None:
-            pure_balance_zero = bool(max(abs(sigma_i), abs(phi_i), abs(sigma_j), abs(phi_j)) <= 1e-8)
+            pure_balance_zero = all(_agree(v, 0.0) for v in (sigma_i, phi_i, sigma_j, phi_j))
     else:
         premises.append("initial state is not a product")
 
-    delta_s_s_equal = delta_s_frame_equal = None
-    y_condition_holds = sigma_phi_equal = None
-    # With x1 = x0 the grid loop has already tested both endpoints.
-    member_t0 = x0 is not None and in_grid[0]
-    member_t1 = x1 is not None and (in_grid[-1] if x1 is x0 else membership_test(
-        setup, rho_t1, x1, g_i, g_j, transformed=rho_j_t1).is_member)
-    if member_t0 and member_t1:
-        delta_s_frame, delta_s_s = end.s_frame - start.s_frame, end.s_s - start.s_s
-        delta_s_frame_equal = bool(abs(delta_s_frame[0] - delta_s_frame[1]) <= 1e-8)
-        delta_s_s_equal = bool(abs(delta_s_s[0] - delta_s_s[1]) <= 1e-8)
+    delta_s_s_equal = delta_s_frame_equal = y_condition_holds = sigma_phi_equal = None
+    # t1 is tested only for a member at t0; with x1 = x0 the grid loop has already tested both endpoints.
+    if x1 is not None and in_grid[0] and (in_grid[-1] if x1 is x0 else membership_test(
+            setup, rho_t1, x1, g_i, g_j, transformed=rho_j_t1).is_member):
+        delta_s_frame_equal = _agree(*(end.s_frame - start.s_frame))
+        delta_s_s_equal = _agree(*(end.s_s - start.s_s))
 
         if start.is_product[0]:
             y01 = x0.y @ dagger(x1.y)
@@ -600,8 +600,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     return BalanceReport(
         times=times,
         rates_max_gap=float(rates_max_gap),
-        rates_match=bool(x0 is not None and membership_ok
-                         and rates_max_gap <= 1e-8 * np.abs(evolution.vals).max() ** 2),
+        rates_match=bool(membership_ok and rates_max_gap <= 1e-8 * np.abs(evolution.vals).max() ** 2),
         both_bare_max_gap=float(both_bare_max_gap),
         membership_ok=membership_ok,
         product_at_t0=start.is_product[0],

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import hashlib
 import json
 import os
 import shutil
@@ -14,6 +15,8 @@ import qrf_lab
 from qrf_lab import frames
 from qrf_lab.cli import main
 from qrf_lab.scenarios import ConfigError, list_scenarios, parse_config
+
+from catalog_runs import catalog_argvs, output_digest
 
 
 def test_list_prints_catalog(capsys):
@@ -273,11 +276,7 @@ def test_shared_setups_change_no_output_and_no_run_changes_them(monkeypatch, cap
     """The 11 defaults, ghz global and mixed-w, and each default under commuting_part, in both
     formats, twice in one process: the second pass reuses the first pass's setups, prints the
     same bytes and exits the same, and leaves each setup as it was, its perspective changes aside."""
-    names = [name for name, _ in list_scenarios()]
-    variants = ([[name] for name in names]
-                + [["ghz", "--set", f"params.variant={variant}"] for variant in ("global", "mixed-w")]
-                + [[name, "--set", "prescription.prescription=commuting_part"] for name in names])
-    argvs = [["run", *variant, "--format", fmt] for variant in variants for fmt in ("csv", "json")]
+    argvs = catalog_argvs()
     assert len(argvs) == 48
     built = {}
     build = frames.FrameSetup.from_rep_config
@@ -304,6 +303,18 @@ def test_shared_setups_change_no_output_and_no_run_changes_them(monkeypatch, cap
     assert snapshots[1].keys() == snapshots[0].keys()
     for key, (state, changes) in snapshots[0].items():
         assert snapshots[1][key][0] == state and snapshots[1][key][1] >= changes
+
+
+def test_output_digest_hashes_each_run_in_order(capsys):
+    """output_digest feeds one SHA-256 with repr((exit code, stdout, stderr)) of each run, in order: here a
+    CSV run, whose summary goes to stderr, and a refused one."""
+    argvs = [["run", "negative-temperature"], ["run", "ghz", "--set", "params.p_w=2"]]
+    expected = hashlib.sha256()
+    for argv in argvs:
+        code = main(argv)
+        expected.update(repr((code, *capsys.readouterr())).encode())
+    assert output_digest(argvs) == expected.hexdigest()
+    assert output_digest(argvs[::-1]) != expected.hexdigest()
 
 
 def _imports_scipy(code):

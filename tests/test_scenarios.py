@@ -178,6 +178,12 @@ def test_rep_override_replaces_scenario_default():
     ({"scenario": "three-qubit-subalgebras", "params": {"coefficients": 3}}, "params.coefficients"),
     ({"scenario": "three-qubit-subalgebras", "params": {"scan_coefficients": 3}},
      "params.scan_coefficients"),
+    # A static scenario reads no hamiltonian, so it refuses one before parsing its terms.
+    *[({"scenario": name, "hamiltonian": {"terms": [{"coefficient": 1.0, "factors": ["z", "z", "z", "z"]}]}},
+       f"hamiltonian: scenario {name!r} reads no hamiltonian")
+      for name in ("w-state", "gb-states", "ghz", "three-qubit-subalgebras")],
+    ({"scenario": "isolated-vs-closed", "params": {"state": "bel"}},
+     'params.state: expected "bell" or four amplitudes'),
 ], ids=lambda value: value if isinstance(value, str) else "config")
 def test_rejected_configs_name_the_offender(config, path_fragment):
     # Parameters are read by the scenario itself, so the whole run is tried.

@@ -468,3 +468,14 @@ def test_no_private_name_crosses_a_module():
     dynamics.stacked_split, has a public name."""
     found = {p.name: private_imports(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_one_text_construction():
+    """scenarios.render is the one way from a ScenarioResult to its CSV or JSON text: no module imports io
+    or defines write_csv or write_json, and only render calls the two text builders."""
+    defined, csv_callers = _defined_and_callers("_csv_text")
+    assert not {"write_csv", "write_json"} & defined
+    assert csv_callers == _defined_and_callers("_json_document")[1] == {("scenarios.py", "render")}
+    imported = {alias.name for p in MODULES for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Import) for alias in node.names}
+    assert "io" not in imported

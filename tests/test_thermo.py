@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -769,11 +770,21 @@ def test_stacked_walk_matches_the_per_perspective_walk(monkeypatch, prescription
     assert counts[-1] == (2, 1)
 
 
+def _pure_product_without_witness(rng):
+    """(setup, H, rho0): a pure random product state under a random H on Z2 tensor_power 3, for which the
+    witness search at t0 finds no label."""
+    setup = setup_pool()[2]
+    rho0 = kron(random_density(rng, setup.d_frame, 1), random_density(rng, setup.d_s, 1))
+    return setup, random_hermitian(rng, setup.d_perspective), rho0
+
+
 def _balance_cases(rng):
     """(setup, H, rho0, g_i, g_j, x0, x1) on every setup of the pool: a member trajectory with x0 = x1 given;
     under a random H with x0 = x1 = None, so that the witness search runs, a mixed product state and
     |g><g| (x) |psi><psi|; and |g><g| (x) rho_S under H = h_F (x) 1 + 1 (x) h_S, h_F diagonal, with the identity
-    label.  |g><g| (x) rho_S is a product in frame j too, so sigma_j is set."""
+    label.  |g><g| (x) rho_S is a product in frame j too, so sigma_j is set.  Then a pure product state with no
+    witness at t0 and x0 = x1 = None, a mixed product state with x0 = None and x1 given, and the member
+    trajectory at d_p = 64."""
     cases = []
     for setup in setup_pool():
         d_f, d_s = setup.d_frame, setup.d_s
@@ -786,6 +797,11 @@ def _balance_cases(rng):
         h = kron(np.diag(rng.normal(size=d_f)), np.eye(d_s)) + kron(np.eye(d_f), random_hermitian(rng, d_s))
         identity = BilocalUnitary(np.eye(d_f), np.eye(d_s))
         cases.append((setup, h, kron(frame, random_density(rng, d_s)), g_i, g_j, identity, identity))
+    setup, h, rho0 = _pure_product_without_witness(rng)
+    cases.append((setup, h, rho0, E, (1,), None, None))
+    d_f, d_s = setup.d_frame, setup.d_s
+    label = BilocalUnitary(haar_unitary(rng, d_f), haar_unitary(rng, d_s))
+    cases.append((setup, h, kron(random_density(rng, d_f), random_density(rng, d_s)), E, (1,), None, label))
     setup, h, rho0, x, g_i, g_j = _wide_member_trajectory()
     return cases + [(setup, h, rho0, g_i, g_j, x, x)]
 
@@ -815,6 +831,51 @@ def test_balance_verifiers_matches_the_per_perspective_oracle(monkeypatch, presc
     assert any(searched) and not all(searched)
     assert any(report.sigma_j is not None and report.sigma_phi_equal is not None for _, report in reports)
     assert any(report.sigma_i is not None and report.sigma_j is None for _, report in reports)
+
+
+def test_balance_verifiers_computes_only_what_a_verdict_reads(monkeypatch):
+    """With no x0 at t0, no x1 is searched at t1: on a pure product state, pure_state_bilocal_witness runs
+    once.  S(rho(t1)) is taken only for a product start: on a W-averaged rho0 that is not a product, with
+    x0 = x1 given, qrf_lab.states diagonalises no d_p x d_p matrix, and on a product rho0 one."""
+    calls = {"witness": 0, "full_spectra": 0}
+    witness, eigvalsh = thermo.pure_state_bilocal_witness, np.linalg.eigvalsh
+
+    def counted_witness(*args):
+        calls["witness"] += 1
+        return witness(*args)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "qrf_lab.states" and np.shape(a)[-1] == d:
+            calls["full_spectra"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(thermo, "pure_state_bilocal_witness", counted_witness)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    rng = np.random.default_rng(71)
+
+    def run(setup, h, rho0, g_i, g_j, x0=None, x1=None):
+        calls.update(witness=0, full_spectra=0)
+        return balance_verifiers(setup, split_hamiltonian(h, setup.d_frame, setup.d_s), rho0, g_i, g_j,
+                                 Prescription.split_alpha(0.5), 0.0, 1.3, x0=x0, x1=x1, grid=6)
+
+    setup, h, rho0 = _pure_product_without_witness(rng)
+    d = setup.d_perspective
+    report = run(setup, h, rho0, E, (1,))
+    assert NO_WITNESS in report.premises_not_met and report.product_at_t0
+    assert calls["witness"] == 1
+
+    setup, h, rho0, x, g_i, g_j = _projected_member_trajectory(setup, rng)
+    report = run(setup, h, rho0, g_i, g_j, x, x)
+    assert report.membership_ok and not report.product_at_t0
+    assert calls == {"witness": 0, "full_spectra": 0}
+
+    frame = np.diag(np.eye(setup.d_frame)[1])
+    h = kron(np.diag(rng.normal(size=setup.d_frame)), np.eye(setup.d_s)) + kron(
+        np.eye(setup.d_frame), random_hermitian(rng, setup.d_s))
+    identity = BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s))
+    report = run(setup, h, kron(frame, random_density(rng, setup.d_s)), g_i, g_j, identity, identity)
+    assert report.product_at_t0 and report.sigma_i is not None
+    assert calls == {"witness": 0, "full_spectra": 1}
 
 
 def test_balance_verifiers_reads_both_perspectives_in_one_call_each(monkeypatch):
