@@ -350,7 +350,7 @@ def parse_config(source):
         if key in params:
             params[key] = _as_complex_vector(params[key], f"params.{key}")
             _require(params[key].size == count, f"params.{key}", message)
-    SCENARIOS[name].requires(name, group.order, d_s, params)
+    SCENARIOS[name].requires(name, group, d_s, params)
 
     try:  # only a rep.matrices config can be refused here: regular and tensor-power reps are valid
         setup = build_setup()
@@ -579,19 +579,11 @@ def _ising_chain(a, b, c):
     return a * kron(SIGMA_Z, ID2) + b * kron(ID2, SIGMA_Z) + c * kron(SIGMA_Z, SIGMA_Z)
 
 
-def _ising_coefficients(cfg, key):
-    """The [A, B, C] of _ising_chain under params.key, as floats."""
-    raw, path = cfg.params[key], f"params.{key}"
-    _require(isinstance(raw, (list, tuple)) and len(raw) == 3, path, "expected [A, B, C]")
-    return [_as_float(c, path) for c in raw]
-
-
 # ---------------------------------------------------------------- scenarios
 
 def _run_three_qubit_subalgebras(cfg):
     setup = cfg.setup
-    coefficients, scan_coefficients = (_ising_coefficients(cfg, key)
-                                       for key in ("coefficients", "scan_coefficients"))
+    coefficients, scan_coefficients = cfg.params["coefficients"], cfg.params["scan_coefficients"]
 
     identity_x, flip_x = _QUBIT_LABELS
     e = setup.group.identity
@@ -656,8 +648,7 @@ def _run_w_state(cfg):
 def _run_gb_states(cfg):
     setup = cfg.setup
     group = setup.group
-    shift = _build_orientation(group, cfg.params["shift"], "params.shift")
-    character = _build_orientation(group, cfg.params["character"], "params.character")
+    shift, character = cfg.params["shift"], cfg.params["character"]
 
     basis = {(h, k): gb_state(group, h, k) for h in group.elements for k in group.elements}
     gram = np.array([[np.vdot(u, v) for v in basis.values()] for u in basis.values()])
@@ -735,10 +726,7 @@ def _zz_chain(cfg):
 
 
 def _zz_initial_state(cfg):
-    state = cfg.params["state"]
-    _require(state in ("plus-plus", "one-ab"), "params.state",
-             f"expected plus-plus or one-ab, got {state!r}")
-    if state == "plus-plus":
+    if cfg.params["state"] == "plus-plus":
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         return _pure(product_state(plus, plus))
     return _pure(product_state(basis_state(2, 1), cfg.params["amplitudes"]))
@@ -789,16 +777,6 @@ def _negative_temperature_summary(cfg, h, rho0, rows):
         summary["conjugation_dev"] = float(np.abs(rho_s0[1] - SIGMA_X @ rho_s0[0] @ SIGMA_X).max())
         summary["entropy_gap"] = abs(row0["SvN_s_i"] - row0["SvN_s_j"])
     return summary
-
-
-def _isolated_vs_closed_state(cfg):
-    state = cfg.params["state"]
-    if state == "bell":
-        psi_j = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    else:
-        psi_j = None if isinstance(state, str) else _as_complex_vector(state, "params.state")
-        _require(psi_j is not None and psi_j.size == 4, "params.state", 'expected "bell" or four amplitudes')
-    return _pure(cfg.setup.perspective_change(cfg.g_i, cfg.g_j).adjoint.left(psi_j[:, None])[:, 0])
 
 
 def _marginal_deviation(cfg, times, marginals, members):
@@ -859,32 +837,66 @@ def _run_grid(cfg, entry):
 
 # ----------------------------------------------------------------- registry
 
-def _qubit_pair(name, order, d_s, params):
-    _require(order == 2 and d_s == 2, "group", f"scenario {name!r} needs one qubit frame pair and a qubit system")
+def _qubit_pair(name, group, d_s, params):
+    _require(group.order == 2 and d_s == 2, "group",
+             f"scenario {name!r} needs one qubit frame pair and a qubit system")
 
 
-def _w_state_shape(name, order, d_s, params):
+def _w_state_shape(name, group, d_s, params):
     n = _as_positive_int(params["n_qubits"], "params.n_qubits", minimum=3)
     # n - 2 <= d_s, which the budget bounds, keeps 2^(n - 2) small.
-    _require(order == 2 and n - 2 <= d_s and d_s == 2 ** (n - 2), "params.n_qubits",
+    _require(group.order == 2 and n - 2 <= d_s and d_s == 2 ** (n - 2), "params.n_qubits",
              f"representation dimension {d_s} does not match {n} qubits")
 
 
-def _ghz_shape(name, order, d_s, params):
+def _ghz_shape(name, group, d_s, params):
     variant = params["variant"]
     _require(variant in ("separable", "global", "mixed-w"), "params.variant",
              f"expected separable, global, or mixed-w, got {variant!r}")
-    _require(order == 2 and d_s == 8, "rep", "scenario needs a qubit group with a three-qubit system")
+    _require(group.order == 2 and d_s == 8, "rep", "scenario needs a qubit group with a three-qubit system")
     _require(0.0 <= params["p_w"] <= 1.0, "params.p_w", "expected a probability")
+
+
+def _three_qubit_shape(name, group, d_s, params):
+    """The qubit pair, then each [A, B, C] of _ising_chain, as floats."""
+    _qubit_pair(name, group, d_s, params)
+    for key in ("coefficients", "scan_coefficients"):
+        raw, path = params[key], f"params.{key}"
+        _require(isinstance(raw, (list, tuple)) and len(raw) == 3, path, "expected [A, B, C]")
+        params[key] = [_as_float(c, path) for c in raw]
+
+
+def _gb_states_shape(name, group, d_s, params):
+    _require(d_s == group.order ** 2, "rep", "scenario needs the system to carry two regular factors")
+    for key in ("shift", "character"):
+        params[key] = _build_orientation(group, params[key], f"params.{key}")
+
+
+def _zz_shape(name, group, d_s, params):
+    _qubit_pair(name, group, d_s, params)
+    state = params["state"]
+    _require(state in ("plus-plus", "one-ab"), "params.state", f"expected plus-plus or one-ab, got {state!r}")
+
+
+def _isolated_vs_closed_shape(name, group, d_s, params):
+    """The qubit pair, then params.state as frame j's state vector: the Bell state or four amplitudes."""
+    _qubit_pair(name, group, d_s, params)
+    state = params["state"]
+    psi_j = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0) if state == "bell" else (
+        None if isinstance(state, str) else _as_complex_vector(state, "params.state"))
+    _require(psi_j is not None and psi_j.size == 4, "params.state", 'expected "bell" or four amplitudes')
+    params["state"] = psi_j
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One catalog entry: its name, description and config defaults, then how it runs.
 
-    requires(name, order, d_s, params) refuses a config whose (|G|, d_s) the
-    scenario cannot run on; parse_config calls it before the setup exists,
-    and the default asks for a qubit frame pair and a qubit system.  A
+    requires(name, group, d_s, params) refuses a config whose (|G|, d_s) the
+    scenario cannot run on, or whose params it cannot read, and puts each
+    parameter it parses back into params in parsed form; parse_config calls
+    it before the setup exists, so a runner reads parsed values only.  The
+    default asks for a qubit frame pair and a qubit system.  A
     static scenario sets run(cfg) -> (rows, summary).  _run_grid runs a
     time-grid scenario from the other parts: hamiltonian(cfg), the default H
     (a config "hamiltonian" replaces it); initial_state(cfg), rho0 in frame
@@ -934,6 +946,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         {"time_grid": {"start": 0.0, "stop": 3.0, "points": 4},
          "params": {"coefficients": [1.0, 1.0, 1.0],
                     "scan_coefficients": [1.0, 1.0, 2.0]}},
+        requires=_three_qubit_shape,
         run=_run_three_qubit_subalgebras),
     Scenario(
         "w-state",
@@ -953,8 +966,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
          "time_grid": {"start": 0.0, "stop": 0.0, "points": 1},
          "params": {"shift": [1], "character": [2],
                     "frame_amplitudes": [[0.3, 0.1], [-0.5, 0.0], [0.0, 0.8]]}},
-        requires=lambda name, order, d_s, params: _require(
-            d_s == order ** 2, "rep", "scenario needs the system to carry two regular factors"),
+        requires=_gb_states_shape,
         run=_run_gb_states),
     Scenario(
         "ghz",
@@ -974,6 +986,7 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         {"time_grid": {"start": 0.0, "stop": 2 * math.pi, "points": 61},
          "params": {"field_b": 1.0, "coupling_j": 1.0, "state": "plus-plus",
                     "amplitudes": [1.0 / math.sqrt(3.0), math.sqrt(2.0 / 3.0)]}},
+        requires=_zz_shape,
         hamiltonian=_zz_chain,
         initial_state=_zz_initial_state,
         candidates=_QUBIT_LABELS,
@@ -1021,8 +1034,10 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         "conserves every effective energy for any state; the Bell state "
         "leaves S pure for frame i and maximally mixed for frame j.",
         {"params": {"state": "bell"}},
+        requires=_isolated_vs_closed_shape,
         hamiltonian=lambda cfg: kron(SIGMA_X, ID2) + kron(ID2, SIGMA_X),
-        initial_state=_isolated_vs_closed_state,
+        initial_state=lambda cfg: _pure(cfg.setup.perspective_change(cfg.g_i, cfg.g_j).adjoint.left(
+            cfg.params["state"][:, None])[:, 0]),
         extras=_marginal_deviation,
         summary=_isolated_vs_closed_summary),
     Scenario(

@@ -51,8 +51,9 @@ rho_frame(t) and S(rho_s(t)), and takes S(rho_frame(t)) and D(rho_frame(t) ||
 rho_frame(0)) from one spectrum of rho_frame(t).  S(rho(t)) = S(rho0) on a
 unitary trajectory in either frame, so callers pass S(rho0): the full state's
 positivity is checked once, on rho0, the marginals' at every time.
-balance_verifiers' tail takes S(rho(t1)) only for a product start, x1 only
-when x0 exists, and membership at t1 only for a member at t0.
+balance_verifiers walks the grid on every call, witness or not, and its tail
+takes S(rho(t1)) only for a product start, x1 only when x0 exists, and
+membership at t1 only for a member at t0.
 """
 
 from __future__ import annotations
@@ -481,16 +482,17 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     perspectives instead use their bare generators, zero entropy production
     and flow for product member states, and equality of entropy changes
     between perspectives.  Missing premises are reported, not raised.
-    The grid is read through trajectory_runs, which conjugates each state to
-    frame j once; per block the membership test reads both stacks, and per
-    run of blocks one energetics call on the pair gives both perspectives'
-    bare rates, one more on frame i's half the imported ones.  The endpoint
-    states and their frame-j images are the grid's first and last, and one
-    entropy_balance on the pairs at t0 and t1 gives both perspectives' sigma
-    and phi; rho(t0) is evolved before the walk only when x0 must be
-    searched, and rho(t1) too when none is found.  The tail takes S(rho(t1))
-    only for a product start, x1 only when x0 exists, and membership at t1
-    only for a member at t0.
+    After the witness search at t0, the one state evolved outside the walk,
+    every call reads the grid through trajectory_runs, which conjugates each
+    state to frame j once.  Per run of blocks one energetics call on the pair
+    gives both perspectives' bare rates; only with x0 do the membership test
+    read both stacks per block and one more call on frame i's half give the
+    imported rates (without it rates_max_gap is inf, membership_ok False).
+    The endpoint states and their frame-j images are the grid's first and
+    last, and one entropy_balance on the pairs at t0 and t1 gives both
+    perspectives' sigma and phi.  The tail takes S(rho(t1)) only for a
+    product start, x1 only when x0 exists, and membership at t1 only for a
+    member at t0.
 
     Rates scale as ||H||^2, so rates_match compares the unscaled
     rates_max_gap with 1e-8 ||H||_2^2, the spectral norm being
@@ -518,41 +520,37 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
         return None
 
     if x0 is None:
-        rho_t0 = evolution.states(rho0, times[:1])[0]
-        x0 = find_witness(rho_t0, None)
-
-    membership_ok = False
-    in_grid = []  # membership in A_x0 at each grid time
-    rates_max_gap = math.inf
-    both_bare_max_gap = 0.0
-    if x0 is None:
-        premises.append("no subalgebra witness available at the initial time")
-        endpoints = np.stack([rho_t0, evolution.states(rho0, times[-1:])[0]])
-        endpoints = np.stack([endpoints, change.conjugate(endpoints)], axis=1)
-    else:
+        x0 = find_witness(evolution.states(rho0, times[:1])[0], None)
+    if x0 is not None:
         split_imported = conjugated_split(x0.adjoint, split_j.total, setup.d_frame, setup.d_s)
-        rates_max_gap = 0.0
-        pair, ends = stacked_split(split, split_j), {}
 
-        def read(rho):
-            # The first states are copied so that their block can go; the last ones are the grid's end.
-            if not ends:
-                ends["first"] = rho[:, 0].copy()
-            ends["last"] = rho[:, -1]
-            return [membership_test(setup, rho[0], x0, g_i, g_j, transformed=rho[1]).is_member]
+    in_grid = []  # membership in A_x0 at each grid time
+    rates_max_gap = math.inf if x0 is None else 0.0
+    both_bare_max_gap = 0.0
+    pair, ends = stacked_split(split, split_j), {}
 
-        for _, marginals, (member,) in trajectory_runs(evolution, change, pair, rho0, times, read):
-            in_grid += member.tolist()
-            rates_bare, rates_j = marginal_energetics(pair, prescription, marginals).rates_vector().swapaxes(0, 1)
+    def read(rho):
+        # The first states are copied so that their block can go; the last ones are the grid's end.
+        if not ends:
+            ends["first"] = rho[:, 0].copy()
+        ends["last"] = rho[:, -1]
+        return [] if x0 is None else [membership_test(setup, rho[0], x0, g_i, g_j, transformed=rho[1]).is_member]
+
+    for _, marginals, columns in trajectory_runs(evolution, change, pair, rho0, times, read):
+        rates_bare, rates_j = marginal_energetics(pair, prescription, marginals).rates_vector().swapaxes(0, 1)
+        both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
+        if x0 is not None:
+            in_grid += columns[0].tolist()
             # No rate reads e_total, so frame i's Tr(H rho) stands in for Tr(H_imported rho).
             frame_i = StateMarginals(*(fields[0] for fields in marginals))
             rates_imported = marginal_energetics(split_imported, prescription, frame_i).rates_vector()
             rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
-            both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
-        endpoints = np.stack([ends["first"], ends["last"]])
-        membership_ok = all(in_grid)
-        if not membership_ok:
-            premises.append("trajectory leaves the subalgebra on the grid")
+    endpoints = np.stack([ends["first"], ends["last"]])
+    membership_ok = x0 is not None and all(in_grid)
+    if x0 is None:
+        premises.append("no subalgebra witness available at the initial time")
+    elif not membership_ok:
+        premises.append("trajectory leaves the subalgebra on the grid")
     rho_t1, rho_j_t1 = endpoints[1]
     x1 = None if x0 is None else find_witness(rho_t1, x1)  # nothing reads x1 without x0
 

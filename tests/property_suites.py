@@ -679,9 +679,9 @@ def per_perspective_balance_verifiers(setup, split, rho0, g_i, g_j, prescription
     """thermo.balance_verifiers as it was before it read both perspectives off the walk's pair: the oracle
     of its pair reads.
 
-    The walk is the same, but each run's StateMarginals are split into the two halves, with one
-    energetics call per rate set (frame j's rates on frame j's own split), and the endpoints give four
-    InitialProducts and one entropy balance per perspective.
+    The walk is the same, on every call, witness or not, but each run's StateMarginals are split into the
+    two halves, with one energetics call per rate set (frame j's rates on frame j's own split), and the
+    endpoints give four InitialProducts and one entropy balance per perspective.
     """
     grid = int(grid)
     premises = []
@@ -701,37 +701,35 @@ def per_perspective_balance_verifiers(setup, split, rho0, g_i, g_j, prescription
         return None
 
     if x0 is None:
-        rho_t0 = evolution.states(rho0, times[:1])[0]
-        x0 = find_witness(rho_t0, None)
+        x0 = find_witness(evolution.states(rho0, times[:1])[0], None)
 
-    membership_ok, in_grid, rates_max_gap, both_bare_max_gap = False, [], math.inf, 0.0
-    if x0 is None:
-        premises.append("no subalgebra witness available at the initial time")
-        rho_t1 = evolution.states(rho0, times[-1:])[0]
-        rho_j_t0, rho_j_t1 = change.conjugate(np.stack([rho_t0, rho_t1]))
-    else:
+    in_grid, rates_max_gap, both_bare_max_gap = [], math.inf, 0.0
+    if x0 is not None:
         split_imported = conjugated_split(x0.adjoint, split_j.total, setup.d_frame, setup.d_s)
         rates_max_gap = 0.0
-        pair, ends = stacked_split(split, split_j), {}
+    pair, ends = stacked_split(split, split_j), {}
 
-        def read(rho):
-            if not ends:
-                ends["first"] = rho[:, 0].copy()
-            ends["last"] = rho[:, -1]
-            return [membership_test(setup, rho[0], x0, g_i, g_j, transformed=rho[1]).is_member]
+    def read(rho):
+        if not ends:
+            ends["first"] = rho[:, 0].copy()
+        ends["last"] = rho[:, -1]
+        return [] if x0 is None else [membership_test(setup, rho[0], x0, g_i, g_j, transformed=rho[1]).is_member]
 
-        for _, marginals, (member,) in trajectory_runs(evolution, change, pair, rho0, times, read):
-            in_grid += member.tolist()
-            frame_i, frame_j = (StateMarginals(*fields) for fields in zip(*marginals))
-            rates_j = marginal_energetics(split_j, prescription, frame_j).rates_vector()
+    for _, marginals, columns in trajectory_runs(evolution, change, pair, rho0, times, read):
+        frame_i, frame_j = (StateMarginals(*fields) for fields in zip(*marginals))
+        rates_j = marginal_energetics(split_j, prescription, frame_j).rates_vector()
+        rates_bare = marginal_energetics(split, prescription, frame_i).rates_vector()
+        both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
+        if x0 is not None:
+            in_grid += columns[0].tolist()
             rates_imported = marginal_energetics(split_imported, prescription, frame_i).rates_vector()
-            rates_bare = marginal_energetics(split, prescription, frame_i).rates_vector()
             rates_max_gap = max(rates_max_gap, float(np.abs(rates_imported - rates_j).max()))
-            both_bare_max_gap = max(both_bare_max_gap, float(np.abs(rates_bare - rates_j).max()))
-        (rho_t0, rho_j_t0), (rho_t1, rho_j_t1) = ends["first"], ends["last"]
-        membership_ok = all(in_grid)
-        if not membership_ok:
-            premises.append("trajectory leaves the subalgebra on the grid")
+    (rho_t0, rho_j_t0), (rho_t1, rho_j_t1) = ends["first"], ends["last"]
+    membership_ok = x0 is not None and all(in_grid)
+    if x0 is None:
+        premises.append("no subalgebra witness available at the initial time")
+    elif not membership_ok:
+        premises.append("trajectory leaves the subalgebra on the grid")
     x1 = find_witness(rho_t1, x1)
 
     start_i, end_i, start_j, end_j = (InitialProduct(*fields) for fields in zip(

@@ -111,13 +111,18 @@ def test_config_accepts_json_text_and_files(tmp_path):
 
 
 def test_group_config_round_trip():
-    # gb-states runs on any group; its system carries two regular factors.
-    cfg = parse_config({"scenario": "gb-states", "group": {"cyclic": [2, 3]},
-                        "orientations": {"g_i": [1, 2], "g_j": [0, 0]},
-                        "params": {"frame_amplitudes": [1, 0, 0, 0, 0, 0]}})
+    # gb-states runs on any group; its system carries two regular factors, and its shift and character
+    # are group elements, so parse_config refuses the one-component defaults on Z2 x Z3.
+    config = {"scenario": "gb-states", "group": {"cyclic": [2, 3]},
+              "orientations": {"g_i": [1, 2], "g_j": [0, 0]},
+              "params": {"frame_amplitudes": [1, 0, 0, 0, 0, 0]}}
+    with pytest.raises(ConfigError, match=r"^params\.shift: expected 2 integer components$"):
+        parse_config(config)
+    cfg = parse_config({**config, "params": {**config["params"], "shift": [1, 2], "character": [0, 1]}})
     assert cfg.setup.group.order == 6
     assert cfg.setup.group.factors == (2, 3)
     assert cfg.g_i == (1, 2)
+    assert (cfg.params["shift"], cfg.params["character"]) == ((1, 2), (0, 1))
 
 
 def test_rep_override_replaces_scenario_default():
@@ -184,11 +189,21 @@ def test_rep_override_replaces_scenario_default():
       for name in ("w-state", "gb-states", "ghz", "three-qubit-subalgebras")],
     ({"scenario": "isolated-vs-closed", "params": {"state": "bel"}},
      'params.state: expected "bell" or four amplitudes'),
+    ({"scenario": "zz-oscillation", "params": {"state": "plus"}},
+     "params.state: expected plus-plus or one-ab, got 'plus'"),
+    ({"scenario": "three-qubit-subalgebras", "params": {"coefficients": [1.0, 2.0]}},
+     "params.coefficients: expected [A, B, C]"),
+    ({"scenario": "three-qubit-subalgebras", "params": {"scan_coefficients": "x"}},
+     "params.scan_coefficients: expected [A, B, C]"),
+    ({"scenario": "gb-states", "params": {"shift": [7]}}, "params.shift: element (7,) out of range"),
+    ({"scenario": "gb-states", "params": {"character": "a"}}, "params.character: expected 1 integer components"),
 ], ids=lambda value: value if isinstance(value, str) else "config")
-def test_rejected_configs_name_the_offender(config, path_fragment):
-    # Parameters are read by the scenario itself, so the whole run is tried.
+def test_rejected_configs_name_the_offender(monkeypatch, config, path_fragment):
+    # parse_config refuses every parameter, those that one scenario alone reads included, before it builds
+    # a regular or tensor-power setup; only rep.matrices' own checks need the FrameSetup they build.
+    monkeypatch.setattr(frames.FrameSetup, "from_rep_config", lambda *args: pytest.fail("a setup was built"))
     with pytest.raises(ConfigError) as err:
-        run_scenario(config)
+        parse_config(config)
     assert path_fragment in str(err.value)
 
 

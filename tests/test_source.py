@@ -263,6 +263,16 @@ def test_one_walk_reads_the_time_grid():
     assert found("blocks") == {walk, ("dynamics.py", "imported_hamiltonian_and_trajectory_check")}
 
 
+def test_balance_verifiers_evolves_one_state_outside_the_walk():
+    """balance_verifiers has one GridEvolution.states call site, rho(t0) for the witness search; every other
+    state it reads, the endpoints included, comes from the walk, witness or not."""
+    thermo = next(p for p in MODULES if p.name == "thermo.py")
+    function = next(node for node in ast.walk(ast.parse(thermo.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.FunctionDef) and node.name == "balance_verifiers")
+    assert sum(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "states"
+               for node in ast.walk(function)) == 1
+
+
 def _defined_and_callers(callee):
     """The names of every function the package defines, and the (module, caller) pairs of callee."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}

@@ -833,6 +833,27 @@ def test_balance_verifiers_matches_the_per_perspective_oracle(monkeypatch, presc
     assert any(report.sigma_i is not None and report.sigma_j is None for _, report in reports)
 
 
+@pytest.mark.parametrize("prescription", [Prescription.split_alpha(0.3), Prescription.commuting_part()],
+                         ids=["split_alpha", "commuting_part"])
+def test_balance_verifiers_measures_the_bare_gap_without_a_witness(monkeypatch, prescription):
+    """With no witness at t0 the grid is walked all the same: both_bare_max_gap equals, bit for bit, that of
+    the same call given the identity label as x0, which adds only membership and the imported rates, while
+    rates_max_gap stays inf and membership_ok False."""
+    monkeypatch.setattr(dynamics, "STACK_BYTES", 256)
+    gaps = []
+    for setup, h, rho0, g_i, g_j, x0, x1 in _balance_cases(np.random.default_rng(67)):
+        args = (setup, split_hamiltonian(h, setup.d_frame, setup.d_s), rho0, g_i, g_j, prescription, 0.0, 1.3)
+        report = balance_verifiers(*args, x0=x0, x1=x1, grid=12)
+        if NO_WITNESS not in report.premises_not_met:
+            continue
+        identity = BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s))
+        labelled = balance_verifiers(*args, x0=identity, x1=x1, grid=12)
+        assert _bits(report.both_bare_max_gap) == _bits(labelled.both_bare_max_gap)
+        assert report.rates_max_gap == np.inf and report.membership_ok is False
+        gaps.append(report.both_bare_max_gap)
+    assert gaps and min(gaps) > 0.0
+
+
 def test_balance_verifiers_computes_only_what_a_verdict_reads(monkeypatch):
     """With no x0 at t0, no x1 is searched at t1: on a pure product state, pure_state_bilocal_witness runs
     once.  S(rho(t1)) is taken only for a product start: on a W-averaged rho0 that is not a product, with
