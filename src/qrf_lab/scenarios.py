@@ -24,13 +24,14 @@ from .groups import FiniteAbelianGroup
 from .operators import ID2, PAULI, SIGMA_X, SIGMA_Z, hs_norm, kron, partial_trace
 from .states import (
     basis_state,
+    checked_spectrum,
     gb_state,
     ghz_state,
     gibbs_state,
     negative_temperature_predict,
     product_state,
     purity,
-    renyi_entropy,
+    spectrum_entropy,
     von_neumann_entropy,
     w_state,
 )
@@ -43,18 +44,12 @@ from .subalgebras import (
     pure_state_bilocal_witness,
     transport_bilocal,
 )
-from .thermo import (
-    Prescription,
-    entropy_balance,
-    initial_product,
-    marginal_energetics,
-    trajectory_runs,
-)
+from .thermo import Prescription, entropy_balance, initial_product, marginal_energetics, trajectory_runs
 
 VERSION = "0.1.0"
 
 DEFAULT_TOLERANCE = 1e-9
-# Largest d_p x d_p complex matrix a config may ask for: 64 MiB, d_p <= 2048; w-state peaks at 7.5 of them.
+# Largest d_p x d_p complex matrix a config may ask for: 64 MiB, d_p <= 2048; w-state peaks at 7.0 of them.
 _MATRIX_BUDGET_BYTES = 64 * 2 ** 20
 # A time-grid point costs at most 6.9 KB of grid, rows and rendered output
 # (tracemalloc, every time-grid scenario in both formats); the budget
@@ -513,20 +508,31 @@ def _member(cfg, rho, x):
     return membership_test(cfg.setup, rho[0], x, cfg.g_i, cfg.g_j, tol=cfg.tolerance, transformed=rho[1])
 
 
-def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
-    """Rows for a unitary trajectory, reported in both perspectives.
+@dataclass
+class GridRun:
+    """What _dynamic_rows built for a time-grid scenario, which the scenario's summary reads."""
 
-    The split of H and the InitialProduct of rho0 hold both perspectives,
-    frame i first, with the leading axes (2, 1) that meet a run's (2, k)
-    stacks.  The grid is read through thermo.trajectory_runs, one run of
-    blocks at a time: per block, the candidates' membership verdicts; per
-    run, energetics, entropies and entropy balances of both perspectives in
-    one call each.  S(rho(t)) is S(rho0) at every time and in both
-    perspectives, taken once; a perspective whose rho0 is no product keeps
-    its sigma and phi cells empty.  in_AX is the candidates' verdicts or-ed
-    together.  extras(times, marginals, members) gets the run's
-    StateMarginals and the candidates' verdicts, and returns extra columns,
-    one value per time.  Each row is one dict over the run's column lists.
+    h: np.ndarray
+    rho0: np.ndarray
+    rows: list
+    evolution: GridEvolution
+    split: object
+    initial: object
+
+
+def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
+    """The GridRun of a unitary trajectory, reported in both perspectives.
+
+    The GridRun holds H and rho0 in frame i's perspective, the rows, the GridEvolution of H that
+    walks the grid, and the split of H and the InitialProduct of rho0, which hold both perspectives,
+    frame i first, with the leading axes (2, 1) that meet a run's (2, k) stacks.  The grid is read
+    through thermo.trajectory_runs, one run of blocks at a time: per block, the candidates'
+    membership verdicts; per run, energetics, entropies and entropy balances of both perspectives
+    in one call each.  S(rho(t)) is S(rho0) at every time and in both perspectives, taken once; a
+    perspective whose rho0 is no product keeps its sigma and phi cells empty.  in_AX is the
+    candidates' verdicts or-ed together.  extras(times, marginals, members) gets the run's
+    StateMarginals and the candidates' verdicts, and returns extra columns, one value per time.
+    Each row is one dict over the run's column lists.
     """
     setup = cfg.setup
     dims, change = (setup.d_frame, setup.d_s), setup.perspective_change(cfg.g_i, cfg.g_j)
@@ -534,13 +540,13 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     split = stacked_split(split_hamiltonian(h_ibar, *dims), conjugated_split(change, h_ibar, *dims))
     initial = initial_product(setup, np.stack([rho0_i, change.conjugate(rho0_i)])[:, None], cfg.tolerance)
     products, s_t = np.ravel(initial.is_product), von_neumann_entropy(rho0_i)
+    evolution = GridEvolution(h_ibar)
 
     def read(rho):
         return [_member(cfg, rho, x).is_member for x in candidates]
 
     rows = []
-    for times, marginals, members in trajectory_runs(GridEvolution(h_ibar), change, split, rho0_i,
-                                                     cfg.time_grid, read):
+    for times, marginals, members in trajectory_runs(evolution, change, split, rho0_i, cfg.time_grid, read):
         report = marginal_energetics(split, cfg.prescription, marginals)
         s_s = von_neumann_entropy(marginals.rho_s)
         balance = entropy_balance(initial, s_t, marginals.rho_frame, s_s)
@@ -555,23 +561,22 @@ def _dynamic_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
         per_time = zip(*[values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1
                          else values for values in columns])
         rows += [dict(zip(keys, values)) for values in per_time]
-    return rows
+    return GridRun(h_ibar, rho0_i, rows, evolution, split, initial)
 
 
 def _static_entropy_row(cfg, psi_or_rho):
-    """A t = 0 row of system entropies for a state, or for a stack of states.
-
-    Also returns the states and system marginals of both perspectives, each
-    as one stack with frame i first, as in _dynamic_rows.
-    """
+    """A t = 0 row of system entropies for a state, or for a stack of states, then the states, the checked
+    spectra of their system marginals and the marginals, of both perspectives, each one stack with frame i
+    first; a caller slices off what it does not read, so nothing holds it."""
     setup = cfg.setup
     mat = np.asarray(psi_or_rho, dtype=complex)
     rho_i = np.outer(mat, mat.conj()) if mat.ndim == 1 else mat
     rho = np.stack([rho_i, setup.perspective_change(cfg.g_i, cfg.g_j).conjugate(rho_i)])
     rho_s = partial_trace(rho, (setup.d_frame, setup.d_s), drop=0)
     row = _blank_row(0.0)
-    row["SvN_s_i"], row["SvN_s_j"] = von_neumann_entropy(rho_s).tolist()
-    return row, rho, rho_s
+    spectra = checked_spectrum(rho_s)
+    row["SvN_s_i"], row["SvN_s_j"] = spectrum_entropy(spectra).tolist()
+    return row, rho, spectra, rho_s
 
 
 def _ising_chain(a, b, c):
@@ -625,7 +630,7 @@ def _run_w_state(cfg):
     n = cfg.params["n_qubits"]
     setup = cfg.setup
     psi = product_state(cfg.params["amplitudes"], w_state(n - 2))
-    row, rho, rho_s = _static_entropy_row(cfg, psi)
+    row, rho, spectra = _static_entropy_row(cfg, psi)[:3]
     witness = pure_state_bilocal_witness(setup, psi, cfg.g_i, cfg.g_j, tol=cfg.tolerance)
     row["in_AX"] = witness is not None
     identity_x = BilocalUnitary(ID2, np.eye(setup.d_s))
@@ -633,8 +638,8 @@ def _run_w_state(cfg):
     summary = {
         "svn_s_i": row["SvN_s_i"],
         "svn_s_j": row["SvN_s_j"],
-        "renyi_half_s_j": renyi_entropy(rho_s[1], 0.5),
-        "renyi_two_s_j": renyi_entropy(rho_s[1], 2.0),
+        "renyi_half_s_j": spectrum_entropy(spectra[1], 0.5),
+        "renyi_two_s_j": spectrum_entropy(spectra[1], 2.0),
         "witness_found": witness is not None,
         "identity_member": _member(cfg, rho, identity_x).is_member,
         "flip_member": _member(cfg, rho, flip_x).is_member,
@@ -658,7 +663,7 @@ def _run_gb_states(cfg):
     eigen_dev = max(float(np.abs(setup.translations @ v - phases[k] * v).max()) for (_, k), v in basis.items())
 
     psi = product_state(cfg.params["frame_amplitudes"], gb_state(group, shift, character))
-    row, rho, _ = _static_entropy_row(cfg, psi)
+    row, rho = _static_entropy_row(cfg, psi)[:2]
     y = np.zeros((group.order, group.order), dtype=complex)
     for g in group.elements:
         y[group.index(group.inverse(g)), group.index(g)] = group.character(character, g)
@@ -684,7 +689,7 @@ def _run_ghz(cfg):
         state, x = p_w * _pure(psi_w) + (1.0 - p_w) * _pure(psi_g), _GHZ_LABELS[1]
     else:
         state, x = (ghz_state(cfg.setup.group, 4) if variant == "global" else psi_g), _GHZ_LABELS[0]
-    row, rho, rho_s = _static_entropy_row(cfg, state)
+    row, rho, spectra, rho_s = _static_entropy_row(cfg, state)
     res = _member(cfg, rho, x)
     row["in_AX"] = res.is_member
     summary = {"variant": variant}
@@ -699,7 +704,7 @@ def _run_ghz(cfg):
                        s_j_ground_dev=float(np.abs(rho_s[1] - ground).max()))
     else:
         (s_i, s_j), flip = rho_s, x.z
-        (half_i, half_j), (two_i, two_j) = (renyi_entropy(rho_s, alpha).tolist() for alpha in (0.5, 2.0))
+        (half_i, half_j), (two_i, two_j) = (spectrum_entropy(spectra, alpha).tolist() for alpha in (0.5, 2.0))
         summary.update(
             branch_overlap=float(abs(np.vdot(psi_w, psi_g))), flip_member=res.is_member,
             flip_residual=res.residual, conjugation_dev=float(np.abs(s_j - flip @ s_i @ flip).max()),
@@ -732,21 +737,19 @@ def _zz_initial_state(cfg):
     return _pure(product_state(basis_state(2, 1), cfg.params["amplitudes"]))
 
 
-def _zz_summary(cfg, h, rho0, rows):
+def _zz_summary(cfg, run):
     return {
         "field_b": cfg.params["field_b"],
         "coupling_j": cfg.params["coupling_j"],
-        "in_identity_times": [row["t"] for row in rows if row["in_identity"]],
-        "in_flip_times": [row["t"] for row in rows if row["in_flip"]],
+        "in_identity_times": [row["t"] for row in run.rows if row["in_identity"]],
+        "in_flip_times": [row["t"] for row in run.rows if row["in_flip"]],
     }
 
 
-def _effectively_isolated_summary(cfg, h, rho0, rows):
-    dims = (cfg.setup.d_frame, cfg.setup.d_s)
-    h_tilde_s = mean_field_hamiltonian(split_hamiltonian(h, *dims), partial_trace(rho0, dims, drop=1),
-                                       on="s")
+def _effectively_isolated_summary(cfg, run):
+    h_tilde_s = mean_field_hamiltonian(run.split, run.initial.rho_frame, on="s")[0, 0]  # frame i's
     return {
-        "conjugation_dev": max(row["conjugation_dev"] for row in rows),
+        "conjugation_dev": max(row["conjugation_dev"] for row in run.rows),
         "h_tilde_s_dev_from_minus_2j_z": float(
             np.abs(h_tilde_s - (-2.0 * cfg.params["coupling_j"]) * SIGMA_Z).max()),
     }
@@ -761,13 +764,13 @@ def _relative_equilibrium_deviations(cfg, times, marginals, members):
             "stationary_thermal_dev": _max_dev(marginals.rho_s[0], thermal)}
 
 
-def _negative_temperature_summary(cfg, h, rho0, rows):
+def _negative_temperature_summary(cfg, run):
     mu, beta = cfg.params["mu"], cfg.params["beta"]
-    row0, _, rho_s0 = _static_entropy_row(cfg, rho0)
+    rho_s0, (s_i, s_j) = run.initial.rho_s[:, 0], run.initial.s_s[:, 0].tolist()
     report = negative_temperature_predict(cfg.setup, SIGMA_Z, beta, _EXCITED, cfg.g_j)
     summary = {
         "mu": mu,
-        "stationarity_dev": hs_norm(h @ rho0 - rho0 @ h),
+        "stationarity_dev": hs_norm(run.h @ run.rho0 - run.rho0 @ run.h),
         "q_a": report.q_a,
         "prediction_dev": float(np.abs(rho_s0[1] - report.predicted).max()),
         "negative_beta_gibbs_dev": float(
@@ -775,7 +778,7 @@ def _negative_temperature_summary(cfg, h, rho0, rows):
     }
     if mu == 1.0:
         summary["conjugation_dev"] = float(np.abs(rho_s0[1] - SIGMA_X @ rho_s0[0] @ SIGMA_X).max())
-        summary["entropy_gap"] = abs(row0["SvN_s_i"] - row0["SvN_s_j"])
+        summary["entropy_gap"] = abs(s_i - s_j)
     return summary
 
 
@@ -783,16 +786,16 @@ def _marginal_deviation(cfg, times, marginals, members):
     return {"marginal_dev": np.maximum(*(_max_dev(m[1], ID2 / 2) for m in (marginals.rho_s, marginals.rho_frame)))}
 
 
-def _isolated_vs_closed_summary(cfg, h, rho0, rows):
+def _isolated_vs_closed_summary(cfg, run):
     rates = ("qdot_s_i", "wdot_s_i", "estar_s_i", "qdot_s_j", "wdot_s_j", "estar_s_j")
     return {
-        "max_abs_rate": max([0.0] + [abs(row[key]) for row in rows for key in rates]),
-        "max_marginal_dev_from_maximally_mixed_j": max(row["marginal_dev"] for row in rows),
+        "max_abs_rate": max([0.0] + [abs(row[key]) for row in run.rows for key in rates]),
+        "max_marginal_dev_from_maximally_mixed_j": max(row["marginal_dev"] for row in run.rows),
     }
 
 
-def _zero_to_nonzero_summary(cfg, h, rho0, rows):
-    beta = cfg.params["beta"]
+def _zero_to_nonzero_summary(cfg, run):
+    beta, rows = cfg.params["beta"], run.rows
     targets = [0.5 * (1.0 + math.cos(2 * t) ** 2 + math.tanh(beta) ** 2 * math.sin(2 * t) ** 2)
                for t in (row["t"] for row in rows)]
     return {
@@ -805,10 +808,10 @@ def _zero_to_nonzero_summary(cfg, h, rho0, rows):
     }
 
 
-def _entropy_balance_summary(cfg, h, rho0, rows):
-    # Off-grid probe times, evolved together from one eigendecomposition.
+def _entropy_balance_summary(cfg, run):
+    # Off-grid probe times, evolved together through the walk's eigendecomposition.
     probes = (math.pi, math.pi / 2, 0.7)
-    entropies, rho, _ = _static_entropy_row(cfg, GridEvolution(h).states(rho0, probes))
+    entropies, rho = _static_entropy_row(cfg, run.evolution.states(run.rho0, probes))[:2]
 
     def member_at(k, x):
         return _member(cfg, rho[:, k], x).is_member
@@ -820,19 +823,17 @@ def _entropy_balance_summary(cfg, h, rho0, rows):
         "x0_member_at_0p7": member_at(2, x0),
         "x1_member_at_0p7": member_at(2, x1),
     }
-    s_i, s_j = entropies["SvN_s_i"], entropies["SvN_s_j"]
-    delta = [{"t": t, "svn_s_i": float(s_i[k]), "svn_s_j": float(s_j[k])}
-             for k, t in enumerate(probes)]
+    delta = [{"t": t, "svn_s_i": s_i, "svn_s_j": s_j}
+             for t, s_i, s_j in zip(probes, entropies["SvN_s_i"], entropies["SvN_s_j"])]
     return {"memberships": special, "entropy_probes": delta}
 
 
 def _run_grid(cfg, entry):
     """Rows and summary of a time-grid scenario, from the parts of its table entry."""
     h = entry.hamiltonian(cfg) if cfg.hamiltonian is None else cfg.hamiltonian
-    rho0 = entry.initial_state(cfg)
     extras = entry.extras and functools.partial(entry.extras, cfg)
-    rows = _dynamic_rows(cfg, h, rho0, entry.candidates, extras)
-    return rows, entry.summary(cfg, h, rho0, rows)
+    run = _dynamic_rows(cfg, h, entry.initial_state(cfg), entry.candidates, extras)
+    return run.rows, entry.summary(cfg, run)
 
 
 # ----------------------------------------------------------------- registry
@@ -892,20 +893,17 @@ def _isolated_vs_closed_shape(name, group, d_s, params):
 class Scenario:
     """One catalog entry: its name, description and config defaults, then how it runs.
 
-    requires(name, group, d_s, params) refuses a config whose (|G|, d_s) the
-    scenario cannot run on, or whose params it cannot read, and puts each
-    parameter it parses back into params in parsed form; parse_config calls
-    it before the setup exists, so a runner reads parsed values only.  The
-    default asks for a qubit frame pair and a qubit system.  A
-    static scenario sets run(cfg) -> (rows, summary).  _run_grid runs a
-    time-grid scenario from the other parts: hamiltonian(cfg), the default H
-    (a config "hamiltonian" replaces it); initial_state(cfg), rho0 in frame
-    i's perspective; candidates, the labels X whose membership fills in_AX;
-    extras(cfg, times, marginals, members), per-time columns from a run's
-    StateMarginals, both perspectives in one stack with frame i first, and
-    the candidates' verdicts;
-    summary(cfg, h, rho0, rows); and extra_fields, the extras JSON renders
-    after the shared columns.
+    requires(name, group, d_s, params) refuses a config whose (|G|, d_s) the scenario cannot run on,
+    or whose params it cannot read, and puts each parameter it parses back into params in parsed form;
+    parse_config calls it before the setup exists, so a runner reads parsed values only.  The default
+    asks for a qubit frame pair and a qubit system.  A static scenario sets run(cfg) -> (rows,
+    summary).  _run_grid runs a time-grid scenario from the other parts: hamiltonian(cfg), the
+    default H (a config "hamiltonian" replaces it); initial_state(cfg), rho0 in frame i's
+    perspective; candidates, the labels X whose membership fills in_AX; extras(cfg, times,
+    marginals, members), per-time columns from a run's StateMarginals, both perspectives in one
+    stack with frame i first, and the candidates' verdicts; summary(cfg, run), read off the GridRun
+    of _dynamic_rows, whose split, InitialProduct and GridEvolution no summary builds again; and
+    extra_fields, the extras JSON renders after the shared columns.
     """
 
     name: str
@@ -1013,8 +1011,8 @@ SCENARIOS = {scenario.name: scenario for scenario in (
         initial_state=lambda cfg: kron(np.diag([1.0, 0.0]).astype(complex),
                                        gibbs_state(SIGMA_Z, cfg.params["beta"])),
         extras=_relative_equilibrium_deviations,
-        summary=lambda cfg, h, rho0, rows: {
-            key: max(row[key] for row in rows)
+        summary=lambda cfg, run: {
+            key: max(row[key] for row in run.rows)
             for key in ("mixture_formula_dev", "stationary_thermal_dev")}),
     Scenario(
         "negative-temperature",

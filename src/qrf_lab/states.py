@@ -1,8 +1,10 @@
 """State constructors, entropies, and state transport between perspectives.
 
-Entropies use the natural logarithm.  Relative entropy returns math.inf
-when the support condition fails; the tagged infinity propagates through
-downstream balances.
+Entropies use the natural logarithm.  One checked spectrum (no eigenvalue
+below INDEFINITENESS_TOL, sum 1 within NORMALIZATION_TOL) serves every entropy
+order through spectrum_entropy, so several orders of a state take one
+eigvalsh.  Relative entropy returns math.inf when the support condition
+fails; the tagged infinity propagates through downstream balances.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .operators import (
 
 SUPPORT_CUTOFF = 1e-12
 SPECTRUM_TOL = 1e-9
+NORMALIZATION_TOL = 1e-8  # the magnitude of INDEFINITENESS_TOL
 
 
 def w_state(n):
@@ -85,66 +88,65 @@ def basis_state(dim, index):
 def _checked(vals):
     if vals.min() < INDEFINITENESS_TOL:
         raise IndefiniteOperatorError(f"state has eigenvalue {vals.min():.3e}")
+    if (off := np.abs(vals.sum(axis=-1) - 1.0).max()) > NORMALIZATION_TOL:
+        raise ValueError(f"state has trace off 1 by {off:.3e}")
     return vals
 
 
-def _checked_spectrum(rho):
+def checked_spectrum(rho):
+    """The eigenvalues of a state, or of each in a stack, with the checks of the module docstring."""
     return _checked(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
 
 
-def _xlogx_sum(vals):
-    """Sum of v ln v over the last axis, skipping v <= SUPPORT_CUTOFF."""
-    kept = np.where(vals > SUPPORT_CUTOFF, vals, 1.0)
-    return unstacked((kept * np.log(kept)).sum(axis=-1))
-
-
-def von_neumann_entropy(rho):
-    """S(rho) in nats; a stack (k, d, d) gives one entropy per matrix, and a pure state +0.0."""
-    return 0.0 - _xlogx_sum(_checked_spectrum(rho))
-
-
-def renyi_entropy(rho, alpha):
-    """Renyi entropy of order alpha > 0, one per matrix of a stack; alpha = 1 falls back to von Neumann."""
+def spectrum_entropy(vals, alpha=1.0):
+    """Renyi entropy of a finite order alpha > 0 of a checked_spectrum, one per spectrum of a stack;
+    alpha = 1 is von Neumann's, +0.0 for a pure state."""
     alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if alpha == 1.0:
-        return von_neumann_entropy(rho)
-    vals = _checked_spectrum(rho)
+    if not 0.0 < alpha < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"alpha must be a finite positive number, got {alpha!r}")
+    if alpha == 1.0:  # -sum of v ln v over v > SUPPORT_CUTOFF
+        kept = np.where(vals > SUPPORT_CUTOFF, vals, 1.0)
+        return 0.0 - unstacked((kept * np.log(kept)).sum(axis=-1))
     powers = np.where(vals > SUPPORT_CUTOFF, vals, 0.0) ** alpha
     return unstacked(np.log(powers.sum(axis=-1)) / (1.0 - alpha))
 
 
+def von_neumann_entropy(rho):
+    """S(rho) in nats; a stack (k, d, d) gives one entropy per matrix, and a pure state +0.0."""
+    return spectrum_entropy(checked_spectrum(rho))
+
+
+def renyi_entropy(rho, alpha):
+    """Renyi entropy of order alpha, one per matrix of a stack: spectrum_entropy of rho's checked_spectrum."""
+    return spectrum_entropy(checked_spectrum(rho), alpha)
+
+
 def support_log(sigma):
     """(S(sigma), log sigma on its support, sigma's kernel eigenvectors with the support's columns zeroed)
-    from one eigh, sigma's spectrum checked as von_neumann_entropy checks it; eigenvalues at or below
+    from one eigh, sigma's spectrum checked as checked_spectrum checks it; eigenvalues at or below
     SUPPORT_CUTOFF make the kernel.  A stack gives stacks."""
     vals, vecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
     outside = _checked(vals) <= SUPPORT_CUTOFF
     log_sigma = (vecs * np.log(np.where(outside, 1.0, vals))[..., None, :]) @ dagger(vecs)
-    return 0.0 - _xlogx_sum(vals), log_sigma, vecs * outside[..., None, :]
+    return spectrum_entropy(vals), log_sigma, vecs * outside[..., None, :]
 
 
 def entropy_and_relative_entropy(rho, log_sigma, kernel):
     """(S(rho), S(rho || sigma)) from one checked spectrum of rho and (log_sigma, kernel) = support_log(sigma);
     Tr(rho log sigma) is taken elementwise, and a block of rho on the kernel makes S(rho || sigma) math.inf."""
     rho = np.asarray(rho, dtype=complex)
-    xlogx = _xlogx_sum(_checked_spectrum(rho))
-    value = np.asarray(xlogx - trace_product(rho, log_sigma).real)
+    entropy = spectrum_entropy(checked_spectrum(rho))
+    value = np.asarray((0.0 - entropy) - trace_product(rho, log_sigma).real)  # 0.0 - S is sum v ln v, bit for bit
     if kernel.any():
         value = np.where(hs_norm(dagger(kernel) @ rho @ kernel) > 1e-12, math.inf, value)
-    return 0.0 - xlogx, unstacked(value)
+    return entropy, unstacked(value)
 
 
 def relative_entropy(rho, sigma):
-    """S(rho || sigma), math.inf when supp(rho) is not inside supp(sigma).
-
-    Either argument may be a stack (k, d, d); the result is then an array of
-    k values.  Both spectra are checked: an indefinite rho or sigma raises
-    IndefiniteOperatorError.  This is support_log(sigma) composed with
-    entropy_and_relative_entropy, as entropy_balance composes them with
-    initial_product's log, where rho_frame(0) is checked once and rho_frame(t) at every time.
-    """
+    """S(rho || sigma), math.inf when supp(rho) is not inside supp(sigma); a stack (k, d, d) in either
+    argument gives k values.  Both spectra are checked as checked_spectrum checks one.  This is
+    support_log(sigma) composed with entropy_and_relative_entropy, as entropy_balance composes them with
+    initial_product's log, where rho_frame(0) is checked once and rho_frame(t) at every time."""
     return entropy_and_relative_entropy(rho, *support_log(sigma)[1:])[1]
 
 

@@ -53,6 +53,7 @@ from qrf_lab.subalgebras import (
 )
 from qrf_lab.states import (
     SUPPORT_CUTOFF,
+    checked_spectrum,
     entropy_and_relative_entropy,
     mutual_information,
     purity,
@@ -619,7 +620,8 @@ def per_perspective_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
     per_perspective_runs: each perspective is split, checked for a product, given energetics,
     entropies and an entropy balance on its own, and each row is a blank row updated with the
     run's columns.  extras gets the two perspectives' StateMarginals stacked, frame i first, as
-    the scenarios' extras read them."""
+    the scenarios' extras read them, and the GridRun holds the two splits and InitialProducts stacked
+    the same way, with the leading axes (2, 1), as the summaries read them."""
     setup = cfg.setup
     dims = (setup.d_frame, setup.d_s)
     change = setup.perspective_change(cfg.g_i, cfg.g_j)
@@ -633,9 +635,8 @@ def per_perspective_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
         return {n: membership_test(setup, rho["i"], x, cfg.g_i, cfg.g_j, tol=cfg.tolerance,
                                    transformed=rho["j"]).is_member for n, x in enumerate(candidates)}
 
-    rows = []
-    for times, marginals, verdicts in per_perspective_runs(GridEvolution(h_ibar), change, split, rho0_i,
-                                                           cfg.time_grid, read):
+    rows, evolution = [], GridEvolution(h_ibar)
+    for times, marginals, verdicts in per_perspective_runs(evolution, change, split, rho0_i, cfg.time_grid, read):
         columns = {}
         for suffix, m in marginals.items():
             report = marginal_energetics(split[suffix], cfg.prescription, m)
@@ -658,12 +659,14 @@ def per_perspective_rows(cfg, h_ibar, rho0_ibar, candidates, extras):
             row = scenarios._blank_row(t)
             row.update(zip(columns, values))
             rows.append(row)
-    return rows
+    stacked = InitialProduct(*(np.array(pair)[:, None] for pair in zip(initial["i"], initial["j"])))
+    return scenarios.GridRun(np.asarray(h_ibar, dtype=complex), rho0_i, rows, evolution,
+                             stacked_split(split["i"], split["j"]), stacked)
 
 
 def per_perspective_static_row(cfg, psi_or_rho):
-    """scenarios._static_entropy_row with each perspective traced and its entropy taken on its
-    own; the states and system marginals come back stacked, frame i first."""
+    """scenarios._static_entropy_row with each perspective traced and its entropy and spectrum taken
+    on its own; the states, spectra and system marginals come back stacked, frame i first."""
     setup = cfg.setup
     mat = np.asarray(psi_or_rho, dtype=complex)
     rho_i = np.outer(mat, mat.conj()) if mat.ndim == 1 else mat
@@ -671,7 +674,7 @@ def per_perspective_static_row(cfg, psi_or_rho):
     rho_s = [partial_trace(rho_t, (setup.d_frame, setup.d_s), drop=0) for rho_t in rho]
     row = scenarios._blank_row(0.0)
     row.update(SvN_s_i=von_neumann_entropy(rho_s[0]), SvN_s_j=von_neumann_entropy(rho_s[1]))
-    return row, np.stack(rho), np.stack(rho_s)
+    return row, np.stack(rho), np.stack([checked_spectrum(rho_s_t) for rho_s_t in rho_s]), np.stack(rho_s)
 
 
 def per_perspective_balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1, x0=None, x1=None,

@@ -25,6 +25,7 @@ from qrf_lab.states import von_neumann_entropy
 from qrf_lab.thermo import Prescription
 
 from property_suites import entropy_production_and_flow, per_perspective_rows, per_perspective_static_row
+from test_thermo import _counted_eigen_solvers
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -42,8 +43,9 @@ def test_the_size_budget_admits_d_p_2048_and_refuses_the_next_power(monkeypatch)
 
 
 def test_the_w_state_peaks_below_eight_budget_matrices():
-    """w-state at d_p = 512, parsed, run and rendered, peaks at 7.5 complex d_p x d_p matrices under
-    tracemalloc, as at the budget's d_p = 2048; the bound is 8, as u is applied through its structure."""
+    """w-state at d_p = 512, parsed, run and rendered, peaks at 7.0 complex d_p x d_p matrices under
+    tracemalloc, as at the budget's d_p = 2048; the bound is 7.5, as u is applied through its structure
+    and no caller of _static_entropy_row holds the system marginals it does not read."""
     raw = {"scenario": "w-state", "rep": {"tensor_power": 8}, "params": {"n_qubits": 10}}
     d_p = 512
     tracemalloc.start()
@@ -52,7 +54,7 @@ def test_the_w_state_peaks_below_eight_budget_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 16 * d_p ** 2
+    assert peak <= 7.5 * 16 * d_p ** 2
 
 
 def _refuse_to_allocate(*args, **kwargs):
@@ -253,15 +255,54 @@ def test_ghz_p_w_is_rejected_in_every_variant():
 
 
 def test_ghz_mixed_w_takes_each_renyi_gap_from_one_call(monkeypatch):
-    """The mixed-w summary takes both system marginals' Renyi entropies of each order from one call on
-    their pair, and each gap is the float that the per-marginal entropies give, bit for bit."""
-    seen, renyi = [], scenarios.renyi_entropy
-    monkeypatch.setattr(scenarios, "renyi_entropy", lambda rho, alpha: seen.append((rho, alpha)) or renyi(rho, alpha))
+    """The mixed-w summary reads both system marginals' Renyi entropies of each order off the one checked
+    spectrum of their pair that gives the SvN cells, with one spectrum_entropy call per order, and each gap
+    is the float that the per-marginal entropies give, bit for bit."""
+    marginals, seen = [], []
+    spectrum, entropy = scenarios.checked_spectrum, scenarios.spectrum_entropy
+    monkeypatch.setattr(scenarios, "checked_spectrum", lambda rho: marginals.append(rho) or spectrum(rho))
+    monkeypatch.setattr(scenarios, "spectrum_entropy",
+                        lambda vals, alpha=1.0: seen.append((vals, alpha)) or entropy(vals, alpha))
     summary = run_scenario({"scenario": "ghz", "params": {"variant": "mixed-w", "p_w": 0.3}}).summary
-    assert [(np.shape(rho)[0], alpha) for rho, alpha in seen] == [(2, 0.5), (2, 2.0)]
-    for (rho_s, alpha), key in zip(seen, ("renyi_half_gap", "renyi_two_gap")):
-        expected = abs(renyi(rho_s[0], alpha) - renyi(rho_s[1], alpha))
+    (rho_s,) = marginals
+    assert [(np.shape(vals), alpha) for vals, alpha in seen] == [((2, 8), 1.0), ((2, 8), 0.5), ((2, 8), 2.0)]
+    assert all(vals is seen[0][0] for vals, _ in seen)
+    for (_, alpha), key in zip(seen[1:], ("renyi_half_gap", "renyi_two_gap")):
+        expected = abs(states.renyi_entropy(rho_s[0], alpha) - states.renyi_entropy(rho_s[1], alpha))
         assert type(summary[key]) is float and summary[key] == expected, key
+
+
+@pytest.mark.parametrize("raw", [{"scenario": "w-state"},
+                                 {"scenario": "ghz", "params": {"variant": "mixed-w"}}], ids=["w-state", "mixed-w"])
+def test_static_entropies_diagonalise_the_system_marginals_once(monkeypatch, raw):
+    """The SvN cells and every Renyi summary come from one eigvalsh of the pair of system marginals."""
+    calls = _counted_eigen_solvers(monkeypatch)
+    run_scenario(raw)
+    assert calls == ["eigvalsh"]
+
+
+@pytest.mark.parametrize("name", [name for name, entry in scenarios.SCENARIOS.items() if entry.run is None])
+def test_no_time_grid_summary_rebuilds_what_its_run_built(monkeypatch, name):
+    """Each time-grid run splits H once outside conjugated_split and builds one GridEvolution of it, and
+    only entropy-balance-oscillation takes a static row, of its off-grid probes: effectively-isolated reads
+    h~_S(rho_F(0)) off the walk's split and InitialProduct, negative-temperature reads rho_S(0) and its
+    entropies off the InitialProduct, and entropy-balance-oscillation evolves its probes with the walk's
+    GridEvolution."""
+    calls = Counter()
+
+    def counted(target):
+        built = getattr(scenarios, target)
+
+        def call(*args, **kwargs):
+            calls[target] += 1
+            return built(*args, **kwargs)
+        monkeypatch.setattr(scenarios, target, call)
+
+    for target in ("split_hamiltonian", "GridEvolution", "_static_entropy_row"):
+        counted(target)
+    run_scenario({"scenario": name})
+    assert calls == Counter(split_hamiltonian=1, GridEvolution=1,
+                            _static_entropy_row=int(name == "entropy-balance-oscillation"))
 
 
 def test_unknown_scenario_lists_valid_names():

@@ -8,6 +8,7 @@ import pytest
 from qrf_lab import FrameSetup, Z2, Z3
 from qrf_lab.operators import SIGMA_X, SIGMA_Z, IndefiniteOperatorError, NumericalRankError, kron
 from qrf_lab.states import (
+    NORMALIZATION_TOL,
     basis_state,
     gb_state,
     ghz_state,
@@ -105,6 +106,26 @@ def test_renyi_entropy_of_a_stack_is_one_entropy_per_matrix(alpha):
     assert values.shape == (2,)
     assert np.allclose(values, [0.0, np.log(2.0)], atol=1e-12)
     assert values.tolist() == [renyi_entropy(m, alpha) for m in stack]
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_renyi_entropy_refuses_an_order_that_is_no_finite_positive_number(alpha):
+    """NaN passes alpha <= 0 and gave NaN, and inf divided by zero: each is refused as 0 and -1 are."""
+    with pytest.raises(ValueError, match="alpha must be a finite positive number"):
+        renyi_entropy(np.eye(2) / 2, alpha)
+
+
+@pytest.mark.parametrize("rho", [np.diag([2.0, 0.0]), np.eye(2)], ids=["diag(2,0)", "eye(2)"])
+def test_entropies_refuse_an_unnormalized_state(rho):
+    """diag(2, 0) gave S = -2 ln 2 and eye(2) gave S = 0: a spectrum whose sum is off 1 by more than
+    NORMALIZATION_TOL raises in every entropy, alone or in a stack, and one inside the band passes."""
+    for entropy in (von_neumann_entropy, lambda r: renyi_entropy(r, 2.0), lambda r: relative_entropy(r, r),
+                    lambda r: von_neumann_entropy(np.stack([np.eye(2) / 2, r]))):
+        with pytest.raises(ValueError, match="state has trace off 1 by 1.000e[+]00"):
+            entropy(rho)
+    with pytest.raises(ValueError, match="trace off 1 by 2.000e-08"):
+        von_neumann_entropy(np.diag([1.0 + 2 * NORMALIZATION_TOL, 0.0]))
+    assert abs(von_neumann_entropy(np.diag([1.0 + NORMALIZATION_TOL / 2, 0.0]))) < NORMALIZATION_TOL
 
 
 def test_purity():
