@@ -30,8 +30,6 @@ from .operators import (
     hs_norm,
     kron,
     partial_trace,
-    unvec,
-    vec,
 )
 from .scenarios import (
     COLUMNS,

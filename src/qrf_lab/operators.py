@@ -2,8 +2,6 @@
 
 Conventions used throughout the package:
 
-* vectorization is column-major (Fortran order), so the superoperator of
-  the conjugation f -> W f W' is kron(conj(W), W);
 * Hermiticity is checked as max|A - A'| <= 1e-10 max|A|, relative to the
   largest entry, so rescaling A does not change the verdict;
 * eigenvalues below INDEFINITENESS_TOL = -1e-8 on nominally positive
@@ -66,13 +64,14 @@ def kron(*mats):
 
 
 def assert_hermitian(mat, what="operator"):
-    """Return mat if max|A - A'| <= HERMITICITY_TOL max|A|, for each matrix of a stack, else raise ValueError."""
+    """Return mat if max|A - A'| <= HERMITICITY_TOL max|A|, for each matrix of a stack, else raise ValueError
+    naming the first matrix that fails; one vectorized pass over the stack."""
     mat = np.asarray(mat)
-    for a in mat.reshape((-1,) + mat.shape[-2:]):
-        defect = np.abs(a - dagger(a)).max()
-        scale = np.abs(a).max()
-        if defect > HERMITICITY_TOL * scale:
-            raise ValueError(f"{what} is not Hermitian: max|A - A'| = {defect:.3e}, max|A| = {scale:.3e}")
+    defect, scale = np.abs(mat - dagger(mat)).max(axis=(-2, -1)), np.abs(mat).max(axis=(-2, -1))
+    if (failed := defect > HERMITICITY_TOL * scale).any():
+        first = failed.argmax()
+        raise ValueError(f"{what} is not Hermitian: max|A - A'| = {defect.flat[first]:.3e}, "
+                         f"max|A| = {scale.flat[first]:.3e}")
     return mat
 
 
@@ -217,18 +216,6 @@ def hs_norm(a):
     rows = np.ascontiguousarray(a).reshape(-1, 1, a.shape[-2] * a.shape[-1])
     rows = rows.view(rows.real.dtype) if rows.dtype.kind == "c" else rows.astype(float, copy=False)
     return unstacked(np.sqrt(rows @ rows.swapaxes(-1, -2)).reshape(a.shape[:-2]))
-
-
-def vec(mat):
-    """Column-major vectorization."""
-    return np.asarray(mat).reshape(-1, order="F")
-
-
-def unvec(v, d=None):
-    v = np.asarray(v)
-    if d is None:
-        d = round(np.sqrt(v.size))
-    return v.reshape((d, d), order="F")
 
 
 def check_guard_band(distances, gap, what):

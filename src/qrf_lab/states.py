@@ -1,10 +1,11 @@
 """State constructors, entropies, and state transport between perspectives.
 
-Entropies use the natural logarithm.  One checked spectrum (no eigenvalue
-below INDEFINITENESS_TOL, sum 1 within NORMALIZATION_TOL) serves every entropy
-order through spectrum_entropy, so several orders of a state take one
-eigvalsh.  Relative entropy returns math.inf when the support condition
-fails; the tagged infinity propagates through downstream balances.
+Entropies use the natural logarithm.  One checked spectrum (of a state that
+assert_hermitian passes, no eigenvalue below INDEFINITENESS_TOL, sum 1 within
+NORMALIZATION_TOL) serves every entropy order through spectrum_entropy, so
+several orders of a state take one eigvalsh.  Relative entropy returns
+math.inf when the support condition fails; the tagged infinity propagates
+through downstream balances.
 """
 
 from __future__ import annotations
@@ -85,17 +86,22 @@ def basis_state(dim, index):
     return v
 
 
+def _unit_trace(traces):
+    """Raise ValueError when a trace, or one of a stack's, is off 1 by more than NORMALIZATION_TOL."""
+    if (off := np.abs(traces - 1.0).max()) > NORMALIZATION_TOL:
+        raise ValueError(f"state has trace off 1 by {off:.3e}")
+
+
 def _checked(vals):
     if vals.min() < INDEFINITENESS_TOL:
         raise IndefiniteOperatorError(f"state has eigenvalue {vals.min():.3e}")
-    if (off := np.abs(vals.sum(axis=-1) - 1.0).max()) > NORMALIZATION_TOL:
-        raise ValueError(f"state has trace off 1 by {off:.3e}")
+    _unit_trace(vals.sum(axis=-1))
     return vals
 
 
 def checked_spectrum(rho):
     """The eigenvalues of a state, or of each in a stack, with the checks of the module docstring."""
-    return _checked(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
+    return _checked(np.linalg.eigvalsh(assert_hermitian(np.asarray(rho, dtype=complex), what="state")))
 
 
 def spectrum_entropy(vals, alpha=1.0):
@@ -125,7 +131,7 @@ def support_log(sigma):
     """(S(sigma), log sigma on its support, sigma's kernel eigenvectors with the support's columns zeroed)
     from one eigh, sigma's spectrum checked as checked_spectrum checks it; eigenvalues at or below
     SUPPORT_CUTOFF make the kernel.  A stack gives stacks."""
-    vals, vecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
+    vals, vecs = np.linalg.eigh(assert_hermitian(np.asarray(sigma, dtype=complex), what="state"))
     outside = _checked(vals) <= SUPPORT_CUTOFF
     log_sigma = (vecs * np.log(np.where(outside, 1.0, vals))[..., None, :]) @ dagger(vecs)
     return spectrum_entropy(vals), log_sigma, vecs * outside[..., None, :]
@@ -159,7 +165,10 @@ def mutual_information(rho, dims):
 
 
 def purity(rho):
-    """Tr(rho^2), a trace_product; a stack (k, d, d) gives one purity per matrix."""
+    """Tr(rho^2), a trace_product; a stack (k, d, d) gives one purity per matrix.  rho must pass
+    assert_hermitian and have trace 1 within NORMALIZATION_TOL, two O(d^2) checks."""
+    rho = assert_hermitian(np.asarray(rho, dtype=complex), what="state")
+    _unit_trace(np.trace(rho, axis1=-2, axis2=-1))
     return unstacked(trace_product(rho, rho).real)
 
 

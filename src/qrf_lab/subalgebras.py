@@ -26,11 +26,8 @@ from .operators import (
     kron,
     monomial_gather,
     partial_trace,
-    pinch,
     read_only,
     twirl,
-    unvec,
-    vec,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -175,8 +172,8 @@ def transport_bilocal(setup, x: BilocalUnitary, old, new) -> BilocalUnitary:
 
 def _check_superoperator_budget(d, top):
     """Refuse, before allocating, an intersection whose real form would pass the budget: in doubles,
-    S, its n x n eigenvectors and under 64 n of work (n = d^2), or later top kept eigenvectors and their
-    complex basis."""
+    S, its n x n eigenvectors and under 64 n of work (n = d^2), or later top kept eigenvectors and K, at
+    most as many complex entries."""
     n = d * d
     estimate = np.dtype(float).itemsize * max(2 * n * n + 64 * n, 3 * n * top)
     if estimate > SUPEROPERATOR_BUDGET_BYTES:
@@ -190,7 +187,7 @@ def _hermitian_coordinates(d):
 
     B_kl = Herm(2 conj(g[k, l]) E_kl) is E_kk, (E_kl + E_lk)/sqrt 2 for k < l and i (E_kl - E_lk)/sqrt 2
     for k > l, an orthonormal basis of the Hermitian d x d operators.  h has the coordinates Re(2 g h),
-    entrywise, and the coordinates r are the h with conj(h) = g (r + i r^T).
+    entrywise, and the coordinates r are the h = conj(g)(r - i r^T).
     """
     g = np.where(np.triu(np.ones((d, d), dtype=bool), 1), 1.0, -1j) / np.sqrt(2)
     np.fill_diagonal(g, (1 - 1j) / 2)
@@ -220,28 +217,29 @@ def _hermitian_superoperator(labels, d):
 
 @dataclass(frozen=True, eq=False)
 class SubalgebraProjector:
-    """Orthogonal projector onto a subalgebra: for a label, the commutant of W = Q T Q'.
+    """Orthogonal projector onto a subalgebra, read in a label's coordinates F = Q'fQ.
 
-    mask[a, b] marks pairs of W's eigenvalues in one cluster, apply is the
-    pinching Q (mask * Q'fQ) Q', O(d_p^3), and the dimension is sum m_k^2.
-    An intersection holds an orthonormal basis (d_p^2 x D) of its column-major
-    vec space instead: apply is unvec(basis (basis' vec(f))) and the
-    dimension is D.
+    For a label, the commutant of W = Q T Q', mask[a, b] marks pairs of W's eigenvalues in one cluster,
+    apply is the pinching Q (mask * F) Q', O(d_p^3), and the dimension is sum m_k^2.  An intersection keeps
+    the Q and mask of its label of smaller dimension, and a kernel K with one column F[mask] for each
+    Hermitian h = conj(g)(r - i r^T) that spans it (intersect_projectors): apply is Q (K K' F[mask]) Q', and
+    the dimension is K's column count.  On an inexact intersection K drops h's part outside the label, of
+    order sqrt(tol).
     """
 
-    operand_dim: int
-    schur_vectors: np.ndarray | None = None
-    mask: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    schur_vectors: np.ndarray
+    mask: np.ndarray
+    kernel: np.ndarray | None = None
 
     @property
     def dimension(self):
-        return self.basis.shape[1] if self.mask is None else int(self.mask.sum())
+        return int(self.mask.sum()) if self.kernel is None else self.kernel.shape[1]
 
     def apply(self, op):
-        if self.mask is None:
-            return unvec(self.basis @ (dagger(self.basis) @ vec(op)), self.operand_dim)
-        return pinch(self.schur_vectors, self.mask, op)
+        f = dagger(self.schur_vectors) @ np.asarray(op, dtype=complex) @ self.schur_vectors
+        if self.kernel is not None:
+            f[..., self.mask] = f[..., self.mask] @ self.kernel.conj() @ self.kernel.T
+        return self.schur_vectors @ (self.mask * f) @ dagger(self.schur_vectors)
 
     def contains(self, op):
         """Whether ||apply(op) - op|| <= MEMBERSHIP_TOL ||op||; scale-free, and 0 is a member."""
@@ -259,45 +257,46 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
     w = assert_unitary(dagger(setup.perspective_change(g_i, g_j).adjoint.left(kron(x.y, x.z))) + 0.0, what="W = X'u")
     triangular, q = schur(w, output="complex")
     mask = clusters(np.diag(triangular), tol, "the distance between eigenvalues of W")
-    return SubalgebraProjector(operand_dim=setup.d_perspective, schur_vectors=q, mask=mask)
+    return SubalgebraProjector(schur_vectors=q, mask=mask)
 
 
 def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-9):
     """Projector onto the intersection of two label subalgebras, from one real symmetric eigenproblem.
 
-    Where P_A P_B has the eigenvalues cos^2 theta of the principal angles
-    between the two subalgebras, S = P_A + P_B has 1 +- cos theta (Halmos's
-    two-subspace theorem).  S is a sum of pinchings f -> P_C f P_C with
-    Hermitian P_C, so on the Hermitian operators it is a real symmetric
-    d_p^2 x d_p^2 matrix with the same spectrum, and both subalgebras being
-    closed under f -> f', its Hermitian eigenvectors span the intersection.
-    An eigenvalue mu is selected when 1 - (mu - 1)^2 <= tol, the same
-    |lambda - 1| <= tol for lambda = cos^2 theta, and a value in
-    (tol, 10 tol] raises NumericalRankError.  eigh computes only the mu above
-    1 + sqrt(1 - 10 tol), less a margin for round-off (for tol < 0.1), and
-    selects them by value: an index range on an exactly degenerate spectrum
-    can come back short.  eigh overwrites S, which is freed before the kept
-    eigenvectors become the complex column-major basis; the peak, which the
-    budget checks before allocating, is S and the d_p^2 x d_p^2 eigenvectors
-    that a value range allocates, one complex S in bytes.
+    Where P_A P_B has the eigenvalues cos^2 theta of the principal angles between the two subalgebras,
+    S = P_A + P_B has 1 +- cos theta (Halmos's two-subspace theorem).  S is a sum of pinchings f -> P_C f P_C
+    with Hermitian P_C, so on the Hermitian operators it is a real symmetric d_p^2 x d_p^2 matrix with the
+    same spectrum, and both subalgebras being closed under f -> f', its Hermitian eigenvectors span the
+    intersection.  An eigenvalue mu is selected when 1 - (mu - 1)^2 <= tol, the same |lambda - 1| <= tol for
+    lambda = cos^2 theta, and a value in (tol, 10 tol] raises NumericalRankError.  eigh computes only the mu
+    above 1 + sqrt(1 - 10 tol), less a margin for round-off (for tol < 0.1), and selects them by value: an
+    index range on an exactly degenerate spectrum can come back short.  Each kept eigenvector r is the
+    Hermitian h = conj(g)(r - i r^T), g from _hermitian_coordinates, and K holds F = Q'hQ on the mask of
+    the label of smaller dimension.  For a kept defect sin^2 theta in (0, tol], h is off that label by
+    sin(theta / 2), of order sqrt(tol), and that part is all that K drops.  eigh overwrites S, which is
+    freed before K is formed; the peak, which the budget checks before allocating, is S and the
+    d_p^2 x d_p^2 eigenvectors that a value range allocates, one complex S in bytes.
     """
     from scipy.linalg import eigh
-    if a.mask is None or b.mask is None:
+    if a.kernel is not None or b.kernel is not None:
         raise ValueError("intersect_projectors takes two label projectors, as invariant_projector returns")
-    d = a.operand_dim
-    _check_superoperator_budget(d, min(a.dimension, b.dimension))
+    if a.mask.shape != b.mask.shape:
+        raise ValueError(f"intersect_projectors takes labels of one size, not d_p = {len(a.mask)} and {len(b.mask)}")
+    small, d = min(a, b, key=lambda label: label.dimension), len(a.mask)
+    _check_superoperator_budget(d, small.dimension)
     lowest = 1.0 + np.sqrt(max(0.0, 1.0 - 10 * tol)) - 1e-12
     mu, vectors = eigh(_hermitian_superoperator([a, b], d), subset_by_value=(lowest, np.inf), overwrite_a=True,
                        check_finite=False)  # S is finite, and set only on the triangle that eigh reads
     defect = 1.0 - (mu - 1.0) ** 2
     check_guard_band(defect, tol, "the distance of an eigenvalue of P_A P_B from 1")
-    kept = vectors[:, defect <= tol].reshape(d, d, -1)
+    kept = vectors[:, defect <= tol]
     del vectors
-    # A Hermitian eigenvector's column-major vec is its conjugate in C order, g (r + i r^T).
-    basis = 1j * kept.transpose(1, 0, 2)
-    basis += kept
-    basis *= _hermitian_coordinates(d)[:, :, None]
-    return SubalgebraProjector(operand_dim=d, basis=basis.reshape(d * d, -1))
+    q, g = small.schur_vectors, _hermitian_coordinates(d).conj()
+    kernel = np.empty((kept.shape[1], small.dimension), dtype=complex)
+    for j in range(0, len(kernel), d):  # d Hermitians h at a time, so K is the one large new array
+        r = kept[:, j:j + d].T.reshape(-1, d, d)
+        kernel[j:j + d] = (dagger(q) @ (g * (r - 1j * r.swapaxes(1, 2))) @ q)[:, small.mask]
+    return SubalgebraProjector(schur_vectors=q, mask=small.mask, kernel=kernel.T)
 
 
 @dataclass

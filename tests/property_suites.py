@@ -39,8 +39,6 @@ from qrf_lab.operators import (
     product_partial_traces,
     product_trace_maps,
     twirl,
-    unvec,
-    vec,
 )
 from qrf_lab.subalgebras import (
     BilocalUnitary,
@@ -807,6 +805,17 @@ def entropy_production_and_flow(setup, rho0_ibar, rho_t_ibar, tol=1e-9, s_t=None
     return entropy_balance(initial, von_neumann_entropy(rho_t) if s_t is None else s_t,
                            partial_trace(rho_t, dims, drop=1),
                            von_neumann_entropy(partial_trace(rho_t, dims, drop=0)))
+
+
+def vec(mat):
+    """Column-major vectorization, the convention of the superoperator oracles below: the superoperator of
+    f -> w f w' is kron(conj(w), w)."""
+    return np.asarray(mat).reshape(-1, order="F")
+
+
+def unvec(v, d):
+    """The d x d matrix whose column-major vec is v."""
+    return np.asarray(v).reshape((d, d), order="F")
 
 
 def cluster_projectors(proj):

@@ -25,8 +25,6 @@ from qrf_lab.operators import (
     partial_trace,
     stack_times,
     trace_product,
-    unvec,
-    vec,
 )
 from qrf_lab.states import purity
 
@@ -36,6 +34,8 @@ from property_suites import (
     haar_state,
     haar_unitary,
     random_hermitian,
+    unvec,
+    vec,
 )
 
 
@@ -74,12 +74,6 @@ def test_partial_trace_refuses_a_factor_outside_the_bipartition(drop):
     """The one bipartition has factors 0 and 1, and drop names one of them, not a tuple of them."""
     with pytest.raises(ValueError, match="factor index out of range"):
         partial_trace(np.eye(6), (2, 3), drop)
-
-
-def test_vec_unvec_round_trip():
-    rng = np.random.default_rng(2)
-    m = random_hermitian(rng, 3)
-    assert np.allclose(unvec(vec(m), 3), m)
 
 
 def test_hs_inner_and_norm():
@@ -123,18 +117,22 @@ def _bits(value):
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_reductions_depend_on_the_values_alone(kind):
     """hs_norm, trace_product, hs_inner and purity give each matrix of a stack the bits it gets alone
-    in C order, for d from 2 to 27 and every layout of each operand, mixed ones too."""
+    in C order, for d from 2 to 27 and every layout of each operand, mixed ones too; purity, which
+    takes Hermitian unit-trace matrices only, on a a' normalized."""
     rng = np.random.default_rng(83)
     for d in range(2, 28):
         a, b = (rng.normal(size=(3, d, d)) + (1j * rng.normal(size=(3, d, d)) if kind == "complex" else 0)
                 for _ in range(2))
+        states = a @ dagger(a)
+        states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+        for name, stack in _layouts(states).items():
+            assert _bits(purity(stack)) == _bits([purity(m) for m in states]), (d, name)
         layouts_a, layouts_b = _layouts(a), _layouts(b)
         for name, stack in layouts_a.items():
             norms = hs_norm(stack)
             assert norms.shape == (3,) and isinstance(hs_norm(a[0]), float)
             for n in range(3):
                 assert _bits(norms[n]) == _bits(hs_norm(a[n])) == _bits(hs_norm(stack[n])), (d, name)
-            assert _bits(purity(stack)) == _bits([purity(m) for m in a]), (d, name)
             for other, stack_b in layouts_b.items():
                 products, inner = trace_product(stack, stack_b), hs_inner(stack, stack_b)
                 for n in range(3):
@@ -166,6 +164,18 @@ def test_assert_hermitian():
         assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert_hermitian(SIGMA_Y)
     assert_hermitian(np.zeros((3, 3)))
+
+
+def test_assert_hermitian_judges_each_matrix_of_a_stack_alone():
+    """One pass over the stack gives each matrix its own verdict, relative to its own largest entry, and
+    the error names the first matrix that fails."""
+    tiny_off = 1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    big = np.array([[1e6, 1.0], [1.0 + 1e-7, 0.0]])  # a defect of 1e-7 is within 1e-10 of max|A| = 1e6
+    assert assert_hermitian(np.stack([big, ID2])).shape == (2, 2, 2)
+    for stack, defect in ((np.stack([big, tiny_off, 2 * tiny_off]), "1.000e-12"),
+                          (np.stack([[ID2, 3 * tiny_off], [tiny_off, big]]), "3.000e-12")):
+        with pytest.raises(ValueError, match=f"state is not Hermitian: max.A - A'. = {defect}"):
+            assert_hermitian(stack, what="state")
 
 
 def test_assert_hermitian_is_relative_to_the_largest_entry():

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the stdlib ast module."""
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -489,3 +490,17 @@ def test_one_text_construction():
     imported = {alias.name for p in MODULES for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Import) for alias in node.names}
     assert "io" not in imported
+
+
+def test_one_projector_coordinate_system():
+    """Every subalgebra projector lives in a label's Schur coordinates: no module of the package reshapes in
+    Fortran order or defines vec or unvec, and SubalgebraProjector has no operand_dim and no basis field."""
+    defined, _ = _defined_and_callers("vec")
+    assert not {"vec", "unvec"} & defined
+    fortran = [(p.name, node.lineno) for p in MODULES for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               if isinstance(node, ast.keyword) and node.arg == "order"
+               and isinstance(node.value, ast.Constant) and node.value.value == "F"]
+    assert fortran == []
+    fields = {field.name for field in dataclasses.fields(qrf_lab.SubalgebraProjector)}
+    assert not {"operand_dim", "basis"} & fields
+    assert not {"vec", "unvec"} & set(dir(qrf_lab))

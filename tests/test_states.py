@@ -133,6 +133,29 @@ def test_purity():
     assert np.isclose(purity(np.eye(2) / 2), 0.5)
 
 
+def test_entropies_refuse_a_non_hermitian_state():
+    """eigvalsh and eigh read one triangle only, so [[0.5, 1], [0, 0.5]] had the entropy ln 2 and a relative
+    entropy 0 from eye(2) / 2; every entropy now raises, as a reference state too, alone or in a stack."""
+    upper = np.array([[0.5, 1.0], [0.0, 0.5]])
+    for entropy in (von_neumann_entropy, lambda r: renyi_entropy(r, 2.0), lambda r: relative_entropy(np.eye(2) / 2, r),
+                    lambda r: relative_entropy(r, np.eye(2) / 2), lambda r: mutual_information(kron(r, r), (2, 2)),
+                    lambda r: von_neumann_entropy(np.stack([[np.eye(2) / 2], [r]]))):
+        with pytest.raises(ValueError, match="state is not Hermitian: max.A - A'. = 1.000e[+]00"):
+            entropy(upper)
+
+
+def test_purity_refuses_what_is_not_a_state():
+    """purity(eye(2)) was 2.0, above the bound 1: a trace off 1 by more than NORMALIZATION_TOL or a
+    non-Hermitian input raises, alone or in a stack, and a trace inside the band passes."""
+    off_band = np.diag([1.0 + 2 * NORMALIZATION_TOL, 0.0])
+    for rho, message in ((np.eye(2), "state has trace off 1 by 1.000e[+]00"),
+                         (np.stack([np.eye(2) / 2, off_band]), "trace off 1 by 2.000e-08"),
+                         (np.array([[0.5, 1.0], [0.0, 0.5]]), "state is not Hermitian")):
+        with pytest.raises(ValueError, match=message):
+            purity(rho)
+    assert purity(np.diag([1.0 + NORMALIZATION_TOL / 2, 0.0])) == (1.0 + NORMALIZATION_TOL / 2) ** 2
+
+
 def test_mutual_information():
     rho_prod = kron(np.diag([0.3, 0.7]), np.eye(2) / 2)
     assert np.isclose(mutual_information(rho_prod, (2, 2)), 0.0, atol=1e-12)

@@ -21,8 +21,6 @@ from qrf_lab.operators import (
     hs_inner,
     hs_norm,
     kron,
-    unvec,
-    vec,
 )
 from qrf_lab.subalgebras import (
     BilocalUnitary,
@@ -53,6 +51,8 @@ from property_suites import (
     monomial_commutant_dimension,
     random_hermitian,
     setup_pool,
+    unvec,
+    vec,
 )
 
 E = (0,)
@@ -192,13 +192,12 @@ def test_intersection_guard_band():
     the identity, and sigma_z meets its image at 1 - cos^2 = sin^2 2 theta, selected
     within tol and ambiguous in (tol, 10 tol]."""
     diagonal = np.eye(2, dtype=bool)
-    fixed = SubalgebraProjector(operand_dim=2, schur_vectors=np.eye(2, dtype=complex), mask=diagonal)
+    fixed = SubalgebraProjector(schur_vectors=np.eye(2, dtype=complex), mask=diagonal)
     tol = 1e-9
     for sin2, dimension in ((1e-10, 2), (5e-9, None), (1e-7, 1)):
         theta = math.asin(math.sqrt(sin2)) / 2
         c, s = math.cos(theta), math.sin(theta)
-        rotated = SubalgebraProjector(operand_dim=2, schur_vectors=np.array([[c, -s], [s, c]], dtype=complex),
-                                      mask=diagonal)
+        rotated = SubalgebraProjector(schur_vectors=np.array([[c, -s], [s, c]], dtype=complex), mask=diagonal)
         if dimension is None:
             with pytest.raises(NumericalRankError, match="guard band"):
                 intersect_projectors(fixed, rotated, tol=tol)
@@ -243,7 +242,7 @@ def test_intersection_peak_is_one_superoperator_and_its_kept_eigenvectors(moduli
     eigenvectors that eigh's value range allocates, besides smaller temporaries.  The budget's
     estimate is at least that peak and within 5% of it."""
     first, second = _ladder_labels(moduli, rep)
-    d = first.operand_dim
+    d = len(first.mask)
     made = []
     peak = _peak_bytes(lambda: made.append(intersect_projectors(first, second)))
     assert peak <= 2.25 * d ** 4 * np.dtype(float).itemsize, peak / (d ** 4 * 8)
@@ -269,7 +268,7 @@ def test_intersection_selects_by_value_on_a_degenerate_spectrum():
     assert [label.dimension for label in labels] == [10, 4]
     f = np.arange(16.0).reshape(4, 4) + 1j * np.arange(16.0).reshape(4, 4).T ** 2
     for perm in itertools.permutations(range(4)):
-        moved = [SubalgebraProjector(operand_dim=4, schur_vectors=label.schur_vectors[list(perm)], mask=label.mask)
+        moved = [SubalgebraProjector(schur_vectors=label.schur_vectors[list(perm)], mask=label.mask)
                  for label in labels]
         both = intersect_projectors(*moved)
         oracle = fixed_space_projector(label_superoperator(moved[0]) @ label_superoperator(moved[1]))
@@ -355,8 +354,8 @@ def test_intersection_of_two_full_algebras_takes_the_whole_spectrum(d):
     """With one cluster each label is all of M_d, so min(dim) = d^2: the top-index subset is
     the whole spectrum of S = 2, and the intersection is every operator."""
     rng = np.random.default_rng(d)
-    full = [SubalgebraProjector(operand_dim=d, schur_vectors=haar_unitary(rng, d),
-                                mask=np.ones((d, d), dtype=bool)) for _ in range(2)]
+    full = [SubalgebraProjector(schur_vectors=haar_unitary(rng, d), mask=np.ones((d, d), dtype=bool))
+            for _ in range(2)]
     both = intersect_projectors(*full)
     assert both.dimension == d * d
     f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -368,6 +367,21 @@ def test_intersection_takes_label_projectors_only():
     labels = [invariant_projector(setup, BilocalUnitary(ID2, z), E, E) for z in (ID2, SIGMA_X)]
     with pytest.raises(ValueError, match="label projectors"):
         intersect_projectors(intersect_projectors(*labels), labels[0])
+
+
+def test_intersection_refuses_labels_of_two_sizes(monkeypatch):
+    """A Z2-regular label (d_p = 4) and a Z3-regular one (d_p = 9) have no intersection: the refusal names
+    both sizes, before the budget estimate, where numpy's concatenate failed before."""
+    labels = [invariant_projector(setup, BilocalUnitary(np.eye(setup.d_frame), np.eye(setup.d_s)), e, e)
+              for setup, e in ((FrameSetup.from_rep_config(group, "regular"), group.identity) for group in (Z2, Z3))]
+
+    def no_estimate(*args):
+        raise AssertionError("the budget was estimated")
+
+    monkeypatch.setattr(subalgebras, "_check_superoperator_budget", no_estimate)
+    for first, second in (labels, labels[::-1]):
+        with pytest.raises(ValueError, match=f"labels of one size, not d_p = {len(first.mask)} and {len(second.mask)}"):
+            intersect_projectors(first, second)
 
 
 def test_fixed_space_projector_of_conjugation():
