@@ -32,6 +32,7 @@ from .operators import (
     read_only,
     stack_times,
 )
+from .states import checked_state
 from .subalgebras import BilocalUnitary, invariant_projector, membership_test, pi_d, pi_t
 
 CLASSIFIER_TOL = 1e-10
@@ -295,7 +296,7 @@ def imported_hamiltonian_and_trajectory_check(setup, hamiltonian, x, g_i, g_j, r
     agreement = hs_norm(invariant_projector(setup, x, g_i, g_j).apply(diff))
     times = np.asarray(time_grid, dtype=float)
     in_ax, comm_norms = [], []
-    for _, rho_t in GridEvolution(hamiltonian).blocks(rho0, times):
+    for _, rho_t in GridEvolution(hamiltonian).blocks(checked_state(rho0), times):
         in_ax += membership_test(setup, rho_t, x, g_i, g_j).is_member.tolist()
         comm_norms += hs_norm(diff @ rho_t - rho_t @ diff).tolist()
     return TrajectoryImportReport(h_imported, times, in_ax, comm_norms, float(agreement))

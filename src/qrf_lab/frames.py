@@ -102,11 +102,11 @@ class FrameSetup:
             assert_unitary(u, what=f"representation of {g}")
         elements = group.elements  # the identity first
         stack = np.array([rep_s[g] for g in elements])
-        if np.abs(stack[0] - np.eye(self.d_s)).max() > 1e-10:
+        if not np.abs(stack[0] - np.eye(self.d_s)).max() <= 1e-10:
             raise ValueError("representation must send the identity element to the identity matrix")
         for e in group.generators:
             steps = group._translate_indices(e)
-            failed = np.abs(stack @ stack[group.index(e)] - stack[steps]).max(axis=(1, 2)) > 1e-10
+            failed = ~(np.abs(stack @ stack[group.index(e)] - stack[steps]).max(axis=(1, 2)) <= 1e-10)
             if failed.any():
                 raise ValueError(f"representation is not a homomorphism at pair ({elements[failed.argmax()]}, {e})")
         return stack

@@ -4,6 +4,7 @@ Conventions used throughout the package:
 
 * Hermiticity is checked as max|A - A'| <= 1e-10 max|A|, relative to the
   largest entry, so rescaling A does not change the verdict;
+* each check passes on defect <= tol, which no NaN meets: a NaN fails every check;
 * eigenvalues below INDEFINITENESS_TOL = -1e-8 on nominally positive
   operators are treated as a real indefiniteness, smaller negatives as
   round-off;
@@ -68,7 +69,7 @@ def assert_hermitian(mat, what="operator"):
     naming the first matrix that fails; one vectorized pass over the stack."""
     mat = np.asarray(mat)
     defect, scale = np.abs(mat - dagger(mat)).max(axis=(-2, -1)), np.abs(mat).max(axis=(-2, -1))
-    if (failed := defect > HERMITICITY_TOL * scale).any():
+    if (failed := ~(defect <= HERMITICITY_TOL * scale)).any():
         first = failed.argmax()
         raise ValueError(f"{what} is not Hermitian: max|A - A'| = {defect.flat[first]:.3e}, "
                          f"max|A| = {scale.flat[first]:.3e}")
@@ -82,7 +83,7 @@ def hermitian_part(mat):
 def assert_unitary(mat, what="operator"):
     mat = np.asarray(mat)
     defect = np.abs(mat @ dagger(mat) - np.eye(mat.shape[0])).max()
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise ValueError(f"{what} is not unitary: max|U U' - 1| = {defect:.3e}")
     return mat
 

@@ -37,6 +37,7 @@ from .states import (
 )
 from .subalgebras import (
     BilocalUnitary,
+    MEMBERSHIP_TOL,
     intersect_projectors,
     invariant_projector,
     membership_scan,
@@ -48,7 +49,6 @@ from .thermo import Prescription, entropy_balance, initial_product, marginal_ene
 
 VERSION = "0.1.0"
 
-DEFAULT_TOLERANCE = 1e-9
 # Largest d_p x d_p complex matrix a config may ask for: 64 MiB, d_p <= 2048; w-state peaks at 7.0 of them.
 _MATRIX_BUDGET_BYTES = 64 * 2 ** 20
 # A time-grid point costs at most 6.9 KB of grid, rows and rendered output
@@ -308,7 +308,7 @@ def parse_config(source):
     g_j = _build_orientation(group, orientations["g_j"], "orientations.g_j")
 
     tolerance = merged.get("tolerance")
-    tolerance = _as_float(DEFAULT_TOLERANCE if tolerance is None else tolerance, "tolerance")
+    tolerance = _as_float(MEMBERSHIP_TOL if tolerance is None else tolerance, "tolerance")
     _require(tolerance > 0, "tolerance", "tolerance must be positive")
     merged["tolerance"] = tolerance
 

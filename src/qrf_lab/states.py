@@ -1,11 +1,14 @@
 """State constructors, entropies, and state transport between perspectives.
 
-Entropies use the natural logarithm.  One checked spectrum (of a state that
-assert_hermitian passes, no eigenvalue below INDEFINITENESS_TOL, sum 1 within
-NORMALIZATION_TOL) serves every entropy order through spectrum_entropy, so
-several orders of a state take one eigvalsh.  Relative entropy returns
-math.inf when the support condition fails; the tagged infinity propagates
-through downstream balances.
+Entropies use the natural logarithm.  One rule admits a state, or each of a
+stack: checked_state, which assert_hermitian passes and whose trace is 1
+within NORMALIZATION_TOL, two O(d^2) tests that a NaN fails.  Each function
+of the package that takes a state applies it where the state enters, itself
+or through checked_spectrum or support_log, whose spectra have no eigenvalue
+below INDEFINITENESS_TOL.  One checked spectrum serves every entropy order
+through spectrum_entropy, so several orders of a state take one eigvalsh.
+Relative entropy returns math.inf when the support condition fails; the
+tagged infinity propagates through downstream balances.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ def gb_state(group, h, k):
 
 def gibbs_state(hamiltonian, beta):
     """exp(-beta H) / Z."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be a finite number, got {beta!r}")
     hamiltonian = assert_hermitian(np.asarray(hamiltonian, dtype=complex), what="Hamiltonian")
     vals, vecs = np.linalg.eigh(hamiltonian)
     # Shifted so that the largest weight is 1: no exp overflows, at either sign of beta.
@@ -86,22 +91,24 @@ def basis_state(dim, index):
     return v
 
 
-def _unit_trace(traces):
-    """Raise ValueError when a trace, or one of a stack's, is off 1 by more than NORMALIZATION_TOL."""
-    if (off := np.abs(traces - 1.0).max()) > NORMALIZATION_TOL:
+def checked_state(rho):
+    """rho as a complex array once it, or each matrix of a stack, passes assert_hermitian and has trace 1
+    within NORMALIZATION_TOL, else ValueError: two O(d^2) tests, and a NaN fails both."""
+    rho = assert_hermitian(np.asarray(rho, dtype=complex), what="state")
+    if not (off := np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()) <= NORMALIZATION_TOL:
         raise ValueError(f"state has trace off 1 by {off:.3e}")
+    return rho
 
 
 def _checked(vals):
     if vals.min() < INDEFINITENESS_TOL:
         raise IndefiniteOperatorError(f"state has eigenvalue {vals.min():.3e}")
-    _unit_trace(vals.sum(axis=-1))
     return vals
 
 
 def checked_spectrum(rho):
-    """The eigenvalues of a state, or of each in a stack, with the checks of the module docstring."""
-    return _checked(np.linalg.eigvalsh(assert_hermitian(np.asarray(rho, dtype=complex), what="state")))
+    """The eigenvalues of a checked_state, or of each in a stack, none below INDEFINITENESS_TOL."""
+    return _checked(np.linalg.eigvalsh(checked_state(rho)))
 
 
 def spectrum_entropy(vals, alpha=1.0):
@@ -131,7 +138,7 @@ def support_log(sigma):
     """(S(sigma), log sigma on its support, sigma's kernel eigenvectors with the support's columns zeroed)
     from one eigh, sigma's spectrum checked as checked_spectrum checks it; eigenvalues at or below
     SUPPORT_CUTOFF make the kernel.  A stack gives stacks."""
-    vals, vecs = np.linalg.eigh(assert_hermitian(np.asarray(sigma, dtype=complex), what="state"))
+    vals, vecs = np.linalg.eigh(checked_state(sigma))
     outside = _checked(vals) <= SUPPORT_CUTOFF
     log_sigma = (vecs * np.log(np.where(outside, 1.0, vals))[..., None, :]) @ dagger(vecs)
     return spectrum_entropy(vals), log_sigma, vecs * outside[..., None, :]
@@ -158,17 +165,15 @@ def relative_entropy(rho, sigma):
 
 def mutual_information(rho, dims):
     """I(A:B) of a bipartite state; a stack (k, d, d) gives k values."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = checked_state(rho)
     rho_a = partial_trace(rho, dims, drop=1)
     rho_b = partial_trace(rho, dims, drop=0)
     return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
 
 
 def purity(rho):
-    """Tr(rho^2), a trace_product; a stack (k, d, d) gives one purity per matrix.  rho must pass
-    assert_hermitian and have trace 1 within NORMALIZATION_TOL, two O(d^2) checks."""
-    rho = assert_hermitian(np.asarray(rho, dtype=complex), what="state")
-    _unit_trace(np.trace(rho, axis1=-2, axis2=-1))
+    """Tr(rho^2) of a checked_state, a trace_product; a stack (k, d, d) gives one purity per matrix."""
+    rho = checked_state(rho)
     return unstacked(trace_product(rho, rho).real)
 
 
@@ -181,7 +186,7 @@ class SubsystemStates:
 
 def subsystem_transform(setup, rho_ibar, g_i, g_j):
     """State in the other perspective together with its marginals."""
-    rho_jbar = setup.perspective_change(g_i, g_j).conjugate(rho_ibar)
+    rho_jbar = setup.perspective_change(g_i, g_j).conjugate(checked_state(rho_ibar))
     dims = (setup.d_frame, setup.d_s)
     return SubsystemStates(
         rho_jbar=rho_jbar,
@@ -191,11 +196,10 @@ def subsystem_transform(setup, rho_ibar, g_i, g_j):
 
 
 def subsystem_equivalence_witness(rho_a, rho_b):
-    """Unitary z with rho_b = z rho_a z', or None when the spectra differ by more than SPECTRUM_TOL."""
-    rho_a, rho_b = np.asarray(rho_a, dtype=complex), np.asarray(rho_b, dtype=complex)
-    vals_a, vecs_a = np.linalg.eigh(rho_a)
-    vals_b, vecs_b = np.linalg.eigh(rho_b)
-    if np.abs(vals_a - vals_b).max() > SPECTRUM_TOL:
+    """Unitary z with rho_b = z rho_a z', or None when the checked spectra differ by more than SPECTRUM_TOL."""
+    vals_a, vecs_a = np.linalg.eigh(checked_state(rho_a))
+    vals_b, vecs_b = np.linalg.eigh(checked_state(rho_b))
+    if np.abs(_checked(vals_a) - _checked(vals_b)).max() > SPECTRUM_TOL:
         return None
     align_clusters([(vecs_b, vecs_a)], vals_a, "the distance between eigenvalues of rho_a")
     return vecs_b @ dagger(vecs_a)
@@ -216,7 +220,7 @@ def negative_temperature_predict(setup, h_s, beta, rho_frame, g_j):
     q_a read off the frame populations over the anticommuting sector.
     """
     h_s = assert_hermitian(np.asarray(h_s, dtype=complex), what="Hamiltonian")
-    rho_frame = np.asarray(rho_frame, dtype=complex)
+    rho_frame = checked_state(rho_frame)
     group = setup.group
     g_j = group.check_element(g_j)
     commutes, anticommutes = setup.translation_sectors(h_s, 1e-10 * hs_norm(h_s))

@@ -29,6 +29,7 @@ from .operators import (
     read_only,
     twirl,
 )
+from .states import NORMALIZATION_TOL
 
 MEMBERSHIP_TOL = 1e-9
 LOCALITY_TOL = 1e-10
@@ -246,7 +247,7 @@ class SubalgebraProjector:
         return hs_norm(self.apply(op) - op) <= MEMBERSHIP_TOL * hs_norm(op)
 
 
-def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
+def invariant_projector(setup, x, g_i, g_j, tol=MEMBERSHIP_TOL):
     """Projector onto the subalgebra labeled by x at the given orientations: the commutant of W = x'u.
 
     operators.clusters groups W's eigenvalues at tol, the selection
@@ -260,7 +261,7 @@ def invariant_projector(setup, x, g_i, g_j, tol=1e-9):
     return SubalgebraProjector(schur_vectors=q, mask=mask)
 
 
-def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=1e-9):
+def intersect_projectors(a: SubalgebraProjector, b: SubalgebraProjector, tol=MEMBERSHIP_TOL):
     """Projector onto the intersection of two label subalgebras, from one real symmetric eigenproblem.
 
     Where P_A P_B has the eigenvalues cos^2 theta of the principal angles between the two subalgebras,
@@ -351,8 +352,7 @@ def pure_state_bilocal_witness(setup, psi, g_i, g_j, tol=MEMBERSHIP_TOL):
     the (frame, system) split, in which case no such unitary exists.
     """
     psi = np.asarray(psi, dtype=complex).ravel()
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(np.vdot(psi, psi).real - 1.0) <= NORMALIZATION_TOL:  # Tr(psi psi') as checked_state reads it
         raise ValueError("state vector must be normalized")
     d_f, d_s = setup.d_frame, setup.d_s
     m_psi = psi.reshape(d_f, d_s)

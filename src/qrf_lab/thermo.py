@@ -49,8 +49,8 @@ their (2, 1) stack, or balance_verifiers' four endpoint states, sliced into
 the pairs at t0 and at t1.  entropy_balance, the core, reads S(rho(t)),
 rho_frame(t) and S(rho_s(t)), and takes S(rho_frame(t)) and D(rho_frame(t) ||
 rho_frame(0)) from one spectrum of rho_frame(t).  S(rho(t)) = S(rho0) on a
-unitary trajectory in either frame, so callers pass S(rho0): the full state's
-positivity is checked once, on rho0, the marginals' at every time.
+unitary trajectory in either frame, so callers pass S(rho0): rho0 is checked
+where it enters, its spectrum once, and the marginals' at every time.
 balance_verifiers walks the grid on every call, witness or not, and its tail
 takes S(rho(t1)) only for a product start, x1 only when x0 exists, and
 membership at t1 only for a member at t0.
@@ -75,7 +75,6 @@ from .dynamics import (
     stacked_split,
 )
 from .operators import (
-    assert_hermitian,
     dagger,
     hermitian_part,
     hs_inner,
@@ -89,13 +88,14 @@ from .operators import (
     unstacked,
 )
 from .states import (
+    checked_state,
     entropy_and_relative_entropy,
     gibbs_state,
     purity,
     support_log,
     von_neumann_entropy,
 )
-from .subalgebras import membership_test, pi_t, pure_state_bilocal_witness
+from .subalgebras import MEMBERSHIP_TOL, membership_test, pi_t, pure_state_bilocal_witness
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def subsystem_eom_terms(setup, split, rho_ibar):
     -i Tr_frame[h_int, omega], omega = rho - rho_frame (x) rho_s.  rho is effectively closed when
     [1 (x) rho_s, rho] = [1 (x) rho_s, omega] vanishes, formed on rho's (d_f, d_s) row or column axes.
     """
-    rho = assert_hermitian(np.asarray(rho_ibar, dtype=complex), what="state")  # _assembled reads Tr(rho h_int) as A'
+    rho = checked_state(rho_ibar)  # Hermitian, as _assembled reads Tr(rho h_int) as A'
     rho_frame, rho_s, _, rho_s_dot, _ = _assembled(split, *_traced(split, rho))
     omega = rho - kron(rho_frame, rho_s)
     h_tilde_s = mean_field_hamiltonian(split, rho_frame, on="s")
@@ -303,10 +303,10 @@ class InitialProduct(NamedTuple):
     kernel_frame: np.ndarray
 
 
-def initial_product(setup, rho0_ibar, tol=1e-9):
-    """The InitialProduct of rho0 or a stack; is_product tells whether rho0 = rho_frame (x) rho_s within tol."""
+def initial_product(setup, rho0_ibar, tol=MEMBERSHIP_TOL):
+    """The InitialProduct of a checked_state rho0 or stack; is_product: rho0 = rho_frame (x) rho_s within tol."""
     dims = (setup.d_frame, setup.d_s)
-    rho0 = np.asarray(rho0_ibar, dtype=complex)
+    rho0 = checked_state(rho0_ibar)
     rho_s0 = partial_trace(rho0, dims, drop=0)
     rho_f0 = partial_trace(rho0, dims, drop=1)
     is_product = np.asarray(hs_norm(rho0 - kron(rho_f0, rho_s0)) <= tol * np.maximum(1.0, hs_norm(rho0)))
@@ -507,7 +507,7 @@ def balance_verifiers(setup, split, rho0, g_i, g_j, prescription, t0, t1,
     change = setup.perspective_change(g_i, g_j)
     split_j = conjugated_split(change, h_total, setup.d_frame, setup.d_s)
     times = np.linspace(float(t0), float(t1), grid)
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = checked_state(rho0)
     evolution = GridEvolution(h_total)
 
     def find_witness(rho_t, provided):

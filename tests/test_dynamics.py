@@ -323,6 +323,20 @@ def test_imported_hamiltonian_for_zz_chain():
     assert report.generator_agreement_residual < 1e-12
 
 
+def test_imported_hamiltonian_check_refuses_a_start_that_is_not_a_state():
+    """rho0 = 1/4 + 0.1i X (x) X, not Hermitian though its marginals are, got in_ax values."""
+    rho0 = np.eye(4) / 4 + 0.1j * kron(SIGMA_X, SIGMA_X)
+    with pytest.raises(ValueError, match="state is not Hermitian"):
+        imported_hamiltonian_and_trajectory_check(qubit_setup(), zz_chain(0.9, 0.35), BilocalUnitary(ID2, SIGMA_X),
+                                                  E, E, rho0, [0.0, 1.0])
+
+
+def test_split_hamiltonian_refuses_a_nan():
+    """A NaN 4 x 4 was split, as assert_hermitian passed it."""
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian: max.A - A'. = nan"):
+        split_hamiltonian(np.full((4, 4), np.nan), 2, 2)
+
+
 def test_the_imported_generator_is_hermitian_bit_for_bit():
     """h_imported is the total of conjugated_split(x', u H u'), equal to its own adjoint bit for bit,
     for a random H and label at a random orientation pair of every setup of the pool and the

@@ -54,8 +54,10 @@ def test_setup_dimensions():
 
 
 def test_setup_rejects_non_unitary_rep():
-    with pytest.raises(ValueError, match="unitary"):
-        FrameSetup(Z2, {(0,): np.eye(2), (1,): 2 * SIGMA_X})
+    """A NaN rep was built, as every representation check passed a NaN."""
+    for u in (2 * SIGMA_X, np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="representation of .1,. is not unitary"):
+            FrameSetup(Z2, {(0,): np.eye(2), (1,): u})
 
 
 def test_setup_rejects_non_homomorphism():

@@ -166,6 +166,17 @@ def test_assert_hermitian():
     assert_hermitian(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("nan", [np.full((2, 2), np.nan), np.diag([1.0, np.nan])], ids=["all NaN", "one NaN"])
+def test_a_nan_fails_the_hermiticity_and_unitarity_checks(nan):
+    """Both checks passed an all-NaN matrix, as defect > tol is False for NaN; each now holds defect <= tol,
+    alone and, for Hermiticity, in a stack, where the error names the matrix that holds the NaN."""
+    for mat in (nan, np.stack([ID2, nan])):
+        with pytest.raises(ValueError, match="is not Hermitian: max.A - A'. = nan"):
+            assert_hermitian(mat)
+    with pytest.raises(ValueError, match="is not unitary: max.U U' - 1. = nan"):
+        assert_unitary(nan)
+
+
 def test_assert_hermitian_judges_each_matrix_of_a_stack_alone():
     """One pass over the stack gives each matrix its own verdict, relative to its own largest entry, and
     the error names the first matrix that fails."""

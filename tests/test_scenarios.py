@@ -22,6 +22,7 @@ from qrf_lab.scenarios import (
     run_scenario,
 )
 from qrf_lab.states import von_neumann_entropy
+from qrf_lab.subalgebras import MEMBERSHIP_TOL
 from qrf_lab.thermo import Prescription
 
 from property_suites import entropy_production_and_flow, per_perspective_rows, per_perspective_static_row
@@ -325,7 +326,7 @@ def test_tolerance_env_var(monkeypatch):
     """The tolerance comes from the config alone; the environment does not change it."""
     for value in ("0.001", "abc"):
         monkeypatch.setenv("QRF_LAB_TOL", value)
-        assert parse_config({"scenario": "ghz"}).tolerance == scenarios.DEFAULT_TOLERANCE
+        assert parse_config({"scenario": "ghz"}).tolerance == MEMBERSHIP_TOL
         assert parse_config({"scenario": "ghz", "tolerance": 0.25}).tolerance == 0.25
 
 

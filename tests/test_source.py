@@ -299,6 +299,33 @@ def test_one_clustering_rule():
     assert found == {("operators.py", "clusters"), ("subalgebras.py", "intersect_projectors")}
 
 
+def test_one_state_rule():
+    """states.checked_state is the one check of a density matrix: no module defines _unit_trace, only
+    checked_state calls assert_hermitian(..., what="state"), every function that takes a state calls
+    checked_state, checked_spectrum or support_log, and pure_state_bilocal_witness holds its vector to the
+    same NORMALIZATION_TOL."""
+    defined, _ = _defined_and_callers("_unit_trace")
+    assert "_unit_trace" not in defined
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+
+    def state_check(node):
+        return _calls(node, "assert_hermitian") and any(
+            getattr(arg, "value", None) == "state" for arg in node.args[1:] + [k.value for k in node.keywords])
+
+    assert {(name, owner) for name, text in sources.items() for owner in owners(text, state_check)} == {
+        ("states.py", "checked_state")}
+    rules = ("checked_state", "checked_spectrum", "support_log")
+    checked = set().union(*(_defined_and_callers(rule)[1] for rule in rules))
+    takes_a_state = {("states.py", name) for name in ("checked_spectrum", "support_log", "purity", "mutual_information",
+                                                      "subsystem_transform", "subsystem_equivalence_witness",
+                                                      "negative_temperature_predict")}
+    takes_a_state |= {("thermo.py", "initial_product"), ("thermo.py", "subsystem_eom_terms"),
+                      ("thermo.py", "balance_verifiers"), ("dynamics.py", "imported_hamiltonian_and_trajectory_check")}
+    assert takes_a_state - checked == set()
+    witness = owners(sources["subalgebras.py"], lambda node: getattr(node, "id", None) == "NORMALIZATION_TOL")
+    assert witness == {"pure_state_bilocal_witness"}
+
+
 def attribute_reads(source, attr):
     """How often each outermost def or class of source reads attr as an attribute; a read outside
     every def and class counts as "<module>"."""

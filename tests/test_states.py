@@ -10,6 +10,7 @@ from qrf_lab.operators import SIGMA_X, SIGMA_Z, IndefiniteOperatorError, Numeric
 from qrf_lab.states import (
     NORMALIZATION_TOL,
     basis_state,
+    checked_state,
     gb_state,
     ghz_state,
     gibbs_state,
@@ -71,6 +72,13 @@ def test_gibbs_state():
     z = 2.0 * np.cosh(1.0)
     assert np.allclose(rho, np.diag([np.exp(-1.0), np.exp(1.0)]) / z, atol=1e-12)
     assert np.isclose(np.trace(rho), 1.0)
+
+
+@pytest.mark.parametrize("beta", [float("inf"), float("-inf"), float("nan")])
+def test_gibbs_state_refuses_a_non_finite_beta(beta):
+    """beta = inf gave an all-NaN matrix with a RuntimeWarning, and NaN the same without one."""
+    with pytest.raises(ValueError, match="beta must be a finite number"):
+        gibbs_state(SIGMA_Z, beta)
 
 
 def test_pure_state_entropy_is_positive_zero():
@@ -135,25 +143,39 @@ def test_purity():
 
 def test_entropies_refuse_a_non_hermitian_state():
     """eigvalsh and eigh read one triangle only, so [[0.5, 1], [0, 0.5]] had the entropy ln 2 and a relative
-    entropy 0 from eye(2) / 2; every entropy now raises, as a reference state too, alone or in a stack."""
-    upper = np.array([[0.5, 1.0], [0.0, 0.5]])
+    entropy 0 from eye(2) / 2, and a NaN 2 x 2 had the entropy 0.0, as NaN > tol is False; every entropy
+    now raises, as a reference state too, alone or in a stack."""
     for entropy in (von_neumann_entropy, lambda r: renyi_entropy(r, 2.0), lambda r: relative_entropy(np.eye(2) / 2, r),
                     lambda r: relative_entropy(r, np.eye(2) / 2), lambda r: mutual_information(kron(r, r), (2, 2)),
                     lambda r: von_neumann_entropy(np.stack([[np.eye(2) / 2], [r]]))):
-        with pytest.raises(ValueError, match="state is not Hermitian: max.A - A'. = 1.000e[+]00"):
-            entropy(upper)
+        for rho, defect in ((np.array([[0.5, 1.0], [0.0, 0.5]]), "1.000e[+]00"), (np.full((2, 2), np.nan), "nan")):
+            with pytest.raises(ValueError, match=f"state is not Hermitian: max.A - A'. = {defect}"):
+                entropy(rho)
 
 
 def test_purity_refuses_what_is_not_a_state():
-    """purity(eye(2)) was 2.0, above the bound 1: a trace off 1 by more than NORMALIZATION_TOL or a
-    non-Hermitian input raises, alone or in a stack, and a trace inside the band passes."""
+    """purity(eye(2)) was 2.0, above the bound 1, and a NaN 2 x 2 nan: a trace off 1 by more than
+    NORMALIZATION_TOL or a non-Hermitian input raises, alone or in a stack, and a trace inside the band passes."""
     off_band = np.diag([1.0 + 2 * NORMALIZATION_TOL, 0.0])
     for rho, message in ((np.eye(2), "state has trace off 1 by 1.000e[+]00"),
                          (np.stack([np.eye(2) / 2, off_band]), "trace off 1 by 2.000e-08"),
-                         (np.array([[0.5, 1.0], [0.0, 0.5]]), "state is not Hermitian")):
+                         (np.array([[0.5, 1.0], [0.0, 0.5]]), "state is not Hermitian"),
+                         (np.full((2, 2), np.nan), "state is not Hermitian: max.A - A'. = nan")):
         with pytest.raises(ValueError, match=message):
             purity(rho)
     assert purity(np.diag([1.0 + NORMALIZATION_TOL / 2, 0.0])) == (1.0 + NORMALIZATION_TOL / 2) ** 2
+
+
+def test_checked_state_is_the_one_state_rule():
+    """checked_state returns the complex array, of one state or a stack, and refuses a stack with one
+    non-Hermitian matrix or one trace off 1 by more than NORMALIZATION_TOL."""
+    half = np.eye(2) / 2
+    assert checked_state(np.stack([half, np.diag([1.0, 0.0])])).dtype == complex
+    assert checked_state(np.diag([1.0 + NORMALIZATION_TOL / 2, 0.0]))[0, 0] == 1.0 + NORMALIZATION_TOL / 2
+    for rho, message in ((np.stack([half, np.diag([1.0 + 2 * NORMALIZATION_TOL, 0.0])]), "trace off 1 by 2.000e-08"),
+                         (np.stack([half, np.array([[0.5, 1.0], [0.0, 0.5]])]), "state is not Hermitian")):
+        with pytest.raises(ValueError, match=message):
+            checked_state(rho)
 
 
 def test_mutual_information():
@@ -196,6 +218,18 @@ def test_subsystem_transform_preserves_spectra():
     assert np.isclose(np.trace(states.rho_frame), 1.0)
 
 
+def test_subsystem_transform_refuses_what_is_not_a_state():
+    """On Z2 regular, rho with rho[0, 0] = 3 and rho[0, 1] = 1 gave rho_S = [[0, 0], [1, 3]] without a word."""
+    setup = FrameSetup.from_rep_config(Z2, "regular")
+    rho = np.eye(4) / 4
+    rho[0, 0], rho[0, 1] = 3.0, 1.0
+    with pytest.raises(ValueError, match="state is not Hermitian"):
+        subsystem_transform(setup, rho, (0,), (1,))
+    rho[0, 1] = 0.0
+    with pytest.raises(ValueError, match="state has trace off 1 by 2.750e[+]00"):
+        subsystem_transform(setup, rho, (0,), (1,))
+
+
 def test_equivalence_witness_finds_conjugation():
     rho_a = gibbs_state(SIGMA_Z, 1.0)
     rho_b = SIGMA_X @ rho_a @ SIGMA_X
@@ -208,6 +242,15 @@ def test_equivalence_witness_rejects_different_spectra():
     rho_a = np.diag([0.9, 0.1])
     rho_b = np.diag([0.6, 0.4])
     assert subsystem_equivalence_witness(rho_a, rho_b) is None
+
+
+def test_equivalence_witness_refuses_what_is_not_a_state():
+    """diag(3, 0) and diag(0, 3) got a witness: each argument is a checked_state, and the two spectra that
+    the witness computes are held to checked_spectrum's positivity test."""
+    with pytest.raises(ValueError, match="state has trace off 1 by 2.000e[+]00"):
+        subsystem_equivalence_witness(np.diag([3.0, 0.0]), np.diag([0.0, 3.0]))
+    with pytest.raises(IndefiniteOperatorError, match="state has eigenvalue -5.000e-01"):
+        subsystem_equivalence_witness(np.diag([1.5, -0.5]), np.diag([-0.5, 1.5]))
 
 
 def test_equivalence_witness_raises_for_eigenvalues_in_the_guard_band():
@@ -226,6 +269,13 @@ def test_negative_temperature_prediction():
     assert report.commuting_sector == [(0,)]
     assert np.isclose(report.q_a, 1.0)
     assert np.allclose(report.predicted, gibbs_state(SIGMA_Z, -beta), atol=1e-12)
+
+
+def test_negative_temperature_prediction_refuses_a_frame_state_that_is_not_one():
+    """rho_F = diag(5, 0) gave q_a = 0.0."""
+    setup = FrameSetup.from_rep_config(Z2, "regular")
+    with pytest.raises(ValueError, match="state has trace off 1 by 4.000e[+]00"):
+        negative_temperature_predict(setup, SIGMA_Z, 1.0, np.diag([5.0, 0.0]), (0,))
 
 
 def test_negative_temperature_prediction_does_not_overflow():

@@ -39,6 +39,7 @@ from qrf_lab.subalgebras import (
     transport_bilocal,
 )
 from qrf_lab.scenarios import run_scenario
+from qrf_lab.states import NORMALIZATION_TOL, checked_state
 
 from kinematics import dense_perspective_unitary
 from property_suites import (
@@ -599,6 +600,28 @@ def test_pure_state_witness_absent_for_generic_state():
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi = psi / np.linalg.norm(psi)
     assert pure_state_bilocal_witness(setup, psi, E, E) is None
+
+
+def test_bilocal_unitary_refuses_a_nan_factor():
+    """BilocalUnitary(1, NaN) was built, as assert_unitary passed a NaN."""
+    with pytest.raises(ValueError, match="system factor is not unitary"):
+        BilocalUnitary(ID2, np.full((2, 2), np.nan))
+
+
+def test_pure_state_witness_holds_its_vector_to_the_state_rule():
+    """psi is accepted exactly when psi psi' passes checked_state: |<psi|psi> - 1| <= NORMALIZATION_TOL,
+    where the test was |‖psi‖ - 1| <= 1e-10; a NaN fails it."""
+    psi = np.kron([0.0, 1.0], np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0))
+    for excess in (0.5, 0.99, 1.01, 2.0, np.nan):
+        scaled = psi * np.sqrt(1.0 + excess * NORMALIZATION_TOL)
+        try:
+            checked_state(np.outer(scaled, scaled.conj()))
+        except ValueError:
+            with pytest.raises(ValueError, match="state vector must be normalized"):
+                pure_state_bilocal_witness(qubit_setup(), scaled, E, E)
+        else:
+            assert pure_state_bilocal_witness(qubit_setup(), scaled, E, E) is not None
+    assert pure_state_bilocal_witness(qubit_setup(), psi * (1.0 + 1e-9), E, E) is not None
 
 
 def test_pure_state_witness_raises_for_schmidt_coefficients_in_the_guard_band():

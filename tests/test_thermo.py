@@ -286,6 +286,13 @@ def test_subsystem_eom_terms_rejects_a_non_hermitian_state():
         thermo.subsystem_eom_terms(setup, split, rho)
 
 
+def test_subsystem_eom_terms_rejects_an_unnormalized_state():
+    """3/4 times the identity passed, as only Hermiticity was checked."""
+    split = split_hamiltonian(kron(SIGMA_Z, SIGMA_Z), 2, 2)
+    with pytest.raises(ValueError, match="state has trace off 1 by 2.000e[+]00"):
+        thermo.subsystem_eom_terms(qubit_setup(), split, 3 * np.eye(4) / 4)
+
+
 def test_entropy_balance_identities():
     setup = qubit_setup()
     rng = np.random.default_rng(3)
@@ -322,6 +329,12 @@ def test_initial_product_reports_a_correlated_state_without_raising():
     assert np.isclose(correlated.s_frame, np.log(2.0)) and np.isclose(correlated.s_s, np.log(2.0))
     product = initial_product(setup, kron(gibbs_state(SIGMA_Z, 0.5), ID2 / 2))
     assert product.is_product and np.isclose(product.s_s, np.log(2.0))
+
+
+def test_initial_product_refuses_a_start_that_is_not_a_state():
+    """1/4 + 0.1i X (x) X has Hermitian marginals but is not Hermitian itself; it got is_product False."""
+    with pytest.raises(ValueError, match="state is not Hermitian"):
+        initial_product(qubit_setup(), np.eye(4) / 4 + 0.1j * kron(SIGMA_X, SIGMA_X))
 
 
 def _counted_eigen_solvers(monkeypatch):
@@ -559,6 +572,20 @@ def test_balance_verifiers_rejects_a_grid_without_both_endpoints(grid, monkeypat
     with pytest.raises(ValueError, match="grid"):
         balance_verifiers(setup, split_hamiltonian(h, 2, 2), rho0, g_i, g_j,
                           Prescription.split_alpha(0.5), 0.0, 2.0, x0=x, x1=x, grid=grid)
+
+
+def test_balance_verifiers_checks_rho0_before_any_evolution(monkeypatch):
+    """A rho0 that is not Hermitian, though its marginals are, was refused only after the grid walk, by a
+    marginal's check; checked_state refuses it on entry."""
+    setup, h, _, x, g_i, g_j = _member_trajectory()
+
+    def no_evolution(*args):
+        raise AssertionError("evolved before rho0 was checked")
+
+    monkeypatch.setattr(dynamics.GridEvolution, "__init__", no_evolution)
+    with pytest.raises(ValueError, match="state is not Hermitian"):
+        balance_verifiers(setup, split_hamiltonian(h, 2, 2), np.eye(4) / 4 + 0.1j * kron(SIGMA_X, SIGMA_X),
+                          g_i, g_j, Prescription.split_alpha(0.5), 0.0, 2.0, x0=x, x1=x)
 
 
 def test_balance_verifiers_conjugates_each_state_once(monkeypatch):
